@@ -13,6 +13,11 @@ contract):
   only against a configurable fractional threshold on the per-case
   minimum round time (the min is the least noisy statistic), with a
   floor below which timings are ignored entirely.
+- **Run-protocol fields** (``rounds``, ``rounds_override``) say how the
+  measurement was taken, not what the simulation did: the sim-side
+  payload is asserted identical across rounds, so a baseline recorded
+  at three rounds and a CI run at ``--rounds 1`` must compare equal.
+  They are stripped by the same rule.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "DEFAULT_MIN_WALL_SECONDS",
     "DEFAULT_WALL_THRESHOLD",
     "MissingBaselineError",
+    "PROTOCOL_KEYS",
     "WALL_KEYS",
     "compare_paths",
     "compare_records",
@@ -34,6 +40,12 @@ __all__ = [
 #: Keys whose subtrees carry host wall-clock data and are never compared
 #: byte-for-byte.
 WALL_KEYS = frozenset({"wall", "wall_seconds"})
+
+#: Keys that record the run protocol (how many rounds were timed); like
+#: wall data they describe the measurement, not the simulation.
+PROTOCOL_KEYS = frozenset({"rounds", "rounds_override"})
+
+_STRIPPED_KEYS = WALL_KEYS | PROTOCOL_KEYS
 
 #: Default allowed fractional wall slowdown on a case's min round time
 #: (1.0 = a 2x slowdown passes).  Shared with ``repro.obs.store`` so
@@ -53,9 +65,10 @@ class MissingBaselineError(FileNotFoundError):
 
 
 def strip_wall(obj: Any) -> Any:
-    """A deep copy of *obj* with every wall-carrying key removed."""
+    """A deep copy of *obj* with every wall-carrying and run-protocol
+    key removed: what is left is the sim-side payload."""
     if isinstance(obj, dict):
-        return {k: strip_wall(v) for k, v in obj.items() if k not in WALL_KEYS}
+        return {k: strip_wall(v) for k, v in obj.items() if k not in _STRIPPED_KEYS}
     if isinstance(obj, list):
         return [strip_wall(v) for v in obj]
     return obj

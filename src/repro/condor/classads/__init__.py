@@ -12,7 +12,7 @@ arithmetic/comparison/boolean operators including the meta-equality
 ``Requirements`` with ``Rank`` ordering.
 """
 
-from repro.condor.classads.ad import ClassAd, match, rank, symmetric_match
+from repro.condor.classads.ad import ClassAd, FrozenAdError, match, rank, symmetric_match
 from repro.condor.classads.compile import compile_expr
 from repro.condor.classads.expr import (
     ClassAdValue,
@@ -31,6 +31,7 @@ __all__ = [
     "ClassAdValue",
     "EvalContext",
     "Expr",
+    "FrozenAdError",
     "LexError",
     "ParseError",
     "V_ERROR",

@@ -26,11 +26,15 @@ from repro.condor.classads.expr import (
 )
 from repro.condor.classads.parser import parse
 
-__all__ = ["ClassAd", "match", "rank", "symmetric_match"]
+__all__ = ["ClassAd", "FrozenAdError", "match", "rank", "symmetric_match"]
 
 #: Wall-time hook set by ``repro.obs.profile.install_wall`` (one global
 #: read per match when unprofiled -- the bus's inactive-emit contract).
 WALL_PROFILE = None
+
+
+class FrozenAdError(TypeError):
+    """An edit was attempted on a frozen :class:`ClassAd`."""
 
 
 class ClassAd:
@@ -39,6 +43,11 @@ class ClassAd:
     Values assigned via :meth:`__setitem__` may be Python scalars (wrapped
     as literals) or strings of ClassAd source prefixed appropriately via
     :meth:`set_expr`.  Attribute names are case-insensitive.
+
+    An ad that is sent more than once is a shared value: its builder
+    calls :meth:`freeze`, after which every mutator raises
+    :class:`FrozenAdError`.  A recipient that wants to edit takes a
+    :meth:`copy`, which is mutable again.
     """
 
     def __init__(self, attrs: dict[str, Any] | None = None):
@@ -50,6 +59,7 @@ class ClassAd:
         #: constraints); cleared on *any* mutation because such analyses
         #: may depend on the full attribute set, not just one name.
         self._analysis: Any = None
+        self._frozen = False
         if attrs:
             for key, value in attrs.items():
                 self[key] = value
@@ -57,6 +67,7 @@ class ClassAd:
     # -- mapping interface --------------------------------------------------
     def __setitem__(self, name: str, value: Any) -> None:
         """Set attribute *name* to a literal Python value."""
+        self._check_mutable()
         lowered = name.lower()
         if isinstance(value, Expr):
             self._attrs[lowered] = value
@@ -66,9 +77,24 @@ class ClassAd:
 
     def set_expr(self, name: str, source: str) -> None:
         """Set attribute *name* to the parsed ClassAd expression *source*."""
+        self._check_mutable()
         lowered = name.lower()
         self._attrs[lowered] = parse(source)
         self._invalidate(lowered)
+
+    def freeze(self) -> "ClassAd":
+        """Make this ad read-only (irreversibly) and return it."""
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        """True once :meth:`freeze` was called: what the ad says is final."""
+        return self._frozen
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise FrozenAdError("this ClassAd is frozen; edit a copy() instead")
 
     def _invalidate(self, name: str) -> None:
         # Compiled closures resolve cross-attribute references through
@@ -121,6 +147,7 @@ class ClassAd:
 
     # -- conveniences ------------------------------------------------------
     def copy(self) -> "ClassAd":
+        """A mutable ad with the same attributes (even if this one is frozen)."""
         ad = ClassAd()
         ad._attrs = dict(self._attrs)
         # Compiled closures are pure functions of the (immutable) Expr
@@ -129,6 +156,7 @@ class ClassAd:
         return ad
 
     def update(self, other: "ClassAd") -> None:
+        self._check_mutable()
         self._attrs.update(other._attrs)
         for name in other._attrs:
             self._compiled.pop(name, None)

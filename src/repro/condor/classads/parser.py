@@ -9,10 +9,17 @@ Precedence, loosest to tightest::
     * / %
     unary - + !
     atoms: literals, names, MY.x, TARGET.x, f(args), ( expr )
+
+:func:`parse` interns: one shared tree per distinct source string.  The
+trees are frozen dataclasses, so sharing one is as safe as sharing the
+closures compiled from it (DESIGN §3.3a), and a daemon that re-sends the
+same ``Requirements`` text every interval pays for one parse, not one
+per send.  :func:`parse_uncached` is the parser itself.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter_ns
 
 from repro.condor.classads.expr import (
@@ -30,10 +37,16 @@ from repro.condor.classads.expr import (
 )
 from repro.condor.classads.lexer import Token, tokenize
 
-__all__ = ["ParseError", "parse"]
+__all__ = ["INTERN_MAX", "ParseError", "parse", "parse_uncached"]
 
 #: Wall-time hook set by ``repro.obs.profile.install_wall``.
 WALL_PROFILE = None
+
+#: Distinct sources kept interned, least recently used dropped first.
+#: A pool has a handful of Requirements/Rank texts per job shape and
+#: avoided-site set; the bound only matters to a caller that generates
+#: sources without end (a fuzzer), whose memory it caps.
+INTERN_MAX = 4096
 
 _KEYWORD_LITERALS = {
     "true": Literal(V_TRUE),
@@ -168,21 +181,32 @@ class _Parser:
 def parse(source: str) -> Expr:
     """Parse ClassAd expression *source* into an :class:`Expr`.
 
-    Raises :class:`ParseError` (or :class:`~repro.condor.classads.lexer.LexError`)
-    on malformed input.
+    Equal sources return the same (immutable) tree.  Raises
+    :class:`ParseError` (or :class:`~repro.condor.classads.lexer.LexError`)
+    on malformed input, on every call: failures are never interned.
     """
     wall = WALL_PROFILE
     if wall is None:
-        return _parse(source)
+        return _intern(source)
     t0 = perf_counter_ns()
     try:
-        return _parse(source)
+        return _intern(source)
     finally:
         wall.add("classads.parse", perf_counter_ns() - t0)
 
 
-def _parse(source: str) -> Expr:
+def parse_uncached(source: str) -> Expr:
+    """The parser proper: a fresh tree per call, nothing interned.
+
+    For callers that measure or cross-check the parser itself; everything
+    else wants :func:`parse`.
+    """
     parser = _Parser(tokenize(source))
     node = parser.parse_expression()
     parser.expect("EOF")
     return node
+
+
+#: ``lru_cache`` keeps no entry for a call that raised, is safe to call
+#: from the service's simulation thread, and holds only immutable trees.
+_intern = lru_cache(maxsize=INTERN_MAX)(parse_uncached)

@@ -206,6 +206,18 @@ class Matchmaker:
 
     def receive_ad(self, kind: str, name: str, ad: ClassAd) -> None:
         """Store one advertisement and maintain the derived structures."""
+        if kind == "job":
+            stored = self.job_ads.get(name)
+            if stored is not None and stored.ad is ad and ad.frozen:
+                # A refresh: the schedd re-sent the very ad that is
+                # stored, and a frozen ad still says what it said then.
+                # The reply address and state are functions of the ad,
+                # so only the timestamp can be new -- and if it is not,
+                # the expiry heap already holds this entry.
+                if stored.received != self.sim.now:
+                    stored.received = self.sim.now
+                    heappush(self._expiry_heap, (stored.received, 1, name))
+                return
         stored = _StoredAd(
             name=name,
             ad=ad,

@@ -149,6 +149,9 @@ class Schedd:
         #: consecutive local-matchmaker advertise failures (grid escalation)
         self._local_mm_failures = 0
         self._grid_error_reported = False
+        #: job_id -> (everything the ad was built from, the frozen ad);
+        #: one entry per live job, see :meth:`_job_ad`.
+        self._ad_cache: dict[str, tuple[tuple, ClassAd]] = {}
         self.listener = net.listen(submit_host, self.PORT)
         self._accept_proc = sim.spawn(self._accept_loop(), name=f"schedd:{submit_host}")
         self._accept_proc.defuse()
@@ -213,11 +216,7 @@ class Schedd:
             yield self.sim.timeout(self.config.advertise_interval)
 
     def _advertise_jobs(self):
-        batch = tuple(
-            (f"{self.submit_host}#{job.job_id}", self._job_ad(job))
-            for job in list(self.jobs.values())
-            if job.state is JobState.IDLE
-        )
+        batch = self._ad_batch(self.idle_jobs())
         if not batch:
             return
         try:
@@ -265,14 +264,13 @@ class Schedd:
         candidates = self._flock_candidates()
         if not candidates:
             return
+        # One batch for every link: each remote pool is offered the same
+        # jobs under the same requirements.
+        batch = self._ad_batch(candidates)
         bus = self.sim.telemetry
         for link in self.flock_links:
             if not link.ready(self.sim.now):
                 continue
-            batch = tuple(
-                (f"{self.submit_host}#{job.job_id}", self._job_ad(job))
-                for job in candidates
-            )
             try:
                 conn = yield from self.net.connect(
                     self.submit_host, link.host, 9618,
@@ -354,7 +352,32 @@ class Schedd:
             )
             self.chain.propagate(err, discovered_by="schedd", time=self.sim.now)
 
-    def _job_ad(self, job: Job) -> ClassAd:
+    def _avoided_now(self) -> tuple[str, ...]:
+        """The sites inside an avoidance window at ``sim.now``, in the
+        order :meth:`_job_ad` writes them into Requirements."""
+        return tuple(sorted(self.avoided_sites))
+
+    def _ad_batch(self, jobs: list[Job]) -> tuple:
+        """``(name, ad)`` pairs for *jobs*, in order: an AdvertiseBatch body."""
+        avoided = self._avoided_now()
+        return tuple(
+            (f"{self.submit_host}#{job.job_id}", self._job_ad(job, avoided))
+            for job in jobs
+        )
+
+    def _job_ad(self, job: Job, avoided: tuple[str, ...]) -> ClassAd:
+        """The ad forwarded for *job* while *avoided* sites are shunned.
+
+        Built once and kept until an input changes: the key is every
+        value read below (the schedd's own host and port never change).
+        The ad is frozen because the same object goes to the home
+        matchmaker, every flock link and the claimed startd, interval
+        after interval.
+        """
+        key = (job.ad_fields(), avoided)
+        cached = self._ad_cache.get(job.job_id)
+        if cached is not None and cached[0] == key:
+            return cached[1]
         ad = job.to_classad()
         ad["scheddhost"] = self.submit_host
         ad["scheddport"] = self.PORT
@@ -364,9 +387,10 @@ class Schedd:
             # need to know the local details." -- the schedd adds the
             # capability requirement on the user's behalf.
             requirements += " && (TARGET.hasjava == TRUE)"
-        for site in sorted(self.avoided_sites):
+        for site in avoided:
             requirements += f' && (TARGET.machine =!= "{site}")'
         ad.set_expr("requirements", requirements)
+        self._ad_cache[job.job_id] = (key, ad.freeze())
         return ad
 
     # -- match handling --------------------------------------------------------
@@ -464,7 +488,7 @@ class Schedd:
                 RequestClaim(
                     schedd_name=self.submit_host,
                     job_id=job.job_id,
-                    job_ad=self._job_ad(job),
+                    job_ad=self._job_ad(job, self._avoided_now()),
                 ),
                 size=WireSize.AD,
             )
@@ -525,8 +549,7 @@ class Schedd:
     def _complete(self, job: Job, outcome: ShadowOutcome) -> None:
         job.final_result = outcome.result
         job.set_state(JobState.COMPLETED)
-        self._idle_since.pop(job.job_id, None)
-        self._flock_announced.discard(job.job_id)
+        self._forget(job)
         # Structured classification: a termination is an error delivery
         # exactly when the delivered file is not a program result.
         is_error = outcome.result is not None and not outcome.result.is_program_result
@@ -544,11 +567,16 @@ class Schedd:
                 job=job.job_id, result=str(outcome.result),
             )
 
+    def _forget(self, job: Job) -> None:
+        """*job* just went terminal: drop what is kept per live job."""
+        self._idle_since.pop(job.job_id, None)
+        self._flock_announced.discard(job.job_id)
+        self._ad_cache.pop(job.job_id, None)
+
     def _hold(self, job: Job, reason: str) -> None:
         job.hold_reason = reason
         job.set_state(JobState.HELD)
-        self._idle_since.pop(job.job_id, None)
-        self._flock_announced.discard(job.job_id)
+        self._forget(job)
         self.userlog.log(
             self.sim.now, job.job_id, UserLogEventType.HELD, reason, error=True
         )

@@ -147,20 +147,42 @@ class Job:
         ]
 
     # -- matchmaking ----------------------------------------------------------
+    def ad_fields(self) -> tuple:
+        """Every input of :meth:`to_classad`, as one hashable tuple.
+
+        The ad is built from this tuple and nothing else, so two calls
+        that return equal tuples build equal ads -- which is what lets
+        the schedd keep the built ad and compare tuples instead.
+        """
+        return (
+            self.job_id,
+            self.owner,
+            self.universe.value,
+            self.image_size // 2**20,  # MB, as Condor does
+            self.heap_request // 2**20,
+            self.attempt_count,
+            self.requirements,
+            self.rank,
+        )
+
     def to_classad(self) -> ClassAd:
         """The job ad the schedd forwards to the matchmaker."""
+        (
+            job_id, owner, universe, imagesize, heaprequest, attempts,
+            requirements, rank,
+        ) = self.ad_fields()
         ad = ClassAd(
             {
-                "jobid": self.job_id,
-                "owner": self.owner,
-                "universe": self.universe.value,
-                "imagesize": self.image_size // 2**20,  # MB, as Condor does
-                "heaprequest": self.heap_request // 2**20,
-                "attempts": self.attempt_count,
+                "jobid": job_id,
+                "owner": owner,
+                "universe": universe,
+                "imagesize": imagesize,
+                "heaprequest": heaprequest,
+                "attempts": attempts,
             }
         )
-        ad.set_expr("requirements", self.requirements)
-        ad.set_expr("rank", self.rank)
+        ad.set_expr("requirements", requirements)
+        ad.set_expr("rank", rank)
         return ad
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -86,6 +86,9 @@ class ServiceServer:
         self.requests_served = 0
         self._server: asyncio.base_events.Server | None = None
         self._drain_task: asyncio.Task | None = None
+        #: Live connections: handler task -> its writer, so :meth:`stop`
+        #: can hang up on idle keep-alive clients and wait them out.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
@@ -104,7 +107,12 @@ class ServiceServer:
             )
 
     async def stop(self) -> None:
-        """Clean shutdown: stop accepting, cancel the drain, close."""
+        """Clean shutdown: cancel the drain, stop accepting, hang up.
+
+        Open connections are closed from this side: a client sees EOF
+        (after its in-flight response, if any), and each handler ends by
+        reading that EOF rather than by being cancelled at loop teardown.
+        """
         if self._drain_task is not None:
             self._drain_task.cancel()
             try:
@@ -114,6 +122,10 @@ class ServiceServer:
             self._drain_task = None
         if self._server is not None:
             self._server.close()
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.wait(list(self._connections))
             await self._server.wait_closed()
             self._server = None
 
@@ -128,6 +140,8 @@ class ServiceServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 keep_alive = await self._serve_one(reader, writer)
@@ -140,6 +154,7 @@ class ServiceServer:
         ):
             pass  # client went away between or mid-request
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

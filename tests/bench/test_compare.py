@@ -47,6 +47,12 @@ class TestStripWall:
         assert "wall" not in case and "wall_seconds" not in case
         assert case["sim"]["events"] == 100
 
+    def test_removes_run_protocol_keys(self):
+        stripped = strip_wall(RECORD)
+        assert "rounds_override" not in stripped
+        assert "rounds" not in stripped["cases"]["test_a"]
+        assert stripped["cases"]["test_a"]["iterations"] == 1
+
     def test_original_is_untouched(self):
         strip_wall(RECORD)
         assert "wall" in RECORD["cases"]["test_a"]
@@ -60,6 +66,14 @@ class TestCompareRecords:
         noisy = _record(wall_seconds={"min": 0.25, "max": 0.4, "mean": 0.3,
                                       "per_round": [0.25, 0.4]})
         assert compare_records(RECORD, noisy) == []
+
+    def test_round_count_is_protocol_not_payload(self):
+        # The committed fuzz baseline was recorded at the default three
+        # rounds; CI reruns it with --rounds 1.  Same simulation.
+        baseline = _record(rounds=3)
+        ci_run = _record(rounds=1)
+        ci_run["rounds_override"] = 1
+        assert compare_records(baseline, ci_run) == []
 
     def test_sim_change_is_a_hard_failure(self):
         changed = _record(sim={"events": 101, "sim_time": 42.0, "top": []})

@@ -1,0 +1,336 @@
+"""Ads are values: interned parses, frozen ads, the schedd's job-ad
+cache and the matchmaker's refresh fast path (DESIGN §3.3a).
+
+Each leg removes host work only, so each is pinned against the slow
+path it replaced: the interned tree against the raw parser, the cached
+ad against one built from scratch, a refresh by identity against a
+refresh by an equal fresh copy.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.condor import Job, JobState, ProgramImage, Universe
+from repro.condor.classads import (
+    ClassAd,
+    FrozenAdError,
+    LexError,
+    ParseError,
+    parse,
+    symmetric_match,
+)
+from repro.condor.classads import parser as parser_mod
+from repro.condor.classads.parser import parse_uncached
+from repro.condor.daemons.config import CondorConfig
+from repro.condor.daemons.schedd import Schedd
+from repro.condor.daemons.shadow import ShadowOutcome
+from repro.condor.job import ExecutionAttempt
+from repro.core.result import ResultFile
+from repro.core.scope import ErrorScope
+from repro.sim.engine import Simulator
+from repro.sim.network import Network, NetworkError
+
+from tests.condor.test_classads_properties import expressions
+from tests.condor.test_match_index import machine_ad, make_matchmaker
+
+
+# -- (a) interned parses -------------------------------------------------
+
+class TestInternedParse:
+    def test_same_source_same_tree(self):
+        source = "TARGET.memory >= MY.imagesize && TARGET.hasjava == TRUE"
+        assert parse(source) is parse(source)
+        assert parse(source) is not parse(source + " ")
+
+    def test_raw_parser_builds_a_fresh_equal_tree(self):
+        source = "TARGET.memory * 2 > 64"
+        assert parse_uncached(source) == parse(source)
+        assert parse_uncached(source) is not parse_uncached(source)
+
+    @pytest.mark.parametrize("source, error", [
+        ("(1 + ", ParseError),
+        ("1 2", ParseError),
+        ('"unterminated', LexError),
+    ])
+    def test_errors_are_raised_every_time_and_never_kept(self, source, error):
+        kept = parser_mod._intern.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error):
+                parse(source)
+        assert parser_mod._intern.cache_info().currsize == kept
+
+    def test_size_is_bounded_and_eviction_is_lru(self):
+        bound = parser_mod.INTERN_MAX
+        assert parser_mod._intern.cache_info().maxsize == bound
+        keeper = parse("TARGET.keeper == 0")
+        first = parse("TARGET.memory >= 0")
+        for i in range(1, 10 * bound):
+            parse(f"TARGET.memory >= {i}")
+            if i % 1000 == 0:  # touched more often than the bound turns over
+                assert parse("TARGET.keeper == 0") is keeper
+        assert parser_mod._intern.cache_info().currsize == bound
+        assert parse("TARGET.memory >= 0") is not first  # long evicted, parsed anew
+
+    @given(expressions())
+    @settings(max_examples=200, deadline=None)
+    def test_interned_tree_equals_the_raw_parsers(self, source):
+        tree = parse(source)
+        assert tree is parse(source)
+        assert tree == parse_uncached(source)
+        assert str(tree) == str(parse_uncached(source))
+
+
+# -- frozen ads ----------------------------------------------------------
+
+class TestFrozenAd:
+    def _frozen(self):
+        ad = ClassAd({"owner": "thain", "imagesize": 28})
+        ad.set_expr("requirements", "TARGET.memory >= MY.imagesize")
+        return ad.freeze()
+
+    def test_every_mutator_raises(self):
+        ad = self._frozen()
+        before = ad.render()
+        with pytest.raises(FrozenAdError):
+            ad["owner"] = "mallory"
+        with pytest.raises(FrozenAdError):
+            ad.set_expr("requirements", "TRUE")
+        with pytest.raises(FrozenAdError):
+            ad.update(ClassAd({"owner": "mallory"}))
+        assert ad.render() == before
+
+    def test_frozen_ad_still_evaluates_and_matches(self):
+        ad = self._frozen()
+        assert ad.frozen
+        assert ad.value("owner") == "thain"
+        assert symmetric_match(ad, machine_ad("exec", memory=64))
+        assert not symmetric_match(ad, machine_ad("tiny", memory=16))
+
+    def test_copy_is_mutable_and_independent(self):
+        ad = self._frozen()
+        clone = ad.copy()
+        assert not clone.frozen
+        clone["owner"] = "livny"
+        clone.set_expr("requirements", "FALSE")
+        assert clone.value("owner") == "livny"
+        assert ad.value("owner") == "thain"
+        assert symmetric_match(ad, machine_ad("exec", memory=64))
+
+
+# -- (b) the schedd's job-ad cache ---------------------------------------
+
+SITES = ("exec0", "exec1", "exec2")
+REQUIREMENTS = ("TRUE", "TARGET.memory >= 64", 'TARGET.arch == "intel"')
+
+
+def reference_job_ad(schedd: Schedd, job: Job) -> ClassAd:
+    """The ad built from scratch, the way the schedd built it on every
+    send before it kept one: the specification the cache must equal."""
+    ad = job.to_classad()
+    ad["scheddhost"] = schedd.submit_host
+    ad["scheddport"] = schedd.PORT
+    requirements = f"({job.requirements})"
+    if job.universe is Universe.JAVA:
+        requirements += " && (TARGET.hasjava == TRUE)"
+    for site in sorted(schedd.avoided_sites):
+        requirements += f' && (TARGET.machine =!= "{site}")'
+    ad.set_expr("requirements", requirements)
+    return ad
+
+
+def make_schedd(n_jobs: int = 4) -> tuple[Simulator, Schedd, list[Job]]:
+    sim = Simulator()
+    net = Network(sim)
+    config = CondorConfig(
+        schedd_avoidance=True, avoidance_threshold=2, avoidance_base=40.0,
+        avoidance_cap=160.0, max_retries=3, flock_after=15.0,
+        advertise_interval=10.0,
+    )
+    # No matchmaker listens anywhere: every advertise fails at connect,
+    # which still walks the whole ad-building path.
+    schedd = Schedd(sim, net, "submit", home_fs=None, matchmaker_host="central", config=config)
+    jobs = []
+    for i in range(n_jobs):
+        job = Job(
+            job_id=f"{i}.0",
+            owner=("thain", "livny")[i % 2],
+            universe=(Universe.JAVA, Universe.VANILLA)[i % 2],
+            image=ProgramImage(f"job{i}.class"),
+            requirements=REQUIREMENTS[i % len(REQUIREMENTS)],
+        )
+        schedd.submit(job)
+        jobs.append(job)
+    return sim, schedd, jobs
+
+
+def outcome_for(kind: str) -> ShadowOutcome:
+    if kind == "result":
+        return ShadowOutcome.program_result(ResultFile.completed(0))
+    if kind == "job-scope":
+        return ShadowOutcome.environment(ErrorScope.JOB, "ClassFormatError", "corrupt image")
+    return ShadowOutcome.environment(ErrorScope.REMOTE_RESOURCE, "JvmMissing", "no java")
+
+
+def check_cache(schedd: Schedd, jobs: list[Job]) -> None:
+    live = [job for job in jobs if not job.is_terminal]
+    assert set(schedd._ad_cache) <= {job.job_id for job in live}
+    avoided = schedd._avoided_now()
+    for job in live:
+        ad = schedd._job_ad(job, avoided)
+        assert ad.render() == reference_job_ad(schedd, job).render()
+        assert ad is schedd._job_ad(job, avoided)  # nothing changed: same object
+        with pytest.raises(FrozenAdError):
+            ad["attempts"] = 99
+    batch = schedd._ad_batch(schedd.idle_jobs())
+    assert [name for name, _ in batch] == [f"submit#{j.job_id}" for j in schedd.idle_jobs()]
+    assert all(ad is schedd._ad_cache[name.split("#")[1]][1] for name, ad in batch)
+
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("attempt"), st.integers(0, 3), st.sampled_from(SITES),
+                  st.sampled_from(("result", "site-failed", "site-failed", "job-scope"))),
+        st.tuples(st.just("advance"), st.sampled_from((1.0, 10.0, 45.0, 200.0))),
+        st.tuples(st.just("strike"), st.sampled_from(SITES)),
+        st.tuples(st.just("recover"), st.sampled_from(SITES)),
+        st.tuples(st.just("requirements"), st.integers(0, 3), st.sampled_from(REQUIREMENTS)),
+        st.tuples(st.just("link")),
+    ),
+    max_size=25,
+)
+
+
+class TestScheddAdCache:
+    @given(operations)
+    @settings(max_examples=120, deadline=None)
+    def test_cached_ad_always_equals_a_fresh_build(self, ops):
+        sim, schedd, jobs = make_schedd()
+        check_cache(schedd, jobs)
+        for op in ops:
+            if op[0] == "attempt":
+                job = jobs[op[1]]
+                if job.state is not JobState.IDLE:
+                    continue
+                job.set_state(JobState.RUNNING)
+                attempt = ExecutionAttempt(site=op[2], started=sim.now)
+                job.attempts.append(attempt)
+                schedd._dispose(job, attempt, outcome_for(op[3]))
+            elif op[0] == "advance":
+                sim.run(until=sim.now + op[1])
+            elif op[0] == "strike":
+                schedd._note_site_failure(op[1])
+            elif op[0] == "recover":
+                schedd.avoidance.note_success(op[1], sim.now)
+            elif op[0] == "requirements":
+                jobs[op[1]].requirements = op[2]
+            elif len(schedd.flock_links) < 3:
+                schedd.add_flock_target(f"central-{len(schedd.flock_links)}")
+            check_cache(schedd, jobs)
+
+    def test_window_expiry_alone_rebuilds_the_ad(self):
+        sim, schedd, jobs = make_schedd(n_jobs=1)
+        clean = schedd._job_ad(jobs[0], schedd._avoided_now())
+        schedd._note_site_failure("exec0")
+        schedd._note_site_failure("exec0")  # threshold: a 40 s window opens
+        shunning = schedd._job_ad(jobs[0], schedd._avoided_now())
+        assert shunning is not clean
+        assert '"exec0"' in shunning.render() and '"exec0"' not in clean.render()
+        sim.run(until=sim.now + 41.0)  # nothing else changed, only the clock
+        after = schedd._job_ad(jobs[0], schedd._avoided_now())
+        assert after is not shunning
+        assert after.render() == clean.render()
+
+    def test_terminal_jobs_leave_the_cache(self):
+        sim, schedd, jobs = make_schedd(n_jobs=3)
+        schedd._ad_batch(schedd.idle_jobs())
+        assert set(schedd._ad_cache) == {"0.0", "1.0", "2.0"}
+        schedd._complete(jobs[0], outcome_for("result"))
+        schedd._hold(jobs[1], "unexecutable")
+        assert set(schedd._ad_cache) == {"2.0"}
+
+    def test_claim_request_carries_the_advertised_ad(self):
+        sim, schedd, jobs = make_schedd(n_jobs=1)
+        ((_, advertised),) = schedd._ad_batch(schedd.idle_jobs())
+        assert schedd._job_ad(jobs[0], schedd._avoided_now()) is advertised
+
+
+# -- (c) the matchmaker's refresh fast path ------------------------------
+
+def schedd_job_ad(job_id: str, memory: int) -> ClassAd:
+    ad = ClassAd({
+        "jobid": job_id, "owner": "thain", "imagesize": memory,
+        "scheddhost": "submit", "scheddport": 9615,
+    })
+    ad.set_expr("requirements", "TARGET.memory >= MY.imagesize")
+    ad.set_expr("rank", "TARGET.memory")
+    return ad
+
+
+class TestRefreshFastPath:
+    #: (time, job) refreshes: twice at one instant, later, and a job
+    #: that is never refreshed (it must expire on schedule).
+    SCHEDULE = ((0.0, "a"), (0.0, "b"), (0.0, "a"), (0.0, "c"),
+                (4.0, "b"), (9.0, "a"), (9.0, "a"), (9.0, "b"))
+
+    def _drive(self, same_object: bool):
+        sim, mm = make_matchmaker(ad_lifetime=10.0)
+        matches: list[tuple[str, str]] = []
+
+        def sink():
+            listener = mm.net.listen("submit", 9615)
+            while True:
+                conn = yield from listener.accept()
+                try:
+                    notify = yield from conn.recv(timeout=5.0)
+                except NetworkError:
+                    continue
+                matches.append((notify.job_id, notify.startd_name))
+
+        sim.spawn(sink(), name="sink").defuse()
+        def advertise_machines():
+            for i, memory in enumerate((32, 64, 128)):
+                mm.receive_ad("machine", f"exec{i}", machine_ad(f"exec{i}", memory=memory))
+
+        advertise_machines()
+        kept = {name: schedd_job_ad(name, 16 * (i + 1)).freeze()
+                for i, name in enumerate("abc")}
+        for at, name in self.SCHEDULE:
+            sim.run(until=at)
+            ad = kept[name] if same_object else kept[name].copy().freeze()
+            mm.receive_ad("job", name, ad)
+        snapshot = [
+            (name, s.received, s.reply_host, s.reply_port, s.unclaimed, s.ad.render())
+            for name, s in mm.job_ads.items()
+        ]
+        heap_entries = len(mm._expiry_heap)
+        sim.run(until=12.0)  # "c" (last seen at 0) is past the lifetime
+        mm._expire()
+        advertise_machines()
+        survivors = list(mm.job_ads)
+        sim.spawn(mm.run_cycle(), name="cycle").defuse()
+        sim.run(until=60.0)
+        return snapshot, survivors, matches, heap_entries
+
+    def test_same_object_and_fresh_copy_are_indistinguishable(self):
+        fast = self._drive(same_object=True)
+        slow = self._drive(same_object=False)
+        assert fast[:3] == slow[:3]
+        snapshot, survivors, matches, _ = fast
+        assert [row[:2] for row in snapshot] == [("a", 9.0), ("b", 9.0), ("c", 0.0)]
+        assert survivors == ["a", "b"]
+        assert len(matches) == 2
+
+    def test_refresh_at_the_same_instant_adds_no_heap_entry(self):
+        *_, fast_entries = self._drive(same_object=True)
+        *_, slow_entries = self._drive(same_object=False)
+        # Eight refreshes, two of them exact repeats (a@0, a@9).
+        assert slow_entries - fast_entries == 2
+
+    def test_an_unfrozen_ad_takes_the_full_path(self):
+        sim, mm = make_matchmaker()
+        ad = schedd_job_ad("a", 16)
+        mm.receive_ad("job", "a", ad)
+        ad["scheddhost"] = "elsewhere"  # mutable: the sender may still edit
+        mm.receive_ad("job", "a", ad)
+        assert mm.job_ads["a"].reply_host == "elsewhere"

@@ -122,6 +122,36 @@ class TestOverflow:
         assert all(j.attempts[-1].site.startswith("a-") for j in jobs)
 
 
+    def test_every_ready_link_is_offered_the_same_ads(self):
+        """Two links, one batch: both remote matchmakers receive the
+        same jobs under the same ads, round after round."""
+        condor = CondorConfig(error_mode="scoped", flock_after=20.0)
+        grid = Grid(GridConfig(
+            pools=tuple(GridPoolSpec(name, n_machines=1) for name in "abc"),
+            condor=condor, flocking=True,
+        ))
+        received = {"b": [], "c": []}
+        for name, log in received.items():
+            matchmaker = grid.pools[name].matchmaker
+            deliver = matchmaker.receive_ad
+
+            def spy(kind, ad_name, ad, log=log, deliver=deliver):
+                if kind == "job":
+                    log.append((ad_name, ad.render()))
+                deliver(kind, ad_name, ad)
+
+            matchmaker.receive_ad = spy
+        # Nothing can run these, so they stay idle and keep flocking.
+        for i in range(3):
+            grid.submit(java_job(job_id=f"{i}.0", requirements="TARGET.memory < 0"))
+        grid.run(until=200.0)
+        assert len(received["b"]) >= 6  # at least two rounds of three jobs
+        assert received["b"] == received["c"]
+        assert {name for name, _ in received["b"]} == {
+            f"submit-a#{i}.0" for i in range(3)
+        }
+
+
 class TestLinkOutage:
     def test_link_outage_is_masked_and_recovers(self):
         grid = make_grid(

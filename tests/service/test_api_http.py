@@ -7,6 +7,7 @@ No pytest-asyncio dependency: each test owns a fresh event loop via
 """
 
 import asyncio
+import logging
 import time
 
 import pytest
@@ -263,3 +264,30 @@ class TestAdmissionControl:
         assert len(accepted) == 3
         assert (err.status, err.code) == (429, "QUEUE_FULL")
         assert queue["active"] == 3
+
+
+class TestShutdown:
+    def test_stop_hangs_up_idle_keepalive_clients(self, caplog, capfd):
+        """stop() with clients still attached: each sees a clean EOF, and
+        no handler is left for loop teardown to cancel (which asyncio
+        reports as a CancelledError traceback)."""
+
+        async def check(server, store):
+            clients = [client_for(server, token_for()) for _ in range(2)]
+            try:
+                for client in clients:
+                    await client.health()  # leaves the connection open, idle
+                await asyncio.wait_for(server.stop(), timeout=5)
+                return [
+                    await asyncio.wait_for(client._reader.read(), timeout=5)
+                    for client in clients
+                ]
+            finally:
+                for client in clients:
+                    await client.close()
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            leftovers = run_service(check)
+        assert leftovers == [b"", b""]
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert capfd.readouterr().err == ""
