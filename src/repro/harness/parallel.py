@@ -240,8 +240,17 @@ class ParallelRunner:
                         cause="timeout",
                     ) from None
                 except BrokenProcessPool as exc:
+                    # The break lands on every unfinished future and the pool
+                    # cannot say whose worker died: name all of them, never
+                    # just whichever shard was being waited on.
+                    lost = [
+                        item
+                        for other, items_of in futures
+                        if not other.done() or other.exception() is not None
+                        for item in items_of
+                    ]
                     raise WorkerFailure(
-                        f"worker process died while running {shard!r}", shard,
+                        f"worker process died while running {lost!r}", lost,
                         cause=repr(exc),
                     ) from exc
                 for item, value, seconds in rows:

@@ -50,6 +50,9 @@ def _secret_from(args: argparse.Namespace) -> str:
 
 async def _serve(args: argparse.Namespace, secret: str) -> int:
     store = RunStore(args.db)
+    # Only here, before the drain exists: any other open (replay, a
+    # second process) would steal runs this server is executing.
+    recovered = store.requeue_running()
     api = ServiceApi(
         store,
         ServiceConfig(
@@ -71,7 +74,7 @@ async def _serve(args: argparse.Namespace, secret: str) -> int:
     print(
         f"repro.service listening on http://{server.host}:{server.port} "
         f"(db={args.db}, workers={args.workers}, queue_limit={args.queue_limit}, "
-        f"console={console})",
+        f"console={console}, recovered={recovered})",
         flush=True,
     )
     loop = asyncio.get_running_loop()

@@ -16,6 +16,9 @@ The drain cycle is split so SQLite stays on the event-loop thread::
     results = executor.execute_items(items)  # blocking, pure; to_thread-able
     executor.record_results(items, results)  # loop thread: artifacts + 'done'
 
+Phases 1 and 3 are synchronous and each a store transaction (one for
+the whole claim, one per recorded item); nothing awaits inside one.
+
 Pending grid jobs are gathered (in run-id order) into a single *batch
 spec* and executed as one pool run: every tenant's jobs compete in the
 same matchmaker, whose fair share keys off the ``owner`` attribute --
@@ -258,8 +261,9 @@ class ServiceExecutor:
                     "run_id": row["run_id"],
                     "spec": row["spec"],
                 })
-        for row in pending:
-            self.store.record_state(row["run_id"], "running")
+        with self.store.transaction():
+            for row in pending:
+                self.store.record_state(row["run_id"], "running")
         return [canonical_json(item) for item in items]
 
     # -- phase 2: pure execution (safe off-thread) -----------------------
@@ -278,14 +282,18 @@ class ServiceExecutor:
 
     # -- phase 3: store writes (loop thread) -----------------------------
     def record_results(self, items: list[str], results: list[dict]) -> int:
-        """Write artifacts and terminal states; return runs finished."""
+        """Write artifacts and terminal states; return runs finished.
+
+        One transaction per drain item: a batch's artifacts and ``done``
+        rows land together or not at all, so a run is never ``done``
+        without its artifacts nor holds artifacts while ``running``.
+        """
         finished = 0
         for item_json, outcome in zip(items, results):
             item = json.loads(item_json)
-            if item["kind"] == "grid-batch":
-                finished += self._record_batch(item, outcome)
-            else:
-                finished += self._record_single(item, outcome)
+            record = self._record_batch if item["kind"] == "grid-batch" else self._record_single
+            with self.store.transaction():
+                finished += record(item, outcome)
         return finished
 
     def _record_batch(self, item: dict, outcome: dict) -> int:

@@ -19,17 +19,27 @@ bridge runs pure functions in workers and hands results back to the
 loop for recording.  Current-state lookups are served from an in-memory
 cache rebuilt from the journal on open, so admission control
 (``active_count``) costs no query.
+
+Every write goes through :meth:`RunStore.transaction`: one commit per
+unit of work (a submit, a claimed drain, a recorded batch), and a
+failure inside one rolls back journal *and* cache together.  File
+stores run WAL with ``synchronous=FULL``: a commit is one fsynced
+append to ``<db>-wal``, readers in other processes never wait for the
+writer, and a clean ``close()`` checkpoints ``-wal``/``-shm`` away.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sqlite3
+from collections.abc import Iterator
 from typing import Any
 
 from repro.service.errors import NotFound
 
-__all__ = ["STORE_SCHEMA", "RUN_STATES", "RunStore", "StoreSchemaError", "canonical_json"]
+__all__ = ["STORE_SCHEMA", "RUN_STATES", "RunStore", "StoreDurabilityError", "StoreSchemaError",
+           "canonical_json"]
 
 STORE_SCHEMA = "repro-service/1"
 
@@ -68,6 +78,10 @@ class StoreSchemaError(RuntimeError):
     """The database on disk speaks a different schema version."""
 
 
+class StoreDurabilityError(RuntimeError):
+    """The database file cannot run under the store's WAL durability policy."""
+
+
 def canonical_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, fixed separators, no whitespace.
 
@@ -83,6 +97,13 @@ class RunStore:
     def __init__(self, path: str = ":memory:"):
         self.path = path
         self._db = sqlite3.connect(path)
+        mode = self._db.execute("PRAGMA journal_mode=WAL").fetchone()[0]
+        if mode not in ("wal", "memory"):  # an in-memory database has no journal file
+            self._db.close()
+            raise StoreDurabilityError(
+                f"store at {path!r} cannot enter WAL mode (journal_mode={mode!r})"
+            )
+        self._db.execute("PRAGMA synchronous=FULL")
         self._db.executescript(_TABLES)
         row = self._db.execute("SELECT value FROM meta WHERE key='schema'").fetchone()
         if row is None:
@@ -95,15 +116,55 @@ class RunStore:
             raise StoreSchemaError(
                 f"store at {path!r} has schema {row[0]!r}, this build speaks {STORE_SCHEMA!r}"
             )
-        #: run_id -> current state, rebuilt from the journal on open.
+        #: run_id -> current state and its inverse, state -> run ids; both
+        #: rebuilt from the journal on open, written only by ``_set_state``.
         self._states: dict[int, str] = {}
+        self._by_state: dict[str, set[int]] = {state: set() for state in RUN_STATES}
+        #: (run_id, previous state) per cache write of the open transaction.
+        self._undo: list[tuple[int, str | None]] | None = None
         for run_id, state in self._db.execute(
             "SELECT run_id, state FROM run_events ORDER BY seq"
         ):
-            self._states[run_id] = state
+            self._set_state(run_id, state)
 
     def close(self) -> None:
         self._db.close()
+
+    # -- the write primitive ---------------------------------------------
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[None]:
+        """One atomic unit of work; re-entrant, the outermost block commits.
+
+        Any exception rolls the database back and undoes the block's
+        cache writes, so the state cache always equals the journal.
+        Never ``await`` inside one: other tasks share the connection.
+        """
+        if self._undo is not None:
+            yield
+            return
+        self._undo = undo = []
+        try:
+            yield
+            self._db.commit()
+        except BaseException:
+            self._undo = None
+            for run_id, previous in reversed(undo):
+                self._set_state(run_id, previous)
+            self._db.rollback()
+            raise
+        finally:
+            self._undo = None
+
+    def _set_state(self, run_id: int, state: str | None) -> None:
+        """The one place a run's cached state changes (``None`` forgets it)."""
+        previous = self._states.pop(run_id, None)
+        if self._undo is not None:
+            self._undo.append((run_id, previous))
+        if previous is not None:
+            self._by_state[previous].discard(run_id)
+        if state is not None:
+            self._states[run_id] = state
+            self._by_state[state].add(run_id)
 
     # -- submission ------------------------------------------------------
     def submit_run(self, kind: str, tenant: str, spec: dict) -> int:
@@ -112,16 +173,15 @@ class RunStore:
         The runs row and the ``submitted`` journal entry commit together:
         a run either exists with its full replayable spec or not at all.
         """
-        cursor = self._db.execute(
-            "INSERT INTO runs(kind, tenant, spec) VALUES (?, ?, ?)",
-            (kind, tenant, canonical_json(spec)),
-        )
-        run_id = cursor.lastrowid
-        self._db.execute(
-            "INSERT INTO run_events(run_id, state) VALUES (?, 'submitted')", (run_id,)
-        )
-        self._db.commit()
-        self._states[run_id] = "submitted"
+        with self.transaction():
+            run_id = self._db.execute(
+                "INSERT INTO runs(kind, tenant, spec) VALUES (?, ?, ?)",
+                (kind, tenant, canonical_json(spec)),
+            ).lastrowid
+            self._db.execute(
+                "INSERT INTO run_events(run_id, state) VALUES (?, 'submitted')", (run_id,)
+            )
+            self._set_state(run_id, "submitted")
         return run_id
 
     # -- lifecycle -------------------------------------------------------
@@ -131,12 +191,25 @@ class RunStore:
             raise ValueError(f"unknown run state {state!r}; want one of {RUN_STATES}")
         if run_id not in self._states:
             raise NotFound(f"no run {run_id}")
-        self._db.execute(
-            "INSERT INTO run_events(run_id, state, detail) VALUES (?, ?, ?)",
-            (run_id, state, detail),
-        )
-        self._db.commit()
-        self._states[run_id] = state
+        with self.transaction():
+            self._db.execute(
+                "INSERT INTO run_events(run_id, state, detail) VALUES (?, ?, ?)",
+                (run_id, state, detail),
+            )
+            self._set_state(run_id, state)
+
+    def requeue_running(self) -> int:
+        """Re-queue every run a dead process left ``running``; return how many.
+
+        Only for the process that owns the drain, before it drains: to any
+        other open a ``running`` run is one being executed.  Safe because
+        execution is pure and a ``running`` run has no artifacts.
+        """
+        orphans = sorted(self._by_state["running"])
+        with self.transaction():
+            for run_id in orphans:
+                self.record_state(run_id, "submitted", detail="recovered")
+        return len(orphans)
 
     # -- queries ---------------------------------------------------------
     def run_row(self, run_id: int) -> dict | None:
@@ -170,20 +243,16 @@ class RunStore:
         """Runs still in ``submitted`` state, in submission (run id) order."""
         return [
             row
-            for run_id in sorted(self._states)
-            if self._states[run_id] == "submitted"
+            for run_id in sorted(self._by_state["submitted"])
             if (row := self.run_row(run_id)) is not None
         ]
 
     def active_count(self) -> int:
         """Submitted + running runs: the admission-control gauge."""
-        return sum(1 for state in self._states.values() if state in ("submitted", "running"))
+        return len(self._by_state["submitted"]) + len(self._by_state["running"])
 
     def queue_stats(self) -> dict:
         """Aggregate queue view: totals by state and by tenant."""
-        by_state = dict.fromkeys(RUN_STATES, 0)
-        for state in self._states.values():
-            by_state[state] += 1
         by_tenant: dict[str, int] = {}
         for tenant, count in self._db.execute(
             "SELECT tenant, COUNT(*) FROM runs GROUP BY tenant ORDER BY tenant"
@@ -192,7 +261,7 @@ class RunStore:
         return {
             "total": len(self._states),
             "active": self.active_count(),
-            "by_state": by_state,
+            "by_state": {state: len(ids) for state, ids in self._by_state.items()},
             "by_tenant": by_tenant,
         }
 
@@ -200,11 +269,11 @@ class RunStore:
     def put_artifact(self, run_id: int, name: str, content: bytes) -> None:
         if run_id not in self._states:
             raise NotFound(f"no run {run_id}")
-        self._db.execute(
-            "INSERT OR REPLACE INTO artifacts(run_id, name, content) VALUES (?, ?, ?)",
-            (run_id, name, content),
-        )
-        self._db.commit()
+        with self.transaction():
+            self._db.execute(
+                "INSERT OR REPLACE INTO artifacts(run_id, name, content) VALUES (?, ?, ?)",
+                (run_id, name, content),
+            )
 
     def get_artifact(self, run_id: int, name: str) -> bytes:
         row = self._db.execute(
