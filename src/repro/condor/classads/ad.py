@@ -15,7 +15,7 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import Any, Iterator
 
-from repro.condor.classads.compile import CompiledExpr, compile_expr
+from repro.condor.classads.compile import compile_expr
 from repro.condor.classads.expr import (
     ClassAdValue,
     EvalContext,
@@ -52,12 +52,10 @@ class ClassAd:
 
     def __init__(self, attrs: dict[str, Any] | None = None):
         self._attrs: dict[str, Expr] = {}
-        #: name -> compiled closure, populated lazily by
-        #: :meth:`_compiled_lookup` and invalidated on every mutation.
-        self._compiled: dict[str, CompiledExpr] = {}
         #: Slot for derived analyses (the matchmaker's requirement
-        #: constraints); cleared on *any* mutation because such analyses
-        #: may depend on the full attribute set, not just one name.
+        #: constraints and autocluster); cleared on *any* mutation because
+        #: such analyses may depend on the full attribute set, not just
+        #: one name.
         self._analysis: Any = None
         self._frozen = False
         if attrs:
@@ -73,14 +71,14 @@ class ClassAd:
             self._attrs[lowered] = value
         else:
             self._attrs[lowered] = Literal(ClassAdValue.of(value))
-        self._invalidate(lowered)
+        self._analysis = None
 
     def set_expr(self, name: str, source: str) -> None:
         """Set attribute *name* to the parsed ClassAd expression *source*."""
         self._check_mutable()
         lowered = name.lower()
         self._attrs[lowered] = parse(source)
-        self._invalidate(lowered)
+        self._analysis = None
 
     def freeze(self) -> "ClassAd":
         """Make this ad read-only (irreversibly) and return it."""
@@ -96,12 +94,6 @@ class ClassAd:
         if self._frozen:
             raise FrozenAdError("this ClassAd is frozen; edit a copy() instead")
 
-    def _invalidate(self, name: str) -> None:
-        # Compiled closures resolve cross-attribute references through
-        # the cache at call time, so only *name*'s own entry goes stale.
-        self._compiled.pop(name, None)
-        self._analysis = None
-
     def lookup(self, name: str) -> Expr | None:
         """The raw expression bound to *name*, or None."""
         return self._attrs.get(name.lower())
@@ -116,27 +108,16 @@ class ClassAd:
         return len(self._attrs)
 
     # -- evaluation -----------------------------------------------------------
-    def _compiled_lookup(self, name: str) -> CompiledExpr | None:
-        """The compiled closure for *name* (compile-once), or None.
-
-        *name* must already be lowercased (attribute references store
-        lowered names; :meth:`eval` lowers on the way in).
-        """
-        fn = self._compiled.get(name)
-        if fn is None:
-            expr = self._attrs.get(name)
-            if expr is None:
-                return None
-            fn = compile_expr(expr)
-            self._compiled[name] = fn
-        return fn
-
     def eval(self, name: str, target: "ClassAd | None" = None) -> ClassAdValue:
         """Evaluate attribute *name* against optional *target*."""
-        fn = self._compiled_lookup(name.lower())
-        if fn is None:
+        expr = self._attrs.get(name.lower())
+        if expr is None:
             return V_UNDEFINED
-        return fn(EvalContext(my=self, target=target))
+        if type(expr) is Literal:
+            return expr.value  # nothing to evaluate, so no context either
+        # The closure lives on the node, not on the ad: a reassigned
+        # attribute is a different node, so there is nothing to go stale.
+        return compile_expr(expr)(EvalContext(my=self, target=target))
 
     def value(self, name: str, default: Any = None, target: "ClassAd | None" = None) -> Any:
         """Evaluate *name* and return the Python payload (or *default*)."""
@@ -150,17 +131,16 @@ class ClassAd:
         """A mutable ad with the same attributes (even if this one is frozen)."""
         ad = ClassAd()
         ad._attrs = dict(self._attrs)
-        # Compiled closures are pure functions of the (immutable) Expr
-        # trees, so sharing them with the copy is safe.
-        ad._compiled = dict(self._compiled)
         return ad
 
     def update(self, other: "ClassAd") -> None:
         self._check_mutable()
         self._attrs.update(other._attrs)
-        for name in other._attrs:
-            self._compiled.pop(name, None)
         self._analysis = None
+
+    def __getstate__(self) -> dict:
+        # A derived analysis can reach a whole matchmaker; a copy re-derives.
+        return {**self.__dict__, "_analysis": None}
 
     def render(self) -> str:
         """ClassAd source form, one ``name = expr;`` per line."""

@@ -11,17 +11,19 @@ code with no ``isinstance`` dispatch and no attribute walks.
 The compiled form is semantically *identical* to ``Expr.eval`` -- same
 tri-state UNDEFINED/ERROR propagation, same short-circuit rules, same
 circular-reference and depth guards -- which
-``tests/condor/test_classad_compile.py`` pins with property tests.
+``tests/condor/test_classads_compile.py`` pins with property tests.
 Closures are pure functions of the (immutable, frozen-dataclass) AST, so
-they may be cached and shared freely; :class:`~repro.condor.classads.ad.
-ClassAd` caches one per attribute and drops the cache entry whenever the
-attribute is reassigned.
+each is kept on the node it was lowered from and shared by every ad that
+holds that node -- a thousand job ads built from one template lower
+their ``Requirements`` once.  An ad has nothing to invalidate: a
+reassigned attribute is bound to a *different* node, which carries its
+own closure.  Ads reach a closure only through the ``(my, target)`` of
+the :class:`EvalContext` it is called with, so sharing leaks nothing.
 
-Cross-ad attribute references resolve through the *referenced* ad's own
-compiled cache (``ClassAd._compiled_lookup``), so a machine ad's
-``Requirements`` is compiled once and reused across every job it is
-matched against, no matter which side of the match initiates the
-evaluation.
+Cross-ad attribute references look the referenced attribute up at call
+time and run *its* node's closure, so a machine ad's ``Requirements`` is
+compiled once and reused across every job it is matched against, no
+matter which side of the match initiates the evaluation.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.condor.classads.expr import (
+    COMPARISONS,
     AttrRef,
     BinOp,
     ClassAdValue,
@@ -48,7 +51,7 @@ from repro.condor.classads.expr import (
     _meta_equal,
 )
 
-__all__ = ["CompiledExpr", "compile_expr"]
+__all__ = ["CompiledExpr", "compile_expr", "lower"]
 
 #: A compiled expression: ``fn(ctx) -> ClassAdValue``.
 CompiledExpr = Callable[[EvalContext], ClassAdValue]
@@ -72,14 +75,14 @@ def _compile_attr_ref(node: AttrRef) -> CompiledExpr:
         for ad in ads:
             if ad is None:
                 continue
-            lookup = getattr(ad, "_compiled_lookup", None)
-            if lookup is not None:
-                fn = lookup(name)
-            else:  # a duck-typed ad: fall back to the interpreter
-                expr = ad.lookup(name)
-                fn = expr.eval if expr is not None else None
-            if fn is None:
+            expr = ad.lookup(name)
+            if expr is None:
                 continue
+            if type(expr) is Literal:
+                # Exact: a literal evaluates nothing further, so it can
+                # neither be in progress nor deepen the chain.
+                return expr.value
+            fn = compile_expr(expr)
             in_progress = ctx._in_progress
             key = (id(ad), name)
             if key in in_progress:
@@ -189,9 +192,10 @@ def _compile_binop(node: BinOp) -> CompiledExpr:
 
         return run_meta_ne
 
-    if op in ("==", "!=", "<", "<=", ">", ">="):
+    test = COMPARISONS.get(op)
+    if test is not None:
         def run_compare(ctx: EvalContext) -> ClassAdValue:
-            return _compare(op, left(ctx), right(ctx))
+            return _compare(test, left(ctx), right(ctx))
 
         return run_compare
 
@@ -214,7 +218,21 @@ def _compile_func(node: FuncCall) -> CompiledExpr:
 
 
 def compile_expr(node: Expr) -> CompiledExpr:
-    """Lower *node* to a closure with semantics identical to ``node.eval``."""
+    """*node*'s closure, lowered on first use and kept on the node --
+    except on a literal, whose value ``ClassAd.eval`` and attribute
+    references read directly: an ad's literals stay as small as they are.
+    """
+    if type(node) is Literal:
+        return lower(node)
+    fn = node.__dict__.get("_fn")
+    if fn is None:
+        fn = node.__dict__["_fn"] = lower(node)
+    return fn
+
+
+def lower(node: Expr) -> CompiledExpr:
+    """Lower *node* to a closure with semantics identical to ``node.eval``
+    (uncached at this node; sub-expressions go through :func:`compile_expr`)."""
     if isinstance(node, Literal):
         value = node.value
         return lambda ctx: value

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -131,15 +132,48 @@ class EvalContext:
         return EvalContext(my=self.target, target=self.my)
 
 
+_NO_REFS: frozenset[str] = frozenset()
+
+
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    Nodes are immutable values, so what is derived from one -- its
+    reference set, its hash, its compiled closure (:mod:`.compile`) --
+    is computed at most once and kept on the node, in ``_``-prefixed
+    ``__dict__`` entries that equality ignores and pickling drops.
+    """
 
     def eval(self, ctx: EvalContext) -> ClassAdValue:
         raise NotImplementedError
 
-    def external_refs(self) -> set[str]:
+    def external_refs(self) -> frozenset[str]:
         """Names of attributes this expression reads (unqualified, lowered)."""
-        return set()
+        refs = self.__dict__.get("_refs")
+        if refs is None:
+            refs = self.__dict__["_refs"] = self._refs()
+        return refs
+
+    def _refs(self) -> frozenset[str]:
+        return _NO_REFS
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
+
+
+def _hash_once(cls):
+    """Keep a recursive node's structural hash on the node: hashing a
+    tree costs one level, because every child already knows its own."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = structural(self)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 @dataclass(frozen=True)
@@ -148,6 +182,9 @@ class Literal(Expr):
 
     def eval(self, ctx: EvalContext) -> ClassAdValue:
         return self.value
+
+    def external_refs(self) -> frozenset[str]:
+        return _NO_REFS  # and nothing is kept on the node
 
     def __str__(self) -> str:
         return str(self.value)
@@ -194,14 +231,15 @@ class AttrRef(Expr):
                 ctx._in_progress.discard(key)
         return V_UNDEFINED
 
-    def external_refs(self) -> set[str]:
-        return {self.name}
+    def _refs(self) -> frozenset[str]:
+        return frozenset((self.name,))
 
     def __str__(self) -> str:
         prefix = f"{self.qualifier.upper()}." if self.qualifier else ""
         return prefix + self.name
 
 
+@_hash_once
 @dataclass(frozen=True)
 class UnaryOp(Expr):
     op: str  # "-", "+", "!"
@@ -222,7 +260,7 @@ class UnaryOp(Expr):
             return ClassAdValue.of(-val.payload)
         return val
 
-    def external_refs(self) -> set[str]:
+    def _refs(self) -> frozenset[str]:
         return self.operand.external_refs()
 
     def __str__(self) -> str:
@@ -241,7 +279,15 @@ def _meta_equal(a: ClassAdValue, b: ClassAdValue) -> bool:
     return a.payload == b.payload
 
 
-def _compare(op: str, a: ClassAdValue, b: ClassAdValue) -> ClassAdValue:
+#: Comparison operator -> the Python function that decides it.
+COMPARISONS = {
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _compare(test, a: ClassAdValue, b: ClassAdValue) -> ClassAdValue:
+    """*test* (a :data:`COMPARISONS` value) over two like-typed operands."""
     if a.is_error or b.is_error:
         return V_ERROR
     if a.is_undefined or b.is_undefined:
@@ -255,15 +301,7 @@ def _compare(op: str, a: ClassAdValue, b: ClassAdValue) -> ClassAdValue:
         x, y = a.payload, b.payload
     else:
         return V_ERROR
-    result = {
-        "==": x == y,
-        "!=": x != y,
-        "<": x < y,
-        "<=": x <= y,
-        ">": x > y,
-        ">=": x >= y,
-    }[op]
-    return V_TRUE if result else V_FALSE
+    return V_TRUE if test(x, y) else V_FALSE
 
 
 def _arith(op: str, a: ClassAdValue, b: ClassAdValue) -> ClassAdValue:
@@ -302,6 +340,7 @@ def _arith(op: str, a: ClassAdValue, b: ClassAdValue) -> ClassAdValue:
     return V_ERROR
 
 
+@_hash_once
 @dataclass(frozen=True)
 class BinOp(Expr):
     op: str
@@ -318,8 +357,9 @@ class BinOp(Expr):
             return V_TRUE if _meta_equal(a, b) else V_FALSE
         if op == "=!=":
             return V_FALSE if _meta_equal(a, b) else V_TRUE
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return _compare(op, a, b)
+        test = COMPARISONS.get(op)
+        if test is not None:
+            return _compare(test, a, b)
         return _arith(op, a, b)
 
     def _logical(self, ctx: EvalContext) -> ClassAdValue:
@@ -348,7 +388,7 @@ class BinOp(Expr):
             return V_UNDEFINED
         return V_FALSE
 
-    def external_refs(self) -> set[str]:
+    def _refs(self) -> frozenset[str]:
         return self.left.external_refs() | self.right.external_refs()
 
     def __str__(self) -> str:
@@ -564,6 +604,7 @@ FUNCTIONS = {
 }
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FuncCall(Expr):
     name: str  # stored lowercase
@@ -575,11 +616,8 @@ class FuncCall(Expr):
             return V_ERROR
         return fn([arg.eval(ctx) for arg in self.args])
 
-    def external_refs(self) -> set[str]:
-        refs: set[str] = set()
-        for arg in self.args:
-            refs |= arg.external_refs()
-        return refs
+    def _refs(self) -> frozenset[str]:
+        return _NO_REFS.union(*(arg.external_refs() for arg in self.args))
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"

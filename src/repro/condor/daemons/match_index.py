@@ -40,9 +40,11 @@ taking the minimum over all candidates, without evaluating rank per
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.condor.classads.ad import ClassAd
 from repro.condor.classads.expr import (
+    COMPARISONS,
     AttrRef,
     BinOp,
     EvalContext,
@@ -53,7 +55,9 @@ from repro.condor.classads.expr import (
 
 __all__ = [
     "Constraint",
+    "JobAnalysis",
     "MachineIndex",
+    "analysis_of",
     "extract_constraints",
     "machine_rank_literal",
     "rank_cacheable",
@@ -64,6 +68,8 @@ __all__ = [
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 _NUMERIC = (ValueType.INTEGER, ValueType.REAL)
+
+_NONE: frozenset = frozenset()
 
 
 def _value_key(value) -> tuple | None:
@@ -122,6 +128,31 @@ def _target_attr(expr: Expr, job_ad: ClassAd) -> str | None:
     return None
 
 
+class JobAnalysis:
+    """What matchmaking derives from one job ad, kept in the ad's
+    ``_analysis`` slot so that any edit of the ad drops all of it.
+
+    *constraints* depend on the ad alone; *cluster* (the matchmaker's
+    autocluster record, None for an unsummarizable job) also on which job
+    attributes machines reference, so it is valid for one *index* -- an
+    ad may be advertised to several pools -- at one ``refs_generation``.
+    """
+
+    __slots__ = ("constraints", "index", "generation", "cluster")
+
+    def __init__(self, constraints: list[Constraint]):
+        self.constraints = constraints
+        self.index = self.generation = self.cluster = None
+
+
+def analysis_of(job_ad: ClassAd) -> JobAnalysis:
+    """*job_ad*'s cached :class:`JobAnalysis` (built on first use)."""
+    cached = job_ad._analysis
+    if cached is None:
+        cached = job_ad._analysis = JobAnalysis(_extract(job_ad))
+    return cached
+
+
 def extract_constraints(job_ad: ClassAd) -> list[Constraint]:
     """Statically extract indexable conjuncts from *job_ad*'s Requirements.
 
@@ -130,9 +161,10 @@ def extract_constraints(job_ad: ClassAd) -> list[Constraint]:
     the fallback scan bucket.  The result is cached on the ad and
     invalidated with it.
     """
-    cached = job_ad._analysis
-    if cached is not None:
-        return cached
+    return analysis_of(job_ad).constraints
+
+
+def _extract(job_ad: ClassAd) -> list[Constraint]:
     constraints: list[Constraint] = []
     req = job_ad.lookup("requirements")
     if req is not None:
@@ -163,7 +195,6 @@ def extract_constraints(job_ad: ClassAd) -> list[Constraint]:
                 constraints.append(
                     Constraint(attr=name, op=op, bound=float(value.payload))
                 )
-    job_ad._analysis = constraints
     return constraints
 
 
@@ -216,8 +247,13 @@ def machine_rank_literal(machine_ad: ClassAd, refs: set[str]) -> bool:
 class MachineIndex:
     """Incrementally-maintained value buckets over the machine-ad table.
 
-    ``stamp`` increments on every structural change (add/remove); the
-    matchmaker uses it to invalidate derived caches (rank orders).
+    ``stamp`` increments on every :meth:`add` and :meth:`remove`, whether
+    or not a bucket moved: while it stands still no bucket has changed,
+    which is what lets the matchmaker keep one :meth:`membership` answer
+    per autocluster.  ``refs_generation`` increments only when the *key
+    set* of :attr:`requirement_refs` changes -- the one machine-side
+    input of a job's match summary -- so a summary derived at one
+    generation holds until the next.
     """
 
     def __init__(self) -> None:
@@ -225,15 +261,16 @@ class MachineIndex:
         self._eq: dict[str, dict[tuple, set[str]]] = {}
         #: attr -> set of names whose value is a non-literal expression
         self._opaque: dict[str, set[str]] = {}
-        #: name -> postings to undo on removal: (attr, key-or-None)
-        self._postings: dict[str, list[tuple[str, tuple | None]]] = {}
+        #: name -> its postings: {(attr, key-or-None)}
+        self._postings: dict[str, set[tuple[str, tuple | None]]] = {}
         #: Refcounted union of every attribute any machine's Requirements
         #: references -- the job-side attrs that can influence a match
-        #: from the machine's direction (the matchmaker's no-match memo
-        #: keys on them).
+        #: from the machine's direction (the matchmaker's match summary
+        #: covers them).
         self._req_refs: dict[str, int] = {}
-        self._req_by_name: dict[str, tuple[str, ...]] = {}
+        self._req_by_name: dict[str, frozenset[str]] = {}
         self.stamp = 0
+        self.refs_generation = 0
 
     @property
     def requirement_refs(self):
@@ -246,46 +283,53 @@ class MachineIndex:
     # -- maintenance ----------------------------------------------------
     def add(self, name: str, ad: ClassAd) -> None:
         """Index (or re-index) machine *name*'s ad."""
-        if name in self._postings:
-            self.remove(name)
-        postings: list[tuple[str, tuple | None]] = []
+        postings = set()
         for attr, expr in ad._attrs.items():
             if isinstance(expr, Literal):
                 key = _value_key(expr.value)
-                if key is None:
-                    continue  # UNDEFINED/ERROR literal: never satisfiable
-                self._eq.setdefault(attr, {}).setdefault(key, set()).add(name)
-                postings.append((attr, key))
+                if key is not None:  # UNDEFINED/ERROR: never satisfiable
+                    postings.add((attr, key))
             else:
-                self._opaque.setdefault(attr, set()).add(name)
-                postings.append((attr, None))
-        self._postings[name] = postings
+                postings.add((attr, None))
         req = ad.lookup("requirements")
-        refs = tuple(sorted(req.external_refs())) if req is not None else ()
-        self._req_by_name[name] = refs
-        for ref in refs:
-            self._req_refs[ref] = self._req_refs.get(ref, 0) + 1
-        self.stamp += 1
+        self._repost(name, postings, req.external_refs() if req is not None else _NONE)
 
     def remove(self, name: str) -> None:
         """Drop machine *name* from every bucket (no-op if absent)."""
-        postings = self._postings.pop(name, None)
-        if postings is None:
-            return
-        for attr, key in postings:
-            if key is None:
-                bucket = self._opaque.get(attr)
-            else:
-                bucket = self._eq.get(attr, {}).get(key)
-            if bucket is not None:
-                bucket.discard(name)
-        for ref in self._req_by_name.pop(name, ()):
-            count = self._req_refs.get(ref, 0) - 1
-            if count <= 0:
-                self._req_refs.pop(ref, None)
-            else:
-                self._req_refs[ref] = count
+        if name in self._postings:
+            self._repost(name, _NONE, _NONE)
+            del self._postings[name], self._req_by_name[name]
+
+    def _repost(self, name: str, postings, refs) -> None:
+        """Move *name* to *postings* and *refs* by difference: only the
+        buckets and reference counts that differ are touched, so an
+        unchanged re-advertisement touches none."""
+        old = self._postings.get(name, _NONE)
+        if old != postings:
+            for attr, key in old - postings:
+                self._bucket(attr, key).discard(name)
+            for attr, key in postings - old:
+                self._bucket(attr, key).add(name)
+        self._postings[name] = postings
+        old_refs = self._req_by_name.get(name, _NONE)
+        if old_refs != refs:
+            counts = self._req_refs
+            for ref in old_refs - refs:
+                counts[ref] -= 1
+                if not counts[ref]:
+                    del counts[ref]
+                    self.refs_generation += 1
+            for ref in refs - old_refs:
+                counts[ref] = counts.get(ref, 0) + 1
+                if counts[ref] == 1:
+                    self.refs_generation += 1
+        self._req_by_name[name] = refs
         self.stamp += 1
+
+    def _bucket(self, attr: str, key: tuple | None) -> set[str]:
+        if key is None:
+            return self._opaque.setdefault(attr, set())
+        return self._eq.setdefault(attr, {}).setdefault(key, set())
 
     # -- probing --------------------------------------------------------
     def _constraint_size(self, c: Constraint) -> int:
@@ -295,11 +339,11 @@ class MachineIndex:
             return opaque
         if c.op == "==":
             return len(buckets.get(c.key, ())) + opaque
-        total = 0
-        for key, names in buckets.items():
-            if key[0] == "n" and _cmp(c.op, key[1], c.bound):
-                total += len(names)
-        return total + opaque
+        admits, bound = COMPARISONS[c.op], c.bound
+        return opaque + sum(
+            len(names) for key, names in buckets.items()
+            if key[0] == "n" and admits(key[1], bound)
+        )
 
     def membership(self, job_ad: ClassAd):
         """Narrow *job_ad*'s candidates: a ``(test, estimate, names)`` triple.
@@ -308,14 +352,16 @@ class MachineIndex:
         (a superset); *estimate* is the bucket population it admits;
         *names* chains the admitted bucket sets for direct enumeration
         (sparse buckets are cheaper to walk than the whole fresh set).
+        All three stay valid until ``stamp`` moves.
         Returns ``(None, len(index), None)`` when the requirements are
         opaque and no narrowing is possible.
         """
         constraints = extract_constraints(job_ad)
         if not constraints:
             return None, len(self._postings), None
-        best = min(constraints, key=self._constraint_size)
-        estimate = self._constraint_size(best)
+        sizes = [self._constraint_size(c) for c in constraints]
+        estimate = min(sizes)
+        best = constraints[sizes.index(estimate)]  # the first of the smallest
         opaque = self._opaque.get(best.attr, frozenset())
         buckets = self._eq.get(best.attr, {})
         if best.op == "==":
@@ -324,13 +370,13 @@ class MachineIndex:
             def test(name: str) -> bool:
                 return name in members or name in opaque
 
-            return test, estimate, _chain(members, opaque)
+            return test, estimate, _Chain(members, opaque)
 
-        op, bound = best.op, best.bound
+        admits, bound = COMPARISONS[best.op], best.bound
         hits = [
             names
             for key, names in buckets.items()
-            if key[0] == "n" and _cmp(op, key[1], bound)
+            if key[0] == "n" and admits(key[1], bound)
         ]
 
         def test_cmp(name: str) -> bool:
@@ -341,19 +387,15 @@ class MachineIndex:
                     return True
             return False
 
-        return test_cmp, estimate, _chain(opaque, *hits)
+        return test_cmp, estimate, _Chain(opaque, *hits)
 
 
-def _chain(*groups):
-    for group in groups:
-        yield from group
+class _Chain:
+    """Bucket sets as one iterable, as often as asked (a membership
+    answer is kept, and may be enumerated again, while ``stamp`` stands)."""
 
+    def __init__(self, *groups):
+        self.groups = groups
 
-def _cmp(op: str, value: float, bound: float) -> bool:
-    if op == "<":
-        return value < bound
-    if op == "<=":
-        return value <= bound
-    if op == ">":
-        return value > bound
-    return value >= bound
+    def __iter__(self):
+        return chain.from_iterable(self.groups)

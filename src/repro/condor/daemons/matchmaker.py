@@ -35,8 +35,8 @@ from three incrementally-maintained structures:
 Winner equivalence holds because the scan's sort key ends with the
 unique machine name: the winner is the unique key-minimum over passing
 candidates, which no enumeration order can change.  Entries in a cached
-order are stamped with a per-machine sequence number; any event that
-could change an entry's key (a new ad) bumps the sequence, and any event
+order are stamped with their ad's sequence number; any event that
+could change an entry's key (a new ad) changes the number, and any event
 that silently stales the recorded ``last_matched`` component (a match)
 also removes the machine from the fresh set until its next ad -- so a
 walk never compares a stale key.  Dead entries are lazily skipped and
@@ -49,12 +49,14 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from weakref import WeakValueDictionary
 
 from repro.condor.classads import ClassAd, rank, symmetric_match
 from repro.condor.classads.expr import Literal
 from repro.condor.daemons.config import CondorConfig
 from repro.condor.daemons.match_index import (
     MachineIndex,
+    analysis_of,
     machine_rank_literal,
     rank_cacheable,
 )
@@ -92,6 +94,21 @@ class _StoredAd:
     unclaimed: bool = True
 
 
+class _Cluster:
+    """One autocluster: the jobs with equal match summaries (see
+    :meth:`Matchmaker._match_key`).  What is a function of the summary
+    keys on this record -- the no-match memo, the walk cursors -- or
+    hangs off it: *narrowed*, the index's membership answer, valid while
+    ``MachineIndex.stamp`` equals *stamp*.
+    """
+
+    __slots__ = ("stamp", "narrowed", "__weakref__")
+
+    def __init__(self) -> None:
+        self.stamp = -1
+        self.narrowed = None
+
+
 class _RankOrder:
     """All machines sorted by one job-side Rank's exact selection key.
 
@@ -108,13 +125,13 @@ class _RankOrder:
         self.probe = probe
         self.refs = refs
         self.order: list[tuple[float, float, str, int]] = []
-        #: match-key -> index where that key's last walk stopped.  Valid
+        #: autocluster -> index where its last walk stopped.  Valid
         #: while the pool only shrinks (cleared on any machine ad):
         #: entries before the stop point were dead, bucket-rejected, or
         #: failed symmetric_match for an identically-keyed job, and none
         #: of those verdicts can flip while no ad changes, so the next
-        #: same-key walk resumes there instead of rescanning the head.
-        self.cursors: dict[tuple, int] = {}
+        #: same-cluster walk resumes there instead of rescanning the head.
+        self.cursors: dict[_Cluster, int] = {}
 
 
 class Matchmaker:
@@ -140,8 +157,9 @@ class Matchmaker:
         #: preemption is off.
         self._fresh: set[str] = set()
         self._index = MachineIndex()
-        #: Per-machine advertisement sequence; bumped on every stored ad
-        #: so cached rank-order entries can detect staleness in O(1).
+        #: Sequence number of each machine's stored ad, so cached
+        #: rank-order entries can detect staleness in O(1).  Never reused:
+        #: a machine that leaves and rejoins must not revive an old entry.
         self._ad_seq: dict[str, int] = {}
         #: Rank expression (or None) -> _RankOrder, or None when the
         #: expression was found job-dependent / machine-expression-bound.
@@ -150,15 +168,19 @@ class Matchmaker:
         #: a machine ad, 1 a job ad.  Stale entries (the ad was refreshed
         #: or the job matched) are detected by comparing timestamps.
         self._expiry_heap: list[tuple[float, int, str]] = []
-        #: Match-relevant summaries of jobs proven unmatchable against
-        #: the current pool (see :meth:`_match_key`).  While the
+        #: Match summary -> its autocluster record.  Job ads hold their
+        #: cluster (through ``_analysis``), the table holds it weakly, so
+        #: an entry dies with the last job ad that carries the summary.
+        self._clusters: WeakValueDictionary[tuple, _Cluster] = WeakValueDictionary()
+        #: Autoclusters whose jobs are proven unmatchable against the
+        #: current pool (see :meth:`_match_key`).  While the
         #: candidate pool only shrinks -- matches and expiries remove
         #: machines, nothing edits one in place -- a no-match verdict
         #: stays correct, so the memo is cleared only when a machine ad
         #: arrives.  A saturated cycle (far more idle jobs than free
         #: machines) costs one full search per distinct summary instead
         #: of one per job.
-        self._no_match_memo: set[tuple] = set()
+        self._no_match_memo: set[_Cluster] = set()
         self.listener = net.listen(host, self.PORT)
         self._accept_proc = sim.spawn(self._accept_loop(), name="matchmaker-accept")
         self._accept_proc.defuse()
@@ -236,7 +258,7 @@ class Matchmaker:
             for entry in self._rank_orders.values():
                 if entry is not None and entry.cursors:
                     entry.cursors.clear()
-            self._ad_seq[name] = seq = self._ad_seq.get(name, 0) + 1
+            self._ad_seq[name] = seq = self._index.stamp  # moved by the add
             # Matched-at == received-at keeps the machine eligible (the
             # ad is not older than the match); only a strictly later
             # match makes it stale.
@@ -389,6 +411,10 @@ class Matchmaker:
         self._recently_matched[best.name] = self.sim.now
         if self.sim.now > best.received:
             self._fresh.discard(best.name)
+        else:
+            # Still eligible, but no longer ahead of its never-matched
+            # peers: the cached orders filed it under the old stamp.
+            self._rank_orders.clear()
 
     # -- selection -----------------------------------------------------------
     def _best_machine(self, job_ad: ClassAd) -> _StoredAd | None:
@@ -403,12 +429,20 @@ class Matchmaker:
         fresh = self._fresh
         if not fresh:
             return None
-        test, estimate, names = self._index.membership(job_ad)
+        index = self._index
+        key = self._cluster_of(job_ad)
+        if key is None:
+            test, estimate, names = index.membership(job_ad)
+        elif key in self._no_match_memo:
+            # Ahead of the index on purpose: a memo hit means None
+            # whatever the buckets say, and no early exit has an effect.
+            return None
+        else:
+            if key.stamp != index.stamp:
+                key.stamp, key.narrowed = index.stamp, index.membership(job_ad)
+            test, estimate, names = key.narrowed
         if test is not None and estimate == 0:
             return None  # no machine can satisfy the indexed conjunct
-        key = self._match_key(job_ad)
-        if key is not None and key in self._no_match_memo:
-            return None
         entry = self._order_for(job_ad)
         if entry is not None:
             # Always prefer the walk when a rank order exists: its first
@@ -425,6 +459,22 @@ class Matchmaker:
         if winner is None and key is not None:
             self._no_match_memo.add(key)
         return winner
+
+    def _cluster_of(self, job_ad: ClassAd) -> _Cluster | None:
+        """*job_ad*'s autocluster (its match summary, interned), or None
+        when it has no summary.  Derived once per ad and per generation
+        of the index's reference set, the summary's only machine-side
+        input, and kept in the ad's analysis slot, which any edit drops.
+        """
+        analysis = analysis_of(job_ad)
+        index = self._index
+        if analysis.index is not index or analysis.generation != index.refs_generation:
+            key = self._match_key(job_ad)
+            analysis.cluster = (
+                None if key is None else self._clusters.setdefault(key, _Cluster())
+            )
+            analysis.index, analysis.generation = index, index.refs_generation
+        return analysis.cluster
 
     def _match_key(self, job_ad: ClassAd) -> tuple | None:
         """A summary of everything about *job_ad* that can influence
@@ -487,7 +537,7 @@ class Matchmaker:
         return entry
 
     def _walk(
-        self, job_ad: ClassAd, entry: _RankOrder, test, key: tuple | None
+        self, job_ad: ClassAd, entry: _RankOrder, test, key: _Cluster | None
     ) -> _StoredAd | None:
         """First live entry passing every reference check == scan winner.
 
@@ -495,8 +545,8 @@ class Matchmaker:
         never come back to life under the same sequence number, so the
         leading dead run is sliced off once it is worth the copy.
 
-        *key* is the job's match summary (None when not summarizable):
-        the walk resumes at that key's cursor and records where it
+        *key* is the job's autocluster (None when not summarizable):
+        the walk resumes at that cluster's cursor and records where it
         stopped.  The cursor points *at* the winner, not past it -- an
         undelivered match (or one at the machine's own advertise
         instant) leaves the machine fresh, and the next same-key job

@@ -11,6 +11,7 @@ pools, requirements, ranks, and match histories.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.condor.classads import ClassAd, parse
 from repro.condor.daemons.config import CondorConfig
@@ -331,3 +332,193 @@ def test_preemption_config_uses_reference_scan():
     mm.receive_ad("machine", "busy", busy)
     assert mm._best_machine(job_ad("TRUE", priority=5)) is not None
     assert mm._best_machine(job_ad("TRUE", priority=0)) is None
+
+
+# -- differential under churn ------------------------------------------------
+
+CHURN_MACHINE_REQS = [*MACHINE_REQS, "TARGET.priority >= 2"]
+CHURN_NAMES = [f"m{i}" for i in range(5)]
+CHURN_JOBS = [f"j{i}" for i in range(5)]
+
+churn_machine = st.fixed_dictionaries(
+    {
+        "arch": st.sampled_from(["intel", "sparc"]),
+        "memory": st.sampled_from([32, 64, 128]),
+        "cpuspeed": st.integers(min_value=1, max_value=3),
+        "hasjava": st.booleans(),
+        "state": st.sampled_from(["unclaimed", "unclaimed", "claimed"]),
+        "requirements": st.sampled_from(CHURN_MACHINE_REQS),
+    }
+)
+churn_job = st.fixed_dictionaries(
+    {
+        "requirements": st.sampled_from(JOB_REQS),
+        "rank": st.sampled_from(JOB_RANKS),
+        "needed": st.sampled_from([16, 64]),
+        # Matters only while some machine's Requirements mentions it: two
+        # jobs that differ here share a summary until one does.
+        "priority": st.sampled_from([1, 3]),
+        "frozen": st.booleans(),
+    }
+)
+
+
+def rebuilt_postings(mm: Matchmaker) -> tuple:
+    fresh = MachineIndex()
+    for name, stored in mm.machine_ads.items():
+        fresh.add(name, stored.ad)
+    return postings_of(fresh)
+
+
+def postings_of(index: MachineIndex) -> tuple:
+    eq = {
+        (attr, key): set(names)
+        for attr, buckets in index._eq.items()
+        for key, names in buckets.items()
+        if names
+    }
+    opaque = {attr: set(names) for attr, names in index._opaque.items() if names}
+    return eq, opaque, index._postings, index._req_by_name, index._req_refs
+
+
+class ChurnMachine(RuleBasedStateMachine):
+    """Random interleavings of everything that moves the pool, the queue
+    or the clock; after every step the indexed path must agree with the
+    reference scan for every queued job, and the incrementally-kept
+    index with one rebuilt from the stored ads."""
+
+    def __init__(self):
+        super().__init__()
+        self.sim, self.mm = make_matchmaker(ad_lifetime=20.0)
+
+    # -- machines -----------------------------------------------------------
+    @rule(name=st.sampled_from(CHURN_NAMES), spec=churn_machine)
+    def machine_arrives(self, name, spec):
+        """A new ad (also how a retracted or expired machine rejoins)."""
+        self.mm.receive_ad("machine", name, machine_ad(name, **spec))
+
+    def _stored(self, data):
+        names = sorted(self.mm.machine_ads)
+        return self.mm.machine_ads[data.draw(st.sampled_from(names))] if names else None
+
+    @rule(data=st.data())
+    def readvertise_same_object(self, data):
+        stored = self._stored(data)
+        if stored is not None:
+            self.mm.receive_ad("machine", stored.name, stored.ad)
+
+    @rule(data=st.data())
+    def readvertise_equal_copy(self, data):
+        stored = self._stored(data)
+        if stored is not None:
+            self.mm.receive_ad("machine", stored.name, stored.ad.copy())
+
+    @rule(data=st.data(), memory=st.sampled_from([32, 64, 128]),
+          requirements=st.sampled_from(CHURN_MACHINE_REQS))
+    def edit_in_place_and_readvertise(self, data, memory, requirements):
+        """The startd edits the ad it holds and sends the same object: a
+        literal moves bucket, and Requirements may add or drop a job
+        attribute between two jobs that shared a summary."""
+        stored = self._stored(data)
+        if stored is not None:
+            stored.ad["memory"] = memory
+            stored.ad.set_expr("requirements", requirements)
+            self.mm.receive_ad("machine", stored.name, stored.ad)
+
+    @rule(name=st.sampled_from(CHURN_NAMES))
+    def machine_retracts(self, name):
+        self.mm.retract_ad("machine", name)
+
+    @rule(data=st.data())
+    def machine_is_matched(self, data):
+        stored = self._stored(data)
+        if stored is not None:
+            self.mm._record_match(stored)
+
+    # -- jobs -----------------------------------------------------------------
+    @rule(name=st.sampled_from(CHURN_JOBS), spec=churn_job)
+    def job_arrives(self, name, spec):
+        ad = job_ad(spec["requirements"], rank=spec["rank"],
+                    needed=spec["needed"], priority=spec["priority"])
+        self.mm.receive_ad("job", name, ad.freeze() if spec["frozen"] else ad)
+
+    @rule(name=st.sampled_from(CHURN_JOBS), needed=st.sampled_from([16, 64, 200]),
+          requirements=st.sampled_from(JOB_REQS))
+    def job_refreshes_or_edits(self, name, needed, requirements):
+        """A frozen ad can only be re-sent; an unfrozen one is edited in
+        place, which must drop its constraints and its cluster."""
+        stored = self.mm.job_ads.get(name)
+        if stored is None:
+            return
+        if not stored.ad.frozen:
+            stored.ad["needed"] = needed
+            stored.ad.set_expr("requirements", requirements)
+        self.mm.receive_ad("job", name, stored.ad)
+
+    # -- time -----------------------------------------------------------------
+    @rule(dt=st.sampled_from([0.0, 1.0, 7.0, 25.0]))
+    def clock_advances(self, dt):
+        self.sim.run(until=self.sim.now + dt)
+
+    @rule()
+    def ads_expire(self):
+        self.mm._expire()
+
+    # -- the two specifications -------------------------------------------
+    @invariant()
+    def indexed_winner_is_the_scan_winner(self):
+        for stored in self.mm.job_ads.values():
+            expected = self.mm._best_machine_scan(stored.ad)
+            got = self.mm._best_machine(stored.ad)
+            assert (got.name if got else None) == (expected.name if expected else None)
+
+    @invariant()
+    def index_equals_one_rebuilt_from_scratch(self):
+        assert postings_of(self.mm._index) == rebuilt_postings(self.mm)
+
+
+ChurnMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestChurnDifferential = ChurnMachine.TestCase
+
+
+def test_jobs_split_when_a_machine_starts_reading_what_tells_them_apart():
+    """Two jobs share a summary while no machine's Requirements mentions
+    ``priority``; the machine that does must not inherit a verdict (or a
+    cursor) the pair earned together, and they re-merge when it leaves."""
+    sim, mm = make_matchmaker()
+    low = job_ad('TARGET.arch == "intel"', priority=1).freeze()
+    high = job_ad('TARGET.arch == "intel"', priority=3).freeze()
+    mm.receive_ad("machine", "plain", machine_ad("plain", arch="sparc"))
+    assert mm._best_machine(low) is None and mm._best_machine(high) is None
+    assert mm._cluster_of(low) is mm._cluster_of(high)
+    generation = mm._index.refs_generation
+
+    picky = machine_ad("picky", requirements="TARGET.priority >= 2", arch="intel")
+    mm.receive_ad("machine", "picky", picky)
+    assert mm._index.refs_generation == generation + 1
+    assert mm._best_machine(low) is None  # memoized for low's summary only
+    assert mm._best_machine(high).name == "picky"
+    assert mm._cluster_of(low) is not mm._cluster_of(high)
+
+    mm.receive_ad("machine", "picky", picky)  # unchanged: nothing to re-derive
+    assert mm._index.refs_generation == generation + 1
+    mm.retract_ad("machine", "picky")
+    assert mm._index.refs_generation == generation + 2
+    assert mm._cluster_of(low) is mm._cluster_of(high)
+    assert mm._best_machine(high) is None
+
+
+def test_one_job_ad_advertised_to_two_pools_keeps_them_apart():
+    """A schedd flocks the same frozen ad to several matchmakers; a
+    cluster derived against one pool's index says nothing about another."""
+    ad = job_ad('TARGET.arch == "intel"', priority=1).freeze()
+    _, here = make_matchmaker()
+    _, there = make_matchmaker()
+    here.receive_ad("machine", "a", machine_ad("a", arch="sparc"))
+    there.receive_ad("machine", "b", machine_ad("b", arch="intel"))
+    for _ in range(2):
+        assert here._best_machine(ad) is None
+        assert there._best_machine(ad).name == "b"
+    assert here._cluster_of(ad) is not there._cluster_of(ad)

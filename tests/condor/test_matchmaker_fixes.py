@@ -1,6 +1,6 @@
 """Regression tests for the matchmaker's leak and robustness fixes.
 
-Four long-standing defects, each pinned here:
+Long-standing defects, each pinned here:
 
 - a malformed ``scheddport``/``startdport`` (any non-numeric value)
   raised ``ValueError`` out of the collect loop -- one bad ad could kill
@@ -11,8 +11,15 @@ Four long-standing defects, each pinned here:
   denormal dust but never evicted;
 - the freshness check used ``>=``: a machine whose ad arrived at the
   exact simulated instant of its previous match was wrongly treated as
-  stale and skipped.
+  stale and skipped;
+- that same machine stays eligible but is no longer *ahead* of its
+  never-matched peers, and a cached rank order kept it there.
+
+And one leak that never shipped: the autocluster intern table holds one
+record per distinct match summary, bounded by the job ads that carry it.
 """
+
+import gc
 
 import pytest
 
@@ -94,6 +101,49 @@ class TestOwnerUsageEviction:
         assert mm.owner_usage == {}
 
 
+class TestClusterTableIsBoundedByLiveJobs:
+    """Like ``owner_usage`` and ``_recently_matched``: churn through any
+    number of distinct summaries, keep only those a queued job carries."""
+
+    def test_clusters_die_with_their_last_job(self):
+        sim, mm = make_matchmaker()
+        mm.receive_ad("machine", "exec", machine_ad("exec", memory=64))
+        for i in range(200):  # 200 summaries, none matchable
+            # (the product keeps the index out of it: a full search each)
+            ad = job_ad("TARGET.memory * 1 >= MY.needed", needed=1000 + i)
+            mm.receive_ad("job", f"j{i}", ad)
+            assert mm._best_machine(ad) is None
+        # Verdicts are remembered for exactly the queued jobs...
+        assert len(mm._clusters) == len(mm._no_match_memo) == 200
+        for i in range(199):
+            mm.retract_ad("job", f"j{i}")
+        del ad
+        # ...and a machine ad sweeps the memo and the cursors, the only
+        # other holders of a cluster record.
+        mm.receive_ad("machine", "exec", machine_ad("exec", memory=64))
+        gc.collect()
+        assert len(mm._clusters) == 1
+        mm.retract_ad("job", "j199")
+        gc.collect()
+        assert len(mm._clusters) == 0
+
+    def test_jobs_with_one_summary_share_one_record(self):
+        sim, mm = make_matchmaker()
+        mm.receive_ad("machine", "exec", machine_ad("exec", memory=64))
+        ads = [job_ad("TARGET.memory >= MY.needed", needed=128) for _ in range(50)]
+        assert all(mm._best_machine(ad) is None for ad in ads)
+        assert len(mm._clusters) == 1
+        assert len({id(mm._cluster_of(ad)) for ad in ads}) == 1
+
+    def test_an_edited_ad_leaves_its_cluster(self):
+        sim, mm = make_matchmaker()
+        mm.receive_ad("machine", "exec", machine_ad("exec", memory=64))
+        ad = job_ad("TARGET.memory >= MY.needed", needed=128)
+        assert mm._best_machine(ad) is None
+        ad["needed"] = 32  # unfrozen: edited where it sits in the queue
+        assert mm._best_machine(ad).name == "exec"
+
+
 class TestFreshnessBoundary:
     def test_ad_received_at_match_instant_is_eligible(self):
         """Matched at t, re-advertised at exactly t: the new ad is not
@@ -116,3 +166,32 @@ class TestFreshnessBoundary:
         probe = job_ad("TRUE")
         assert mm._best_machine_scan(probe) is None
         assert mm._best_machine(probe) is None
+
+    def test_matched_at_its_advertise_instant_yields_to_unmatched_peers(self):
+        """Still fresh, but the tie-break is least-recently-matched: a
+        rank order built before the match must not keep it in front
+        (found by the churn differential in test_match_index.py)."""
+        sim, mm = make_matchmaker()
+        mm.receive_ad("machine", "m0", machine_ad("m0"))
+        mm.receive_ad("machine", "m1", machine_ad("m1"))
+        probe = job_ad("TRUE")
+        assert mm._best_machine(probe).name == "m0"  # builds the order
+        mm._record_match(mm.machine_ads["m0"])  # at m0's advertise instant
+        assert mm._best_machine_scan(probe).name == "m1"
+        assert mm._best_machine(probe).name == "m1"
+
+
+class TestRejoinDoesNotReviveAnOldOrderEntry:
+    def test_machine_that_left_and_rejoined_is_ranked_by_its_new_ad(self):
+        """Sequence numbers restarted at 1 for a name that had left, so
+        the entry filed under its old ad's rank came back to life (found
+        by the churn differential in test_match_index.py)."""
+        sim, mm = make_matchmaker()
+        probe = job_ad("TRUE", rank="TARGET.memory")
+        mm.receive_ad("machine", "m0", machine_ad("m0", memory=32))
+        mm.receive_ad("machine", "m3", machine_ad("m3", memory=64))
+        assert mm._best_machine(probe).name == "m3"  # builds the order
+        mm.retract_ad("machine", "m3")
+        mm.receive_ad("machine", "m3", machine_ad("m3", memory=32))
+        assert mm._best_machine_scan(probe).name == "m0"
+        assert mm._best_machine(probe).name == "m0"
