@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.compare import MissingBaselineError, compare_paths
+from repro.bench.compare import MissingBaselineError, add_threshold_options, compare_paths
 from repro.bench.runner import bench_name, discover, run_suite
 
 
@@ -64,17 +64,9 @@ def _run_main(argv: list[str]) -> int:
         print("no benchmarks matched", file=sys.stderr)
         return 1
     if args.results_db:
-        from repro.obs.store import ResultsStore, default_commit
+        from repro.obs.store import ingest_artifacts
 
-        store = ResultsStore(args.results_db)
-        try:
-            commit = default_commit()
-            for path in written:
-                run_id = store.ingest_path(path, commit=commit)
-                print(f"ingested {path} -> run {run_id} "
-                      f"({args.results_db} @ {commit})")
-        finally:
-            store.close()
+        ingest_artifacts(args.results_db, paths=written)
     import json
 
     failed = 0
@@ -95,12 +87,7 @@ def _compare_main(argv: list[str]) -> int:
     )
     parser.add_argument("old", help="baseline BENCH file or directory")
     parser.add_argument("new", help="candidate BENCH file or directory")
-    parser.add_argument("--wall-threshold", type=float, default=1.0, metavar="F",
-                        help="allowed fractional wall slowdown on per-case min "
-                             "(default 1.0 = 2x)")
-    parser.add_argument("--min-wall-seconds", type=float, default=0.05, metavar="S",
-                        help="ignore cases whose min round time is below S "
-                             "on both sides (default 0.05)")
+    add_threshold_options(parser)
     parser.add_argument("--sim-only", action="store_true",
                         help="skip wall-time checks entirely (sim diffs are "
                              "exact and still hard-fail)")

@@ -18,34 +18,29 @@ contract):
   payload is asserted identical across rounds, so a baseline recorded
   at three rounds and a CI run at ``--rounds 1`` must compare equal.
   They are stripped by the same rule.
+
+The strip rule itself (:func:`strip_wall` and its key set) is
+:mod:`repro.obs.canonical`'s; it is re-exported here.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 from typing import Any
+
+from repro.obs.canonical import strip_wall
 
 __all__ = [
     "DEFAULT_MIN_WALL_SECONDS",
     "DEFAULT_WALL_THRESHOLD",
     "MissingBaselineError",
-    "PROTOCOL_KEYS",
-    "WALL_KEYS",
+    "add_threshold_options",
     "compare_paths",
     "compare_records",
     "strip_wall",
 ]
-
-#: Keys whose subtrees carry host wall-clock data and are never compared
-#: byte-for-byte.
-WALL_KEYS = frozenset({"wall", "wall_seconds"})
-
-#: Keys that record the run protocol (how many rounds were timed); like
-#: wall data they describe the measurement, not the simulation.
-PROTOCOL_KEYS = frozenset({"rounds", "rounds_override"})
-
-_STRIPPED_KEYS = WALL_KEYS | PROTOCOL_KEYS
 
 #: Default allowed fractional wall slowdown on a case's min round time
 #: (1.0 = a 2x slowdown passes).  Shared with ``repro.obs.store`` so
@@ -55,6 +50,20 @@ DEFAULT_WALL_THRESHOLD = 1.0
 DEFAULT_MIN_WALL_SECONDS = 0.05
 
 
+def add_threshold_options(parser: argparse.ArgumentParser) -> None:
+    """``--wall-threshold`` / ``--min-wall-seconds``, as every CLI that
+    judges wall time (``repro.bench compare``, the store's ``trend`` and
+    ``diff``) spells them."""
+    parser.add_argument("--wall-threshold", type=float,
+                        default=DEFAULT_WALL_THRESHOLD, metavar="F",
+                        help="allowed fractional wall slowdown on a case's min "
+                             "round time (default %(default)s = 2x)")
+    parser.add_argument("--min-wall-seconds", type=float,
+                        default=DEFAULT_MIN_WALL_SECONDS, metavar="S",
+                        help="ignore wall values below S on both sides "
+                             "(default %(default)s)")
+
+
 class MissingBaselineError(FileNotFoundError):
     """A comparison side does not exist (or holds no BENCH files).
 
@@ -62,16 +71,6 @@ class MissingBaselineError(FileNotFoundError):
     nothing to compare against -- the caller should exit with its own
     status (the CLI uses 2) rather than report a false regression.
     """
-
-
-def strip_wall(obj: Any) -> Any:
-    """A deep copy of *obj* with every wall-carrying and run-protocol
-    key removed: what is left is the sim-side payload."""
-    if isinstance(obj, dict):
-        return {k: strip_wall(v) for k, v in obj.items() if k not in _STRIPPED_KEYS}
-    if isinstance(obj, list):
-        return [strip_wall(v) for v in obj]
-    return obj
 
 
 def _diff_paths(old: Any, new: Any, at: str, out: list[str], limit: int = 20) -> None:

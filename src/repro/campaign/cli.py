@@ -40,17 +40,40 @@ from repro.obs.sanitize import PrincipleViolationError
 __all__ = ["fuzz_main", "main"]
 
 
-def _ingest_report(db_path: str, report: dict, source: str) -> None:
-    """Record a campaign/fuzz report in the longitudinal results store."""
-    from repro.obs.store import ResultsStore, default_commit
+def _add_shared_options(parser: argparse.ArgumentParser, report: str, unit: str) -> None:
+    """The options ``campaign`` and ``campaign fuzz`` spell identically."""
+    parser.add_argument("--mode", default="scoped",
+                        choices=("scoped", "naive", "classic"),
+                        help="error handling under test (classic = naive)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--jobs", type=positive_worker_count, default=1, metavar="N",
+                        help=f"run {unit} over N worker processes")
+    parser.add_argument("--kinds", default=None, metavar="A,B,...",
+                        help="restrict the catalogue to these fault kinds")
+    parser.add_argument("--federation", action="store_true",
+                        help="run every cell against a two-pool flocking grid "
+                             "(enables federation-only fault kinds)")
+    parser.add_argument("--defenses", action="store_true",
+                        help="turn on the §5 defenses (startd self-test "
+                             "re-probe, schedd backoff avoidance) in every cell")
+    parser.add_argument("--json", metavar="PATH", default=None,
+                        help=f"write the {report} report as canonical JSON")
+    parser.add_argument("--results-db", metavar="PATH", default=None,
+                        help=f"ingest the {report} report into this results store")
 
-    store = ResultsStore(db_path)
-    try:
-        commit = default_commit()
-        run_id = store.ingest_obj(report, source=source, commit=commit)
-        print(f"ingested {source} -> run {run_id} ({db_path} @ {commit})")
-    finally:
-        store.close()
+
+def _kinds(args: argparse.Namespace) -> tuple[str, ...] | None:
+    return None if args.kinds is None else tuple(k for k in args.kinds.split(",") if k)
+
+
+def _emit_report(args: argparse.Namespace, report: dict, source: str) -> None:
+    """The artifact tail of both commands: ``--json`` file, ``--results-db`` row."""
+    if args.json:
+        dump_json(args.json, report)
+    if args.results_db:
+        from repro.obs.store import ingest_artifacts
+
+        ingest_artifacts(args.results_db, objects=[(source, report)])
 
 
 def fuzz_main(argv: list[str] | None = None) -> int:
@@ -61,27 +84,13 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         description="Explore the fault space coverage-guided instead of "
                     "exhaustively; audit every cell for P1-P4.",
     )
-    parser.add_argument("--mode", default="scoped",
-                        choices=("scoped", "naive", "classic"),
-                        help="error handling under test (classic = naive)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=positive_worker_count, default=1, metavar="N",
-                        help="run each batch over N worker processes")
+    _add_shared_options(parser, report="fuzz", unit="each batch")
     parser.add_argument("--budget-cells", type=int, default=200, metavar="B",
                         help="total cells the campaign may execute")
     parser.add_argument("--batch-size", type=int, default=16, metavar="K",
                         help="cells proposed per generation")
     parser.add_argument("--order-max", type=int, default=3, metavar="K",
                         help="maximum simultaneous faults per mutated cell")
-    parser.add_argument("--kinds", default=None, metavar="A,B,...",
-                        help="restrict the catalogue to these fault kinds")
-    parser.add_argument("--federation", action="store_true",
-                        help="run every cell against a two-pool flocking grid "
-                             "(enables federation-only fault kinds)")
-    parser.add_argument("--defenses", action="store_true",
-                        help="turn on the §5 defenses in every cell")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the fuzz report as canonical JSON")
     parser.add_argument("--checkpoint", metavar="PATH", default=None,
                         help="write the full campaign state there after "
                              "every batch (for --resume)")
@@ -91,8 +100,6 @@ def fuzz_main(argv: list[str] | None = None) -> int:
                              "if they disagree)")
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip minimizing a reproducer per violation")
-    parser.add_argument("--results-db", metavar="PATH", default=None,
-                        help="ingest the fuzz report into this results store")
     args = parser.parse_args(argv)
 
     resume_state = None
@@ -105,14 +112,11 @@ def fuzz_main(argv: list[str] | None = None) -> int:
             parser.error("--batch-size must be >= 1")
         if args.order_max < 1:
             parser.error("--order-max must be >= 1")
-        kinds = None if args.kinds is None else tuple(
-            k for k in args.kinds.split(",") if k
-        )
         config = FuzzConfig(
             campaign=CampaignConfig(
                 mode=args.mode,
                 seed=args.seed,
-                kinds=kinds,
+                kinds=_kinds(args),
                 federation=args.federation,
                 defenses=args.defenses,
             ),
@@ -133,12 +137,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"fuzz worker failed: {exc}") from exc
     print(render_fuzz_summary(report))
     print(f"wall clock {time.perf_counter() - started:.3f}s")
-    if args.json:
-        dump_json(args.json, report)
-    if args.results_db:
-        _ingest_report(args.results_db, report,
-                       source=f"campaign-fuzz:{config.campaign.mode}"
-                              f"@{config.campaign.seed}")
+    _emit_report(args, report, f"campaign-fuzz:{config.campaign.mode}@{config.campaign.seed}")
     return 0
 
 
@@ -149,26 +148,11 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.harness campaign",
         description="Sweep the fault catalogue and audit every cell for P1-P4.",
     )
-    parser.add_argument("--mode", default="scoped",
-                        choices=("scoped", "naive", "classic"),
-                        help="error handling under test (classic = naive)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=positive_worker_count, default=1, metavar="N",
-                        help="run cells over N worker processes")
+    _add_shared_options(parser, report="campaign", unit="cells")
     parser.add_argument("--order", type=int, default=1, metavar="K",
                         help="also sweep multi-fault combinations up to size K")
-    parser.add_argument("--kinds", default=None, metavar="A,B,...",
-                        help="restrict the catalogue to these fault kinds")
-    parser.add_argument("--federation", action="store_true",
-                        help="run every cell against a two-pool flocking grid "
-                             "(enables federation-only fault kinds)")
-    parser.add_argument("--defenses", action="store_true",
-                        help="turn on the §5 defenses (startd self-test "
-                             "re-probe, schedd backoff avoidance) in every cell")
     parser.add_argument("--list-kinds", action="store_true",
                         help="list the fault catalogue and exit")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write the campaign report as canonical JSON")
     parser.add_argument("--profile", action="store_true",
                         help="attach the sim-time profiler to every cell and "
                              "render per-cell 'where time went' summaries")
@@ -178,8 +162,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip delta-debugging violating cells")
     parser.add_argument("--replay", metavar="SPEC", default=None,
                         help="re-run a reproducer spec instead of a campaign")
-    parser.add_argument("--results-db", metavar="PATH", default=None,
-                        help="ingest the campaign report into this results store")
     args = parser.parse_args(argv)
 
     if args.list_kinds:
@@ -201,14 +183,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.order < 1:
         parser.error("--order must be >= 1")
-    kinds = None if args.kinds is None else tuple(
-        k for k in args.kinds.split(",") if k
-    )
     config = CampaignConfig(
         mode=args.mode,
         seed=args.seed,
         max_order=args.order,
-        kinds=kinds,
+        kinds=_kinds(args),
         fail_fast=args.fail_fast,
         federation=args.federation,
         defenses=args.defenses,
@@ -241,11 +220,7 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(profiles)
     print(f"wall clock {time.perf_counter() - started:.3f}s")
-    if args.json:
-        dump_json(args.json, report)
-    if args.results_db:
-        _ingest_report(args.results_db, report,
-                       source=f"campaign:{config.mode}@{config.seed}")
+    _emit_report(args, report, f"campaign:{config.mode}@{config.seed}")
     return 0
 
 

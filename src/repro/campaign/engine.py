@@ -191,14 +191,7 @@ class MakespanRecorder:
 
     def percentiles(self) -> dict[str, float] | None:
         """GridConsole's footer triple; None when no job finished."""
-        p50 = self.registry.histogram_percentile("job_makespan_seconds", 50)
-        if p50 is None:
-            return None
-        return {
-            "p50": p50,
-            "p95": self.registry.histogram_percentile("job_makespan_seconds", 95),
-            "p99": self.registry.histogram_percentile("job_makespan_seconds", 99),
-        }
+        return self.registry.histogram_percentiles("job_makespan_seconds")
 
 
 def _run_cell(

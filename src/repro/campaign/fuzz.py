@@ -47,6 +47,7 @@ from repro.campaign.coverage import CoverageMap, FirstSeen
 from repro.campaign.engine import campaign_section, run_cell_record
 from repro.campaign.spec import CampaignConfig, CellSpec, FaultSpec, KindInfo
 from repro.harness.parallel import ParallelRunner
+from repro.obs.canonical import canonical_json
 from repro.obs.signature import violation_features
 
 __all__ = [
@@ -416,9 +417,7 @@ class _FuzzState:
 
 
 def _cell_key(cell: CellSpec) -> str:
-    return json.dumps(
-        [spec.as_dict() for spec in cell.injections], sort_keys=True
-    )
+    return canonical_json([spec.as_dict() for spec in cell.injections])
 
 
 def _batch_rng(seed: int, batch: int) -> random.Random:

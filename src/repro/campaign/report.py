@@ -21,22 +21,18 @@ def makespan_footer(cells: list[dict]) -> str | None:
 
     Pools every cell's job makespans into one histogram and quotes the
     same ``p50/p95/p99`` triple via
-    :meth:`~repro.obs.metrics.MetricsRegistry.histogram_percentile`.
+    :meth:`~repro.obs.metrics.MetricsRegistry.histogram_percentiles`.
     None when no cell finished a job (empty histogram), so callers emit
     no footer rather than a degenerate one.
     """
+    from repro.obs.console import render_makespan_footer
     from repro.obs.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
     for record in cells:
         for value in record.get("job_makespans") or ():
             registry.histogram("job_makespan_seconds", value)
-    p50 = registry.histogram_percentile("job_makespan_seconds", 50)
-    if p50 is None:
-        return None
-    p95 = registry.histogram_percentile("job_makespan_seconds", 95)
-    p99 = registry.histogram_percentile("job_makespan_seconds", 99)
-    return f"makespan p50={p50:.1f}s p95={p95:.1f}s p99={p99:.1f}s"
+    return render_makespan_footer(registry)
 
 
 def _principle_counts(violations: list[dict]) -> dict[int, int]:

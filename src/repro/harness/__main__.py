@@ -38,7 +38,8 @@ import time
 
 from repro.harness import experiments as E
 from repro.harness.parallel import ParallelRunner, WorkerFailure, positive_worker_count
-from repro.obs.export import ObservationSession, dump_json, to_jsonable
+from repro.obs.canonical import to_jsonable
+from repro.obs.export import ObservationSession, dump_json
 from repro.obs.profile import render_profile
 
 #: name -> (callable accepting seed kwarg?, takes_seed)
@@ -195,22 +196,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         dump_json(args.json, payload)
     if args.results_db:
-        from repro.obs.store import ResultsStore, default_commit
+        from repro.obs.store import ingest_artifacts
 
-        store = ResultsStore(args.results_db)
-        try:
-            commit = default_commit()
-            run_id = store.ingest_obj(
-                payload, source=f"harness:{','.join(names)}", commit=commit
-            )
-            print(f"ingested harness run -> run {run_id} "
-                  f"({args.results_db} @ {commit})")
-            for path in (args.trace, args.metrics, args.profile):
-                if path:
-                    run_id = store.ingest_path(path, commit=commit)
-                    print(f"ingested {path} -> run {run_id}")
-        finally:
-            store.close()
+        ingest_artifacts(
+            args.results_db,
+            objects=[(f"harness:{','.join(names)}", payload)],
+            paths=[path for path in (args.trace, args.metrics, args.profile) if path],
+        )
     return 0
 
 

@@ -9,7 +9,7 @@ records.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.condor import Job, JobState, Pool, PoolConfig, ProgramImage, Universe
 from repro.condor.daemons.config import CondorConfig
@@ -52,6 +52,18 @@ __all__ = [
 ]
 
 MB = 2**20
+
+
+class _KeyedRows:
+    """``row(key)`` for a result whose ``rows`` are keyed by one field."""
+
+    ROW_KEY: str  # the row field that names a row; not a dataclass field
+
+    def row(self, key):
+        for r in self.rows:
+            if getattr(r, self.ROW_KEY) == key:
+                return r
+        raise KeyError(key)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +326,7 @@ class Fig4Result:
             ["Execution Detail", "Error Scope", "JVM Result Code", "Wrapper Result File"],
             title="FIG4: JVM result codes (paper columns) + wrapper recovery",
         )
-        for row in self.rows:
-            table.add_row([row.detail, row.scope, row.bare_code, row.wrapper_report])
+        table.add_records(self.rows)
         return table
 
     @property
@@ -481,7 +492,9 @@ def _run_mode(mode: str, seed: int, n_jobs: int, n_machines: int):
     return metrics, auditor.summary()
 
 
-def run_naive_vs_scoped(seed: int = 0, n_jobs: int = 24, n_machines: int = 6) -> NaiveVsScopedResult:
+def run_naive_vs_scoped(
+    seed: int = 0, n_jobs: int = 24, n_machines: int = 6
+) -> NaiveVsScopedResult:
     """The headline experiment: identical workload and fault schedule under
     the naive and the scoped configurations."""
     naive_metrics, naive_violations = _run_mode("naive", seed, n_jobs, n_machines)
@@ -509,7 +522,9 @@ class BlackHoleRow:
 
 
 @dataclass
-class BlackHoleResult:
+class BlackHoleResult(_KeyedRows):
+    ROW_KEY = "defense"
+
     rows: list[BlackHoleRow]
 
     def table(self) -> Table:
@@ -518,18 +533,8 @@ class BlackHoleResult:
              "makespan (s)", "mean turnaround (s)"],
             title="EXP-BH: black-hole machines vs the two §5 defenses",
         )
-        for row in self.rows:
-            table.add_row([
-                row.defense, row.completed, row.wasted_attempts,
-                row.network_bytes, row.makespan, row.mean_turnaround,
-            ])
+        table.add_records(self.rows)
         return table
-
-    def row(self, defense: str) -> BlackHoleRow:
-        for r in self.rows:
-            if r.defense == defense:
-                return r
-        raise KeyError(defense)
 
 
 def run_black_hole(
@@ -601,10 +606,7 @@ class NfsResult:
             ["outage (s)", "mount mode", "outcome", "elapsed (s)", "retries", "timeouts"],
             title="EXP-NFS: the hard/soft mount dilemma (§5)",
         )
-        for row in self.rows:
-            table.add_row([
-                row.outage, row.mode, row.outcome, row.elapsed, row.retries, row.timeouts,
-            ])
+        table.add_records(self.rows)
         return table
 
 
@@ -685,9 +687,7 @@ class TimeScopeResult:
             ["outage (s)", "true scope", "assigned scope", "correct", "decided after (s)"],
             title=f"EXP-SCOPE-TIME: escalation threshold = {self.threshold}s",
         )
-        for row in self.rows:
-            table.add_row([row.outage, row.truth, row.assigned, row.correct,
-                           row.decided_after])
+        table.add_records(self.rows)
         return table
 
     @property
@@ -778,7 +778,9 @@ class RetryRow:
 
 
 @dataclass
-class RetrySweepResult:
+class RetrySweepResult(_KeyedRows):
+    ROW_KEY = "max_retries"
+
     rows: list[RetryRow]
     n_jobs: int
 
@@ -788,18 +790,8 @@ class RetrySweepResult:
              "mean turnaround (s)"],
             title=f"EXP-RETRY: schedd retry budget vs outcome ({self.n_jobs} jobs)",
         )
-        for row in self.rows:
-            table.add_row([
-                row.max_retries, row.completed, row.held,
-                row.wasted_attempts, row.mean_turnaround,
-            ])
+        table.add_records(self.rows)
         return table
-
-    def row(self, max_retries: int) -> RetryRow:
-        for r in self.rows:
-            if r.max_retries == max_retries:
-                return r
-        raise KeyError(max_retries)
 
 
 def run_retry_sweep(
@@ -856,7 +848,9 @@ class FairShareRow:
 
 
 @dataclass
-class FairShareResult:
+class FairShareResult(_KeyedRows):
+    ROW_KEY = "fair_share"
+
     rows: list[FairShareRow]
 
     def table(self) -> Table:
@@ -865,18 +859,8 @@ class FairShareResult:
              "small user mean turnaround (s)", "small user done at (s)"],
             title="EXP-FAIR: matchmaker fair share, flood vs trickle",
         )
-        for row in self.rows:
-            table.add_row([
-                row.fair_share, row.flood_user_mean_turnaround,
-                row.small_user_mean_turnaround, row.small_user_done_at,
-            ])
+        table.add_records(self.rows)
         return table
-
-    def row(self, fair_share: bool) -> FairShareRow:
-        for r in self.rows:
-            if r.fair_share == fair_share:
-                return r
-        raise KeyError(fair_share)
 
 
 def run_fair_share(
@@ -938,7 +922,9 @@ class PreemptRow:
 
 
 @dataclass
-class PreemptResult:
+class PreemptResult(_KeyedRows):
+    ROW_KEY = "configuration"
+
     rows: list[PreemptRow]
 
     def table(self) -> Table:
@@ -947,18 +933,8 @@ class PreemptResult:
              "peon steps executed", "evictions"],
             title="EXP-PREEMPT: rank preemption x checkpointing",
         )
-        for row in self.rows:
-            table.add_row([
-                row.configuration, row.boss_turnaround, row.peon_turnaround,
-                row.peon_steps_executed, row.evictions,
-            ])
+        table.add_records(self.rows)
         return table
-
-    def row(self, configuration: str) -> PreemptRow:
-        for r in self.rows:
-            if r.configuration == configuration:
-                return r
-        raise KeyError(configuration)
 
 
 def run_preemption(
@@ -1023,7 +999,9 @@ class EndToEndRow:
 
 
 @dataclass
-class EndToEndResult:
+class EndToEndResult(_KeyedRows):
+    ROW_KEY = "configuration"
+
     rows: list[EndToEndRow]
 
     def table(self) -> Table:
@@ -1033,19 +1011,8 @@ class EndToEndResult:
              "resubmits", "final valid outputs"],
             title="EXP-E2E: implicit errors vs the end-to-end layer (§5)",
         )
-        for row in self.rows:
-            table.add_row([
-                row.configuration, row.jobs, row.corruptions_in_flight,
-                row.wrong_outputs_delivered, row.implicit_errors_caught,
-                row.resubmits, row.final_valid_outputs,
-            ])
+        table.add_records(self.rows)
         return table
-
-    def row(self, configuration: str) -> EndToEndRow:
-        for r in self.rows:
-            if r.configuration == configuration:
-                return r
-        raise KeyError(configuration)
 
 
 def _e2e_workload(pool: Pool, n_jobs: int):
@@ -1155,7 +1122,9 @@ class ChurnRow:
 
 
 @dataclass
-class ChurnResult:
+class ChurnResult(_KeyedRows):
+    ROW_KEY = "avoidance"
+
     rows: list[ChurnRow]
     heal_at: float
 
@@ -1175,12 +1144,6 @@ class ChurnResult:
                 row.attempts_on_healed_site, row.readmitted,
             ])
         return table
-
-    def row(self, avoidance: str) -> ChurnRow:
-        for r in self.rows:
-            if r.avoidance == avoidance:
-                return r
-        raise KeyError(avoidance)
 
 
 def run_churn(
@@ -1283,7 +1246,9 @@ class FlockRow:
 
 
 @dataclass
-class FlockResult:
+class FlockResult(_KeyedRows):
+    ROW_KEY = "configuration"
+
     rows: list[FlockRow]
 
     def table(self) -> Table:
@@ -1299,12 +1264,6 @@ class FlockResult:
                 round(row.makespan, 1), round(row.mean_turnaround, 1),
             ])
         return table
-
-    def row(self, configuration: str) -> FlockRow:
-        for r in self.rows:
-            if r.configuration == configuration:
-                return r
-        raise KeyError(configuration)
 
 
 def run_flocking(
@@ -1385,7 +1344,9 @@ class CheckpointRow:
 
 
 @dataclass
-class CheckpointResult:
+class CheckpointResult(_KeyedRows):
+    ROW_KEY = "checkpointing"
+
     rows: list[CheckpointRow]
 
     def table(self) -> Table:
@@ -1394,18 +1355,8 @@ class CheckpointResult:
              "re-executed (waste)", "makespan (s)"],
             title="EXP-CKPT: Standard Universe checkpointing under evictions",
         )
-        for row in self.rows:
-            table.add_row([
-                row.checkpointing, row.completed, row.total_steps_needed,
-                row.steps_executed, row.reexecuted_steps, row.makespan,
-            ])
+        table.add_records(self.rows)
         return table
-
-    def row(self, checkpointing: bool) -> CheckpointRow:
-        for r in self.rows:
-            if r.checkpointing == checkpointing:
-                return r
-        raise KeyError(checkpointing)
 
 
 def run_checkpoint_ablation(

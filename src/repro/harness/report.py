@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Iterable
 from typing import Any
 
 __all__ = ["Table", "fmt"]
@@ -41,6 +43,11 @@ class Table:
                 f"row has {len(row)} cells, table has {len(self.headers)} columns"
             )
         self.rows.append([fmt(cell) for cell in row])
+
+    def add_records(self, records: Iterable[Any]) -> None:
+        """One row per dataclass record: its fields, in declaration order."""
+        for record in records:
+            self.add_row([getattr(record, f.name) for f in dataclasses.fields(record)])
 
     def add_footer(self, text: str) -> None:
         """Append a free-form footer line (timings, provenance notes)."""

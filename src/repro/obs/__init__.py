@@ -13,6 +13,8 @@ The subsystem has four layers, each usable alone:
   one per job journey (submit -> match -> claim -> execute -> result)
   and one per error's propagation path, with a span per hop;
 - :mod:`repro.obs.metrics` -- labeled counter/gauge/histogram series;
+- :mod:`repro.obs.canonical` -- the one serialisation rule: the wall-key
+  strip set and the two JSON text forms every artifact is written in;
 - :mod:`repro.obs.export` -- byte-reproducible JSONL traces and JSON
   snapshots, plus the :class:`~repro.obs.export.ObservationSession`
   behind the CLI's ``--trace`` / ``--metrics`` flags;
@@ -24,7 +26,9 @@ The subsystem has four layers, each usable alone:
   extraction over job spans, folded-stack flamegraph export, and
   wall-time counters for the hot paths (strippable, never part of the
   determinism contract);
-- :mod:`repro.obs.console` -- the operator dashboard.
+- :mod:`repro.obs.console` -- the operator dashboard;
+- :mod:`repro.obs.sqlite_store` -- the one SQLite base (WAL policy, schema
+  check, ``transaction()``) under the results store and the run store.
 
 Everything is stamped with *simulated* time and excludes wall clock
 from exports, per the DESIGN.md §6 determinism contract.

@@ -20,7 +20,7 @@ from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SimTimeProfiler
 
-__all__ = ["GridConsole"]
+__all__ = ["GridConsole", "render_makespan_footer"]
 
 #: JOB-topic event name -> the state the job is in afterwards.
 _JOB_STATE = {
@@ -43,6 +43,14 @@ _FEDERATION_EVENTS = {
     "machine_join": "machines rejoined",
     "site_avoided": "sites avoided",
 }
+
+
+def render_makespan_footer(registry: MetricsRegistry) -> str | None:
+    """The jobs-panel footer over ``job_makespan_seconds``; None while empty."""
+    triple = registry.histogram_percentiles("job_makespan_seconds")
+    if triple is None:
+        return None
+    return "makespan p50={p50:.1f}s p95={p95:.1f}s p99={p99:.1f}s".format(**triple)
 
 
 class GridConsole:
@@ -130,13 +138,9 @@ class GridConsole:
                 table.add_row([state, tally[state]])
         if not tally:
             table.add_row(["(none)", 0])
-        p50 = self.registry.histogram_percentile("job_makespan_seconds", 50)
-        if p50 is not None:
-            p95 = self.registry.histogram_percentile("job_makespan_seconds", 95)
-            p99 = self.registry.histogram_percentile("job_makespan_seconds", 99)
-            table.add_footer(
-                f"makespan p50={p50:.1f}s p95={p95:.1f}s p99={p99:.1f}s"
-            )
+        footer = render_makespan_footer(self.registry)
+        if footer is not None:
+            table.add_footer(footer)
         return table.render()
 
     def _time_table(self) -> str:

@@ -1,11 +1,11 @@
 """Exporters: JSONL traces, JSON metric snapshots, and the ambient session.
 
 All output obeys the determinism contract (DESIGN.md §6): records carry
-*simulated* time only; any wall-clock field (``wall_clock_seconds``,
-``seed_seconds``, ``wall_seconds``) is stripped before serialisation;
-keys are sorted and formatting is canonical.  Two runs with the same
-seed therefore produce byte-identical files -- the property the harness
-tests assert and the CLI acceptance check exercises.
+*simulated* time only, and every byte goes through one of the two text
+forms of :mod:`repro.obs.canonical` (wall-clock fields stripped, keys
+sorted).  Two runs with the same seed therefore produce byte-identical
+files -- the property the harness tests assert and the CLI acceptance
+check exercises.
 
 :class:`ObservationSession` is the one-stop wiring used by the CLI
 flags ``--trace`` / ``--metrics``: it installs an ambient bus (picked up
@@ -16,9 +16,6 @@ metric series, and writes the files on exit.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
-import json
 from typing import Any
 
 from repro.obs.bus import (
@@ -27,6 +24,7 @@ from repro.obs.bus import (
     clear_ambient,
     install_ambient,
 )
+from repro.obs.canonical import canonical_json, pretty_json, to_jsonable
 from repro.obs.metrics import BusMetricsRecorder, MetricsRegistry
 from repro.obs.profile import (
     SimTimeProfiler,
@@ -39,7 +37,6 @@ from repro.obs.span import Span, SpanBuilder
 
 __all__ = [
     "ObservationSession",
-    "WALL_CLOCK_FIELDS",
     "dump_json",
     "event_record",
     "render_metrics",
@@ -48,50 +45,15 @@ __all__ = [
     "to_jsonable",
 ]
 
-#: Field names that carry real (host) time and must never be exported.
-WALL_CLOCK_FIELDS = frozenset(
-    {"wall_clock_seconds", "seed_seconds", "wall_seconds"}
-)
 
-
-def to_jsonable(obj: Any, exclude: frozenset[str] = WALL_CLOCK_FIELDS) -> Any:
-    """Convert *obj* (dataclasses, enums, numpy, containers) to JSON types.
-
-    Dataclass fields named in *exclude* are dropped -- the default set is
-    exactly the wall-clock fields, so experiment results serialise
-    reproducibly.
-    """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name), exclude)
-            for f in dataclasses.fields(obj)
-            if f.name not in exclude
-        }
-    if isinstance(obj, enum.Enum):
-        return obj.name if isinstance(obj, enum.IntEnum) else obj.value
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v, exclude) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v, exclude) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(to_jsonable(v, exclude) for v in obj)
-    if isinstance(obj, bytes):
-        return obj.hex()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    # numpy scalars / arrays without a hard numpy dependency here.
-    if hasattr(obj, "tolist"):
-        return to_jsonable(obj.tolist(), exclude)
-    if hasattr(obj, "item"):
-        return obj.item()
-    return str(obj)
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def dump_json(path: str, obj: Any) -> None:
-    """Write *obj* as canonical JSON: sorted keys, fixed separators, LF."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(to_jsonable(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Write *obj* to *path* as :func:`~repro.obs.canonical.pretty_json`."""
+    _write_text(path, pretty_json(obj))
 
 
 # -- trace records ------------------------------------------------------
@@ -123,18 +85,15 @@ def span_record(span: Span) -> dict:
 
 def render_trace(events: list[TelemetryEvent], spans: list[Span] | None = None) -> str:
     """The JSONL trace body: events in emission order, then spans by id."""
-    lines = [
-        json.dumps(event_record(e), sort_keys=True, separators=(",", ":"))
-        for e in events
-    ]
+    lines = [canonical_json(event_record(e)) for e in events]
     for span in sorted(spans or [], key=lambda s: s.span_id):
-        lines.append(json.dumps(span_record(span), sort_keys=True, separators=(",", ":")))
+        lines.append(canonical_json(span_record(span)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def render_metrics(registry: MetricsRegistry) -> str:
     """The canonical JSON form of a metrics snapshot."""
-    return json.dumps(to_jsonable(registry.snapshot()), sort_keys=True, indent=2) + "\n"
+    return pretty_json(registry.snapshot())
 
 
 # -- the ambient observation session ------------------------------------
@@ -194,10 +153,8 @@ class ObservationSession:
     def flush(self) -> None:
         """Write the trace / metrics / profile files now."""
         if self.trace_path is not None:
-            with open(self.trace_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(render_trace(self.events, self.spans.spans))
+            _write_text(self.trace_path, render_trace(self.events, self.spans.spans))
         if self.metrics_path is not None:
-            with open(self.metrics_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(render_metrics(self.registry))
+            _write_text(self.metrics_path, render_metrics(self.registry))
         if self.profile_path is not None:
             dump_json(self.profile_path, self.profile_report())

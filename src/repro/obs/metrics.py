@@ -79,6 +79,10 @@ class _Histogram:
         rank = max(1, ceil(q / 100.0 * len(ordered)))
         return ordered[rank - 1]
 
+    def percentiles(self) -> dict[str, float | None]:
+        """The ``p50`` / ``p95`` / ``p99`` triple every report quotes."""
+        return {f"p{q}": self.percentile(q) for q in (50, 95, 99)}
+
     def snapshot(self) -> dict:
         buckets = {}
         cumulative = 0
@@ -86,14 +90,7 @@ class _Histogram:
             cumulative += n
             buckets[f"le={bound:g}"] = cumulative
         buckets["le=+Inf"] = self.count
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "buckets": buckets,
-        }
+        return {"count": self.count, "sum": self.total, **self.percentiles(), "buckets": buckets}
 
 
 class MetricsRegistry:
@@ -139,6 +136,11 @@ class MetricsRegistry:
         """Nearest-rank percentile of a histogram series (None if absent)."""
         hist = self._histograms.get(_key(name, labels))
         return None if hist is None else hist.percentile(q)
+
+    def histogram_percentiles(self, name: str, **labels) -> dict[str, float] | None:
+        """The ``p50`` / ``p95`` / ``p99`` triple of a series (None if absent)."""
+        hist = self._histograms.get(_key(name, labels))
+        return None if hist is None else hist.percentiles()
 
     def snapshot(self) -> dict:
         """All series, sorted by rendered key -- stable for a given seed."""

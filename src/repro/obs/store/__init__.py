@@ -14,6 +14,11 @@ the commit sha, the ingestion timestamp, and ``wall``-flagged metric
 rows -- lives in its own columns, never inside the payload, so
 ``query --strip-wall`` output over two stores fed the same artifacts is
 byte-identical no matter when or on what host they were ingested.
+
+Connection, WAL durability policy, schema check and ``transaction()``
+are the shared :class:`~repro.obs.sqlite_store.SqliteStore` base's: an
+ingest is one transaction, so a rejected artifact leaves no row behind,
+and a live file store has ``-wal``/``-shm`` sidecars until it closes.
 """
 
 from __future__ import annotations
@@ -23,28 +28,29 @@ import json
 import sqlite3
 import subprocess
 import time
+from collections.abc import Callable, Iterable
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
+from repro.obs.canonical import canonical_json
+from repro.obs.sqlite_store import SqliteStore, StoreDurabilityError, StoreSchemaError
 from repro.obs.store.ingest import Extracted, IngestError, extract, extract_text
 
 __all__ = [
     "IngestError",
     "RESULTS_SCHEMA",
     "ResultsStore",
+    "StoreDurabilityError",
     "StoreSchemaError",
     "canonical_json",
     "config_hash",
     "default_commit",
+    "ingest_artifacts",
 ]
 
 RESULTS_SCHEMA = "repro-results/1"
 
 _TABLES = """
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
 CREATE TABLE IF NOT EXISTS runs (
     run_id      INTEGER PRIMARY KEY,
     kind        TEXT NOT NULL,
@@ -110,19 +116,20 @@ CREATE TABLE IF NOT EXISTS error_hops (
 );
 """
 
-#: child tables swept alongside their runs row (gc, purge).
-_CHILD_TABLES = (
-    "metrics", "bench_cases", "cells", "violations", "profile_sections", "error_hops",
-)
+#: child table -> its columns after ``run_id``, in the order the matching
+#: :class:`Extracted` field lists them; swept alongside their runs row by gc.
+_CHILD_COLUMNS = {
+    "metrics": "name, label, value, wall",
+    "bench_cases": "bench, case_id, ok, deterministic, sim_events, sim_time, wall_min_seconds",
+    "cells": "cell, fault_order, completed, held, unfinished, violations, makespan, error",
+    "violations": "cell, principle, subject, description",
+    "profile_sections": "daemon, phase, scope, events, sim_time",
+    "error_hops": "scope, hops",
+}
 
-
-class StoreSchemaError(RuntimeError):
-    """The database on disk speaks a different results schema version."""
-
-
-def canonical_json(obj: Any) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: what SQLite raises for a row the schema or the driver refuses -- the
+#: artifact's fault (a null id, an unbindable value), not the database's.
+_ROW_ERRORS = (sqlite3.IntegrityError, sqlite3.ProgrammingError)
 
 
 def config_hash(config: dict) -> str:
@@ -147,29 +154,15 @@ def default_commit(cwd: str | Path | None = None) -> str:
     return sha if proc.returncode == 0 and sha else "unknown"
 
 
-class ResultsStore:
+class ResultsStore(SqliteStore):
     """Open (or create) the results store at *path* (``:memory:`` for tests)."""
 
-    def __init__(self, path: str = "repro-results.db", now: Callable[[], float] = time.time):
-        self.path = path
-        self.now = now
-        self._db = sqlite3.connect(path)
-        self._db.executescript(_TABLES)
-        row = self._db.execute("SELECT value FROM meta WHERE key='schema'").fetchone()
-        if row is None:
-            self._db.execute(
-                "INSERT INTO meta(key, value) VALUES ('schema', ?)", (RESULTS_SCHEMA,)
-            )
-            self._db.commit()
-        elif row[0] != RESULTS_SCHEMA:
-            self._db.close()
-            raise StoreSchemaError(
-                f"results store at {path!r} has schema {row[0]!r}, "
-                f"this build speaks {RESULTS_SCHEMA!r}"
-            )
+    SCHEMA = RESULTS_SCHEMA
+    TABLES = _TABLES
 
-    def close(self) -> None:
-        self._db.close()
+    def __init__(self, path: str = "repro-results.db", now: Callable[[], float] = time.time):
+        super().__init__(path)
+        self.now = now
 
     # -- ingestion -------------------------------------------------------
     def ingest_obj(self, obj: Any, source: str, commit: str = "unknown") -> int:
@@ -190,52 +183,36 @@ class ResultsStore:
         return self.ingest_text(text, source=path.name, commit=commit)
 
     def _insert(self, ex: Extracted, source: str, commit: str) -> int:
-        cursor = self._db.execute(
-            "INSERT INTO runs(kind, source, schema, config_hash, seed, payload,"
-            " commit_sha, ingested_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                ex.kind,
-                source,
-                ex.artifact_schema,
-                config_hash(ex.config),
-                ex.seed,
-                canonical_json(ex.payload),
-                commit,
-                self.now(),
-            ),
-        )
-        run_id = cursor.lastrowid
-        self._db.executemany(
-            "INSERT INTO metrics(run_id, name, label, value, wall) VALUES (?, ?, ?, ?, ?)",
-            [(run_id, n, l, v, int(w)) for n, l, v, w in ex.metrics],
-        )
-        self._db.executemany(
-            "INSERT INTO bench_cases(run_id, bench, case_id, ok, deterministic,"
-            " sim_events, sim_time, wall_min_seconds) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            [(run_id, b, c, int(ok), int(d), e, t, w)
-             for b, c, ok, d, e, t, w in ex.bench_cases],
-        )
-        self._db.executemany(
-            "INSERT INTO cells(run_id, cell, fault_order, completed, held, unfinished,"
-            " violations, makespan, error) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [(run_id, *cell) for cell in ex.cells],
-        )
-        self._db.executemany(
-            "INSERT INTO violations(run_id, cell, principle, subject, description)"
-            " VALUES (?, ?, ?, ?, ?)",
-            [(run_id, *violation) for violation in ex.violations],
-        )
-        self._db.executemany(
-            "INSERT INTO profile_sections(run_id, daemon, phase, scope, events, sim_time)"
-            " VALUES (?, ?, ?, ?, ?, ?)",
-            [(run_id, *section) for section in ex.profile_sections],
-        )
-        self._db.executemany(
-            "INSERT INTO error_hops(run_id, scope, hops) VALUES (?, ?, ?)",
-            [(run_id, scope, hops) for scope, hops in ex.error_hops],
-        )
-        self._db.commit()
-        return run_id
+        """All of one artifact's rows, or none: a row SQLite refuses
+        rejects the whole artifact as ``MALFORMED``."""
+        try:
+            with self.transaction():
+                cursor = self._db.execute(
+                    "INSERT INTO runs(kind, source, schema, config_hash, seed, payload,"
+                    " commit_sha, ingested_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    (
+                        ex.kind,
+                        source,
+                        ex.artifact_schema,
+                        config_hash(ex.config),
+                        ex.seed,
+                        canonical_json(ex.payload),
+                        commit,
+                        self.now(),
+                    ),
+                )
+                run_id = cursor.lastrowid
+                for table, columns in _CHILD_COLUMNS.items():
+                    marks = ", ".join("?" * (columns.count(",") + 2))
+                    self._db.executemany(
+                        f"INSERT INTO {table}(run_id, {columns}) VALUES ({marks})",  # noqa: S608
+                        [(run_id, *row) for row in getattr(ex, table)],
+                    )
+                return run_id
+        except _ROW_ERRORS as exc:
+            raise IngestError(
+                "MALFORMED", source, f"{ex.kind} row rejected by the results schema: {exc}"
+            ) from None
 
     # -- queries ---------------------------------------------------------
     def runs(
@@ -337,17 +314,24 @@ class ResultsStore:
             "wall": {lbl: wall_flags[lbl] for lbl in sorted(wall_flags)},
         }
 
+    def _latest_runs(
+        self, commit: str | None = None, kinds: tuple[str, ...] | None = None
+    ) -> dict[tuple[str, str], int]:
+        """(kind, source) -> its newest run id (optionally at one commit,
+        of some kinds), in first-seen order."""
+        latest: dict[tuple[str, str], int] = {}
+        for run_id, kind, source, sha in self._db.execute(
+            "SELECT run_id, kind, source, commit_sha FROM runs ORDER BY run_id"
+        ):
+            if (commit is None or sha == commit) and (kinds is None or kind in kinds):
+                latest[(kind, source)] = run_id
+        return latest
+
     def error_hops(self, commit: str | None = None) -> dict[str, int]:
         """Aggregate error hops by scope over the latest trace/metrics run
         of each source (or every run at one commit)."""
-        latest: dict[tuple[str, str], int] = {}
-        sql = "SELECT run_id, kind, source, commit_sha FROM runs ORDER BY run_id"
-        for run_id, kind, source, sha in self._db.execute(sql):
-            if commit is not None and sha != commit:
-                continue
-            latest[(kind, source)] = run_id
         hops: dict[str, int] = {}
-        for run_id in latest.values():
+        for run_id in self._latest_runs(commit).values():
             for scope, n in self._db.execute(
                 "SELECT scope, hops FROM error_hops WHERE run_id=?", (run_id,)
             ):
@@ -362,15 +346,8 @@ class ResultsStore:
     def sections(self, commit: str | None = None, top: int = 12) -> list[dict]:
         """Aggregate "where time went" triples over the latest run of each
         source, heaviest simulated time first."""
-        latest: dict[tuple[str, str], int] = {}
-        for run_id, kind, source, sha in self._db.execute(
-            "SELECT run_id, kind, source, commit_sha FROM runs ORDER BY run_id"
-        ):
-            if commit is not None and sha != commit:
-                continue
-            latest[(kind, source)] = run_id
         totals: dict[tuple[str, str, str], list[float]] = {}
-        for run_id in latest.values():
+        for run_id in self._latest_runs(commit).values():
             for daemon, phase, scope, events, sim_time in self._db.execute(
                 "SELECT daemon, phase, scope, events, sim_time"
                 " FROM profile_sections WHERE run_id=?", (run_id,)
@@ -393,14 +370,7 @@ class ResultsStore:
 
         Returns ``(stacks, run_rows)`` -- empty when nothing stores stacks.
         """
-        latest: dict[tuple[str, str], int] = {}
-        for run_id, kind, source, sha in self._db.execute(
-            "SELECT run_id, kind, source, commit_sha FROM runs"
-            " WHERE kind IN ('profile', 'bench', 'harness') ORDER BY run_id"
-        ):
-            if commit is not None and sha != commit:
-                continue
-            latest[(kind, source)] = run_id
+        latest = self._latest_runs(commit, kinds=("profile", "bench", "harness"))
         stacks: list[str] = []
         rows: list[dict] = []
         for (kind, source), run_id in sorted(latest.items(), key=lambda kv: kv[1]):
@@ -423,17 +393,13 @@ class ResultsStore:
         if not candidates:
             return None
         row = max(candidates, key=lambda r: r["run_id"])
+        columns = _CHILD_COLUMNS["cells"]
+        keys = columns.replace("fault_order", "order").split(", ")
         cells = [
-            {
-                "cell": cell, "order": order, "completed": completed,
-                "held": held, "unfinished": unfinished,
-                "violations": violations, "makespan": makespan, "error": error,
-            }
-            for cell, order, completed, held, unfinished, violations, makespan, error
-            in self._db.execute(
-                "SELECT cell, fault_order, completed, held, unfinished,"
-                " violations, makespan, error FROM cells WHERE run_id=?"
-                " ORDER BY rowid", (row["run_id"],)
+            dict(zip(keys, values))
+            for values in self._db.execute(
+                f"SELECT {columns} FROM cells WHERE run_id=? ORDER BY rowid",  # noqa: S608
+                (row["run_id"],),
             )
         ]
         return {"run": row, "cells": cells}
@@ -480,10 +446,25 @@ class ResultsStore:
         kept = sum(len(v) for v in by_config.values()) - len(doomed)
         if doomed and not dry_run:
             marks = ",".join("?" * len(doomed))
-            for table in _CHILD_TABLES:
-                self._db.execute(
-                    f"DELETE FROM {table} WHERE run_id IN ({marks})", doomed  # noqa: S608
-                )
-            self._db.execute(f"DELETE FROM runs WHERE run_id IN ({marks})", doomed)
-            self._db.commit()
+            with self.transaction():
+                for table in (*_CHILD_COLUMNS, "runs"):
+                    self._db.execute(
+                        f"DELETE FROM {table} WHERE run_id IN ({marks})", doomed  # noqa: S608
+                    )
         return {"deleted": doomed, "kept": kept}
+
+
+def ingest_artifacts(
+    db_path: str, objects: Iterable[tuple[str, Any]] = (), paths: Iterable[str] = ()
+) -> None:
+    """What every producer CLI's ``--results-db`` does: open the store at
+    *db_path*, ingest parsed ``(source, artifact)`` pairs and then artifact
+    files at the current commit, print one line per run, close."""
+    with ResultsStore(db_path) as store:
+        commit = default_commit()
+        for source, obj in objects:
+            run_id = store.ingest_obj(obj, source=source, commit=commit)
+            print(f"ingested {source} -> run {run_id} ({db_path} @ {commit})")
+        for path in paths:
+            run_id = store.ingest_path(path, commit=commit)
+            print(f"ingested {path} -> run {run_id} ({db_path} @ {commit})")

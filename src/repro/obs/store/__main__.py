@@ -23,10 +23,10 @@ wall-stripped payloads, wall side thresholded).  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from repro.bench.compare import DEFAULT_MIN_WALL_SECONDS, DEFAULT_WALL_THRESHOLD
+from repro.bench.compare import add_threshold_options
+from repro.obs.canonical import pretty_json
 from repro.obs.store import IngestError, ResultsStore, default_commit
 from repro.obs.store.query import (
     diff_commits,
@@ -41,22 +41,10 @@ def _add_db(parser: argparse.ArgumentParser) -> None:
                         help="results store path (default: repro-results.db)")
 
 
-def _add_thresholds(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--wall-threshold", type=float,
-                        default=DEFAULT_WALL_THRESHOLD, metavar="F",
-                        help="allowed fractional wall slowdown (same rule as "
-                             "`repro.bench compare`; default %(default)s)")
-    parser.add_argument("--min-wall-seconds", type=float,
-                        default=DEFAULT_MIN_WALL_SECONDS, metavar="S",
-                        help="ignore wall values below S on both sides "
-                             "(default %(default)s)")
-
-
 def _ingest_main(args: argparse.Namespace) -> int:
     commit = args.commit if args.commit is not None else default_commit()
-    store = ResultsStore(args.db)
     rejected: list[IngestError] = []
-    try:
+    with ResultsStore(args.db) as store:
         for path in args.artifacts:
             try:
                 run_id = store.ingest_path(path, commit=commit)
@@ -65,8 +53,6 @@ def _ingest_main(args: argparse.Namespace) -> int:
                 print(f"REJECTED {exc}", file=sys.stderr)
             else:
                 print(f"ingested {path} -> run {run_id} (commit {commit})")
-    finally:
-        store.close()
     if rejected:
         print(f"{len(rejected)} artifact(s) rejected", file=sys.stderr)
         return 1
@@ -74,32 +60,26 @@ def _ingest_main(args: argparse.Namespace) -> int:
 
 
 def _query_main(args: argparse.Namespace) -> int:
-    store = ResultsStore(args.db)
-    try:
+    with ResultsStore(args.db) as store:
         rows = store.runs(kind=args.kind, commit=args.commit, limit=args.limit)
-    finally:
-        store.close()
     if args.strip_wall:
         for row in rows:
             del row["commit"], row["ingested_at"]
     if args.json:
-        print(json.dumps(rows, sort_keys=True, indent=2))
+        sys.stdout.write(pretty_json(rows))
     else:
         print(render_runs(rows, strip_wall=args.strip_wall))
     return 0
 
 
 def _trend_main(args: argparse.Namespace) -> int:
-    store = ResultsStore(args.db)
-    try:
+    with ResultsStore(args.db) as store:
         if args.metric is None:
             print("metrics in store:")
             for name, count in store.metric_names():
                 print(f"  {name}  ({count} rows)")
             return 0
         trend = store.trend(args.metric, label=args.label)
-    finally:
-        store.close()
     if not trend["series"]:
         suffix = f" with label ~{args.label!r}" if args.label else ""
         print(f"no data for metric {args.metric!r}{suffix}; "
@@ -113,7 +93,7 @@ def _trend_main(args: argparse.Namespace) -> int:
     )
     if args.json:
         trend["regressions"] = regressions
-        print(json.dumps(trend, sort_keys=True, indent=2))
+        sys.stdout.write(pretty_json(trend))
     else:
         print(rendered)
         for regression in regressions:
@@ -122,33 +102,28 @@ def _trend_main(args: argparse.Namespace) -> int:
 
 
 def _diff_main(args: argparse.Namespace) -> int:
-    store = ResultsStore(args.db)
     try:
-        diff = diff_commits(
-            store,
-            args.commit_a,
-            args.commit_b,
-            wall_threshold=args.wall_threshold,
-            min_wall_seconds=args.min_wall_seconds,
-        )
+        with ResultsStore(args.db) as store:
+            diff = diff_commits(
+                store,
+                args.commit_a,
+                args.commit_b,
+                wall_threshold=args.wall_threshold,
+                min_wall_seconds=args.min_wall_seconds,
+            )
     except LookupError as exc:
         print(f"MISSING COMMIT: {exc}", file=sys.stderr)
         return 2
-    finally:
-        store.close()
     if args.json:
-        print(json.dumps(diff, sort_keys=True, indent=2))
+        sys.stdout.write(pretty_json(diff))
     else:
         print(render_diff(diff))
     return 1 if diff["problems"] else 0
 
 
 def _gc_main(args: argparse.Namespace) -> int:
-    store = ResultsStore(args.db)
-    try:
+    with ResultsStore(args.db) as store:
         result = store.gc(keep=args.keep, dry_run=args.dry_run)
-    finally:
-        store.close()
     verb = "would delete" if args.dry_run else "deleted"
     print(f"gc: {verb} {len(result['deleted'])} run(s), kept {result['kept']} "
           f"(newest {args.keep} per kind+config)")
@@ -191,14 +166,14 @@ def main(argv: list[str] | None = None) -> int:
     trend.add_argument("--label", default=None, metavar="SUBSTR",
                        help="restrict to labels containing SUBSTR")
     trend.add_argument("--json", action="store_true")
-    _add_thresholds(trend)
+    add_threshold_options(trend)
     _add_db(trend)
 
     diff = commands.add_parser("diff", help="compare two commits")
     diff.add_argument("commit_a")
     diff.add_argument("commit_b")
     diff.add_argument("--json", action="store_true")
-    _add_thresholds(diff)
+    add_threshold_options(diff)
     _add_db(diff)
 
     gc = commands.add_parser("gc", help="drop old runs per kind+config")

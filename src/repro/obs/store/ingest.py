@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.bench.compare import strip_wall
+from repro.obs.canonical import strip_wall
 
 __all__ = [
     "ARTIFACT_SCHEMAS",
@@ -81,6 +81,12 @@ class Extracted:
     error_hops: list[tuple] = field(default_factory=list)
 
 
+def _extracted(kind: str, obj: dict, seed: int | None = None, **config) -> Extracted:
+    """A fresh record for *obj*: wall-stripped payload, config keyed by kind."""
+    schema = next(s for s, k in ARTIFACT_SCHEMAS.items() if k == kind)
+    return Extracted(kind, schema, {"kind": kind, **config}, seed, strip_wall(obj))
+
+
 def _require(obj: dict, key: str, types, source: str, where: str) -> Any:
     value = obj.get(key)
     if not isinstance(value, types):
@@ -92,17 +98,25 @@ def _require(obj: dict, key: str, types, source: str, where: str) -> Any:
     return value
 
 
+def _sections(triples: list[dict] | None) -> list[tuple]:
+    """``profile_sections`` rows from a profile's (daemon, phase, scope) triples."""
+    return [
+        (
+            triple.get("daemon", "?"),
+            triple.get("phase", "?"),
+            str(triple.get("scope", "?")),
+            int(triple.get("events", 0)),
+            float(triple.get("sim_time", 0.0)),
+        )
+        for triple in triples or []
+    ]
+
+
 # -- per-schema extractors ----------------------------------------------
 def _extract_bench(obj: dict, source: str) -> Extracted:
     bench = _require(obj, "bench", str, source, "bench record")
     cases = _require(obj, "cases", dict, source, "bench record")
-    out = Extracted(
-        kind="bench",
-        artifact_schema="repro-bench/1",
-        config={"kind": "bench", "bench": bench},
-        seed=None,
-        payload=strip_wall(obj),
-    )
+    out = _extracted("bench", obj, bench=bench)
     for case_id, case in sorted(cases.items()):
         if not isinstance(case, dict):
             raise IngestError("MALFORMED", source, f"bench case {case_id!r} is not a record")
@@ -127,14 +141,7 @@ def _extract_bench(obj: dict, source: str) -> Extracted:
             sim_time,
             wall_min,
         ))
-        for triple in (sim.get("top") or []):
-            out.profile_sections.append((
-                triple.get("daemon", "?"),
-                triple.get("phase", "?"),
-                str(triple.get("scope", "?")),
-                int(triple.get("events", 0)),
-                float(triple.get("sim_time", 0.0)),
-            ))
+        out.profile_sections.extend(_sections(sim.get("top")))
     return out
 
 
@@ -164,15 +171,7 @@ def _campaign_common(obj: dict, source: str, out: Extracted) -> None:
                 str(violation.get("subject", "?")),
                 str(violation.get("description", "?")),
             ))
-        profile = record.get("profile")
-        for triple in ((profile or {}).get("top") or []):
-            out.profile_sections.append((
-                triple.get("daemon", "?"),
-                triple.get("phase", "?"),
-                str(triple.get("scope", "?")),
-                int(triple.get("events", 0)),
-                float(triple.get("sim_time", 0.0)),
-            ))
+        out.profile_sections.extend(_sections((record.get("profile") or {}).get("top")))
     for name in ("cells", "cells_with_violations", "violations", "live_mismatches"):
         if name in totals:
             out.metrics.append((name, "total", float(totals[name]), False))
@@ -182,13 +181,7 @@ def _campaign_common(obj: dict, source: str, out: Extracted) -> None:
 
 def _extract_campaign(obj: dict, source: str) -> Extracted:
     campaign = _require(obj, "campaign", dict, source, "campaign report")
-    out = Extracted(
-        kind="campaign",
-        artifact_schema="repro-campaign/1",
-        config={"kind": "campaign", "campaign": campaign},
-        seed=campaign.get("seed"),
-        payload=strip_wall(obj),
-    )
+    out = _extracted("campaign", obj, seed=campaign.get("seed"), campaign=campaign)
     _campaign_common(obj, source, out)
     return out
 
@@ -196,13 +189,7 @@ def _extract_campaign(obj: dict, source: str) -> Extracted:
 def _extract_fuzz(obj: dict, source: str) -> Extracted:
     campaign = _require(obj, "campaign", dict, source, "fuzz report")
     fuzz = _require(obj, "fuzz", dict, source, "fuzz report")
-    out = Extracted(
-        kind="fuzz",
-        artifact_schema="repro-campaign-fuzz/1",
-        config={"kind": "fuzz", "campaign": campaign, "fuzz": fuzz},
-        seed=campaign.get("seed"),
-        payload=strip_wall(obj),
-    )
+    out = _extracted("fuzz", obj, seed=campaign.get("seed"), campaign=campaign, fuzz=fuzz)
     _campaign_common(obj, source, out)
     totals = obj["totals"]
     for name in ("features", "corpus", "distinct_violations", "batches"):
@@ -217,13 +204,7 @@ def _extract_fuzz(obj: dict, source: str) -> Extracted:
 
 def _extract_harness(obj: dict, source: str) -> Extracted:
     experiments = _require(obj, "experiments", dict, source, "harness payload")
-    out = Extracted(
-        kind="harness",
-        artifact_schema="repro-harness/1",
-        config={"kind": "harness", "experiments": sorted(experiments)},
-        seed=obj.get("seed"),
-        payload=strip_wall(obj),
-    )
+    out = _extracted("harness", obj, seed=obj.get("seed"), experiments=sorted(experiments))
     for name, data in sorted(experiments.items()):
         if not isinstance(data, dict):
             continue
@@ -237,13 +218,7 @@ def _extract_harness(obj: dict, source: str) -> Extracted:
 def _extract_metrics(obj: dict, source: str) -> Extracted:
     counters = _require(obj, "counters", dict, source, "metrics snapshot")
     histograms = _require(obj, "histograms", dict, source, "metrics snapshot")
-    out = Extracted(
-        kind="metrics",
-        artifact_schema="repro-metrics/1",
-        config={"kind": "metrics", "series": sorted(counters) + sorted(histograms)},
-        seed=None,
-        payload=strip_wall(obj),
-    )
+    out = _extracted("metrics", obj, series=sorted(counters) + sorted(histograms))
     hops: dict[str, float] = {}
     for key, value in sorted(counters.items()):
         name, label = _split_series_key(key)
@@ -273,23 +248,10 @@ def _split_series_key(key: str) -> tuple[str, str]:
 
 def _extract_profile(obj: dict, source: str) -> Extracted:
     sim = _require(obj, "sim", dict, source, "profile report")
-    out = Extracted(
-        kind="profile",
-        artifact_schema="repro-profile/1",
-        config={"kind": "profile"},
-        seed=None,
-        payload=strip_wall(obj),
-    )
+    out = _extracted("profile", obj)
     out.metrics.append(("sim_time", "total", float(sim.get("sim_time") or 0.0), False))
     out.metrics.append(("sim_events", "total", float(sim.get("events") or 0), False))
-    for triple in (sim.get("triples") or []):
-        out.profile_sections.append((
-            triple.get("daemon", "?"),
-            triple.get("phase", "?"),
-            str(triple.get("scope", "?")),
-            int(triple.get("events", 0)),
-            float(triple.get("sim_time", 0.0)),
-        ))
+    out.profile_sections.extend(_sections(sim.get("triples")))
     critical = obj.get("critical_path") or {}
     if critical.get("makespan") is not None:
         out.metrics.append(("makespan", "total", float(critical["makespan"]), False))
@@ -335,13 +297,7 @@ def _extract_trace(lines: list[dict], source: str) -> Extracted:
         "by_event": dict(sorted(by_event.items())),
         "error_hops": dict(sorted(hops.items())),
     }
-    out = Extracted(
-        kind="trace",
-        artifact_schema="repro-trace/1",
-        config={"kind": "trace"},
-        seed=None,
-        payload=payload,
-    )
+    out = _extracted("trace", payload)
     for topic, count in sorted(by_topic.items()):
         out.metrics.append(("events", topic, float(count), False))
     out.metrics.append(("spans", "total", float(spans), False))

@@ -45,15 +45,6 @@ class ResultsWeb:
         self.db_path = Path(db_path)
         self.service_stats = service_stats
 
-    # -- store access ----------------------------------------------------
-    def _open(self) -> ResultsStore:
-        if not self.db_path.is_file():
-            raise FileNotFoundError(
-                f"results store {str(self.db_path)!r} not found; create it with "
-                f"`python -m repro.obs.store ingest <artifacts...> --db {self.db_path}`"
-            )
-        return ResultsStore(self.db_path)
-
     # -- dispatch --------------------------------------------------------
     def handle(
         self, method: str, parts: list[str], query: dict[str, str]
@@ -82,14 +73,14 @@ class ResultsWeb:
                 f"no results route /v1/results/{'/'.join(parts)}; "
                 f"have: {', '.join('/'.join(r) for r in sorted(routes))}",
             )
-        try:
-            store = self._open()
-        except FileNotFoundError as exc:
-            return self._error(404, "NO_RESULTS_DB", str(exc))
-        try:
+        if not self.db_path.is_file():
+            return self._error(
+                404, "NO_RESULTS_DB",
+                f"results store {str(self.db_path)!r} not found; create it with "
+                f"`python -m repro.obs.store ingest <artifacts...> --db {self.db_path}`",
+            )
+        with ResultsStore(self.db_path) as store:
             return handler(store, query)
-        finally:
-            store.close()
 
     @staticmethod
     def _error(status: int, code: str, message: str) -> tuple[int, dict, str]:

@@ -138,11 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         print(mint_token(_secret_from(args), args.user, int(time.time()) + args.ttl))
         return 0
     if args.command == "replay":
-        store = RunStore(args.db)
-        try:
+        with RunStore(args.db) as store:
             verdict = replay_run(store, args.run_id)
-        finally:
-            store.close()
         for name, ok in sorted(verdict["checked"].items()):
             print(f"replay run {args.run_id} [{verdict['kind']}] "
                   f"{name}: {'byte-identical' if ok else 'MISMATCH'}")

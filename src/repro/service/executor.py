@@ -33,9 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
-import tempfile
-from typing import Any
 
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignConfig
@@ -43,18 +40,19 @@ from repro.condor import Job, Pool, PoolConfig, ProgramImage
 from repro.harness.parallel import ParallelRunner, WorkerFailure
 from repro.harness.workloads import expected_result_for
 from repro.jvm.program import JavaProgram, Step
-from repro.obs.export import ObservationSession, to_jsonable
+from repro.obs.canonical import canonical_json, pretty_json, to_jsonable
+from repro.obs.export import ObservationSession, render_metrics, render_trace
 from repro.service.specs import build_batch_spec
-from repro.service.store import RunStore, canonical_json
+from repro.service.store import RunStore
 
 __all__ = [
     "ServiceExecutor",
-    "canonical_dump_bytes",
     "execute_batch",
     "execute_campaign",
     "execute_experiment",
     "execute_item",
     "replay_run",
+    "run_artifacts",
 ]
 
 BATCH_RESULT_SCHEMA = "repro-service-batch-result/1"
@@ -67,11 +65,6 @@ REPLAYED_ARTIFACTS = {
     "experiment": ("result", "trace", "metrics"),
     "campaign": ("report",),
 }
-
-
-def canonical_dump_bytes(obj: Any) -> bytes:
-    """Exactly the bytes :func:`repro.obs.export.dump_json` writes."""
-    return (json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +140,15 @@ def execute_experiment(spec: dict) -> dict:
     """
     from repro.harness.__main__ import run_experiment_record
 
-    with tempfile.TemporaryDirectory(prefix="repro-service-") as tmp:
-        trace_path = os.path.join(tmp, "trace.jsonl")
-        metrics_path = os.path.join(tmp, "metrics.json")
-        with ObservationSession(trace_path=trace_path, metrics_path=metrics_path):
-            record = run_experiment_record(spec["experiment"], seed=spec["seed"])
-        with open(trace_path, "rb") as fh:
-            trace = fh.read()
-        with open(metrics_path, "rb") as fh:
-            metrics = fh.read()
+    with ObservationSession() as session:
+        record = run_experiment_record(spec["experiment"], seed=spec["seed"])
     return {
         "experiment": spec["experiment"],
         "seed": spec["seed"],
         "data": record["data"],
         "rendered": record["rendered"],
-        "trace": trace.decode(),
-        "metrics": metrics.decode(),
+        "trace": render_trace(session.events, session.spans.spans),
+        "metrics": render_metrics(session.registry),
     }
 
 
@@ -177,6 +163,28 @@ def execute_campaign(spec: dict) -> dict:
         n_machines=spec["n_machines"],
     )
     return run_campaign(config, jobs=1, shrink=True)
+
+
+def run_artifacts(kind: str, result: dict) -> dict[str, bytes]:
+    """The artifacts a finished run of *kind* stores, from its result.
+
+    ``record_results`` writes them and :func:`replay_run` rebuilds and
+    compares them, so both sides are one writer by construction.  A
+    ``job``'s result is its own record of the batch result.
+    """
+    if kind == "experiment":
+        return {
+            # The CLI's --json envelope, so a replay via ``python -m
+            # repro.harness --json`` is a byte comparison.
+            "result": pretty_json({
+                "seed": result["seed"],
+                "experiments": {result["experiment"]: result["data"]},
+            }).encode(),
+            "trace": result["trace"].encode(),
+            "metrics": result["metrics"].encode(),
+            "table": result["rendered"].encode(),
+        }
+    return {("result" if kind == "job" else "report"): pretty_json(result).encode()}
 
 
 def execute_item(item_json: str) -> dict:
@@ -301,34 +309,24 @@ class ServiceExecutor:
             for run_id in item["run_ids"]:
                 self.store.record_state(run_id, "failed", detail=outcome["error"])
             return len(item["run_ids"])
-        batch_bytes = canonical_dump_bytes(item["batch"])
+        batch_bytes = pretty_json(item["batch"]).encode()
         by_run = {record["run_id"]: record for record in outcome["result"]["jobs"]}
         for run_id in item["run_ids"]:
             record = by_run[run_id]
-            self.store.put_artifact(run_id, "result", canonical_dump_bytes(record))
-            self.store.put_artifact(run_id, "batch", batch_bytes)
+            self._put_artifacts(run_id, {**run_artifacts("job", record), "batch": batch_bytes})
             self.store.record_state(run_id, "done", detail=record["job_state"])
         return len(item["run_ids"])
+
+    def _put_artifacts(self, run_id: int, artifacts: dict[str, bytes]) -> None:
+        for name, content in artifacts.items():
+            self.store.put_artifact(run_id, name, content)
 
     def _record_single(self, item: dict, outcome: dict) -> int:
         run_id = item["run_id"]
         if not outcome["ok"]:
             self.store.record_state(run_id, "failed", detail=outcome["error"])
             return 1
-        result = outcome["result"]
-        if item["kind"] == "experiment":
-            # The result artifact uses the CLI's --json envelope, so a
-            # replay via ``python -m repro.harness --json`` is a byte
-            # comparison, not a parse-and-compare.
-            self.store.put_artifact(run_id, "result", canonical_dump_bytes({
-                "seed": result["seed"],
-                "experiments": {result["experiment"]: result["data"]},
-            }))
-            self.store.put_artifact(run_id, "trace", result["trace"].encode())
-            self.store.put_artifact(run_id, "metrics", result["metrics"].encode())
-            self.store.put_artifact(run_id, "table", result["rendered"].encode())
-        else:
-            self.store.put_artifact(run_id, "report", canonical_dump_bytes(result))
+        self._put_artifacts(run_id, run_artifacts(item["kind"], outcome["result"]))
         self.store.record_state(run_id, "done")
         return 1
 
@@ -375,23 +373,14 @@ def replay_run(store: RunStore, run_id: int) -> dict:
     kind = status["kind"]
     if kind == "job":
         batch = json.loads(store.get_artifact(run_id, "batch"))
-        result = execute_batch(batch)
-        by_run = {record["run_id"]: record for record in result["jobs"]}
-        fresh = {"result": canonical_dump_bytes(by_run[run_id])}
+        (result,) = (r for r in execute_batch(batch)["jobs"] if r["run_id"] == run_id)
     elif kind == "experiment":
         result = execute_experiment(status["spec"])
-        fresh = {
-            "result": canonical_dump_bytes({
-                "seed": result["seed"],
-                "experiments": {result["experiment"]: result["data"]},
-            }),
-            "trace": result["trace"].encode(),
-            "metrics": result["metrics"].encode(),
-        }
     elif kind == "campaign":
-        fresh = {"report": canonical_dump_bytes(execute_campaign(status["spec"]))}
+        result = execute_campaign(status["spec"])
     else:
         raise ValueError(f"run {run_id} has unknown kind {kind!r}")
+    fresh = run_artifacts(kind, result)
     checked = {
         name: store.get_artifact(run_id, name) == fresh[name]
         for name in REPLAYED_ARTIFACTS[kind]

@@ -19,9 +19,9 @@ task moves actual simulation off the loop thread.
 from __future__ import annotations
 
 import asyncio
-import json
 from time import perf_counter_ns
 
+from repro.obs.canonical import canonical_json
 from repro.service.api import ServiceApi
 from repro.service.errors import BadRequest, PayloadTooLarge, ServiceError
 from repro.service.executor import ServiceExecutor
@@ -56,7 +56,7 @@ def _response_bytes(
     if isinstance(payload, bytes):
         body = payload
     else:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        body = (canonical_json(payload) + "\n").encode()
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
         f"Content-Type: {_CONTENT_TYPES[content_type]}\r\n"

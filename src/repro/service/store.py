@@ -22,24 +22,21 @@ cache rebuilt from the journal on open, so admission control
 
 Every write goes through :meth:`RunStore.transaction`: one commit per
 unit of work (a submit, a claimed drain, a recorded batch), and a
-failure inside one rolls back journal *and* cache together.  File
-stores run WAL with ``synchronous=FULL``: a commit is one fsynced
-append to ``<db>-wal``, readers in other processes never wait for the
-writer, and a clean ``close()`` checkpoints ``-wal``/``-shm`` away.
+failure inside one rolls back journal *and* cache together.  Connection,
+WAL durability policy and schema check are the shared
+:class:`~repro.obs.sqlite_store.SqliteStore` base's.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import sqlite3
-from collections.abc import Iterator
-from typing import Any
+from functools import partial
 
+from repro.obs.canonical import canonical_json
+from repro.obs.sqlite_store import SqliteStore, StoreDurabilityError, StoreSchemaError
 from repro.service.errors import NotFound
 
-__all__ = ["STORE_SCHEMA", "RUN_STATES", "RunStore", "StoreDurabilityError", "StoreSchemaError",
-           "canonical_json"]
+__all__ = ["STORE_SCHEMA", "RUN_STATES", "RunStore", "StoreDurabilityError", "StoreSchemaError"]
 
 STORE_SCHEMA = "repro-service/1"
 
@@ -48,10 +45,6 @@ STORE_SCHEMA = "repro-service/1"
 RUN_STATES = ("submitted", "running", "done", "failed")
 
 _TABLES = """
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
 CREATE TABLE IF NOT EXISTS runs (
     run_id INTEGER PRIMARY KEY,
     kind   TEXT NOT NULL,
@@ -74,92 +67,32 @@ CREATE TABLE IF NOT EXISTS artifacts (
 """
 
 
-class StoreSchemaError(RuntimeError):
-    """The database on disk speaks a different schema version."""
+class RunStore(SqliteStore):
+    """Open (or create) the run store at *path* (``:memory:`` for tests).
 
-
-class StoreDurabilityError(RuntimeError):
-    """The database file cannot run under the store's WAL durability policy."""
-
-
-def canonical_json(obj: Any) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, no whitespace.
-
-    Specs are stored and compared in this form, so "same spec" is a
+    Specs are stored and compared as canonical JSON, so "same spec" is a
     byte question, not a parse question.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
-
-class RunStore:
-    """Open (or create) the run store at *path* (``:memory:`` for tests)."""
+    SCHEMA = STORE_SCHEMA
+    TABLES = _TABLES
 
     def __init__(self, path: str = ":memory:"):
-        self.path = path
-        self._db = sqlite3.connect(path)
-        mode = self._db.execute("PRAGMA journal_mode=WAL").fetchone()[0]
-        if mode not in ("wal", "memory"):  # an in-memory database has no journal file
-            self._db.close()
-            raise StoreDurabilityError(
-                f"store at {path!r} cannot enter WAL mode (journal_mode={mode!r})"
-            )
-        self._db.execute("PRAGMA synchronous=FULL")
-        self._db.executescript(_TABLES)
-        row = self._db.execute("SELECT value FROM meta WHERE key='schema'").fetchone()
-        if row is None:
-            self._db.execute(
-                "INSERT INTO meta(key, value) VALUES ('schema', ?)", (STORE_SCHEMA,)
-            )
-            self._db.commit()
-        elif row[0] != STORE_SCHEMA:
-            self._db.close()
-            raise StoreSchemaError(
-                f"store at {path!r} has schema {row[0]!r}, this build speaks {STORE_SCHEMA!r}"
-            )
+        super().__init__(path)
         #: run_id -> current state and its inverse, state -> run ids; both
         #: rebuilt from the journal on open, written only by ``_set_state``.
         self._states: dict[int, str] = {}
         self._by_state: dict[str, set[int]] = {state: set() for state in RUN_STATES}
-        #: (run_id, previous state) per cache write of the open transaction.
-        self._undo: list[tuple[int, str | None]] | None = None
         for run_id, state in self._db.execute(
             "SELECT run_id, state FROM run_events ORDER BY seq"
         ):
             self._set_state(run_id, state)
 
-    def close(self) -> None:
-        self._db.close()
-
-    # -- the write primitive ---------------------------------------------
-    @contextlib.contextmanager
-    def transaction(self) -> Iterator[None]:
-        """One atomic unit of work; re-entrant, the outermost block commits.
-
-        Any exception rolls the database back and undoes the block's
-        cache writes, so the state cache always equals the journal.
-        Never ``await`` inside one: other tasks share the connection.
-        """
-        if self._undo is not None:
-            yield
-            return
-        self._undo = undo = []
-        try:
-            yield
-            self._db.commit()
-        except BaseException:
-            self._undo = None
-            for run_id, previous in reversed(undo):
-                self._set_state(run_id, previous)
-            self._db.rollback()
-            raise
-        finally:
-            self._undo = None
-
     def _set_state(self, run_id: int, state: str | None) -> None:
         """The one place a run's cached state changes (``None`` forgets it)."""
         previous = self._states.pop(run_id, None)
-        if self._undo is not None:
-            self._undo.append((run_id, previous))
+        if self._undo is not None:  # a rollback restores the cache too
+            self._undo.append(partial(self._set_state, run_id, previous))
         if previous is not None:
             self._by_state[previous].discard(run_id)
         if state is not None:

@@ -8,15 +8,20 @@ byte-identical whether the source run was serial or fanned out over
 rejected with structured errors, never half-ingested.
 """
 
+import copy
 import json
+import sqlite3
 
 import pytest
 
+import repro.obs.sqlite_store as sqlite_store
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignConfig
 from repro.obs.store import (
     IngestError,
     ResultsStore,
+    StoreDurabilityError,
+    StoreSchemaError,
     canonical_json,
     config_hash,
 )
@@ -213,17 +218,53 @@ class TestPersistence:
 
     def test_foreign_schema_file_is_refused(self, tmp_path):
         db = tmp_path / "r.db"
-        import sqlite3
-
         conn = sqlite3.connect(db)
         conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
         conn.execute("INSERT INTO meta VALUES ('schema', 'other/9')")
         conn.commit()
         conn.close()
-        from repro.obs.store import StoreSchemaError
-
         with pytest.raises(StoreSchemaError):
             ResultsStore(db)
+
+    def test_pre_wal_results_db_upgrades_in_place_and_keeps_its_rows(self, tmp_path):
+        db = str(tmp_path / "old.db")
+        with ResultsStore(db) as store:
+            store.ingest_obj(BENCH_RECORD, source="BENCH_toy.json", commit="aaa")
+        conn = sqlite3.connect(db)  # what every build before the shared base left behind
+        assert conn.execute("PRAGMA journal_mode=DELETE").fetchone() == ("delete",)
+        conn.close()
+
+        with ResultsStore(db) as reopened:
+            assert reopened._db.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            assert reopened._db.execute("PRAGMA synchronous").fetchone() == (2,)
+            assert [r["commit"] for r in reopened.runs()] == ["aaa"]
+            reopened.ingest_obj(HARNESS_PAYLOAD, source="harness:fig_x", commit="bbb")
+            assert (tmp_path / "old.db-wal").exists()  # a live store has sidecars
+        assert not (tmp_path / "old.db-wal").exists()  # a clean close checkpoints them away
+        assert sqlite3.connect(db).execute("PRAGMA journal_mode").fetchone() == ("wal",)
+
+    @pytest.mark.parametrize("uri, reason", [
+        # The dot-file locking VFS has no shared memory: SQLite answers the
+        # WAL request with the mode it stays in.
+        ("file:{path}?vfs=unix-dotfile", "journal_mode='delete'"),
+        # Read-only media: the WAL request itself is refused.
+        ("file:{path}?mode=ro", "readonly"),
+    ])
+    def test_results_db_that_cannot_enter_wal_fails_typed(
+        self, tmp_path, monkeypatch, uri, reason
+    ):
+        path = str(tmp_path / "r.db")
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE t (a)")
+        conn.commit()
+        conn.close()
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite_store.sqlite3, "connect",
+            lambda path: real_connect(uri.format(path=path), uri=True),
+        )
+        with pytest.raises(StoreDurabilityError, match=reason):
+            ResultsStore(path)
 
     def test_gc_keeps_newest_per_kind_and_config(self, tmp_path):
         store = ResultsStore(tmp_path / "r.db")
@@ -269,6 +310,25 @@ class TestRejection:
         assert "BENCH_bad.json" in str(err.value)
         assert err.value.to_dict()["code"] == "MALFORMED"
         assert store.runs() == []
+        store.close()
+
+    @pytest.mark.parametrize("edit", [
+        lambda cell: cell.update(cell=None),           # NOT NULL column
+        lambda cell: cell.update(makespan={"s": 1}),   # a value SQLite cannot bind
+    ])
+    def test_failed_ingest_leaves_no_rows_and_is_typed(self, tmp_path, edit):
+        # The row SQLite refuses comes *after* the runs/metrics rows of the
+        # same artifact: they must not ride along with the next good commit.
+        bad = {k: copy.deepcopy(FUZZ_REPORT[k]) for k in ("campaign", "cells", "totals")}
+        edit(bad["cells"][0])
+        store = ResultsStore(tmp_path / "r.db")
+        with pytest.raises(IngestError) as err:
+            store.ingest_obj(bad, source="bad-campaign.json", commit="aaa")
+        assert (err.value.code, err.value.source) == ("MALFORMED", "bad-campaign.json")
+        good = store.ingest_obj(HARNESS_PAYLOAD, source="harness:fig_x", commit="bbb")
+        assert [(r["run_id"], r["source"]) for r in store.runs()] == [(good, "harness:fig_x")]
+        assert store.metric_names() == [("completed", 1), ("held", 1)]
+        assert store.violation_count() == 0
         store.close()
 
     def test_cli_ingest_continues_past_rejects(self, tmp_path, capsys):

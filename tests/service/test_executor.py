@@ -4,15 +4,15 @@ import json
 
 import pytest
 
+from repro.obs.canonical import canonical_json, pretty_json
 from repro.service.executor import (
     ServiceExecutor,
-    canonical_dump_bytes,
     execute_batch,
     execute_item,
     replay_run,
 )
 from repro.service.specs import build_batch_spec
-from repro.service.store import RunStore, canonical_json
+from repro.service.store import RunStore
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ class TestExecuteBatch:
         ])
         first = execute_batch(batch)
         second = execute_batch(batch)
-        assert canonical_dump_bytes(first) == canonical_dump_bytes(second)
+        assert pretty_json(first) == pretty_json(second)
 
     def test_outcomes_match_workload_expectations(self):
         batch = batch_of([

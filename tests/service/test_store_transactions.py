@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.service.store as store_module
+import repro.obs.sqlite_store as store_module
 from repro.service.__main__ import main as service_main
 from repro.service.executor import ServiceExecutor
 from repro.service.store import RUN_STATES, RunStore, StoreDurabilityError

@@ -80,6 +80,7 @@ PUBLIC_MODULES = [
     "repro.jvm.wrapper",
     "repro.obs",
     "repro.obs.bus",
+    "repro.obs.canonical",
     "repro.obs.console",
     "repro.obs.export",
     "repro.obs.metrics",
@@ -87,6 +88,7 @@ PUBLIC_MODULES = [
     "repro.obs.sanitize",
     "repro.obs.signature",
     "repro.obs.span",
+    "repro.obs.sqlite_store",
     "repro.obs.store",
     "repro.obs.store.ingest",
     "repro.obs.store.query",
@@ -143,6 +145,23 @@ def test_all_exports_documented():
         obj = getattr(repro, name)
         if callable(obj):
             assert obj.__doc__, f"repro.{name} lacks a docstring"
+
+
+def test_old_import_paths_are_plain_re_exports():
+    """One implementation per concept: the paths older callers (and
+    ``benchmarks/gridbench``) import resolve to the very same objects."""
+    from repro.bench import compare
+    from repro.obs import canonical, export, sqlite_store, store
+    from repro.service import store as run_store
+
+    assert store.canonical_json is canonical.canonical_json
+    assert compare.strip_wall is canonical.strip_wall
+    assert export.to_jsonable is canonical.to_jsonable
+    for module in (store, run_store):
+        assert module.StoreSchemaError is sqlite_store.StoreSchemaError
+        assert module.StoreDurabilityError is sqlite_store.StoreDurabilityError
+    assert issubclass(store.ResultsStore, sqlite_store.SqliteStore)
+    assert issubclass(run_store.RunStore, sqlite_store.SqliteStore)
 
 
 def test_version():
