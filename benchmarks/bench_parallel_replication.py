@@ -11,8 +11,6 @@ the hardware can physically provide one (>= 4 CPUs).
 
 import os
 
-import numpy as np
-
 from repro.harness.experiments import run_naive_vs_scoped
 from repro.harness.replicate import replicate
 from repro.harness.report import Table
@@ -42,7 +40,7 @@ def test_parallel_replication_speedup():
     for workers, rep in replications.items():
         assert rep.seeds == serial.seeds, workers
         for name, values in serial.samples.items():
-            assert np.array_equal(values, rep.samples[name]), (workers, name)
+            assert values == rep.samples[name], (workers, name)
 
     table = Table(
         ["workers", "wall clock (s)", "speedup", "per-seed mean (s)"],

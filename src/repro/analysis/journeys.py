@@ -5,8 +5,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.propagation import EventType, PropagationTrace, TraceEvent
 from repro.core.scope import ErrorScope
 from repro.harness.report import Table
@@ -119,7 +117,7 @@ class JourneyStats:
 def analyze_trace(trace: PropagationTrace) -> JourneyStats:
     """Compute :class:`JourneyStats` for *trace*."""
     all_journeys = journeys(trace)
-    hops = np.array([j.hops for j in all_journeys], dtype=float) if all_journeys else np.array([0.0])
+    hops = [j.hops for j in all_journeys]
     by_scope: dict[ErrorScope, int] = defaultdict(int)
     by_handler: dict[str, int] = defaultdict(int)
     mishandled = 0
@@ -143,8 +141,8 @@ def analyze_trace(trace: PropagationTrace) -> JourneyStats:
         correctly_delivered=delivered,
         mishandled=mishandled,
         unmanaged=unmanaged,
-        mean_hops=float(hops.mean()) if all_journeys else 0.0,
-        max_hops=int(hops.max()) if all_journeys else 0,
+        mean_hops=sum(hops) / len(hops) if hops else 0.0,
+        max_hops=max(hops, default=0),
         by_scope=dict(by_scope),
         by_handler=dict(by_handler),
     )

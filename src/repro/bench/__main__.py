@@ -44,7 +44,7 @@ def _run_main(argv: list[str]) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list discovered benchmarks and exit")
     parser.add_argument("--results-db", default=None, metavar="PATH",
-                        help="also ingest each written BENCH file into this "
+                        help="also ingest each BENCH record into this "
                              "longitudinal results store")
     args = parser.parse_args(argv)
     if args.rounds is not None and args.rounds < 1:
@@ -66,14 +66,12 @@ def _run_main(argv: list[str]) -> int:
     if args.results_db:
         from repro.obs.store import ingest_artifacts
 
-        ingest_artifacts(args.results_db, paths=written)
-    import json
-
-    failed = 0
-    for path in written:
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
-        failed += sum(1 for case in record["cases"].values() if not case["ok"])
+        ingest_artifacts(
+            args.results_db, [(path.name, record) for path, record in written.items()]
+        )
+    failed = sum(
+        1 for record in written.values() for case in record["cases"].values() if not case["ok"]
+    )
     if failed:
         print(f"{failed} benchmark case(s) failed", file=sys.stderr)
         return 1

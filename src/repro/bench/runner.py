@@ -64,9 +64,6 @@ BENCH_SCHEMA = "repro-bench/1"
 #: Default rounds when a case calls ``benchmark(fn)`` without pedantic.
 DEFAULT_ROUNDS = 3
 
-#: How many attribution triples each case keeps in its record.
-PROFILE_TOP_N = 8
-
 
 @dataclass
 class BenchCase:
@@ -168,7 +165,7 @@ class BenchmarkProxy:
                 spans.detach()
                 recorder.detach()
             snapshots.append(profiler.snapshot())
-            self.last_profile = snapshots[-1]
+            self.last_profile = profiler.section()
             self.last_spans = spans.spans
             self.last_histograms = recorder.registry.snapshot()["histograms"]
             self.last_wall = wall.snapshot()
@@ -200,20 +197,12 @@ def _case_record(proxy: BenchmarkProxy, ok: bool, error: str | None) -> dict:
         ),
         "wall": proxy.last_wall or None,
     }
-    if proxy.last_profile is not None:
-        record["sim"] = {
-            "events": proxy.last_profile["events"],
-            "sim_time": proxy.last_profile["sim_time"],
-            "top": proxy.last_profile["triples"][:PROFILE_TOP_N],
-        }
-        record["critical_path"] = critical_path(proxy.last_spans)
-        record["folded"] = folded_stacks(proxy.last_spans)
-        record["histograms"] = proxy.last_histograms
-    else:
-        record["sim"] = None
-        record["critical_path"] = None
-        record["folded"] = []
-        record["histograms"] = {}
+    # A case that never ran a round observed nothing: no profile, no spans.
+    observed = proxy.last_profile is not None
+    record["sim"] = proxy.last_profile
+    record["critical_path"] = critical_path(proxy.last_spans) if observed else None
+    record["folded"] = folded_stacks(proxy.last_spans)
+    record["histograms"] = proxy.last_histograms
     return record
 
 
@@ -295,23 +284,24 @@ def run_suite(
     only: list[str] | None = None,
     rounds_override: int | None = None,
     echo=print,
-) -> list[Path]:
+) -> dict[Path, dict]:
     """Run the (possibly filtered) suite; write one BENCH file per module.
 
     *only* filters by benchmark name substring (``sim_engine`` matches
-    ``bench_sim_engine.py``).  Returns the written paths.
+    ``bench_sim_engine.py``).  Returns each written path with the record
+    written there, in run order.
     """
     paths = discover(bench_dir)
     if only:
         paths = [p for p in paths if any(sel in bench_name(p) for sel in only)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    written: dict[Path, dict] = {}
     for path in paths:
         record = run_bench_file(path, rounds_override=rounds_override)
         target = out / f"BENCH_{record['bench']}.json"
         dump_json(str(target), record)
-        written.append(target)
+        written[target] = record
         n_ok = sum(1 for c in record["cases"].values() if c["ok"])
         total = len(record["cases"])
         status = "ok" if n_ok == total else f"{total - n_ok} FAILED"

@@ -73,7 +73,7 @@ def _emit_report(args: argparse.Namespace, report: dict, source: str) -> None:
     if args.results_db:
         from repro.obs.store import ingest_artifacts
 
-        ingest_artifacts(args.results_db, objects=[(source, report)])
+        ingest_artifacts(args.results_db, [(source, report)])
 
 
 def fuzz_main(argv: list[str] | None = None) -> int:

@@ -33,14 +33,14 @@ from repro.faults import FaultInjector
 from repro.harness.parallel import ParallelRunner
 from repro.harness.workloads import WorkloadSpec, make_workload
 from repro.jvm.program import Step
-from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.bus import Topic
 from repro.obs.profile import SimTimeProfiler
 from repro.obs.sanitize import PrincipleSanitizer
 from repro.obs.span import SpanBuilder
+from repro.obs.summary import RunSummary
 from repro.sim.rng import RngRegistry
 
-__all__ = ["CellError", "campaign_section", "run_campaign", "run_cell_record"]
+__all__ = ["CellError", "campaign_section", "run_campaign", "run_cell_record", "violation_totals"]
 
 
 def campaign_section(config: CampaignConfig) -> dict:
@@ -61,10 +61,23 @@ def campaign_section(config: CampaignConfig) -> dict:
         "defenses": config.defenses,
     }
 
-MB = 2**20
 
-#: Attribution triples kept per cell record when profiling is on.
-PROFILE_TOP_N = 8
+def violation_totals(records: list[dict]) -> dict:
+    """The ``totals`` campaign and fuzz reports share, over cell records."""
+    by_principle = {f"P{p}": 0 for p in (1, 2, 3, 4)}
+    for record in records:
+        for violation in record["violations"]:
+            by_principle[f"P{violation['principle']}"] += 1
+    return {
+        "cells": len(records),
+        "cells_with_violations": sum(1 for r in records if r["violations"]),
+        "violations": sum(len(r["violations"]) for r in records),
+        "by_principle": by_principle,
+        "live_mismatches": sum(1 for r in records if not r["live_matches_posthoc"]),
+    }
+
+
+MB = 2**20
 
 
 @dataclass(frozen=True)
@@ -160,40 +173,6 @@ def run_cell_record(
         )
 
 
-class MakespanRecorder:
-    """Per-cell job-makespan distribution, via the same submit->result
-    pairing the GridConsole uses -- so campaign summaries can quote the
-    identical p50/p95/p99 footer."""
-
-    def __init__(self, bus: TelemetryBus):
-        self.registry = MetricsRegistry()
-        self.values: list[float] = []
-        self._submit: dict[str, float] = {}
-        self._unsubscribe = bus.subscribe(self.on_event)
-
-    def detach(self) -> None:
-        self._unsubscribe()
-
-    def on_event(self, event: TelemetryEvent) -> None:
-        if event.topic is not Topic.JOB:
-            return
-        job = event.attr("job")
-        if job is None:
-            return
-        if event.name == "submit":
-            self._submit.setdefault(job, event.time)
-        elif event.name in ("result", "hold"):
-            submitted = self._submit.pop(job, None)
-            if submitted is not None:
-                makespan = event.time - submitted
-                self.registry.histogram("job_makespan_seconds", makespan)
-                self.values.append(makespan)
-
-    def percentiles(self) -> dict[str, float] | None:
-        """GridConsole's footer triple; None when no job finished."""
-        return self.registry.histogram_percentiles("job_makespan_seconds")
-
-
 def _run_cell(
     cell: CellSpec,
     config: CampaignConfig,
@@ -247,7 +226,9 @@ def _run_cell(
             job.image.program.steps.insert(0, Step.allocate(16 * MB))
 
     injector = FaultInjector(pool)
-    makespans = MakespanRecorder(pool.bus)
+    # The shared fold, fed JOB events only: a cell reads just its makespans.
+    summary = RunSummary()
+    unsubscribe_summary = pool.bus.subscribe(summary.on_event, Topic.JOB)
     profiler = SimTimeProfiler(pool.bus) if profile else None
     spans = SpanBuilder(pool.bus) if features else None
     sanitizer = PrincipleSanitizer(
@@ -264,7 +245,7 @@ def _run_cell(
 
     stage[0] = "simulate"
     pool.run_until_done(max_time=config.max_time, expected_jobs=len(jobs))
-    makespans.detach()
+    unsubscribe_summary()
     sanitizer.detach()
     if spans is not None:
         spans.detach()
@@ -285,14 +266,6 @@ def _run_cell(
     live = [_violation_dict(v) for v in sanitizer.violations]
     completed = sum(1 for j in jobs if j.state is JobState.COMPLETED)
     held = sum(1 for j in jobs if j.state is JobState.HELD)
-    cell_profile = None
-    if profiler is not None:
-        snapshot = profiler.snapshot()
-        cell_profile = {
-            "events": snapshot["events"],
-            "sim_time": snapshot["sim_time"],
-            "top": snapshot["triples"][:PROFILE_TOP_N],
-        }
     record = {
         "cell": cell.cell_id,
         "mode": cell.mode,
@@ -305,14 +278,14 @@ def _run_cell(
             "unfinished": len(jobs) - completed - held,
         },
         "makespan": pool.sim.now,
-        "job_makespans": sorted(makespans.values),
-        "makespan_percentiles": makespans.percentiles(),
+        "job_makespans": sorted(summary.makespans),
+        "makespan_percentiles": summary.makespan_percentiles(),
         "violations": posthoc,
         "live_violations": live,
         "live_matches_posthoc": (
             sorted(map(_violation_key, posthoc)) == sorted(map(_violation_key, live))
         ),
-        "profile": cell_profile,
+        "profile": None if profiler is None else profiler.section(),
         "error": None,
     }
     if spans is not None:
@@ -355,21 +328,11 @@ def run_campaign(
         record["reproducer"] = (
             minimize_cell(cell, config) if shrink and record["violations"] else None
         )
-    by_principle = {f"P{p}": 0 for p in (1, 2, 3, 4)}
-    for record in records:
-        for violation in record["violations"]:
-            by_principle[f"P{violation['principle']}"] += 1
     return {
         "campaign": campaign_section(config),
         "cells": records,
         "totals": {
-            "cells": len(records),
-            "cells_with_violations": sum(1 for r in records if r["violations"]),
-            "violations": sum(len(r["violations"]) for r in records),
-            "by_principle": by_principle,
-            "live_mismatches": sum(
-                1 for r in records if not r["live_matches_posthoc"]
-            ),
+            **violation_totals(records),
             "reproducers": sum(1 for r in records if r["reproducer"] is not None),
         },
     }

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.campaign.corpus import Corpus, CorpusEntry
 from repro.campaign.coverage import CoverageMap, FirstSeen
-from repro.campaign.engine import campaign_section, run_cell_record
+from repro.campaign.engine import campaign_section, run_cell_record, violation_totals
 from repro.campaign.spec import CampaignConfig, CellSpec, FaultSpec, KindInfo
 from repro.harness.parallel import ParallelRunner
 from repro.obs.canonical import canonical_json
@@ -795,10 +795,6 @@ def _shrink_findings(state: _FuzzState, config: FuzzConfig) -> list[dict]:
 
 # -- the campaign -------------------------------------------------------
 def _report(state: _FuzzState, config: FuzzConfig, reproducers: list[dict]) -> dict:
-    by_principle = {f"P{p}": 0 for p in (1, 2, 3, 4)}
-    for record in state.records:
-        for violation in record["violations"]:
-            by_principle[f"P{violation['principle']}"] += 1
     return {
         "format": FORMAT,
         "campaign": campaign_section(config.campaign),
@@ -817,19 +813,11 @@ def _report(state: _FuzzState, config: FuzzConfig, reproducers: list[dict]) -> d
         },
         "reproducers": reproducers,
         "totals": {
-            "cells": len(state.records),
+            **violation_totals(state.records),
             "batches": state.batch,
             "features": len(state.coverage),
             "corpus": len(state.corpus),
-            "cells_with_violations": sum(
-                1 for r in state.records if r["violations"]
-            ),
-            "violations": sum(len(r["violations"]) for r in state.records),
             "distinct_violations": len(state.violation_signatures),
-            "by_principle": by_principle,
-            "live_mismatches": sum(
-                1 for r in state.records if not r["live_matches_posthoc"]
-            ),
             "errors": sum(1 for r in state.records if r["error"] is not None),
             "probe_cells": sum(
                 1 for r in state.records if r.get("probe") is not None

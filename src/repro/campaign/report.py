@@ -12,27 +12,32 @@ section and :func:`render_cell_profiles` turns it into per-cell
 from __future__ import annotations
 
 from repro.harness.report import Table
+from repro.obs.summary import RunSummary
 
 __all__ = ["makespan_footer", "render_cell_profiles", "render_fuzz_summary", "render_summary"]
 
 
 def makespan_footer(cells: list[dict]) -> str | None:
-    """The GridConsole jobs-panel footer, over a whole campaign's cells.
-
-    Pools every cell's job makespans into one histogram and quotes the
-    same ``p50/p95/p99`` triple via
-    :meth:`~repro.obs.metrics.MetricsRegistry.histogram_percentiles`.
-    None when no cell finished a job (empty histogram), so callers emit
-    no footer rather than a degenerate one.
-    """
-    from repro.obs.console import render_makespan_footer
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
+    """The GridConsole jobs-panel footer over a whole campaign: every cell's
+    job makespans pooled into one :class:`~repro.obs.summary.RunSummary`.
+    None when no cell finished a job, so callers emit no footer rather than
+    a degenerate one."""
+    pooled = RunSummary()
     for record in cells:
-        for value in record.get("job_makespans") or ():
-            registry.histogram("job_makespan_seconds", value)
-    return render_makespan_footer(registry)
+        pooled.makespans.extend(record.get("job_makespans") or ())
+    return pooled.makespan_footer()
+
+
+def _add_closing_footers(table: Table, report: dict) -> None:
+    """What both summaries end on: pooled makespans, verdict mismatches."""
+    footer = makespan_footer(report["cells"])
+    if footer is not None:
+        table.add_footer(footer)
+    mismatches = report["totals"]["live_mismatches"]
+    if mismatches:
+        table.add_footer(
+            f"WARNING: {mismatches} cell(s) where live and post-hoc verdicts disagree"
+        )
 
 
 def _principle_counts(violations: list[dict]) -> dict[int, int]:
@@ -74,14 +79,7 @@ def render_summary(report: dict) -> str:
         f"{totals['cells_with_violations']}/{totals['cells']} cells  "
         + "  ".join(f"{p}={by_principle[p]}" for p in ("P1", "P2", "P3", "P4"))
     )
-    footer = makespan_footer(report["cells"])
-    if footer is not None:
-        table.add_footer(footer)
-    if totals["live_mismatches"]:
-        table.add_footer(
-            f"WARNING: {totals['live_mismatches']} cell(s) where live and "
-            f"post-hoc verdicts disagree"
-        )
+    _add_closing_footers(table, report)
     return table.render()
 
 
@@ -140,14 +138,7 @@ def render_fuzz_summary(report: dict) -> str:
         + ", all principles at cell "
         + ("-" if everything is None else str(everything))
     )
-    footer = makespan_footer(report["cells"])
-    if footer is not None:
-        table.add_footer(footer)
-    if totals["live_mismatches"]:
-        table.add_footer(
-            f"WARNING: {totals['live_mismatches']} cell(s) where live and "
-            f"post-hoc verdicts disagree"
-        )
+    _add_closing_footers(table, report)
     if totals["errors"]:
         table.add_footer(
             f"note: {totals['errors']} cell(s) errored and were recorded "

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import sys
 import time
+from pathlib import Path
 
 from repro.harness import experiments as E
 from repro.harness.parallel import ParallelRunner, WorkerFailure, positive_worker_count
@@ -42,25 +44,40 @@ from repro.obs.canonical import to_jsonable
 from repro.obs.export import ObservationSession, dump_json
 from repro.obs.profile import render_profile
 
-#: name -> (callable accepting seed kwarg?, takes_seed)
-EXPERIMENTS: dict[str, tuple] = {
-    "fig1": (E.run_fig1_kernel, True),
-    "fig2": (E.run_fig2_java_universe, True),
-    "fig3": (E.run_fig3_scopes, True),
-    "fig4": (E.run_fig4_result_codes, False),
-    "naive_vs_scoped": (E.run_naive_vs_scoped, True),
-    "black_hole": (E.run_black_hole, True),
-    "nfs_mounts": (E.run_nfs_mounts, False),
-    "time_scope": (E.run_time_scope, False),
-    "principles": (E.run_principles, True),
-    "end_to_end": (E.run_end_to_end, True),
-    "checkpointing": (E.run_checkpoint_ablation, True),
-    "fair_share": (E.run_fair_share, True),
-    "preemption": (E.run_preemption, True),
-    "retry_sweep": (E.run_retry_sweep, True),
-    "churn": (E.run_churn, True),
-    "flocking": (E.run_flocking, True),
+#: name -> runner; one that declares a ``seed`` parameter is passed the seed.
+EXPERIMENTS = {
+    "fig1": E.run_fig1_kernel,
+    "fig2": E.run_fig2_java_universe,
+    "fig3": E.run_fig3_scopes,
+    "fig4": E.run_fig4_result_codes,
+    "naive_vs_scoped": E.run_naive_vs_scoped,
+    "black_hole": E.run_black_hole,
+    "nfs_mounts": E.run_nfs_mounts,
+    "time_scope": E.run_time_scope,
+    "principles": E.run_principles,
+    "end_to_end": E.run_end_to_end,
+    "checkpointing": E.run_checkpoint_ablation,
+    "fair_share": E.run_fair_share,
+    "preemption": E.run_preemption,
+    "retry_sweep": E.run_retry_sweep,
+    "churn": E.run_churn,
+    "flocking": E.run_flocking,
 }
+
+
+def harness_payload(seed: int, experiments: dict[str, dict]) -> dict:
+    """The ``--json`` envelope, also the results-store payload and the
+    service's stored ``result`` artifact: one builder, one object."""
+    return {"seed": seed, "experiments": experiments}
+
+
+def _runner(name: str):
+    try:
+        return EXPERIMENTS[name]
+    except KeyError:
+        raise SystemExit(
+            f"unknown experiment {name!r}; try one of: {', '.join(sorted(EXPERIMENTS))}"
+        ) from None
 
 
 def run_experiment_record(name: str, seed: int = 0) -> dict:
@@ -70,14 +87,9 @@ def run_experiment_record(name: str, seed: int = 0) -> dict:
     result dataclass converted to JSON types, wall-clock fields stripped
     (they reach the user only through the table footer).
     """
-    try:
-        fn, takes_seed = EXPERIMENTS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown experiment {name!r}; try one of: {', '.join(sorted(EXPERIMENTS))}"
-        ) from None
+    fn = _runner(name)
     started = time.perf_counter()
-    result = fn(seed=seed) if takes_seed else fn()
+    result = fn(seed=seed) if "seed" in inspect.signature(fn).parameters else fn()
     table = result.table()
     table.add_footer(f"wall clock {time.perf_counter() - started:.3f}s")
     return {"name": name, "rendered": table.render(), "data": to_jsonable(result)}
@@ -91,11 +103,7 @@ def run_experiment(name: str, seed: int = 0) -> str:
 def run_experiments(names: list[str], seed: int = 0, jobs: int = 1) -> list[dict]:
     """Run *names* (serially or over *jobs* workers); records in input order."""
     for name in names:
-        if name not in EXPERIMENTS:
-            raise SystemExit(
-                f"unknown experiment {name!r}; "
-                f"try one of: {', '.join(sorted(EXPERIMENTS))}"
-            )
+        _runner(name)  # an unknown name exits before any worker starts
     # Reference the canonical module so the partial pickles by a stable
     # qualified name even when this file is executing as ``__main__``.
     from repro.harness import __main__ as canonical
@@ -186,23 +194,25 @@ def main(argv: list[str] | None = None) -> int:
     for record in records:
         print(record["rendered"])
         print()
-    if session is not None and session.profiling:
-        print(render_profile(session.profile_report()))
+    profile = session.profile_report() if args.profile else None
+    if profile is not None:
+        print(render_profile(profile))
         print()
-    payload = {
-        "seed": args.seed,
-        "experiments": {r["name"]: r["data"] for r in records},
-    }
+    payload = harness_payload(args.seed, {r["name"]: r["data"] for r in records})
     if args.json:
         dump_json(args.json, payload)
     if args.results_db:
         from repro.obs.store import ingest_artifacts
 
-        ingest_artifacts(
-            args.results_db,
-            objects=[(f"harness:{','.join(names)}", payload)],
-            paths=[path for path in (args.trace, args.metrics, args.profile) if path],
-        )
+        # The objects behind the files just written, under the files' names.
+        artifacts = [(f"harness:{','.join(names)}", payload)]
+        if args.trace:
+            artifacts.append((Path(args.trace).name, session.trace_summary()))
+        if args.metrics:
+            artifacts.append((Path(args.metrics).name, session.registry.snapshot()))
+        if args.profile:
+            artifacts.append((Path(args.profile).name, profile))
+        ingest_artifacts(args.results_db, artifacts)
     return 0
 
 

@@ -2,7 +2,7 @@
 
 Single-seed results can flatter or slander a design; the experiments in
 EXPERIMENTS.md assert *shapes*, and this module checks those shapes hold
-across seeds, numpy doing the aggregation.
+across seeds.
 
 Replication is embarrassingly parallel (per-seed runs are independent by
 the determinism contract), so :func:`replicate` accepts ``workers=`` and
@@ -13,11 +13,10 @@ bit-identical to ``workers=1`` for the same seeds.
 
 from __future__ import annotations
 
+import statistics
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.harness.parallel import ParallelRunner
 from repro.harness.report import Table
@@ -30,28 +29,28 @@ class Replication:
     """Aggregated metric samples across seeds."""
 
     seeds: list[int]
-    samples: dict[str, np.ndarray]  # metric name -> per-seed values
+    samples: dict[str, list[float]]  # metric name -> per-seed values
     #: wall-clock seconds each seed's run took, aligned with ``seeds``
     seed_seconds: list[float] = field(default_factory=list)
     #: wall-clock seconds for the whole replication (serial or parallel)
     wall_seconds: float = 0.0
 
     def mean(self, metric: str) -> float:
-        return float(self.samples[metric].mean())
+        return statistics.fmean(self.samples[metric])
 
     def std(self, metric: str) -> float:
-        return float(self.samples[metric].std(ddof=1)) if len(self.seeds) > 1 else 0.0
+        return statistics.stdev(self.samples[metric]) if len(self.seeds) > 1 else 0.0
 
     def min(self, metric: str) -> float:
-        return float(self.samples[metric].min())
+        return min(self.samples[metric])
 
     def max(self, metric: str) -> float:
-        return float(self.samples[metric].max())
+        return max(self.samples[metric])
 
     def always(self, predicate: Callable[[dict[str, float]], bool]) -> bool:
         """Does *predicate* hold for every individual seed's sample row?"""
         for i in range(len(self.seeds)):
-            row = {name: float(vals[i]) for name, vals in self.samples.items()}
+            row = {name: vals[i] for name, vals in self.samples.items()}
             if not predicate(row):
                 return False
         return True
@@ -110,9 +109,7 @@ def replicate(
     for row in rows:
         if set(row) != name_set:
             raise ValueError("every run must report the same metrics")
-    samples = {
-        name: np.array([row[name] for row in rows], dtype=float) for name in names
-    }
+    samples = {name: [float(row[name]) for row in rows] for name in names}
     return Replication(
         seeds=seeds,
         samples=samples,

@@ -26,6 +26,8 @@ The subsystem has four layers, each usable alone:
   extraction over job spans, folded-stack flamegraph export, and
   wall-time counters for the hot paths (strippable, never part of the
   determinism contract);
+- :mod:`repro.obs.summary` -- the one fold of the event stream (traffic,
+  error hops by scope, job makespans) every view and the trace ingest share;
 - :mod:`repro.obs.console` -- the operator dashboard;
 - :mod:`repro.obs.sqlite_store` -- the one SQLite base (WAL policy, schema
   check, ``transaction()``) under the results store and the run store.

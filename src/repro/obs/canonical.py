@@ -33,7 +33,7 @@ _PRETTY = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Convert *obj* (dataclasses, enums, numpy, containers) to JSON types.
+    """Convert *obj* (dataclasses, enums, containers) to JSON types.
 
     Dataclass fields named in :data:`WALL_KEYS` are dropped, so result
     objects serialise reproducibly.
@@ -56,11 +56,6 @@ def to_jsonable(obj: Any) -> Any:
         return obj.hex()
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    # numpy scalars / arrays without a hard numpy dependency here.
-    if hasattr(obj, "tolist"):
-        return to_jsonable(obj.tolist())
-    if hasattr(obj, "item"):
-        return obj.item()
     return str(obj)
 
 

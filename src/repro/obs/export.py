@@ -34,6 +34,7 @@ from repro.obs.profile import (
     profile_report,
 )
 from repro.obs.span import Span, SpanBuilder
+from repro.obs.summary import RunSummary
 
 __all__ = [
     "ObservationSession",
@@ -149,6 +150,15 @@ class ObservationSession:
     def profile_report(self) -> dict:
         """The schema-versioned profile for the telemetry collected so far."""
         return profile_report(self.profiler, self.spans.spans, self.wall)
+
+    def trace_summary(self) -> dict:
+        """The ``repro-trace/1`` summary the store reduces the trace file to,
+        folded from the recorded events on demand (no fourth subscriber)."""
+        summary = RunSummary()
+        for event in self.events:
+            summary.on_event(event)
+        summary.spans = len(self.spans.spans)
+        return summary.payload()
 
     def flush(self) -> None:
         """Write the trace / metrics / profile files now."""

@@ -83,6 +83,9 @@ _DAEMON_OF_PROCESS = {
 
 _TRIPLE_NONE = ("-", "-", "-")
 
+#: Attribution triples a record's profile section keeps.
+SECTION_TOP_N = 8
+
 
 def _process_daemon(process_name: str) -> str:
     prefix = process_name.split(":", 1)[0].split("-", 1)[0]
@@ -187,9 +190,15 @@ class SimTimeProfiler:
             "triples": triples,
         }
 
-    def top(self, n: int = 8) -> list[dict]:
-        """The *n* heaviest triples by attributed simulated time."""
-        return self.snapshot()["triples"][:n]
+    def section(self) -> dict:
+        """What a bench case or campaign cell record keeps: the totals
+        plus the :data:`SECTION_TOP_N` heaviest triples."""
+        snapshot = self.snapshot()
+        return {
+            "events": snapshot["events"],
+            "sim_time": snapshot["sim_time"],
+            "top": snapshot["triples"][:SECTION_TOP_N],
+        }
 
 
 # -- critical-path analysis over the span set ---------------------------
@@ -414,7 +423,7 @@ def profile_report(
 
 def render_profile(report: dict, top: int = 8) -> str:
     """The operator-facing "where time went" panel for a profile report."""
-    from repro.harness.report import Table  # local: report imports numpy
+    from repro.harness.report import Table
 
     sim = report["sim"]
     total = sim["sim_time"] or 0.0

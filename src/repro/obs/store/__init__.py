@@ -32,7 +32,7 @@ from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import Any
 
-from repro.obs.canonical import canonical_json
+from repro.obs.canonical import canonical_json, to_jsonable
 from repro.obs.sqlite_store import SqliteStore, StoreDurabilityError, StoreSchemaError
 from repro.obs.store.ingest import Extracted, IngestError, extract, extract_text
 
@@ -328,10 +328,10 @@ class ResultsStore(SqliteStore):
         return latest
 
     def error_hops(self, commit: str | None = None) -> dict[str, int]:
-        """Aggregate error hops by scope over the latest trace/metrics run
-        of each source (or every run at one commit)."""
+        """Aggregate error hops by scope over the latest trace of each
+        source (optionally at one commit): traces alone own these rows."""
         hops: dict[str, int] = {}
-        for run_id in self._latest_runs(commit).values():
+        for run_id in self._latest_runs(commit, kinds=("trace",)).values():
             for scope, n in self._db.execute(
                 "SELECT scope, hops FROM error_hops WHERE run_id=?", (run_id,)
             ):
@@ -454,17 +454,14 @@ class ResultsStore(SqliteStore):
         return {"deleted": doomed, "kept": kept}
 
 
-def ingest_artifacts(
-    db_path: str, objects: Iterable[tuple[str, Any]] = (), paths: Iterable[str] = ()
-) -> None:
+def ingest_artifacts(db_path: str, artifacts: Iterable[tuple[str, Any]]) -> None:
     """What every producer CLI's ``--results-db`` does: open the store at
-    *db_path*, ingest parsed ``(source, artifact)`` pairs and then artifact
-    files at the current commit, print one line per run, close."""
+    *db_path*, ingest ``(source, artifact)`` pairs at the current commit,
+    print one line per run, close.  Each artifact is the object behind a
+    file the producer wrote and takes the writer's ``to_jsonable`` pass,
+    so the store sees what parsing that file back would yield."""
     with ResultsStore(db_path) as store:
         commit = default_commit()
-        for source, obj in objects:
-            run_id = store.ingest_obj(obj, source=source, commit=commit)
+        for source, obj in artifacts:
+            run_id = store.ingest_obj(to_jsonable(obj), source=source, commit=commit)
             print(f"ingested {source} -> run {run_id} ({db_path} @ {commit})")
-        for path in paths:
-            run_id = store.ingest_path(path, commit=commit)
-            print(f"ingested {path} -> run {run_id} ({db_path} @ {commit})")

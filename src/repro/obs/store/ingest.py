@@ -9,7 +9,10 @@ payload (the deterministic part, byte-identical across serial and
 ``--jobs N`` source runs), plus relational projections (scalar metrics,
 bench cases, campaign cells, violations, profile sections, error hops
 by scope) that the query CLI and the GridConsole web view read without
-re-parsing payloads.
+re-parsing payloads.  Each projection has one owning artifact kind
+(DESIGN.md §3.6f): ``error_hops`` rows come from a trace alone, as the
+``repro-trace/1`` summary a producer folded in memory or as the JSONL
+file, which :func:`extract_text` replays into that same summary.
 
 Rejection is structured: anything that is not an artifact we know ends
 in an :class:`IngestError` carrying a machine-readable ``code``
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.canonical import strip_wall
+from repro.obs.summary import TRACE_SCHEMA, RunSummary
 
 __all__ = [
     "ARTIFACT_SCHEMAS",
@@ -39,7 +43,7 @@ ARTIFACT_SCHEMAS = {
     "repro-campaign/1": "campaign",
     "repro-campaign-fuzz/1": "fuzz",
     "repro-harness/1": "harness",
-    "repro-trace/1": "trace",
+    TRACE_SCHEMA: "trace",
     "repro-metrics/1": "metrics",
     "repro-profile/1": "profile",
 }
@@ -219,24 +223,15 @@ def _extract_metrics(obj: dict, source: str) -> Extracted:
     counters = _require(obj, "counters", dict, source, "metrics snapshot")
     histograms = _require(obj, "histograms", dict, source, "metrics snapshot")
     out = _extracted("metrics", obj, series=sorted(counters) + sorted(histograms))
-    hops: dict[str, float] = {}
-    for key, value in sorted(counters.items()):
-        name, label = _split_series_key(key)
-        out.metrics.append((name, label, float(value), False))
-        if name == "error_hops_total":
-            scope = dict(
-                part.split("=", 1) for part in label.split(",") if "=" in part
-            ).get("scope", "?")
-            hops[scope] = hops.get(scope, 0.0) + float(value)
-    for key, value in sorted((obj.get("gauges") or {}).items()):
-        name, label = _split_series_key(key)
-        out.metrics.append((name, label, float(value), False))
+    for series in (counters, obj.get("gauges") or {}):
+        for key, value in sorted(series.items()):
+            name, label = _split_series_key(key)
+            out.metrics.append((name, label, float(value), False))
     for key, hist in sorted(histograms.items()):
         name, label = _split_series_key(key)
         for q in ("p50", "p95", "p99"):
             if isinstance(hist, dict) and hist.get(q) is not None:
                 out.metrics.append((f"{name}:{q}", label, float(hist[q]), False))
-    out.error_hops = [(scope, int(n)) for scope, n in sorted(hops.items())]
     return out
 
 
@@ -258,49 +253,27 @@ def _extract_profile(obj: dict, source: str) -> Extracted:
     return out
 
 
-def _extract_trace(lines: list[dict], source: str) -> Extracted:
-    """A JSONL trace reduces to a deterministic summary payload.
+def _extract_trace(obj: dict, source: str) -> Extracted:
+    """A ``repro-trace/1`` summary: the only owner of ``error_hops`` rows.
 
     Full traces are megabytes of already-on-disk evidence; the store
     keeps their *shape* -- event counts by topic and name, span counts,
     and the error hops by scope the console's JOB->...->GRID panel
     plots.
     """
-    by_topic: dict[str, int] = {}
-    by_event: dict[str, int] = {}
-    hops: dict[str, int] = {}
-    spans = 0
-    last_time = 0.0
-    for record in lines:
-        kind = record.get("kind")
-        if kind == "span":
-            spans += 1
-            continue
-        if kind != "event":
-            raise IngestError(
-                "MALFORMED", source, f"trace line is neither event nor span: {record!r}"
-            )
-        topic = str(record.get("topic", "?"))
-        by_topic[topic] = by_topic.get(topic, 0) + 1
-        name = f"{topic}:{record.get('name', '?')}"
-        by_event[name] = by_event.get(name, 0) + 1
-        last_time = max(last_time, float(record.get("t") or 0.0))
-        if topic == "error":
-            scope = str((record.get("attrs") or {}).get("scope", "?"))
-            hops[scope] = hops.get(scope, 0) + 1
-    payload = {
-        "schema": "repro-trace/1",
-        "events": sum(by_topic.values()),
-        "spans": spans,
-        "last_time": last_time,
-        "by_topic": dict(sorted(by_topic.items())),
-        "by_event": dict(sorted(by_event.items())),
-        "error_hops": dict(sorted(hops.items())),
-    }
-    out = _extracted("trace", payload)
+    by_topic, by_event, hops = (
+        _require(obj, key, dict, source, "trace summary")
+        for key in ("by_topic", "by_event", "error_hops")
+    )
+    _require(obj, "last_time", (int, float), source, "trace summary")
+    counts = [obj.get("events"), obj.get("spans"), *by_topic.values(), *by_event.values(),
+              *hops.values()]
+    if not all(type(n) is int and n >= 0 for n in counts):
+        raise IngestError("MALFORMED", source, "trace summary counts must be non-negative integers")
+    out = _extracted("trace", obj)
     for topic, count in sorted(by_topic.items()):
         out.metrics.append(("events", topic, float(count), False))
-    out.metrics.append(("spans", "total", float(spans), False))
+    out.metrics.append(("spans", "total", float(obj["spans"]), False))
     out.error_hops = sorted(hops.items())
     return out
 
@@ -318,6 +291,8 @@ def extract(obj: Any, source: str) -> Extracted:
         return _extract_fuzz(obj, source)
     if obj.get("schema") == "repro-profile/1":
         return _extract_profile(obj, source)
+    if obj.get("schema") == TRACE_SCHEMA:
+        return _extract_trace(obj, source)
     if {"campaign", "cells", "totals"} <= obj.keys():
         return _extract_campaign(obj, source)
     if {"counters", "gauges", "histograms"} <= obj.keys():
@@ -338,21 +313,23 @@ def extract_text(text: str, source: str) -> Extracted:
     if not stripped:
         raise IngestError("NOT_JSON", source, "file is empty")
     try:
-        return extract(json.loads(stripped), source)
+        obj = json.loads(stripped)
     except json.JSONDecodeError:
-        pass
-    # Not one JSON document: try a JSONL trace, line by line.
-    lines: list[dict] = []
+        pass  # not one JSON document: a JSONL trace, line by line
+    else:
+        # ... unless that document is itself a trace line: a one-record trace.
+        if not (isinstance(obj, dict) and obj.get("kind") in ("event", "span")):
+            return extract(obj, source)
+    summary = RunSummary()
     for i, line in enumerate(stripped.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            summary.on_record(json.loads(line))
         except json.JSONDecodeError as exc:
             raise IngestError(
                 "NOT_JSON", source, f"line {i} is not valid JSON: {exc}"
             ) from None
-        if not isinstance(record, dict):
-            raise IngestError("MALFORMED", source, f"trace line {i} is not an object")
-        lines.append(record)
-    return _extract_trace(lines, source)
+        except ValueError as exc:
+            raise IngestError("MALFORMED", source, f"line {i}: {exc}") from None
+    return extract(summary.payload(), source)

@@ -173,13 +173,14 @@ def run_artifacts(kind: str, result: dict) -> dict[str, bytes]:
     ``job``'s result is its own record of the batch result.
     """
     if kind == "experiment":
+        from repro.harness.__main__ import harness_payload
+
         return {
             # The CLI's --json envelope, so a replay via ``python -m
             # repro.harness --json`` is a byte comparison.
-            "result": pretty_json({
-                "seed": result["seed"],
-                "experiments": {result["experiment"]: result["data"]},
-            }).encode(),
+            "result": pretty_json(
+                harness_payload(result["seed"], {result["experiment"]: result["data"]})
+            ).encode(),
             "trace": result["trace"].encode(),
             "metrics": result["metrics"].encode(),
             "table": result["rendered"].encode(),

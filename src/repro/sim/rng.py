@@ -16,8 +16,6 @@ from __future__ import annotations
 import hashlib
 import random
 
-import numpy as np
-
 __all__ = ["RngRegistry", "derive_seed"]
 
 
@@ -40,25 +38,12 @@ class RngRegistry:
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._streams: dict[str, random.Random] = {}
-        self._np_streams: dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> random.Random:
         """A :class:`random.Random` dedicated to *name*."""
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self.seed, name))
         return self._streams[name]
-
-    def numpy_stream(self, name: str) -> np.random.Generator:
-        """A :class:`numpy.random.Generator` dedicated to *name*.
-
-        Kept separate from :meth:`stream` so mixing APIs on one name does
-        not entangle their state.
-        """
-        if name not in self._np_streams:
-            self._np_streams[name] = np.random.default_rng(
-                derive_seed(self.seed, "np:" + name)
-            )
-        return self._np_streams[name]
 
     def fork(self, name: str) -> "RngRegistry":
         """A child registry whose streams are independent of this one's.

@@ -132,8 +132,9 @@ class TestRunSuite:
             bench_dir=tmp_path, out_dir=out, rounds_override=1, echo=lambda s: None
         )
         assert [p.name for p in written] == ["BENCH_tiny.json"]
-        record = json.loads(written[0].read_text())
+        (path, record), = written.items()
         assert record["schema"] == BENCH_SCHEMA
+        assert json.loads(path.read_text()) == record  # the object is the file
 
     def test_only_filters_by_substring(self, tmp_path):
         _write_tiny(tmp_path)

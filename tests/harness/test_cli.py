@@ -6,7 +6,7 @@ from repro.harness.__main__ import EXPERIMENTS, main, run_experiment
 
 
 def test_every_registered_experiment_exists():
-    for name, (fn, _) in EXPERIMENTS.items():
+    for name, fn in EXPERIMENTS.items():
         assert callable(fn), name
 
 
@@ -170,6 +170,21 @@ class TestProfileFlag:
             assert main(["fig3", "--profile", str(path)]) == 0
             reports.append(strip_wall(json.loads(path.read_text())))
         assert reports[0] == reports[1]
+
+
+def test_pool_less_experiment_ingests_its_empty_trace(tmp_path, capsys):
+    """fig4 builds no pool, so its trace has no events: still a typed,
+    complete ingest (payload + trace + metrics), not a crash after row 1."""
+    from repro.obs.store import ResultsStore
+
+    trace, metrics, db = (str(tmp_path / name) for name in ("t.jsonl", "m.json", "r.db"))
+    assert main(["fig4", "--trace", trace, "--metrics", metrics, "--results-db", db]) == 0
+    with ResultsStore(db) as store:
+        runs = store.runs()
+        assert [(r["kind"], r["source"]) for r in runs] == [
+            ("harness", "harness:fig4"), ("trace", "t.jsonl"), ("metrics", "m.json"),
+        ]
+        assert store.payload(runs[1]["run_id"])["events"] == 0
 
 
 def test_federation_experiments_parallel_byte_identical():

@@ -8,7 +8,6 @@ import os
 import pickle
 import time
 
-import numpy as np
 import pytest
 
 from repro.harness.parallel import (
@@ -92,7 +91,7 @@ class TestDeterministicMerge:
         assert parallel.seeds == serial.seeds
         assert list(parallel.samples) == list(serial.samples)
         for name, values in serial.samples.items():
-            assert np.array_equal(values, parallel.samples[name]), name
+            assert values == parallel.samples[name], name
 
     def test_replicate_records_timings(self):
         rep = replicate(_deterministic_run, [1, 2, 3], workers=2)

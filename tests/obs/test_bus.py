@@ -150,4 +150,4 @@ class TestGridConsole:
         console.detach()
         assert not bus.active
         bus.emit(1.0, "job", "submit", job="1.0")
-        assert console.counts == {}
+        assert console.summary.counts == {}

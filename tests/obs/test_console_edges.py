@@ -91,7 +91,7 @@ class TestConsoleEdgeCases:
         console = self._run_fault_only_pool()
         text = console.render()
         assert "grid console" in text
-        assert console.counts  # the injector's events were folded in
+        assert console.summary.counts  # the injector's events were folded in
 
     def test_fault_only_run_output_is_stable(self):
         a = self._run_fault_only_pool(seed=0).render()

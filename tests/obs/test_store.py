@@ -26,6 +26,7 @@ from repro.obs.store import (
     config_hash,
 )
 from repro.obs.store.__main__ import main as store_main
+from repro.obs.store.ingest import extract, extract_text
 
 BENCH_RECORD = {
     "schema": "repro-bench/1",
@@ -156,6 +157,111 @@ class TestIngestRoundTrip:
         assert row["schema"] == "repro-trace/1"
         assert store.error_hops()["JOB"] == 1
         store.close()
+
+    def test_a_one_record_trace_is_a_trace_not_a_document(self):
+        line = TRACE_JSONL.splitlines()[1]
+        extracted = extract_text(line, "one.jsonl")
+        assert extracted.kind == "trace"
+        assert extracted.payload["events"] == 1 and extracted.error_hops == [("JOB", 1)]
+
+
+def table_rows(db_path) -> dict[str, list]:
+    """Every row of every table, value types included, minus ``ingested_at``."""
+    db = sqlite3.connect(db_path)
+    try:
+        rows = {}
+        for (table,) in db.execute("SELECT name FROM sqlite_master WHERE type='table'"):
+            columns = [c[1] for c in db.execute(f"PRAGMA table_info({table})")]
+            kept = ", ".join(c for c in columns if c != "ingested_at")
+            rows[table] = [
+                [(type(value).__name__, value) for value in row]
+                for row in db.execute(f"SELECT {kept} FROM {table} ORDER BY rowid")
+            ]
+        return rows
+    finally:
+        db.close()
+
+
+class TestProducersAndFilesAgree:
+    """A producer hands the store the objects behind the files it wrote;
+    ``store ingest`` parses those files.  Same rows either way."""
+
+    def test_harness_results_db_equals_ingest_of_its_files(self, tmp_path, capsys):
+        from repro.harness.__main__ import main as harness_main
+
+        files = [str(tmp_path / name)
+                 for name in ("report.json", "trace.jsonl", "metrics.json", "profile.json")]
+        flags = [arg for pair in zip(("--json", "--trace", "--metrics", "--profile"), files)
+                 for arg in pair]
+        produced, ingested = str(tmp_path / "produced.db"), str(tmp_path / "ingested.db")
+        assert harness_main(["fig3", "--seed", "7", *flags, "--results-db", produced]) == 0
+        assert store_main(["ingest", *files, "--db", ingested]) == 0
+        a, b = table_rows(produced), table_rows(ingested)
+        # The one difference: the payload row is named for the run, its file for
+        # itself (runs columns: run_id, kind, source, ...).
+        assert a["runs"][0][2] == ("str", "harness:fig3")
+        assert b["runs"][0][2] == ("str", "report.json")
+        a["runs"][0][2] = b["runs"][0][2]
+        assert a == b
+        assert len(a["runs"]) == 4 and a["error_hops"] and a["profile_sections"]
+
+    def test_bench_results_db_equals_ingest_of_its_files(self, tmp_path, capsys):
+        from repro.bench.__main__ import main as bench_main
+        from tests.bench.test_runner import _write_tiny
+
+        _write_tiny(tmp_path)
+        out = tmp_path / "out"
+        produced, ingested = str(tmp_path / "produced.db"), str(tmp_path / "ingested.db")
+        assert bench_main(["--bench-dir", str(tmp_path), "--out", str(out), "--rounds", "1",
+                           "--results-db", produced]) == 0
+        assert store_main(["ingest", str(out / "BENCH_tiny.json"), "--db", ingested]) == 0
+        rows = table_rows(produced)
+        assert rows == table_rows(ingested)
+        assert len(rows["bench_cases"]) == 5 and rows["profile_sections"]
+
+
+class TestOneOwnerPerProjection:
+    """One run's hops are stored once: by its trace, not again by its metrics."""
+
+    @pytest.fixture(scope="class")
+    def fig3(self):
+        from repro.harness.experiments import run_fig3_scopes
+        from repro.obs.export import ObservationSession, render_trace
+
+        with ObservationSession() as session:
+            run_fig3_scopes(seed=0)
+        return render_trace(session.events, session.spans.spans), session.registry.snapshot()
+
+    def test_trace_plus_metrics_of_one_run_count_each_hop_once(self, fig3):
+        trace, metrics = fig3
+        with ResultsStore(":memory:") as store:
+            store.ingest_text(trace, source="trace.jsonl")
+            store.ingest_obj(metrics, source="metrics.json")
+            hops = sum(store.error_hops().values())
+        assert hops == trace.count('"topic":"error"') > 0
+
+    def test_a_store_written_before_the_rule_is_read_by_the_rule(self, fig3, tmp_path):
+        trace, metrics = fig3
+        db = str(tmp_path / "old.db")
+        with ResultsStore(db) as store:
+            store.ingest_text(trace, source="trace.jsonl")
+            metrics_run = store.ingest_obj(metrics, source="metrics.json")
+            once = store.error_hops()
+        conn = sqlite3.connect(db)  # what the metrics extractor used to project
+        conn.execute("INSERT INTO error_hops VALUES (?, 'JOB', 99)", (metrics_run,))
+        conn.commit()
+        conn.close()
+        with ResultsStore(db) as store:
+            assert store.error_hops() == once
+
+    def test_metrics_alone_keep_the_numbers_as_metric_rows(self, fig3):
+        _, metrics = fig3
+        with ResultsStore(":memory:") as store:
+            store.ingest_obj(metrics, source="metrics.json")
+            assert store.error_hops() == {}
+            series = store.trend("error_hops_total")["series"]
+        hop_counters = {k: v for k, v in metrics["counters"].items() if k.startswith("error_hops")}
+        assert sum(v for (v,) in series.values()) == sum(hop_counters.values()) > 0
 
 
 class TestStripWallByteIdentity:
@@ -330,6 +436,30 @@ class TestRejection:
         assert store.metric_names() == [("completed", 1), ("held", 1)]
         assert store.violation_count() == 0
         store.close()
+
+    @pytest.mark.parametrize("edit", [
+        lambda summary: summary.update(error_hops={"JOB": "many"}),
+        lambda summary: summary.update(by_topic=None),
+        lambda summary: summary.pop("spans"),
+        lambda summary: summary.update(events=-1),
+    ])
+    def test_malformed_trace_summary_is_typed(self, edit):
+        summary = extract_text(TRACE_JSONL, "t.jsonl").payload
+        edit(summary)
+        with pytest.raises(IngestError) as err:
+            extract(summary, "summary.json")
+        assert (err.value.code, err.value.source) == ("MALFORMED", "summary.json")
+
+    def test_unfoldable_trace_line_is_typed(self):
+        with pytest.raises(IngestError) as err:
+            extract_text(TRACE_JSONL + '\n{"kind": "event", "t": "soon"}', "t.jsonl")
+        assert err.value.code == "MALFORMED" and "line 4" in err.value.message
+
+    def test_cli_rejects_an_empty_file_typed(self, tmp_path, capsys):
+        empty = tmp_path / "t.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert store_main(["ingest", str(empty), "--db", str(tmp_path / "r.db")]) == 1
+        assert "[NOT_JSON] file is empty" in capsys.readouterr().err
 
     def test_cli_ingest_continues_past_rejects(self, tmp_path, capsys):
         good = tmp_path / "BENCH_toy.json"

@@ -36,21 +36,6 @@ def test_creation_order_does_not_matter():
     assert x1 == x2
 
 
-def test_numpy_stream_deterministic():
-    a = RngRegistry(3).numpy_stream("n").random(4)
-    b = RngRegistry(3).numpy_stream("n").random(4)
-    assert (a == b).all()
-
-
-def test_numpy_and_plain_streams_are_separate():
-    rngs = RngRegistry(3)
-    rngs.stream("n").random()
-    # Using the plain stream must not perturb the numpy stream.
-    a = rngs.numpy_stream("n").random()
-    b = RngRegistry(3).numpy_stream("n").random()
-    assert a == b
-
-
 def test_fork_is_independent_namespace():
     rngs = RngRegistry(5)
     child1 = rngs.fork("rep0")

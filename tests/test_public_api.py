@@ -92,6 +92,7 @@ PUBLIC_MODULES = [
     "repro.obs.store",
     "repro.obs.store.ingest",
     "repro.obs.store.query",
+    "repro.obs.summary",
     "repro.obs.web",
     "repro.pvm",
     "repro.pvm.program",
