@@ -17,8 +17,9 @@ Examples::
 ``--json`` writes the canonical campaign report (wall clock never enters
 it, so same-seed runs are byte-identical regardless of ``--jobs``).
 ``--replay`` re-runs a shrunken reproducer spec and exits 0 only if the
-expected violations reproduce exactly.  The ``fuzz`` subcommand swaps
-exhaustive enumeration for the coverage-guided explorer
+expected violations reproduce exactly (1 if they do not; 2, with one
+line on stderr, if the file is not a reproducer spec).  The ``fuzz``
+subcommand swaps exhaustive enumeration for the coverage-guided explorer
 (:mod:`repro.campaign.fuzz`): same determinism contract, a budget
 instead of a matrix, and ``--checkpoint``/``--resume`` for campaigns
 long enough to interrupt.
@@ -27,6 +28,7 @@ long enough to interrupt.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from repro.campaign.engine import run_campaign
@@ -173,7 +175,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.replay is not None:
-        outcome = replay(args.replay)
+        try:
+            outcome = replay(args.replay)
+        except ValueError as exc:  # the spec is outside input: one line, no traceback
+            print(exc, file=sys.stderr)
+            return 2
         status = "reproduced" if outcome["reproduced"] else "NOT reproduced"
         print(f"{outcome['cell']}: {status}")
         for violation in outcome["violations"]:

@@ -227,6 +227,10 @@ def _run_cell(
 
     injector = FaultInjector(pool)
     # The shared fold, fed JOB events only: a cell reads just its makespans.
+    # Every observer here names its topics, so the cell constructs no event
+    # on the others.  Within a JOB event the fold (subscribed first) runs
+    # before the sanitizer; observers never touch simulation state, and a
+    # fail-fast cell raises below whichever of them ran first.
     summary = RunSummary()
     unsubscribe_summary = pool.bus.subscribe(summary.on_event, Topic.JOB)
     profiler = SimTimeProfiler(pool.bus) if profile else None
@@ -324,9 +328,13 @@ def run_campaign(
         workers=jobs,
     )
     records = [outcome.value for outcome in runner.map(list(cells))]
+    # The matrix's own records: shrinking reads them instead of simulating
+    # a violating cell, or a subset that is itself a matrix cell, again.
+    known = {cell.key: record for cell, record in zip(cells, records)}
     for cell, record in zip(cells, records):
         record["reproducer"] = (
-            minimize_cell(cell, config) if shrink and record["violations"] else None
+            minimize_cell(cell, config, records=known)
+            if shrink and record["violations"] else None
         )
     return {
         "campaign": campaign_section(config),

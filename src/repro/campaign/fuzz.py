@@ -47,7 +47,6 @@ from repro.campaign.coverage import CoverageMap, FirstSeen
 from repro.campaign.engine import campaign_section, run_cell_record, violation_totals
 from repro.campaign.spec import CampaignConfig, CellSpec, FaultSpec, KindInfo
 from repro.harness.parallel import ParallelRunner
-from repro.obs.canonical import canonical_json
 from repro.obs.signature import violation_features
 
 __all__ = [
@@ -401,7 +400,10 @@ class _FuzzState:
     violation_signatures: dict = field(default_factory=dict)
     first_violation_at: int | None = None
     all_principles_at: int | None = None
-    executed: set = field(default_factory=set)
+    #: :attr:`CellSpec.key` -> the record of that executed cell: the
+    #: dedup set of the proposal loop and what the shrinker reads instead
+    #: of simulating a cell the campaign already ran
+    executed: dict = field(default_factory=dict)
     #: deterministic probe queue (FIFO): ``{"cell": CellSpec, "stage",
     #: "features"}`` entries drained ahead of havoc proposals
     probes: list = field(default_factory=list)
@@ -414,10 +416,6 @@ class _FuzzState:
             int(feature.split(":", 2)[1][1:])
             for feature in self.violation_signatures
         })
-
-
-def _cell_key(cell: CellSpec) -> str:
-    return canonical_json([spec.as_dict() for spec in cell.injections])
 
 
 def _batch_rng(seed: int, batch: int) -> random.Random:
@@ -463,7 +461,7 @@ def _bootstrap_cells(config: FuzzConfig, base: CellSpec) -> list[CellSpec]:
 
 def _enqueue_probe(state: _FuzzState, cell: CellSpec, stage: str,
                    features: list[str]) -> None:
-    key = _cell_key(cell)
+    key = cell.key
     if key in state.executed or key in state.probe_meta:
         return
     entry = {"cell": cell, "stage": stage, "features": features}
@@ -530,13 +528,13 @@ def _propose_batch(
     want: int,
 ) -> list[CellSpec]:
     batch: list[CellSpec] = []
-    pending: set[str] = set()
+    pending: set[tuple] = set()
     # Deterministic probes first: they answer a specific open question
     # about an existing find, which beats undirected exploration.
     while state.probes and len(batch) < want:
         entry = state.probes.pop(0)
         cell = entry["cell"]
-        key = _cell_key(cell)
+        key = cell.key
         if key in state.executed or key in pending:
             state.probe_meta.pop(key, None)
             continue
@@ -555,7 +553,7 @@ def _propose_batch(
             continue
         _, injections = proposal
         cell = base.with_injections(injections)
-        key = _cell_key(cell)
+        key = cell.key
         if key in state.executed or key in pending or key in state.probe_meta:
             continue
         pending.add(key)
@@ -573,7 +571,7 @@ def _absorb(state: _FuzzState, space: MutationSpace, base: CellSpec,
     """
     for cell, record in zip(cells, records):
         index = len(state.records)
-        key = _cell_key(cell)
+        key = cell.key
         probe = state.probe_meta.pop(key, None)
         signature = tuple(record["signature"])
         seen = FirstSeen(batch=state.batch, index=index, cell=cell.cell_id)
@@ -584,7 +582,7 @@ def _absorb(state: _FuzzState, space: MutationSpace, base: CellSpec,
         record["novel"] = list(novel)
         record["probe"] = None if probe is None else probe["stage"]
         state.records.append(record)
-        state.executed.add(key)
+        state.executed[key] = record
         executed_now = len(state.records)
         if record["violations"] and state.first_violation_at is None:
             state.first_violation_at = executed_now
@@ -679,7 +677,7 @@ def _state_from_checkpoint(data: dict, config: FuzzConfig) -> _FuzzState:
                     seed=config.campaign.seed, injections=())
     for record in state.records:
         injections = tuple(FaultSpec.from_dict(d) for d in record["injections"])
-        state.executed.add(_cell_key(base.with_injections(injections)))
+        state.executed[base.with_injections(injections).key] = record
     for raw in data.get("probes", []):
         entry = {
             "cell": CellSpec.from_dict(raw["cell"]),
@@ -687,7 +685,7 @@ def _state_from_checkpoint(data: dict, config: FuzzConfig) -> _FuzzState:
             "features": list(raw["features"]),
         }
         state.probes.append(entry)
-        state.probe_meta[_cell_key(entry["cell"])] = entry
+        state.probe_meta[entry["cell"].key] = entry
     return state
 
 
@@ -748,6 +746,12 @@ def _shrink_findings(state: _FuzzState, config: FuzzConfig) -> list[dict]:
     so a violation that is order-1-minimal under an open window *and*
     order-3-minimal under a bounded window yields both reproducers, each
     1-minimal for its own injection set.
+
+    Every ddmin shares one record mapping, seeded with the campaign's
+    own cells (``state.executed``, which a ``--resume`` rebuilds from the
+    checkpoint): most probes -- the incident itself, its order-1 subsets,
+    the subsets an earlier feature of the same cell already tried -- are
+    cells that have been simulated, and are read instead.
     """
     from repro.campaign.shrink import minimize_cell
 
@@ -756,6 +760,7 @@ def _shrink_findings(state: _FuzzState, config: FuzzConfig) -> list[dict]:
     #: feature -> list of confirmed minimal injection sets (spec tuples)
     confirmed: dict[str, list[frozenset]] = {}
     attempts: dict[str, int] = {}
+    known = dict(state.executed)  # local: probes are not campaign cells
     reproducers = []
     for index, record in enumerate(state.records):
         features = [
@@ -776,7 +781,8 @@ def _shrink_findings(state: _FuzzState, config: FuzzConfig) -> list[dict]:
             def keeps_signature(probe_record: dict, feature=feature) -> bool:
                 return feature in violation_features(probe_record["violations"])
 
-            spec = minimize_cell(cell, config.campaign, keep=keeps_signature)
+            spec = minimize_cell(cell, config.campaign, keep=keeps_signature,
+                                 records=known)
             minimal = frozenset(
                 FaultSpec.from_dict(d) for d in spec["injections"]
             )

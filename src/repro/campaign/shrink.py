@@ -4,8 +4,9 @@ When a cell violates a principle, the interesting question is *which*
 injections matter.  :func:`ddmin` (Zeller & Hildebrandt's minimizing
 delta debugging) reduces the cell's injection set to a 1-minimal subset
 that still violates -- removing any single remaining injection makes the
-violation disappear.  Every re-execution is a fresh deterministic cell
-run, so the minimization itself is reproducible.
+violation disappear.  Every probe is a deterministic cell run, so the
+minimization itself is reproducible -- and a cell that was already run
+is read, not run again (:func:`minimize_cell`).
 
 The minimal cell is emitted as a **reproducer spec**: a small JSON
 document carrying everything a replay needs (mode, seed, pool shape,
@@ -19,8 +20,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
+from dataclasses import replace
 
+from repro.campaign.engine import _violation_key, run_cell_record
 from repro.campaign.spec import CampaignConfig, CellSpec, FaultSpec
+from repro.condor.daemons.config import CondorConfig
 
 __all__ = ["ddmin", "minimize_cell", "replay"]
 
@@ -73,10 +77,25 @@ def ddmin(
     return items
 
 
+def _record_of(probe: CellSpec, config: CampaignConfig, records: dict) -> dict:
+    """*probe*'s record: the one *records* holds, else a fresh simulation.
+
+    A record is a function of (cell key, config), so one that is already
+    known is not computed again.  A record whose ``error`` is set is
+    never served: the campaign recorded that cell's crash, a probe
+    re-raises it (``on_error="raise"``), exactly as if nothing were kept.
+    """
+    record = records.get(probe.key)
+    if record is None or record["error"] is not None:
+        record = records[probe.key] = run_cell_record(probe, config)
+    return record
+
+
 def minimize_cell(
     cell: CellSpec,
     config: CampaignConfig,
     keep: Callable[[dict], bool] | None = None,
+    records: dict | None = None,
 ) -> dict:
     """Shrink *cell*'s injections; return the confirmed reproducer spec.
 
@@ -90,22 +109,27 @@ def minimize_cell(
     violation signature", which is what makes an order-3-only violation
     shrink to a 1-minimal *order-3* reproducer instead of collapsing
     onto whichever single fault violates something else first.
-    """
-    from repro.campaign.engine import run_cell_record
 
-    def record_of(injections: Sequence[FaultSpec]) -> dict:
-        probe = cell.with_injections(tuple(injections))
-        return run_cell_record(probe, config)
+    *records* maps :attr:`CellSpec.key` to the record of every cell
+    already simulated under *config*; probes read it before simulating
+    and add what they simulate.  A campaign hands in the records it
+    holds, so the full set, every subset that was itself a campaign cell
+    and the minimal set cost nothing; a standalone call starts empty and
+    still simulates no subset twice.  The mapping must not outlive
+    *config* -- the key does not cover it.
+    """
+    if records is None:
+        records = {}
 
     def fails(injections: Sequence[FaultSpec]) -> bool:
-        record = record_of(injections)
+        record = _record_of(cell.with_injections(tuple(injections)), config, records)
         return keep(record) if keep is not None else bool(record["violations"])
 
-    minimal = ddmin(cell.injections, fails)
-    confirmed = record_of(minimal)["violations"]  # the confirmation run
+    minimal = cell.with_injections(ddmin(cell.injections, fails))
+    confirmed = _record_of(minimal, config, records)["violations"]
     return {
         "format": FORMAT,
-        "cell": cell.with_injections(minimal).cell_id,
+        "cell": minimal.cell_id,
         "mode": cell.mode,
         "seed": cell.seed,
         "n_jobs": config.n_jobs,
@@ -114,9 +138,22 @@ def minimize_cell(
         "max_time": config.max_time,
         "federation": config.federation,
         "defenses": config.defenses,
-        "injections": [spec.as_dict() for spec in minimal],
-        "expect": confirmed,
+        "injections": [spec.as_dict() for spec in minimal.injections],
+        # Copies: the record may be a campaign's own report row.
+        "expect": [dict(violation) for violation in confirmed],
     }
+
+
+def _mode(value) -> str:
+    CondorConfig(error_mode=value)  # ValueError unless a mode the daemons know
+    return value
+
+
+#: The scalar fields a spec must carry, with what each is read through.
+_SPEC_FIELDS = (
+    ("mode", _mode), ("seed", int), ("n_jobs", int), ("n_machines", int),
+    ("max_retries", int), ("max_time", float),
+)
 
 
 def replay(spec: dict | str) -> dict:
@@ -126,25 +163,47 @@ def replay(spec: dict | str) -> dict:
     where *reproduced* means the replayed violation set equals the
     spec's expectation exactly (the runs are deterministic, so anything
     short of equality is a real divergence).
-    """
-    from repro.campaign.engine import run_cell_record
 
-    if isinstance(spec, str):
-        with open(spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
-    if spec.get("format") != FORMAT:
-        raise ValueError(f"not a campaign reproducer spec: format={spec.get('format')!r}")
-    config = CampaignConfig(
-        mode=spec["mode"],
-        seed=int(spec["seed"]),
-        n_jobs=int(spec["n_jobs"]),
-        n_machines=int(spec["n_machines"]),
-        max_retries=int(spec["max_retries"]),
-        max_time=float(spec["max_time"]),
-        federation=bool(spec.get("federation", False)),
-        defenses=bool(spec.get("defenses", False)),
-    )
-    injections = tuple(FaultSpec.from_dict(d) for d in spec["injections"])
+    A spec is outside input.  Whatever is wrong with it -- unreadable, not
+    JSON, the wrong format, a field missing or ill-typed, a fault kind
+    the catalogue lacks -- raises the one
+    ``ValueError("not a campaign reproducer spec: <reason>")``.
+
+    Always a fresh simulation: this is the shrinker's acceptance check,
+    so it reads no record the shrinker or a campaign kept.
+    """
+    what = "spec"
+    try:
+        if isinstance(spec, str):
+            what = "unreadable file"
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+            what = "not JSON"
+            spec = json.loads(text)
+        what = "format"
+        if not isinstance(spec, dict):
+            raise ValueError(f"a JSON {type(spec).__name__}, not an object")
+        if spec.get("format") != FORMAT:
+            raise ValueError(f"{spec.get('format')!r}, not {FORMAT!r}")
+        values = {}
+        for name, convert in _SPEC_FIELDS:
+            what = f"field {name!r}"
+            values[name] = convert(spec[name])
+        config = CampaignConfig(
+            **values,
+            federation=bool(spec.get("federation", False)),
+            defenses=bool(spec.get("defenses", False)),
+        )
+        what = "field 'injections'"
+        injections = tuple(FaultSpec.from_dict(d) for d in spec["injections"])
+        replace(config, kinds=tuple(s.kind for s in injections)).catalogue()
+        what = "field 'expect'"
+        expect = list(spec.get("expect", []))
+        expect_keys = sorted(map(_violation_key, expect))
+    except KeyError as exc:
+        raise ValueError(f"not a campaign reproducer spec: missing field {exc}") from exc
+    except (OSError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"not a campaign reproducer spec: {what}: {exc}") from exc
     cell = CellSpec(
         cell_id=str(spec.get("cell", "replay")),
         mode=config.mode,
@@ -152,15 +211,10 @@ def replay(spec: dict | str) -> dict:
         injections=injections,
     )
     record = run_cell_record(cell, config)
-
-    def key(violation: dict) -> tuple:
-        return (violation["principle"], violation["subject"], violation["description"])
-
-    expect = sorted(map(key, spec.get("expect", [])))
-    got = sorted(map(key, record["violations"]))
+    got = sorted(map(_violation_key, record["violations"]))
     return {
-        "reproduced": expect == got and bool(got),
+        "reproduced": expect_keys == got and bool(got),
         "cell": cell.cell_id,
-        "expect": spec.get("expect", []),
+        "expect": expect,
         "violations": record["violations"],
     }

@@ -152,6 +152,19 @@ class CellSpec:
         """The cell's fault order (number of simultaneous injections)."""
         return len(self.injections)
 
+    @property
+    def key(self) -> tuple:
+        """What the simulation reads from this cell, and nothing else.
+
+        Two cells with equal keys run the identical simulation under one
+        :class:`CampaignConfig`: the mode, the seed and the injections
+        *in order* (the injector schedules them in order, which is their
+        same-instant event order).  ``cell_id`` is a label and stays out.
+        This is the one identity rule -- the fuzzer's dedup sets and the
+        shrinker's record mapping both key on it.
+        """
+        return (self.mode, self.seed, self.injections)
+
     def as_dict(self) -> dict:
         return {
             "cell_id": self.cell_id,

@@ -269,6 +269,8 @@ class MachineIndex:
         #: covers them).
         self._req_refs: dict[str, int] = {}
         self._req_by_name: dict[str, frozenset[str]] = {}
+        #: name -> the ad last indexed under it
+        self._ad_by_name: dict[str, ClassAd] = {}
         self.stamp = 0
         self.refs_generation = 0
 
@@ -283,6 +285,12 @@ class MachineIndex:
     # -- maintenance ----------------------------------------------------
     def add(self, name: str, ad: ClassAd) -> None:
         """Index (or re-index) machine *name*'s ad."""
+        if ad.frozen and self._ad_by_name.get(name) is ad:
+            # The startd re-sent the very ad that is indexed, and a
+            # frozen ad still says what it said then: nothing to re-post.
+            self.stamp += 1
+            return
+        self._ad_by_name[name] = ad
         postings = set()
         for attr, expr in ad._attrs.items():
             if isinstance(expr, Literal):
@@ -298,7 +306,7 @@ class MachineIndex:
         """Drop machine *name* from every bucket (no-op if absent)."""
         if name in self._postings:
             self._repost(name, _NONE, _NONE)
-            del self._postings[name], self._req_by_name[name]
+            del self._postings[name], self._req_by_name[name], self._ad_by_name[name]
 
     def _repost(self, name: str, postings, refs) -> None:
         """Move *name* to *postings* and *refs* by difference: only the

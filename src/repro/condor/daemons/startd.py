@@ -64,6 +64,8 @@ class Startd:
         self.slot_rank: dict[int, float] = {i: 0.0 for i in range(machine.slots)}
         self.java_advertised = True
         self.self_test_result: bool | None = None
+        #: slot id -> (ad fields, frozen ad), see :meth:`build_ad`.
+        self._ad_cache: dict[int, tuple[tuple, ClassAd]] = {}
         self.ads_sent = 0
         self.claims_granted = 0
         self.claims_rejected = 0
@@ -205,29 +207,66 @@ class Startd:
         return f"slot{slot + 1}@{self.machine.name}"
 
     # -- advertising --------------------------------------------------------
+    def ad_fields(self, slot: int = 0) -> tuple:
+        """Every input of :meth:`build_ad` that can change, as one tuple
+        (the :meth:`repro.condor.job.Job.ad_fields` discipline: the ad is
+        built from this tuple and nothing else, so equal tuples build
+        equal ads)."""
+        machine = self.machine
+        policy = machine.policy
+        return (
+            self.slot_name(slot),
+            machine.name,
+            slot + 1,
+            machine.memory_total // machine.slots // 2**20,
+            machine.scratch.free // 2**20,
+            machine.cpu_speed,
+            "claimed" if self.slot_claimed[slot] else "unclaimed",
+            self.slot_rank[slot],
+            self.java_advertised,
+            machine.java.version,
+            tuple(policy.advertised_attrs.items()),
+            policy.start_expr,
+            policy.rank_expr,
+        )
+
     def build_ad(self, slot: int = 0) -> ClassAd:
-        """The ad for one slot (an SMP advertises one ad per slot)."""
+        """The ad for one slot (an SMP advertises one ad per slot).
+
+        Built once and kept until a field changes.  The ad is frozen
+        because the same object is matched against every claim request
+        and sent to the matchmaker interval after interval -- which the
+        matchmaker's index recognises by identity as nothing new.
+        """
+        fields = self.ad_fields(slot)
+        cached = self._ad_cache.get(slot)
+        if cached is not None and cached[0] == fields:
+            return cached[1]
+        (
+            name, machine, slotid, memory, disk, cpuspeed, state, currentrank,
+            hasjava, javaversion, advertised, start_expr, rank_expr,
+        ) = fields
         ad = ClassAd(
             {
-                "name": self.slot_name(slot),
-                "machine": self.machine.name,
-                "slotid": slot + 1,
+                "name": name,
+                "machine": machine,
+                "slotid": slotid,
                 "startdport": self.PORT,
                 "arch": "intel",
                 "opsys": "linux",
-                "memory": self.machine.memory_total // self.machine.slots // 2**20,
-                "disk": self.machine.scratch.free // 2**20,
-                "cpuspeed": self.machine.cpu_speed,
-                "state": "claimed" if self.slot_claimed[slot] else "unclaimed",
-                "currentrank": self.slot_rank[slot],
-                "hasjava": self.java_advertised,
-                "javaversion": self.machine.java.version,
+                "memory": memory,
+                "disk": disk,
+                "cpuspeed": cpuspeed,
+                "state": state,
+                "currentrank": currentrank,
+                "hasjava": hasjava,
+                "javaversion": javaversion,
             }
         )
-        ad.update(ClassAd(self.machine.policy.advertised_attrs))
-        requirements = self.machine.policy.start_expr
-        ad.set_expr("requirements", requirements)
-        ad.set_expr("rank", self.machine.policy.rank_expr)
+        ad.update(ClassAd(dict(advertised)))
+        ad.set_expr("requirements", start_expr)
+        ad.set_expr("rank", rank_expr)
+        self._ad_cache[slot] = (fields, ad.freeze())
         return ad
 
     def _advertise_loop(self):

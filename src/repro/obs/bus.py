@@ -19,6 +19,9 @@ Two properties are load-bearing:
   and :meth:`TelemetryBus.emit` itself is a no-op while ``active`` is
   False.  An uninstrumented run and a bus-attached-but-unsubscribed run
   execute the identical simulation (same event count, same results).
+  The same holds per topic: an event on a topic nobody reads is never
+  constructed, so an observer that reads three topics subscribes to
+  those three and the other four cost it one dictionary lookup each.
 
 The module is deliberately dependency-free (stdlib only) so the lowest
 layers -- the simulation kernel duck-types its ``telemetry`` attribute,
@@ -91,14 +94,20 @@ class TelemetryEvent:
 class TelemetryBus:
     """Synchronous publish/subscribe hub for :class:`TelemetryEvent`.
 
-    Subscribers are called in subscription order, immediately, on the
-    emitting thread (the simulation is single-threaded); a subscriber
-    must not mutate simulation state, only observe it.
+    Within one event, all-topic subscribers are called first, then the
+    topic's own, each group in subscription order, immediately, on the
+    emitting thread (the simulation is single-threaded).  A subscriber
+    must not mutate simulation state, only observe it -- so the order
+    *between* two observers carries no meaning: one that names its
+    topics runs after the all-topic ones (in a campaign cell, the JOB
+    fold before the sanitizer) and sees exactly what it would see among
+    them.
 
     ``active`` is a plain attribute maintained by subscribe/unsubscribe
     so hot-path emission sites can guard with one attribute read.
     ``dispatched`` counts events actually delivered -- it stays 0 for a
-    run with no subscribers, which the tests use to prove zero cost.
+    run with no subscribers, and does not move for an event on a topic
+    nobody reads, which the tests use to prove zero cost.
     """
 
     __slots__ = ("active", "dispatched", "_subs", "_topic_subs")
@@ -107,30 +116,28 @@ class TelemetryBus:
         self.active = False
         self.dispatched = 0
         self._subs: list[Any] = []
-        self._topic_subs: dict[Topic, list[Any]] = {}
+        #: topic -> its subscribers, every topic present.  A ``Topic`` is
+        #: a ``str`` and hashes as one, so :meth:`emit` finds the list by
+        #: either spelling emission sites use (the member or its string
+        #: value) in one lookup, before any enum call.
+        self._topic_subs: dict[Topic, list[Any]] = {topic: [] for topic in Topic}
 
     # -- subscription ---------------------------------------------------
     def subscribe(self, fn, topic: Topic | str | None = None):
         """Register *fn(event)*; returns a zero-argument unsubscriber.
 
-        With *topic* given, *fn* sees only that topic's events.
+        With *topic* given, *fn* sees only that topic's events.  Calling
+        the unsubscriber again is a no-op.
         """
-        if topic is None:
-            self._subs.append(fn)
-
-            def unsubscribe() -> None:
-                self._subs.remove(fn)
-                self._refresh()
-
-        else:
-            key = Topic(topic)
-            self._topic_subs.setdefault(key, []).append(fn)
-
-            def unsubscribe() -> None:
-                self._topic_subs[key].remove(fn)
-                self._refresh()
-
+        subs = self._subs if topic is None else self._topic_subs[Topic(topic)]
+        subs.append(fn)
         self.active = True
+
+        def unsubscribe() -> None:
+            if fn in subs:
+                subs.remove(fn)
+                self._refresh()
+
         return unsubscribe
 
     def _refresh(self) -> None:
@@ -138,8 +145,15 @@ class TelemetryBus:
 
     # -- emission -------------------------------------------------------
     def emit(self, time: float, topic: Topic | str, name: str, **attrs: Any) -> None:
-        """Publish one event.  No-op (and allocation-free) while inactive."""
+        """Publish one event.  No-op (and allocation-free) while inactive,
+        and for a topic that neither its own nor an all-topic subscriber
+        reads."""
         if not self.active:
+            return
+        scoped = self._topic_subs.get(topic)
+        if scoped is None:
+            scoped = self._topic_subs[Topic(topic)]  # ValueError: no such topic
+        if not scoped and not self._subs:
             return
         event = TelemetryEvent(
             time=time,
@@ -150,7 +164,7 @@ class TelemetryBus:
         self.dispatched += 1
         for fn in self._subs:
             fn(event)
-        for fn in self._topic_subs.get(event.topic, ()):
+        for fn in scoped:
             fn(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -2,7 +2,9 @@
 
 The :class:`~repro.core.principles.PrincipleAuditor` judges a run from
 its artifacts *after* it ends.  The sanitizer reaches the same verdicts
-*while the run executes*, as a plain telemetry-bus subscriber:
+*while the run executes*, as a plain telemetry-bus subscriber to the
+three topics it reads (so a cell that nobody else observes never even
+constructs its PROCESS, DAEMON, IO or FAULT events):
 
 - **P3** from ERROR-topic ``mishandled`` / ``unmanaged`` hops, the
   instant a manager swallows an error outside its scope;
@@ -38,6 +40,9 @@ from repro.core.scope import ErrorScope
 from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic
 
 __all__ = ["PrincipleSanitizer", "PrincipleViolationError"]
+
+#: The topics :meth:`PrincipleSanitizer.on_event` reads.
+_TOPICS = (Topic.ERROR, Topic.INTERFACE, Topic.JOB)
 
 #: JOB-topic events after which a job's outcome is fixed and auditable.
 _TERMINAL_JOB_EVENTS = frozenset({"result", "hold"})
@@ -79,7 +84,7 @@ class PrincipleSanitizer:
         self._jobs: dict[str, object] = {}
         if jobs is not None:
             self.watch(jobs)
-        self._unsubscribe = bus.subscribe(self.on_event)
+        self._unsubscribes = [bus.subscribe(self.on_event, topic) for topic in _TOPICS]
 
     def watch(self, jobs) -> None:
         """Register *jobs* (iterable of Job) for the P1 outcome check."""
@@ -88,7 +93,8 @@ class PrincipleSanitizer:
 
     def detach(self) -> None:
         """Stop listening; accumulated verdicts remain readable."""
-        self._unsubscribe()
+        for unsubscribe in self._unsubscribes:
+            unsubscribe()
 
     # -- reporting -------------------------------------------------------
     def summary(self) -> dict[int, int]:

@@ -11,10 +11,11 @@ Two span families cover the two journeys the paper cares about:
   chain (discovered, escalated, delivered, masked, reported, mishandled,
   unmanaged), mirroring Figure 3 live instead of post-hoc.
 
-The :class:`SpanBuilder` is an ordinary bus subscriber: the emission
-sites stay span-agnostic and pay nothing for span assembly.  Span ids
-are dense per-builder sequence numbers, so the span set for a given seed
-is identical across runs (DESIGN.md §6).
+The :class:`SpanBuilder` is an ordinary bus subscriber, to the JOB and
+ERROR topics only: the emission sites stay span-agnostic and pay nothing
+for span assembly, and the other topics are not published on its
+account.  Span ids are dense per-builder sequence numbers, so the span
+set for a given seed is identical across runs (DESIGN.md §6).
 
 The FIG3 scope->handler table can be derived from the error spans via
 :meth:`SpanBuilder.scope_to_handlers`, as a live cross-check of
@@ -29,6 +30,9 @@ from typing import Any
 from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic
 
 __all__ = ["Span", "SpanBuilder"]
+
+#: The topics :meth:`SpanBuilder.on_event` reads.
+_TOPICS = (Topic.JOB, Topic.ERROR)
 
 #: ERROR-topic event names that end an error's journey.
 _TERMINAL_HOPS = frozenset({"masked", "reported", "mishandled", "unmanaged"})
@@ -76,7 +80,7 @@ class SpanBuilder:
         self._attempts: dict[str, int] = {}
         #: error_id -> open journey span
         self._error_roots: dict[Any, Span] = {}
-        self._unsubscribe = bus.subscribe(self.on_event)
+        self._unsubscribes = [bus.subscribe(self.on_event, topic) for topic in _TOPICS]
 
     # -- span bookkeeping ----------------------------------------------
     def _open(
@@ -194,7 +198,8 @@ class SpanBuilder:
     # -- teardown and queries -------------------------------------------
     def detach(self) -> None:
         """Stop listening (open spans stay open, end=None)."""
-        self._unsubscribe()
+        for unsubscribe in self._unsubscribes:
+            unsubscribe()
 
     def journeys(self) -> list[Span]:
         """The error-journey root spans, in creation order."""

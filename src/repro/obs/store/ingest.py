@@ -158,6 +158,9 @@ def _campaign_common(obj: dict, source: str, out: Extracted) -> None:
             raise IngestError("MALFORMED", source, f"{out.kind} cell without a 'cell' id")
         jobs = record.get("jobs") or {}
         cell_id = record["cell"]
+        error = record.get("error")
+        if isinstance(error, dict):  # a CellError: the column is text
+            error = "{}:{}: {}".format(*(error.get(k, "?") for k in ("stage", "type", "message")))
         out.cells.append((
             cell_id,
             len(record.get("injections") or []),
@@ -166,7 +169,7 @@ def _campaign_common(obj: dict, source: str, out: Extracted) -> None:
             int(jobs.get("unfinished", 0)),
             len(record.get("violations") or []),
             record.get("makespan"),
-            record.get("error"),
+            error,
         ))
         for violation in (record.get("violations") or []):
             out.violations.append((

@@ -88,3 +88,70 @@ class TestMinimizeCell:
     def test_replay_rejects_foreign_documents(self):
         with pytest.raises(ValueError, match="not a campaign reproducer"):
             replay({"format": "something-else"})
+
+
+class TestMalformedSpecIsOutsideInput:
+    """P4 at the ``--replay`` boundary: whatever is wrong with a spec is
+    the one ``ValueError`` (and one stderr line, exit 2, from the CLI) --
+    never a bare ``KeyError`` or a decoder's traceback."""
+
+    @pytest.fixture(scope="class")
+    def good(self):
+        config = CampaignConfig(
+            mode="classic", kinds=("MisconfiguredJvm",), windows=((0.0, None),)
+        )
+        (cell,) = enumerate_cells(config)
+        return minimize_cell(cell, config)
+
+    def _rejected(self, spec, reason, tmp_path, capsys):
+        """Both doors: the library raises, the CLI prints one line and exits 2."""
+        from repro.campaign.cli import main
+
+        with pytest.raises(ValueError, match="not a campaign reproducer spec: " + reason):
+            replay(spec)
+        if not isinstance(spec, str):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            spec = str(path)
+        assert main(["--replay", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("not a campaign reproducer spec: ")
+
+    def test_missing_field(self, good, tmp_path, capsys):
+        spec = {k: v for k, v in good.items() if k != "mode"}
+        self._rejected(spec, "missing field 'mode'", tmp_path, capsys)
+
+    def test_ill_typed_field(self, good, tmp_path, capsys):
+        self._rejected({**good, "seed": "x"}, "field 'seed': invalid literal", tmp_path, capsys)
+
+    def test_not_json(self, tmp_path, capsys):
+        path = tmp_path / "garbage.json"
+        path.write_text("{not json")
+        self._rejected(str(path), "not JSON: ", tmp_path, capsys)
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        self._rejected(str(tmp_path / "absent.json"), "unreadable file: ", tmp_path, capsys)
+
+    @pytest.mark.parametrize("edit, reason", [
+        ({"injections": [{"kind": "NoSuchFault"}]}, "field 'injections': unknown fault kind"),
+        ({"injections": [{"kind": "FlockLinkDown"}]}, "field 'injections': .*need --federation"),
+        ({"injections": "MisconfiguredJvm"}, "field 'injections': "),
+        ({"injections": [{"site": "exec000"}]}, "missing field 'kind'"),
+        ({"mode": "chaotic"}, "field 'mode': error_mode must be"),
+        ({"max_time": None}, "field 'max_time': "),
+        ({"expect": [{"principle": 1}]}, "missing field 'subject'"),
+        ({"expect": [7]}, "field 'expect': "),
+    ])
+    def test_other_ways_to_be_wrong(self, good, edit, reason, tmp_path, capsys):
+        self._rejected({**good, **edit}, reason, tmp_path, capsys)
+
+    def test_a_json_document_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        self._rejected(str(path), "format: a JSON list", tmp_path, capsys)
+
+    def test_the_good_spec_still_replays(self, good):
+        assert replay(good)["reproduced"]
+        assert replay({k: v for k, v in good.items() if k != "cell"})["cell"] == "replay"

@@ -1,5 +1,6 @@
 """Ads are values: interned parses, frozen ads, the schedd's job-ad
-cache and the matchmaker's refresh fast path (DESIGN §3.3a).
+cache, the matchmaker's refresh fast path, and the startd's machine ads
+with the index that recognises them (DESIGN §3.3a).
 
 Each leg removes host work only, so each is pinned against the slow
 path it replaced: the interned tree against the raw parser, the cached
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.condor import Job, JobState, ProgramImage, Universe
+from repro.condor import Job, JobState, Pool, PoolConfig, ProgramImage, Universe
 from repro.condor.classads import (
     ClassAd,
     FrozenAdError,
@@ -23,12 +24,15 @@ from repro.condor.classads import (
 from repro.condor.classads import parser as parser_mod
 from repro.condor.classads.parser import parse_uncached
 from repro.condor.daemons.config import CondorConfig
+from repro.condor.daemons.match_index import MachineIndex
 from repro.condor.daemons.schedd import Schedd
 from repro.condor.daemons.shadow import ShadowOutcome
+from repro.condor.daemons.startd import Startd
 from repro.condor.job import ExecutionAttempt
 from repro.core.result import ResultFile
 from repro.core.scope import ErrorScope
 from repro.sim.engine import Simulator
+from repro.sim.machine import OwnerPolicy
 from repro.sim.network import Network, NetworkError
 
 from tests.condor.test_classads_properties import expressions
@@ -334,3 +338,211 @@ class TestRefreshFastPath:
         ad["scheddhost"] = "elsewhere"  # mutable: the sender may still edit
         mm.receive_ad("job", "a", ad)
         assert mm.job_ads["a"].reply_host == "elsewhere"
+
+
+# -- (d) machine ads are values too --------------------------------------
+
+def reference_machine_ad(startd: Startd, slot: int = 0) -> ClassAd:
+    """The ad built from scratch, the way the startd built it on every
+    call before it kept one: the specification the kept ad must equal."""
+    machine = startd.machine
+    ad = ClassAd({
+        "name": startd.slot_name(slot),
+        "machine": machine.name,
+        "slotid": slot + 1,
+        "startdport": startd.PORT,
+        "arch": "intel",
+        "opsys": "linux",
+        "memory": machine.memory_total // machine.slots // 2**20,
+        "disk": machine.scratch.free // 2**20,
+        "cpuspeed": machine.cpu_speed,
+        "state": "claimed" if startd.slot_claimed[slot] else "unclaimed",
+        "currentrank": startd.slot_rank[slot],
+        "hasjava": startd.java_advertised,
+        "javaversion": machine.java.version,
+    })
+    ad.update(ClassAd(machine.policy.advertised_attrs))
+    ad.set_expr("requirements", machine.policy.start_expr)
+    ad.set_expr("rank", machine.policy.rank_expr)
+    return ad
+
+
+def make_startd(**condor) -> tuple[Pool, Startd]:
+    pool = Pool(PoolConfig(n_machines=0, condor=CondorConfig(**condor)))
+    pool.add_machine("exec", policy=OwnerPolicy(advertised_attrs={"department": "cs"}))
+    return pool, pool.startds["exec"]
+
+
+def _fill_scratch(startd):
+    startd.machine.scratch.used += 64 * 2**20
+
+
+def _double_memory(startd):
+    startd.machine.memory_total *= 2
+
+
+def _faster_cpu(startd):
+    startd.machine.cpu_speed = 2.5
+
+
+def _claim(startd):
+    startd.slot_claimed[0] = "submit"
+
+
+def _rank(startd):
+    startd.slot_rank[0] = 7.0
+
+
+def _java_withdrawn(startd):
+    startd.java_advertised = False
+
+
+def _java_upgraded(startd):
+    startd.machine.java.version = "1.4.2"
+
+
+def _policy_attr_added(startd):
+    startd.machine.policy.advertised_attrs["building"] = "cs-west"
+
+
+def _policy_attr_edited(startd):
+    startd.machine.policy.advertised_attrs["department"] = "physics"
+
+
+def _start_expr(startd):
+    startd.machine.policy.start_expr = 'TARGET.owner == "thain"'
+
+
+def _rank_expr(startd):
+    startd.machine.policy.rank_expr = "TARGET.imagesize"
+
+
+class TestMachineAdIsAValue:
+    def test_unchanged_slot_returns_the_identical_frozen_ad(self):
+        _, startd = make_startd()
+        ad = startd.build_ad()
+        assert ad.frozen and startd.build_ad() is ad
+        assert ad.render() == reference_machine_ad(startd).render()
+        with pytest.raises(FrozenAdError):
+            startd.build_ad()["x"] = 1
+
+    @pytest.mark.parametrize("change", [
+        _fill_scratch, _double_memory, _faster_cpu, _claim, _rank, _java_withdrawn,
+        _java_upgraded, _policy_attr_added, _policy_attr_edited, _start_expr, _rank_expr,
+    ], ids=lambda fn: fn.__name__.strip("_"))
+    def test_each_changed_input_yields_a_new_ad(self, change):
+        _, startd = make_startd()
+        before = startd.build_ad()
+        said = before.render()
+        change(startd)
+        after = startd.build_ad()
+        assert after is not before and after.frozen
+        assert after.render() == reference_machine_ad(startd).render() != said
+        assert before.render() == said  # a value: the old ad still says what it said
+        assert startd.build_ad() is after
+
+    def test_each_slot_of_an_smp_keeps_its_own_ad(self):
+        pool = Pool(PoolConfig(n_machines=0))
+        pool.add_machine("smp", slots=2)
+        startd = pool.startds["smp"]
+        first, second = startd.build_ad(0), startd.build_ad(1)
+        assert first is not second
+        assert [ad.value("name") for ad in (first, second)] == ["slot1@smp", "slot2@smp"]
+        startd.slot_claimed[1] = "submit"
+        assert startd.build_ad(0) is first and startd.build_ad(1) is not second
+        for slot in (0, 1):
+            assert startd.build_ad(slot).render() == reference_machine_ad(startd, slot).render()
+
+    def test_a_fault_that_withdraws_java_changes_the_advertised_ad(self):
+        from repro.faults import FaultInjector, MisconfiguredJvm
+
+        pool, startd = make_startd(startd_self_test=True, self_test_interval=50.0)
+        pool.sim.run(until=5.0)
+        healthy = pool.matchmaker.machine_ads["exec"].ad
+        assert healthy is startd.build_ad() and healthy.value("hasjava") is True
+        FaultInjector(pool).schedule(MisconfiguredJvm("exec"), at=10.0)
+        pool.sim.run(until=70.0)  # the re-probe at t=50 finds the broken classpath
+        broken = pool.matchmaker.machine_ads["exec"].ad
+        assert broken is not healthy and broken is startd.build_ad()
+        assert broken.value("hasjava") is False and healthy.value("hasjava") is True
+
+    def test_an_idle_startd_re_advertises_one_object(self):
+        pool, startd = make_startd(advertise_interval=30.0)
+        received = []
+        real = pool.matchmaker.receive_ad
+
+        def spy(kind, name, ad):
+            received.append(ad)
+            real(kind, name, ad)
+
+        pool.matchmaker.receive_ad = spy
+        pool.sim.run(until=200.0)
+        assert len(received) >= 5
+        assert all(ad is received[0] for ad in received)
+
+
+class TestIndexRecognisesTheAdItHolds:
+    def test_the_held_frozen_ad_moves_stamp_and_nothing_else(self, monkeypatch):
+        index = MachineIndex()
+        ad = machine_ad("a", memory=64).freeze()
+        index.add("a", ad)
+        reposts = []
+        monkeypatch.setattr(index, "_repost", lambda *args: reposts.append(args))
+        stamp = index.stamp
+        index.add("a", ad)
+        assert index.stamp == stamp + 1 and reposts == []
+        index.add("a", ad.copy().freeze())  # equal, but another object: the full path
+        index.add("b", ad)  # held, but under another name
+        assert [args[0] for args in reposts] == ["a", "b"]
+
+    def test_an_unfrozen_ad_is_always_re_read(self):
+        index = MachineIndex()
+        ad = machine_ad("a", memory=64)
+        index.add("a", ad)
+        ad["memory"] = 32  # mutable: the sender may still edit
+        index.add("a", ad)
+        test, _, _ = index.membership(schedd_job_ad("j", 64))
+        assert not test("a")
+
+    def test_removal_forgets_the_ad(self):
+        index = MachineIndex()
+        ad = machine_ad("a", memory=64).freeze()
+        index.add("a", ad)
+        index.remove("a")
+        index.add("a", ad)
+        test, _, _ = index.membership(schedd_job_ad("j", 64))
+        assert len(index) == 1 and test("a")
+
+    #: (time, machine) re-advertisements around two negotiation cycles.
+    SCHEDULE = ((0.0, "exec0"), (0.0, "exec1"), (0.0, "exec0"), (3.0, "exec1"),
+                (6.0, "exec0"), (6.0, "exec2"), (14.0, "exec1"), (14.0, "exec1"))
+
+    def _drive(self, same_object: bool):
+        sim, mm = make_matchmaker(ad_lifetime=10.0)
+        kept = {f"exec{i}": machine_ad(f"exec{i}", memory=32 * (i + 1)).freeze()
+                for i in range(3)}
+        for i, name in enumerate("ab"):
+            mm.receive_ad("job", name, schedd_job_ad(name, 16 * (i + 1)).freeze())
+        states = []
+        for at, name in self.SCHEDULE:
+            sim.run(until=at)
+            if at == 6.0 and name == "exec0":
+                sim.spawn(mm.run_cycle(), name="cycle").defuse()
+                sim.run(until=at)
+            ad = kept[name] if same_object else kept[name].copy().freeze()
+            mm.receive_ad("machine", name, ad)
+            states.append((
+                sorted(mm.machine_ads), sorted(mm._fresh), dict(mm._ad_seq), mm._index.stamp,
+                {n: sorted(p, key=repr) for n, p in mm._index._postings.items()},
+                [(n, s.received, s.unclaimed) for n, s in mm.machine_ads.items()],
+                len(mm._expiry_heap),
+            ))
+        sim.run(until=20.0)
+        mm._expire()
+        return states, sorted(mm.machine_ads), sorted(mm._fresh), mm.matches_made
+
+    def test_same_object_and_fresh_copy_are_indistinguishable(self):
+        fast = self._drive(same_object=True)
+        slow = self._drive(same_object=False)
+        assert fast == slow
+        assert fast[1] == ["exec1"]  # exec0/exec2 (last seen at 6) expired on schedule

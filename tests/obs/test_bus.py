@@ -1,5 +1,9 @@
 """Unit tests for the telemetry bus, metrics registry, and console."""
 
+import pytest
+
+from repro.harness.__main__ import run_experiment_record
+from repro.obs import bus as bus_mod
 from repro.obs.bus import (
     TelemetryBus,
     TelemetryEvent,
@@ -10,6 +14,8 @@ from repro.obs.bus import (
 )
 from repro.obs.console import GridConsole
 from repro.obs.metrics import BusMetricsRecorder, MetricsRegistry
+from repro.obs.sanitize import PrincipleSanitizer
+from repro.obs.span import SpanBuilder
 
 
 class TestTelemetryBus:
@@ -151,3 +157,92 @@ class TestGridConsole:
         assert not bus.active
         bus.emit(1.0, "job", "submit", job="1.0")
         assert console.summary.counts == {}
+
+
+class TestTopicScopedObservers:
+    """A cell publishes only the topics someone reads (DESIGN §3.6d)."""
+
+    def test_unread_topic_constructs_no_event(self, monkeypatch):
+        built = []
+
+        class Counted(TelemetryEvent):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("topic"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bus_mod, "TelemetryEvent", Counted)
+        bus = TelemetryBus()
+        PrincipleSanitizer(bus)
+        spans = SpanBuilder(bus)
+        assert bus.active
+        for topic in ("process", Topic.DAEMON, "io", "fault"):
+            bus.emit(1.0, topic, "anything", process="p")
+        assert bus.dispatched == 0 and built == []
+        bus.emit(2.0, "job", "submit", job="1.0")
+        bus.emit(3.0, Topic.INTERFACE, "crossing")  # the sanitizer's alone
+        assert bus.dispatched == 2 and built == [Topic.JOB, Topic.INTERFACE]
+        assert [s.name for s in spans.spans] == ["job:1.0", "queued"]
+
+    def test_an_all_topic_subscriber_still_sees_everything(self):
+        bus = TelemetryBus()
+        PrincipleSanitizer(bus)
+        seen = []
+        bus.subscribe(seen.append)
+        for topic in Topic:
+            bus.emit(0.0, topic.value, "x")
+        assert [e.topic for e in seen] == list(Topic)
+        assert bus.dispatched == len(Topic)
+
+    def test_unknown_topic_is_still_an_error(self):
+        bus = TelemetryBus()
+        bus.subscribe(lambda e: None, Topic.JOB)
+        with pytest.raises(ValueError):
+            bus.emit(0.0, "no-such-topic", "x")
+
+    def test_unsubscribing_twice_is_a_no_op(self):
+        bus = TelemetryBus()
+        unsub_all = bus.subscribe(lambda e: None)
+        unsub_job = bus.subscribe(lambda e: None, Topic.JOB)
+        unsub_all()
+        unsub_all()
+        assert bus.active  # the JOB subscriber is still there
+        unsub_job()
+        unsub_job()
+        assert not bus.active
+
+    def test_detaching_an_observer_twice_is_a_no_op(self):
+        bus = TelemetryBus()
+        observers = [PrincipleSanitizer(bus), SpanBuilder(bus), GridConsole(bus),
+                     BusMetricsRecorder(bus)]
+        for observer in observers + observers:
+            observer.detach()
+        assert not bus.active
+        bus.emit(0.0, "job", "submit", job="1.0")
+        assert bus.dispatched == 0
+
+    def _observe(self, experiment: str, scoped: bool):
+        bus = TelemetryBus()
+        sanitizer, spans = PrincipleSanitizer(bus), SpanBuilder(bus)
+        if not scoped:  # the subscription both had before they named their topics
+            sanitizer.detach()
+            spans.detach()
+            bus.subscribe(sanitizer.on_event)
+            bus.subscribe(spans.on_event)
+        install_ambient(bus)
+        try:
+            run_experiment_record(experiment, seed=0)
+        finally:
+            clear_ambient()
+        return sanitizer.timeline, spans.spans, bus.dispatched
+
+    #: ``fig3`` and ``churn`` run scoped and violate nothing; the naive
+    #: half of ``naive_vs_scoped`` keeps the verdict comparison honest.
+    @pytest.mark.parametrize("experiment, violates", [
+        ("fig3", False), ("churn", False), ("naive_vs_scoped", True),
+    ])
+    def test_scoped_observers_see_what_all_topic_ones_saw(self, experiment, violates):
+        verdicts, spans, delivered = self._observe(experiment, scoped=True)
+        all_verdicts, all_spans, all_delivered = self._observe(experiment, scoped=False)
+        assert verdicts == all_verdicts and bool(verdicts) == violates
+        assert spans == all_spans and spans
+        assert 0 < delivered < all_delivered

@@ -138,6 +138,18 @@ class TestIngestRoundTrip:
         assert cells[0]["violations"] == 1
         store.close()
 
+    def test_fuzz_cell_that_raised_is_stored_as_text(self, tmp_path):
+        """A fuzz campaign records a raising cell as a structured
+        ``CellError``; the ``cells.error`` column is text."""
+        crashed = {**FUZZ_REPORT["cells"][0], "cell": "scoped/3/crash", "violations": [],
+                   "error": {"stage": "setup", "type": "KeyError", "message": "'nowhere'"}}
+        report = {**FUZZ_REPORT, "cells": [*FUZZ_REPORT["cells"], crashed]}
+        store = ResultsStore(tmp_path / "r.db")
+        store.ingest_obj(report, source="fuzz.json", commit="bbb")
+        errors = {c["cell"]: c["error"] for c in store.matrix()["cells"]}
+        assert errors == {"scoped/3/x": None, "scoped/3/crash": "setup:KeyError: 'nowhere'"}
+        store.close()
+
     def test_harness_round_trip(self, tmp_path):
         store = ResultsStore(tmp_path / "r.db")
         run_id = store.ingest_obj(HARNESS_PAYLOAD, source="harness:fig_x",
