@@ -26,7 +26,8 @@ the experiments' result dataclasses as JSON.  All exports strip
 wall-clock fields, so same-seed runs produce byte-identical files
 (DESIGN.md §6).  Telemetry requires in-process execution, so the
 telemetry flags reject ``--jobs > 1`` with an error naming the exact
-conflict.
+conflict.  An output path nothing can be written at is a usage error too
+(exit 2, naming the flag and the path) before the first experiment runs.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 from repro.harness import experiments as E
 from repro.harness.parallel import ParallelRunner, WorkerFailure, positive_worker_count
 from repro.obs.canonical import to_jsonable
-from repro.obs.export import ObservationSession, dump_json
+from repro.obs.export import ObservationSession, dump_json, unwritable
 from repro.obs.profile import render_profile
 
 #: name -> runner; one that declares a ``seed`` parameter is passed the seed.
@@ -179,6 +180,16 @@ def main(argv: list[str] | None = None) -> int:
             f"these flags require --jobs 1 (drop "
             f"{'/'.join(telemetry_flags)} or --jobs {args.jobs})"
         )
+    for flag, path in (
+        ("--json", args.json),
+        ("--trace", args.trace),
+        ("--metrics", args.metrics),
+        ("--profile", args.profile),
+        ("--results-db", args.results_db),
+    ):
+        # A usage error before the first experiment, not a traceback after the last.
+        if path and (why := unwritable(path)):
+            parser.error(f"{flag} {path}: {why}")
     names = sorted(EXPERIMENTS) if args.experiment == ["all"] else args.experiment
     if telemetry_flags:
         session = ObservationSession(

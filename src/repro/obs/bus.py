@@ -31,16 +31,19 @@ layers -- the simulation kernel duck-types its ``telemetry`` attribute,
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
+    "PerTriple",
     "TelemetryBus",
     "TelemetryEvent",
     "Topic",
     "ambient_bus",
     "clear_ambient",
     "install_ambient",
+    "memoisable",
 ]
 
 
@@ -63,13 +66,21 @@ class Topic(str, enum.Enum):
     PROCESS = "process"
 
 
-@dataclass(frozen=True)
+#: Either spelling of a topic -> the member: a ``Topic`` is a ``str`` and
+#: hashes as its value, so one table serves both.
+_TOPIC_OF = {topic.value: topic for topic in Topic}
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class TelemetryEvent:
     """One occurrence: sim-time stamp, topic, name, sorted attributes.
 
     Attributes are stored as a sorted tuple of ``(key, value)`` pairs so
     events are hashable and their serialisation order never depends on
-    call-site kwarg order.
+    call-site kwarg order.  An event is a value -- equal by fields, never
+    written after construction -- but not a *frozen* dataclass: the bus
+    builds one per delivered emit, and a frozen ``__init__`` costs four
+    ``object.__setattr__`` calls where this one is four slot stores.
     """
 
     time: float
@@ -89,6 +100,51 @@ class TelemetryEvent:
         return f"t={self.time:.3f} [{self.topic.value}] {self.name}" + (
             f" {attrs}" if attrs else ""
         )
+
+
+def memoisable(pairs: Iterable[tuple[str, Any]]) -> bool:
+    """The one admission rule of every memo keyed on attribute values.
+
+    ``1 == True == 1.0`` and ``0.0 == -0.0`` hash alike yet render
+    ``1``/``true``/``1.0``/``-0.0`` and label ``1``/``True``; an enum or a
+    mutable object may change its ``str()``; a list does not hash.  A memo
+    keyed by value would serve one for another, so *pairs* -- an event's
+    ``attrs``, a series' labels -- key a memo only when every value is
+    exactly ``str`` or ``int`` by type.  Anything else takes the caller's
+    underived path, which yields the same result.
+    """
+    for _, value in pairs:
+        if type(value) is not str and type(value) is not int:
+            return False
+    return True
+
+
+class PerTriple:
+    """``derive(event)``, computed once per distinct (topic, name, attrs).
+
+    Everything an observer derives from an event apart from its time
+    stamp is a value of that triple (*derive* never returns ``None``:
+    that is the memo's "not yet").  The memo belongs to the observer
+    holding this object and dies with it (a table on the bus would make
+    every emit pay for observers that read none); it is bounded by the
+    distinct :func:`memoisable` triples of one run.
+    """
+
+    __slots__ = ("_derive", "_memo")
+
+    def __init__(self, derive: Callable[[TelemetryEvent], Any]):
+        self._derive = derive
+        self._memo: dict[tuple, Any] = {}
+
+    def __call__(self, event: TelemetryEvent) -> Any:
+        attrs = event.attrs
+        if not memoisable(attrs):
+            return self._derive(event)
+        key = (event.topic, event.name, attrs)
+        derived = self._memo.get(key)
+        if derived is None:
+            derived = self._memo[key] = self._derive(event)
+        return derived
 
 
 class TelemetryBus:
@@ -155,12 +211,7 @@ class TelemetryBus:
             scoped = self._topic_subs[Topic(topic)]  # ValueError: no such topic
         if not scoped and not self._subs:
             return
-        event = TelemetryEvent(
-            time=time,
-            topic=Topic(topic),
-            name=name,
-            attrs=tuple(sorted(attrs.items())),
-        )
+        event = TelemetryEvent(time, _TOPIC_OF[topic], name, tuple(sorted(attrs.items())))
         self.dispatched += 1
         for fn in self._subs:
             fn(event)

@@ -10,15 +10,19 @@ check exercises.
 :class:`ObservationSession` is the one-stop wiring used by the CLI
 flags ``--trace`` / ``--metrics``: it installs an ambient bus (picked up
 by every :class:`~repro.condor.pool.Pool` built while it is active),
-records the raw event stream, assembles spans, folds the standard
-metric series, and writes the files on exit.
+renders each event's trace line as it happens, assembles spans, folds
+the standard metric series and the run summary, and completes the files
+on exit.  It retains no event.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import os
+from math import isfinite
+from typing import IO, Any
 
 from repro.obs.bus import (
+    PerTriple,
     TelemetryBus,
     TelemetryEvent,
     clear_ambient,
@@ -44,12 +48,34 @@ __all__ = [
     "render_trace",
     "span_record",
     "to_jsonable",
+    "unwritable",
 ]
 
 
+def _open_text(path: str) -> IO[str]:
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_text(path) as fh:
         fh.write(text)
+
+
+def unwritable(path: str) -> str | None:
+    """Why no file can be written at *path*, or None when one can.
+
+    Asked before a run starts, so an output the run could not deliver is
+    a usage error then and not a traceback after the work is done.
+    Nothing is created or truncated by asking.
+    """
+    if os.path.isdir(path):
+        return "is a directory"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"no such directory: {parent}"
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return "permission denied"
+    return None
 
 
 def dump_json(path: str, obj: Any) -> None:
@@ -84,12 +110,86 @@ def span_record(span: Span) -> dict:
     }
 
 
+def _line_parts(event: TelemetryEvent) -> tuple[str, str]:
+    """``canonical_json(event_record(event))`` plus its LF, split around
+    the value of ``t``: the keys sort ``attrs < kind < name < t < topic``,
+    so everything before it and everything after it is a value of the
+    event's (topic, name, attrs)."""
+    record = event_record(event)
+    del record["t"]
+    topic = canonical_json(record.pop("topic"))
+    return canonical_json(record)[:-1] + ',"t":', f',"topic":{topic}}}\n'
+
+
+class _TraceSink:
+    """Where a session's event lines go, rendered as the events arrive.
+
+    Memory until :meth:`open` points it at a sibling temporary of *path*
+    (for good when there is no path).  :meth:`commit` completes that file
+    and moves it onto *path*; :meth:`discard` leaves nothing behind -- so
+    *path* only ever names a whole trace.
+    """
+
+    def __init__(self, path: str | None):
+        self.path = path
+        self._parts = PerTriple(_line_parts)
+        self._text: list[str] = []
+        self._fh: IO[str] | None = None
+        self._write = self._text.append
+
+    def on_event(self, event: TelemetryEvent) -> None:
+        """Render the event's canonical JSONL line, LF included."""
+        prefix, suffix = self._parts(event)
+        t = event.time
+        # repr() is the encoder's own form of a finite float and of nothing
+        # else: an int has no ".0", nan/inf are spelled NaN/Infinity.
+        self._write(
+            prefix + (repr(t) if type(t) is float and isfinite(t) else canonical_json(t)) + suffix
+        )
+
+    def text(self) -> str:
+        """The lines held in memory (all of them, while nothing is open)."""
+        return "".join(self._text)
+
+    def open(self) -> None:
+        """Stream to ``<path>.tmp`` from here on, lines already held first."""
+        self._fh = _open_text(f"{self.path}.tmp")
+        self._fh.writelines(self._text)
+        self._text.clear()
+        self._write = self._fh.write
+
+    def _close(self) -> None:
+        self._write = self._text.append
+        self._fh.close()
+
+    def commit(self, tail: str) -> None:
+        """Append *tail*, close, and only then let *path* name the file."""
+        self._fh.write(tail)
+        self._close()
+        os.replace(self._fh.name, self.path)
+
+    def discard(self) -> None:
+        """Close and remove the temporary: a failed run leaves no trace file."""
+        self._close()
+        os.unlink(self._fh.name)
+
+
+def _span_lines(spans: list[Span]) -> str:
+    return "".join(
+        canonical_json(span_record(span)) + "\n" for span in sorted(spans, key=lambda s: s.span_id)
+    )
+
+
 def render_trace(events: list[TelemetryEvent], spans: list[Span] | None = None) -> str:
-    """The JSONL trace body: events in emission order, then spans by id."""
-    lines = [canonical_json(event_record(e)) for e in events]
-    for span in sorted(spans or [], key=lambda s: s.span_id):
-        lines.append(canonical_json(span_record(span)))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The JSONL trace body: events in emission order, then spans by id.
+
+    The pure reference over a list of events; a session renders the same
+    lines through the same :class:`_TraceSink` as the events happen.
+    """
+    sink = _TraceSink(None)
+    for event in events:
+        sink.on_event(event)
+    return sink.text() + _span_lines(spans or [])
 
 
 def render_metrics(registry: MetricsRegistry) -> str:
@@ -99,7 +199,7 @@ def render_metrics(registry: MetricsRegistry) -> str:
 
 # -- the ambient observation session ------------------------------------
 class ObservationSession:
-    """Collects one run's telemetry and writes the export files on exit.
+    """Collects one run's telemetry and completes the export files on exit.
 
     Usage::
 
@@ -109,6 +209,11 @@ class ObservationSession:
     While the session is active its bus is *ambient*: every Pool built
     inside the block attaches to it.  Sessions do not nest (the last
     installed bus wins), which matches their single CLI entry point.
+
+    With a *trace_path*, event lines stream into ``<trace_path>.tmp`` while
+    the block runs; a clean exit appends the spans and renames it onto the
+    path, a raising block removes it.  Without one the lines stay in
+    memory for :meth:`trace_text`.
     """
 
     def __init__(
@@ -123,7 +228,6 @@ class ObservationSession:
         self.profile_path = profile_path
         self.profiling = profile or profile_path is not None
         self.bus = TelemetryBus()
-        self.events: list[TelemetryEvent] = []
         self.spans = SpanBuilder(self.bus)
         self.recorder = BusMetricsRecorder(self.bus)
         self.registry = self.recorder.registry
@@ -132,9 +236,14 @@ class ObservationSession:
         #: into the hot-path hooks for the session's duration and their
         #: numbers live under a strippable "wall" key in the export.
         self.wall: WallCounters | None = WallCounters() if self.profiling else None
-        self.bus.subscribe(self.events.append)
+        self._trace = _TraceSink(trace_path)
+        self.bus.subscribe(self._trace.on_event)
+        self.summary = RunSummary()
+        self.bus.subscribe(self.summary.on_event)
 
     def __enter__(self) -> "ObservationSession":
+        if self.trace_path is not None:
+            self._trace.open()
         install_ambient(self.bus)
         if self.wall is not None:
             install_wall(self.wall)
@@ -146,6 +255,8 @@ class ObservationSession:
             clear_wall()
         if exc_type is None:
             self.flush()
+        elif self.trace_path is not None:
+            self._trace.discard()
 
     def profile_report(self) -> dict:
         """The schema-versioned profile for the telemetry collected so far."""
@@ -153,17 +264,21 @@ class ObservationSession:
 
     def trace_summary(self) -> dict:
         """The ``repro-trace/1`` summary the store reduces the trace file to,
-        folded from the recorded events on demand (no fourth subscriber)."""
-        summary = RunSummary()
-        for event in self.events:
-            summary.on_event(event)
-        summary.spans = len(self.spans.spans)
-        return summary.payload()
+        folded live as the events happened."""
+        self.summary.spans = len(self.spans.spans)
+        return self.summary.payload()
+
+    def trace_text(self) -> str:
+        """The JSONL trace body of a session without a ``trace_path``:
+        its event lines so far, then its spans by id."""
+        if self.trace_path is not None:
+            raise ValueError(f"the trace is streamed to {self.trace_path!r}, not held")
+        return self._trace.text() + _span_lines(self.spans.spans)
 
     def flush(self) -> None:
-        """Write the trace / metrics / profile files now."""
+        """Complete the trace file; write the metrics / profile files."""
         if self.trace_path is not None:
-            _write_text(self.trace_path, render_trace(self.events, self.spans.spans))
+            self._trace.commit(_span_lines(self.spans.spans))
         if self.metrics_path is not None:
             _write_text(self.metrics_path, render_metrics(self.registry))
         if self.profile_path is not None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import ceil
 
-from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic
+from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic, memoisable
 
 __all__ = ["BusMetricsRecorder", "MetricsRegistry"]
 
@@ -104,8 +104,7 @@ class MetricsRegistry:
     # -- instruments ----------------------------------------------------
     def counter(self, name: str, amount: float = 1.0, **labels) -> None:
         """Add *amount* (default 1) to the counter series."""
-        key = _key(name, labels)
-        self._counters[key] = self._counters.get(key, 0.0) + amount
+        self._add(_key(name, labels), amount)
 
     def gauge(self, name: str, value: float, **labels) -> None:
         """Set the gauge series to *value*."""
@@ -119,7 +118,15 @@ class MetricsRegistry:
         **labels,
     ) -> None:
         """Observe *value* in the histogram series (*buckets* fix on first use)."""
-        key = _key(name, labels)
+        self._observe(_key(name, labels), value, buckets)
+
+    # The same writes by series key, for a caller that built the key once.
+    def _add(self, key: _SeriesKey, amount: float) -> None:
+        self._counters[key] = self._counters.get(key, 0.0) + amount
+
+    def _observe(
+        self, key: _SeriesKey, value: float, buckets: tuple[float, ...] = DEFAULT_BUCKETS
+    ) -> None:
         hist = self._histograms.get(key)
         if hist is None:
             hist = self._histograms[key] = _Histogram(tuple(buckets))
@@ -174,37 +181,53 @@ class BusMetricsRecorder:
 
     def __init__(self, bus: TelemetryBus, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
+        #: a series key is built once: the fixed ones here, a labelled
+        #: family's on first sight of its label values (:meth:`_count`)
+        self._events_total = {
+            topic: _key("events_total", {"topic": topic.value}) for topic in Topic
+        }
+        self._sim_time = _key("sim_time_seconds", {})
+        self._io_bytes = _key("io_bytes", {})
+        self._keys: dict[tuple, _SeriesKey] = {}
         self._unsubscribe = bus.subscribe(self.on_event)
 
     def detach(self) -> None:
         """Stop listening; the registry keeps its accumulated series."""
         self._unsubscribe()
 
+    def _count(self, name: str, **labels) -> None:
+        """Add one to ``name{labels}``; label values the bus's admission
+        rule lets key a memo find their series key already built."""
+        if memoisable(labels.items()):
+            memo = (name, *labels.values())
+            key = self._keys.get(memo)
+            if key is None:
+                key = self._keys[memo] = _key(name, labels)
+        else:
+            key = _key(name, labels)
+        self.registry._add(key, 1.0)
+
     def on_event(self, event: TelemetryEvent) -> None:
         """Fold one telemetry event into the standard series."""
-        reg = self.registry
-        reg.counter("events_total", topic=event.topic.value)
-        reg.gauge("sim_time_seconds", event.time)
-        if event.topic is Topic.JOB:
-            reg.counter("job_events_total", event=event.name)
-        elif event.topic is Topic.ERROR:
-            reg.counter(
-                "error_hops_total", hop=event.name, scope=event.attr("scope", "?")
-            )
-        elif event.topic is Topic.INTERFACE:
-            reg.counter(
+        reg, topic = self.registry, event.topic
+        reg._add(self._events_total[topic], 1.0)
+        reg._gauges[self._sim_time] = event.time
+        if topic is Topic.JOB:
+            self._count("job_events_total", event=event.name)
+        elif topic is Topic.ERROR:
+            self._count("error_hops_total", hop=event.name, scope=event.attr("scope", "?"))
+        elif topic is Topic.INTERFACE:
+            self._count(
                 "interface_crossings_total",
                 interface=event.attr("interface", "?"),
                 declared=event.attr("declared", "?"),
             )
-        elif event.topic is Topic.IO:
-            reg.counter(
-                "io_ops_total",
-                channel=event.attr("channel", "?"),
-                op=event.attr("op", "?"),
+        elif topic is Topic.IO:
+            self._count(
+                "io_ops_total", channel=event.attr("channel", "?"), op=event.attr("op", "?")
             )
             nbytes = event.attr("bytes")
             if nbytes is not None:
-                reg.histogram("io_bytes", float(nbytes))
-        elif event.topic is Topic.FAULT:
-            reg.counter("fault_events_total", event=event.name)
+                reg._observe(self._io_bytes, float(nbytes))
+        elif topic is Topic.FAULT:
+            self._count("fault_events_total", event=event.name)

@@ -42,7 +42,7 @@ import importlib
 import sys
 from typing import Any
 
-from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic
+from repro.obs.bus import PerTriple, TelemetryBus, TelemetryEvent, Topic
 from repro.obs.span import Span
 
 __all__ = [
@@ -92,6 +92,26 @@ def _process_daemon(process_name: str) -> str:
     return _DAEMON_OF_PROCESS.get(prefix, prefix or "-")
 
 
+def _derive_attribution(event: TelemetryEvent) -> tuple[str, str, Any]:
+    """The stateless part of an attribution: ``(daemon, scope, job)``."""
+    topic = event.topic
+    if topic is Topic.DAEMON:
+        daemon = _DAEMON_OF_EVENT.get(event.name, "daemon")
+    elif topic is Topic.JOB:
+        daemon = "schedd"  # the lifecycle is the schedd's view
+    elif topic is Topic.PROCESS:
+        daemon = _process_daemon(str(event.attr("process", "-")))
+    elif topic in (Topic.ERROR, Topic.INTERFACE):
+        daemon = str(event.attr("manager") or event.attr("interface") or "-")
+    elif topic is Topic.IO:
+        daemon = str(event.attr("channel", "-"))
+    elif topic is Topic.FAULT:
+        daemon = "injector"
+    else:  # pragma: no cover - new topics default to unattributed
+        daemon = "-"
+    return daemon, str(event.attr("scope", "-")), event.attr("job")
+
+
 class SimTimeProfiler:
     """Attributes simulated time and event counts to (daemon, phase, scope).
 
@@ -111,6 +131,7 @@ class SimTimeProfiler:
         self._last_triple = _TRIPLE_NONE
         #: job_id -> current lifecycle phase name
         self._job_phase: dict[Any, str] = {}
+        self._derived = PerTriple(_derive_attribution)
         self._unsubscribe = bus.subscribe(self.on_event)
 
     def detach(self) -> None:
@@ -131,13 +152,13 @@ class SimTimeProfiler:
         self._last_triple = triple
 
     def _attribute(self, event: TelemetryEvent) -> tuple[str, str, str]:
-        topic, name = event.topic, event.name
+        daemon, scope, job = self._derived(event)
         # Phase: follow the job lifecycle; terminal events close out the
         # phase that produced them, every other transition opens one.
         phase = "-"
-        job = event.attr("job")
         if job is not None:
-            if topic is Topic.JOB:
+            if event.topic is Topic.JOB:
+                name = event.name
                 if name == "submit":
                     self._job_phase[job] = "queued"
                 elif name == "match":
@@ -151,22 +172,6 @@ class SimTimeProfiler:
                     phase = self._job_phase.pop(job, phase)
             else:
                 phase = self._job_phase.get(job, "-")
-        # Daemon: by topic.
-        if topic is Topic.DAEMON:
-            daemon = _DAEMON_OF_EVENT.get(name, "daemon")
-        elif topic is Topic.JOB:
-            daemon = "schedd"  # the lifecycle is the schedd's view
-        elif topic is Topic.PROCESS:
-            daemon = _process_daemon(str(event.attr("process", "-")))
-        elif topic in (Topic.ERROR, Topic.INTERFACE):
-            daemon = str(event.attr("manager") or event.attr("interface") or "-")
-        elif topic is Topic.IO:
-            daemon = str(event.attr("channel", "-"))
-        elif topic is Topic.FAULT:
-            daemon = "injector"
-        else:  # pragma: no cover - new topics default to unattributed
-            daemon = "-"
-        scope = str(event.attr("scope", "-"))
         return (daemon, phase, scope)
 
     # -- reads ----------------------------------------------------------

@@ -9,6 +9,9 @@
   rollback-journal file converts in place.
 - **Schema**: a file whose ``meta`` row names another version than the
   subclass's ``SCHEMA`` fails to open with :class:`StoreSchemaError`.
+- **Open**: a path SQLite cannot open or create, or a file that is not a
+  database, fails with :class:`StoreOpenError`, never a bare ``sqlite3``
+  exception.
 - **Writes**: :meth:`SqliteStore.transaction` is the only place a
   commit or rollback happens -- one per unit of work.
 """
@@ -20,7 +23,7 @@ import sqlite3
 from collections.abc import Callable, Iterator
 from typing import Self
 
-__all__ = ["SqliteStore", "StoreDurabilityError", "StoreSchemaError"]
+__all__ = ["SqliteStore", "StoreDurabilityError", "StoreOpenError", "StoreSchemaError"]
 
 _META = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -38,6 +41,10 @@ class StoreDurabilityError(RuntimeError):
     """The database file cannot run under the store's WAL durability policy."""
 
 
+class StoreOpenError(RuntimeError):
+    """There is no database at the path and none can be created there."""
+
+
 class SqliteStore:
     """Open (or create) the database at *path* (``:memory:`` for tests).
 
@@ -51,7 +58,10 @@ class SqliteStore:
 
     def __init__(self, path: str = ":memory:"):
         self.path = path
-        self._db = sqlite3.connect(path)
+        try:
+            self._db = sqlite3.connect(path)
+        except sqlite3.OperationalError as exc:  # no such directory, a directory, no permission
+            raise StoreOpenError(f"store at {path!r} cannot be opened ({exc})") from exc
         #: undo callbacks of the open transaction (None outside one): how
         #: a subclass keeps an in-memory cache equal to the database.
         self._undo: list[Callable[[], None]] | None = None
@@ -68,6 +78,8 @@ class SqliteStore:
             raise StoreDurabilityError(
                 f"store at {self.path!r} cannot enter WAL mode ({exc})"
             ) from exc
+        except sqlite3.DatabaseError as exc:  # the first statement reads the header
+            raise StoreOpenError(f"store at {self.path!r} is not a database ({exc})") from exc
         if mode not in ("wal", "memory"):  # an in-memory database has no journal file
             raise StoreDurabilityError(
                 f"store at {self.path!r} cannot enter WAL mode (journal_mode={mode!r})"

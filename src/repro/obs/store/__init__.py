@@ -33,7 +33,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs.canonical import canonical_json, to_jsonable
-from repro.obs.sqlite_store import SqliteStore, StoreDurabilityError, StoreSchemaError
+from repro.obs.sqlite_store import (
+    SqliteStore,
+    StoreDurabilityError,
+    StoreOpenError,
+    StoreSchemaError,
+)
 from repro.obs.store.ingest import Extracted, IngestError, extract, extract_text
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "RESULTS_SCHEMA",
     "ResultsStore",
     "StoreDurabilityError",
+    "StoreOpenError",
     "StoreSchemaError",
     "canonical_json",
     "config_hash",

@@ -41,7 +41,7 @@ from repro.harness.parallel import ParallelRunner, WorkerFailure
 from repro.harness.workloads import expected_result_for
 from repro.jvm.program import JavaProgram, Step
 from repro.obs.canonical import canonical_json, pretty_json, to_jsonable
-from repro.obs.export import ObservationSession, render_metrics, render_trace
+from repro.obs.export import ObservationSession, render_metrics
 from repro.service.specs import build_batch_spec
 from repro.service.store import RunStore
 
@@ -147,7 +147,7 @@ def execute_experiment(spec: dict) -> dict:
         "seed": spec["seed"],
         "data": record["data"],
         "rendered": record["rendered"],
-        "trace": render_trace(session.events, session.spans.spans),
+        "trace": session.trace_text(),
         "metrics": render_metrics(session.registry),
     }
 

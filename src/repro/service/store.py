@@ -33,10 +33,22 @@ import json
 from functools import partial
 
 from repro.obs.canonical import canonical_json
-from repro.obs.sqlite_store import SqliteStore, StoreDurabilityError, StoreSchemaError
+from repro.obs.sqlite_store import (
+    SqliteStore,
+    StoreDurabilityError,
+    StoreOpenError,
+    StoreSchemaError,
+)
 from repro.service.errors import NotFound
 
-__all__ = ["STORE_SCHEMA", "RUN_STATES", "RunStore", "StoreDurabilityError", "StoreSchemaError"]
+__all__ = [
+    "RUN_STATES",
+    "STORE_SCHEMA",
+    "RunStore",
+    "StoreDurabilityError",
+    "StoreOpenError",
+    "StoreSchemaError",
+]
 
 STORE_SCHEMA = "repro-service/1"
 

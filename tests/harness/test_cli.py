@@ -172,6 +172,43 @@ class TestProfileFlag:
         assert reports[0] == reports[1]
 
 
+class TestUnwritableOutputs:
+    """An output path nothing can be written at is a usage error before
+    the first experiment runs (P4) -- it used to be a ``FileNotFoundError``
+    / ``IsADirectoryError`` / ``sqlite3.OperationalError`` traceback after
+    the last one, the results lost."""
+
+    @pytest.mark.parametrize("flag, target, reason", [
+        ("--trace", "missing/t.jsonl", "no such directory"),
+        ("--json", "missing/r.json", "no such directory"),
+        ("--metrics", "", "is a directory"),
+        ("--results-db", "missing/r.db", "no such directory"),
+    ])
+    def test_exit_2_naming_flag_and_path_before_anything_runs(
+        self, capsys, tmp_path, monkeypatch, flag, target, reason
+    ):
+        from repro.harness import __main__ as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_experiments", lambda *a, **k: ran.append(a))
+        path = str(tmp_path / target)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig4", flag, path])
+        assert excinfo.value.code == 2 and ran == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"{flag} {path}" in errors[0] and reason in errors[0]
+        assert list(tmp_path.iterdir()) == []  # asking created nothing
+
+    def test_an_existing_file_may_be_overwritten(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text("stale")
+        assert main(["fig4", "--json", str(path)]) == 0
+        assert '"fig4"' in path.read_text()
+
+
 def test_pool_less_experiment_ingests_its_empty_trace(tmp_path, capsys):
     """fig4 builds no pool, so its trace has no events: still a typed,
     complete ingest (payload + trace + metrics), not a crash after row 1."""

@@ -166,9 +166,9 @@ class TestTopicScopedObservers:
         built = []
 
         class Counted(TelemetryEvent):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("topic"))
-                super().__init__(*args, **kwargs)
+            def __init__(self, time, topic, *rest):
+                built.append(topic)
+                super().__init__(time, topic, *rest)
 
         monkeypatch.setattr(bus_mod, "TelemetryEvent", Counted)
         bus = TelemetryBus()

@@ -188,7 +188,7 @@ class TestOneImplementation:
     @pytest.mark.parametrize("pattern", [
         r"sqlite3\.connect", r"PRAGMA journal_mode", r"FROM meta WHERE key='schema'",
         r"\.commit\(\)", r"\.rollback\(\)",
-        r"class StoreSchemaError", r"class StoreDurabilityError",
+        r"class StoreSchemaError", r"class StoreDurabilityError", r"class StoreOpenError",
     ])
     def test_the_sqlite_layer_is_spelled_in_one_file(self, pattern):
         assert _files_matching(pattern) == ["repro/obs/sqlite_store.py"]

@@ -12,7 +12,7 @@ from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignConfig
 from repro.condor.pool import Pool, PoolConfig
 from repro.harness.workloads import WorkloadSpec, make_workload
-from repro.obs.export import ObservationSession, dump_json, render_metrics, render_trace
+from repro.obs.export import ObservationSession, dump_json, render_metrics
 from repro.sim.rng import RngRegistry
 
 
@@ -40,15 +40,15 @@ class TestByteIdentity:
     def test_same_seed_trace_is_byte_identical(self):
         _, a = _observed_run(seed=0)
         _, b = _observed_run(seed=0)
-        trace_a = render_trace(a.events, a.spans.spans)
-        trace_b = render_trace(b.events, b.spans.spans)
+        trace_a = a.trace_text()
+        trace_b = b.trace_text()
         assert trace_a and trace_a == trace_b
 
     def test_same_seed_metrics_are_byte_identical(self):
         _, a = _observed_run(seed=0)
         _, b = _observed_run(seed=0)
         text_a = render_metrics(a.registry)
-        assert len(a.events) > 0 and text_a == render_metrics(b.registry)
+        assert a.bus.dispatched > 0 and text_a == render_metrics(b.registry)
 
     def test_exported_files_are_byte_identical(self, tmp_path):
         paths = []
@@ -66,7 +66,7 @@ class TestByteIdentity:
 
     def test_trace_carries_no_wall_clock_fields(self):
         _, session = _observed_run(seed=0)
-        trace = render_trace(session.events, session.spans.spans)
+        trace = session.trace_text()
         for field in ("wall_clock_seconds", "seed_seconds", "wall_seconds"):
             assert field not in trace
 

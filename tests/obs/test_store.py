@@ -21,6 +21,7 @@ from repro.obs.store import (
     IngestError,
     ResultsStore,
     StoreDurabilityError,
+    StoreOpenError,
     StoreSchemaError,
     canonical_json,
     config_hash,
@@ -238,11 +239,11 @@ class TestOneOwnerPerProjection:
     @pytest.fixture(scope="class")
     def fig3(self):
         from repro.harness.experiments import run_fig3_scopes
-        from repro.obs.export import ObservationSession, render_trace
+        from repro.obs.export import ObservationSession
 
         with ObservationSession() as session:
             run_fig3_scopes(seed=0)
-        return render_trace(session.events, session.spans.spans), session.registry.snapshot()
+        return session.trace_text(), session.registry.snapshot()
 
     def test_trace_plus_metrics_of_one_run_count_each_hop_once(self, fig3):
         trace, metrics = fig3
@@ -343,6 +344,18 @@ class TestPersistence:
         conn.close()
         with pytest.raises(StoreSchemaError):
             ResultsStore(db)
+
+    def test_a_path_no_store_can_open_at_fails_typed(self, tmp_path):
+        """Not ``sqlite3.OperationalError`` / ``DatabaseError``: a missing
+        directory, a directory, a file that is no database."""
+        (tmp_path / "notes.db").write_text("not a database, a note " * 40)
+        for path, reason in (
+            (tmp_path / "missing" / "r.db", "cannot be opened"),
+            (tmp_path, "cannot be opened"),
+            (tmp_path / "notes.db", "is not a database"),
+        ):
+            with pytest.raises(StoreOpenError, match=reason):
+                ResultsStore(str(path))
 
     def test_pre_wal_results_db_upgrades_in_place_and_keeps_its_rows(self, tmp_path):
         db = str(tmp_path / "old.db")

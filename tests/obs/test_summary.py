@@ -19,7 +19,7 @@ import pytest
 
 from repro.harness.__main__ import run_experiment_record
 from repro.obs.console import GridConsole
-from repro.obs.export import ObservationSession, render_trace
+from repro.obs.export import ObservationSession
 from repro.obs.store import ingest_artifacts
 from repro.obs.store.ingest import extract_text
 from repro.obs.summary import RunSummary
@@ -45,7 +45,7 @@ def observed(request):
 class TestFoldEquivalence:
     def test_live_fold_equals_replay_of_its_own_trace(self, observed):
         _, session, live, _ = observed
-        text = render_trace(session.events, session.spans.spans)
+        text = session.trace_text()
         replay = RunSummary()
         for line in text.splitlines():
             replay.on_record(json.loads(line))
@@ -58,10 +58,10 @@ class TestFoldEquivalence:
 
     def test_session_summary_is_what_the_store_reduces_the_file_to(self, observed):
         _, session, _, _ = observed
-        text = render_trace(session.events, session.spans.spans)
+        text = session.trace_text()
         summary = session.trace_summary()
         assert summary == extract_text(text, "trace.jsonl").payload
-        assert summary["events"] == len(session.events)
+        assert summary["events"] == session.bus.dispatched
         assert summary["spans"] == len(session.spans.spans) > 0
         assert sum(summary["error_hops"].values()) == text.count('"topic":"error"')
 

@@ -161,6 +161,7 @@ def test_old_import_paths_are_plain_re_exports():
     for module in (store, run_store):
         assert module.StoreSchemaError is sqlite_store.StoreSchemaError
         assert module.StoreDurabilityError is sqlite_store.StoreDurabilityError
+        assert module.StoreOpenError is sqlite_store.StoreOpenError
     assert issubclass(store.ResultsStore, sqlite_store.SqliteStore)
     assert issubclass(run_store.RunStore, sqlite_store.SqliteStore)
 
