@@ -36,7 +36,7 @@ from repro.campaign.report import render_cell_profiles, render_fuzz_summary, ren
 from repro.campaign.shrink import replay
 from repro.campaign.spec import CATALOGUE, CampaignConfig
 from repro.harness.parallel import WorkerFailure, positive_worker_count
-from repro.obs.export import dump_json
+from repro.obs.export import dump_json, reject_unwritable
 from repro.obs.sanitize import PrincipleViolationError
 
 __all__ = ["fuzz_main", "main"]
@@ -103,6 +103,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip minimizing a reproducer per violation")
     args = parser.parse_args(argv)
+    reject_unwritable(parser, args, "--json", "--results-db", "--checkpoint")
 
     resume_state = None
     if args.resume is not None:
@@ -189,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.order < 1:
         parser.error("--order must be >= 1")
+    reject_unwritable(parser, args, "--json", "--results-db")
     config = CampaignConfig(
         mode=args.mode,
         seed=args.seed,

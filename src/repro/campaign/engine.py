@@ -31,14 +31,12 @@ from repro.condor.daemons.config import CondorConfig
 from repro.core.principles import PrincipleAuditor, Violation
 from repro.faults import FaultInjector
 from repro.harness.parallel import ParallelRunner
-from repro.harness.workloads import WorkloadSpec, make_workload
-from repro.jvm.program import Step
+from repro.harness.workloads import submit_gauntlet
 from repro.obs.bus import Topic
 from repro.obs.profile import SimTimeProfiler
 from repro.obs.sanitize import PrincipleSanitizer
 from repro.obs.span import SpanBuilder
 from repro.obs.summary import RunSummary
-from repro.sim.rng import RngRegistry
 
 __all__ = ["CellError", "campaign_section", "run_campaign", "run_cell_record", "violation_totals"]
 
@@ -75,9 +73,6 @@ def violation_totals(records: list[dict]) -> dict:
         "by_principle": by_principle,
         "live_mismatches": sum(1 for r in records if not r["live_matches_posthoc"]),
     }
-
-
-MB = 2**20
 
 
 @dataclass(frozen=True)
@@ -211,19 +206,9 @@ def _run_cell(
         )
     else:
         pool = Pool(PoolConfig(n_machines=config.n_machines, seed=cell.seed, condor=condor))
-    rngs = RngRegistry(cell.seed)
-    workload = WorkloadSpec(
-        n_jobs=config.n_jobs,
-        io_fraction=0.5,
-        exception_fraction=0.1,
-        exit_code_fraction=0.1,
-        mean_work=8.0,
+    jobs = submit_gauntlet(
+        pool, cell.seed, config.n_jobs, stream="campaign", exception_fraction=0.1
     )
-    jobs = make_workload(workload, rngs.stream("campaign"), home_fs=pool.home_fs)
-    # Jobs that allocate exercise memory-pressure cells (cf. _run_mode).
-    for i, job in enumerate(jobs):
-        if i % 3 == 0:
-            job.image.program.steps.insert(0, Step.allocate(16 * MB))
 
     injector = FaultInjector(pool)
     # The shared fold, fed JOB events only: a cell reads just its makespans.
@@ -238,12 +223,6 @@ def _run_cell(
     sanitizer = PrincipleSanitizer(
         pool.bus, injector=injector, jobs=jobs, fail_fast=config.fail_fast
     )
-    # Stagger arrivals so the stream overlaps bounded injection windows.
-    arrivals = rngs.stream("arrivals")
-    when = 0.0
-    for job in jobs:
-        pool.submit_at(job, when)
-        when += arrivals.expovariate(1.0 / 40.0)
     for spec in cell.injections:
         injector.schedule(build_fault(spec, pool, jobs), at=spec.at, until=spec.until)
 
@@ -261,10 +240,7 @@ def _run_cell(
         # the campaign at the first violating cell.
         raise sanitizer.failure
 
-    auditor = PrincipleAuditor()
-    auditor.audit_outcomes(injector.audit_outcomes(jobs))
-    auditor.audit_interfaces(registry)
-    auditor.audit_trace(pool.trace)
+    auditor = PrincipleAuditor.of_run(injector.audit_outcomes(jobs), registry, pool.trace)
 
     posthoc = [_violation_dict(v) for v in auditor.violations]
     live = [_violation_dict(v) for v in sanitizer.violations]

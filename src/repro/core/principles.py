@@ -155,6 +155,21 @@ class PrincipleAuditor:
     def __init__(self) -> None:
         self.violations: list[Violation] = []
 
+    @classmethod
+    def of_run(
+        cls,
+        outcomes: list[JobGroundTruth],
+        interfaces: list[ErrorInterface],
+        trace: PropagationTrace,
+    ) -> PrincipleAuditor:
+        """An auditor that has checked one run's three artifacts: ground
+        truth (P1), the interface registry (P2, P4), the trace (P3)."""
+        auditor = cls()
+        auditor.audit_outcomes(outcomes)
+        auditor.audit_interfaces(interfaces)
+        auditor.audit_trace(trace)
+        return auditor
+
     # -- P1 ------------------------------------------------------------
     def audit_outcomes(self, outcomes: list[JobGroundTruth]) -> list[Violation]:
         """Check every job outcome for P1 violations."""

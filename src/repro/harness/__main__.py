@@ -27,95 +27,41 @@ wall-clock fields, so same-seed runs produce byte-identical files
 (DESIGN.md §6).  Telemetry requires in-process execution, so the
 telemetry flags reject ``--jobs > 1`` with an error naming the exact
 conflict.  An output path nothing can be written at is a usage error too
-(exit 2, naming the flag and the path) before the first experiment runs.
+(exit 2, naming the flag and the path) before the first experiment runs,
+and so is a name the registry (:mod:`repro.harness.experiments`) does not
+hold, ``all`` next to other names, or a name given twice.  This module is
+argv -> calls: it runs no experiment itself and re-exports the library's
+``EXPERIMENTS``, ``run_experiment*`` and ``harness_payload``.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import inspect
+import contextlib
 import sys
-import time
 from pathlib import Path
 
-from repro.harness import experiments as E
-from repro.harness.parallel import ParallelRunner, WorkerFailure, positive_worker_count
-from repro.obs.canonical import to_jsonable
-from repro.obs.export import ObservationSession, dump_json, unwritable
+from repro.harness.experiments import (
+    EXPERIMENTS,
+    UnknownExperiment,
+    harness_payload,
+    lookup,
+    run_experiment,
+    run_experiment_record,
+    run_experiments,
+)
+from repro.harness.parallel import WorkerFailure, positive_worker_count
+from repro.obs.export import ObservationSession, dump_json, reject_unwritable
 from repro.obs.profile import render_profile
 
-#: name -> runner; one that declares a ``seed`` parameter is passed the seed.
-EXPERIMENTS = {
-    "fig1": E.run_fig1_kernel,
-    "fig2": E.run_fig2_java_universe,
-    "fig3": E.run_fig3_scopes,
-    "fig4": E.run_fig4_result_codes,
-    "naive_vs_scoped": E.run_naive_vs_scoped,
-    "black_hole": E.run_black_hole,
-    "nfs_mounts": E.run_nfs_mounts,
-    "time_scope": E.run_time_scope,
-    "principles": E.run_principles,
-    "end_to_end": E.run_end_to_end,
-    "checkpointing": E.run_checkpoint_ablation,
-    "fair_share": E.run_fair_share,
-    "preemption": E.run_preemption,
-    "retry_sweep": E.run_retry_sweep,
-    "churn": E.run_churn,
-    "flocking": E.run_flocking,
-}
-
-
-def harness_payload(seed: int, experiments: dict[str, dict]) -> dict:
-    """The ``--json`` envelope, also the results-store payload and the
-    service's stored ``result`` artifact: one builder, one object."""
-    return {"seed": seed, "experiments": experiments}
-
-
-def _runner(name: str):
-    try:
-        return EXPERIMENTS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown experiment {name!r}; try one of: {', '.join(sorted(EXPERIMENTS))}"
-        ) from None
-
-
-def run_experiment_record(name: str, seed: int = 0) -> dict:
-    """Run one named experiment; return its rendered table and JSON data.
-
-    The record is ``{"name", "rendered", "data"}`` with *data* the
-    result dataclass converted to JSON types, wall-clock fields stripped
-    (they reach the user only through the table footer).
-    """
-    fn = _runner(name)
-    started = time.perf_counter()
-    result = fn(seed=seed) if "seed" in inspect.signature(fn).parameters else fn()
-    table = result.table()
-    table.add_footer(f"wall clock {time.perf_counter() - started:.3f}s")
-    return {"name": name, "rendered": table.render(), "data": to_jsonable(result)}
-
-
-def run_experiment(name: str, seed: int = 0) -> str:
-    """Run one named experiment and return its rendered table."""
-    return run_experiment_record(name, seed=seed)["rendered"]
-
-
-def run_experiments(names: list[str], seed: int = 0, jobs: int = 1) -> list[dict]:
-    """Run *names* (serially or over *jobs* workers); records in input order."""
-    for name in names:
-        _runner(name)  # an unknown name exits before any worker starts
-    # Reference the canonical module so the partial pickles by a stable
-    # qualified name even when this file is executing as ``__main__``.
-    from repro.harness import __main__ as canonical
-
-    runner = ParallelRunner(
-        functools.partial(canonical.run_experiment_record, seed=seed), workers=jobs
-    )
-    try:
-        return [outcome.value for outcome in runner.map(names)]
-    except WorkerFailure as exc:
-        raise SystemExit(f"experiment worker failed: {exc}") from exc
+__all__ = [
+    "EXPERIMENTS",
+    "harness_payload",
+    "main",
+    "run_experiment",
+    "run_experiment_record",
+    "run_experiments",
+]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,20 +105,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.list or not args.experiment:
         print("experiments:")
+        width = max(map(len, EXPERIMENTS))
         for name in sorted(EXPERIMENTS):
-            print(f"  {name}")
+            print(f"  {name:<{width}}  {EXPERIMENTS[name].anchor}")
         print("subcommands:")
         print("  campaign  (fault-campaign engine; 'campaign --help' for flags)")
+        print("  serve     (grid-as-a-service HTTP edge; 'serve --help' for flags)")
         return 0
-    telemetry_flags = [
-        flag
-        for flag, value in (
-            ("--trace", args.trace),
-            ("--metrics", args.metrics),
-            ("--profile", args.profile),
-        )
-        if value
-    ]
+    names = args.experiment
+    if "all" in names:
+        if names != ["all"]:
+            parser.error(f"'all' already names every experiment; drop it or the others: "
+                         f"{' '.join(names)}")
+        names = sorted(EXPERIMENTS)
+    for name in names:
+        try:
+            lookup(name)
+        except UnknownExperiment as exc:
+            parser.error(str(exc))
+        if names.count(name) > 1:
+            parser.error(f"experiment {name!r} is named {names.count(name)} times; once is enough")
+    telemetry_flags = [f for f in ("--trace", "--metrics", "--profile") if getattr(args, f[2:])]
     if telemetry_flags and args.jobs > 1:
         parser.error(
             f"{'/'.join(telemetry_flags)} cannot be combined with "
@@ -180,28 +133,16 @@ def main(argv: list[str] | None = None) -> int:
             f"these flags require --jobs 1 (drop "
             f"{'/'.join(telemetry_flags)} or --jobs {args.jobs})"
         )
-    for flag, path in (
-        ("--json", args.json),
-        ("--trace", args.trace),
-        ("--metrics", args.metrics),
-        ("--profile", args.profile),
-        ("--results-db", args.results_db),
-    ):
-        # A usage error before the first experiment, not a traceback after the last.
-        if path and (why := unwritable(path)):
-            parser.error(f"{flag} {path}: {why}")
-    names = sorted(EXPERIMENTS) if args.experiment == ["all"] else args.experiment
-    if telemetry_flags:
-        session = ObservationSession(
-            trace_path=args.trace,
-            metrics_path=args.metrics,
-            profile_path=args.profile,
-        )
-        with session:
+    reject_unwritable(parser, args, "--json", "--trace", "--metrics", "--profile", "--results-db")
+    session = ObservationSession(
+        trace_path=args.trace, metrics_path=args.metrics, profile_path=args.profile
+    ) if telemetry_flags else None
+    try:
+        with session or contextlib.nullcontext():
             records = run_experiments(names, seed=args.seed, jobs=args.jobs)
-    else:
-        session = None
-        records = run_experiments(names, seed=args.seed, jobs=args.jobs)
+    except WorkerFailure as exc:
+        print(f"error: experiment worker failed: {exc}", file=sys.stderr)
+        return 1
     for record in records:
         print(record["rendered"])
         print()

@@ -1,15 +1,22 @@
 """One named experiment per paper figure and evaluative claim.
 
-See DESIGN.md §4 for the experiment index.  Every function is
-deterministic given its seed, and returns a result object exposing
-``table()`` -- the rows the matching benchmark prints and EXPERIMENTS.md
-records.
+See DESIGN.md §4 for the experiment index.  An experiment is a
+*declaration*: ``@experiment(name, anchor)`` registers its runner under
+the CLI name; its result is a dataclass whose ``col`` fields are the
+table's columns (one ``table()`` for row results, one for key/value
+results); its scenario is the shared assembly (:func:`_scoped_run`,
+:func:`~repro.harness.workloads.submit_gauntlet`) plus its own knobs.
+Every runner is deterministic given its seed.  The CLI and the service
+both run experiments through :func:`run_experiment_record`.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
+import typing
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 from repro.condor import Job, JobState, Pool, PoolConfig, ProgramImage, Universe
 from repro.condor.daemons.config import CondorConfig
@@ -27,43 +34,203 @@ from repro.faults import (
     MissingInputFile,
 )
 from repro.harness.metrics import RunMetrics, collect_metrics
-from repro.harness.report import Table
-from repro.harness.workloads import WorkloadSpec, expected_result_for, make_workload
+from repro.harness.parallel import ParallelRunner
+from repro.harness.report import Table, col, key_values
+from repro.harness.workloads import (
+    WorkloadSpec,
+    expected_result_for,
+    make_workload,
+    submit_gauntlet,
+    submit_staggered,
+)
 from repro.jvm.program import JavaProgram, Step
+from repro.obs.canonical import to_jsonable
 from repro.sim.rng import RngRegistry
-
-__all__ = [
-    "run_fig1_kernel",
-    "run_fig2_java_universe",
-    "run_fig3_scopes",
-    "run_fig4_result_codes",
-    "run_naive_vs_scoped",
-    "run_black_hole",
-    "run_nfs_mounts",
-    "run_time_scope",
-    "run_principles",
-    "run_end_to_end",
-    "run_checkpoint_ablation",
-    "run_fair_share",
-    "run_preemption",
-    "run_retry_sweep",
-    "run_churn",
-    "run_flocking",
-]
 
 MB = 2**20
 
 
-class _KeyedRows:
-    """``row(key)`` for a result whose ``rows`` are keyed by one field."""
+# ---------------------------------------------------------------------------
+# The registry: name -> runner, for the CLI and the service
+# ---------------------------------------------------------------------------
 
-    ROW_KEY: str  # the row field that names a row; not a dataclass field
+#: name -> runner.  A runner carries ``anchor`` (its DESIGN §4 id and paper
+#: section) and ``takes_seed`` (decided once, when it registers).
+EXPERIMENTS: dict[str, Callable] = {}
+
+
+class UnknownExperiment(LookupError):
+    """No experiment is registered under the name: a usage error at
+    whichever edge the name came in through (CLI exit 2, service 400)."""
+
+    def __init__(self, name):
+        super().__init__(
+            f"unknown experiment {name!r}; try one of: {', '.join(sorted(EXPERIMENTS))}"
+        )
+
+
+def experiment(name: str, anchor: str):
+    """Register the decorated runner as the experiment *name*."""
+
+    def register(fn):
+        fn.anchor = anchor
+        fn.takes_seed = "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        EXPERIMENTS[name] = fn
+        return fn
+
+    return register
+
+
+def lookup(name) -> Callable:
+    """The runner registered as *name*, or :class:`UnknownExperiment`."""
+    try:
+        return EXPERIMENTS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name from a JSON body
+        raise UnknownExperiment(name) from None
+
+
+def harness_payload(seed: int, experiments: dict[str, dict]) -> dict:
+    """The ``--json`` envelope, also the results-store payload and the
+    service's stored ``result`` artifact: one builder, one object."""
+    return {"seed": seed, "experiments": experiments}
+
+
+def run_experiment_record(name: str, seed: int = 0) -> dict:
+    """Run one named experiment; return its rendered table and JSON data.
+
+    The record is ``{"name", "rendered", "data"}`` with *data* the
+    result dataclass converted to JSON types, wall-clock fields stripped
+    (they reach the user only through the table footer).
+    """
+    fn = lookup(name)
+    started = time.perf_counter()
+    result = fn(seed=seed) if fn.takes_seed else fn()
+    table = result.table()
+    table.add_footer(f"wall clock {time.perf_counter() - started:.3f}s")
+    return {"name": name, "rendered": table.render(), "data": to_jsonable(result)}
+
+
+def run_experiment(name: str, seed: int = 0) -> str:
+    """Run one named experiment and return its rendered table."""
+    return run_experiment_record(name, seed=seed)["rendered"]
+
+
+def run_experiments(names: list[str], seed: int = 0, jobs: int = 1) -> list[dict]:
+    """Run *names* (serially or over *jobs* workers); records in input order.
+
+    An unknown name raises before any worker starts; a crashed or hung
+    worker raises :class:`~repro.harness.parallel.WorkerFailure`.
+    """
+    for name in names:
+        lookup(name)
+    runner = ParallelRunner(functools.partial(run_experiment_record, seed=seed), workers=jobs)
+    return [outcome.value for outcome in runner.map(names)]
+
+
+# ---------------------------------------------------------------------------
+# One result shape: columns are row-field metadata (``report.col``)
+# ---------------------------------------------------------------------------
+
+class _RowsResult:
+    """A tabular result: ``rows: list[Row]``, one column per ``col`` field
+    of ``Row``; ``TITLE`` is formatted with the result's own fields and
+    ``KEY`` names the row field ``row(key)`` looks rows up by."""
+
+    TITLE: str
+    KEY: str
+
+    def table(self) -> Table:
+        (row_type,) = typing.get_args(typing.get_type_hints(type(self))["rows"])
+        return Table.of_records(row_type, self.rows, title=self.TITLE.format(**vars(self)))
 
     def row(self, key):
         for r in self.rows:
-            if getattr(r, self.ROW_KEY) == key:
+            if getattr(r, self.KEY) == key:
                 return r
         raise KeyError(key)
+
+
+class _KeyValueResult:
+    """A key/value result: one labelled line per ``col`` field, under
+    ``HEADERS``; a result comparing configurations overrides ``lines``."""
+
+    TITLE: str
+    HEADERS: tuple[str, ...]
+
+    def lines(self) -> list[list]:
+        return key_values(self)
+
+    def table(self) -> Table:
+        return Table(list(self.HEADERS), self.lines(), title=self.TITLE.format(**vars(self)))
+
+
+def _violation_lines(label: str, naive: dict[int, int], scoped: dict[int, int]) -> list[list]:
+    return [[label.format(p), naive.get(p, 0), scoped.get(p, 0)] for p in (1, 2, 3, 4)]
+
+
+def _metrics_row(row_type, metrics: RunMetrics, **own):
+    """A row whose fields not given in *own* are the :class:`RunMetrics`
+    fields of the same name."""
+    picked = {f.name: getattr(metrics, f.name) for f in fields(row_type) if f.name not in own}
+    return row_type(**own, **picked)
+
+
+# ---------------------------------------------------------------------------
+# One scenario assembly: a scoped pool, faults, jobs, run, measure
+# ---------------------------------------------------------------------------
+
+def _scoped_pool(seed: int, n_machines: int, grid: dict | None = None, **knobs):
+    """A pool (or, with *grid*'s ``GridConfig`` fields, a federation) under
+    scope-aware error handling with the given ``CondorConfig`` *knobs*."""
+    condor = CondorConfig(error_mode="scoped", **knobs)
+    if grid is None:
+        return Pool(PoolConfig(n_machines=n_machines, seed=seed, condor=condor))
+    from repro.condor.grid import Grid, GridConfig
+
+    return Grid(GridConfig(seed=seed, condor=condor, **grid))
+
+
+def _plain_jobs(seed: int, n_jobs: int, stream: str, mean_work: float = 10.0) -> list[Job]:
+    """Compute-only jobs (no I/O, exceptions or exit codes) drawn from the
+    RNG stream *stream* of *seed*."""
+    spec = WorkloadSpec(n_jobs=n_jobs, mean_work=mean_work, io_fraction=0.0,
+                        exception_fraction=0.0, exit_code_fraction=0.0)
+    return make_workload(spec, RngRegistry(seed).stream(stream))
+
+
+def _scoped_run(
+    seed: int,
+    jobs: list[Job],
+    n_machines: int = 0,
+    faults=(),
+    arm: Callable | None = None,
+    arrivals: tuple[str, float] | None = None,
+    max_time: float = 500_000,
+    grid: dict | None = None,
+    **knobs,
+):
+    """Run *jobs* on a scoped pool under *faults*; return ``(pool,
+    metrics, armed)``.
+
+    The order things are scheduled in decides heap tie-breaks and so
+    trace bytes; it is fixed here: each of *faults* (``(fault,)`` or
+    ``(fault, at, until)``) in turn, then ``armed = arm(pool)`` (churn, a
+    re-probe), then the jobs -- all at t=0, or staggered by the
+    ``(stream, mean gap)`` in *arrivals*.
+    """
+    pool = _scoped_pool(seed, n_machines, grid, **knobs)
+    injector = FaultInjector(pool)
+    for fault in faults:
+        injector.schedule(*fault)
+    armed = arm(pool) if arm else None
+    if arrivals:
+        stream, mean_gap = arrivals
+        submit_staggered(pool, jobs, RngRegistry(seed).stream(stream), mean_gap)
+    else:
+        for job in jobs:
+            pool.submit(job)
+    pool.run_until_done(max_time=max_time, expected_jobs=len(jobs))
+    return pool, collect_metrics(pool, jobs, injector), armed
 
 
 # ---------------------------------------------------------------------------
@@ -71,45 +238,27 @@ class _KeyedRows:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Fig1Result:
+class Fig1Result(_KeyValueResult):
+    TITLE = "FIG1: Condor kernel, {jobs} jobs on {machines} machines"
+    HEADERS = ("kernel stage", "count")
+
     jobs: int
     machines: int
-    ads_sent: int
-    cycles: int
-    matches: int
-    claims_granted: int
-    shadows_spawned: int
-    completed: int
-    makespan: float
-
-    def table(self) -> Table:
-        return Table(
-            ["kernel stage", "count"],
-            [
-                ["machine ads sent (startd -> matchmaker)", self.ads_sent],
-                ["negotiation cycles", self.cycles],
-                ["matches notified (matchmaker -> schedd)", self.matches],
-                ["claims granted (schedd <-> startd)", self.claims_granted],
-                ["shadows spawned (schedd fork)", self.shadows_spawned],
-                ["jobs completed", self.completed],
-                ["makespan (s)", self.makespan],
-            ],
-            title=f"FIG1: Condor kernel, {self.jobs} jobs on {self.machines} machines",
-        )
+    ads_sent: int = col("machine ads sent (startd -> matchmaker)")
+    cycles: int = col("negotiation cycles")
+    matches: int = col("matches notified (matchmaker -> schedd)")
+    claims_granted: int = col("claims granted (schedd <-> startd)")
+    shadows_spawned: int = col("shadows spawned (schedd fork)")
+    completed: int = col("jobs completed")
+    makespan: float = col("makespan (s)")
 
 
+@experiment("fig1", anchor="FIG1")
 def run_fig1_kernel(seed: int = 0, n_jobs: int = 8, n_machines: int = 4) -> Fig1Result:
     """A healthy pool: verifies Figure 1's protocol wiring end to end."""
-    pool = Pool(PoolConfig(n_machines=n_machines, seed=seed))
-    rngs = RngRegistry(seed)
-    jobs = make_workload(
-        WorkloadSpec(n_jobs=n_jobs, io_fraction=0.0, exception_fraction=0.0,
-                     exit_code_fraction=0.0),
-        rngs.stream("fig1"),
+    pool, metrics, _ = _scoped_run(
+        seed, _plain_jobs(seed, n_jobs, "fig1"), n_machines, max_time=100_000
     )
-    for job in jobs:
-        pool.submit(job)
-    pool.run_until_done(max_time=100_000)
     return Fig1Result(
         jobs=n_jobs,
         machines=n_machines,
@@ -118,8 +267,8 @@ def run_fig1_kernel(seed: int = 0, n_jobs: int = 8, n_machines: int = 4) -> Fig1
         matches=pool.matchmaker.matches_made,
         claims_granted=sum(s.claims_granted for s in pool.startds.values()),
         shadows_spawned=pool.schedd.shadows_spawned,
-        completed=sum(1 for j in jobs if j.state is JobState.COMPLETED),
-        makespan=pool.sim.now,
+        completed=metrics.completed,
+        makespan=metrics.makespan,
     )
 
 
@@ -128,36 +277,22 @@ def run_fig1_kernel(seed: int = 0, n_jobs: int = 8, n_machines: int = 4) -> Fig1
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Fig2Result:
-    completed: bool
-    chirp_requests: int
-    rpc_requests: int
-    bytes_exec_to_submit: int
-    bytes_submit_to_exec: int
-    output_written: bool
+class Fig2Result(_KeyValueResult):
+    TITLE = "FIG2: two-hop remote I/O through the starter proxy"
+    HEADERS = ("Java Universe hop", "value")
 
-    def table(self) -> Table:
-        return Table(
-            ["Java Universe hop", "value"],
-            [
-                ["job completed", self.completed],
-                ["Chirp requests (program -> proxy)", self.chirp_requests],
-                ["RPC requests (proxy -> shadow)", self.rpc_requests],
-                ["bytes exec -> submit", self.bytes_exec_to_submit],
-                ["bytes submit -> exec", self.bytes_submit_to_exec],
-                ["output landed on home fs", self.output_written],
-            ],
-            title="FIG2: two-hop remote I/O through the starter proxy",
-        )
+    completed: bool = col("job completed")
+    chirp_requests: int = col("Chirp requests (program -> proxy)")
+    rpc_requests: int = col("RPC requests (proxy -> shadow)")
+    bytes_exec_to_submit: int = col("bytes exec -> submit")
+    bytes_submit_to_exec: int = col("bytes submit -> exec")
+    output_written: bool = col("output landed on home fs")
 
 
+@experiment("fig2", anchor="FIG2")
 def run_fig2_java_universe(seed: int = 0, n_reads: int = 4) -> Fig2Result:
     """One Java job doing remote I/O through proxy and shadow (Figure 2)."""
-    registry: list = []
-    pool = Pool(PoolConfig(
-        n_machines=1, seed=seed,
-        condor=CondorConfig(error_mode="scoped", interface_registry=registry),
-    ))
+    pool = _scoped_pool(seed, 1, interface_registry=[])
     for i in range(n_reads):
         pool.home_fs.write_file(f"/home/user/in{i}.dat", b"x" * 512)
     steps = [Step.read(f"/home/user/in{i}.dat") for i in range(n_reads)]
@@ -185,33 +320,19 @@ def run_fig2_java_universe(seed: int = 0, n_reads: int = 4) -> Fig2Result:
 
 @dataclass
 class Fig3Row:
-    fault: str
-    expected_scope: ErrorScope
-    observed_scope: ErrorScope | None
-    handler: str
-    disposition: str
-    correct: bool
+    fault: str = col("fault")
+    expected_scope: ErrorScope = col("expected scope")
+    observed_scope: ErrorScope | None = col("observed scope", blank="program-result")
+    handler: str = col("handler")
+    disposition: str = col("disposition")
+    correct: bool = col("correct")
 
 
 @dataclass
-class Fig3Result:
-    rows: list[Fig3Row]
+class Fig3Result(_RowsResult):
+    TITLE = "FIG3: each canonical fault lands at its scope's manager"
 
-    def table(self) -> Table:
-        table = Table(
-            ["fault", "expected scope", "observed scope", "handler", "disposition", "correct"],
-            title="FIG3: each canonical fault lands at its scope's manager",
-        )
-        for row in self.rows:
-            table.add_row([
-                row.fault,
-                str(row.expected_scope),
-                str(row.observed_scope) if row.observed_scope else "program-result",
-                row.handler,
-                row.disposition,
-                row.correct,
-            ])
-        return table
+    rows: list[Fig3Row]
 
     @property
     def all_correct(self) -> bool:
@@ -219,8 +340,7 @@ class Fig3Result:
 
 
 def _one_job_pool(seed: int, steps=None, n_machines: int = 3) -> tuple[Pool, Job]:
-    pool = Pool(PoolConfig(n_machines=n_machines, seed=seed,
-                           condor=CondorConfig(error_mode="scoped")))
+    pool = _scoped_pool(seed, n_machines)
     pool.home_fs.write_file("/home/user/in.dat", b"data")
     program = JavaProgram(steps=steps or [Step.compute(2.0)])
     job = Job("1.0", owner="thain", universe=Universe.JAVA,
@@ -229,79 +349,55 @@ def _one_job_pool(seed: int, steps=None, n_machines: int = 3) -> tuple[Pool, Job
     return pool, job
 
 
+@experiment("fig3", anchor="FIG3")
 def run_fig3_scopes(seed: int = 0) -> Fig3Result:
     """Inject each scope's canonical fault; verify delivery per Figure 3."""
-    rows: list[Fig3Row] = []
-
-    # PROGRAM scope: the program's own exception is a result for the user.
-    pool, job = _one_job_pool(seed, steps=[Step.throw("NullPointerException")])
-    pool.submit(job)
-    pool.run_until_done(max_time=50_000)
-    rows.append(Fig3Row(
-        "NullPointerException (program bug)", ErrorScope.PROGRAM, None,
-        "user", "delivered as program result",
-        job.state is JobState.COMPLETED
-        and job.final_result.status is ResultStatus.EXCEPTION,
-    ))
-
-    # VIRTUAL_MACHINE scope: memory pressure.
-    pool, job = _one_job_pool(seed + 1, steps=[Step.allocate(64 * MB)])
-    job.heap_request = 128 * MB
-    FaultInjector(pool).schedule(MemoryPressure("exec000", 250 * MB))
-    pool.submit(job)
-    pool.run_until_done(max_time=50_000)
-    failed = [a for a in job.attempts if a.error_scope is not None]
-    rows.append(Fig3Row(
-        "OutOfMemoryError (machine busy)", ErrorScope.VIRTUAL_MACHINE,
-        failed[0].error_scope if failed else None,
-        "starter", "retried at a new site",
-        bool(failed) and failed[0].error_scope is ErrorScope.VIRTUAL_MACHINE
-        and job.state is JobState.COMPLETED,
-    ))
-
-    # REMOTE_RESOURCE scope: misconfigured JVM.
-    pool, job = _one_job_pool(seed + 2)
-    FaultInjector(pool).schedule(MisconfiguredJvm("exec000"))
-    pool.submit(job)
-    pool.run_until_done(max_time=50_000)
-    failed = [a for a in job.attempts if a.error_scope is not None]
-    rows.append(Fig3Row(
-        "Misconfigured JVM", ErrorScope.REMOTE_RESOURCE,
-        failed[0].error_scope if failed else None,
-        "shadow", "retried at a new site",
-        bool(failed) and failed[0].error_scope is ErrorScope.REMOTE_RESOURCE
-        and job.state is JobState.COMPLETED,
-    ))
-
-    # LOCAL_RESOURCE scope: home file system offline (transient).
-    pool, job = _one_job_pool(
-        seed + 3, steps=[Step.read("/home/user/in.dat"), Step.exit(0)]
+    completed, held = JobState.COMPLETED, JobState.HELD
+    # fault, scope, handler, disposition, program steps, heap request,
+    # injection (fault, at, until), terminal state
+    cases = (
+        # PROGRAM scope: the program's own exception is a result for the user.
+        ("NullPointerException (program bug)", ErrorScope.PROGRAM, "user",
+         "delivered as program result", [Step.throw("NullPointerException")], None,
+         None, completed),
+        ("OutOfMemoryError (machine busy)", ErrorScope.VIRTUAL_MACHINE, "starter",
+         "retried at a new site", [Step.allocate(64 * MB)], 128 * MB,
+         (MemoryPressure("exec000", 250 * MB),), completed),
+        ("Misconfigured JVM", ErrorScope.REMOTE_RESOURCE, "shadow",
+         "retried at a new site", None, None,
+         (MisconfiguredJvm("exec000"),), completed),
+        # Transient: the home file system comes back at t=300.
+        ("Home file system offline", ErrorScope.LOCAL_RESOURCE, "schedd",
+         "retried until it healed", [Step.read("/home/user/in.dat"), Step.exit(0)], None,
+         (HomeFilesystemOffline(), 0.0, 300.0), completed),
+        ("Corrupt program image", ErrorScope.JOB, "schedd",
+         "held as unexecutable (no retry)", None, None,
+         (CorruptProgramImage("1.0"),), held),
     )
-    FaultInjector(pool).schedule(HomeFilesystemOffline(), at=0.0, until=300.0)
-    pool.submit(job)
-    pool.run_until_done(max_time=50_000)
-    failed = [a for a in job.attempts if a.error_scope is not None]
-    rows.append(Fig3Row(
-        "Home file system offline", ErrorScope.LOCAL_RESOURCE,
-        failed[0].error_scope if failed else None,
-        "schedd", "retried until it healed",
-        bool(failed) and failed[0].error_scope is ErrorScope.LOCAL_RESOURCE
-        and job.state is JobState.COMPLETED,
-    ))
-
-    # JOB scope: corrupt program image.
-    pool, job = _one_job_pool(seed + 4)
-    pool.submit(job)
-    FaultInjector(pool).schedule(CorruptProgramImage(job.job_id))
-    pool.run_until_done(max_time=50_000)
-    failed = [a for a in job.attempts if a.error_scope is not None]
-    rows.append(Fig3Row(
-        "Corrupt program image", ErrorScope.JOB,
-        failed[0].error_scope if failed else None,
-        "schedd", "held as unexecutable (no retry)",
-        bool(failed) and failed[0].error_scope is ErrorScope.JOB
-        and job.state is JobState.HELD and len(job.attempts) == 1,
-    ))
+    rows: list[Fig3Row] = []
+    for i, (fault, scope, handler, disposition, steps, heap, injection, ends) in enumerate(cases):
+        pool, job = _one_job_pool(seed + i, steps)
+        if heap:
+            job.heap_request = heap
+        # A fault naming a job by id finds it in the schedd's queue when it
+        # arms, so that one is scheduled after the submit, the others before.
+        by_job_id = injection is not None and injection[0].job_id is not None
+        if by_job_id:
+            pool.submit(job)
+        if injection:
+            FaultInjector(pool).schedule(*injection)
+        if not by_job_id:
+            pool.submit(job)
+        pool.run_until_done(max_time=50_000)
+        if injection is None:
+            observed = None
+            correct = job.state is ends and job.final_result.status is ResultStatus.EXCEPTION
+        else:
+            failed = [a for a in job.attempts if a.error_scope is not None]
+            observed = failed[0].error_scope if failed else None
+            correct = (observed is scope and job.state is ends
+                       and (ends is completed or len(job.attempts) == 1))
+        rows.append(Fig3Row(fault, scope, observed, handler, disposition, correct))
     return Fig3Result(rows)
 
 
@@ -311,23 +407,17 @@ def run_fig3_scopes(seed: int = 0) -> Fig3Result:
 
 @dataclass
 class Fig4Row:
-    detail: str
-    scope: str
-    bare_code: int
-    wrapper_report: str
+    detail: str = col("Execution Detail")
+    scope: str = col("Error Scope")
+    bare_code: int = col("JVM Result Code")
+    wrapper_report: str = col("Wrapper Result File")
 
 
 @dataclass
-class Fig4Result:
-    rows: list[Fig4Row]
+class Fig4Result(_RowsResult):
+    TITLE = "FIG4: JVM result codes (paper columns) + wrapper recovery"
 
-    def table(self) -> Table:
-        table = Table(
-            ["Execution Detail", "Error Scope", "JVM Result Code", "Wrapper Result File"],
-            title="FIG4: JVM result codes (paper columns) + wrapper recovery",
-        )
-        table.add_records(self.rows)
-        return table
+    rows: list[Fig4Row]
 
     @property
     def bare_codes(self) -> list[int]:
@@ -338,13 +428,11 @@ class Fig4Result:
         return len({row.wrapper_report for row in self.rows})
 
 
+@experiment("fig4", anchor="FIG4")
 def run_fig4_result_codes() -> Fig4Result:
     """Reproduce Figure 4 exactly: seven execution details, bare exit codes,
     and the wrapper's recovered scopes."""
-    from repro.core.classify import DEFAULT_CLASSIFIER
-    from repro.jvm.machine import Jvm
-    from repro.sim.engine import Simulator
-    from repro.sim.machine import JavaInstallation, Machine
+    from repro.sim.machine import JavaInstallation
 
     scenarios = [
         ("The program exited by completing main.", "Program",
@@ -365,13 +453,20 @@ def run_fig4_result_codes() -> Fig4Result:
     ]
     rows: list[Fig4Row] = []
     for detail, scope_name, program, opts, installation in scenarios:
-        bare_code = _bare_exit_code(program, opts, installation)
-        wrapper_report = _wrapper_report(program, opts, installation)
+        bare_code, _ = _jvm_run(program, opts, installation, wrapped=False)
+        _, result_file = _jvm_run(program, opts, installation, wrapped=True)
+        # No result file: the starter scopes this as remote-resource.
+        wrapper_report = (str(ResultFile.parse(result_file[0])) if result_file
+                          else "no result file -> environment(remote-resource)")
         rows.append(Fig4Row(detail, scope_name, bare_code, wrapper_report))
     return Fig4Result(rows)
 
 
-def _jvm_rig(installation):
+def _jvm_run(program, opts, installation, wrapped: bool) -> tuple[int, list[bytes]]:
+    """Run *program* on a one-machine JVM rig, bare or under the wrapper;
+    return the JVM's exit code and the result file(s) the wrapper wrote."""
+    from repro.chirp.client import LocalIoLibrary
+    from repro.core.classify import DEFAULT_CLASSIFIER
     from repro.jvm.machine import Jvm
     from repro.sim.engine import Simulator
     from repro.sim.machine import Machine
@@ -380,40 +475,17 @@ def _jvm_rig(installation):
     machine = Machine(sim, "exec", java=installation) if installation else Machine(sim, "exec")
     machine.scratch.mkdir("/scratch/job", parents=True)
     jvm = Jvm(sim, machine, installation=installation)
-    return sim, machine, jvm
-
-
-def _bare_exit_code(program, opts, installation) -> int:
-    from repro.chirp.client import LocalIoLibrary
-
-    sim, machine, jvm = _jvm_rig(installation)
     io = LocalIoLibrary(machine.scratch, "/scratch/job")
     image = ProgramImage("Main.class", program=program, corrupt=opts.get("corrupt", False))
-    proc = machine.processes.spawn(
-        "java", jvm.run_bare(image, program, io, opts.get("heap", 32 * MB))
-    )
-    sim.run()
-    return proc.status.code
-
-
-def _wrapper_report(program, opts, installation) -> str:
-    from repro.chirp.client import LocalIoLibrary
-    from repro.core.classify import DEFAULT_CLASSIFIER
-
-    sim, machine, jvm = _jvm_rig(installation)
-    io = LocalIoLibrary(machine.scratch, "/scratch/job")
-    image = ProgramImage("Main.class", program=program, corrupt=opts.get("corrupt", False))
+    heap = opts.get("heap", 32 * MB)
     sink: list[bytes] = []
-    proc = machine.processes.spawn(
-        "java",
-        jvm.run_wrapped(image, program, io, opts.get("heap", 32 * MB),
-                        DEFAULT_CLASSIFIER, sink.append),
-    )
+    if wrapped:
+        body = jvm.run_wrapped(image, program, io, heap, DEFAULT_CLASSIFIER, sink.append)
+    else:
+        body = jvm.run_bare(image, program, io, heap)
+    proc = machine.processes.spawn("java", body)
     sim.run()
-    if not sink:
-        # No result file: the starter scopes this as remote-resource.
-        return "no result file -> environment(remote-resource)"
-    return str(ResultFile.parse(sink[0]))
+    return proc.status.code, sink
 
 
 # ---------------------------------------------------------------------------
@@ -421,28 +493,25 @@ def _wrapper_report(program, opts, installation) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class NaiveVsScopedResult:
+class NaiveVsScopedResult(_KeyValueResult):
+    TITLE = "EXP-NAIVE vs EXP-SCOPED: the same workload and faults"
+    HEADERS = ("metric", "naive (§2.3)", "scoped (§4)")
+
     naive: RunMetrics
     scoped: RunMetrics
     naive_violations: dict[int, int]
     scoped_violations: dict[int, int]
 
-    def table(self) -> Table:
-        table = Table(
-            ["metric", "naive (§2.3)", "scoped (§4)"],
-            title="EXP-NAIVE vs EXP-SCOPED: the same workload and faults",
+    def lines(self) -> list[list]:
+        metrics = [
+            [name, naive_value, scoped_value]
+            for (name, naive_value), (_, scoped_value) in zip(
+                self.naive.as_rows(), self.scoped.as_rows()
+            )
+        ]
+        return metrics + _violation_lines(
+            "P{} violations", self.naive_violations, self.scoped_violations
         )
-        for (name, naive_value), (_, scoped_value) in zip(
-            self.naive.as_rows(), self.scoped.as_rows()
-        ):
-            table.add_row([name, naive_value, scoped_value])
-        for principle in (1, 2, 3, 4):
-            table.add_row([
-                f"P{principle} violations",
-                self.naive_violations.get(principle, 0),
-                self.scoped_violations.get(principle, 0),
-            ])
-        return table
 
 
 def _fault_mix(pool: Pool, jobs: list[Job]) -> FaultInjector:
@@ -465,33 +534,17 @@ def _run_mode(mode: str, seed: int, n_jobs: int, n_machines: int):
     registry: list = []
     condor = CondorConfig(error_mode=mode, interface_registry=registry)
     pool = Pool(PoolConfig(n_machines=n_machines, seed=seed, condor=condor))
-    rngs = RngRegistry(seed)
-    spec = WorkloadSpec(n_jobs=n_jobs, io_fraction=0.5, exception_fraction=0.15,
-                        exit_code_fraction=0.1, mean_work=8.0)
-    jobs = make_workload(spec, rngs.stream("workload"), home_fs=pool.home_fs)
-    # Jobs that allocate exercise the memory-pressure machine.
-    for i, job in enumerate(jobs):
-        if i % 3 == 0:
-            job.image.program.steps.insert(0, Step.allocate(16 * MB))
-    # Stagger arrivals so the job stream overlaps the fault windows, like
-    # a real pool's continuous load.
-    arrivals = rngs.stream("arrivals")
-    when = 0.0
-    for job in jobs:
-        pool.submit_at(job, when)
-        when += arrivals.expovariate(1.0 / 40.0)
+    jobs = submit_gauntlet(pool, seed, n_jobs, stream="workload", exception_fraction=0.15)
     injector = _fault_mix(pool, jobs)
     pool.run_until_done(max_time=200_000, expected_jobs=len(jobs))
     metrics = collect_metrics(
         pool, jobs, injector, wall_clock=time.perf_counter() - started
     )
-    auditor = PrincipleAuditor()
-    auditor.audit_outcomes(injector.audit_outcomes(jobs))
-    auditor.audit_interfaces(registry)
-    auditor.audit_trace(pool.trace)
+    auditor = PrincipleAuditor.of_run(injector.audit_outcomes(jobs), registry, pool.trace)
     return metrics, auditor.summary()
 
 
+@experiment("naive_vs_scoped", anchor="EXP-NAIVE §2.3 / EXP-SCOPED §4")
 def run_naive_vs_scoped(
     seed: int = 0, n_jobs: int = 24, n_machines: int = 6
 ) -> NaiveVsScopedResult:
@@ -513,30 +566,30 @@ def run_naive_vs_scoped(
 
 @dataclass
 class BlackHoleRow:
-    defense: str
-    completed: int
-    wasted_attempts: int
-    network_bytes: int
-    makespan: float
-    mean_turnaround: float
+    defense: str = col("defense")
+    completed: int = col("completed")
+    wasted_attempts: int = col("wasted executions")
+    network_bytes: int = col("network bytes")
+    makespan: float = col("makespan (s)")
+    mean_turnaround: float = col("mean turnaround (s)")
 
 
 @dataclass
-class BlackHoleResult(_KeyedRows):
-    ROW_KEY = "defense"
+class BlackHoleResult(_RowsResult):
+    TITLE = "EXP-BH: black-hole machines vs the two §5 defenses"
+    KEY = "defense"
 
     rows: list[BlackHoleRow]
 
-    def table(self) -> Table:
-        table = Table(
-            ["defense", "completed", "wasted executions", "network bytes",
-             "makespan (s)", "mean turnaround (s)"],
-            title="EXP-BH: black-hole machines vs the two §5 defenses",
-        )
-        table.add_records(self.rows)
-        return table
+
+def _reprobe(pool: Pool) -> None:
+    """Self-test needs the startds rebuilt with knowledge of the fault:
+    arm first, then re-run the probe."""
+    for startd in pool.startds.values():
+        startd.java_advertised = startd._self_test()
 
 
+@experiment("black_hole", anchor="EXP-BH §5")
 def run_black_hole(
     seed: int = 0,
     n_jobs: int = 16,
@@ -548,38 +601,15 @@ def run_black_hole(
     stream of jobs that would attempt to execute, fail, and be returned.'"""
     rows = []
     for defense in defenses:
-        condor = CondorConfig(
-            error_mode="scoped",
+        _, metrics, _ = _scoped_run(
+            seed, _plain_jobs(seed, n_jobs, "bh", mean_work=5.0), n_machines,
+            faults=[(MisconfiguredJvm(f"exec{i:03d}"),) for i in range(n_black_holes)],
+            arm=_reprobe if defense == "self-test" else None,
+            max_time=300_000,
             startd_self_test=(defense == "self-test"),
             schedd_avoidance=(defense == "avoidance"),
         )
-        pool = Pool(PoolConfig(n_machines=n_machines, seed=seed, condor=condor))
-        injector = FaultInjector(pool)
-        for i in range(n_black_holes):
-            injector.schedule(MisconfiguredJvm(f"exec{i:03d}"))
-        rngs = RngRegistry(seed)
-        jobs = make_workload(
-            WorkloadSpec(n_jobs=n_jobs, io_fraction=0.0, exception_fraction=0.0,
-                         exit_code_fraction=0.0, mean_work=5.0),
-            rngs.stream("bh"),
-        )
-        # Self-test needs the startds rebuilt with knowledge of the fault:
-        # arm first, then re-run the probe.
-        if defense == "self-test":
-            for name, startd in pool.startds.items():
-                startd.java_advertised = startd._self_test()
-        for job in jobs:
-            pool.submit(job)
-        pool.run_until_done(max_time=300_000)
-        metrics = collect_metrics(pool, jobs, injector)
-        rows.append(BlackHoleRow(
-            defense=defense,
-            completed=metrics.completed,
-            wasted_attempts=metrics.wasted_attempts,
-            network_bytes=metrics.network_bytes,
-            makespan=metrics.makespan,
-            mean_turnaround=metrics.mean_turnaround,
-        ))
+        rows.append(_metrics_row(BlackHoleRow, metrics, defense=defense))
     return BlackHoleResult(rows)
 
 
@@ -589,27 +619,22 @@ def run_black_hole(
 
 @dataclass
 class NfsRow:
-    outage: float
-    mode: str
-    outcome: str
-    elapsed: float
-    retries: int
-    timeouts: int
+    outage: float = col("outage (s)")
+    mode: str = col("mount mode")
+    outcome: str = col("outcome")
+    elapsed: float = col("elapsed (s)")
+    retries: int = col("retries")
+    timeouts: int = col("timeouts")
 
 
 @dataclass
-class NfsResult:
+class NfsResult(_RowsResult):
+    TITLE = "EXP-NFS: the hard/soft mount dilemma (§5)"
+
     rows: list[NfsRow]
 
-    def table(self) -> Table:
-        table = Table(
-            ["outage (s)", "mount mode", "outcome", "elapsed (s)", "retries", "timeouts"],
-            title="EXP-NFS: the hard/soft mount dilemma (§5)",
-        )
-        table.add_records(self.rows)
-        return table
 
-
+@experiment("nfs_mounts", anchor="EXP-NFS §5")
 def run_nfs_mounts(
     outages: tuple[float, ...] = (5.0, 60.0, 600.0),
     soft_timeout: float = 30.0,
@@ -652,16 +677,12 @@ def run_nfs_mounts(
                 outage=outage,
                 mode=mode,
                 outcome=outcome[0] if outcome else "hung",
-                elapsed=sim.now if not outcome else _first_done_time(mount, sim),
+                # blocked_time accumulates exactly the job's wait; rpc latency is small.
+                elapsed=round(mount.stats.blocked_time, 3) if outcome else sim.now,
                 retries=mount.stats.retries,
                 timeouts=mount.stats.timeouts,
             ))
     return NfsResult(rows)
-
-
-def _first_done_time(mount, sim) -> float:
-    # blocked_time accumulates exactly the job's wait; rpc latency is small.
-    return round(mount.stats.blocked_time, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -670,31 +691,26 @@ def _first_done_time(mount, sim) -> float:
 
 @dataclass
 class TimeScopeRow:
-    outage: float
-    truth: str
-    assigned: str
-    correct: bool
-    decided_after: float
+    outage: float = col("outage (s)")
+    truth: str = col("true scope")
+    assigned: str = col("assigned scope")
+    correct: bool = col("correct")
+    decided_after: float = col("decided after (s)")
 
 
 @dataclass
-class TimeScopeResult:
+class TimeScopeResult(_RowsResult):
+    TITLE = "EXP-SCOPE-TIME: escalation threshold = {threshold}s"
+
     rows: list[TimeScopeRow]
     threshold: float
-
-    def table(self) -> Table:
-        table = Table(
-            ["outage (s)", "true scope", "assigned scope", "correct", "decided after (s)"],
-            title=f"EXP-SCOPE-TIME: escalation threshold = {self.threshold}s",
-        )
-        table.add_records(self.rows)
-        return table
 
     @property
     def accuracy(self) -> float:
         return sum(1 for r in self.rows if r.correct) / len(self.rows)
 
 
+@experiment("time_scope", anchor="EXP-SCOPE-TIME §5")
 def run_time_scope(
     outages: tuple[float, ...] = (1.0, 5.0, 30.0, 120.0, 900.0, 10_000.0),
     threshold: float = 60.0,
@@ -738,25 +754,19 @@ def run_time_scope(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PrinciplesResult:
+class PrinciplesResult(_KeyValueResult):
+    TITLE = "EXP-P1..P4: violations over {n_jobs} jobs"
+    HEADERS = ("principle", "naive violations", "scoped violations")
+
     naive: dict[int, int]
     scoped: dict[int, int]
     n_jobs: int
 
-    def table(self) -> Table:
-        table = Table(
-            ["principle", "naive violations", "scoped violations"],
-            title=f"EXP-P1..P4: violations over {self.n_jobs} jobs",
-        )
-        for principle in (1, 2, 3, 4):
-            table.add_row([
-                f"P{principle}",
-                self.naive.get(principle, 0),
-                self.scoped.get(principle, 0),
-            ])
-        return table
+    def lines(self) -> list[list]:
+        return _violation_lines("P{}", self.naive, self.scoped)
 
 
+@experiment("principles", anchor="EXP-P1..P4 §3")
 def run_principles(seed: int = 0, n_jobs: int = 24, n_machines: int = 6) -> PrinciplesResult:
     """Audit both configurations for violations of all four principles."""
     _, naive = _run_mode("naive", seed, n_jobs, n_machines)
@@ -770,30 +780,23 @@ def run_principles(seed: int = 0, n_jobs: int = 24, n_machines: int = 6) -> Prin
 
 @dataclass
 class RetryRow:
-    max_retries: int
-    completed: int
-    held: int
-    wasted_attempts: int
-    mean_turnaround: float
+    max_retries: int = col("max retries")
+    completed: int = col("completed")
+    held: int = col("held")
+    wasted_attempts: int = col("wasted attempts")
+    mean_turnaround: float = col("mean turnaround (s)")
 
 
 @dataclass
-class RetrySweepResult(_KeyedRows):
-    ROW_KEY = "max_retries"
+class RetrySweepResult(_RowsResult):
+    TITLE = "EXP-RETRY: schedd retry budget vs outcome ({n_jobs} jobs)"
+    KEY = "max_retries"
 
     rows: list[RetryRow]
     n_jobs: int
 
-    def table(self) -> Table:
-        table = Table(
-            ["max retries", "completed", "held", "wasted attempts",
-             "mean turnaround (s)"],
-            title=f"EXP-RETRY: schedd retry budget vs outcome ({self.n_jobs} jobs)",
-        )
-        table.add_records(self.rows)
-        return table
 
-
+@experiment("retry_sweep", anchor="EXP-RETRY")
 def run_retry_sweep(
     seed: int = 0,
     n_jobs: int = 12,
@@ -810,28 +813,13 @@ def run_retry_sweep(
     """
     rows: list[RetryRow] = []
     for budget in budgets:
-        condor = CondorConfig(error_mode="scoped", max_retries=budget)
-        pool = Pool(PoolConfig(n_machines=n_machines, seed=seed, condor=condor))
-        injector = FaultInjector(pool)
-        for i in range(n_broken):
-            injector.schedule(MisconfiguredJvm(f"exec{i:03d}"))
-        rngs = RngRegistry(seed)
-        jobs = make_workload(
-            WorkloadSpec(n_jobs=n_jobs, io_fraction=0.0, exception_fraction=0.0,
-                         exit_code_fraction=0.0, mean_work=5.0),
-            rngs.stream("retry"),
-        )
-        for job in jobs:
-            pool.submit(job)
-        pool.run_until_done(max_time=300_000)
-        metrics = collect_metrics(pool, jobs, injector)
-        rows.append(RetryRow(
+        _, metrics, _ = _scoped_run(
+            seed, _plain_jobs(seed, n_jobs, "retry", mean_work=5.0), n_machines,
+            faults=[(MisconfiguredJvm(f"exec{i:03d}"),) for i in range(n_broken)],
+            max_time=300_000,
             max_retries=budget,
-            completed=metrics.completed,
-            held=metrics.held,
-            wasted_attempts=metrics.wasted_attempts,
-            mean_turnaround=metrics.mean_turnaround,
-        ))
+        )
+        rows.append(_metrics_row(RetryRow, metrics, max_retries=budget))
     return RetrySweepResult(rows, n_jobs)
 
 
@@ -841,28 +829,28 @@ def run_retry_sweep(
 
 @dataclass
 class FairShareRow:
-    fair_share: bool
-    flood_user_mean_turnaround: float
-    small_user_mean_turnaround: float
-    small_user_done_at: float
+    fair_share: bool = col("fair share")
+    flood_user_mean_turnaround: float = col("flood user mean turnaround (s)")
+    small_user_mean_turnaround: float = col("small user mean turnaround (s)")
+    small_user_done_at: float = col("small user done at (s)")
 
 
 @dataclass
-class FairShareResult(_KeyedRows):
-    ROW_KEY = "fair_share"
+class FairShareResult(_RowsResult):
+    TITLE = "EXP-FAIR: matchmaker fair share, flood vs trickle"
+    KEY = "fair_share"
 
     rows: list[FairShareRow]
 
-    def table(self) -> Table:
-        table = Table(
-            ["fair share", "flood user mean turnaround (s)",
-             "small user mean turnaround (s)", "small user done at (s)"],
-            title="EXP-FAIR: matchmaker fair share, flood vs trickle",
-        )
-        table.add_records(self.rows)
-        return table
+
+def _compute_job(job_id: str, owner: str, image: str, work: float, steps: int = 1,
+                 universe: Universe = Universe.JAVA) -> Job:
+    program = JavaProgram(steps=[Step.compute(work) for _ in range(steps)])
+    return Job(job_id, owner=owner, universe=universe,
+               image=ProgramImage(image, program=program))
 
 
+@experiment("fair_share", anchor="EXP-FAIR")
 def run_fair_share(
     seed: int = 0,
     flood_jobs: int = 8,
@@ -874,29 +862,21 @@ def run_fair_share(
     user wait behind the whole flood?  (Negotiator ablation.)"""
     rows: list[FairShareRow] = []
     for fair_share in (True, False):
-        condor = CondorConfig(error_mode="scoped", fair_share=fair_share)
-        pool = Pool(PoolConfig(n_machines=1, seed=seed, condor=condor))
-        flood = []
-        for i in range(flood_jobs):
-            program = JavaProgram(steps=[Step.compute(work)])
-            job = Job(f"1.{i}", owner="flooder", universe=Universe.JAVA,
-                      image=ProgramImage(f"f{i}.class", program=program))
-            flood.append(job)
+        pool = _scoped_pool(seed, 1, fair_share=fair_share)
+        flood = [_compute_job(f"1.{i}", "flooder", f"f{i}.class", work)
+                 for i in range(flood_jobs)]
+        for job in flood:
             pool.submit(job)
         second = pool.add_schedd("submit2")
-        small = []
-        for i in range(small_jobs):
-            program = JavaProgram(steps=[Step.compute(work)])
-            job = Job(f"2.{i}", owner="trickler", universe=Universe.JAVA,
-                      image=ProgramImage(f"s{i}.class", program=program))
-            small.append(job)
+        small = [_compute_job(f"2.{i}", "trickler", f"s{i}.class", work)
+                 for i in range(small_jobs)]
+        for job in small:
             pool.sim.call_at(small_arrives_at, lambda j=job: second.submit(j))
         pool.run_until_done(max_time=500_000, expected_jobs=flood_jobs + small_jobs)
 
-        def turnaround(jobs, submitted_at=0.0):
+        def turnaround(jobs):
             return sum(
-                j.attempts[-1].ended - max(j.submitted_at, submitted_at)
-                for j in jobs
+                j.attempts[-1].ended - max(j.submitted_at, 0.0) for j in jobs
             ) / len(jobs)
 
         rows.append(FairShareRow(
@@ -914,29 +894,22 @@ def run_fair_share(
 
 @dataclass
 class PreemptRow:
-    configuration: str
-    boss_turnaround: float
-    peon_turnaround: float
-    peon_steps_executed: int
-    evictions: int
+    configuration: str = col("configuration")
+    boss_turnaround: float = col("boss turnaround (s)")
+    peon_turnaround: float = col("peon turnaround (s)")
+    peon_steps_executed: int = col("peon steps executed")
+    evictions: int = col("evictions")
 
 
 @dataclass
-class PreemptResult(_KeyedRows):
-    ROW_KEY = "configuration"
+class PreemptResult(_RowsResult):
+    TITLE = "EXP-PREEMPT: rank preemption x checkpointing"
+    KEY = "configuration"
 
     rows: list[PreemptRow]
 
-    def table(self) -> Table:
-        table = Table(
-            ["configuration", "boss turnaround (s)", "peon turnaround (s)",
-             "peon steps executed", "evictions"],
-            title="EXP-PREEMPT: rank preemption x checkpointing",
-        )
-        table.add_records(self.rows)
-        return table
 
-
+@experiment("preemption", anchor="EXP-PREEMPT")
 def run_preemption(
     seed: int = 0,
     peon_steps: int = 40,
@@ -955,21 +928,16 @@ def run_preemption(
     ]
     rows: list[PreemptRow] = []
     for name, preemption, checkpointing in configurations:
-        condor = CondorConfig(error_mode="scoped", preemption=preemption,
-                              checkpointing=checkpointing)
-        pool = Pool(PoolConfig(n_machines=0, seed=seed, condor=condor))
+        pool = _scoped_pool(seed, 0, preemption=preemption, checkpointing=checkpointing)
         pool.add_machine(
             "prized",
             policy=OwnerPolicy(rank_expr='ifThenElse(TARGET.owner == "boss", 10, 1)'),
             memory=1024 * MB,
         )
-        peon = Job("1.0", owner="peon", universe=Universe.STANDARD,
-                   image=ProgramImage("peon.bin", program=JavaProgram(
-                       steps=[Step.compute(step_work) for _ in range(peon_steps)])))
+        peon = _compute_job("1.0", "peon", "peon.bin", step_work, peon_steps,
+                            Universe.STANDARD)
         pool.submit(peon)
-        boss = Job("2.0", owner="boss", universe=Universe.JAVA,
-                   image=ProgramImage("boss.class", program=JavaProgram(
-                       steps=[Step.compute(boss_work)])))
+        boss = _compute_job("2.0", "boss", "boss.class", boss_work)
         pool.sim.call_at(boss_arrives_at, lambda: pool.submit(boss))
         pool.run_until_done(max_time=1_000_000, expected_jobs=2)
         rows.append(PreemptRow(
@@ -989,30 +957,21 @@ def run_preemption(
 
 @dataclass
 class EndToEndRow:
-    configuration: str
-    jobs: int
-    corruptions_in_flight: int
-    wrong_outputs_delivered: int
-    implicit_errors_caught: int
-    resubmits: int
-    final_valid_outputs: int
+    configuration: str = col("configuration")
+    jobs: int = col("jobs")
+    corruptions_in_flight: int = col("corruptions in flight")
+    wrong_outputs_delivered: int = col("wrong outputs delivered")
+    implicit_errors_caught: int = col("implicit errors caught")
+    resubmits: int = col("resubmits")
+    final_valid_outputs: int = col("final valid outputs")
 
 
 @dataclass
-class EndToEndResult(_KeyedRows):
-    ROW_KEY = "configuration"
+class EndToEndResult(_RowsResult):
+    TITLE = "EXP-E2E: implicit errors vs the end-to-end layer (§5)"
+    KEY = "configuration"
 
     rows: list[EndToEndRow]
-
-    def table(self) -> Table:
-        table = Table(
-            ["configuration", "jobs", "corruptions in flight",
-             "wrong outputs delivered", "implicit errors caught",
-             "resubmits", "final valid outputs"],
-            title="EXP-E2E: implicit errors vs the end-to-end layer (§5)",
-        )
-        table.add_records(self.rows)
-        return table
 
 
 def _e2e_workload(pool: Pool, n_jobs: int):
@@ -1038,6 +997,7 @@ def _e2e_workload(pool: Pool, n_jobs: int):
     return jobs, validations
 
 
+@experiment("end_to_end", anchor="EXP-E2E §5")
 def run_end_to_end(
     seed: int = 0,
     n_jobs: int = 12,
@@ -1066,19 +1026,11 @@ def run_end_to_end(
                 pool.submit(job)
             pool.run_until_done(max_time=200_000)
         # Ground truth: check every lineage's final output ourselves.
-        wrong = 0
-        valid = 0
-        for job, validation in zip(jobs, validations):
-            problems = validation.validate(
-                _final_submission(manager, job, configuration), pool.home_fs
-            )
-            if problems:
-                wrong += 1
-            else:
-                valid += 1
-        summary = manager.summary() if configuration == "end-to-end layer" else {
-            "resubmits": 0, "implicit_errors_caught": 0,
-        }
+        wrong = sum(
+            1 for job, validation in zip(jobs, validations)
+            if validation.validate(_final_submission(manager, job), pool.home_fs)
+        )
+        summary = manager.summary()  # all zeros when the layer was not used
         rows.append(EndToEndRow(
             configuration=configuration,
             jobs=n_jobs,
@@ -1086,14 +1038,14 @@ def run_end_to_end(
             wrong_outputs_delivered=wrong,
             implicit_errors_caught=summary["implicit_errors_caught"],
             resubmits=summary["resubmits"],
-            final_valid_outputs=valid,
+            final_valid_outputs=n_jobs - wrong,
         ))
     return EndToEndResult(rows)
 
 
-def _final_submission(manager, job, configuration):
-    if configuration != "end-to-end layer":
-        return job
+def _final_submission(manager, job):
+    """What the user ends up holding for *job*: the layer's accepted (or
+    last) resubmission, or the job itself when no layer managed it."""
     for lineage in manager.lineages:
         if lineage.base is job:
             return lineage.accepted or lineage.submissions[-1]
@@ -1122,19 +1074,22 @@ class ChurnRow:
 
 
 @dataclass
-class ChurnResult(_KeyedRows):
-    ROW_KEY = "avoidance"
+class ChurnResult(_RowsResult):
+    TITLE = ("EXP-CHURN: avoidance modes vs a black hole healed at "
+             "t={heal_at:g}, under machine churn")
+    KEY = "avoidance"
 
     rows: list[ChurnRow]
     heal_at: float
 
     def table(self) -> Table:
+        # Not one column per field: leaves/joins share a cell and the last
+        # column is a derived property, so this table is spelled out.
         table = Table(
             ["avoidance", "completed", "wasted executions", "makespan (s)",
              "goodput rate", "churn leaves/joins", "attempts on healed site",
              "re-admitted"],
-            title=f"EXP-CHURN: avoidance modes vs a black hole healed at "
-                  f"t={self.heal_at:g}, under machine churn",
+            title=self.TITLE.format(**vars(self)),
         )
         for row in self.rows:
             table.add_row([
@@ -1146,6 +1101,7 @@ class ChurnResult(_KeyedRows):
         return table
 
 
+@experiment("churn", anchor="EXP-CHURN §5")
 def run_churn(
     seed: int = 0,
     n_jobs: int = 24,
@@ -1166,6 +1122,19 @@ def run_churn(
     from repro.condor.grid import ChurnGenerator
     from repro.faults import BlackHole
 
+    def churn_generator(pool):
+        # Churn everything except the black hole: removing it would wipe
+        # the avoidance record under test.
+        return ChurnGenerator(
+            pool,
+            pool.rngs.stream("churn"),
+            machines=tuple(m for m in sorted(pool.machines) if m != "exec000"),
+            mean_interval=mean_interval,
+            mean_downtime=mean_downtime,
+            graceful_fraction=0.5,
+            min_alive=2,
+        )
+
     modes = (
         ("none", dict(schedd_avoidance=False)),
         ("permanent", dict(schedd_avoidance=True, avoidance_mode="permanent")),
@@ -1173,59 +1142,26 @@ def run_churn(
     )
     rows: list[ChurnRow] = []
     for name, knobs in modes:
-        condor = CondorConfig(
-            error_mode="scoped",
+        jobs = _plain_jobs(seed, n_jobs, "churn-workload", mean_work=60.0)
+        _, metrics, churn = _scoped_run(
+            seed, jobs, n_machines,
+            faults=[(BlackHole("exec000"), 0.0, heal_at)],
+            arm=churn_generator,
+            arrivals=("churn-arrivals", 8.0),
             avoidance_base=60.0,
             avoidance_cap=480.0,
             **knobs,
         )
-        pool = Pool(PoolConfig(n_machines=n_machines, seed=seed, condor=condor))
-        injector = FaultInjector(pool)
-        injector.schedule(BlackHole("exec000"), at=0.0, until=heal_at)
-        # Churn everything except the black hole: removing it would wipe
-        # the avoidance record under test.
-        churn = ChurnGenerator(
-            pool,
-            pool.rngs.stream("churn"),
-            machines=tuple(
-                m for m in sorted(pool.machines) if m != "exec000"
-            ),
-            mean_interval=mean_interval,
-            mean_downtime=mean_downtime,
-            graceful_fraction=0.5,
-            min_alive=2,
-        )
-        rngs = RngRegistry(seed)
-        jobs = make_workload(
-            WorkloadSpec(n_jobs=n_jobs, io_fraction=0.0, exception_fraction=0.0,
-                         exit_code_fraction=0.0, mean_work=60.0),
-            rngs.stream("churn-workload"),
-        )
-        arrivals = rngs.stream("churn-arrivals")
-        when = 0.0
-        for job in jobs:
-            pool.submit_at(job, when)
-            when += arrivals.expovariate(1.0 / 8.0)
-        pool.run_until_done(max_time=500_000, expected_jobs=len(jobs))
-        metrics = collect_metrics(pool, jobs, injector)
-        healed_attempts = sum(
-            1
-            for job in jobs
-            for attempt in job.attempts
-            if attempt.site == "exec000" and attempt.started >= heal_at
-        )
-        rows.append(ChurnRow(
+        rows.append(_metrics_row(
+            ChurnRow, metrics,
             avoidance=name,
-            completed=metrics.completed,
-            wasted_attempts=metrics.wasted_attempts,
-            makespan=metrics.makespan,
-            goodput_rate=(
-                metrics.goodput_seconds / metrics.makespan
-                if metrics.makespan else 0.0
-            ),
+            goodput_rate=metrics.goodput_seconds / metrics.makespan if metrics.makespan else 0.0,
             churn_leaves=churn.leaves,
             churn_joins=churn.joins,
-            attempts_on_healed_site=healed_attempts,
+            attempts_on_healed_site=sum(
+                1 for job in jobs for attempt in job.attempts
+                if attempt.site == "exec000" and attempt.started >= heal_at
+            ),
         ))
     return ChurnResult(rows, heal_at=heal_at)
 
@@ -1236,36 +1172,24 @@ def run_churn(
 
 @dataclass
 class FlockRow:
-    configuration: str
-    completed: int
-    jobs_flocked: int
-    remote_completions: int
-    flock_links_down: int
-    makespan: float
-    mean_turnaround: float
+    configuration: str = col("configuration")
+    completed: int = col("completed")
+    jobs_flocked: int = col("jobs flocked")
+    remote_completions: int = col("remote completions")
+    flock_links_down: int = col("flock links down")
+    makespan: float = col("makespan (s)", digits=1)
+    mean_turnaround: float = col("mean turnaround (s)", digits=1)
 
 
 @dataclass
-class FlockResult(_KeyedRows):
-    ROW_KEY = "configuration"
+class FlockResult(_RowsResult):
+    TITLE = "EXP-FLOCK: overflow to a remote pool, and a flock link outage"
+    KEY = "configuration"
 
     rows: list[FlockRow]
 
-    def table(self) -> Table:
-        table = Table(
-            ["configuration", "completed", "jobs flocked", "remote completions",
-             "flock links down", "makespan (s)", "mean turnaround (s)"],
-            title="EXP-FLOCK: overflow to a remote pool, and a flock link outage",
-        )
-        for row in self.rows:
-            table.add_row([
-                row.configuration, row.completed, row.jobs_flocked,
-                row.remote_completions, row.flock_links_down,
-                round(row.makespan, 1), round(row.mean_turnaround, 1),
-            ])
-        return table
 
-
+@experiment("flocking", anchor="EXP-FLOCK §2.1")
 def run_flocking(
     seed: int = 0,
     n_jobs: int = 16,
@@ -1277,7 +1201,7 @@ def run_flocking(
     no flocking (the home pool grinds alone), flocking (idle jobs
     overflow), and flocking through a link outage (the schedd's
     exponential backoff rides it out, then overflow resumes)."""
-    from repro.condor.grid import Grid, GridConfig, GridPoolSpec
+    from repro.condor.grid import GridPoolSpec
     from repro.faults import FlockLinkDown
 
     configurations = (
@@ -1287,44 +1211,30 @@ def run_flocking(
     )
     rows: list[FlockRow] = []
     for name, flocking, outage in configurations:
-        condor = CondorConfig(error_mode="scoped", flock_after=30.0)
-        grid = Grid(GridConfig(
-            pools=(
-                GridPoolSpec("a", n_machines=home_machines),
-                GridPoolSpec("b", n_machines=remote_machines),
+        jobs = _plain_jobs(seed, n_jobs, "flock", mean_work=60.0)
+        grid, metrics, _ = _scoped_run(
+            seed, jobs,
+            faults=[(FlockLinkDown(), 0.0, link_down_until)] if outage else (),
+            grid=dict(
+                pools=(
+                    GridPoolSpec("a", n_machines=home_machines),
+                    GridPoolSpec("b", n_machines=remote_machines),
+                ),
+                flocking=flocking,
             ),
-            seed=seed,
-            condor=condor,
-            flocking=flocking,
-        ))
-        injector = FaultInjector(grid)
-        if outage:
-            injector.schedule(FlockLinkDown(), at=0.0, until=link_down_until)
-        rngs = RngRegistry(seed)
-        jobs = make_workload(
-            WorkloadSpec(n_jobs=n_jobs, io_fraction=0.0, exception_fraction=0.0,
-                         exit_code_fraction=0.0, mean_work=60.0),
-            rngs.stream("flock"),
+            flock_after=30.0,
         )
-        for job in jobs:
-            grid.submit(job)
-        grid.run_until_done(max_time=500_000, expected_jobs=len(jobs))
-        metrics = collect_metrics(grid, jobs, injector)
-        remote = sum(
-            1 for job in jobs
-            if job.state is JobState.COMPLETED
-            and job.attempts
-            and job.attempts[-1].site.startswith("b-")
-        )
-        links_down = sum(link.times_down for link in grid.schedd.flock_links)
-        rows.append(FlockRow(
+        rows.append(_metrics_row(
+            FlockRow, metrics,
             configuration=name,
-            completed=metrics.completed,
             jobs_flocked=grid.schedd.jobs_flocked,
-            remote_completions=remote,
-            flock_links_down=links_down,
-            makespan=metrics.makespan,
-            mean_turnaround=metrics.mean_turnaround,
+            remote_completions=sum(
+                1 for job in jobs
+                if job.state is JobState.COMPLETED
+                and job.attempts
+                and job.attempts[-1].site.startswith("b-")
+            ),
+            flock_links_down=sum(link.times_down for link in grid.schedd.flock_links),
         ))
     return FlockResult(rows)
 
@@ -1335,30 +1245,23 @@ def run_flocking(
 
 @dataclass
 class CheckpointRow:
-    checkpointing: bool
-    completed: int
-    total_steps_needed: int
-    steps_executed: int
-    reexecuted_steps: int
-    makespan: float
+    checkpointing: bool = col("checkpointing")
+    completed: int = col("completed")
+    total_steps_needed: int = col("steps needed")
+    steps_executed: int = col("steps executed")
+    reexecuted_steps: int = col("re-executed (waste)")
+    makespan: float = col("makespan (s)")
 
 
 @dataclass
-class CheckpointResult(_KeyedRows):
-    ROW_KEY = "checkpointing"
+class CheckpointResult(_RowsResult):
+    TITLE = "EXP-CKPT: Standard Universe checkpointing under evictions"
+    KEY = "checkpointing"
 
     rows: list[CheckpointRow]
 
-    def table(self) -> Table:
-        table = Table(
-            ["checkpointing", "completed", "steps needed", "steps executed",
-             "re-executed (waste)", "makespan (s)"],
-            title="EXP-CKPT: Standard Universe checkpointing under evictions",
-        )
-        table.add_records(self.rows)
-        return table
 
-
+@experiment("checkpointing", anchor="EXP-CKPT §2.1")
 def run_checkpoint_ablation(
     seed: int = 0,
     n_jobs: int = 6,
@@ -1374,30 +1277,26 @@ def run_checkpoint_ablation(
 
     rows: list[CheckpointRow] = []
     for checkpointing in (True, False):
-        condor = CondorConfig(error_mode="scoped", checkpointing=checkpointing)
-        pool = Pool(PoolConfig(n_machines=n_machines, seed=seed, condor=condor))
-        injector = FaultInjector(pool)
-        for at in eviction_times:
-            for m in range(n_machines):
-                injector.schedule(
-                    OwnerActivity(f"exec{m:03d}"), at=at, until=at + eviction_duration
-                )
-        jobs = []
-        for i in range(n_jobs):
-            program = JavaProgram(steps=[Step.compute(step_work) for _ in range(n_steps)])
-            job = Job(f"1.{i}", owner="thain", universe=Universe.STANDARD,
-                      image=ProgramImage(f"s{i}.bin", program=program))
-            jobs.append(job)
-            pool.submit(job)
-        pool.run_until_done(max_time=500_000)
+        jobs = [
+            _compute_job(f"1.{i}", "thain", f"s{i}.bin", step_work, n_steps,
+                         Universe.STANDARD)
+            for i in range(n_jobs)
+        ]
+        _, metrics, _ = _scoped_run(
+            seed, jobs, n_machines,
+            faults=[
+                (OwnerActivity(f"exec{m:03d}"), at, at + eviction_duration)
+                for at in eviction_times for m in range(n_machines)
+            ],
+            checkpointing=checkpointing,
+        )
         executed = sum(j.steps_executed for j in jobs)
         needed = n_jobs * n_steps
-        rows.append(CheckpointRow(
+        rows.append(_metrics_row(
+            CheckpointRow, metrics,
             checkpointing=checkpointing,
-            completed=sum(1 for j in jobs if j.state is JobState.COMPLETED),
             total_steps_needed=needed,
             steps_executed=executed,
             reexecuted_steps=max(0, executed - needed),
-            makespan=pool.sim.now,
         ))
     return CheckpointResult(rows)

@@ -9,9 +9,10 @@ Aggravation is measured as *user-visible incidental errors* and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.condor.job import Job, JobState
+from repro.harness.report import col, key_values
 
 __all__ = ["RunMetrics", "collect_metrics"]
 
@@ -20,50 +21,35 @@ __all__ = ["RunMetrics", "collect_metrics"]
 class RunMetrics:
     """Aggregated outcome of one pool run."""
 
-    jobs: int = 0
-    completed: int = 0
-    held: int = 0
-    unfinished: int = 0
+    jobs: int = col("jobs", default=0)
+    completed: int = col("completed", default=0)
+    held: int = col("held", default=0)
+    unfinished: int = col("unfinished", default=0)
     #: jobs whose delivered outcome was correct (matches expectation)
-    correct_results: int = 0
+    correct_results: int = col("correct results", default=0)
     #: environmental errors shown to the user as if they were results
     #: (wrong "completions" plus environment-reason holds)
-    user_visible_incidental: int = 0
+    user_visible_incidental: int = col("user-visible incidental errors", default=0)
     #: terminal outcomes a user must investigate by hand
-    postmortems_required: int = 0
-    total_attempts: int = 0
-    wasted_attempts: int = 0
+    postmortems_required: int = col("postmortems required", default=0)
+    total_attempts: int = col("total attempts", default=0)
+    wasted_attempts: int = col("wasted attempts", default=0)
     #: Condor's classic vocabulary: simulated seconds spent in attempts
     #: that ended in environmental errors (badput) vs. in the attempts
     #: that produced the delivered results (goodput).
-    goodput_seconds: float = 0.0
-    badput_seconds: float = 0.0
-    makespan: float = 0.0
-    mean_turnaround: float = 0.0
-    network_bytes: int = 0
+    goodput_seconds: float = col("goodput (s)", default=0.0)
+    badput_seconds: float = col("badput (s)", default=0.0)
+    makespan: float = col("makespan (s)", default=0.0)
+    mean_turnaround: float = col("mean turnaround (s)", default=0.0)
+    network_bytes: int = col("network bytes", default=0)
     #: real (host) seconds the run took, as opposed to simulated seconds.
-    #: Deliberately NOT part of :meth:`as_rows`: rendered tables must be
+    #: Deliberately NOT a column of :meth:`as_rows`: rendered tables must be
     #: bit-reproducible across runs (DESIGN.md §6), so wall clock reaches
     #: the user via table *footers* (CLI, replication) instead of rows.
     wall_clock_seconds: float = 0.0
 
     def as_rows(self) -> list[list]:
-        return [
-            ["jobs", self.jobs],
-            ["completed", self.completed],
-            ["held", self.held],
-            ["unfinished", self.unfinished],
-            ["correct results", self.correct_results],
-            ["user-visible incidental errors", self.user_visible_incidental],
-            ["postmortems required", self.postmortems_required],
-            ["total attempts", self.total_attempts],
-            ["wasted attempts", self.wasted_attempts],
-            ["goodput (s)", self.goodput_seconds],
-            ["badput (s)", self.badput_seconds],
-            ["makespan (s)", self.makespan],
-            ["mean turnaround (s)", self.mean_turnaround],
-            ["network bytes", self.network_bytes],
-        ]
+        return key_values(self)
 
 
 def collect_metrics(

@@ -7,7 +7,25 @@ import math
 from collections.abc import Iterable
 from typing import Any
 
-__all__ = ["Table", "fmt"]
+__all__ = ["Table", "col", "columns", "fmt", "key_values"]
+
+
+def col(header: str, digits: int | None = None, blank: str | None = None, **field_options):
+    """A dataclass field that is also a table column: its header, the
+    rounding the table (never the JSON) applies, and what ``None`` shows as."""
+    return dataclasses.field(
+        metadata={"header": header, "digits": digits, "blank": blank}, **field_options
+    )
+
+
+def columns(record_type) -> list[dataclasses.Field]:
+    """The :func:`col` fields of a dataclass (or instance), in declaration order."""
+    return [f for f in dataclasses.fields(record_type) if "header" in f.metadata]
+
+
+def key_values(record) -> list[list]:
+    """One ``[header, value]`` line per :func:`col` field of *record*."""
+    return [[f.metadata["header"], getattr(record, f.name)] for f in columns(record)]
 
 
 def fmt(value: Any) -> str:
@@ -44,10 +62,22 @@ class Table:
             )
         self.rows.append([fmt(cell) for cell in row])
 
-    def add_records(self, records: Iterable[Any]) -> None:
-        """One row per dataclass record: its fields, in declaration order."""
+    @classmethod
+    def of_records(cls, record_type, records: Iterable[Any], title: str = "") -> Table:
+        """One column per :func:`col` field of *record_type*, one row per record."""
+        cols = columns(record_type)
+        table = cls([f.metadata["header"] for f in cols], title=title)
         for record in records:
-            self.add_row([getattr(record, f.name) for f in dataclasses.fields(record)])
+            cells = []
+            for f in cols:
+                value = getattr(record, f.name)
+                if value is None:
+                    value = f.metadata["blank"]
+                elif f.metadata["digits"] is not None:
+                    value = round(value, f.metadata["digits"])
+                cells.append(value)
+            table.add_row(cells)
+        return table
 
     def add_footer(self, text: str) -> None:
         """Append a free-form footer line (timings, provenance notes)."""

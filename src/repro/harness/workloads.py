@@ -9,14 +9,21 @@ environmental error in program-result clothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.condor.job import Job, ProgramImage, Universe
 from repro.core.result import ResultFile
 from repro.jvm.program import JavaProgram, Step, StepKind
 from repro.jvm.throwables import JError, throwable_by_name
+from repro.sim.rng import RngRegistry
 
-__all__ = ["WorkloadSpec", "expected_result_for", "make_workload"]
+__all__ = [
+    "WorkloadSpec",
+    "expected_result_for",
+    "make_workload",
+    "submit_gauntlet",
+    "submit_staggered",
+]
 
 MB = 2**20
 
@@ -113,4 +120,36 @@ def make_workload(spec: WorkloadSpec, rng, home_fs=None) -> list[Job]:
         )
         job.expected_result = expected_result_for(program, home_files)
         jobs.append(job)
+    return jobs
+
+
+def submit_staggered(pool, jobs: list[Job], rng, mean_gap: float) -> None:
+    """Schedule *jobs* to arrive one after another, exponential gaps drawn
+    from *rng*, so the stream overlaps bounded fault windows like a real
+    pool's continuous load."""
+    when = 0.0
+    for job in jobs:
+        pool.submit_at(job, when)
+        when += rng.expovariate(1.0 / mean_gap)
+
+
+def submit_gauntlet(
+    pool, seed: int, n_jobs: int, stream: str, exception_fraction: float
+) -> list[Job]:
+    """Build and schedule the §2.3 gauntlet workload on *pool*.
+
+    Half the jobs do home-file I/O, some end in program exceptions or
+    exit codes, every third allocates (so memory-pressure faults bite),
+    and arrivals are staggered 40 s apart on average.  The headline
+    experiment, the principle audit and every campaign cell run this one
+    stream; they differ in the RNG *stream* name and exception share.
+    """
+    rngs = RngRegistry(seed)
+    spec = WorkloadSpec(n_jobs=n_jobs, io_fraction=0.5, exception_fraction=exception_fraction,
+                        exit_code_fraction=0.1, mean_work=8.0)
+    jobs = make_workload(spec, rngs.stream(stream), home_fs=pool.home_fs)
+    for i, job in enumerate(jobs):
+        if i % 3 == 0:
+            job.image.program.steps.insert(0, Step.allocate(16 * MB))
+    submit_staggered(pool, jobs, rngs.stream("arrivals"), 40.0)
     return jobs

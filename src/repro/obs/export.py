@@ -44,6 +44,7 @@ __all__ = [
     "ObservationSession",
     "dump_json",
     "event_record",
+    "reject_unwritable",
     "render_metrics",
     "render_trace",
     "span_record",
@@ -76,6 +77,15 @@ def unwritable(path: str) -> str | None:
     if not os.access(path if os.path.exists(path) else parent, os.W_OK):
         return "permission denied"
     return None
+
+
+def reject_unwritable(parser, args, *flags: str) -> None:
+    """``parser.error`` (exit 2, one line naming the flag and the path) for
+    the first of the output *flags* set in *args* that is :func:`unwritable`."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path and (why := unwritable(path)):
+            parser.error(f"{flag} {path}: {why}")
 
 
 def dump_json(path: str, obj: Any) -> None:

@@ -37,6 +37,7 @@ import json
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignConfig
 from repro.condor import Job, Pool, PoolConfig, ProgramImage
+from repro.harness.experiments import harness_payload, run_experiment_record
 from repro.harness.parallel import ParallelRunner, WorkerFailure
 from repro.harness.workloads import expected_result_for
 from repro.jvm.program import JavaProgram, Step
@@ -138,8 +139,6 @@ def execute_experiment(spec: dict) -> dict:
     they are byte-identical to a CLI run with ``--trace``/``--metrics``
     at the same seed (the acceptance test pins this).
     """
-    from repro.harness.__main__ import run_experiment_record
-
     with ObservationSession() as session:
         record = run_experiment_record(spec["experiment"], seed=spec["seed"])
     return {
@@ -173,8 +172,6 @@ def run_artifacts(kind: str, result: dict) -> dict[str, bytes]:
     ``job``'s result is its own record of the batch result.
     """
     if kind == "experiment":
-        from repro.harness.__main__ import harness_payload
-
         return {
             # The CLI's --json envelope, so a replay via ``python -m
             # repro.harness --json`` is a byte comparison.
@@ -205,8 +202,7 @@ def execute_item(item_json: str) -> dict:
             return {"ok": True, "result": execute_campaign(item["spec"])}
         return {"ok": False, "error": f"unknown item kind {item['kind']!r}"}
     except (Exception, SystemExit) as exc:  # noqa: BLE001 - a typed failure record
-        # SystemExit included: CLI-layer helpers exit on bad names, and
-        # a forged spec must fail its own run, not the whole drain loop.
+        # Whatever a run raises, an exit included, fails that run and not the drain cycle.
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.campaign.spec import CATALOGUE
+from repro.harness.experiments import UnknownExperiment, lookup
 from repro.service.errors import BadRequest
 
 __all__ = [
@@ -112,17 +113,13 @@ def normalize_job_spec(payload: Any) -> dict:
 
 def normalize_experiment_spec(payload: Any) -> dict:
     """Validate an experiment-launch submission: name + seed."""
-    # The canonical registry lives with the CLI; imported lazily so the
-    # spec layer has no import-time dependency on the harness entrypoint.
-    from repro.harness.__main__ import EXPERIMENTS
-
     payload = _require_mapping(payload)
     _reject_unknown(payload, ("experiment", "seed"))
     name = payload.get("experiment")
-    if name not in EXPERIMENTS:
-        raise BadRequest(
-            f"unknown experiment {name!r}; try one of: {', '.join(sorted(EXPERIMENTS))}"
-        )
+    try:
+        lookup(name)
+    except UnknownExperiment as exc:
+        raise BadRequest(str(exc)) from None
     seed = _int_field(payload, "seed", default=0, lo=0, hi=2**31 - 1)
     return {"experiment": name, "seed": seed}
 

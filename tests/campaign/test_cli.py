@@ -85,6 +85,35 @@ def test_bad_jobs_rejected():
         campaign_main(["--jobs", "0"])
 
 
+@pytest.mark.parametrize("argv, runner, flag", [
+    (FAST, "run_campaign", "--json"),
+    (FAST, "run_campaign", "--results-db"),
+    (["fuzz", "--budget-cells", "8"], "run_fuzz", "--json"),
+    (["fuzz", "--budget-cells", "8"], "run_fuzz", "--checkpoint"),
+])
+def test_unwritable_output_is_exit_2_before_the_first_cell(
+    capsys, monkeypatch, tmp_path, argv, runner, flag
+):
+    """It used to run the whole sweep, then die with a FileNotFoundError
+    traceback (exit 1), the report lost."""
+    import repro.campaign.cli as cli
+    import repro.campaign.fuzz as fuzz
+
+    ran = []
+    monkeypatch.setattr(
+        cli if runner == "run_campaign" else fuzz, runner, lambda *a, **k: ran.append(a)
+    )
+    path = str(tmp_path / "missing" / "out")
+    with pytest.raises(SystemExit) as excinfo:
+        campaign_main([*argv, flag, path])
+    assert excinfo.value.code == 2 and ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = [line for line in captured.err.splitlines() if "error:" in line]
+    assert f"{flag} {path}: no such directory" in error
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_order_rejected():
     with pytest.raises(SystemExit):
         campaign_main(["--order", "0"])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.__main__ import EXPERIMENTS, main, run_experiment
+from repro.harness.experiments import UnknownExperiment
 
 
 def test_every_registered_experiment_exists():
@@ -21,7 +22,8 @@ def test_run_experiment_with_seed():
 
 
 def test_unknown_experiment_exits():
-    with pytest.raises(SystemExit):
+    """The library raises the typed lookup error; only main() exits."""
+    with pytest.raises(UnknownExperiment, match="unknown experiment 'nonsense'; try one of"):
         run_experiment("nonsense")
 
 
@@ -102,6 +104,63 @@ class TestJobsValidation:
 def test_unknown_experiment_among_several_exits():
     with pytest.raises(SystemExit):
         main(["fig4", "nonsense"])
+
+
+class TestNameUsageErrors:
+    """A name the run cannot honour is exit 2 naming it, before anything
+    runs: an unknown name used to be a bare ``SystemExit`` (exit 1),
+    ``all fig1`` answered "unknown experiment 'all'", and ``fig4 fig4
+    --json`` printed two tables and wrote one entry."""
+
+    @pytest.mark.parametrize("argv, needles", [
+        (["nosuch"], ["unknown experiment 'nosuch'", "try one of: black_hole"]),
+        (["fig4", "nosuch"], ["unknown experiment 'nosuch'"]),
+        (["all", "fig1"], ["'all'", "all fig1"]),
+        (["fig1", "all"], ["'all'", "fig1 all"]),
+        (["fig4", "fig1", "fig4"], ["'fig4'", "2 times"]),
+    ])
+    def test_exit_2_naming_the_argument_before_anything_runs(
+        self, capsys, monkeypatch, tmp_path, argv, needles
+    ):
+        from repro.harness import __main__ as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_experiments", lambda *a, **k: ran.append(a))
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--json", str(out)])
+        assert excinfo.value.code == 2 and ran == [] and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (error,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert "unknown experiment 'all'" not in error
+        for needle in needles:
+            assert needle in error
+
+    def test_a_worker_failure_is_one_error_line_and_exit_1(self, capsys, monkeypatch):
+        from repro.harness import __main__ as cli
+        from repro.harness.parallel import WorkerFailure
+
+        def crash(*args, **kwargs):
+            raise WorkerFailure("worker died on 'fig4'", ["fig4"])
+
+        monkeypatch.setattr(cli, "run_experiments", crash)
+        assert main(["fig4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: experiment worker failed: worker died on 'fig4'"
+        ]
+
+
+def test_list_reads_anchors_from_the_registry_and_names_both_subcommands(capsys):
+    assert main(["--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = {line.split()[0]: " ".join(line.split()[1:]) for line in lines if line[:2] == "  "}
+    for name, fn in EXPERIMENTS.items():
+        assert listed[name] == fn.anchor
+    assert listed["fig3"] == "FIG3" and listed["black_hole"] == "EXP-BH §5"
+    assert {"campaign", "serve"} <= set(listed)
 
 
 class TestTelemetryJobsConflict:

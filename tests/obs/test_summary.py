@@ -114,7 +114,7 @@ class TestOneObservationSpine:
 
     def test_the_harness_envelope_is_built_by_one_function(self):
         assert _files_matching(r'"seed":[^{}]{0,80}"experiments":') == [
-            "repro/harness/__main__.py"
+            "repro/harness/experiments.py"
         ]
 
     def test_the_core_imports_without_numpy(self):

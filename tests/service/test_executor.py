@@ -103,7 +103,10 @@ class TestDrainCycle:
         finished = make_executor(store).drain_once()
         assert finished == 2  # both runs reached a terminal state
         assert store.run_status(bad)["state"] == "failed"
-        assert store.run_status(bad)["detail"]  # carries the error text
+        # the library's typed lookup error, not a CLI exit
+        assert store.run_status(bad)["detail"].startswith(
+            "UnknownExperiment: unknown experiment 'nope'; try one of"
+        )
         assert store.run_status(good)["state"] == "done"
 
     def test_campaign_run_produces_report(self, store):
