@@ -12,6 +12,7 @@ orders the compatible partners.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter_ns
 from typing import Any, Iterator
 
@@ -24,13 +25,22 @@ from repro.condor.classads.expr import (
     V_UNDEFINED,
     ValueType,
 )
-from repro.condor.classads.parser import parse
+from repro.condor.classads.parser import INTERN_MAX, parse
 
 __all__ = ["ClassAd", "FrozenAdError", "match", "rank", "symmetric_match"]
 
 #: Wall-time hook set by ``repro.obs.profile.install_wall`` (one global
 #: read per match when unprofiled -- the bus's inactive-emit contract).
 WALL_PROFILE = None
+
+
+#: Exact types whose assigned values share one :class:`Literal` each.
+_ATOMS = (bool, int, str)
+
+
+@lru_cache(maxsize=INTERN_MAX, typed=True)  # typed: ``True == 1`` and they hash alike
+def _atom(value: Any) -> Literal:
+    return Literal(ClassAdValue.of(value))
 
 
 class FrozenAdError(TypeError):
@@ -69,6 +79,8 @@ class ClassAd:
         lowered = name.lower()
         if isinstance(value, Expr):
             self._attrs[lowered] = value
+        elif type(value) in _ATOMS:
+            self._attrs[lowered] = _atom(value)
         else:
             self._attrs[lowered] = Literal(ClassAdValue.of(value))
         self._analysis = None

@@ -40,6 +40,7 @@ taking the minimum over all candidates, without evaluating rank per
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 from repro.condor.classads.ad import ClassAd
@@ -52,6 +53,7 @@ from repro.condor.classads.expr import (
     Literal,
     ValueType,
 )
+from repro.condor.classads.parser import INTERN_MAX
 
 __all__ = [
     "Constraint",
@@ -103,6 +105,10 @@ class Constraint:
     op: str
     key: tuple | None = None
     bound: float = 0.0
+
+
+#: Equal constraints are one object: jobs of one shape extract the same few.
+_constraint = lru_cache(maxsize=INTERN_MAX)(Constraint)
 
 
 def _conjuncts(expr: Expr) -> list[Expr]:
@@ -190,11 +196,9 @@ def _extract(job_ad: ClassAd) -> list[Constraint]:
             if op == "==":
                 key = _value_key(value)
                 if key is not None:
-                    constraints.append(Constraint(attr=name, op="==", key=key))
+                    constraints.append(_constraint(name, "==", key))
             elif value.type in _NUMERIC:
-                constraints.append(
-                    Constraint(attr=name, op=op, bound=float(value.payload))
-                )
+                constraints.append(_constraint(name, op, None, float(value.payload)))
     return constraints
 
 

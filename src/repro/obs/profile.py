@@ -38,8 +38,10 @@ out the attempt that produced them.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import sys
+from time import perf_counter_ns
 from typing import Any
 
 from repro.obs.bus import PerTriple, TelemetryBus, TelemetryEvent, Topic
@@ -385,19 +387,36 @@ _WALL_SITES = (
 
 _installed_wall: WallCounters | None = None
 
+_GC_COUNTERS = ("gc.gen0", "gc.gen1", "gc.gen2")
+_gc_started_ns = 0
+
+
+def _on_gc(phase: str, info: dict) -> None:
+    """``gc.callbacks`` hook: one wall counter per collected generation."""
+    global _gc_started_ns
+    if phase == "start":
+        _gc_started_ns = perf_counter_ns()
+    elif _installed_wall is not None:
+        _installed_wall.add(_GC_COUNTERS[info["generation"]], perf_counter_ns() - _gc_started_ns)
+
 
 def install_wall(counters: WallCounters) -> None:
-    """Point every instrumented module's ``WALL_PROFILE`` at *counters*."""
+    """Point every instrumented module's ``WALL_PROFILE`` at *counters*,
+    and the collector's callbacks at ``gc.gen0`` / ``gc.gen1`` / ``gc.gen2``."""
     global _installed_wall
     _installed_wall = counters
     for modname in _WALL_SITES:
         importlib.import_module(modname).WALL_PROFILE = counters
+    if _on_gc not in gc.callbacks:
+        gc.callbacks.append(_on_gc)
 
 
 def clear_wall() -> None:
     """Reset every instrumented module's hook to ``None`` (zero cost)."""
     global _installed_wall
     _installed_wall = None
+    if _on_gc in gc.callbacks:
+        gc.callbacks.remove(_on_gc)
     for modname in _WALL_SITES:
         mod = sys.modules.get(modname)
         if mod is not None:

@@ -184,6 +184,21 @@ class Timeout(Event):
             self._cancelled = True
 
 
+def _late(ev: Event) -> None:
+    """What a decided wait leaves in a pending event's callback list."""
+    if not ev._ok:
+        ev._defused = True
+
+
+def _let_go(ev: Event, callback: Callable[[Event], None]) -> None:
+    """Swap *callback* for :func:`_late`, in place, while *ev* is pending."""
+    callbacks = ev._callbacks
+    if callbacks is not None:
+        for i, cb in enumerate(callbacks):
+            if cb == callback:
+                callbacks[i] = _late
+
+
 class _Condition(Event):
     """Base for AnyOf/AllOf: waits on several events at once."""
 
@@ -202,6 +217,12 @@ class _Condition(Event):
     def _on_child(self, ev: Event) -> None:
         raise NotImplementedError
 
+    def _trigger(self, ok: bool, value: Any) -> None:
+        super()._trigger(ok, value)
+        on_child = self._on_child
+        for ev in self.events:
+            _let_go(ev, on_child)
+
     def _results(self) -> dict[Event, Any]:
         return {ev: ev.value for ev in self.events if ev.triggered}
 
@@ -217,9 +238,7 @@ class AnyOf(_Condition):
 
     def _on_child(self, ev: Event) -> None:
         if self.triggered:
-            if not ev.ok:
-                ev.defuse()
-            return
+            return _late(ev)
         if ev.ok:
             self.succeed(self._results())
         else:
@@ -237,9 +256,7 @@ class AllOf(_Condition):
 
     def _on_child(self, ev: Event) -> None:
         if self.triggered:
-            if not ev.ok:
-                ev.defuse()
-            return
+            return _late(ev)
         if not ev.ok:
             ev.defuse()
             self.fail(ev.value)
@@ -296,9 +313,7 @@ class SimProcess(Event):
         if self._waiting_on is not ev:
             # A stale wakeup from an event this process no longer waits on
             # (it was interrupted while waiting).  Ignore.
-            if not ev.ok:
-                ev.defuse()
-            return
+            return _late(ev)
         self._waiting_on = None
         if ev.ok:
             self._step(ev.value, None)
@@ -327,15 +342,19 @@ class SimProcess(Event):
             try:
                 if exc is not None:
                     target = self.generator.throw(exc)
+                    exc.__traceback__ = None  # handled
                 else:
                     target = self.generator.send(value)
             except StopIteration as stop:
+                if exc is not None:
+                    exc.__traceback__ = None  # handled
                 self._note_end("returned")
                 self.succeed(stop.value)
                 return
             except Interrupted as err:
                 # An interrupt that escapes the generator terminates it but is
                 # not a kernel error: the process "dies of" the interruption.
+                err.__traceback__ = None  # handled here
                 self._note_end("interrupted")
                 self.succeed(err.cause)
                 return
@@ -363,21 +382,23 @@ class SimProcess(Event):
         Interrupting a finished process is a no-op (the usual race when a
         watchdog and its subject complete simultaneously).
         """
+        if not self.triggered:
+            self.sim.call_at(
+                self.sim.now, lambda: self._interrupt(cause), priority=PRIORITY_URGENT
+            )
+
+    def _interrupt(self, cause: Any) -> None:
         if self.triggered:
             return
-
-        def do_interrupt() -> None:
-            if self.triggered:
-                return
-            waiting, self._waiting_on = self._waiting_on, None
-            if waiting is None and not self.triggered:
-                # Process is mid-step or not yet started; deliver the
-                # interrupt on its next resumption point instead.
-                self.sim.call_at(self.sim.now, do_interrupt, priority=PRIORITY_NORMAL)
-                return
-            self._step(None, Interrupted(cause))
-
-        self.sim.call_at(self.sim.now, do_interrupt, priority=PRIORITY_URGENT)
+        waiting, self._waiting_on = self._waiting_on, None
+        if waiting is None:
+            # Process is mid-step or not yet started; deliver the
+            # interrupt on its next resumption point instead.
+            self.sim.call_at(self.sim.now, lambda: self._interrupt(cause))
+            return
+        self._step(None, Interrupted(cause))
+        if self._waiting_on is not waiting:
+            _let_go(waiting, self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimProcess {self.name!r} alive={self.is_alive}>"

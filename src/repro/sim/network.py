@@ -192,10 +192,11 @@ class Connection:
         :class:`BrokenConnection`; so do its ``send`` calls.
         """
         self._teardown()
-        if self.peer is not None:
-            peer = self.peer
-            latency = self.network.latency(self.local.host, self.remote.host)
-            self.sim.call_in(latency, peer._teardown)
+        # An unlinked peer is already torn down; the no-op entry it would
+        # have got is this side's.
+        peer = self.peer if self.peer is not None else self
+        latency = self.network.latency(self.local.host, self.remote.host)
+        self.sim.call_in(latency, peer._teardown)
 
     close = break_  # a close is observed identically by the remote peer
 
@@ -204,6 +205,9 @@ class Connection:
             return
         self._broken = True
         self._wake()
+        peer = self.peer
+        if peer is not None and peer._broken:
+            self.peer = peer.peer = None  # both sides down: unlink
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Connection {self.local}->{self.remote} broken={self._broken}>"

@@ -8,6 +8,8 @@ ad against one built from scratch, a refresh by identity against a
 refresh by an equal fresh copy.
 """
 
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +23,13 @@ from repro.condor.classads import (
     parse,
     symmetric_match,
 )
+from repro.condor.classads import ad as ad_mod
 from repro.condor.classads import parser as parser_mod
+from repro.condor.classads.expr import ClassAdValue, Literal, ValueType
 from repro.condor.classads.parser import parse_uncached
+from repro.condor.daemons import match_index as match_index_mod
 from repro.condor.daemons.config import CondorConfig
-from repro.condor.daemons.match_index import MachineIndex
+from repro.condor.daemons.match_index import Constraint, MachineIndex, extract_constraints
 from repro.condor.daemons.schedd import Schedd
 from repro.condor.daemons.shadow import ShadowOutcome
 from repro.condor.daemons.startd import Startd
@@ -83,6 +88,90 @@ class TestInternedParse:
         assert tree is parse(source)
         assert tree == parse_uncached(source)
         assert str(tree) == str(parse_uncached(source))
+
+
+# -- (a') interned atoms and constraints -----------------------------------
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+def _uninterned(attrs: dict) -> ClassAd:
+    """The ad ``ClassAd(attrs)`` built before assigned atoms were shared."""
+    ad = ClassAd()
+    for name, value in attrs.items():
+        ad[name] = Literal(ClassAdValue.of(value))  # an Expr is stored as given
+    return ad
+
+
+class TestInternedAtoms:
+    def test_equal_atoms_are_one_literal_per_exact_type(self):
+        a, b = ClassAd({"x": 1, "y": "intel", "z": True}), ClassAd({"x": 1, "y": "intel"})
+        assert a.lookup("x") is b.lookup("x")
+        assert a.lookup("y") is b.lookup("y")
+        assert a.lookup("z") is not a.lookup("x")  # True == 1, and they hash alike
+
+    def test_true_and_one_keep_their_types_in_either_order(self):
+        for first, second in ((True, 1), (1, True), (False, 0), (0, False)):
+            ad_mod._atom.cache_clear()
+            ad = ClassAd({"first": first, "second": second})
+            for name, value in (("first", first), ("second", second)):
+                kind = ValueType.BOOLEAN if type(value) is bool else ValueType.INTEGER
+                assert ad.eval(name).type is kind
+                assert ad.value(name) is value
+
+    @pytest.mark.parametrize("value", [_Colour.RED, 1.0, 0.0, -0.0, None, b"bytes"])
+    def test_everything_else_takes_the_uninterned_path(self, value):
+        before = ad_mod._atom.cache_info()
+        one, two = ClassAd({"x": value}), ClassAd({"x": value})
+        assert ad_mod._atom.cache_info() == before
+        assert one.lookup("x") is not two.lookup("x")
+        assert one.lookup("x") == Literal(ClassAdValue.of(value))
+        assert str(one.lookup("x")) == str(Literal(ClassAdValue.of(value)))  # "-0.0" stays
+
+    @given(st.lists(
+        st.dictionaries(
+            st.sampled_from(["arch", "memory", "hasjava", "Owner", "load", "colour"]),
+            st.one_of(st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+                      st.sampled_from(["intel", "INTEL", "", "1", "true"]),
+                      st.just(_Colour.RED), st.none()),
+        ),
+        min_size=200, max_size=200,
+    ))
+    @settings(max_examples=5, deadline=None)
+    def test_render_of_200_random_ads_is_unchanged(self, ads):
+        for attrs in ads:
+            ad = ClassAd(attrs)
+            assert ad.render() == _uninterned(attrs).render()
+            assert ad._attrs == _uninterned(attrs)._attrs
+
+    def test_equal_constraints_are_one_object(self):
+        def job(image):
+            ad = ClassAd({"imagesize": image})
+            ad.set_expr(
+                "requirements",
+                'TARGET.arch == "intel" && TARGET.memory >= MY.imagesize && 2 < TARGET.cpus',
+            )
+            return ad
+
+        a, b, c = (extract_constraints(job(n)) for n in (32, 32, 64))
+        assert a == [Constraint("arch", "==", ("s", "intel")),
+                     Constraint("memory", ">=", None, 32.0),
+                     Constraint("cpus", ">", None, 2.0)]
+        assert all(x is y for x, y in zip(a, b))
+        assert a[0] is c[0] and a[2] is c[2] and a[1] != c[1]
+
+    def test_both_tables_are_bounded_by_the_parsers_intern_max(self):
+        bound = parser_mod.INTERN_MAX
+        for cache in (ad_mod._atom, match_index_mod._constraint):
+            assert cache.cache_info().maxsize == bound
+        for i in range(bound + 500):
+            ad = ClassAd({"imagesize": i, "name": f"job{i}"})
+            ad.set_expr("requirements", "TARGET.memory >= MY.imagesize")
+            extract_constraints(ad)
+            assert ad_mod._atom.cache_info().currsize <= bound
+        assert ad_mod._atom.cache_info().currsize == bound
+        assert match_index_mod._constraint.cache_info().currsize == bound
 
 
 # -- frozen ads ----------------------------------------------------------

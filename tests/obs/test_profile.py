@@ -222,6 +222,50 @@ class TestWallCounters:
         assert "classads.match" in wall.counters
         assert "classads.parse" in wall.counters
 
+    def test_the_collector_is_a_wall_line_and_only_a_wall_line(self, tmp_path, capsys):
+        import gc
+        import hashlib
+        import json
+
+        from repro.harness.__main__ import main
+        from repro.obs import profile as profile_mod
+        from repro.obs.canonical import canonical_json, strip_wall
+
+        path = tmp_path / "profile.json"
+        assert main(["fig3", "--seed", "7", "--profile", str(path)]) == 0
+        report = json.loads(path.read_text())
+        gen0 = report["wall"]["gc.gen0"]
+        assert gen0["calls"] > 0
+        assert set(gen0) == set(report["wall"]["sim.process_step"])  # the existing shape
+        assert {"gc.gen0", "gc.gen1", "gc.gen2"} >= {k for k in report["wall"] if k[:3] == "gc."}
+        assert "gc.gen0" in capsys.readouterr().out  # printed with the other wall lines
+        # The session cleared the hook with the counters.
+        assert profile_mod._on_gc not in gc.callbacks
+        # Everything outside ``wall`` is what it was before the collector
+        # had a line (sha256 of the stripped report at the parent commit).
+        stripped = canonical_json(strip_wall(report)).encode()
+        assert hashlib.sha256(stripped).hexdigest() == (
+            "a941de551c62ef4a58abe3800b69f2a846a4150136a6a6f64148d48d54e11476"
+        )
+
+    def test_gc_hook_is_installed_once_and_removed_by_clear_wall(self):
+        import gc
+
+        from repro.obs import profile as profile_mod
+
+        wall = WallCounters()
+        install_wall(wall)
+        install_wall(wall)
+        try:
+            assert gc.callbacks.count(profile_mod._on_gc) == 1
+            gc.collect()
+            assert wall.counters["gc.gen2"][0] == 1
+        finally:
+            clear_wall()
+        assert profile_mod._on_gc not in gc.callbacks
+        gc.collect()
+        assert wall.counters["gc.gen2"][0] == 1
+
     def test_wall_does_not_perturb_the_simulation(self):
         bare = _pool_run(seed=0)
         wall = WallCounters()

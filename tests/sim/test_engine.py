@@ -1,7 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.sim import engine
 from repro.sim.engine import (
     AllOf,
     AnyOf,
@@ -470,3 +474,168 @@ def test_run_is_not_reentrant():
     sim.spawn(proc(sim))
     with pytest.raises(SimulationError):
         sim.run()
+
+
+# -- a decided wait lets go (DESIGN §3.1 "who holds whom") ------------------
+# Each case pins (Simulator.step() calls, final sim.now, outcome) at the
+# numbers the kernel gave before conditions detached from their children.
+
+def _drain(sim):
+    steps = 0
+    while sim.step():
+        steps += 1
+    return steps
+
+
+def _heap_reaches(sim, kinds):
+    """Instances of *kinds* reachable from the event heap."""
+    seen, stack, found = set(), list(sim._queue), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kinds):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_late_child_failure_after_any_of_decided_is_defused():
+    sim = Simulator()
+    late = sim.event()
+    got = []
+
+    def proc(sim):
+        got.append((yield sim.any_of([sim.timeout(1.0, "first"), late])))
+
+    sim.spawn(proc(sim))
+    sim.call_at(2.0, lambda: late.fail(RuntimeError("too late")))
+    assert (_drain(sim), sim.now) == (7, 2.0)  # run() would not have raised
+    assert list(got[0].values()) == ["first"]
+    assert late._defused
+
+
+def test_late_child_failure_after_all_of_failed_fast_is_defused():
+    sim = Simulator()
+    first, late = sim.event(), sim.event()
+    got = []
+
+    def proc(sim):
+        try:
+            yield sim.all_of([first, late, sim.timeout(5.0)])
+        except RuntimeError as err:
+            got.append(str(err))
+
+    sim.spawn(proc(sim))
+    sim.call_at(1.0, lambda: first.fail(RuntimeError("first")))
+    sim.call_at(2.0, lambda: late.fail(RuntimeError("late")))
+    assert (_drain(sim), sim.now, got) == (9, 5.0, ["first"])
+
+
+def test_decided_condition_is_not_reachable_from_its_pending_children():
+    sim = Simulator()
+    never = sim.event()
+
+    def proc(sim):
+        yield sim.any_of([sim.timeout(1.0), never, sim.timeout(60.0)])
+        yield sim.all_of([sim.timeout(1.0), sim.timeout(60.0)])  # undecided at t=3
+        raise AssertionError("not reached by t=3")
+
+    sim.spawn(proc(sim)).defuse()
+    sim.run(until=3.0)
+    assert [type(c) for c in _heap_reaches(sim, (AnyOf, AllOf))] == [AllOf]
+    assert never._callbacks == [engine._late]
+
+
+def test_failed_event_nobody_waited_on_still_raises_from_run():
+    sim = Simulator()
+    sim.call_at(1.0, lambda: sim.event().fail(KeyError("unobserved")))
+    with pytest.raises(KeyError):
+        sim.run()
+    assert sim.now == 1.0
+
+
+def test_one_exception_reaches_two_waiters_and_loses_its_frames_once_handled():
+    sim = Simulator()
+    shared = sim.event()
+    boom = ValueError("boom")
+    seen = []
+
+    def waiter(sim, tag):
+        try:
+            yield shared
+        except ValueError as err:
+            # Each handler sees a traceback of its own generator's frames.
+            seen.append((tag, err is boom, err.__traceback__ is not None))
+            yield sim.timeout(1.0)
+
+    sim.spawn(waiter(sim, "a"))
+    sim.spawn(waiter(sim, "b"))
+    sim.call_at(1.0, lambda: shared.fail(boom))
+    assert (_drain(sim), sim.now) == (10, 2.0)
+    assert seen == [("a", True, True), ("b", True, True)]
+    assert boom.__traceback__ is None
+
+
+def test_escaping_exception_keeps_its_traceback():
+    sim = Simulator()
+    shared = sim.event()
+
+    def waiter(sim):
+        yield shared
+
+    proc = sim.spawn(waiter(sim))
+    proc.defuse()
+    sim.call_at(1.0, lambda: shared.fail(ValueError("boom")))
+    assert (_drain(sim), sim.now) == (4, 1.0)
+    assert not proc.ok and proc.value.__traceback__ is not None
+
+
+def test_interrupted_process_is_not_pinned_by_the_event_it_left():
+    sim = Simulator()
+    never = sim.event()  # the test keeps the event; nothing else keeps the process
+
+    def proc(sim):
+        held = bytearray(16)  # stands for whatever the generator's locals hold
+        try:
+            yield never
+        except Interrupted:
+            return len(held)
+
+    process = sim.spawn(proc(sim))
+    sim.run(until=1.0)
+    process.interrupt("stop")
+    sim.run()
+    ref = weakref.ref(process.generator)  # slotted SimProcess: its generator dies with it
+    gc.disable()
+    try:
+        del process
+        assert ref() is None  # by reference count alone: no gc.collect()
+    finally:
+        gc.enable()
+    assert never._callbacks == [engine._late]
+
+
+def test_interrupted_process_rewaiting_the_same_event_keeps_its_callback_slot():
+    sim = Simulator()
+    shared = sim.event()
+    order = []
+
+    def stubborn(sim):
+        while True:
+            try:
+                order.append(("stubborn", (yield shared)))
+                return
+            except Interrupted:
+                order.append("interrupted")
+
+    def other(sim):
+        order.append(("other", (yield shared)))
+
+    process = sim.spawn(stubborn(sim))  # first in shared's callback list
+    sim.spawn(other(sim))
+    sim.call_at(1.0, lambda: process.interrupt())
+    sim.call_at(2.0, lambda: shared.succeed("go"))
+    assert (_drain(sim), sim.now) == (8, 2.0)
+    assert order == ["interrupted", ("stubborn", "go"), ("other", "go")]

@@ -2,14 +2,18 @@
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim import engine
+from repro.sim.engine import AnyOf, Interrupted, Simulator, Timeout
 from repro.sim.network import (
     BrokenConnection,
+    Connection,
     ConnectionRefused,
     ConnectionTimedOut,
     HostUnreachable,
     Network,
 )
+
+from tests.sim.test_engine import _drain, _heap_reaches
 
 
 def run(sim, gen):
@@ -306,3 +310,111 @@ def test_latency_override():
     net.set_latency("a", "b", 2.5)
     assert net.latency("a", "b") == 2.5
     assert net.latency("b", "a") == 2.5
+
+
+# -- a decided recv lets go (DESIGN §3.1 "who holds whom") ------------------
+# Each case pins (Simulator.step() calls, final sim.now, outcome) at the
+# numbers taken before a decided wait detached from its deadline.
+
+def _scripted_recv(client_script, until=None):
+    """A server in ``recv(timeout=5.0)`` against *client_script(sim, conn, out)*."""
+    sim, net = make_net()
+    listener = net.listen("server", 80)
+    out = {"conns": []}
+
+    def server(sim):
+        conn = yield from listener.accept()
+        out["conns"].append(conn)
+        try:
+            out["outcome"] = yield from conn.recv(timeout=5.0)
+        except (BrokenConnection, ConnectionTimedOut, Interrupted) as err:
+            out["outcome"] = type(err).__name__
+        yield sim.timeout(1.0)  # outlives the wait, as a daemon loop does
+
+    def client(sim):
+        conn = yield from net.connect("client", "server", 80)
+        out["conns"].append(conn)
+        yield from client_script(sim, conn, out)
+
+    out["server"] = sim.spawn(server(sim))
+    sim.spawn(client(sim))
+    if until is not None:
+        sim.run(until=until)
+        return sim, out, None
+    return sim, out, _drain(sim)
+
+
+def _send_at_1(sim, conn, out):
+    yield sim.timeout(1.0)
+    conn.send("hello")
+
+
+def test_message_beats_deadline():
+    sim, out, steps = _scripted_recv(_send_at_1)
+    assert (steps, sim.now, out["outcome"]) == (15, 5.002, "hello")
+
+
+def test_a_decided_recv_leaves_a_timer_that_reaches_no_wait():
+    sim, out, _ = _scripted_recv(_send_at_1, until=3.0)
+    assert out["outcome"] == "hello"
+    # The deadline is still queued (cancelled, one step to pop) ...
+    assert [t._cancelled for t in _heap_reaches(sim, Timeout) if t.delay == 5.0] == [True]
+    # ... and reaches neither the wait it lost nor the connection.
+    assert _heap_reaches(sim, (AnyOf, Connection)) == []
+
+
+def test_deadline_beats_message():
+    def script(sim, conn, out):
+        yield sim.timeout(7.0)
+        conn.send("too late")
+
+    sim, out, steps = _scripted_recv(script)
+    assert (steps, sim.now, out["outcome"]) == (16, 7.003, "ConnectionTimedOut")
+
+
+def test_peer_breaks_during_recv_with_timeout():
+    def script(sim, conn, out):
+        yield sim.timeout(1.0)
+        conn.break_()
+
+    sim, out, steps = _scripted_recv(script)
+    assert (steps, sim.now, out["outcome"]) == (16, 5.002, "BrokenConnection")
+
+
+def test_interrupt_during_recv_with_timeout_keeps_the_undecided_wait_attached():
+    def script(sim, conn, out):
+        yield sim.timeout(1.0)
+        out["server"].interrupt("stop")
+        yield sim.timeout(1.0)
+        # Nothing decided the AnyOf, so its deadline still holds it and
+        # will still trigger it (the same steps as ever) ...
+        out["attached"] = [(w.triggered, w._callbacks) for w in _heap_reaches(sim, AnyOf)]
+        yield sim.timeout(4.0)
+        out["after deadline"] = _heap_reaches(sim, AnyOf)
+
+    sim, out, steps = _scripted_recv(script)
+    assert (steps, sim.now, out["outcome"]) == (19, 6.002, "Interrupted")
+    # ... but it no longer holds the process that left it.
+    assert out["attached"] == [(False, [engine._late])] and out["after deadline"] == []
+
+
+def test_both_sides_down_unlinks_the_peers_and_a_second_close_still_costs_a_step():
+    sim, net = make_net()
+    listener = net.listen("server", 80)
+    conns = []
+
+    def server(sim):
+        conns.append((yield from listener.accept()))
+
+    def client(sim):
+        conn = yield from net.connect("client", "server", 80)
+        conns.append(conn)
+        conn.close()
+        yield sim.timeout(1.0)
+        conn.close()  # already broken and unlinked: a no-op teardown entry all the same
+        conns[0].close()
+
+    sim.spawn(server(sim))
+    sim.spawn(client(sim))
+    assert (_drain(sim), sim.now) == (12, 1.003)
+    assert [(c.broken, c.peer) for c in conns] == [(True, None), (True, None)]
