@@ -1,37 +1,1 @@
-"""``repro.bench``: the regression-gated benchmark harness.
-
-Turns the ad-hoc ``benchmarks/bench_*.py`` scripts into a suite with a
-contract: ``python -m repro.bench`` runs every discovered benchmark
-under the deterministic grid profiler (:mod:`repro.obs.profile`) and
-emits one canonical ``BENCH_<name>.json`` per module -- sim-time
-attribution, critical-path summary, histogram percentiles, folded
-flamegraph stacks, and (strippable) wall-time statistics.  ``python -m
-repro.bench compare`` then diffs two runs: simulated-time results are
-exact and hard-fail on any change; wall-clock results are judged against
-a configurable threshold, so the gate never flakes on a noisy host.
-
-- :mod:`repro.bench.runner` -- discovery, the pytest-benchmark-
-  compatible :class:`~repro.bench.runner.BenchmarkProxy`, suite
-  execution;
-- :mod:`repro.bench.compare` -- wall stripping and regression checks.
-"""
-
-from repro.bench.compare import compare_paths, compare_records, strip_wall
-from repro.bench.runner import (
-    BENCH_SCHEMA,
-    BenchmarkProxy,
-    discover,
-    run_bench_file,
-    run_suite,
-)
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchmarkProxy",
-    "compare_paths",
-    "compare_records",
-    "discover",
-    "run_bench_file",
-    "run_suite",
-    "strip_wall",
-]
+"""A re-export shim; see :mod:`repro.bench.compare`."""

@@ -21,8 +21,8 @@ from typing import Any
 __all__ = ["WALL_KEYS", "canonical_json", "pretty_json", "strip_wall", "to_jsonable"]
 
 #: Names that say how a run was *measured*, not what the simulation did:
-#: host wall-clock data and the bench run protocol (a baseline timed over
-#: three rounds equals a ``--rounds 1`` run).  Never exported, compared or hashed.
+#: host wall-clock data and the benchmark run protocol (how many rounds were
+#: timed).  Never exported, compared or hashed.
 WALL_KEYS = frozenset({
     "wall", "wall_seconds", "wall_clock_seconds", "seed_seconds",
     "rounds", "rounds_override",

@@ -198,7 +198,7 @@ class SimTimeProfiler:
         }
 
     def section(self) -> dict:
-        """What a bench case or campaign cell record keeps: the totals
+        """What a campaign cell record keeps: the totals
         plus the :data:`SECTION_TOP_N` heaviest triples."""
         snapshot = self.snapshot()
         return {
@@ -335,7 +335,7 @@ class WallCounters:
     Hot sites call :meth:`add` with a ``perf_counter_ns`` delta.  The
     snapshot converts to seconds.  Wall numbers are measurement, not
     contract: exports put them under a ``wall`` key which
-    ``repro.bench.compare`` strips before byte-identity checks.
+    ``repro.obs.canonical.strip_wall`` drops before byte-identity checks.
     """
 
     __slots__ = ("counters",)

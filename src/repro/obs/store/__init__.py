@@ -4,8 +4,8 @@ One append-only database remembers what every one-shot artifact forgot:
 ``runs`` rows keyed by commit, config hash, and seed, each carrying the
 artifact's **wall-stripped canonical payload** (the deterministic part,
 byte-identical across serial and ``--jobs N`` source runs), plus
-relational projections -- ``metrics``, ``bench_cases``, ``cells``,
-``violations``, ``profile_sections``, ``error_hops`` -- that the query
+relational projections -- ``metrics``, ``cells``, ``violations``,
+``profile_sections``, ``error_hops`` -- that the query
 CLI (:mod:`repro.obs.store.__main__`) and the GridConsole web view
 (:mod:`repro.obs.web`) read directly.
 
@@ -39,7 +39,7 @@ from repro.obs.sqlite_store import (
     StoreOpenError,
     StoreSchemaError,
 )
-from repro.obs.store.ingest import Extracted, IngestError, extract, extract_text
+from repro.obs.store.ingest import Extracted, IngestError, extract_all, parse_text
 
 __all__ = [
     "IngestError",
@@ -79,16 +79,6 @@ CREATE TABLE IF NOT EXISTS metrics (
     wall   INTEGER NOT NULL DEFAULT 0
 );
 CREATE INDEX IF NOT EXISTS metrics_by_name ON metrics(name, label, run_id);
-CREATE TABLE IF NOT EXISTS bench_cases (
-    run_id           INTEGER NOT NULL REFERENCES runs(run_id),
-    bench            TEXT NOT NULL,
-    case_id          TEXT NOT NULL,
-    ok               INTEGER NOT NULL,
-    deterministic    INTEGER NOT NULL,
-    sim_events       INTEGER,
-    sim_time         REAL,
-    wall_min_seconds REAL
-);
 CREATE TABLE IF NOT EXISTS cells (
     run_id      INTEGER NOT NULL REFERENCES runs(run_id),
     cell        TEXT NOT NULL,
@@ -126,7 +116,6 @@ CREATE TABLE IF NOT EXISTS error_hops (
 #: :class:`Extracted` field lists them; swept alongside their runs row by gc.
 _CHILD_COLUMNS = {
     "metrics": "name, label, value, wall",
-    "bench_cases": "bench, case_id, ok, deterministic, sim_events, sim_time, wall_min_seconds",
     "cells": "cell, fault_order, completed, held, unfinished, violations, makespan, error",
     "violations": "cell, principle, subject, description",
     "profile_sections": "daemon, phase, scope, events, sim_time",
@@ -172,12 +161,17 @@ class ResultsStore(SqliteStore):
 
     # -- ingestion -------------------------------------------------------
     def ingest_obj(self, obj: Any, source: str, commit: str = "unknown") -> int:
-        """Ingest one parsed artifact; returns the new run id."""
-        return self._insert(extract(obj, source), source, commit)
+        """Ingest one parsed artifact; returns the new run id (the last of
+        them for a gridbench document, which is one run per seed -- all of
+        them land, or none)."""
+        with self.transaction():
+            for record in extract_all(obj, source):
+                run_id = self._insert(record, source, commit)
+        return run_id
 
     def ingest_text(self, text: str, source: str, commit: str = "unknown") -> int:
         """Ingest one artifact from raw text (JSON document or JSONL trace)."""
-        return self._insert(extract_text(text, source), source, commit)
+        return self.ingest_obj(parse_text(text, source), source, commit)
 
     def ingest_path(self, path: str | Path, commit: str = "unknown") -> int:
         """Ingest one artifact file; the source name is its basename."""
@@ -185,7 +179,7 @@ class ResultsStore(SqliteStore):
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise IngestError("NOT_JSON", path.name, f"cannot read file: {exc}") from None
+            raise IngestError("UNREADABLE", path.name, f"cannot read file: {exc}") from None
         return self.ingest_text(text, source=path.name, commit=commit)
 
     def _insert(self, ex: Extracted, source: str, commit: str) -> int:
@@ -372,18 +366,15 @@ class ResultsStore(SqliteStore):
 
     def folded(self, commit: str | None = None) -> tuple[list[str], list[dict]]:
         """Flamegraph folded stacks, merged over the latest profile-carrying
-        run of each source (profile exports and bench cases both ship them).
+        run of each source.
 
         Returns ``(stacks, run_rows)`` -- empty when nothing stores stacks.
         """
-        latest = self._latest_runs(commit, kinds=("profile", "bench", "harness"))
+        latest = self._latest_runs(commit, kinds=("profile", "harness"))
         stacks: list[str] = []
         rows: list[dict] = []
         for (kind, source), run_id in sorted(latest.items(), key=lambda kv: kv[1]):
-            payload = self.payload(run_id)
-            found = list(payload.get("folded") or [])
-            for case in (payload.get("cases") or {}).values():
-                found.extend(case.get("folded") or [])
+            found = self.payload(run_id).get("folded") or []
             if found:
                 stacks.extend(found)
                 rows.append({"run_id": run_id, "kind": kind, "source": source})
@@ -410,25 +401,28 @@ class ResultsStore(SqliteStore):
         ]
         return {"run": row, "cells": cells}
 
-    def bench_payloads(self, commit: str) -> dict[str, dict]:
-        """bench name -> latest payload at *commit* (for ``diff``)."""
-        out: dict[str, dict] = {}
-        for row in self.runs(kind="bench", commit=commit):
+    def gridbench_fingerprints(self, commit: str) -> dict[str, dict[tuple, tuple[int, str]]]:
+        """workload -> {(seed, smoke): (run id, fingerprint)} over the
+        gridbench runs at *commit*, a later run of the same seed winning
+        (for ``diff``)."""
+        out: dict[str, dict[tuple, tuple[int, str]]] = {}
+        for row in self.runs(kind="gridbench", commit=commit):
             payload = self.payload(row["run_id"])
-            out[payload.get("bench", row["source"])] = payload
+            for name, sim_side in payload["workloads"].items():
+                out.setdefault(name, {})[(payload["seed"], payload["smoke"])] = (
+                    row["run_id"], sim_side["fingerprint"],
+                )
         return out
 
-    def wall_metrics(self, commit: str) -> dict[tuple[str, str], float]:
-        """(name, label) -> latest wall-side value at *commit*."""
-        out: dict[tuple[str, str], float] = {}
-        for name, label, value in self._db.execute(
-            "SELECT m.name, m.label, m.value FROM metrics m"
-            " JOIN runs r ON r.run_id = m.run_id"
-            " WHERE m.wall=1 AND r.commit_sha=? ORDER BY m.run_id",
-            (commit,),
-        ):
-            out[(name, label)] = value  # latest run wins
-        return out
+    def run_metrics(self, run_id: int, label: str, wall: bool) -> dict[str, float]:
+        """name -> value of one run's rows under *label*: the wall-flagged
+        ones, or the exact ones."""
+        return dict(
+            self._db.execute(
+                "SELECT name, value FROM metrics WHERE run_id=? AND label=? AND wall=?",
+                (run_id, label, int(wall)),
+            )
+        )
 
     # -- retention -------------------------------------------------------
     def gc(self, keep: int, dry_run: bool = False) -> dict:

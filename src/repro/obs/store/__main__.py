@@ -2,22 +2,22 @@
 
 Examples::
 
-    python -m repro.obs.store ingest benchmarks/baseline/*.json
+    python -m repro.obs.store ingest benchmarks/gridbench/baseline/reference.json --commit reference
     python -m repro.obs.store ingest report.json --db results.db --commit abc123
-    python -m repro.obs.store query --kind bench --strip-wall
-    python -m repro.obs.store trend --metric wall_seconds
+    python -m repro.obs.store query --kind gridbench --strip-wall
+    python -m repro.obs.store trend --metric run_s
     python -m repro.obs.store trend --metric makespan --label fig3 --json
     python -m repro.obs.store diff abc123 def456
     python -m repro.obs.store gc --keep 5
 
 ``ingest`` auto-detects every artifact schema the reproduction emits
-(BENCH / campaign / fuzz / harness JSON, trace JSONL, metrics and
+(gridbench / campaign / fuzz / harness JSON, trace JSONL, metrics and
 profile exports) and keeps going past rejected files, reporting each
 with its structured code.  ``trend`` renders a per-commit trajectory
-and flags wall regressions by the same thresholds as ``repro.bench
-compare``; ``diff`` compares two commits (sim side exact over the
-wall-stripped payloads, wall side thresholded).  Exit codes: 0 ok,
-1 regression / rejected file, 2 missing commit or empty store.
+and flags wall regressions; ``diff`` compares the gridbench runs of two
+commits (fingerprints exact, wall side thresholded by the same rule).
+Exit codes: 0 ok, 1 regression / rejected file, 2 missing commit, no
+data, or a store that cannot be opened (one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -25,10 +25,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.compare import add_threshold_options
 from repro.obs.canonical import pretty_json
-from repro.obs.store import IngestError, ResultsStore, default_commit
+from repro.obs.store import (
+    IngestError,
+    ResultsStore,
+    StoreDurabilityError,
+    StoreOpenError,
+    StoreSchemaError,
+    default_commit,
+)
 from repro.obs.store.query import (
+    add_threshold_options,
     diff_commits,
     render_diff,
     render_runs,
@@ -139,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ingest = commands.add_parser("ingest", help="ingest artifact files")
     ingest.add_argument("artifacts", nargs="+", metavar="FILE",
-                        help="BENCH/campaign/fuzz/harness JSON, trace JSONL, "
+                        help="gridbench/campaign/fuzz/harness JSON, trace JSONL, "
                              "metrics or profile exports")
     ingest.add_argument("--commit", default=None, metavar="SHA",
                         help="commit to record (default: git rev-parse, else 'unknown')")
@@ -147,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
 
     query = commands.add_parser("query", help="list stored runs")
     query.add_argument("--kind", default=None,
-                       choices=("bench", "campaign", "fuzz", "harness",
+                       choices=("gridbench", "campaign", "fuzz", "harness",
                                 "trace", "metrics", "profile"))
     query.add_argument("--commit", default=None, metavar="SHA")
     query.add_argument("--limit", type=int, default=None, metavar="N",
@@ -185,13 +192,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gc" and args.keep < 1:
         gc.error(f"--keep must be >= 1, got {args.keep}")
-    return {
+    command = {
         "ingest": _ingest_main,
         "query": _query_main,
         "trend": _trend_main,
         "diff": _diff_main,
         "gc": _gc_main,
-    }[args.command](args)
+    }[args.command]
+    try:
+        return command(args)
+    except (StoreOpenError, StoreSchemaError, StoreDurabilityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,23 +1,25 @@
 """Artifact detection and extraction for the longitudinal results store.
 
-Every one-shot artifact the reproduction emits -- ``BENCH_*.json``
-(schema ``repro-bench/1``), campaign reports (``repro-campaign/1``),
-fuzz reports (``repro-campaign-fuzz/1``), harness ``--json`` payloads,
-and the trace / metrics / profile exports -- is recognised here and
-reduced to one :class:`Extracted` record: the wall-stripped canonical
-payload (the deterministic part, byte-identical across serial and
-``--jobs N`` source runs), plus relational projections (scalar metrics,
-bench cases, campaign cells, violations, profile sections, error hops
-by scope) that the query CLI and the GridConsole web view read without
-re-parsing payloads.  Each projection has one owning artifact kind
-(DESIGN.md §3.6f): ``error_hops`` rows come from a trace alone, as the
-``repro-trace/1`` summary a producer folded in memory or as the JSONL
-file, which :func:`extract_text` replays into that same summary.
+Every one-shot artifact the reproduction emits -- gridbench reports
+(``repro-gridbench/1``, the benchmark of record), campaign reports
+(``repro-campaign/1``), fuzz reports (``repro-campaign-fuzz/1``),
+harness ``--json`` payloads, and the trace / metrics / profile exports
+-- is recognised here and reduced to one :class:`Extracted` record per
+store run: the wall-stripped canonical payload (the deterministic part,
+byte-identical across serial and ``--jobs N`` source runs), plus
+relational projections (scalar metrics, campaign cells, violations,
+profile sections, error hops by scope) that the query CLI and the
+GridConsole web view read without re-parsing payloads.  Each projection
+has one owning artifact kind (DESIGN.md §3.6f): ``error_hops`` rows come
+from a trace alone, as the ``repro-trace/1`` summary a producer folded
+in memory or as the JSONL file, which :func:`parse_text` replays into
+that same summary.
 
 Rejection is structured: anything that is not an artifact we know ends
 in an :class:`IngestError` carrying a machine-readable ``code``
-(``NOT_JSON`` / ``UNRECOGNIZED`` / ``MALFORMED``) and the offending
-source name -- never a bare ``KeyError`` from deep inside an extractor.
+(``UNREADABLE`` / ``NOT_JSON`` / ``UNRECOGNIZED`` / ``MALFORMED``) and the
+offending source name -- never a bare ``KeyError`` from deep inside an
+extractor.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ __all__ = [
     "Extracted",
     "IngestError",
     "extract",
+    "extract_all",
     "extract_text",
+    "parse_text",
 ]
 
 #: artifact schema marker -> the store's ``kind`` for it.
 ARTIFACT_SCHEMAS = {
-    "repro-bench/1": "bench",
+    "repro-gridbench/1": "gridbench",
     "repro-campaign/1": "campaign",
     "repro-campaign-fuzz/1": "fuzz",
     "repro-harness/1": "harness",
@@ -73,8 +77,6 @@ class Extracted:
     payload: Any
     #: (name, label, value, wall?) -- wall rows carry host measurement.
     metrics: list[tuple[str, str, float, bool]] = field(default_factory=list)
-    #: (bench, case_id, ok, deterministic, sim_events, sim_time, wall_min)
-    bench_cases: list[tuple] = field(default_factory=list)
     #: (cell, order, completed, held, unfinished, violations, makespan, error)
     cells: list[tuple] = field(default_factory=list)
     #: (cell, principle, subject, description)
@@ -117,36 +119,63 @@ def _sections(triples: list[dict] | None) -> list[tuple]:
 
 
 # -- per-schema extractors ----------------------------------------------
-def _extract_bench(obj: dict, source: str) -> Extracted:
-    bench = _require(obj, "bench", str, source, "bench record")
-    cases = _require(obj, "cases", dict, source, "bench record")
-    out = _extracted("bench", obj, bench=bench)
-    for case_id, case in sorted(cases.items()):
-        if not isinstance(case, dict):
-            raise IngestError("MALFORMED", source, f"bench case {case_id!r} is not a record")
-        label = f"{bench}:{case_id}"
-        wall = case.get("wall_seconds") or {}
-        wall_min = wall.get("min")
-        if wall_min is not None:
-            out.metrics.append(("wall_seconds", label, float(wall_min), True))
-        sim = case.get("sim") or {}
-        sim_events = sim.get("events")
-        sim_time = sim.get("sim_time")
-        if sim_time is not None:
-            out.metrics.append(("sim_time", label, float(sim_time), False))
-        if sim_events is not None:
-            out.metrics.append(("sim_events", label, float(sim_events), False))
-        out.bench_cases.append((
-            bench,
-            case_id,
-            bool(case.get("ok")),
-            bool(case.get("deterministic")),
-            sim_events,
-            sim_time,
-            wall_min,
-        ))
-        out.profile_sections.extend(_sections(sim.get("top")))
-    return out
+#: gridbench unit -> is the row wall-flagged.  A count is exact; the rest are
+#: host costs, where growth is worse, which is what the store's one wall rule
+#: reads growth as.  A rate grows when things get better and a ratio or a
+#: version has no such direction; those stay in the JSON (DESIGN.md §3.6f).
+_ROW_UNITS = {
+    "count": False, "s": True, "ms": True, "us": True, "ns": True, "MB": True, "bytes": True,
+}
+
+
+def _extract_gridbench(obj: dict, source: str) -> list[Extracted]:
+    """One record per ``runs[i]`` of a ``repro-gridbench/1`` document.
+
+    The payload is the sim side alone -- per workload its ``fingerprint``,
+    ``attempted``, ``failed`` and ``checks`` -- and ``diff`` holds the
+    fingerprint exact.  The end-to-end medians and per-layer values become
+    metric rows labelled by workload; ``host.*`` describes the box, not the
+    program, and is left in the file.
+    """
+    runs = _require(obj, "runs", list, source, "gridbench document")
+    if not runs:
+        raise IngestError("MALFORMED", source, "gridbench document holds no run")
+    records = []
+    for i, run in enumerate(runs):
+        where = f"gridbench run {i}"
+        if not isinstance(run, dict):
+            raise IngestError("MALFORMED", source, f"{where} is not a record")
+        seed = _require(run, "seed", int, source, where)
+        workloads = _require(run, "workloads", dict, source, where)
+        sim_side: dict = {}
+        metrics = []
+        for name, workload in sorted(workloads.items()):
+            where = f"gridbench run {i} workload {name!r}"
+            if not isinstance(workload, dict):
+                raise IngestError("MALFORMED", source, f"{where} is not a record")
+            sim_side[name] = {
+                "fingerprint": _require(workload, "fingerprint", str, source, where),
+                **{key: workload.get(key) for key in ("attempted", "failed", "checks")},
+            }
+            for section in ("end_to_end", "per_layer"):
+                entries = _require(workload, section, dict, source, where)
+                for metric, entry in sorted(entries.items()):
+                    value = entry.get("value") if isinstance(entry, dict) else None
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise IngestError(
+                            "MALFORMED", source, f"{where} {metric!r} has no numeric 'value'"
+                        )
+                    wall = _ROW_UNITS.get(entry.get("unit"))
+                    if wall is not None and not metric.startswith("host."):
+                        metrics.append((metric, name, float(value), wall))
+        smoke = bool(run.get("smoke"))
+        record = _extracted(
+            "gridbench", {"seed": seed, "smoke": smoke, "workloads": sim_side},
+            seed=seed, smoke=smoke, workloads=sorted(sim_side),
+        )
+        record.metrics = metrics
+        records.append(record)
+    return records
 
 
 def _campaign_common(obj: dict, source: str, out: Extracted) -> None:
@@ -283,13 +312,11 @@ def _extract_trace(obj: dict, source: str) -> Extracted:
 
 # -- detection ----------------------------------------------------------
 def extract(obj: Any, source: str) -> Extracted:
-    """Detect and extract one parsed JSON artifact."""
+    """Detect and extract one parsed JSON artifact that is one store run."""
     if not isinstance(obj, dict):
         raise IngestError(
             "UNRECOGNIZED", source, f"top-level JSON is {type(obj).__name__}, not an object"
         )
-    if obj.get("schema") == "repro-bench/1":
-        return _extract_bench(obj, source)
     if obj.get("format") == "repro-campaign-fuzz/1":
         return _extract_fuzz(obj, source)
     if obj.get("schema") == "repro-profile/1":
@@ -310,8 +337,17 @@ def extract(obj: Any, source: str) -> Extracted:
     )
 
 
-def extract_text(text: str, source: str) -> Extracted:
-    """Detect and extract one artifact from raw file text (JSON or JSONL)."""
+def extract_all(obj: Any, source: str) -> list[Extracted]:
+    """Every store run one parsed artifact holds: one per seed of a
+    gridbench document, one for anything else."""
+    if isinstance(obj, dict) and obj.get("schema") == "repro-gridbench/1":
+        return _extract_gridbench(obj, source)
+    return [extract(obj, source)]
+
+
+def parse_text(text: str, source: str) -> Any:
+    """Raw file text as the artifact object behind it: the JSON document,
+    or the ``repro-trace/1`` summary a JSONL trace folds to."""
     stripped = text.strip()
     if not stripped:
         raise IngestError("NOT_JSON", source, "file is empty")
@@ -322,7 +358,7 @@ def extract_text(text: str, source: str) -> Extracted:
     else:
         # ... unless that document is itself a trace line: a one-record trace.
         if not (isinstance(obj, dict) and obj.get("kind") in ("event", "span")):
-            return extract(obj, source)
+            return obj
     summary = RunSummary()
     for i, line in enumerate(stripped.splitlines(), start=1):
         if not line.strip():
@@ -335,4 +371,9 @@ def extract_text(text: str, source: str) -> Extracted:
             ) from None
         except ValueError as exc:
             raise IngestError("MALFORMED", source, f"line {i}: {exc}") from None
-    return extract(summary.payload(), source)
+    return summary.payload()
+
+
+def extract_text(text: str, source: str) -> Extracted:
+    """Detect and extract one single-run artifact from raw file text."""
+    return extract(parse_text(text, source), source)

@@ -2,25 +2,62 @@
 tables across commits, and commit-to-commit diffs.
 
 ``trend`` renders one metric's trajectory -- one row per commit in
-first-ingestion order, one column per label -- and flags wall-side
-regressions by the exact rule :mod:`repro.bench.compare` applies in CI
-(fractional threshold on the value, with a floor below which timings
-are noise).  ``diff`` goes further for bench artifacts: the stored
-payloads are already wall-stripped, so the sim side is compared
-byte-exactly via :func:`~repro.bench.compare.compare_records`, and the
-wall side comes from the store's wall-flagged metric rows.
+first-ingestion order, one column per label.  ``diff`` compares what two
+commits both recorded of the benchmark of record: a gridbench workload's
+``fingerprint`` is the exact side (any difference is a problem, and the
+exact counters that moved with it are listed), its wall-flagged metric
+rows are the measured side.  Both judge a wall-flagged value by the one
+rule here, :func:`wall_regressed` -- a fractional threshold with a floor
+below which timings are noise -- and its two options are defined here
+and nowhere else.
 """
 
 from __future__ import annotations
 
-from repro.bench.compare import (
-    DEFAULT_MIN_WALL_SECONDS,
-    DEFAULT_WALL_THRESHOLD,
-    compare_records,
-)
+import argparse
+
 from repro.obs.store import ResultsStore
 
-__all__ = ["diff_commits", "render_diff", "render_runs", "render_trend", "trend_table"]
+__all__ = [
+    "DEFAULT_MIN_WALL_SECONDS",
+    "DEFAULT_WALL_THRESHOLD",
+    "add_threshold_options",
+    "diff_commits",
+    "render_diff",
+    "render_runs",
+    "render_trend",
+    "trend_table",
+    "wall_regressed",
+]
+
+#: Default allowed fractional growth of a wall-flagged value (1.0 = a 2x
+#: slowdown passes).
+DEFAULT_WALL_THRESHOLD = 1.0
+#: Values below this on both sides are too small to judge.
+DEFAULT_MIN_WALL_SECONDS = 0.05
+
+
+def add_threshold_options(parser: argparse.ArgumentParser) -> None:
+    """``--wall-threshold`` / ``--min-wall-seconds``, as ``trend`` and
+    ``diff`` spell them."""
+    parser.add_argument("--wall-threshold", type=float,
+                        default=DEFAULT_WALL_THRESHOLD, metavar="F",
+                        help="allowed fractional growth of a wall-flagged value "
+                             "(default %(default)s = 2x)")
+    parser.add_argument("--min-wall-seconds", type=float,
+                        default=DEFAULT_MIN_WALL_SECONDS, metavar="S",
+                        help="ignore wall values below S on both sides "
+                             "(default %(default)s)")
+
+
+def wall_regressed(
+    before: float, after: float, wall_threshold: float, min_wall_seconds: float
+) -> bool:
+    """The one wall rule: *after* exceeds *before* by more than the
+    fractional *wall_threshold*, and the two are not both under the floor."""
+    if before < min_wall_seconds and after < min_wall_seconds:
+        return False
+    return after > before * (1.0 + wall_threshold)
 
 
 def render_runs(rows: list[dict], strip_wall: bool = False) -> str:
@@ -58,10 +95,9 @@ def trend_table(
 ) -> tuple[str, list[str]]:
     """Render one metric's per-commit trajectory; return (table, regressions).
 
-    A wall-flagged series regresses when a commit's value exceeds the
-    previous non-missing value by more than *wall_threshold* and both
-    clear *min_wall_seconds* -- the ``repro.bench compare`` rule.
-    Regressed entries are marked ``!`` in the table and itemised.
+    A wall-flagged series regresses where a commit's value against the
+    previous non-missing one is :func:`wall_regressed`.  Regressed entries
+    are marked ``!`` in the table and itemised.
     """
     from repro.harness.report import Table
 
@@ -77,10 +113,8 @@ def trend_table(
         for i, value in enumerate(series[label]):
             if value is None:
                 continue
-            if (
-                previous is not None
-                and not (previous < min_wall_seconds and value < min_wall_seconds)
-                and value > previous * (1.0 + wall_threshold)
+            if previous is not None and wall_regressed(
+                previous, value, wall_threshold, min_wall_seconds
             ):
                 flagged[(label, i)] = True
                 regressions.append(
@@ -120,13 +154,12 @@ def diff_commits(
     wall_threshold: float = DEFAULT_WALL_THRESHOLD,
     min_wall_seconds: float = DEFAULT_MIN_WALL_SECONDS,
 ) -> dict:
-    """Compare everything two commits both recorded.
+    """Compare what two commits both recorded.
 
-    Bench payloads go through :func:`compare_records` (sim side exact --
-    the payloads are stored wall-stripped, so this is a pure behaviour
-    diff); wall-flagged metric rows are judged by the threshold rule.
-    Benchmarks present on only one side are problems, same as the CI
-    gate.
+    A gridbench workload is paired with itself at the same seed: a moved
+    fingerprint is a problem, itemised by the exact counters that moved
+    under it; so is a workload only one side ran.  The pair's wall-flagged
+    rows are judged by :func:`wall_regressed`.
     """
     known = store.commits()
     missing = [sha for sha in (commit_a, commit_b) if sha not in known]
@@ -135,37 +168,43 @@ def diff_commits(
             f"commit(s) {', '.join(missing)} not in the results store"
             f" (known: {', '.join(known) if known else 'none'})"
         )
-    old_bench = store.bench_payloads(commit_a)
-    new_bench = store.bench_payloads(commit_b)
+    old, new = store.gridbench_fingerprints(commit_a), store.gridbench_fingerprints(commit_b)
     problems: list[str] = []
-    for name in sorted(set(old_bench) - set(new_bench)):
+    for name in sorted(set(old) - set(new)):
         problems.append(f"{name}: present at {commit_a} only")
-    for name in sorted(set(new_bench) - set(old_bench)):
+    for name in sorted(set(new) - set(old)):
         problems.append(f"{name}: present at {commit_b} only")
-    compared = sorted(set(old_bench) & set(new_bench))
-    for name in compared:
-        # Payloads are wall-stripped, so only the exact sim side fires here.
-        problems.extend(
-            compare_records(old_bench[name], new_bench[name], check_wall=False)
-        )
-    old_wall = store.wall_metrics(commit_a)
-    new_wall = store.wall_metrics(commit_b)
+    compared = sorted(set(old) & set(new))
     wall_compared = 0
-    for key in sorted(set(old_wall) & set(new_wall)):
-        before, after = old_wall[key], new_wall[key]
-        if before < min_wall_seconds and after < min_wall_seconds:
-            continue
-        wall_compared += 1
-        if after > before * (1.0 + wall_threshold):
-            name, label = key
-            problems.append(
-                f"{name}[{label}]: wall regression {before:.4f}s -> {after:.4f}s "
-                f"(> {wall_threshold:+.0%} threshold)"
-            )
+    for name in compared:
+        paired = sorted(set(old[name]) & set(new[name]))
+        if not paired:
+            problems.append(f"{name}: no seed was run at both {commit_a} and {commit_b}")
+        for seed, smoke in paired:
+            (run_a, print_a), (run_b, print_b) = old[name][seed, smoke], new[name][seed, smoke]
+            if print_a != print_b:
+                problems.append(
+                    f"{name}: fingerprint moved at seed {seed}: {print_a[:12]} -> {print_b[:12]}"
+                )
+                before, after = (store.run_metrics(r, name, wall=False) for r in (run_a, run_b))
+                problems.extend(
+                    f"{name}: {metric} {before[metric]:g} -> {after[metric]:g}"
+                    for metric in sorted(set(before) & set(after))
+                    if before[metric] != after[metric]
+                )
+            before, after = (store.run_metrics(r, name, wall=True) for r in (run_a, run_b))
+            for metric in sorted(set(before) & set(after)):
+                wall_compared += 1
+                if wall_regressed(before[metric], after[metric], wall_threshold, min_wall_seconds):
+                    problems.append(
+                        f"{name}: {metric} wall regression at seed {seed}: "
+                        f"{before[metric]:.4f} -> {after[metric]:.4f} "
+                        f"(> {wall_threshold:+.0%} threshold)"
+                    )
     return {
         "commit_a": commit_a,
         "commit_b": commit_b,
-        "benchmarks": compared,
+        "workloads": compared,
         "wall_metrics": wall_compared,
         "problems": problems,
     }
@@ -174,7 +213,7 @@ def diff_commits(
 def render_diff(diff: dict) -> str:
     lines = [
         f"diff {diff['commit_a']} -> {diff['commit_b']}: "
-        f"{len(diff['benchmarks'])} benchmark(s), "
+        f"{len(diff['workloads'])} workload(s), "
         f"{diff['wall_metrics']} wall metric(s) compared"
     ]
     lines.extend(f"REGRESSION: {problem}" for problem in diff["problems"])

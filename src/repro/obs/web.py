@@ -327,7 +327,7 @@ CONSOLE_HTML = """<!DOCTYPE html>
     <div class="note" id="matrix-note"></div>
   </section>
   <section class="card wide">
-    <h2>Bench wall time by commit</h2>
+    <h2>gridbench run_s by commit</h2>
     <div class="sparks" id="sparks"></div>
     <div class="note" id="sparks-note"></div>
   </section>
@@ -502,29 +502,20 @@ function sparkline(values) {
 
 async function renderSparks() {
   try {
-    const t = await getJSON("/v1/results/trend?metric=wall_seconds");
+    const t = await getJSON("/v1/results/trend?metric=run_s");
     const labels = Object.keys(t.series).sort();
     if (!labels.length) {
       $("sparks").innerHTML = "";
-      $("sparks-note").textContent = "no wall_seconds series in the store yet";
+      $("sparks-note").textContent = "no gridbench run in the store yet";
       return;
     }
-    // Group case-level series by bench: label "bench=x,case=y" or "x:y".
-    const byBench = {};
-    for (const label of labels) {
-      const m = label.match(/bench=([^,]+)/);
-      const bench = m ? m[1] : label.split(/[:,]/)[0];
-      const acc = byBench[bench] || (byBench[bench] =
-        t.commits.map(() => null));
-      t.series[label].forEach((v, i) => {
-        if (v != null) acc[i] = (acc[i] || 0) + v;
-      });
-    }
-    $("sparks").innerHTML = Object.entries(byBench).sort().map(([bench, vals]) => {
+    // One series per gridbench workload: its median run_s at each commit.
+    $("sparks").innerHTML = labels.map(workload => {
+      const vals = t.series[workload];
       let last = null;
       vals.forEach(v => { if (v != null) last = v; });
-      return '<div class="spark"><div class="name" title="total of per-case ' +
-        'min wall seconds">' + esc(bench) + '</div><div class="last">' +
+      return '<div class="spark"><div class="name" title="median timed ' +
+        'section, seconds">' + esc(workload) + '</div><div class="last">' +
         (last == null ? "-" : last.toFixed(3) + "s") + "</div>" +
         sparkline(vals) + "</div>";
     }).join("");

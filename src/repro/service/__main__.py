@@ -58,7 +58,6 @@ async def _serve(args: argparse.Namespace, secret: str) -> int:
         ServiceConfig(
             secret=secret,
             queue_limit=args.queue_limit,
-            bench_dir=args.bench_dir,
             results_db=None if args.results_db == "none" else args.results_db,
         ),
     )
@@ -114,8 +113,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="pool size for grid-job batches")
     serve.add_argument("--batch-seed", type=int, default=0, metavar="SEED",
                        help="seed for grid-job batch pools")
-    serve.add_argument("--bench-dir", default="benchmarks/baseline",
-                       help="directory of BENCH_*.json baselines to serve")
     serve.add_argument("--results-db", default="repro-results.db", metavar="PATH",
                        help="results store backing /console and /v1/results "
                             "(default: repro-results.db; 'none' disables)")

@@ -16,8 +16,6 @@ Routes (v1)::
     GET  /v1/runs/<id>                      run status (tenant-scoped)
     GET  /v1/runs/<id>/artifacts            artifact names
     GET  /v1/runs/<id>/artifacts/<name>     artifact content
-    GET  /v1/bench                          committed benchmark baselines
-    GET  /v1/bench/<name>                   one baseline's JSON
     GET  /console                           GridConsole page (unauthenticated)
     GET  /v1/results/<view>                 results-store JSON (unauthenticated)
 
@@ -31,7 +29,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 from urllib.parse import parse_qsl
 
@@ -59,8 +56,9 @@ class ServiceConfig:
 
     secret: str
     queue_limit: int = 1000
-    #: directory of committed BENCH_*.json baselines served read-only
-    bench_dir: str | None = "benchmarks/baseline"
+    #: unused: accepted so that ``benchmarks/gridbench`` (frozen between
+    #: benchmark PRs) can go on passing it; the routes it configured are gone
+    bench_dir: None = None
     #: longitudinal results store backing /console; None disables the view
     results_db: str | None = "repro-results.db"
     #: wall clock; injectable for tests (expiry without sleeping)
@@ -128,8 +126,6 @@ class ServiceApi:
             return 200, self.store.queue_stats(), "json"
         if method == "GET" and len(parts) >= 2 and parts[0] == "runs":
             return self._runs(parts[1:], user)
-        if method == "GET" and parts and parts[0] == "bench":
-            return self._bench(parts[1:])
         raise NotFound(f"no route for {method} {path}")
 
     # -- submission ------------------------------------------------------
@@ -177,29 +173,3 @@ class ServiceApi:
         name = parts[2]
         content = self.store.get_artifact(status["run_id"], name)
         return 200, content, ("json" if name in _JSON_ARTIFACTS else "text")
-
-    # -- benchmark baselines ---------------------------------------------
-    def _bench_root(self) -> Path:
-        if self.config.bench_dir is None:
-            raise NotFound("this service instance serves no benchmark baselines")
-        root = Path(self.config.bench_dir)
-        if not root.is_dir():
-            raise NotFound(f"benchmark baseline directory {str(root)!r} not found")
-        return root
-
-    def _bench(self, parts: list[str]) -> tuple[int, dict | bytes, str]:
-        root = self._bench_root()
-        if not parts:
-            names = sorted(p.stem for p in root.glob("BENCH_*.json"))
-            return 200, {"baselines": names}, "json"
-        if len(parts) > 1:
-            raise NotFound(f"no such bench sub-resource {'/'.join(parts)!r}")
-        name = parts[0]
-        # Serve only the flat BENCH_*.json namespace; anything with a
-        # path separator or outside the pattern never reaches the disk.
-        if not name.startswith("BENCH_") or any(sep in name for sep in "/\\.."):
-            raise NotFound(f"no baseline named {name!r}")
-        target = root / f"{name}.json"
-        if not target.is_file():
-            raise NotFound(f"no baseline named {name!r}")
-        return 200, target.read_bytes(), "json"

@@ -156,12 +156,6 @@ class ServiceClient:
             raise ServiceApiError(response.status, envelope["code"], envelope["message"])
         return response.body
 
-    async def bench_baselines(self) -> dict:
-        return await self._json("GET", "/v1/bench")
-
-    async def bench_baseline(self, name: str) -> dict:
-        return await self._json("GET", f"/v1/bench/{name}")
-
     async def wait(
         self, run_id: int, timeout: float = 60.0, poll_interval: float = 0.05
     ) -> dict:

@@ -93,6 +93,16 @@ class TestSmoke:
         dump_json(path, smoke_report)
         assert json.loads(path.read_text())["format"] == FORMAT
 
+    def test_acceptance_budget_covers_every_principle_early_and_deep(self):
+        """Classic mode, seed 7, 200 cells: all four principles in a tenth
+        of the 103-cell exhaustive order-2 sweep, and ddmin confirms an
+        order-3 1-minimal reproducer."""
+        report = run_fuzz(_config(budget=200, batch=FuzzConfig().batch_size))
+        assert report["totals"]["cells"] == 200
+        assert report["violations"]["principles"] == [1, 2, 3, 4]
+        assert report["violations"]["all_principles_at"] * 10 <= 103
+        assert report["totals"]["max_minimal_order"] >= 3
+
     def test_summary_renders(self, smoke_report):
         text = render_fuzz_summary(smoke_report)
         assert "fuzz campaign: mode=classic seed=7" in text

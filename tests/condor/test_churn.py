@@ -239,3 +239,24 @@ class TestChurnGenerator:
             grid.submit_at(job, when=5.0 * i)
         grid.run_until_done(max_time=100_000)
         assert all(job.state is JobState.COMPLETED for job in jobs)
+
+    def test_a_flocking_grid_completes_a_burst_while_both_pools_churn(self):
+        """48 jobs over 2 + 6 machines, churn on both pools, the flock link
+        carrying the overflow: everything completes, some of it remotely."""
+        grid = Grid(GridConfig(
+            pools=(GridPoolSpec("a", n_machines=2), GridPoolSpec("b", n_machines=6)),
+            seed=0,
+            condor=CondorConfig(error_mode="scoped", flock_after=30.0, schedd_avoidance=True),
+        ))
+        churn = ChurnGenerator(
+            grid, grid.rngs.stream("bench-churn"),
+            mean_interval=90.0, mean_downtime=60.0, min_alive=3,
+        )
+        jobs = [java_job(job_id=f"{i}.0", work=45.0) for i in range(48)]
+        for i, job in enumerate(jobs):
+            grid.submit_at(job, when=5.0 * i)
+        grid.run_until_done(max_time=500_000, expected_jobs=len(jobs))
+        assert all(job.state is JobState.COMPLETED for job in jobs)
+        assert churn.leaves > 0 and churn.joins > 0
+        assert grid.schedd.jobs_flocked > 0
+        assert any(job.attempts[-1].site.startswith("b-") for job in jobs)

@@ -221,7 +221,7 @@ class TestProfileFlag:
     def test_profile_file_deterministic_after_wall_strip(self, tmp_path):
         import json
 
-        from repro.bench.compare import strip_wall
+        from repro.obs.canonical import strip_wall
 
         reports = []
         for tag in ("a", "b"):

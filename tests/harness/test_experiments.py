@@ -181,6 +181,12 @@ class TestPrinciples:
         for p in ("P1", "P2", "P3", "P4"):
             assert p in text
 
+    def test_scoped_violates_none_of_what_naive_violates(self):
+        result = E.run_principles(seed=0, n_jobs=24, n_machines=6)
+        assert result.naive[1] > 0  # implicit errors from explicit errors
+        assert result.naive[4] > 0  # the generic IOException interface
+        assert all(result.scoped[p] == 0 for p in (1, 2, 3, 4))
+
 
 class TestEndToEndExperiment:
     def test_layer_catches_what_bare_delivers(self):
@@ -192,6 +198,11 @@ class TestEndToEndExperiment:
         assert layered.final_valid_outputs == 8
         assert layered.resubmits > 0
 
+    def test_nothing_below_the_layer_notices(self):
+        result = E.run_end_to_end(n_jobs=12, n_machines=4, corruption_probability=0.25)
+        assert result.row("no end-to-end layer").implicit_errors_caught == 0
+        assert result.row("end-to-end layer").final_valid_outputs == 12
+
 
 class TestCheckpointExperiment:
     def test_checkpointing_reduces_reexecution(self):
@@ -199,11 +210,20 @@ class TestCheckpointExperiment:
         assert result.row(True).reexecuted_steps < result.row(False).reexecuted_steps
         assert result.row(True).completed == result.row(False).completed == 4
 
+    def test_checkpointing_never_costs_makespan(self):
+        result = E.run_checkpoint_ablation()
+        assert result.row(True).makespan <= result.row(False).makespan
+
 
 class TestFairShareExperiment:
     def test_small_user_unblocked(self):
         result = E.run_fair_share()
         assert result.row(True).small_user_done_at < result.row(False).small_user_done_at
+
+    def test_the_flooding_user_pays_modestly(self):
+        fair, unfair = (E.run_fair_share().row(flag) for flag in (True, False))
+        assert fair.small_user_mean_turnaround < unfair.small_user_mean_turnaround
+        assert fair.flood_user_mean_turnaround >= unfair.flood_user_mean_turnaround
 
 
 class TestRetrySweepExperiment:
@@ -211,6 +231,12 @@ class TestRetrySweepExperiment:
         result = E.run_retry_sweep(budgets=(0, 4))
         assert result.row(0).held > 0
         assert result.row(4).completed == result.n_jobs
+
+    def test_completions_are_monotone_in_budget_and_saturate(self):
+        result = E.run_retry_sweep()
+        completions = [row.completed for row in result.rows]
+        assert completions == sorted(completions)
+        assert result.rows[-1].completed == result.n_jobs and result.rows[-1].held == 0
 
 
 class TestPreemptionExperiment:
@@ -222,6 +248,12 @@ class TestPreemptionExperiment:
         assert ckpt.boss_turnaround < none.boss_turnaround
         assert ckpt.peon_steps_executed < raw.peon_steps_executed
         assert none.evictions == 0 and ckpt.evictions >= 1
+
+    def test_preemption_slashes_the_wait_with_or_without_checkpoints(self):
+        result = E.run_preemption()
+        none = result.row("no preemption")
+        assert result.row("preemption + checkpointing").boss_turnaround < none.boss_turnaround / 3
+        assert result.row("preemption, no checkpointing").evictions >= 1
 
 
 class TestChurnExperiment:
@@ -238,6 +270,9 @@ class TestChurnExperiment:
         assert none.wasted_attempts > backoff.wasted_attempts
         assert backoff.makespan < permanent.makespan < none.makespan
         assert backoff.goodput_rate > permanent.goodput_rate
+
+    def test_every_defense_finishes_the_whole_workload(self):
+        assert [row.completed for row in E.run_churn().rows] == [24, 24, 24]
 
     def test_only_backoff_readmits_the_healed_site(self):
         result = E.run_churn()

@@ -156,6 +156,32 @@ class TestStripRule:
         assert canonical_json(strip_wall(reordered)) == canonical_json(strip_wall(obj))
         assert pretty_json(strip_wall(reordered)) == pretty_json(strip_wall(obj))
 
+    #: shaped like one workload of a gridbench report
+    RECORD = {
+        "rounds_override": None,
+        "workloads": {"w": {
+            "rounds": 5, "attempted": 4,
+            "wall_seconds": {"min": 0.2, "per_round": [0.2, 0.3]},
+            "wall": {"sim.process_step": {"calls": 10, "total_seconds": 0.1}},
+            "sim": {"events": 100, "sim_time": 42.0},
+        }},
+    }
+
+    def test_removes_wall_keys_at_any_depth(self):
+        workload = strip_wall(self.RECORD)["workloads"]["w"]
+        assert "wall" not in workload and "wall_seconds" not in workload
+        assert workload["sim"]["events"] == 100
+
+    def test_removes_run_protocol_keys(self):
+        stripped = strip_wall(self.RECORD)
+        assert "rounds_override" not in stripped
+        assert "rounds" not in stripped["workloads"]["w"]
+        assert stripped["workloads"]["w"]["attempted"] == 4
+
+    def test_original_is_untouched(self):
+        strip_wall(self.RECORD)
+        assert "wall" in self.RECORD["workloads"]["w"]
+
     def test_to_jsonable_drops_wall_fields_of_dataclasses_only(self):
         row = FakeRow("x", 1.0, ErrorScope.JOB, Colour.RED)
         assert "wall_clock_seconds" not in to_jsonable(row)
@@ -197,3 +223,14 @@ class TestOneImplementation:
         assert _files_matching(r"def strip_wall") == ["repro/obs/canonical.py"]
         assert _files_matching(r"def canonical_json") == ["repro/obs/canonical.py"]
         assert _files_matching(r"canonical_dump_bytes|WALL_CLOCK_FIELDS|PROTOCOL_KEYS") == []
+
+    def test_one_benchmark_system(self):
+        """gridbench measures and the results store compares; the first
+        system's schema, file prefix and routes are gone from ``src/``."""
+        assert _files_matching(r"repro-bench/1|BENCH_") == []
+        # Not a knob: one ignored field gridbench (frozen) still passes.
+        assert _files_matching(r"bench_dir") == ["repro/service/api.py"]
+        assert _files_matching(r"def add_threshold_options") == ["repro/obs/store/query.py"]
+        assert _files_matching(r"\(1\.0 \+ wall_threshold\)") == ["repro/obs/store/query.py"]
+        shim = "".join(p.read_text(encoding="utf-8") for p in (SRC / "repro/bench").glob("*.py"))
+        assert not re.search(r"(?m)^\s*(def|class) ", shim)

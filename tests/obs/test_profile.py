@@ -289,7 +289,7 @@ class TestProfileReport:
         assert report["folded"]
 
     def test_same_seed_report_identical_after_wall_strip(self):
-        from repro.bench.compare import strip_wall
+        from repro.obs.canonical import strip_wall
 
         reports = []
         for _ in range(2):
@@ -314,7 +314,7 @@ class TestProfileReport:
         # the same way compare does and require byte identity.
         import json
 
-        from repro.bench.compare import strip_wall
+        from repro.obs.canonical import strip_wall
 
         a = strip_wall(json.loads(paths[0].read_text()))
         b = strip_wall(json.loads(paths[1].read_text()))

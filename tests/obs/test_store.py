@@ -11,6 +11,7 @@ rejected with structured errors, never half-ingested.
 import copy
 import json
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -28,29 +29,37 @@ from repro.obs.store import (
 )
 from repro.obs.store.__main__ import main as store_main
 from repro.obs.store.ingest import extract, extract_text
+from repro.obs.store.query import diff_commits, wall_regressed
 
-BENCH_RECORD = {
-    "schema": "repro-bench/1",
-    "bench": "toy",
-    "rounds_override": None,
-    "cases": {
-        "case_a": {
-            "ok": True,
-            "deterministic": True,
-            "iterations": 2,
-            "rounds": 1,
-            "error": None,
-            "wall_seconds": {"min": 0.25, "max": 0.25, "mean": 0.25,
-                             "per_round": [0.25]},
-            "sim": {"events": 10, "sim_time": 5.0, "triples": [], "top": [
-                {"daemon": "schedd", "phase": "match", "scope": "-",
-                 "events": 10, "sim_time": 5.0},
-            ]},
-            "histograms": {},
-            "critical_path": [],
-            "folded": ["schedd;match 5.0"],
-        }
-    },
+REFERENCE = Path(__file__).resolve().parents[2] / "benchmarks/gridbench/baseline/reference.json"
+
+
+def _workload(fingerprint, run_s, events):
+    return {
+        "rounds": 5, "attempted": 4, "failed": 0, "checks": {"done": True},
+        "fingerprint": fingerprint,
+        "end_to_end": {
+            "setup_s": {"value": 0.3, "q1": 0.29, "q3": 0.31, "n": 5, "unit": "s"},
+            "run_s": {"value": run_s, "q1": run_s, "q3": run_s, "n": 5, "unit": "s"},
+            "peak_rss_mb": {"value": 40.0, "q1": 40.0, "q3": 40.0, "n": 5, "unit": "MB"},
+        },
+        "per_layer": {
+            "sim.events": {"value": events, "unit": "count"},
+            "sim.events_per_host_s": {"value": events / run_s, "unit": "1/s"},
+            "host.nproc": {"value": 2, "unit": "count"},
+        },
+    }
+
+
+GRIDBENCH_DOC = {
+    "schema": "repro-gridbench/1",
+    "runs": [{
+        "seed": 7, "smoke": False, "host": {"nproc": 2, "commit": "abc"},
+        "workloads": {
+            "alpha": _workload("a" * 64, run_s=0.25, events=10),
+            "beta": _workload("b" * 64, run_s=1.5, events=20),
+        },
+    }],
 }
 
 FUZZ_REPORT = {
@@ -103,18 +112,22 @@ def campaign_report(jobs=1):
 class TestIngestRoundTrip:
     """Every artifact schema in, the same deterministic payload out."""
 
-    def test_bench_round_trip(self, tmp_path):
+    def test_gridbench_round_trip(self, tmp_path):
         store = ResultsStore(tmp_path / "r.db")
-        run_id = store.ingest_obj(BENCH_RECORD, source="BENCH_toy.json",
-                                  commit="aaa")
+        run_id = store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit="aaa")
         row = store.runs()[0]
-        assert (row["kind"], row["schema"]) == ("bench", "repro-bench/1")
-        payload = store.payload(run_id)
-        # Stored wall-stripped: sim side intact, wall keys gone.
-        assert payload["cases"]["case_a"]["sim"]["events"] == 10
-        assert "wall_seconds" not in payload["cases"]["case_a"]
-        # ... but the wall time still lands in a wall-flagged metric row.
-        assert ("wall_seconds", "toy:case_a") in store.wall_metrics("aaa")
+        assert (row["kind"], row["schema"], row["seed"]) == ("gridbench", "repro-gridbench/1", 7)
+        # Stored: the sim side alone, per workload.
+        assert store.payload(run_id) == {"seed": 7, "smoke": False, "workloads": {
+            name: {"fingerprint": w["fingerprint"], "attempted": 4, "failed": 0,
+                   "checks": {"done": True}}
+            for name, w in GRIDBENCH_DOC["runs"][0]["workloads"].items()
+        }}
+        # Measurement lands in wall-flagged rows, counts in exact ones; a rate
+        # (better when larger) and the host's own numbers are not projected.
+        assert store.run_metrics(run_id, "alpha", wall=True) == {
+            "setup_s": 0.3, "run_s": 0.25, "peak_rss_mb": 40.0}
+        assert store.run_metrics(run_id, "beta", wall=False) == {"sim.events": 20.0}
         store.close()
 
     def test_campaign_round_trip(self, tmp_path):
@@ -218,20 +231,6 @@ class TestProducersAndFilesAgree:
         assert a == b
         assert len(a["runs"]) == 4 and a["error_hops"] and a["profile_sections"]
 
-    def test_bench_results_db_equals_ingest_of_its_files(self, tmp_path, capsys):
-        from repro.bench.__main__ import main as bench_main
-        from tests.bench.test_runner import _write_tiny
-
-        _write_tiny(tmp_path)
-        out = tmp_path / "out"
-        produced, ingested = str(tmp_path / "produced.db"), str(tmp_path / "ingested.db")
-        assert bench_main(["--bench-dir", str(tmp_path), "--out", str(out), "--rounds", "1",
-                           "--results-db", produced]) == 0
-        assert store_main(["ingest", str(out / "BENCH_tiny.json"), "--db", ingested]) == 0
-        rows = table_rows(produced)
-        assert rows == table_rows(ingested)
-        assert len(rows["bench_cases"]) == 5 and rows["profile_sections"]
-
 
 class TestOneOwnerPerProjection:
     """One run's hops are stored once: by its trace, not again by its metrics."""
@@ -326,7 +325,7 @@ class TestPersistence:
     def test_reopen_and_append(self, tmp_path):
         db = tmp_path / "r.db"
         store = ResultsStore(db)
-        store.ingest_obj(BENCH_RECORD, source="BENCH_toy.json", commit="aaa")
+        store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit="aaa")
         store.close()
         store = ResultsStore(db)
         assert len(store.runs()) == 1
@@ -360,7 +359,7 @@ class TestPersistence:
     def test_pre_wal_results_db_upgrades_in_place_and_keeps_its_rows(self, tmp_path):
         db = str(tmp_path / "old.db")
         with ResultsStore(db) as store:
-            store.ingest_obj(BENCH_RECORD, source="BENCH_toy.json", commit="aaa")
+            store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit="aaa")
         conn = sqlite3.connect(db)  # what every build before the shared base left behind
         assert conn.execute("PRAGMA journal_mode=DELETE").fetchone() == ("delete",)
         conn.close()
@@ -400,7 +399,7 @@ class TestPersistence:
     def test_gc_keeps_newest_per_kind_and_config(self, tmp_path):
         store = ResultsStore(tmp_path / "r.db")
         for commit in ("a", "b", "c"):
-            store.ingest_obj(BENCH_RECORD, source="BENCH_toy.json", commit=commit)
+            store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit=commit)
         dry = store.gc(keep=1, dry_run=True)
         assert len(dry["deleted"]) == 2 and len(store.runs()) == 3
         result = store.gc(keep=1)
@@ -408,7 +407,7 @@ class TestPersistence:
         rows = store.runs()
         assert len(rows) == 1 and rows[0]["commit"] == "c"
         # Child rows went with their runs.
-        assert store.wall_metrics("a") == {}
+        assert store.run_metrics(1, "alpha", wall=True) == {}
         store.close()
 
 
@@ -435,10 +434,10 @@ class TestRejection:
     def test_malformed_known_schema(self, tmp_path):
         store = ResultsStore(tmp_path / "r.db")
         with pytest.raises(IngestError) as err:
-            store.ingest_obj({"schema": "repro-bench/1", "cases": "nope"},
-                             source="BENCH_bad.json")
+            store.ingest_obj({"schema": "repro-gridbench/1", "runs": "nope"},
+                             source="gridbench-bad.json")
         assert err.value.code == "MALFORMED"
-        assert "BENCH_bad.json" in str(err.value)
+        assert "gridbench-bad.json" in str(err.value)
         assert err.value.to_dict()["code"] == "MALFORMED"
         assert store.runs() == []
         store.close()
@@ -487,8 +486,8 @@ class TestRejection:
         assert "[NOT_JSON] file is empty" in capsys.readouterr().err
 
     def test_cli_ingest_continues_past_rejects(self, tmp_path, capsys):
-        good = tmp_path / "BENCH_toy.json"
-        good.write_text(json.dumps(BENCH_RECORD), encoding="utf-8")
+        good = tmp_path / "gridbench.json"
+        good.write_text(json.dumps(GRIDBENCH_DOC), encoding="utf-8")
         bad = tmp_path / "junk.json"
         bad.write_text("{", encoding="utf-8")
         db = str(tmp_path / "r.db")
@@ -503,32 +502,29 @@ class TestRejection:
 
 
 class TestTrendAndDiff:
-    def _bench_at(self, wall):
-        record = json.loads(json.dumps(BENCH_RECORD))
-        record["cases"]["case_a"]["wall_seconds"] = {
-            "min": wall, "max": wall, "mean": wall, "per_round": [wall],
-        }
-        return record
+    def _doc_at(self, run_s):
+        doc = copy.deepcopy(GRIDBENCH_DOC)
+        doc["runs"][0]["workloads"]["alpha"]["end_to_end"]["run_s"]["value"] = run_s
+        return doc
 
     def test_trend_axis_is_commit_order(self, tmp_path):
         store = ResultsStore(tmp_path / "r.db")
         for commit, wall in (("a", 0.2), ("b", 0.3)):
-            store.ingest_obj(self._bench_at(wall), source="BENCH_toy.json",
-                             commit=commit)
-        trend = store.trend("wall_seconds")
+            store.ingest_obj(self._doc_at(wall), source="gridbench.json", commit=commit)
+        trend = store.trend("run_s")
         assert trend["commits"] == ["a", "b"]
-        assert trend["series"]["toy:case_a"] == [0.2, 0.3]
-        assert trend["wall"]["toy:case_a"] is True
+        assert trend["series"]["alpha"] == [0.2, 0.3]
+        assert trend["wall"]["alpha"] is True
+        assert store.trend("sim.events")["wall"]["alpha"] is False
         store.close()
 
     def test_trend_cli_flags_wall_regression(self, tmp_path, capsys):
         db = str(tmp_path / "r.db")
         store = ResultsStore(db)
         for commit, wall in (("a", 0.2), ("b", 0.9)):
-            store.ingest_obj(self._bench_at(wall), source="BENCH_toy.json",
-                             commit=commit)
+            store.ingest_obj(self._doc_at(wall), source="gridbench.json", commit=commit)
         store.close()
-        assert store_main(["trend", "--metric", "wall_seconds", "--db", db]) == 1
+        assert store_main(["trend", "--metric", "run_s", "--db", db]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_trend_unknown_metric_exits_2(self, tmp_path, capsys):
@@ -538,24 +534,150 @@ class TestTrendAndDiff:
         assert "no data" in capsys.readouterr().err
 
     def test_diff_flags_sim_change_exactly(self, tmp_path):
-        from repro.obs.store.query import diff_commits
-
         store = ResultsStore(tmp_path / "r.db")
-        store.ingest_obj(BENCH_RECORD, source="BENCH_toy.json", commit="a")
-        changed = json.loads(json.dumps(BENCH_RECORD))
-        changed["cases"]["case_a"]["sim"]["events"] = 11  # sim-side drift
-        store.ingest_obj(changed, source="BENCH_toy.json", commit="b")
+        store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit="a")
+        changed = copy.deepcopy(GRIDBENCH_DOC)
+        changed["runs"][0]["workloads"]["alpha"]["fingerprint"] = "c" * 64  # sim-side drift
+        store.ingest_obj(changed, source="gridbench.json", commit="b")
         diff = diff_commits(store, "a", "b")
-        assert any("sim" in p or "events" in p for p in diff["problems"])
+        assert [p for p in diff["problems"] if "fingerprint" in p and "alpha" in p]
         store.close()
 
     def test_diff_missing_commit_exits_2(self, tmp_path, capsys):
         db = str(tmp_path / "r.db")
         store = ResultsStore(db)
-        store.ingest_obj(BENCH_RECORD, source="BENCH_toy.json", commit="a")
+        store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit="a")
         store.close()
         assert store_main(["diff", "a", "ghost", "--db", db]) == 2
         assert "MISSING COMMIT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("before, after, regressed", [
+        (0.2, 0.39, False),    # noise alone passes
+        (0.2, 0.41, True),     # past the threshold
+        (0.01, 0.04, False),   # both under the floor: too small to judge
+        (0.01, 0.06, True),    # ... one side over it is judged
+        (0.4, 0.1, False),     # faster is never a regression
+    ])
+    def test_the_one_wall_rule(self, before, after, regressed):
+        assert wall_regressed(before, after, 1.0, 0.05) is regressed
+
+    def test_a_workload_only_one_commit_ran_is_a_problem(self, tmp_path):
+        fewer = copy.deepcopy(GRIDBENCH_DOC)
+        del fewer["runs"][0]["workloads"]["beta"]
+        other_seed = copy.deepcopy(GRIDBENCH_DOC)
+        other_seed["runs"][0]["seed"] = 11
+        with ResultsStore(tmp_path / "r.db") as store:
+            store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit="a")
+            store.ingest_obj(fewer, source="gridbench.json", commit="b")
+            store.ingest_obj(other_seed, source="gridbench.json", commit="c")
+            assert diff_commits(store, "a", "b")["problems"] == ["beta: present at a only"]
+            assert diff_commits(store, "a", "c")["problems"] == [
+                "alpha: no seed was run at both a and c", "beta: no seed was run at both a and c"]
+
+
+class TestBenchmarkOfRecord:
+    """The ledger reads ``repro-gridbench/1``: the committed reference (read
+    only) ingests, trends and diffs, and a moved fingerprint says what moved."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return json.loads(REFERENCE.read_text(encoding="utf-8"))
+
+    def _two_commits(self, tmp_path, old, new):
+        db = str(tmp_path / "r.db")
+        with ResultsStore(db) as store:
+            store.ingest_obj(old, source="reference.json", commit="old")
+            store.ingest_obj(new, source="gridbench.json", commit="new")
+        return db
+
+    def _diff(self, db, capsys, *flags):
+        code = store_main(["diff", "old", "new", "--db", db, *flags])
+        return code, capsys.readouterr().out
+
+    def test_reference_is_one_run_per_seed_and_trends_by_workload(self, tmp_path, capsys):
+        db = str(tmp_path / "r.db")
+        assert store_main(["ingest", str(REFERENCE), "--commit", "reference", "--db", db]) == 0
+        with ResultsStore(db) as store:
+            assert [(r["kind"], r["seed"]) for r in store.runs()] == [
+                ("gridbench", 7), ("gridbench", 11)]
+            assert sorted(store.trend("run_s")["series"]) == [
+                "fuzz_campaign", "harness_report", "negotiate_scale", "pool_backlog",
+                "service_roundtrip"]
+        capsys.readouterr()
+        assert store_main(["trend", "--metric", "run_s", "--db", db]) == 0
+        assert "harness_report" in capsys.readouterr().out
+
+    def test_the_same_document_at_two_commits_diffs_ok(self, tmp_path, capsys, reference):
+        code, out = self._diff(self._two_commits(tmp_path, reference, reference), capsys)
+        assert code == 0 and out.endswith("OK\n") and "5 workload(s)" in out
+
+    def test_moved_fingerprint_names_workload_and_counters(self, tmp_path, capsys, reference):
+        moved = copy.deepcopy(reference)
+        workload = moved["runs"][0]["workloads"]["fuzz_campaign"]
+        workload["fingerprint"] = "0" * 64
+        workload["per_layer"]["sim.events"]["value"] = 46012
+        code, out = self._diff(self._two_commits(tmp_path, reference, moved), capsys)
+        assert code == 1
+        problems = [line for line in out.splitlines() if line.startswith("REGRESSION")]
+        assert problems == [
+            "REGRESSION: fuzz_campaign: fingerprint moved at seed 7: 238b81077884 -> 000000000000",
+            "REGRESSION: fuzz_campaign: sim.events 89315 -> 46012",
+        ]
+
+    def test_a_doubled_run_s_trips_the_wall_rule_once(self, tmp_path, capsys, reference):
+        slower = copy.deepcopy(reference)
+        run_s = slower["runs"][1]["workloads"]["pool_backlog"]["end_to_end"]["run_s"]
+        run_s["value"] *= 2.1
+        db = self._two_commits(tmp_path, reference, slower)
+        code, out = self._diff(db, capsys)
+        assert code == 1 and out.count("REGRESSION") == 1
+        assert "pool_backlog: run_s wall regression at seed 11" in out
+        assert self._diff(db, capsys, "--wall-threshold", "4.0")[0] == 0
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(runs={"seed": 7}),
+        lambda doc: doc["runs"][1]["workloads"]["pool_backlog"].pop("fingerprint"),
+        lambda doc: doc["runs"][1]["workloads"]["pool_backlog"]["per_layer"]["sim.events"].update(
+            value="many"),
+    ])
+    def test_a_malformed_document_is_typed_and_leaves_no_row(self, tmp_path, reference, edit):
+        bad = copy.deepcopy(reference)
+        edit(bad)
+        with ResultsStore(tmp_path / "r.db") as store:
+            with pytest.raises(IngestError) as err:
+                store.ingest_obj(bad, source="gridbench.json", commit="aaa")
+            assert (err.value.code, err.value.source) == ("MALFORMED", "gridbench.json")
+            # The first run of the document was good: it must not land alone.
+            assert store.runs() == [] and store.metric_names() == []
+
+
+class TestCliErrorsAreTyped:
+    """P4 at the store CLI: its own typed errors end in one line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trend"], ["query"], ["diff", "a", "b"], ["gc"], ["ingest", str(REFERENCE)],
+    ])
+    def test_a_store_that_cannot_be_opened_is_exit_2_and_one_line(self, tmp_path, capsys, argv):
+        assert store_main([*argv, "--db", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: store at ") and captured.err.count("\n") == 1
+
+    def test_a_foreign_schema_is_exit_2_and_one_line(self, tmp_path, capsys):
+        db = tmp_path / "r.db"
+        conn = sqlite3.connect(db)
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        conn.execute("INSERT INTO meta VALUES ('schema', 'other/9')")
+        conn.commit()
+        conn.close()
+        assert store_main(["query", "--db", str(db)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_a_file_that_was_never_read_is_unreadable_not_not_json(self, tmp_path, capsys):
+        db = str(tmp_path / "r.db")
+        assert store_main(["ingest", str(tmp_path / "nope.json"), str(tmp_path), "--db", db]) == 1
+        err = capsys.readouterr().err
+        assert err.count("[UNREADABLE] cannot read file") == 2 and "NOT_JSON" not in err
 
 
 class TestConfigHash:

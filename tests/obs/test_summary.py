@@ -108,9 +108,8 @@ class TestOneObservationSpine:
 
     def test_producers_hand_the_store_objects_not_paths(self):
         assert "paths" not in inspect.signature(ingest_artifacts).parameters
-        for cli in ("repro/harness/__main__.py", "repro/bench/__main__.py"):
-            text = (SRC / cli).read_text(encoding="utf-8")
-            assert "ingest_path" not in text and "open(" not in text, cli
+        text = (SRC / "repro/harness/__main__.py").read_text(encoding="utf-8")
+        assert "ingest_path" not in text and "open(" not in text
 
     def test_the_harness_envelope_is_built_by_one_function(self):
         assert _files_matching(r'"seed":[^{}]{0,80}"experiments":') == [

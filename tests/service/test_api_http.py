@@ -25,15 +25,12 @@ from repro.service import (
 SECRET = "api-test-secret"
 
 
-def run_service(coro_fn, queue_limit=100, bench_dir=None, now=None):
+def run_service(coro_fn, queue_limit=100, now=None):
     """Start a server, run ``coro_fn(server, store)``, tear down."""
 
     async def _main():
         store = RunStore(":memory:")
-        config = ServiceConfig(
-            secret=SECRET, queue_limit=queue_limit, bench_dir=bench_dir,
-            now=now or time.time,
-        )
+        config = ServiceConfig(secret=SECRET, queue_limit=queue_limit, now=now or time.time)
         server = ServiceServer(ServiceApi(store, config))
         await server.start()
         try:
@@ -115,22 +112,6 @@ class TestRoutes:
         listing, missing_status = run_service(check)
         assert listing["artifacts"] == []
         assert missing_status == 404
-
-    def test_bench_baselines_served(self):
-        async def check(server, store):
-            client = client_for(server, token_for())
-            try:
-                names = (await client.bench_baselines())["baselines"]
-                one = await client.bench_baseline(names[0])
-                traversal = await client.request("GET", "/v1/bench/BENCH_../etc")
-                return names, one, traversal.status
-            finally:
-                await client.close()
-
-        names, one, traversal_status = run_service(check, bench_dir="benchmarks/baseline")
-        assert any(name.startswith("BENCH_") for name in names)
-        assert one["schema"] == "repro-bench/1"
-        assert traversal_status == 404
 
 
 class TestAuthRejections:
@@ -264,6 +245,34 @@ class TestAdmissionControl:
         assert len(accepted) == 3
         assert (err.status, err.code) == (429, "QUEUE_FULL")
         assert queue["active"] == 3
+
+    def test_concurrent_submitters_split_exactly_at_the_limit(self):
+        """80 one-connection clients at once against a limit of 50: admission
+        is checked on the loop thread, so the split is exact and every
+        request is accounted for -- stored, or rejected typed."""
+        submitters, limit = 80, 50
+
+        async def check(server, store):
+            token = token_for("load")
+
+            async def submit_one():
+                client = client_for(server, token)
+                try:
+                    return (await client.submit_job({"work": 5.0}))["run_id"]
+                except ServiceApiError as exc:
+                    return exc.code
+                finally:
+                    await client.close()
+
+            outcomes = await asyncio.gather(*(submit_one() for _ in range(submitters)))
+            return outcomes, store.queue_stats(), server.requests_served
+
+        outcomes, stored, served = run_service(check, queue_limit=limit)
+        assert sorted(o for o in outcomes if isinstance(o, int)) == list(range(1, limit + 1))
+        rejected = [o for o in outcomes if not isinstance(o, int)]
+        assert rejected == ["QUEUE_FULL"] * (submitters - limit)
+        assert stored["total"] == limit and stored["by_tenant"] == {"load": limit}
+        assert served == submitters
 
 
 class TestShutdown:

@@ -14,24 +14,28 @@ from repro.service.client import ServiceClient
 
 SECRET = "console-test-secret"
 
-BENCH_RECORD = {
-    "schema": "repro-bench/1",
-    "bench": "toy",
-    "rounds_override": None,
-    "cases": {
-        "case_a": {
-            "ok": True, "deterministic": True, "iterations": 1, "rounds": 1,
-            "error": None,
-            "wall_seconds": {"min": 0.2, "max": 0.2, "mean": 0.2,
-                             "per_round": [0.2]},
-            "sim": {"events": 4, "sim_time": 2.0, "triples": [], "top": [
-                {"daemon": "schedd", "phase": "match", "scope": "-",
-                 "events": 4, "sim_time": 2.0},
-            ]},
-            "histograms": {}, "critical_path": [],
-            "folded": ["schedd;match 2.0"],
-        }
-    },
+
+def _workload(fingerprint, run_s):
+    return {
+        "attempted": 1, "failed": 0, "checks": {}, "fingerprint": fingerprint,
+        "end_to_end": {"run_s": {"value": run_s, "q1": run_s, "q3": run_s, "n": 5, "unit": "s"}},
+        "per_layer": {"sim.events": {"value": 4, "unit": "count"}},
+    }
+
+
+GRIDBENCH_DOC = {
+    "schema": "repro-gridbench/1",
+    "runs": [{"seed": 7, "smoke": False, "workloads": {
+        "toy": _workload("a" * 64, 0.2), "other": _workload("b" * 64, 1.5),
+    }}],
+}
+
+PROFILE_REPORT = {
+    "schema": "repro-profile/1",
+    "sim": {"events": 4, "sim_time": 2.0, "triples": [
+        {"daemon": "schedd", "phase": "match", "scope": "-", "events": 4, "sim_time": 2.0},
+    ]},
+    "critical_path": {}, "histograms": {}, "folded": ["schedd;match 2.0"], "wall": None,
 }
 
 TRACE_JSONL = "\n".join([
@@ -45,7 +49,7 @@ TRACE_JSONL = "\n".join([
 def seeded_db(tmp_path):
     db = tmp_path / "results.db"
     store = ResultsStore(db)
-    store.ingest_obj(BENCH_RECORD, source="BENCH_toy.json", commit="aaa")
+    store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit="aaa")
     store.ingest_text(TRACE_JSONL, source="t.jsonl", commit="aaa")
     store.close()
     return db
@@ -109,7 +113,7 @@ class TestResultsRoutes:
 
         summary = run_console(check, seeded_db(tmp_path))
         assert summary["runs"] == 2
-        assert summary["by_kind"] == {"bench": 1, "trace": 1}
+        assert summary["by_kind"] == {"gridbench": 1, "trace": 1}
         assert summary["commits"] == ["aaa"]
         # Live traffic: the first summary request was already counted.
         assert summary["service"]["requests_total"] >= 1
@@ -129,7 +133,10 @@ class TestResultsRoutes:
         async def check(client, server):
             return (await client.request("GET", "/v1/results/flame")).json()
 
-        data = run_console(check, seeded_db(tmp_path))
+        db = seeded_db(tmp_path)
+        with ResultsStore(db) as store:
+            store.ingest_obj(PROFILE_REPORT, source="profile.json", commit="aaa")
+        data = run_console(check, db)
         assert data["folded"] == [{"stack": "schedd;match", "value": 2.0}]
         assert data["sections"][0]["daemon"] == "schedd"
 
@@ -137,14 +144,14 @@ class TestResultsRoutes:
         async def check(client, server):
             missing = await client.request("GET", "/v1/results/trend")
             good = await client.request(
-                "GET", "/v1/results/trend?metric=wall_seconds")
+                "GET", "/v1/results/trend?metric=run_s")
             return missing, good
 
         missing, good = run_console(check, seeded_db(tmp_path))
         assert missing.status == 400
         assert missing.json()["error"]["code"] == "BAD_REQUEST"
         assert good.status == 200
-        assert good.json()["series"]["toy:case_a"] == [0.2]
+        assert good.json()["series"] == {"other": [1.5], "toy": [0.2]}
 
     def test_unknown_route_and_write_method_are_typed(self, tmp_path):
         async def check(client, server):
@@ -171,7 +178,7 @@ class TestResultsRoutes:
         async def check(client, server):
             before = (await client.request("GET", "/v1/results/summary")).json()
             store = ResultsStore(db)
-            store.ingest_obj(BENCH_RECORD, source="BENCH_toy.json", commit="bbb")
+            store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit="bbb")
             store.close()
             after = (await client.request("GET", "/v1/results/summary")).json()
             return before, after
