@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.condor.daemons.config import CondorConfig
 from repro.condor.daemons.schedd import Schedd
 from repro.condor.job import Job
-from repro.condor.pool import Pool, PoolConfig, figure3_chain
+from repro.condor.pool import Pool, PoolConfig, figure3_chain, run_until_terminal
 from repro.obs.bus import ambient_bus
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
@@ -178,7 +178,7 @@ class Grid:
         self.home.submit(job)
 
     def submit_at(self, job: Job, when: float) -> None:
-        self.sim.call_at(when, lambda: self.home.schedd.submit(job))
+        self.sim.call_at(when, self.home.schedd.submit, job)
 
     def run(self, until: float) -> float:
         return self.sim.run(until=until)
@@ -190,21 +190,9 @@ class Grid:
         expected_jobs: int | None = None,
     ) -> float:
         """Run until every job in every member pool is terminal."""
-        steps = 0
-        while self.sim.now < max_time:
-            if steps % check_every == 0:
-                schedds = [s for pool in self.pools.values() for s in pool.schedds.values()]
-                arrived = sum(len(s.jobs) for s in schedds)
-                if (
-                    arrived > 0
-                    and (expected_jobs is None or arrived >= expected_jobs)
-                    and all(s.all_terminal() for s in schedds)
-                ):
-                    break
-            if not self.sim.step():
-                break
-            steps += 1
-        return self.sim.now
+        return run_until_terminal(
+            self.sim, self.pools.values(), max_time, check_every, expected_jobs
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Grid pools={len(self.pools)} machines={len(self.machines)} t={self.sim.now:.1f}>"

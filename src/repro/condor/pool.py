@@ -9,6 +9,7 @@ record error journeys.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.condor.daemons.config import CondorConfig
@@ -77,6 +78,30 @@ class PoolConfig:
     home_nfs_mode: str | None = None
     home_nfs_soft_timeout: float = 30.0
     home_nfs_retry_interval: float = 1.0
+
+
+def run_until_terminal(
+    sim: Simulator, pools: Iterable["Pool"], max_time: float, check_every: int,
+    expected_jobs: int | None,
+) -> float:
+    """Poll every schedd of *pools*, run *check_every* heap entries, repeat.
+
+    Stops at the first poll that finds every arrived job terminal (and at
+    least *expected_jobs* arrived), when the queue drains, or once the
+    clock has reached *max_time*.
+    """
+    while sim.now < max_time:
+        schedds = [s for pool in pools for s in pool.schedds.values()]
+        arrived = sum(len(s.jobs) for s in schedds)
+        if (
+            arrived > 0
+            and (expected_jobs is None or arrived >= expected_jobs)
+            and all(s.all_terminal() for s in schedds)
+        ):
+            break
+        if sim.run_steps(check_every, max_time) < check_every:
+            break
+    return sim.now
 
 
 class Pool:
@@ -283,7 +308,7 @@ class Pool:
 
     def submit_at(self, job: Job, when: float) -> None:
         """Schedule *job* for submission at simulated time *when*."""
-        self.sim.call_at(when, lambda: self.schedd.submit(job))
+        self.sim.call_at(when, self.schedd.submit, job)
 
     def run_until_done(
         self,
@@ -299,20 +324,7 @@ class Pool:
         alive forever, so completion is detected by polling the schedd
         between event batches.
         """
-        steps = 0
-        while self.sim.now < max_time:
-            if steps % check_every == 0:
-                arrived = sum(len(s.jobs) for s in self.schedds.values())
-                if (
-                    arrived > 0
-                    and (expected_jobs is None or arrived >= expected_jobs)
-                    and all(s.all_terminal() for s in self.schedds.values())
-                ):
-                    break
-            if not self.sim.step():
-                break
-            steps += 1
-        return self.sim.now
+        return run_until_terminal(self.sim, (self,), max_time, check_every, expected_jobs)
 
     # -- introspection ----------------------------------------------------------
     @property

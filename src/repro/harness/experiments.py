@@ -656,7 +656,7 @@ def run_nfs_mounts(
             mount = NfsClient(sim, server, mode=mount_mode,
                               soft_timeout=soft_timeout, retry_interval=1.0)
             server.set_online(False)
-            sim.call_at(outage, lambda fs=server: fs.set_online(True))
+            sim.call_at(outage, server.set_online, True)
 
             outcome: list[str] = []
 
@@ -871,7 +871,7 @@ def run_fair_share(
         small = [_compute_job(f"2.{i}", "trickler", f"s{i}.class", work)
                  for i in range(small_jobs)]
         for job in small:
-            pool.sim.call_at(small_arrives_at, lambda j=job: second.submit(j))
+            pool.sim.call_at(small_arrives_at, second.submit, job)
         pool.run_until_done(max_time=500_000, expected_jobs=flood_jobs + small_jobs)
 
         def turnaround(jobs):
@@ -938,7 +938,7 @@ def run_preemption(
                             Universe.STANDARD)
         pool.submit(peon)
         boss = _compute_job("2.0", "boss", "boss.class", boss_work)
-        pool.sim.call_at(boss_arrives_at, lambda: pool.submit(boss))
+        pool.sim.call_at(boss_arrives_at, pool.submit, boss)
         pool.run_until_done(max_time=1_000_000, expected_jobs=2)
         rows.append(PreemptRow(
             configuration=name,

@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel follows the classic event-queue design: a priority queue of
-``(time, priority, sequence, callback)`` entries, a simulated clock that
+``(time, priority, sequence, fn, args)`` entries, a simulated clock that
 jumps from event to event, and a coroutine process model in which a
 simulated activity is an ordinary Python generator that *yields* the
-events it wants to wait for.
+events it wants to wait for.  An entry is a call -- the kernel runs
+``fn(*args)`` -- so scheduling allocates no closure (DESIGN §3.1).
 
 Determinism is a hard requirement for the reproduction (DESIGN.md §6):
 two events scheduled for the same instant fire in the exact order they
@@ -66,6 +67,8 @@ class Interrupted(Exception):
 #: Events scheduled with URGENT fire before NORMAL ones at the same instant.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
+
+_INF = float("inf")
 
 
 class Event:
@@ -134,13 +137,19 @@ class Event:
         self._value = value
         callbacks, self._callbacks = self._callbacks, None
         assert callbacks is not None
-        self.sim._schedule_callbacks(self, callbacks)
+        sim = self.sim
+        sim._seq += 1
+        if len(callbacks) == 1:  # the common wait: queue the waiter itself
+            entry = (sim._now, PRIORITY_URGENT, sim._seq, callbacks[0], (self,))
+        else:
+            entry = (sim._now, PRIORITY_URGENT, sim._seq, _run_callbacks, (self, callbacks))
+        heapq.heappush(sim._queue, entry)
 
     # -- waiting -------------------------------------------------------
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Invoke *fn(event)* when the event triggers (immediately if it has)."""
         if self._callbacks is None:
-            self.sim._schedule_callbacks(self, [fn])
+            self.sim.call_at(self.sim._now, fn, self, priority=PRIORITY_URGENT)
         else:
             self._callbacks.append(fn)
 
@@ -149,6 +158,14 @@ class Event:
         if self._triggered:
             state = "ok" if self._ok else f"failed({self._value!r})"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
+
+
+def _run_callbacks(ev: Event, callbacks: list[Callable[[Event], None]]) -> None:
+    """The batch a triggered event queues when it has no or several callbacks."""
+    if not callbacks and not ev._ok and not ev._defused:
+        raise ev._value
+    for cb in callbacks:
+        cb(ev)
 
 
 class Timeout(Event):
@@ -166,14 +183,21 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
+        self.sim = sim
+        self._callbacks = []
+        self._triggered = self._defused = False
+        self._ok = True
+        self._value = None
         self.delay = delay
         self._cancelled = False
-        sim.call_at(sim.now + delay, lambda: self._fire(value))
+        sim._seq += 1
+        heapq.heappush(
+            sim._queue, (sim._now + delay, PRIORITY_NORMAL, sim._seq, self._fire, (value,))
+        )
 
     def _fire(self, value: Any) -> None:
         if not self._cancelled:
-            self.succeed(value)
+            self._trigger(True, value)
 
     def cancel(self) -> None:
         """Neutralize the timeout; firing it later does nothing.
@@ -205,14 +229,19 @@ class _Condition(Event):
     __slots__ = ("events", "_pending")
 
     def __init__(self, sim: "Simulator", events: list[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        self._pending = len(self.events)
-        if not self.events:
+        self.sim = sim
+        self._callbacks = []
+        self._triggered = self._defused = False
+        self._ok = True
+        self._value = None
+        self.events = events = list(events)
+        self._pending = len(events)
+        if not events:
             self.succeed({})
             return
-        for ev in self.events:
-            ev.add_callback(self._on_child)
+        on_child = self._on_child
+        for ev in events:
+            ev.add_callback(on_child)
 
     def _on_child(self, ev: Event) -> None:
         raise NotImplementedError
@@ -224,7 +253,7 @@ class _Condition(Event):
             _let_go(ev, on_child)
 
     def _results(self) -> dict[Event, Any]:
-        return {ev: ev.value for ev in self.events if ev.triggered}
+        return {ev: ev._value for ev in self.events if ev._triggered}
 
 
 class AnyOf(_Condition):
@@ -237,13 +266,13 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, ev: Event) -> None:
-        if self.triggered:
+        if self._triggered:
             return _late(ev)
-        if ev.ok:
-            self.succeed(self._results())
+        if ev._ok:
+            self._trigger(True, self._results())
         else:
-            ev.defuse()
-            self.fail(ev.value)
+            ev._defused = True
+            self._trigger(False, ev._value)
 
 
 class AllOf(_Condition):
@@ -255,15 +284,15 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, ev: Event) -> None:
-        if self.triggered:
+        if self._triggered:
             return _late(ev)
-        if not ev.ok:
-            ev.defuse()
-            self.fail(ev.value)
+        if not ev._ok:
+            ev._defused = True
+            self._trigger(False, ev._value)
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed(self._results())
+            self._trigger(True, self._results())
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -281,33 +310,37 @@ class SimProcess(Event):
     __slots__ = ("generator", "name", "_waiting_on")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = ""):
-        super().__init__(sim)
         if not isinstance(generator, Generator):
             raise SimulationError(
                 f"spawn() requires a generator, got {type(generator).__name__}"
             )
+        self.sim = sim
+        self._callbacks = []
+        self._triggered = self._defused = False
+        self._ok = True
+        self._value = None
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Event | None = None
         # Start the process at the current instant, but via the queue so
         # that spawn order == execution order.
-        sim.call_at(sim.now, self._start, priority=PRIORITY_URGENT)
+        sim.call_at(sim._now, self._start, priority=PRIORITY_URGENT)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
-        return not self.triggered
+        return not self._triggered
 
     def _start(self) -> None:
         t = self.sim.telemetry
         if t is not None and t.active:
-            t.emit(self.sim.now, "process", "start", process=self.name)
+            t.emit(self.sim._now, "process", "start", process=self.name)
         self._step(None, None)
 
     def _note_end(self, outcome: str) -> None:
         t = self.sim.telemetry
         if t is not None and t.active:
-            t.emit(self.sim.now, "process", "end", process=self.name, outcome=outcome)
+            t.emit(self.sim._now, "process", "end", process=self.name, outcome=outcome)
 
     def _resume(self, ev: Event) -> None:
         if self._waiting_on is not ev:
@@ -315,12 +348,14 @@ class SimProcess(Event):
             # (it was interrupted while waiting).  Ignore.
             return _late(ev)
         self._waiting_on = None
-        if ev.ok:
-            self._step(ev.value, None)
+        value, exc = (ev._value, None) if ev._ok else (None, ev._value)
+        if WALL_PROFILE is None:  # one frame between the kernel and the generator
+            self._advance(value, exc)
         else:
-            self._step(None, ev.value)
+            self._step(value, exc)
 
     def _step(self, value: Any, exc: BaseException | None) -> None:
+        """:meth:`_advance`, timed: ``sim.process_step`` is exact when profiled."""
         wall = WALL_PROFILE
         if wall is None:
             return self._advance(value, exc)
@@ -349,18 +384,18 @@ class SimProcess(Event):
                 if exc is not None:
                     exc.__traceback__ = None  # handled
                 self._note_end("returned")
-                self.succeed(stop.value)
+                self._trigger(True, stop.value)
                 return
             except Interrupted as err:
                 # An interrupt that escapes the generator terminates it but is
                 # not a kernel error: the process "dies of" the interruption.
                 err.__traceback__ = None  # handled here
                 self._note_end("interrupted")
-                self.succeed(err.cause)
+                self._trigger(True, err.cause)
                 return
             except BaseException as err:  # noqa: BLE001 - deliberate: process died
                 self._note_end("failed")
-                self.fail(err)
+                self._trigger(False, err)
                 return
             if not isinstance(target, Event):
                 value, exc = None, SimulationError(
@@ -373,7 +408,11 @@ class SimProcess(Event):
                 )
                 continue
             self._waiting_on = target
-            target.add_callback(self._resume)
+            callbacks = target._callbacks
+            if callbacks is None:  # already triggered: resume within the instant
+                target.add_callback(self._resume)
+            else:
+                callbacks.append(self._resume)
             return
 
     def interrupt(self, cause: Any = None) -> None:
@@ -382,19 +421,18 @@ class SimProcess(Event):
         Interrupting a finished process is a no-op (the usual race when a
         watchdog and its subject complete simultaneously).
         """
-        if not self.triggered:
-            self.sim.call_at(
-                self.sim.now, lambda: self._interrupt(cause), priority=PRIORITY_URGENT
-            )
+        if not self._triggered:
+            sim = self.sim
+            sim.call_at(sim._now, self._interrupt, cause, priority=PRIORITY_URGENT)
 
     def _interrupt(self, cause: Any) -> None:
-        if self.triggered:
+        if self._triggered:
             return
         waiting, self._waiting_on = self._waiting_on, None
         if waiting is None:
             # Process is mid-step or not yet started; deliver the
             # interrupt on its next resumption point instead.
-            self.sim.call_at(self.sim.now, lambda: self._interrupt(cause))
+            self.sim.call_at(self.sim._now, self._interrupt, cause)
             return
         self._step(None, Interrupted(cause))
         if self._waiting_on is not waiting:
@@ -409,7 +447,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: list[tuple[float, int, int, Callable[[], None]]] = []
+        self._queue: list[tuple[float, int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._running = False
         #: Optional telemetry sink (duck-typed: anything with ``.active``
@@ -429,31 +467,21 @@ class Simulator:
     def call_at(
         self,
         when: float,
-        fn: Callable[[], None],
+        fn: Callable[..., None],
+        *args: Any,
         priority: int = PRIORITY_NORMAL,
     ) -> None:
-        """Schedule plain callback *fn* to run at simulated time *when*."""
+        """Schedule ``fn(*args)`` to run at simulated time *when*."""
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule in the past ({when} < now={self._now})"
             )
         self._seq += 1
-        heapq.heappush(self._queue, (when, priority, self._seq, fn))
+        heapq.heappush(self._queue, (when, priority, self._seq, fn, args))
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> None:
-        """Schedule *fn* to run *delay* seconds from now."""
-        self.call_at(self._now + delay, fn)
-
-    def _schedule_callbacks(
-        self, ev: Event, callbacks: list[Callable[[Event], None]]
-    ) -> None:
-        def run() -> None:
-            if not ev.ok and not callbacks and not ev._defused:
-                raise ev.value
-            for cb in callbacks:
-                cb(ev)
-
-        self.call_at(self._now, run, priority=PRIORITY_URGENT)
+    def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Schedule ``fn(*args)`` to run *delay* seconds from now."""
+        self.call_at(self._now + delay, fn, *args)
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -477,14 +505,25 @@ class Simulator:
         return SimProcess(self, generator, name)
 
     # -- execution -----------------------------------------------------------
+    def run_steps(self, limit: float = _INF, before: float = _INF, until: float = _INF) -> int:
+        """Run queued entries in order and return how many ran.
+
+        The one dispatch loop.  It stops after *limit* entries, once the
+        clock has reached *before* (the entry that takes it there still
+        runs), when the next entry lies after *until*, or when the queue
+        is empty.
+        """
+        queue, pop = self._queue, heapq.heappop
+        ran = 0
+        while ran < limit and queue and self._now < before and queue[0][0] <= until:
+            self._now, _prio, _seq, fn, args = pop(queue)
+            fn(*args)
+            ran += 1
+        return ran
+
     def step(self) -> bool:
         """Run the single next event.  Returns False if the queue is empty."""
-        if not self._queue:
-            return False
-        when, _prio, _seq, fn = heapq.heappop(self._queue)
-        self._now = when
-        fn()
-        return True
+        return self.run_steps(1) == 1
 
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock passes *until*.
@@ -496,15 +535,9 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         try:
-            while self._queue:
-                when = self._queue[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                self.step()
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
+            self.run_steps(until=_INF if until is None else until)
+            if until is not None and until > self._now:  # never backwards
+                self._now = until
         finally:
             self._running = False
         return self._now

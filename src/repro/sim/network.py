@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import AnyOf, Event, Simulator, Timeout
 
 __all__ = [
     "BrokenConnection",
@@ -89,6 +89,9 @@ class Endpoint:
 class Connection:
     """One side of an established duplex message channel."""
 
+    __slots__ = ("sim", "network", "local", "remote", "peer",
+                 "_inbox", "_waiters", "_broken", "bytes_sent")
+
     def __init__(self, sim: Simulator, network: "Network", local: Endpoint, remote: Endpoint):
         self.sim = sim
         self.network = network
@@ -129,7 +132,7 @@ class Connection:
             return
         message = self.network._maybe_corrupt(message)
         latency = self.network.latency(self.local.host, self.remote.host)
-        self.sim.call_in(latency, lambda: peer._deliver(message))
+        self.sim.call_in(latency, peer._deliver, message)
 
     def _deliver(self, message: Any) -> None:
         if self._broken:
@@ -140,12 +143,12 @@ class Connection:
     def _wake(self) -> None:
         while self._waiters and (self._inbox or self._broken):
             waiter = self._waiters.popleft()
-            if waiter.triggered:
+            if waiter._triggered:
                 continue
             if self._inbox:
-                waiter.succeed(self._inbox.popleft())
+                waiter._trigger(True, self._inbox.popleft())
             else:
-                waiter.fail(BrokenConnection("peer broke connection"))
+                waiter._trigger(False, BrokenConnection("peer broke connection"))
 
     # -- receiving -----------------------------------------------------
     def recv(self, timeout: float | None = None):
@@ -161,13 +164,13 @@ class Connection:
             return self._inbox.popleft()
         if self._broken:
             raise BrokenConnection("recv on broken connection")
-        waiter = self.sim.event()
+        waiter = Event(self.sim)
         self._waiters.append(waiter)
         if timeout is None:
             msg = yield waiter
             return msg
-        expiry = self.sim.timeout(timeout)
-        outcome = yield self.sim.any_of([waiter, expiry])
+        expiry = Timeout(self.sim, timeout)
+        outcome = yield AnyOf(self.sim, [waiter, expiry])
         if waiter in outcome:
             # The message won the race: the deadline is dead weight in
             # the event heap; cancel it so firing is a no-op.
@@ -178,11 +181,11 @@ class Connection:
             self._waiters.remove(waiter)
         except ValueError:
             pass
-        if not waiter.triggered:
+        if not waiter._triggered:
             waiter.defuse()
             waiter.succeed(None)  # neutralize
             raise ConnectionTimedOut(f"no message within {timeout}s")
-        return waiter.value
+        return waiter._value
 
     # -- teardown ---------------------------------------------------------
     def break_(self) -> None:
@@ -216,6 +219,8 @@ class Connection:
 class Listener:
     """A passive endpoint accepting inbound connections."""
 
+    __slots__ = ("sim", "network", "endpoint", "_backlog", "_accept_waiters", "closed")
+
     def __init__(self, sim: Simulator, network: "Network", endpoint: Endpoint):
         self.sim = sim
         self.network = network
@@ -228,14 +233,14 @@ class Listener:
         self._backlog.append(conn)
         while self._accept_waiters and self._backlog:
             waiter = self._accept_waiters.popleft()
-            if not waiter.triggered:
+            if not waiter._triggered:
                 waiter.succeed(self._backlog.popleft())
 
     def accept(self):
         """Generator: wait for and return the next inbound :class:`Connection`."""
         if self._backlog:
             return self._backlog.popleft()
-        waiter = self.sim.event()
+        waiter = Event(self.sim)
         self._accept_waiters.append(waiter)
         conn = yield waiter
         return conn
@@ -378,11 +383,11 @@ class Network:
             raise HostUnreachable(f"no such host {dst_host!r}")
         rtt = 2 * self.latency(src_host, dst_host)
         if self.is_partitioned(src_host, dst_host) or dst_host in self._down_hosts:
-            yield self.sim.timeout(timeout)
+            yield Timeout(self.sim, timeout)
             raise ConnectionTimedOut(
                 f"connect {src_host}->{dst_host}:{dst_port} timed out"
             )
-        yield self.sim.timeout(rtt)
+        yield Timeout(self.sim, rtt)
         listener = self._listeners.get((dst_host, dst_port))
         if listener is None or listener.closed:
             raise ConnectionRefused(f"{dst_host}:{dst_port} refused connection")

@@ -109,6 +109,21 @@ def test_run_until_past_queue_advances_clock():
     assert sim.now == 42.0
 
 
+@pytest.mark.parametrize("queued", [False, True], ids=["empty queue", "entry queued"])
+def test_run_until_an_earlier_time_runs_nothing_and_keeps_the_clock(queued):
+    sim = Simulator()
+    ran = []
+    if queued:
+        sim.call_at(20.0, ran.append, "late")
+    assert sim.run(until=10.0) == 10.0
+    assert sim.run(until=5.0) == 10.0  # with an entry queued this rewound to 5.0
+    assert sim.now == 10.0 and ran == []
+    with pytest.raises(SimulationError):
+        sim.call_at(7.0, ran.append, "in the past")
+    assert sim.run() == (20.0 if queued else 10.0)
+    assert ran == (["late"] if queued else [])
+
+
 def test_cannot_schedule_in_past():
     sim = Simulator()
 

@@ -44,12 +44,11 @@ _PRUNE = (Simulator, type, types.ModuleType, types.FunctionType)
 def _decided_timeouts(sim):
     """Queued deadlines nobody waits for any more."""
     for entry in sim._queue:
-        for cell in getattr(entry[3], "__closure__", None) or ():
-            timer = cell.cell_contents
-            if isinstance(timer, Timeout) and (
-                timer._cancelled or all(cb is engine._late for cb in timer._callbacks or ())
-            ):
-                yield timer
+        timer = getattr(entry[3], "__self__", None)  # a queued timer is its bound ``_fire``
+        if isinstance(timer, Timeout) and (
+            timer._cancelled or all(cb is engine._late for cb in timer._callbacks or ())
+        ):
+            yield timer
 
 
 def _debris_behind(timers) -> Counter:
@@ -72,11 +71,12 @@ def uncollected_round(request, monkeypatch):
     name = module.__name__.rsplit(".", 1)[-1]
     rec = SpanRecorder(name, 0, False)
     seen = {"steps": 0, "cycles": 0, "dead timers": 0, "debris": Counter()}
-    step, run_cycle = Simulator.step, Matchmaker.run_cycle
+    run_steps, run_cycle = Simulator.run_steps, Matchmaker.run_cycle
 
-    def counted_step(sim):
-        seen["steps"] += 1
-        return step(sim)
+    def counted_steps(sim, *args, **kwargs):  # every entry runs under run_steps
+        ran = run_steps(sim, *args, **kwargs)
+        seen["steps"] += ran
+        return ran
 
     def sampled_cycle(mm):
         yield from run_cycle(mm)
@@ -85,7 +85,7 @@ def uncollected_round(request, monkeypatch):
         seen["dead timers"] += len(timers)
         seen["debris"] += _debris_behind(timers)
 
-    monkeypatch.setattr(Simulator, "step", counted_step)
+    monkeypatch.setattr(Simulator, "run_steps", counted_steps)
     monkeypatch.setattr(Matchmaker, "run_cycle", sampled_cycle)
     gc.collect()
     gc.disable()
