@@ -9,23 +9,24 @@ Puts every subsystem on stage at once:
 - one prized machine whose owner prefers (and preempts for) one user;
 - a misconfigured machine caught by the startd self-test;
 - operator views: condor_status, condor_q, the error-scope report, and
-  trace analytics.
+  the scope -> handler map read off the run's error-journey spans.
 
 Run:  python examples/grid_community.py
 """
 
-from repro.analysis import analyze_trace
 from repro.condor import Pool, PoolConfig
 from repro.condor.daemons.config import CondorConfig
 from repro.condor.submit import parse_submit
 from repro.condor.tools import condor_q, condor_status, error_scope_report, timeline
 from repro.jvm.program import JavaProgram, Step
+from repro.obs import ObservationSession
 from repro.sim.machine import JavaInstallation, OwnerPolicy
 
 MB = 2**20
 
 
-def main() -> None:
+def community() -> tuple[Pool, list]:
+    """Build the community, run it to completion; return (pool, bob's jobs)."""
     condor = CondorConfig(
         error_mode="scoped",
         startd_self_test=True,
@@ -83,6 +84,12 @@ def main() -> None:
         pool.sim.call_at(90.0, lambda j=job: pool.submit(j))
 
     pool.run_until_done(max_time=100_000, expected_jobs=12)
+    return pool, bob_jobs
+
+
+def main() -> None:
+    with ObservationSession() as session:  # the pool attaches to its bus
+        pool, bob_jobs = community()
 
     print(condor_status(pool))
     print()
@@ -96,7 +103,12 @@ def main() -> None:
     print()
     print(timeline(pool, width=60))
     print()
-    print(analyze_trace(pool.trace).table().render())
+    print("observed scope -> handler map (cf. Figure 3):")
+    handled = session.spans.scope_to_handlers()
+    for scope, handlers in sorted(handled.items()):
+        print(f"  {scope}: {', '.join(sorted(handlers))}")
+    if not handled:
+        print("  (no error reached a handler)")
     print()
     evicted = any(
         a.error_name.startswith("Evicted")

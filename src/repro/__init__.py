@@ -5,7 +5,8 @@ application to the Condor Java Universe:
 
 - :mod:`repro.core` -- the paper's contribution: error scopes, the
   implicit/explicit/escaping taxonomy, interface contracts, the
-  propagation engine, and the principle auditor.
+  propagation engine, and the principle auditor (post hoc over a run's
+  artifacts, or live on its telemetry).
 - :mod:`repro.sim` -- deterministic discrete-event substrate (engine,
   network, file systems, machines, processes).
 - :mod:`repro.condor` -- the Condor kernel (ClassAds, schedd, startd,
@@ -17,6 +18,9 @@ application to the Condor Java Universe:
 - :mod:`repro.faults` -- fault catalogue and injector.
 - :mod:`repro.harness` -- workloads, metrics and the per-figure
   experiment runners.
+- :mod:`repro.obs` -- deterministic observability: the telemetry bus and
+  the span tree every error's and job's journey is read from.
+- :mod:`repro.campaign` -- fault campaigns and the coverage-guided fuzzer.
 """
 
 __version__ = "1.0.0"

@@ -7,11 +7,11 @@ enumerates the cross product of the fault catalogue x injection windows
 x sites x job targets (and multi-fault combinations up to a configurable
 order), runs every cell deterministically, and audits each run twice:
 
-- *live*, via a :class:`~repro.obs.sanitize.PrincipleSanitizer` on the
-  telemetry bus, judging every error hop, interface crossing and job
-  outcome the instant it happens;
-- *post hoc*, via the classic :class:`~repro.core.principles.PrincipleAuditor`
-  over the run artifacts.
+- *live*, via :meth:`PrincipleAuditor.live <repro.core.principles.PrincipleAuditor.live>`
+  on the telemetry bus, judging every error hop, interface crossing and
+  job outcome the instant it happens;
+- *post hoc*, via :meth:`PrincipleAuditor.of_run
+  <repro.core.principles.PrincipleAuditor.of_run>` over the run artifacts.
 
 The two verdicts must agree event-for-event on every cell -- the engine
 records the cross-check in each record.  Any violating cell is shrunk by

@@ -35,9 +35,9 @@ from repro.campaign.engine import run_campaign
 from repro.campaign.report import render_cell_profiles, render_fuzz_summary, render_summary
 from repro.campaign.shrink import replay
 from repro.campaign.spec import CATALOGUE, CampaignConfig
+from repro.core.principles import PrincipleViolationError
 from repro.harness.parallel import WorkerFailure, positive_worker_count
 from repro.obs.export import dump_json, reject_unwritable
-from repro.obs.sanitize import PrincipleViolationError
 
 __all__ = ["fuzz_main", "main"]
 
@@ -64,8 +64,23 @@ def _add_shared_options(parser: argparse.ArgumentParser, report: str, unit: str)
                         help=f"ingest the {report} report into this results store")
 
 
-def _kinds(args: argparse.Namespace) -> tuple[str, ...] | None:
-    return None if args.kinds is None else tuple(k for k in args.kinds.split(",") if k)
+def _campaign_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                     **knobs) -> CampaignConfig:
+    """The campaign both commands build from the shared options; fault
+    kinds the catalogue cannot select are a usage error (exit 2)."""
+    config = CampaignConfig(
+        mode=args.mode,
+        seed=args.seed,
+        kinds=None if args.kinds is None else tuple(k for k in args.kinds.split(",") if k),
+        federation=args.federation,
+        defenses=args.defenses,
+        **knobs,
+    )
+    try:
+        config.catalogue()
+    except ValueError as exc:
+        parser.error(f"--kinds {args.kinds}: {exc}")
+    return config
 
 
 def _emit_report(args: argparse.Namespace, report: dict, source: str) -> None:
@@ -107,7 +122,10 @@ def fuzz_main(argv: list[str] | None = None) -> int:
 
     resume_state = None
     if args.resume is not None:
-        config, resume_state = load_checkpoint(args.resume)
+        try:
+            config, resume_state = load_checkpoint(args.resume)
+        except ValueError as exc:  # the file is outside input: one line, no traceback
+            parser.error(f"--resume {args.resume}: {exc}")
     else:
         if args.budget_cells < 1:
             parser.error("--budget-cells must be >= 1")
@@ -116,13 +134,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         if args.order_max < 1:
             parser.error("--order-max must be >= 1")
         config = FuzzConfig(
-            campaign=CampaignConfig(
-                mode=args.mode,
-                seed=args.seed,
-                kinds=_kinds(args),
-                federation=args.federation,
-                defenses=args.defenses,
-            ),
+            campaign=_campaign_config(parser, args),
             budget_cells=args.budget_cells,
             batch_size=args.batch_size,
             order_max=args.order_max,
@@ -191,15 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.order < 1:
         parser.error("--order must be >= 1")
     reject_unwritable(parser, args, "--json", "--results-db")
-    config = CampaignConfig(
-        mode=args.mode,
-        seed=args.seed,
-        max_order=args.order,
-        kinds=_kinds(args),
-        fail_fast=args.fail_fast,
-        federation=args.federation,
-        defenses=args.defenses,
-    )
+    config = _campaign_config(parser, args, max_order=args.order, fail_fast=args.fail_fast)
     started = time.perf_counter()
     try:
         report = run_campaign(

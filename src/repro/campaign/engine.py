@@ -2,11 +2,12 @@
 
 One *cell* is one deterministic simulation: a fresh pool and workload
 (derived from the cell's seed), the cell's injection set scheduled on a
-fault injector, and **two independent audits** of the same run:
+fault injector, and **two independent audits** of the same run by two
+instances of the one checker, :class:`~repro.core.principles.PrincipleAuditor`:
 
-- a :class:`~repro.obs.sanitize.PrincipleSanitizer` subscribed to the
+- :meth:`~repro.core.principles.PrincipleAuditor.live`, subscribed to the
   pool's telemetry bus before the simulation starts, judging P1-P4 live;
-- the classic :class:`~repro.core.principles.PrincipleAuditor` over the
+- :meth:`~repro.core.principles.PrincipleAuditor.of_run` over the
   artifacts (ground truth, interface registry, propagation trace) after
   it ends.
 
@@ -34,7 +35,6 @@ from repro.harness.parallel import ParallelRunner
 from repro.harness.workloads import submit_gauntlet
 from repro.obs.bus import Topic
 from repro.obs.profile import SimTimeProfiler
-from repro.obs.sanitize import PrincipleSanitizer
 from repro.obs.span import SpanBuilder
 from repro.obs.summary import RunSummary
 
@@ -214,13 +214,13 @@ def _run_cell(
     # The shared fold, fed JOB events only: a cell reads just its makespans.
     # Every observer here names its topics, so the cell constructs no event
     # on the others.  Within a JOB event the fold (subscribed first) runs
-    # before the sanitizer; observers never touch simulation state, and a
-    # fail-fast cell raises below whichever of them ran first.
+    # before the live auditor; observers never touch simulation state, and
+    # a fail-fast cell raises below whichever of them ran first.
     summary = RunSummary()
     unsubscribe_summary = pool.bus.subscribe(summary.on_event, Topic.JOB)
     profiler = SimTimeProfiler(pool.bus) if profile else None
     spans = SpanBuilder(pool.bus) if features else None
-    sanitizer = PrincipleSanitizer(
+    live_auditor = PrincipleAuditor.live(
         pool.bus, injector=injector, jobs=jobs, fail_fast=config.fail_fast
     )
     for spec in cell.injections:
@@ -229,21 +229,21 @@ def _run_cell(
     stage[0] = "simulate"
     pool.run_until_done(max_time=config.max_time, expected_jobs=len(jobs))
     unsubscribe_summary()
-    sanitizer.detach()
+    live_auditor.detach()
     if spans is not None:
         spans.detach()
     if profiler is not None:
         profiler.detach()
-    if sanitizer.failure is not None:
+    if live_auditor.failure is not None:
         # A fail-fast raise inside a daemon process is absorbed as that
         # process's death; surface it here so --fail-fast always stops
         # the campaign at the first violating cell.
-        raise sanitizer.failure
+        raise live_auditor.failure
 
     auditor = PrincipleAuditor.of_run(injector.audit_outcomes(jobs), registry, pool.trace)
 
     posthoc = [_violation_dict(v) for v in auditor.violations]
-    live = [_violation_dict(v) for v in sanitizer.violations]
+    live = [_violation_dict(v) for v in live_auditor.violations]
     completed = sum(1 for j in jobs if j.state is JobState.COMPLETED)
     held = sum(1 for j in jobs if j.state is JobState.HELD)
     record = {

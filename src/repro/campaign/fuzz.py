@@ -423,18 +423,13 @@ def _batch_rng(seed: int, batch: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _bootstrap_cells(config: FuzzConfig, base: CellSpec) -> list[CellSpec]:
+def _bootstrap_cells(space: MutationSpace, base: CellSpec) -> list[CellSpec]:
     """Generation zero: the clean cell plus one open-window single per
     catalogue kind -- the corpus seed every later mutation descends from.
     """
-    cells = [base.with_injections(())]
-    for info in config.campaign.catalogue():
-        site = "exec000" if info.target == "site" else None
-        job_index = 0 if info.target == "job" else None
-        spec = FaultSpec(kind=info.kind, site=site, job_index=job_index,
-                         at=0.0, until=None)
-        cells.append(base.with_injections((spec,)))
-    return cells
+    return [base.with_injections(())] + [
+        base.with_injections((_first_target_spec(info, space),)) for info in space.kinds
+    ]
 
 
 # -- the deterministic probe stage --------------------------------------
@@ -478,7 +473,8 @@ def _first_target_spec(info: KindInfo, space: MutationSpace) -> FaultSpec:
 
 def _enqueue_add_probes(state: _FuzzState, space: MutationSpace,
                         base: CellSpec, injections: tuple[FaultSpec, ...],
-                        features: list[str]) -> None:
+                        features: list[str], stage: str) -> None:
+    """*injections* plus each unused kind: the ``add`` and ``escalate`` probes."""
     if len(injections) >= space.order_max:
         return
     used = {spec.kind for spec in injections}
@@ -487,7 +483,7 @@ def _enqueue_add_probes(state: _FuzzState, space: MutationSpace,
             continue
         extra = _first_target_spec(info, space)
         cell = base.with_injections(_canonical(injections + (extra,)))
-        _enqueue_probe(state, cell, "add", features)
+        _enqueue_probe(state, cell, stage, features)
 
 
 def _enqueue_window_probes(state: _FuzzState, space: MutationSpace,
@@ -504,20 +500,6 @@ def _enqueue_window_probes(state: _FuzzState, space: MutationSpace,
                 variant = injections[:index] + (bounded,) + injections[index + 1:]
                 cell = base.with_injections(_canonical(variant))
                 _enqueue_probe(state, cell, "window", features)
-
-
-def _enqueue_escalate_probes(state: _FuzzState, space: MutationSpace,
-                             base: CellSpec, injections: tuple[FaultSpec, ...],
-                             features: list[str]) -> None:
-    if len(injections) >= space.order_max:
-        return
-    used = {spec.kind for spec in injections}
-    for info in space.kinds:
-        if info.kind in used:
-            continue
-        extra = _first_target_spec(info, space)
-        cell = base.with_injections(_canonical(injections + (extra,)))
-        _enqueue_probe(state, cell, "escalate", features)
 
 
 def _propose_batch(
@@ -609,7 +591,7 @@ def _absorb(state: _FuzzState, space: MutationSpace, base: CellSpec,
         # structured sweep of its neighbourhood...
         if new_violations:
             _enqueue_add_probes(state, space, base, cell.injections,
-                                new_violations)
+                                new_violations, "add")
             if cell.order >= 2:
                 _enqueue_window_probes(state, space, base, cell.injections,
                                        new_violations)
@@ -619,8 +601,8 @@ def _absorb(state: _FuzzState, space: MutationSpace, base: CellSpec,
         if probe is not None and probe["stage"] == "window":
             lost = [f for f in probe["features"] if f not in signature]
             if lost:
-                _enqueue_escalate_probes(state, space, base, cell.injections,
-                                         lost)
+                _enqueue_add_probes(state, space, base, cell.injections,
+                                    lost, "escalate")
 
 
 # -- checkpointing ------------------------------------------------------
@@ -648,11 +630,15 @@ def _checkpoint_dict(state: _FuzzState, config: FuzzConfig) -> dict:
     }
 
 
-def _state_from_checkpoint(data: dict, config: FuzzConfig) -> _FuzzState:
-    if data.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"not a fuzz checkpoint: format={data.get('format')!r}"
-        )
+def _check_format(data) -> None:
+    """ValueError unless *data* is a fuzz checkpoint document."""
+    found = data.get("format") if isinstance(data, dict) else type(data).__name__
+    if found != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a fuzz checkpoint: format={found!r}")
+
+
+def _state_from_checkpoint(data: dict, config: FuzzConfig, base: CellSpec) -> _FuzzState:
+    _check_format(data)
     for section, expected in (
         ("campaign", campaign_section(config.campaign)),
         ("fuzz", config.section()),
@@ -673,8 +659,6 @@ def _state_from_checkpoint(data: dict, config: FuzzConfig) -> _FuzzState:
         first_violation_at=data["first_violation_at"],
         all_principles_at=data["all_principles_at"],
     )
-    base = CellSpec(cell_id="", mode=config.campaign.mode,
-                    seed=config.campaign.seed, injections=())
     for record in state.records:
         injections = tuple(FaultSpec.from_dict(d) for d in record["injections"])
         state.executed[base.with_injections(injections).key] = record
@@ -690,37 +674,46 @@ def _state_from_checkpoint(data: dict, config: FuzzConfig) -> _FuzzState:
 
 
 def load_checkpoint(path: str) -> tuple[FuzzConfig, dict]:
-    """Read a checkpoint file; return its (config, raw state dict)."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"not a fuzz checkpoint: format={data.get('format')!r}"
-        )
-    campaign = data["campaign"]
-    config = FuzzConfig(
-        campaign=CampaignConfig(
-            mode=campaign["mode"],
-            seed=int(campaign["seed"]),
-            n_jobs=int(campaign["n_jobs"]),
-            n_machines=int(campaign["n_machines"]),
-            max_order=int(campaign["max_order"]),
-            max_retries=int(campaign["max_retries"]),
-            max_time=float(campaign["max_time"]),
-            windows=tuple(
-                (float(at), None if until is None else float(until))
-                for at, until in campaign["windows"]
+    """Read a checkpoint file; return its (config, raw state dict).
+
+    The file is outside input: unreadable, not JSON, not a checkpoint, or
+    a config that is missing, ill-typed or selects no catalogue -- each
+    raises one ``ValueError("not a fuzz checkpoint: <reason>")``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"not a fuzz checkpoint: {exc}") from exc
+    _check_format(data)
+    try:
+        campaign = data["campaign"]
+        config = FuzzConfig(
+            campaign=CampaignConfig(
+                mode=campaign["mode"],
+                seed=int(campaign["seed"]),
+                n_jobs=int(campaign["n_jobs"]),
+                n_machines=int(campaign["n_machines"]),
+                max_order=int(campaign["max_order"]),
+                max_retries=int(campaign["max_retries"]),
+                max_time=float(campaign["max_time"]),
+                windows=tuple(
+                    (float(at), None if until is None else float(until))
+                    for at, until in campaign["windows"]
+                ),
+                kinds=None if campaign["kinds"] is None else tuple(campaign["kinds"]),
+                sites=tuple(campaign["sites"]),
+                job_indices=tuple(campaign["job_indices"]),
+                federation=bool(campaign["federation"]),
+                defenses=bool(campaign["defenses"]),
             ),
-            kinds=None if campaign["kinds"] is None else tuple(campaign["kinds"]),
-            sites=tuple(campaign["sites"]),
-            job_indices=tuple(campaign["job_indices"]),
-            federation=bool(campaign["federation"]),
-            defenses=bool(campaign["defenses"]),
-        ),
-        budget_cells=int(data["fuzz"]["budget_cells"]),
-        batch_size=int(data["fuzz"]["batch_size"]),
-        order_max=int(data["fuzz"]["order_max"]),
-    )
+            budget_cells=int(data["fuzz"]["budget_cells"]),
+            batch_size=int(data["fuzz"]["batch_size"]),
+            order_max=int(data["fuzz"]["order_max"]),
+        )
+        config.campaign.catalogue()
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"not a fuzz checkpoint: config: {exc!r}") from exc
     return config, data
 
 
@@ -735,7 +728,7 @@ def load_checkpoint(path: str) -> tuple[FuzzConfig, dict]:
 SHRINK_ATTEMPTS_PER_SIGNATURE = 6
 
 
-def _shrink_findings(state: _FuzzState, config: FuzzConfig) -> list[dict]:
+def _shrink_findings(state: _FuzzState, config: FuzzConfig, base: CellSpec) -> list[dict]:
     """Signature-preserving 1-minimal reproducers for the campaign's finds.
 
     Walks the executed cells in order.  A violating cell is *explained*
@@ -755,8 +748,6 @@ def _shrink_findings(state: _FuzzState, config: FuzzConfig) -> list[dict]:
     """
     from repro.campaign.shrink import minimize_cell
 
-    base = CellSpec(cell_id="", mode=config.campaign.mode,
-                    seed=config.campaign.seed, injections=())
     #: feature -> list of confirmed minimal injection sets (spec tuples)
     confirmed: dict[str, list[frozenset]] = {}
     attempts: dict[str, int] = {}
@@ -860,17 +851,18 @@ def run_fuzz(
     from repro.obs.export import dump_json
 
     campaign = config.campaign
+    # Every cell of the campaign is this one with injections.
+    base = CellSpec(cell_id="", mode=campaign.mode, seed=campaign.seed,
+                    injections=())
     if resume is not None:
         if isinstance(resume, str):
             with open(resume, encoding="utf-8") as fh:
                 resume = json.load(fh)
-        state = _state_from_checkpoint(resume, config)
+        state = _state_from_checkpoint(resume, config, base)
     else:
         state = _FuzzState()
     space = MutationSpace.from_config(config)
     engine = MutationEngine(space)
-    base = CellSpec(cell_id="", mode=campaign.mode, seed=campaign.seed,
-                    injections=())
     runner = ParallelRunner(
         functools.partial(
             run_cell_record, config=campaign, features=True, on_error="record"
@@ -883,7 +875,7 @@ def run_fuzz(
                 break
             want = min(config.batch_size, config.budget_cells - len(state.records))
             if state.batch == 0 and not state.records:
-                cells = _bootstrap_cells(config, base)[:want]
+                cells = _bootstrap_cells(space, base)[:want]
             else:
                 rng = _batch_rng(campaign.seed, state.batch)
                 cells = _propose_batch(rng, state, engine, base, want)
@@ -895,5 +887,5 @@ def run_fuzz(
             state.batch += 1
             if checkpoint is not None:
                 dump_json(checkpoint, _checkpoint_dict(state, config))
-    reproducers = _shrink_findings(state, config) if shrink else []
+    reproducers = _shrink_findings(state, config, base) if shrink else []
     return _report(state, config, reproducers)

@@ -10,8 +10,8 @@
   out-of-contract errors (Principle 2).
 - :mod:`repro.core.propagation` -- scope managers and the propagation
   engine that routes each error to the manager of its scope (Principle 3).
-- :mod:`repro.core.principles` -- the auditor that checks propagation
-  traces for violations of Principles 1-4.
+- :mod:`repro.core.principles` -- the one checker of Principles 1-4,
+  fed a run's artifacts after it ends or its telemetry as it happens.
 - :mod:`repro.core.classify` -- the wrapper's classification table from
   (simulated) Java throwables and substrate error codes to scopes.
 - :mod:`repro.core.result` -- the wrapper's result file: the indirect
@@ -28,7 +28,7 @@ from repro.core.errors import (
 )
 from repro.core.interfaces import ErrorInterface, InterfaceViolation, Operation
 from repro.core.classify import ExceptionClassifier, DEFAULT_CLASSIFIER
-from repro.core.principles import PrincipleAuditor, Violation
+from repro.core.principles import PrincipleAuditor, PrincipleViolationError, Violation
 from repro.core.propagation import (
     Action,
     ManagementChain,
@@ -53,6 +53,7 @@ __all__ = [
     "ManagementChain",
     "Operation",
     "PrincipleAuditor",
+    "PrincipleViolationError",
     "PropagationTrace",
     "ResultFile",
     "ResultStatus",

@@ -42,7 +42,7 @@ _ids = itertools.count(1)
 def format_error(name: str, scope: str, kind: str, detail: str = "") -> str:
     """The canonical one-line rendering of an error.
 
-    Shared by :meth:`GridError.__str__` and the live sanitizer (which
+    Shared by :meth:`GridError.__str__` and the auditor's live feed (which
     reconstructs the same text from telemetry attributes), so live and
     post-hoc violation reports are textually identical.
     """

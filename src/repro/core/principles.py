@@ -18,25 +18,39 @@ auditor reports every detectable violation:
   its scope) and UNMANAGED events (an error fell off the chain raw).
 - **P4** ("error interfaces must be concise and finite"): every crossing
   of a generic (open-ended) operation by an undocumented error name.
+
+One checker, two feeds: :meth:`PrincipleAuditor.of_run` judges a run's
+artifacts after it ends, :meth:`PrincipleAuditor.live` its ERROR,
+INTERFACE and JOB telemetry while it executes (subscribed by topic
+string: this package imports nothing from ``repro.obs``).  Both call the
+same ``check_*`` functions, so a run's live verdicts equal its post-hoc
+ones event for event -- the cross-check every campaign cell records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.errors import GridError
+from repro.core.errors import format_error
 from repro.core.interfaces import ErrorInterface
 from repro.core.propagation import EventType, PropagationTrace
 from repro.core.scope import ErrorScope
 
 __all__ = [
+    "TERMINAL_JOB_EVENTS",
     "JobGroundTruth",
     "PrincipleAuditor",
+    "PrincipleViolationError",
     "Violation",
     "check_crossing",
     "check_hop",
     "check_outcome",
 ]
+
+#: JOB-topic events that present a job's outcome to the user -- the
+#: instant P1 is judged -- and the outcome each presents.  The span
+#: tree's job lifecycle (``repro.obs.span``) reads the same table.
+TERMINAL_JOB_EVENTS = {"result": "completed", "hold": "held"}
 
 
 @dataclass(frozen=True)
@@ -71,9 +85,9 @@ class JobGroundTruth:
 # -- the shared checks -------------------------------------------------
 #
 # Each principle's judgement is a pure function over primitive facts, so
-# the post-hoc auditor (reading run artifacts) and the live sanitizer
-# (reading telemetry events) produce *identical* Violation objects for
-# the same occurrence -- the property the cross-check tests pin down.
+# the post-hoc feed (reading run artifacts) and the live feed (reading
+# telemetry events) produce *identical* Violation objects for the same
+# occurrence -- the property the cross-check tests pin down.
 
 
 def check_outcome(outcome: JobGroundTruth) -> Violation | None:
@@ -149,11 +163,50 @@ def check_hop(hop: str, manager: str, error_text: str, scope_text: str) -> Viola
     return None
 
 
-class PrincipleAuditor:
-    """Collects run artifacts and reports violations of Principles 1-4."""
+class PrincipleViolationError(AssertionError):
+    """Raised by a fail-fast live auditor at the instant of first violation."""
 
-    def __init__(self) -> None:
+    def __init__(self, violation: Violation, time: float):
+        super().__init__(f"t={time:.3f} {violation}")
+        self.violation = violation
+        self.time = time
+
+
+class PrincipleAuditor:
+    """Reports violations of Principles 1-4, from a run's artifacts
+    (:meth:`of_run`) or from its telemetry as it happens (:meth:`live`).
+
+    *injector* and *jobs* enable the live P1 check (without them the live
+    feed still audits P2-P4).  Register the workload with :meth:`watch`
+    once the jobs exist -- they are usually created after the pool, hence
+    after the auditor attaches.
+    """
+
+    def __init__(self, injector=None, jobs=None, fail_fast: bool = False) -> None:
         self.violations: list[Violation] = []
+        #: (sim time, violation) in live detection order, for reports.
+        self.timeline: list[tuple[float, Violation]] = []
+        self.injector = injector
+        self.fail_fast = fail_fast
+        #: The fail-fast exception, kept for drivers to re-raise in case
+        #: the raise itself was absorbed by a dying simulated process.
+        self.failure: PrincipleViolationError | None = None
+        self._jobs: dict[str, object] = {}
+        self._unsubscribes: list = []
+        if jobs is not None:
+            self.watch(jobs)
+
+    @classmethod
+    def live(cls, bus, injector=None, jobs=None, fail_fast: bool = False) -> PrincipleAuditor:
+        """An auditor judging *bus*'s ERROR, INTERFACE and JOB events as
+        they are emitted, one handler per topic, until :meth:`detach`."""
+        auditor = cls(injector, jobs, fail_fast)
+        auditor._unsubscribes = [
+            bus.subscribe(auditor.on_error, "error"),
+            bus.subscribe(auditor.on_interface, "interface"),
+            bus.subscribe(auditor.on_job, "job"),
+        ]
+        return auditor
 
     @classmethod
     def of_run(
@@ -209,6 +262,63 @@ class PrincipleAuditor:
                 found.append(violation)
         self.violations.extend(found)
         return found
+
+    # -- the live feed -------------------------------------------------------
+    def watch(self, jobs) -> None:
+        """Register *jobs* (iterable of Job) for the live P1 outcome check."""
+        for job in jobs:
+            self._jobs[job.job_id] = job
+
+    def detach(self) -> None:
+        """Stop listening; accumulated verdicts remain readable."""
+        for unsubscribe in self._unsubscribes:
+            unsubscribe()
+
+    def _record(self, time: float, violation: Violation) -> None:
+        self.violations.append(violation)
+        self.timeline.append((time, violation))
+        if self.fail_fast and self.failure is None:
+            self.failure = PrincipleViolationError(violation, time)
+            raise self.failure
+
+    def on_error(self, event) -> None:
+        """P3 for one ERROR-topic hop event."""
+        scope_name = event.attr("scope")
+        if scope_name is None:
+            return
+        scope_text = str(ErrorScope[scope_name])
+        error_text = format_error(
+            event.attr("error", "?"), scope_text, event.attr("kind", "?"), event.attr("detail", "")
+        )
+        violation = check_hop(event.name, event.attr("manager", "?"), error_text, scope_text)
+        if violation is not None:
+            self._record(event.time, violation)
+
+    def on_interface(self, event) -> None:
+        """P2 and P4 for one INTERFACE-topic crossing event."""
+        scope_name = event.attr("scope")
+        if scope_name is None:
+            return
+        for violation in check_crossing(
+            event.attr("op", "?"),
+            event.attr("error", "?"),
+            ErrorScope[scope_name],
+            bool(event.attr("generic", False)),
+            bool(event.attr("declared", False)),
+            bool(event.attr("documented", False)),
+        ):
+            self._record(event.time, violation)
+
+    def on_job(self, event) -> None:
+        """P1 for one JOB-topic event that presents a watched job's outcome."""
+        if event.name not in TERMINAL_JOB_EVENTS or self.injector is None:
+            return
+        job = self._jobs.get(event.attr("job"))
+        if job is None:
+            return
+        violation = check_outcome(self.injector.truth_for_job(job))
+        if violation is not None:
+            self._record(event.time, violation)
 
     # -- reporting -----------------------------------------------------------
     def summary(self) -> dict[int, int]:

@@ -139,7 +139,7 @@ class FaultInjector:
         the fault did not become an error.  A mismatch while a fault
         overlapped the decisive attempt pins the truth to that fault.
 
-        Callable mid-run: the live sanitizer invokes it at each terminal
+        Callable mid-run: the live auditor invokes it at each terminal
         job event, when the job's final state and decisive attempt are
         already recorded, so the verdict equals the post-hoc one.
         """

@@ -9,18 +9,16 @@ The subsystem has four layers, each usable alone:
 - :mod:`repro.obs.bus` -- the typed-topic event bus (stdlib-only; the
   simulation kernel and the management chain feed it by duck typing, so
   instrumentation is zero-cost when nobody subscribes);
-- :mod:`repro.obs.span` -- nested spans assembled live from the stream:
-  one per job journey (submit -> match -> claim -> execute -> result)
-  and one per error's propagation path, with a span per hop;
+- :mod:`repro.obs.span` -- the one journey builder: nested spans
+  assembled live from the stream, one per job journey (submit -> match ->
+  claim -> execute -> result) and one per error's propagation path, with
+  a span per hop;
 - :mod:`repro.obs.metrics` -- labeled counter/gauge/histogram series;
 - :mod:`repro.obs.canonical` -- the one serialisation rule: the wall-key
   strip set and the two JSON text forms every artifact is written in;
 - :mod:`repro.obs.export` -- byte-reproducible JSONL traces and JSON
   snapshots, plus the :class:`~repro.obs.export.ObservationSession`
   behind the CLI's ``--trace`` / ``--metrics`` flags;
-- :mod:`repro.obs.sanitize` -- the live principle sanitizer, asserting
-  P1-P4 on the stream as the run executes (the campaign engine's
-  in-flight counterpart to the post-hoc auditor);
 - :mod:`repro.obs.profile` -- the deterministic grid profiler:
   sim-time attribution to (daemon, phase, scope) triples, critical-path
   extraction over job spans, folded-stack flamegraph export, and
@@ -57,7 +55,6 @@ from repro.obs.profile import (
     profile_report,
     render_profile,
 )
-from repro.obs.sanitize import PrincipleSanitizer, PrincipleViolationError
 from repro.obs.signature import normalize_violation, signature, violation_features
 from repro.obs.span import Span, SpanBuilder
 
@@ -66,8 +63,6 @@ __all__ = [
     "GridConsole",
     "MetricsRegistry",
     "ObservationSession",
-    "PrincipleSanitizer",
-    "PrincipleViolationError",
     "SimTimeProfiler",
     "Span",
     "SpanBuilder",

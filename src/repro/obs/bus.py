@@ -156,7 +156,7 @@ class TelemetryBus:
     must not mutate simulation state, only observe it -- so the order
     *between* two observers carries no meaning: one that names its
     topics runs after the all-topic ones (in a campaign cell, the JOB
-    fold before the sanitizer) and sees exactly what it would see among
+    fold before the live auditor) and sees exactly what it would see among
     them.
 
     ``active`` is a plain attribute maintained by subscribe/unsubscribe

@@ -57,9 +57,23 @@ def _open_text(path: str) -> IO[str]:
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _temporary(path: str) -> str:
+    """The sibling an artifact is written into before it may be named *path*."""
+    return f"{path}.tmp"
+
+
 def _write_text(path: str, text: str) -> None:
-    with _open_text(path) as fh:
-        fh.write(text)
+    """Write *text* as *path* whole or not at all: into :func:`_temporary`,
+    then renamed onto *path*, so a failed write leaves the previous file."""
+    tmp = _temporary(path)
+    try:
+        with _open_text(tmp) as fh:
+            fh.write(text)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 def unwritable(path: str) -> str | None:
@@ -74,7 +88,7 @@ def unwritable(path: str) -> str | None:
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         return f"no such directory: {parent}"
-    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+    if not os.access(parent, os.W_OK):  # every artifact is written as a sibling first
         return "permission denied"
     return None
 
@@ -163,7 +177,7 @@ class _TraceSink:
 
     def open(self) -> None:
         """Stream to ``<path>.tmp`` from here on, lines already held first."""
-        self._fh = _open_text(f"{self.path}.tmp")
+        self._fh = _open_text(_temporary(self.path))
         self._fh.writelines(self._text)
         self._text.clear()
         self._write = self._fh.write

@@ -27,7 +27,8 @@ the *daemon* dimension from the event's topic and name (DAEMON events
 map by name, PROCESS events by their process-name prefix, IO events by
 channel, ERROR events by the hop's manager); the *phase* dimension from
 the job lifecycle phase the event's job is in (``queued`` / ``claim`` /
-``attempt``; ``-`` for events not tied to a job); the *scope* dimension
+``attempt``, following the span tree's :data:`~repro.obs.span.JOB_PHASES`;
+``-`` for events not tied to a job); the *scope* dimension
 from the event's ``scope`` attribute (``-`` when absent).  The interval
 between two consecutive events is charged to the triple of the
 *earlier* event -- simulated time "belongs" to whatever the grid was
@@ -45,7 +46,7 @@ from time import perf_counter_ns
 from typing import Any
 
 from repro.obs.bus import PerTriple, TelemetryBus, TelemetryEvent, Topic
-from repro.obs.span import Span
+from repro.obs.span import JOB_PHASES, TERMINAL_JOB_EVENTS, Span, children_of
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -161,17 +162,13 @@ class SimTimeProfiler:
         if job is not None:
             if event.topic is Topic.JOB:
                 name = event.name
-                if name == "submit":
-                    self._job_phase[job] = "queued"
-                elif name == "match":
-                    self._job_phase[job] = "claim"
-                elif name in ("claim_failed", "site_failed"):
-                    self._job_phase[job] = "queued"
-                elif name == "execute":
-                    self._job_phase[job] = "attempt"
-                phase = self._job_phase.get(job, "-")
-                if name in ("result", "hold"):
-                    phase = self._job_phase.pop(job, phase)
+                opened = JOB_PHASES.get(name)
+                if opened is not None:
+                    self._job_phase[job] = opened
+                if name in TERMINAL_JOB_EVENTS:
+                    phase = self._job_phase.pop(job, "-")
+                else:
+                    phase = self._job_phase.get(job, "-")
             else:
                 phase = self._job_phase.get(job, "-")
         return (daemon, phase, scope)
@@ -209,12 +206,18 @@ class SimTimeProfiler:
 
 
 # -- critical-path analysis over the span set ---------------------------
-def _children_by_parent(spans: list[Span]) -> dict[int, list[Span]]:
-    children: dict[int, list[Span]] = {}
-    for span in spans:
-        if span.parent_id is not None:
-            children.setdefault(span.parent_id, []).append(span)
-    return children
+def _duration(span: Span) -> float:
+    return span.duration or 0.0
+
+
+def _closed_jobs(spans: list[Span]) -> list[tuple[Span, list[Span]]]:
+    """Each closed job root with its closed phases, in span order."""
+    children = children_of(spans)
+    return [
+        (root, [phase for phase in children.get(root.span_id, ()) if phase.end is not None])
+        for root in spans
+        if root.kind == "job" and root.end is not None
+    ]
 
 
 def critical_path(spans: list[Span]) -> dict:
@@ -227,18 +230,11 @@ def critical_path(spans: list[Span]) -> dict:
     dominant phases.  Open (never-closed) spans are excluded; all
     quantities are simulated seconds, so the result is deterministic.
     """
-    children = _children_by_parent(spans)
-    jobs = [s for s in spans if s.kind == "job" and s.end is not None]
+    jobs = _closed_jobs(spans)
     per_job = []
-    for root in jobs:
-        phases = [
-            c for c in children.get(root.span_id, []) if c.kind == "phase" and c.end is not None
-        ]
-        dominant = None
-        for phase in phases:
-            if dominant is None or (phase.duration or 0.0) > (dominant.duration or 0.0):
-                dominant = phase
-        makespan = root.duration or 0.0
+    for root, phases in jobs:
+        dominant = max(phases, key=_duration, default=None)
+        makespan = _duration(root)
         per_job.append(
             {
                 "job": root.name,
@@ -247,38 +243,27 @@ def critical_path(spans: list[Span]) -> dict:
                 "makespan": makespan,
                 "status": root.status,
                 "dominant_phase": None if dominant is None else dominant.name,
-                "dominant_time": 0.0 if dominant is None else (dominant.duration or 0.0),
+                "dominant_time": 0.0 if dominant is None else _duration(dominant),
                 "dominant_share": (
-                    0.0
-                    if dominant is None or makespan <= 0
-                    else (dominant.duration or 0.0) / makespan
+                    0.0 if dominant is None or makespan <= 0 else _duration(dominant) / makespan
                 ),
             }
         )
-    critical = None
-    for root in jobs:  # ties: spans list is in creation (span-id) order
-        if critical is None or root.end > critical.end:
-            critical = root
-    path = []
-    if critical is not None:
-        for phase in children.get(critical.span_id, []):
-            if phase.kind != "phase" or phase.end is None:
-                continue
-            path.append(
-                {
-                    "phase": phase.name,
-                    "start": phase.start,
-                    "end": phase.end,
-                    "duration": phase.duration,
-                    "site": phase.attrs.get("site"),
-                    "status": phase.status,
-                }
-            )
+    # max() keeps the first of equal ends: the earliest span id
+    critical, path = max(jobs, key=lambda job: job[0].end, default=(None, []))
+    path = [
+        {
+            "phase": phase.name,
+            "start": phase.start,
+            "end": phase.end,
+            "duration": phase.duration,
+            "site": phase.attrs.get("site"),
+            "status": phase.status,
+        }
+        for phase in path
+    ]
     journeys = [s for s in spans if s.kind == "error" and s.end is not None]
-    slowest = None
-    for journey in journeys:
-        if slowest is None or (journey.duration or 0.0) > (slowest.duration or 0.0):
-            slowest = journey
+    slowest = max(journeys, key=_duration, default=None)
     return {
         "makespan": 0.0 if critical is None else critical.end,
         "critical_job": None if critical is None else critical.name,
@@ -307,20 +292,15 @@ def folded_stacks(spans: list[Span]) -> list[str]:
     phase) stays on the root frame.  Lines are sorted, so the export is
     canonical for a given span set.
     """
-    children = _children_by_parent(spans)
     weights: dict[str, float] = {}
-    for root in spans:
-        if root.kind != "job" or root.end is None:
-            continue
+    for root, phases in _closed_jobs(spans):
         covered = 0.0
-        for phase in children.get(root.span_id, []):
-            if phase.kind != "phase" or phase.end is None:
-                continue
-            duration = phase.duration or 0.0
+        for phase in phases:
+            duration = _duration(phase)
             key = f"{root.name};{phase.name}"
             weights[key] = weights.get(key, 0.0) + duration
             covered += duration
-        residual = (root.duration or 0.0) - covered
+        residual = _duration(root) - covered
         if residual > 1e-12:
             weights[root.name] = weights.get(root.name, 0.0) + residual
     return [

@@ -3,7 +3,7 @@
 The fault-space fuzzer (:mod:`repro.campaign.fuzz`) needs to know when
 two cells behaved *differently*, not merely that they ran.  This module
 derives that judgement from the observability layer's own artifacts --
-sanitizer/auditor verdicts, the span tree, terminal job states -- as a
+principle verdicts, the span tree, terminal job states -- as a
 **pure function**: no bus access, no globals, no wall clock, so the
 signature of a cell is as deterministic as the cell itself.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 
-from repro.obs.span import Span
+from repro.obs.span import Span, children_of
 
 __all__ = ["normalize_violation", "signature", "violation_features"]
 
@@ -69,44 +69,31 @@ def violation_features(violations: Iterable[dict]) -> tuple[str, ...]:
     return tuple(sorted({normalize_violation(v) for v in violations}))
 
 
-def _journey_features(spans: Sequence[Span]) -> set[str]:
-    hops_by_parent: dict[int, list[str]] = {}
-    for span in spans:
-        if span.kind == "hop" and span.parent_id is not None:
-            hop = span.name.split(":", 1)[-1]
-            hops_by_parent.setdefault(span.parent_id, []).append(hop)
-    features: set[str] = set()
-    for span in spans:
-        if span.kind != "error":
-            continue
-        hops = hops_by_parent.get(span.span_id, [])
-        if len(hops) > MAX_HOPS:
-            hops = hops[:MAX_HOPS] + ["..."]
-        scope = span.attrs.get("scope") or "?"
-        features.add(f"journey:{scope}:" + ">".join(hops))
-    return features
+def _phase_label(phase: Span) -> str:
+    # "attempt:2" -> "attempt": the retry count shows up as repeated
+    # phases, not as an ordinal that would make every retry depth a
+    # fresh coordinate.
+    name = phase.name.split(":", 1)[0]
+    return f"{name}[{phase.status}]" if phase.status else name
 
 
-def _shape_features(spans: Sequence[Span]) -> set[str]:
-    phases_by_parent: dict[int, list[str]] = {}
-    for span in spans:
-        if span.kind != "phase" or span.parent_id is None:
-            continue
-        # "attempt:2" -> "attempt": the retry count shows up as repeated
-        # phases, not as an ordinal that would make every retry depth a
-        # fresh coordinate.
-        name = span.name.split(":", 1)[0]
-        if span.status:
-            name = f"{name}[{span.status}]"
-        phases_by_parent.setdefault(span.parent_id, []).append(name)
+def _span_features(spans: Sequence[Span]) -> set[str]:
+    """The ``journey:`` feature of each error root, the ``shape:`` ones of
+    each job root, each read off the root's children."""
+    children = children_of(spans)
     features: set[str] = set()
     for span in spans:
-        if span.kind != "job":
-            continue
-        shape = ">".join(phases_by_parent.get(span.span_id, []))
-        features.add(f"shape:{shape}")
-        if "flocked" in span.attrs:
-            features.add("shape:flocked")
+        if span.kind == "error":
+            hops = [hop.name.split(":", 1)[-1] for hop in children.get(span.span_id, ())]
+            if len(hops) > MAX_HOPS:
+                hops = hops[:MAX_HOPS] + ["..."]
+            scope = span.attrs.get("scope") or "?"
+            features.add(f"journey:{scope}:" + ">".join(hops))
+        elif span.kind == "job":
+            shape = ">".join(map(_phase_label, children.get(span.span_id, ())))
+            features.add(f"shape:{shape}")
+            if "flocked" in span.attrs:
+                features.add("shape:flocked")
     return features
 
 
@@ -122,9 +109,7 @@ def signature(
     list, *job_states* the terminal :class:`~repro.condor.job.JobState`
     names of the workload.
     """
-    features: set[str] = set(violation_features(violations))
-    features |= _journey_features(spans)
-    features |= _shape_features(spans)
+    features = set(violation_features(violations)) | _span_features(spans)
     states = [state.lower() for state in job_states]
     for state in states:
         features.add(f"outcome:{state}")

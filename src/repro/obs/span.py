@@ -17,22 +17,37 @@ for span assembly, and the other topics are not published on its
 account.  Span ids are dense per-builder sequence numbers, so the span
 set for a given seed is identical across runs (DESIGN.md §6).
 
-The FIG3 scope->handler table can be derived from the error spans via
-:meth:`SpanBuilder.scope_to_handlers`, as a live cross-check of
-``analysis/journeys.py``'s post-hoc reconstruction.
+This module is the one journey builder, and it owns the two readings
+every consumer of the tree shares: the job lifecycle
+(:data:`JOB_PHASES`, with the terminal events of
+:data:`~repro.core.principles.TERMINAL_JOB_EVENTS`), which the profiler
+and the run summary follow too, and the parent -> children index
+(:func:`children_of`) under the critical path, the flame stacks, the
+fuzzer's coverage signatures and the FIG3 scope -> handler table
+(:meth:`SpanBuilder.scope_to_handlers`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.principles import TERMINAL_JOB_EVENTS
 from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic
 
-__all__ = ["Span", "SpanBuilder"]
+__all__ = ["JOB_PHASES", "TERMINAL_JOB_EVENTS", "Span", "SpanBuilder", "children_of"]
 
-#: The topics :meth:`SpanBuilder.on_event` reads.
-_TOPICS = (Topic.JOB, Topic.ERROR)
+#: The job lifecycle: JOB-topic event -> the phase it opens.  A job's
+#: terminal event (:data:`TERMINAL_JOB_EVENTS`) closes its phase instead,
+#: and a return to ``queued`` closes the failed phase with the event's name.
+JOB_PHASES = {
+    "submit": "queued",
+    "match": "claim",
+    "claim_failed": "queued",
+    "execute": "attempt",
+    "site_failed": "queued",
+}
 
 #: ERROR-topic event names that end an error's journey.
 _TERMINAL_HOPS = frozenset({"masked", "reported", "mishandled", "unmanaged"})
@@ -66,6 +81,16 @@ class Span:
         return f"<span {self.span_id} {self.name} {self.start:.3f}..{end}{status}>"
 
 
+def children_of(spans: Iterable[Span]) -> dict[int, list[Span]]:
+    """span id -> its child spans, in span order: a job root's phases, an
+    error root's hops."""
+    children: dict[int, list[Span]] = {}
+    for span in spans:
+        if span.parent_id is not None:
+            children.setdefault(span.parent_id, []).append(span)
+    return children
+
+
 class SpanBuilder:
     """Assembles :class:`Span` trees from a live telemetry stream."""
 
@@ -80,7 +105,10 @@ class SpanBuilder:
         self._attempts: dict[str, int] = {}
         #: error_id -> open journey span
         self._error_roots: dict[Any, Span] = {}
-        self._unsubscribes = [bus.subscribe(self.on_event, topic) for topic in _TOPICS]
+        self._unsubscribes = [
+            bus.subscribe(self.on_job, Topic.JOB),
+            bus.subscribe(self.on_error, Topic.ERROR),
+        ]
 
     # -- span bookkeeping ----------------------------------------------
     def _open(
@@ -105,15 +133,9 @@ class SpanBuilder:
             if status:
                 span.status = status
 
-    # -- the subscriber -------------------------------------------------
-    def on_event(self, event: TelemetryEvent) -> None:
-        """Feed one telemetry event into the span state machines."""
-        if event.topic is Topic.JOB:
-            self._on_job(event)
-        elif event.topic is Topic.ERROR:
-            self._on_error(event)
-
-    def _on_job(self, event: TelemetryEvent) -> None:
+    # -- the subscriber, one handler per topic ---------------------------
+    def on_job(self, event: TelemetryEvent) -> None:
+        """Advance one job's journey by a JOB-topic event."""
         job_id = event.attr("job")
         if job_id is None:
             return
@@ -130,37 +152,22 @@ class SpanBuilder:
         if root is None:
             return  # event for a job whose submit predates the session
         phase = self._job_phase.get(job_id)
-        if name == "match":
+        opened = JOB_PHASES.get(name)
+        if opened is not None:
+            requeued = opened == "queued"  # the phase it closes failed
             if phase is not None:
-                self._close(phase, t)
-            self._job_phase[job_id] = self._open(
-                "claim", "phase", t, parent=root, site=event.attr("site")
-            )
-        elif name == "claim_failed":
-            if phase is not None:
-                self._close(phase, t, status="claim_failed")
-            self._job_phase[job_id] = self._open("queued", "phase", t, parent=root)
-        elif name == "execute":
-            if phase is not None:
-                self._close(phase, t)
-            self._attempts[job_id] += 1
-            self._job_phase[job_id] = self._open(
-                f"attempt:{self._attempts[job_id]}",
-                "phase",
-                t,
-                parent=root,
-                site=event.attr("site"),
-            )
-        elif name == "site_failed":
-            if phase is not None:
-                self._close(phase, t, status="site_failed")
-            self._job_phase[job_id] = self._open("queued", "phase", t, parent=root)
+                self._close(phase, t, status=name if requeued else "")
+            if opened == "attempt":
+                self._attempts[job_id] += 1
+                opened = f"attempt:{self._attempts[job_id]}"
+            attrs = {} if requeued else {"site": event.attr("site")}
+            self._job_phase[job_id] = self._open(opened, "phase", t, parent=root, **attrs)
         elif name == "flock":
             # The job's ad crossed a pool boundary; record the hop on the
             # journey root without disturbing the phase machine.
             root.attrs["flocked"] = event.attr("target")
-        elif name in ("result", "hold"):
-            status = "completed" if name == "result" else "held"
+        elif name in TERMINAL_JOB_EVENTS:
+            status = TERMINAL_JOB_EVENTS[name]
             if phase is not None:
                 self._close(phase, t, status=status)
             self._close(root, t, status=status)
@@ -168,7 +175,8 @@ class SpanBuilder:
             self._job_roots.pop(job_id, None)
             self._job_phase.pop(job_id, None)
 
-    def _on_error(self, event: TelemetryEvent) -> None:
+    def on_error(self, event: TelemetryEvent) -> None:
+        """Add one ERROR-topic hop to its error's journey."""
         error_id = event.attr("error_id")
         if error_id is None:
             return
@@ -213,13 +221,9 @@ class SpanBuilder:
         """The observed scope -> handling-manager map (FIG3, live).
 
         For every error journey that ended in ``masked`` or ``reported``,
-        the manager of its terminal hop handled that scope.  Cross-checks
-        ``analysis.journeys.observed_scope_map`` from the span stream.
+        the manager of its terminal hop handled that scope.
         """
-        children: dict[int, list[Span]] = {}
-        for span in self.spans:
-            if span.kind == "hop" and span.parent_id is not None:
-                children.setdefault(span.parent_id, []).append(span)
+        children = children_of(self.spans)
         table: dict[str, set[str]] = {}
         for journey in self.journeys():
             if journey.status not in ("masked", "reported"):

@@ -339,7 +339,7 @@ class ResultsStore(SqliteStore):
         return dict(sorted(hops.items()))
 
     def violation_count(self) -> int:
-        """Total sanitizer violations recorded across all stored runs."""
+        """Total principle violations recorded across all stored runs."""
         (count,) = self._db.execute("SELECT COUNT(*) FROM violations").fetchone()
         return int(count)
 

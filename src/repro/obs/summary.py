@@ -17,6 +17,7 @@ from typing import Any
 
 from repro.obs.bus import TelemetryEvent
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.span import TERMINAL_JOB_EVENTS
 
 __all__ = ["TRACE_SCHEMA", "RunSummary"]
 
@@ -69,7 +70,7 @@ class RunSummary:
                 job = attr("job")
                 if job is not None:
                     self._submitted.setdefault(job, time)
-            elif name in ("result", "hold"):
+            elif name in TERMINAL_JOB_EVENTS:
                 job = attr("job")
                 submitted = None if job is None else self._submitted.pop(job, None)
                 if submitted is not None:

@@ -154,3 +154,57 @@ def test_fuzz_resume_from_cli_checkpoint(tmp_path, capsys):
 def test_fuzz_bad_budget_rejected():
     with pytest.raises(SystemExit):
         campaign_main(["fuzz", "--budget-cells", "0"])
+
+
+def _usage_error(capsys, monkeypatch, argv) -> str:
+    """Run *argv*; assert exit 2 before any cell, one ``error:`` line on
+    stderr and no traceback; return that line."""
+    import repro.campaign.cli as cli
+    import repro.campaign.fuzz as fuzz
+
+    ran = []
+    monkeypatch.setattr(cli, "run_campaign", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(fuzz, "run_fuzz", lambda *a, **k: ran.append(a))
+    with pytest.raises(SystemExit) as excinfo:
+        campaign_main(argv)
+    assert excinfo.value.code == 2 and ran == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (error,) = [line for line in captured.err.splitlines() if "error:" in line]
+    return error
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"format": "x"}', "[1, 2]",
+                                     '{"format": "repro-campaign-fuzz-checkpoint/1"}'])
+def test_a_bad_resume_file_is_exit_2_before_the_first_cell(
+    capsys, monkeypatch, tmp_path, content
+):
+    """It used to end in a FileNotFoundError / JSONDecodeError / ValueError
+    traceback (exit 1)."""
+    path = tmp_path / "ckpt.json"
+    if content is not None:
+        path.write_text(content)
+    error = _usage_error(capsys, monkeypatch, ["fuzz", "--resume", str(path)])
+    assert f"--resume {path}: not a fuzz checkpoint" in error
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["--kinds", "Bogus"], "unknown fault kind(s) ['Bogus']"),
+    (["fuzz", "--kinds", "Bogus"], "unknown fault kind(s) ['Bogus']"),
+    (["--kinds", "FlockLinkDown"], "need --federation"),
+    (["fuzz", "--kinds", "FlockLinkDown"], "need --federation"),
+])
+def test_kinds_the_catalogue_cannot_select_are_exit_2(capsys, monkeypatch, argv, why):
+    """They used to die as a ValueError traceback (exit 1)."""
+    error = _usage_error(capsys, monkeypatch, argv)
+    assert "--kinds" in error and why in error
+
+
+def test_kinds_that_need_federation_run_with_it(monkeypatch):
+    import repro.campaign.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_campaign", lambda config, **k: ran.append(config) or {})
+    monkeypatch.setattr(cli, "render_summary", lambda report: "")
+    assert campaign_main(["--kinds", "FlockLinkDown", "--federation"]) == 0
+    assert ran[0].kinds == ("FlockLinkDown",) and ran[0].federation

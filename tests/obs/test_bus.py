@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.principles import PrincipleAuditor
 from repro.harness.__main__ import run_experiment_record
 from repro.obs import bus as bus_mod
 from repro.obs.bus import (
@@ -14,7 +15,6 @@ from repro.obs.bus import (
 )
 from repro.obs.console import GridConsole
 from repro.obs.metrics import BusMetricsRecorder, MetricsRegistry
-from repro.obs.sanitize import PrincipleSanitizer
 from repro.obs.span import SpanBuilder
 
 
@@ -172,20 +172,20 @@ class TestTopicScopedObservers:
 
         monkeypatch.setattr(bus_mod, "TelemetryEvent", Counted)
         bus = TelemetryBus()
-        PrincipleSanitizer(bus)
+        PrincipleAuditor.live(bus)
         spans = SpanBuilder(bus)
         assert bus.active
         for topic in ("process", Topic.DAEMON, "io", "fault"):
             bus.emit(1.0, topic, "anything", process="p")
         assert bus.dispatched == 0 and built == []
         bus.emit(2.0, "job", "submit", job="1.0")
-        bus.emit(3.0, Topic.INTERFACE, "crossing")  # the sanitizer's alone
+        bus.emit(3.0, Topic.INTERFACE, "crossing")  # the live auditor's alone
         assert bus.dispatched == 2 and built == [Topic.JOB, Topic.INTERFACE]
         assert [s.name for s in spans.spans] == ["job:1.0", "queued"]
 
     def test_an_all_topic_subscriber_still_sees_everything(self):
         bus = TelemetryBus()
-        PrincipleSanitizer(bus)
+        PrincipleAuditor.live(bus)
         seen = []
         bus.subscribe(seen.append)
         for topic in Topic:
@@ -212,7 +212,7 @@ class TestTopicScopedObservers:
 
     def test_detaching_an_observer_twice_is_a_no_op(self):
         bus = TelemetryBus()
-        observers = [PrincipleSanitizer(bus), SpanBuilder(bus), GridConsole(bus),
+        observers = [PrincipleAuditor.live(bus), SpanBuilder(bus), GridConsole(bus),
                      BusMetricsRecorder(bus)]
         for observer in observers + observers:
             observer.detach()
@@ -220,20 +220,29 @@ class TestTopicScopedObservers:
         bus.emit(0.0, "job", "submit", job="1.0")
         assert bus.dispatched == 0
 
+    @staticmethod
+    def _all_topics(observer):
+        """*observer*'s ``on_<topic>`` handlers behind one all-topic subscriber."""
+        def on_event(event):
+            handler = getattr(observer, f"on_{event.topic.value}", None)
+            if handler is not None:
+                handler(event)
+        return on_event
+
     def _observe(self, experiment: str, scoped: bool):
         bus = TelemetryBus()
-        sanitizer, spans = PrincipleSanitizer(bus), SpanBuilder(bus)
+        auditor, spans = PrincipleAuditor.live(bus), SpanBuilder(bus)
         if not scoped:  # the subscription both had before they named their topics
-            sanitizer.detach()
+            auditor.detach()
             spans.detach()
-            bus.subscribe(sanitizer.on_event)
-            bus.subscribe(spans.on_event)
+            bus.subscribe(self._all_topics(auditor))
+            bus.subscribe(self._all_topics(spans))
         install_ambient(bus)
         try:
             run_experiment_record(experiment, seed=0)
         finally:
             clear_ambient()
-        return sanitizer.timeline, spans.spans, bus.dispatched
+        return auditor.timeline, spans.spans, bus.dispatched
 
     #: ``fig3`` and ``churn`` run scoped and violate nothing; the naive
     #: half of ``naive_vs_scoped`` keeps the verdict comparison honest.

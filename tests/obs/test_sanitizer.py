@@ -1,12 +1,12 @@
-"""The live principle sanitizer vs. the post-hoc auditor.
+"""The principle checker's live feed vs. its post-hoc feed.
 
 In the style of the FIG3 live-vs-posthoc span cross-check: for every
-FIG4-class fault scenario and every seed, the violations the
-:class:`~repro.obs.sanitize.PrincipleSanitizer` collects *while the run
-executes* must equal, event for event, the violations the
-:class:`~repro.core.principles.PrincipleAuditor` reconstructs from the
-artifacts afterwards -- same principles, same subjects, same
-descriptions.  Both sides are built from the shared check functions in
+FIG4-class fault scenario and every seed, the violations
+:meth:`~repro.core.principles.PrincipleAuditor.live` collects *while the
+run executes* must equal, event for event, the violations
+:meth:`~repro.core.principles.PrincipleAuditor.of_run` reconstructs from
+the artifacts afterwards -- same principles, same subjects, same
+descriptions.  Both feeds call the shared check functions in
 ``core.principles``, and this suite is what keeps that sharing honest.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.campaign.engine import run_cell_record
 from repro.campaign.spec import CampaignConfig, enumerate_cells
-from repro.obs.sanitize import PrincipleSanitizer, PrincipleViolationError
+from repro.core.principles import PrincipleAuditor, PrincipleViolationError
 
 #: The Figure 4 scenario kinds: the faults whose naive-mode collapse the
 #: paper tabulates (bad JVM, corrupt image, missing input, home fs down,
@@ -54,7 +54,7 @@ class TestLiveEqualsPosthoc:
 
     def test_naive_fig4_cells_do_violate(self):
         """The cross-check must not pass vacuously: naive FIG4 cells
-        produce violations for the sanitizer to catch live."""
+        produce violations for the live feed to catch."""
         config = _config("naive", 0)
         total = sum(
             len(run_cell_record(cell, config)["live_violations"])
@@ -91,7 +91,7 @@ class TestSanitizerUnits:
         from repro.obs.bus import TelemetryBus
 
         bus = TelemetryBus()
-        sanitizer = PrincipleSanitizer(bus)
+        sanitizer = PrincipleAuditor.live(bus)
         bus.emit(
             1.0, "interface", "crossing",
             interface="JavaIO(naive)", op="JavaIO(naive).read throws ...",
@@ -105,7 +105,7 @@ class TestSanitizerUnits:
         from repro.obs.bus import TelemetryBus
 
         bus = TelemetryBus()
-        sanitizer = PrincipleSanitizer(bus)
+        sanitizer = PrincipleAuditor.live(bus)
         bus.emit(
             2.0, "error", "mishandled",
             error="OutOfMemory", scope="VIRTUAL_MACHINE", kind="escaping",

@@ -2,7 +2,6 @@
 
 from collections import defaultdict
 
-from repro.analysis.journeys import journeys
 from repro.condor.job import JobState
 from repro.condor.pool import Pool, PoolConfig
 from repro.core.propagation import EventType
@@ -78,18 +77,21 @@ class TestErrorSpans:
             assert f"hop:{journey.status}" == hops[-1].name
 
     def test_scope_to_handlers_matches_posthoc_analysis(self):
-        """The live (span-stream) FIG3 map equals analysis/journeys.py's
-        post-hoc reconstruction, restricted to masked/reported terminals
-        (``Journey.handler`` also counts mishandled deliveries)."""
+        """The live (span-stream) FIG3 map equals the one read post hoc off
+        the run's propagation trace: each error's scope at discovery and
+        the manager of its last masked/reported event."""
         with ObservationSession() as session:
             pool, _ = _run_pool(seed=0, fault=True)
+        discovered = {}
+        for event in pool.trace:
+            discovered.setdefault(event.error.error_id, event.error)
         posthoc: dict[str, set[str]] = defaultdict(set)
-        for journey in journeys(pool.trace):
-            terminal = journey.terminal_event
+        for error in discovered.values():
+            terminal = pool.trace.terminal(error)
             if terminal is not None and terminal.event in (
                 EventType.MASKED, EventType.REPORTED
             ):
-                posthoc[journey.scope.name].add(terminal.manager)
+                posthoc[error.scope.name].add(terminal.manager)
         live = session.spans.scope_to_handlers()
         assert live == dict(posthoc)
         # The misconfigured JVM is a remote-resource error; Figure 3 says

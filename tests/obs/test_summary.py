@@ -116,6 +116,24 @@ class TestOneObservationSpine:
             "repro/harness/experiments.py"
         ]
 
+    def test_one_principle_checker(self):
+        """The live and the post-hoc feed are one class; only it calls the checks."""
+        for call in (r"check_outcome\(", r"check_crossing\(", r"check_hop\("):
+            assert _files_matching(call) == ["repro/core/principles.py"]
+        assert _files_matching(r"PrincipleSanitizer|repro\.analysis|obs\.sanitize") == []
+        assert not (SRC / "repro/analysis").exists()
+        assert not (SRC / "repro/obs/sanitize.py").exists()
+
+    def test_one_journey_builder(self):
+        """Only the span module groups spans by parent or spells the job
+        lifecycle; the exporter only writes ``parent_id`` out."""
+        assert _files_matching(r"\.parent_id\b") == ["repro/obs/export.py", "repro/obs/span.py"]
+        export = (SRC / "repro/obs/export.py").read_text(encoding="utf-8")
+        assert export.count("parent_id") == 1 and '"parent": span.parent_id' in export
+        assert _files_matching(r'"match":\s*"claim"') == ["repro/obs/span.py"]
+        assert _files_matching(r"TERMINAL_JOB_EVENTS = ") == ["repro/core/principles.py"]
+        assert _files_matching(r'"result",\s*"hold"|"hold",\s*"result"') == []
+
     def test_the_core_imports_without_numpy(self):
         code = (
             "import sys; import repro.harness.__main__, repro.service, repro.campaign; "

@@ -284,3 +284,39 @@ class TestAFailedRunLeavesNoArtifact:
         assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
         lines = trace.read_text().splitlines()
         assert len(lines) == session.bus.dispatched + len(session.spans.spans)
+
+    @pytest.mark.parametrize("artifact", ["dump_json", "metrics"])
+    def test_a_write_that_raises_midway_leaves_the_previous_file(
+        self, tmp_path, monkeypatch, artifact
+    ):
+        """``--json``, ``--metrics``, ``--profile`` and ``--checkpoint`` used
+        to truncate their target in place: a failed write read as complete."""
+        import repro.obs.export as export
+
+        path = tmp_path / "out.json"
+        path.write_text("the previous run's file\n")
+        real_open = export._open_text
+
+        class DiskFull:
+            def __init__(self, name):
+                self._fh = real_open(name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, text):
+                self._fh.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(export, "_open_text", DiskFull)
+        with pytest.raises(OSError, match="No space left"):
+            if artifact == "dump_json":
+                export.dump_json(str(path), {"cells": list(range(100))})
+            else:
+                with ObservationSession(metrics_path=str(path)):
+                    run_experiment_record("fig1", seed=3)
+        assert path.read_text() == "the previous run's file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

@@ -9,8 +9,6 @@ import repro
 
 PUBLIC_MODULES = [
     "repro",
-    "repro.analysis",
-    "repro.analysis.journeys",
     "repro.campaign",
     "repro.campaign.cli",
     "repro.campaign.corpus",
@@ -82,7 +80,6 @@ PUBLIC_MODULES = [
     "repro.obs.export",
     "repro.obs.metrics",
     "repro.obs.profile",
-    "repro.obs.sanitize",
     "repro.obs.signature",
     "repro.obs.span",
     "repro.obs.sqlite_store",
