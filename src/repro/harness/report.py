@@ -1,4 +1,5 @@
-"""ASCII table rendering for benches and EXPERIMENTS.md."""
+"""Table rendering for reports, EXPERIMENTS.md and the operator console:
+fixed-width text, or the same cells as HTML."""
 
 from __future__ import annotations
 
@@ -102,6 +103,26 @@ class Table:
         if self.footers:
             out.append(rule)
             out.extend(self.footers)
+        return "\n".join(out)
+
+    def html(self) -> str:
+        """The same cells as an HTML ``<table>``: the title is its caption,
+        each footer a full-width last row."""
+        from html import escape
+
+        def row(tag: str, cells: list[str]) -> str:
+            return "<tr>" + "".join(f"<{tag}>{escape(c)}</{tag}>" for c in cells) + "</tr>"
+
+        out = ["<table>"]
+        if self.title:
+            out.append(f"<caption>{escape(self.title)}</caption>")
+        out.append(row("th", self.headers))
+        out.extend(row("td", cells) for cells in self.rows)
+        out.extend(
+            f'<tr><td colspan="{len(self.headers)}">{escape(text)}</td></tr>'
+            for text in self.footers
+        )
+        out.append("</table>")
         return "\n".join(out)
 
     def __str__(self) -> str:

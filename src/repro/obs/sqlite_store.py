@@ -85,18 +85,21 @@ class SqliteStore:
                 f"store at {self.path!r} cannot enter WAL mode (journal_mode={mode!r})"
             )
         self._db.execute("PRAGMA synchronous=FULL")
-        self._db.executescript(_META + self.TABLES)
+        self._db.executescript(_META)
         row = self._db.execute("SELECT value FROM meta WHERE key='schema'").fetchone()
+        # Checked before the subclass's tables: another schema's same-named
+        # table would otherwise fail their indexes with a bare sqlite3 error.
+        if row is not None and row[0] != self.SCHEMA:
+            raise StoreSchemaError(
+                f"store at {self.path!r} has schema {row[0]!r}, "
+                f"this build speaks {self.SCHEMA!r}"
+            )
+        self._db.executescript(self.TABLES)
         if row is None:
             with self.transaction():
                 self._db.execute(
                     "INSERT INTO meta(key, value) VALUES ('schema', ?)", (self.SCHEMA,)
                 )
-        elif row[0] != self.SCHEMA:
-            raise StoreSchemaError(
-                f"store at {self.path!r} has schema {row[0]!r}, "
-                f"this build speaks {self.SCHEMA!r}"
-            )
 
     def close(self) -> None:
         self._db.close()

@@ -93,7 +93,7 @@ def _trend_main(args: argparse.Namespace) -> int:
               "`trend` with no --metric lists what the store has",
               file=sys.stderr)
         return 2
-    rendered, regressions = trend_table(
+    table, regressions = trend_table(
         trend,
         wall_threshold=args.wall_threshold,
         min_wall_seconds=args.min_wall_seconds,
@@ -102,7 +102,7 @@ def _trend_main(args: argparse.Namespace) -> int:
         trend["regressions"] = regressions
         sys.stdout.write(pretty_json(trend))
     else:
-        print(rendered)
+        print(table.render())
         for regression in regressions:
             print(f"REGRESSION: {regression}")
     return 1 if regressions else 0

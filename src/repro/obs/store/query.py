@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.harness.report import Table
 from repro.obs.store import ResultsStore
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "diff_commits",
     "render_diff",
     "render_runs",
-    "render_trend",
     "trend_table",
     "wall_regressed",
 ]
@@ -63,8 +63,6 @@ def wall_regressed(
 def render_runs(rows: list[dict], strip_wall: bool = False) -> str:
     """The run listing; ``--strip-wall`` drops the wall-side columns so
     the output is byte-identical across hosts and ingestion times."""
-    from repro.harness.report import Table
-
     headers = ["run", "kind", "source", "schema", "config", "seed", "payload sha", "bytes"]
     if not strip_wall:
         headers += ["commit", "ingested at"]
@@ -92,15 +90,13 @@ def trend_table(
     trend: dict,
     wall_threshold: float = DEFAULT_WALL_THRESHOLD,
     min_wall_seconds: float = DEFAULT_MIN_WALL_SECONDS,
-) -> tuple[str, list[str]]:
-    """Render one metric's per-commit trajectory; return (table, regressions).
+) -> tuple[Table, list[str]]:
+    """One metric's per-commit trajectory; return (table, regressions).
 
     A wall-flagged series regresses where a commit's value against the
     previous non-missing one is :func:`wall_regressed`.  Regressed entries
     are marked ``!`` in the table and itemised.
     """
-    from repro.harness.report import Table
-
     commits = trend["commits"]
     series = trend["series"]
     labels = list(series)
@@ -140,11 +136,7 @@ def trend_table(
         table.add_row(["(no data)"] + ["-"] * len(labels))
     if regressions:
         table.add_footer(f"{len(regressions)} wall regression(s) flagged (!)")
-    return table.render(), regressions
-
-
-def render_trend(trend: dict) -> str:
-    return trend_table(trend)[0]
+    return table, regressions
 
 
 def diff_commits(

@@ -47,6 +47,7 @@ _STATUS_TEXT = {
     403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
     413: "Payload Too Large", 429: "Too Many Requests",
     431: "Request Header Fields Too Large", 500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 

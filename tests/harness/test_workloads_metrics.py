@@ -146,6 +146,18 @@ class TestReport:
         table = Table(["x"], [[1]])
         assert str(table) == table.render()
 
+    def test_html_carries_the_same_cells_escaped(self):
+        table = Table(["name", "value"], [["<a&b>", 0.5]], title="T & U")
+        table.add_footer("1 row")
+        assert table.html().splitlines() == [
+            "<table>",
+            "<caption>T &amp; U</caption>",
+            "<tr><th>name</th><th>value</th></tr>",
+            "<tr><td>&lt;a&amp;b&gt;</td><td>0.500</td></tr>",
+            '<tr><td colspan="2">1 row</td></tr>',
+            "</table>",
+        ]
+
 
 class TestMetrics:
     def test_collect_on_clean_run(self):

@@ -18,11 +18,12 @@ from pathlib import Path
 import pytest
 
 from repro.harness.__main__ import run_experiment_record
-from repro.obs.console import GridConsole
+from repro.obs.console import SCOPE_LADDER, GridConsole
 from repro.obs.export import ObservationSession
 from repro.obs.store import ingest_artifacts
 from repro.obs.store.ingest import extract_text
 from repro.obs.summary import RunSummary
+from repro.obs.web import ResultsWeb
 
 from tests.obs.test_canonical import SRC, _files_matching
 
@@ -72,6 +73,10 @@ class TestFoldEquivalence:
         if name == "churn":
             golden = (GOLDEN / "console_churn.golden").read_text(encoding="utf-8")
             assert console.render() + "\n" == golden
+        # Hops read up the scope ladder (fig3 crosses four rungs).
+        panel = console.render().split("error hops\n", 1)[1].split("\n\n", 1)[0]
+        shown = [line.split()[0] for line in panel.splitlines()[2:]]
+        assert shown == [scope for scope in SCOPE_LADDER if scope in live.error_hops]
 
 
 class TestTraceLinesAreOutsideInput:
@@ -133,6 +138,18 @@ class TestOneObservationSpine:
         assert _files_matching(r'"match":\s*"claim"') == ["repro/obs/span.py"]
         assert _files_matching(r"TERMINAL_JOB_EVENTS = ") == ["repro/core/principles.py"]
         assert _files_matching(r'"result",\s*"hold"|"hold",\s*"result"') == []
+
+    def test_one_operator_view(self):
+        """A panel both views show is built by one console function, which
+        the live dashboard and the ``/console`` page both call; the page
+        is rendered server-side, with no script."""
+        assert _files_matching(r"SCOPE_LADDER = ") == ["repro/obs/console.py"]
+        for title, builder in (("error hops", "hops_table"), ("where time went", "time_table")):
+            assert _files_matching(f'title="{title}"') == ["repro/obs/console.py"]
+            assert _files_matching(rf"def {builder}\(") == ["repro/obs/console.py"]
+            for feed in (GridConsole.render, ResultsWeb._panels):
+                assert f"{builder}(" in inspect.getsource(feed), (builder, feed)
+        assert _files_matching(r"<script") == []
 
     def test_the_core_imports_without_numpy(self):
         code = (

@@ -7,6 +7,7 @@ read-only observability, so every test here runs without a token.
 
 import asyncio
 import json
+import re
 
 from repro.obs.store import ResultsStore
 from repro.service import RunStore, ServiceApi, ServiceConfig, ServiceServer
@@ -46,6 +47,28 @@ TRACE_JSONL = "\n".join([
 ])
 
 
+CAMPAIGN_REPORT = {
+    "campaign": {"seed": 0, "mode": "scoped"},
+    "totals": {"cells": 2},
+    "cells": [
+        {"cell": "scoped/s0/MachineCrash@exec000", "injections": [{}],
+         "jobs": {"completed": 3, "held": 1, "unfinished": 2}, "makespan": 160.5,
+         "violations": [{"principle": 1, "subject": "job 1.0", "description": "implicit"}]},
+        {"cell": "scoped/s0/CorruptProgramImage@job0", "injections": [{}, {}],
+         "jobs": {"completed": 4}, "makespan": None,
+         "error": {"stage": "setup", "type": "KeyError", "message": "boom"}},
+    ],
+}
+
+
+def table_rows(page):
+    """Every ``<tr>`` of the page as a tuple of its cell texts."""
+    return [
+        tuple(re.findall(r"<t[dh][^>]*>(.*?)</t[dh]>", row))
+        for row in re.findall(r"<tr>(.*?)</tr>", page, re.S)
+    ]
+
+
 def seeded_db(tmp_path):
     db = tmp_path / "results.db"
     store = ResultsStore(db)
@@ -82,9 +105,45 @@ class TestConsolePage:
         assert response.headers["content-type"].startswith("text/html")
         page = response.body.decode("utf-8")
         assert "GridConsole" in page
-        # The page drives exactly the mounted data routes.
-        for route in ("summary", "errors", "flame", "matrix", "trend"):
-            assert f"/v1/results/{route}" in page
+        # The numbers are rendered server-side, and the page reloads itself.
+        assert "<script" not in page
+        assert '<meta http-equiv="refresh" content="5">' in page
+        rows = table_rows(page)
+        assert ("runs stored", "2") in rows and ("commits", "1") in rows
+        assert ("gridbench runs", "1") in rows and ("trace runs", "1") in rows
+        assert ("commit", "other", "toy") in rows and ("aaa", "1.5", "0.2") in rows
+
+    def test_console_shows_every_panel_value(self, tmp_path):
+        db = seeded_db(tmp_path)
+        with ResultsStore(db) as store:
+            store.ingest_obj(PROFILE_REPORT, source="profile.json", commit="aaa")
+            store.ingest_obj(CAMPAIGN_REPORT, source="campaign.json", commit="bbb")
+
+        async def check(client, server):
+            await client.request("GET", "/v1/results/summary")
+            return await client.request("GET", "/console")
+
+        rows = table_rows(run_console(check, db).body.decode("utf-8"))
+        # summary: the store's runs and the service's live counters
+        for row in [("runs stored", "4"), ("commits", "2"), ("violations recorded", "1"),
+                    ("campaign runs", "1"), ("profile runs", "1"),
+                    ("requests served", "2"), ("requests to /v1/results", "1"),
+                    ("requests to /console", "1"), ("active service runs", "0")]:
+            assert row in rows, row
+        # error hops in ladder order, then where time went
+        assert rows.index(("JOB", "1")) < rows.index(("GRID", "1"))
+        assert ("2 hop(s) total, scopes in containment order",) in rows
+        assert ("schedd", "match", "-", "4", "2") in rows
+        # the coverage matrix, all seven columns
+        assert ("cell", "order", "completed", "held", "unfinished", "makespan",
+                "violations") in rows
+        assert ("scoped/s0/MachineCrash@exec000", "1", "3", "1", "2", "160.5s",
+                "1 violation(s)") in rows
+        assert ("scoped/s0/CorruptProgramImage@job0", "2", "4", "0", "0", "-",
+                "error: setup:KeyError: boom") in rows
+        assert ("2 cell(s), 2 with violations or errors",) in rows
+        # run_s per gridbench workload per commit
+        assert ("aaa", "1.5", "0.2") in rows and ("bbb", "-", "-") in rows
 
     def test_console_renders_even_when_store_missing(self, tmp_path):
         async def check(client, server):
@@ -96,6 +155,28 @@ class TestConsolePage:
         assert page.status == 200  # the page always renders...
         assert data.status == 404  # ...and the data route says why it's empty
         assert data.json()["error"]["code"] == "NO_RESULTS_DB"
+
+    def test_unusable_store_is_a_typed_503(self, tmp_path):
+        not_a_db = tmp_path / "notes.txt"
+        not_a_db.write_text("not a database\n" * 200)
+        other_schema = tmp_path / "runs.db"
+        RunStore(str(other_schema)).close()
+        cases = [(tmp_path, "StoreOpenError"), (not_a_db, "StoreOpenError"),
+                 (other_schema, "StoreSchemaError")]
+
+        async def check(client, server):
+            data = await client.request("GET", "/v1/results/summary")
+            page = await client.request("GET", "/console")
+            return data, page
+
+        for path, error in cases:
+            data, page = run_console(check, path)
+            assert data.status == 503
+            envelope = data.json()["error"]
+            assert envelope["code"] == "RESULTS_STORE_UNAVAILABLE"
+            assert error in envelope["message"] and str(path) in envelope["message"]
+            assert page.status == 200  # the page renders, with the reason
+            assert f"RESULTS_STORE_UNAVAILABLE: {error}" in page.body.decode("utf-8")
 
     def test_console_disabled_is_a_404(self, tmp_path):
         async def check(client, server):
@@ -152,6 +233,20 @@ class TestResultsRoutes:
         assert missing.json()["error"]["code"] == "BAD_REQUEST"
         assert good.status == 200
         assert good.json()["series"] == {"other": [1.5], "toy": [0.2]}
+
+    def test_bad_limit_is_a_typed_400(self, tmp_path):
+        async def check(client, server):
+            return [
+                await client.request("GET", f"/v1/results/runs?limit={limit}")
+                for limit in ("abc", "0", "-3", "1")
+            ]
+
+        *bad, good = run_console(check, seeded_db(tmp_path))
+        for response in bad:
+            assert response.status == 400
+            error = response.json()["error"]
+            assert error["code"] == "BAD_REQUEST" and "limit" in error["message"]
+        assert good.status == 200 and len(good.json()["runs"]) == 1
 
     def test_unknown_route_and_write_method_are_typed(self, tmp_path):
         async def check(client, server):
