@@ -32,22 +32,19 @@ and :func:`~repro.campaign.fuzz.run_fuzz` (library).
 from repro.campaign.corpus import Corpus, CorpusEntry
 from repro.campaign.coverage import CoverageMap, FirstSeen
 from repro.campaign.engine import CellError, run_campaign, run_cell_record
-from repro.campaign.fuzz import (
-    FuzzConfig,
-    MutationEngine,
-    MutationSpace,
-    run_fuzz,
-    validate_injections,
-)
+from repro.campaign.fuzz import FuzzConfig, MutationEngine, run_fuzz
 from repro.campaign.report import render_fuzz_summary, render_summary
 from repro.campaign.shrink import ddmin, minimize_cell, replay
 from repro.campaign.spec import (
     CATALOGUE,
     CampaignConfig,
     CellSpec,
+    ConfigError,
     FaultSpec,
+    MutationSpace,
     build_fault,
     enumerate_cells,
+    validate_injections,
 )
 
 __all__ = [
@@ -55,6 +52,7 @@ __all__ = [
     "CampaignConfig",
     "CellError",
     "CellSpec",
+    "ConfigError",
     "Corpus",
     "CorpusEntry",
     "CoverageMap",

@@ -30,11 +30,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from repro.campaign.engine import run_campaign
 from repro.campaign.report import render_cell_profiles, render_fuzz_summary, render_summary
 from repro.campaign.shrink import replay
-from repro.campaign.spec import CATALOGUE, CampaignConfig
+from repro.campaign.spec import CATALOGUE, CampaignConfig, ConfigError
 from repro.core.principles import PrincipleViolationError
 from repro.harness.parallel import WorkerFailure, positive_worker_count
 from repro.obs.export import dump_json, reject_unwritable
@@ -43,19 +44,20 @@ __all__ = ["fuzz_main", "main"]
 
 
 def _add_shared_options(parser: argparse.ArgumentParser, report: str, unit: str) -> None:
-    """The options ``campaign`` and ``campaign fuzz`` spell identically."""
-    parser.add_argument("--mode", default="scoped",
-                        choices=("scoped", "naive", "classic"),
+    """The options ``campaign`` and ``campaign fuzz`` spell identically.  A
+    config flag left unset is ``None``: the config's own default applies."""
+    parser.add_argument("--mode", choices=("scoped", "naive", "classic"),
                         help="error handling under test (classic = naive)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--jobs", type=positive_worker_count, default=1, metavar="N",
                         help=f"run {unit} over N worker processes")
-    parser.add_argument("--kinds", default=None, metavar="A,B,...",
+    parser.add_argument("--kinds", metavar="A,B,...",
+                        type=lambda kinds: [kind for kind in kinds.split(",") if kind],
                         help="restrict the catalogue to these fault kinds")
-    parser.add_argument("--federation", action="store_true",
+    parser.add_argument("--federation", action="store_true", default=None,
                         help="run every cell against a two-pool flocking grid "
                              "(enables federation-only fault kinds)")
-    parser.add_argument("--defenses", action="store_true",
+    parser.add_argument("--defenses", action="store_true", default=None,
                         help="turn on the §5 defenses (startd self-test "
                              "re-probe, schedd backoff avoidance) in every cell")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -64,23 +66,26 @@ def _add_shared_options(parser: argparse.ArgumentParser, report: str, unit: str)
                         help=f"ingest the {report} report into this results store")
 
 
-def _campaign_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                     **knobs) -> CampaignConfig:
-    """The campaign both commands build from the shared options; fault
-    kinds the catalogue cannot select are a usage error (exit 2)."""
-    config = CampaignConfig(
-        mode=args.mode,
-        seed=args.seed,
-        kinds=None if args.kinds is None else tuple(k for k in args.kinds.split(",") if k),
-        federation=args.federation,
-        defenses=args.defenses,
-        **knobs,
-    )
+#: The ``CampaignConfig.as_dict`` keys the shared options set.
+_CAMPAIGN_FLAGS = ("mode", "seed", "kinds", "federation", "defenses")
+
+
+def _flag(key: str) -> str:
+    """The option that sets config *key*."""
+    return "--order" if key == "max_order" else "--" + key.replace("_", "-")
+
+
+def _given(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+    """The config keys among *keys* the command line set."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _config(parser: argparse.ArgumentParser, from_dict, data: dict):
+    """``from_dict(data)``; a field it rejects is a usage error naming its flag."""
     try:
-        config.catalogue()
-    except ValueError as exc:
-        parser.error(f"--kinds {args.kinds}: {exc}")
-    return config
+        return from_dict(data)
+    except ConfigError as exc:
+        parser.error(f"{_flag(exc.field)}: {exc.problem}")
 
 
 def _emit_report(args: argparse.Namespace, report: dict, source: str) -> None:
@@ -102,43 +107,42 @@ def fuzz_main(argv: list[str] | None = None) -> int:
                     "exhaustively; audit every cell for P1-P4.",
     )
     _add_shared_options(parser, report="fuzz", unit="each batch")
-    parser.add_argument("--budget-cells", type=int, default=200, metavar="B",
+    parser.add_argument("--budget-cells", type=int, metavar="B",
                         help="total cells the campaign may execute")
-    parser.add_argument("--batch-size", type=int, default=16, metavar="K",
+    parser.add_argument("--batch-size", type=int, metavar="K",
                         help="cells proposed per generation")
-    parser.add_argument("--order-max", type=int, default=3, metavar="K",
+    parser.add_argument("--order-max", type=int, metavar="K",
                         help="maximum simultaneous faults per mutated cell")
     parser.add_argument("--checkpoint", metavar="PATH", default=None,
                         help="write the full campaign state there after "
                              "every batch (for --resume)")
     parser.add_argument("--resume", metavar="PATH", default=None,
-                        help="pick a campaign up from a checkpoint file "
-                             "(its config wins; other flags are rejected "
-                             "if they disagree)")
+                        help="pick a campaign up from a checkpoint file; a "
+                             "config flag given with it (--mode, --seed, "
+                             "--kinds, --budget-cells, ...) must equal the "
+                             "checkpoint's value, else exit 2")
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip minimizing a reproducer per violation")
     args = parser.parse_args(argv)
     reject_unwritable(parser, args, "--json", "--results-db", "--checkpoint")
 
-    resume_state = None
+    given = {"campaign": _given(args, _CAMPAIGN_FLAGS),
+             "fuzz": _given(args, ("budget_cells", "batch_size", "order_max"))}
+    saved, resume_state = {"campaign": {}, "fuzz": {}}, None
     if args.resume is not None:
         try:
-            config, resume_state = load_checkpoint(args.resume)
+            loaded, resume_state = load_checkpoint(args.resume)
         except ValueError as exc:  # the file is outside input: one line, no traceback
             parser.error(f"--resume {args.resume}: {exc}")
-    else:
-        if args.budget_cells < 1:
-            parser.error("--budget-cells must be >= 1")
-        if args.batch_size < 1:
-            parser.error("--batch-size must be >= 1")
-        if args.order_max < 1:
-            parser.error("--order-max must be >= 1")
-        config = FuzzConfig(
-            campaign=_campaign_config(parser, args),
-            budget_cells=args.budget_cells,
-            batch_size=args.batch_size,
-            order_max=args.order_max,
-        )
+        saved = loaded.as_dict()
+    config = _config(parser, FuzzConfig.from_dict,
+                     {section: {**saved[section], **given[section]} for section in saved})
+    shape = config.as_dict()
+    for section, written in saved.items():
+        for key, value in written.items():
+            if shape[section][key] != value:
+                parser.error(f"{_flag(key)} {shape[section][key]!r} disagrees with "
+                             f"the checkpoint's {value!r}")
     started = time.perf_counter()
     try:
         report = run_fuzz(
@@ -164,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Sweep the fault catalogue and audit every cell for P1-P4.",
     )
     _add_shared_options(parser, report="campaign", unit="cells")
-    parser.add_argument("--order", type=int, default=1, metavar="K",
+    parser.add_argument("--order", type=int, dest="max_order", metavar="K",
                         help="also sweep multi-fault combinations up to size K")
     parser.add_argument("--list-kinds", action="store_true",
                         help="list the fault catalogue and exit")
@@ -200,10 +204,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"{violation['description']}")
         return 0 if outcome["reproduced"] else 1
 
-    if args.order < 1:
-        parser.error("--order must be >= 1")
     reject_unwritable(parser, args, "--json", "--results-db")
-    config = _campaign_config(parser, args, max_order=args.order, fail_fast=args.fail_fast)
+    config = replace(
+        _config(parser, CampaignConfig.from_dict, _given(args, (*_CAMPAIGN_FLAGS, "max_order"))),
+        fail_fast=args.fail_fast,
+    )
     started = time.perf_counter()
     try:
         report = run_campaign(

@@ -38,26 +38,7 @@ from repro.obs.profile import SimTimeProfiler
 from repro.obs.span import SpanBuilder
 from repro.obs.summary import RunSummary
 
-__all__ = ["CellError", "campaign_section", "run_campaign", "run_cell_record", "violation_totals"]
-
-
-def campaign_section(config: CampaignConfig) -> dict:
-    """The JSON-ready header shared by campaign and fuzz reports."""
-    return {
-        "mode": config.mode,
-        "seed": config.seed,
-        "n_jobs": config.n_jobs,
-        "n_machines": config.n_machines,
-        "max_order": config.max_order,
-        "max_retries": config.max_retries,
-        "max_time": config.max_time,
-        "windows": [list(window) for window in config.windows],
-        "kinds": None if config.kinds is None else list(config.kinds),
-        "sites": list(config.sites),
-        "job_indices": list(config.job_indices),
-        "federation": config.federation,
-        "defenses": config.defenses,
-    }
+__all__ = ["CellError", "run_campaign", "run_cell_record", "violation_totals"]
 
 
 def violation_totals(records: list[dict]) -> dict:
@@ -313,7 +294,7 @@ def run_campaign(
             if shrink and record["violations"] else None
         )
     return {
-        "campaign": campaign_section(config),
+        "campaign": config.as_dict(),
         "cells": records,
         "totals": {
             **violation_totals(records),

@@ -44,8 +44,16 @@ from dataclasses import dataclass, field
 
 from repro.campaign.corpus import Corpus, CorpusEntry
 from repro.campaign.coverage import CoverageMap, FirstSeen
-from repro.campaign.engine import campaign_section, run_cell_record, violation_totals
-from repro.campaign.spec import CampaignConfig, CellSpec, FaultSpec, KindInfo
+from repro.campaign.engine import run_cell_record, violation_totals
+from repro.campaign.spec import (
+    CampaignConfig,
+    CellSpec,
+    ConfigError,
+    FaultSpec,
+    KindInfo,
+    MutationSpace,
+    read_fields,
+)
 from repro.harness.parallel import ParallelRunner
 from repro.obs.signature import violation_features
 
@@ -53,10 +61,8 @@ __all__ = [
     "FORMAT",
     "FuzzConfig",
     "MutationEngine",
-    "MutationSpace",
     "load_checkpoint",
     "run_fuzz",
-    "validate_injections",
 ]
 
 #: Format tag of the fuzz report (bump on incompatible change).
@@ -96,6 +102,10 @@ PROBE_AT = (30.0, 60.0)
 PROBE_DURATION = (120.0, 330.0)
 
 
+#: The ``fuzz`` section's fields, each with how it is read back.
+_FUZZ_READERS = dict.fromkeys(("budget_cells", "batch_size", "order_max"), int)
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
     """Everything that shapes a fuzzing campaign."""
@@ -109,88 +119,29 @@ class FuzzConfig:
     order_max: int = 3
 
     def __post_init__(self):
-        if self.budget_cells < 1:
-            raise ValueError(f"budget_cells must be >= 1, got {self.budget_cells}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.order_max < 1:
-            raise ValueError(f"order_max must be >= 1, got {self.order_max}")
+        for name in _FUZZ_READERS:
+            if getattr(self, name) < 1:
+                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
 
-    def section(self) -> dict:
+    def as_dict(self) -> dict:
+        """The ``campaign`` and ``fuzz`` sections of the fuzz report and checkpoint."""
         return {
-            "budget_cells": self.budget_cells,
-            "batch_size": self.batch_size,
-            "order_max": self.order_max,
-            "mutators": [name for name, _ in MUTATORS],
+            "campaign": self.campaign.as_dict(),
+            "fuzz": {
+                **{name: getattr(self, name) for name in _FUZZ_READERS},
+                "mutators": [name for name, _ in MUTATORS],
+            },
         }
 
-
-@dataclass(frozen=True)
-class MutationSpace:
-    """The valid fault space mutants must stay inside."""
-
-    kinds: tuple[KindInfo, ...]
-    sites: tuple[str, ...]
-    job_indices: tuple[int, ...]
-    order_max: int
-    federation: bool
-
     @classmethod
-    def from_config(cls, config: FuzzConfig) -> MutationSpace:
-        campaign = config.campaign
+    def from_dict(cls, data: dict) -> FuzzConfig:
+        """Read :meth:`as_dict`'s two sections out of *data* (``mutators``
+        is derived, not read); a key either leaves out takes its default."""
+        fuzz = {key: value for key, value in data.get("fuzz", {}).items() if key != "mutators"}
         return cls(
-            kinds=campaign.catalogue(),
-            sites=tuple(f"exec{i:03d}" for i in range(campaign.n_machines)),
-            job_indices=tuple(range(campaign.n_jobs)),
-            order_max=config.order_max,
-            federation=campaign.federation,
+            campaign=CampaignConfig.from_dict(data.get("campaign", {})),
+            **read_fields(fuzz, _FUZZ_READERS),
         )
-
-    @functools.cached_property
-    def kind_info(self) -> dict[str, KindInfo]:
-        return {info.kind: info for info in self.kinds}
-
-
-def validate_injections(
-    injections: tuple[FaultSpec, ...], space: MutationSpace
-) -> list[str]:
-    """Every way *injections* leaves the valid space (empty = valid).
-
-    This is the mutator contract the hypothesis property tests pin:
-    kinds from the catalogue only, federation-gated kinds only when the
-    campaign runs federated, non-negative windows with ``until > at``,
-    open-ended windows on non-disarmable kinds, targets matching the
-    kind's target type, distinct kinds, order within bounds.
-    """
-    problems = []
-    if len(injections) > space.order_max:
-        problems.append(f"order {len(injections)} exceeds max {space.order_max}")
-    kinds = [spec.kind for spec in injections]
-    if len(set(kinds)) != len(kinds):
-        problems.append(f"duplicate kinds in {kinds}")
-    for spec in injections:
-        info = space.kind_info.get(spec.kind)
-        if info is None:
-            problems.append(f"unknown kind {spec.kind!r}")
-            continue
-        if info.needs_federation and not space.federation:
-            problems.append(f"{spec.kind} requires federation")
-        if spec.at < 0:
-            problems.append(f"{spec.kind}: negative at {spec.at}")
-        if spec.until is not None:
-            if spec.until <= spec.at:
-                problems.append(f"{spec.kind}: empty window {spec.at}..{spec.until}")
-            if not info.disarmable:
-                problems.append(f"{spec.kind}: bounded window on non-disarmable kind")
-        if info.target == "site":
-            if spec.site not in space.sites or spec.job_index is not None:
-                problems.append(f"{spec.kind}: bad site target {spec.site!r}")
-        elif info.target == "job":
-            if spec.job_index not in space.job_indices or spec.site is not None:
-                problems.append(f"{spec.kind}: bad job target {spec.job_index!r}")
-        elif spec.site is not None or spec.job_index is not None:
-            problems.append(f"{spec.kind}: pool kind must be untargeted")
-    return problems
 
 
 def _canonical(injections: tuple[FaultSpec, ...]) -> tuple[FaultSpec, ...]:
@@ -213,7 +164,7 @@ class MutationEngine:
     Every method takes the caller's PRNG and returns a new injection
     tuple or ``None`` when the mutation does not apply (parent at max
     order, nothing to drop, no alternative target...).  Returned tuples
-    are canonicalized and always valid (:func:`validate_injections`).
+    are canonicalized and always valid (:func:`~repro.campaign.spec.validate_injections`).
     """
 
     def __init__(self, space: MutationSpace):
@@ -609,8 +560,7 @@ def _absorb(state: _FuzzState, space: MutationSpace, base: CellSpec,
 def _checkpoint_dict(state: _FuzzState, config: FuzzConfig) -> dict:
     return {
         "format": CHECKPOINT_FORMAT,
-        "campaign": campaign_section(config.campaign),
-        "fuzz": config.section(),
+        **config.as_dict(),
         "batch": state.batch,
         "records": state.records,
         "coverage": state.coverage.as_dict(),
@@ -637,18 +587,19 @@ def _check_format(data) -> None:
         raise ValueError(f"not a fuzz checkpoint: format={found!r}")
 
 
-def _state_from_checkpoint(data: dict, config: FuzzConfig, base: CellSpec) -> _FuzzState:
-    _check_format(data)
-    for section, expected in (
-        ("campaign", campaign_section(config.campaign)),
-        ("fuzz", config.section()),
-    ):
+def _check_config(data: dict, config: FuzzConfig) -> None:
+    """ValueError unless *data*'s config sections are what *config* writes."""
+    for section, expected in config.as_dict().items():
         if data.get(section) != expected:
             raise ValueError(
-                f"checkpoint {section} config does not match this campaign; "
-                f"resume with the configuration the checkpoint was written "
-                f"under (checkpoint: {data.get(section)!r})"
+                f"checkpoint {section} config does not match: "
+                f"checkpoint {data.get(section)!r}, campaign {expected!r}"
             )
+
+
+def _state_from_checkpoint(data: dict, config: FuzzConfig, base: CellSpec) -> _FuzzState:
+    _check_format(data)
+    _check_config(data, config)
     state = _FuzzState(
         batch=int(data["batch"]),
         records=list(data["records"]),
@@ -677,8 +628,8 @@ def load_checkpoint(path: str) -> tuple[FuzzConfig, dict]:
     """Read a checkpoint file; return its (config, raw state dict).
 
     The file is outside input: unreadable, not JSON, not a checkpoint, or
-    a config that is missing, ill-typed or selects no catalogue -- each
-    raises one ``ValueError("not a fuzz checkpoint: <reason>")``.
+    a config that is missing a field or that :meth:`FuzzConfig.from_dict`
+    rejects -- each raises one ``ValueError("not a fuzz checkpoint: <reason>")``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -687,33 +638,10 @@ def load_checkpoint(path: str) -> tuple[FuzzConfig, dict]:
         raise ValueError(f"not a fuzz checkpoint: {exc}") from exc
     _check_format(data)
     try:
-        campaign = data["campaign"]
-        config = FuzzConfig(
-            campaign=CampaignConfig(
-                mode=campaign["mode"],
-                seed=int(campaign["seed"]),
-                n_jobs=int(campaign["n_jobs"]),
-                n_machines=int(campaign["n_machines"]),
-                max_order=int(campaign["max_order"]),
-                max_retries=int(campaign["max_retries"]),
-                max_time=float(campaign["max_time"]),
-                windows=tuple(
-                    (float(at), None if until is None else float(until))
-                    for at, until in campaign["windows"]
-                ),
-                kinds=None if campaign["kinds"] is None else tuple(campaign["kinds"]),
-                sites=tuple(campaign["sites"]),
-                job_indices=tuple(campaign["job_indices"]),
-                federation=bool(campaign["federation"]),
-                defenses=bool(campaign["defenses"]),
-            ),
-            budget_cells=int(data["fuzz"]["budget_cells"]),
-            batch_size=int(data["fuzz"]["batch_size"]),
-            order_max=int(data["fuzz"]["order_max"]),
-        )
-        config.campaign.catalogue()
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"not a fuzz checkpoint: config: {exc!r}") from exc
+        config = FuzzConfig.from_dict(data)
+        _check_config(data, config)  # a key a section leaves out is a bad checkpoint
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"not a fuzz checkpoint: config: {exc}") from exc
     return config, data
 
 
@@ -794,8 +722,7 @@ def _shrink_findings(state: _FuzzState, config: FuzzConfig, base: CellSpec) -> l
 def _report(state: _FuzzState, config: FuzzConfig, reproducers: list[dict]) -> dict:
     return {
         "format": FORMAT,
-        "campaign": campaign_section(config.campaign),
-        "fuzz": config.section(),
+        **config.as_dict(),
         "cells": state.records,
         "coverage": {
             "features": len(state.coverage),
@@ -861,7 +788,7 @@ def run_fuzz(
         state = _state_from_checkpoint(resume, config, base)
     else:
         state = _FuzzState()
-    space = MutationSpace.from_config(config)
+    space = MutationSpace.from_config(campaign, config.order_max)
     engine = MutationEngine(space)
     runner = ParallelRunner(
         functools.partial(

@@ -20,11 +20,16 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
-from dataclasses import replace
 
 from repro.campaign.engine import _violation_key, run_cell_record
-from repro.campaign.spec import CampaignConfig, CellSpec, FaultSpec
-from repro.condor.daemons.config import CondorConfig
+from repro.campaign.spec import (
+    CampaignConfig,
+    CellSpec,
+    ConfigError,
+    FaultSpec,
+    MutationSpace,
+    validate_injections,
+)
 
 __all__ = ["ddmin", "minimize_cell", "replay"]
 
@@ -127,33 +132,25 @@ def minimize_cell(
 
     minimal = cell.with_injections(ddmin(cell.injections, fails))
     confirmed = _record_of(minimal, config, records)["violations"]
+    # The cell's own mode and seed: they are what its simulation reads.
+    shape = {**config.as_dict(), "mode": cell.mode, "seed": cell.seed}
     return {
         "format": FORMAT,
         "cell": minimal.cell_id,
-        "mode": cell.mode,
-        "seed": cell.seed,
-        "n_jobs": config.n_jobs,
-        "n_machines": config.n_machines,
-        "max_retries": config.max_retries,
-        "max_time": config.max_time,
-        "federation": config.federation,
-        "defenses": config.defenses,
+        **{key: shape[key] for key in _CONFIG_KEYS},
         "injections": [spec.as_dict() for spec in minimal.injections],
         # Copies: the record may be a campaign's own report row.
         "expect": [dict(violation) for violation in confirmed],
     }
 
 
-def _mode(value) -> str:
-    CondorConfig(error_mode=value)  # ValueError unless a mode the daemons know
-    return value
-
-
-#: The scalar fields a spec must carry, with what each is read through.
-_SPEC_FIELDS = (
-    ("mode", _mode), ("seed", int), ("n_jobs", int), ("n_machines", int),
-    ("max_retries", int), ("max_time", float),
+#: The campaign fields a reproducer spec carries, in
+#: :meth:`CampaignConfig.as_dict`'s spelling; a spec may leave out the
+#: ``_OPTIONAL`` ones (they default to off).
+_CONFIG_KEYS = (
+    "mode", "seed", "n_jobs", "n_machines", "max_retries", "max_time", "federation", "defenses",
 )
+_OPTIONAL = ("federation", "defenses")
 
 
 def replay(spec: dict | str) -> dict:
@@ -165,8 +162,10 @@ def replay(spec: dict | str) -> dict:
     short of equality is a real divergence).
 
     A spec is outside input.  Whatever is wrong with it -- unreadable, not
-    JSON, the wrong format, a field missing or ill-typed, a fault kind
-    the catalogue lacks -- raises the one
+    JSON, the wrong format, a field missing or one
+    :meth:`CampaignConfig.from_dict` rejects, an injection outside the
+    spec's own pool and catalogue (:func:`validate_injections`) -- raises
+    the one
     ``ValueError("not a campaign reproducer spec: <reason>")``.
 
     Always a fresh simulation: this is the shrinker's acceptance check,
@@ -185,23 +184,22 @@ def replay(spec: dict | str) -> dict:
             raise ValueError(f"a JSON {type(spec).__name__}, not an object")
         if spec.get("format") != FORMAT:
             raise ValueError(f"{spec.get('format')!r}, not {FORMAT!r}")
-        values = {}
-        for name, convert in _SPEC_FIELDS:
-            what = f"field {name!r}"
-            values[name] = convert(spec[name])
-        config = CampaignConfig(
-            **values,
-            federation=bool(spec.get("federation", False)),
-            defenses=bool(spec.get("defenses", False)),
-        )
+        config = CampaignConfig.from_dict({
+            key: spec[key] for key in _CONFIG_KEYS if key in spec or key not in _OPTIONAL
+        })
         what = "field 'injections'"
         injections = tuple(FaultSpec.from_dict(d) for d in spec["injections"])
-        replace(config, kinds=tuple(s.kind for s in injections)).catalogue()
+        space = MutationSpace.from_config(config, order_max=len(injections))
+        problems = validate_injections(injections, space)
+        if problems:
+            raise ValueError("; ".join(problems))
         what = "field 'expect'"
         expect = list(spec.get("expect", []))
         expect_keys = sorted(map(_violation_key, expect))
     except KeyError as exc:
         raise ValueError(f"not a campaign reproducer spec: missing field {exc}") from exc
+    except ConfigError as exc:
+        raise ValueError(f"not a campaign reproducer spec: {exc}") from exc
     except (OSError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"not a campaign reproducer spec: {what}: {exc}") from exc
     cell = CellSpec(

@@ -12,39 +12,31 @@ three load-bearing reasons:
 A :class:`FaultSpec` names a catalogue fault by kind plus its target
 (site or job index) and injection window; :func:`build_fault` is the
 single place that turns one into a live :class:`~repro.faults.Fault`
-against a pool.
+against a pool.  :class:`CampaignConfig` is the one codec of a campaign's
+shape: it validates itself and owns its dict form (DESIGN.md §3.6e).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from repro.faults import (
-    BlackHoleChurn,
-    CorruptProgramImage,
-    CredentialExpiry,
-    Fault,
-    FlockLinkDown,
-    HomeDiskFull,
-    HomeFilesystemOffline,
-    JvmBinaryMissing,
-    MachineChurn,
-    MachineCrash,
-    MemoryPressure,
-    MisconfiguredJvm,
-    MissingInputFile,
-    NetworkPartition,
-    ScratchDiskFull,
-)
+from repro import faults
+from repro.condor.daemons.config import CondorConfig
+from repro.obs.canonical import to_jsonable
 
 __all__ = [
     "CATALOGUE",
     "CampaignConfig",
     "CellSpec",
+    "ConfigError",
     "FaultSpec",
+    "MutationSpace",
     "build_fault",
     "enumerate_cells",
+    "read_fields",
+    "validate_injections",
 ]
 
 MB = 2**20
@@ -65,7 +57,8 @@ class KindInfo:
     needs_federation: bool = False
 
 
-#: The explicit-fault catalogue the campaign sweeps (faults.py table).
+#: The explicit-fault catalogue the campaign sweeps; each kind is the name
+#: of its :mod:`repro.faults` class (:func:`build_fault`).
 #: SilentDataCorruption is deliberately absent: it produces *implicit*
 #: errors the P1 audit excludes by design (only the end-to-end layer can
 #: catch those), so a campaign cell could never judge it.
@@ -109,13 +102,7 @@ class FaultSpec:
         return f"{self.kind}@{target}[{window}]"
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "site": self.site,
-            "job_index": self.job_index,
-            "at": self.at,
-            "until": self.until,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> FaultSpec:
@@ -183,9 +170,56 @@ class CellSpec:
         )
 
 
+class ConfigError(ValueError):
+    """One field of a campaign's shape is wrong; ``field`` names it."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(field, problem)
+        self.field, self.problem = field, problem
+
+    def __str__(self) -> str:
+        return f"field {self.field!r}: {self.problem}"
+
+
+def read_fields(data: dict, readers: dict) -> dict:
+    """*data*'s values, each read through ``readers[key]``; a key with no
+    reader, or a value its reader rejects, is a :class:`ConfigError`."""
+    values = {}
+    for key, value in data.items():
+        if key not in readers:
+            raise ConfigError(key, f"unknown; fields: {', '.join(readers)}")
+        try:
+            values[key] = readers[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(key, str(exc)) from None
+    return values
+
+
+#: The keys of :meth:`CampaignConfig.as_dict`, each with how
+#: :meth:`CampaignConfig.from_dict` reads its value back.
+_READERS = {
+    "mode": str,
+    "seed": int,
+    "n_jobs": int,
+    "n_machines": int,
+    "max_order": int,
+    "max_retries": int,
+    "max_time": float,
+    "windows": lambda windows: tuple(
+        (float(at), None if until is None else float(until)) for at, until in windows
+    ),
+    "kinds": lambda kinds: None if kinds is None else tuple(map(str, kinds)),
+    "sites": lambda sites: tuple(map(str, sites)),
+    "job_indices": lambda indices: tuple(map(int, indices)),
+    "federation": bool,
+    "defenses": bool,
+}
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything that shapes a campaign, frozen so cells pickle with it."""
+    """Everything that shapes a campaign, frozen so cells pickle with it;
+    constructing one validates it (a :class:`ConfigError` per problem)."""
 
     mode: str = "scoped"
     seed: int = 0
@@ -213,28 +247,119 @@ class CampaignConfig:
     #: schedd backoff avoidance) in every cell
     defenses: bool = False
 
+    def __post_init__(self):
+        try:
+            CondorConfig(error_mode=self.mode)
+        except ValueError as exc:
+            raise ConfigError("mode", str(exc)) from None
+        for name, least in (("n_jobs", 1), ("n_machines", 1), ("max_order", 1),
+                            ("remote_machines", 1), ("max_retries", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(name, f"must be >= {least}, got {getattr(self, name)}")
+        if not self.max_time > 0:
+            raise ConfigError("max_time", f"must be > 0, got {self.max_time}")
+        for at, until in self.windows:
+            if at < 0 or (until is not None and until <= at):
+                raise ConfigError("windows", f"[{at}, {until}] is negative or empty")
+        unknown = sorted(set(self.kinds or ()) - set(_KIND_INFO))
+        if unknown:
+            raise ConfigError("kinds", f"unknown fault kind(s) {unknown}; "
+                                       f"catalogue: {sorted(_KIND_INFO)}")
+        needy = sorted(k for k in self.kinds or () if _KIND_INFO[k].needs_federation)
+        if needy and not self.federation:
+            raise ConfigError("kinds", f"fault kind(s) {needy} need --federation "
+                                       "(a solitary pool has no flock links)")
+
+    def as_dict(self) -> dict:
+        """The ``campaign`` header of every campaign and fuzz report and
+        checkpoint; ``fail_fast`` and ``remote_machines`` are not in it."""
+        return {key: to_jsonable(getattr(self, key)) for key in _READERS}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> CampaignConfig:
+        """Read any subset of :meth:`as_dict`'s keys back; the rest take
+        their defaults.  Every stored campaign shape is read here."""
+        return cls(**read_fields(data, _READERS))
+
     def catalogue(self) -> tuple[KindInfo, ...]:
+        """The kinds this campaign sweeps, in catalogue order."""
         if self.kinds is None:
             return tuple(
                 info for info in CATALOGUE
                 if self.federation or not info.needs_federation
             )
-        unknown = set(self.kinds) - set(_KIND_INFO)
-        if unknown:
-            raise ValueError(
-                f"unknown fault kind(s) {sorted(unknown)}; "
-                f"catalogue: {sorted(_KIND_INFO)}"
-            )
-        needy = [
-            k for k in self.kinds
-            if _KIND_INFO[k].needs_federation and not self.federation
-        ]
-        if needy:
-            raise ValueError(
-                f"fault kind(s) {sorted(needy)} need --federation "
-                "(a solitary pool has no flock links)"
-            )
         return tuple(info for info in CATALOGUE if info.kind in self.kinds)
+
+
+@dataclass(frozen=True)
+class MutationSpace:
+    """The valid fault space of one campaign: what a mutant or a replayed
+    reproducer may inject."""
+
+    kinds: tuple[KindInfo, ...]
+    sites: tuple[str, ...]
+    job_indices: tuple[int, ...]
+    order_max: int
+    federation: bool
+
+    @classmethod
+    def from_config(cls, config: CampaignConfig, order_max: int) -> MutationSpace:
+        return cls(
+            kinds=config.catalogue(),
+            sites=tuple(f"exec{i:03d}" for i in range(config.n_machines)),
+            job_indices=tuple(range(config.n_jobs)),
+            order_max=order_max,
+            federation=config.federation,
+        )
+
+    @functools.cached_property
+    def kind_info(self) -> dict[str, KindInfo]:
+        return {info.kind: info for info in self.kinds}
+
+
+def validate_injections(
+    injections: tuple[FaultSpec, ...], space: MutationSpace
+) -> list[str]:
+    """Every way *injections* leaves the valid space (empty = valid).
+
+    This is the mutator contract the hypothesis property tests pin, and
+    what ``replay`` checks a reproducer against: kinds from the space's
+    catalogue only (a federation-only kind named as such), non-negative
+    windows with ``until > at``, open-ended windows on non-disarmable
+    kinds, targets inside the pool and matching the kind's target type,
+    distinct kinds, order within bounds.
+    """
+    problems = []
+    if len(injections) > space.order_max:
+        problems.append(f"order {len(injections)} exceeds max {space.order_max}")
+    kinds = [spec.kind for spec in injections]
+    if len(set(kinds)) != len(kinds):
+        problems.append(f"duplicate kinds in {kinds}")
+    for spec in injections:
+        info = space.kind_info.get(spec.kind)
+        if info is None:
+            known = _KIND_INFO.get(spec.kind)
+            if known is not None and known.needs_federation and not space.federation:
+                problems.append(f"fault kind {spec.kind!r} would need --federation")
+            else:
+                problems.append(f"unknown fault kind {spec.kind!r}")
+            continue
+        if spec.at < 0:
+            problems.append(f"{spec.kind}: negative at {spec.at}")
+        if spec.until is not None:
+            if spec.until <= spec.at:
+                problems.append(f"{spec.kind}: empty window {spec.at}..{spec.until}")
+            if not info.disarmable:
+                problems.append(f"{spec.kind}: bounded window on non-disarmable kind")
+        if info.target == "site":
+            if spec.site not in space.sites or spec.job_index is not None:
+                problems.append(f"{spec.kind}: bad site target {spec.site!r}")
+        elif info.target == "job":
+            if spec.job_index not in space.job_indices or spec.site is not None:
+                problems.append(f"{spec.kind}: bad job target {spec.job_index!r}")
+        elif spec.site is not None or spec.job_index is not None:
+            problems.append(f"{spec.kind}: pool kind must be untargeted")
+    return problems
 
 
 def _targets(info: KindInfo, config: CampaignConfig) -> tuple[dict, ...]:
@@ -266,17 +391,8 @@ def enumerate_cells(config: CampaignConfig) -> tuple[CellSpec, ...]:
     matrix for little extra coverage (the shrinker reduces any violating
     combo back to its essential subset anyway).
     """
-
-    def cell(injections: tuple[FaultSpec, ...]) -> CellSpec:
-        label = "+".join(spec.describe() for spec in injections)
-        return CellSpec(
-            cell_id=f"{config.mode}/s{config.seed}/{label}",
-            mode=config.mode,
-            seed=config.seed,
-            injections=injections,
-        )
-
-    cells = [cell((spec,)) for spec in _single_specs(config)]
+    base = CellSpec(cell_id="", mode=config.mode, seed=config.seed, injections=())
+    cells = [base.with_injections((spec,)) for spec in _single_specs(config)]
     if config.max_order >= 2:
         combo_pool = []
         seen_kinds: set[str] = set()
@@ -286,7 +402,7 @@ def enumerate_cells(config: CampaignConfig) -> tuple[CellSpec, ...]:
                 combo_pool.append(spec)
         for order in range(2, config.max_order + 1):
             for combo in itertools.combinations(combo_pool, order):
-                cells.append(cell(combo))
+                cells.append(base.with_injections(combo))
     return tuple(cells)
 
 
@@ -306,38 +422,25 @@ def _resolve_site(site: str | None, pool) -> str | None:
     return site
 
 
-def build_fault(spec: FaultSpec, pool, jobs) -> Fault:
-    """Instantiate *spec* against *pool* and the workload *jobs*."""
-    kind = spec.kind
+def build_fault(spec: FaultSpec, pool, jobs) -> faults.Fault:
+    """Instantiate *spec* against *pool* and the workload *jobs*.
+
+    A catalogue kind names its :mod:`repro.faults` class, built from its
+    target (the resolved site, the job, or nothing for a pool kind);
+    three kinds take more than that.
+    """
+    info = _KIND_INFO.get(spec.kind)
+    if info is None:
+        raise ValueError(f"unknown fault kind {spec.kind!r}")
     site = _resolve_site(spec.site, pool)
-    if kind == "MisconfiguredJvm":
-        return MisconfiguredJvm(site)
-    if kind == "JvmBinaryMissing":
-        return JvmBinaryMissing(site)
-    if kind == "ScratchDiskFull":
-        return ScratchDiskFull(site)
-    if kind == "MachineCrash":
-        return MachineCrash(site)
-    if kind == "NetworkPartition":
+    if spec.kind == "NetworkPartition":
         # Exec-side partition: the submit machine cannot reach the site.
-        return NetworkPartition(pool.schedd.submit_host, site)
-    if kind == "MemoryPressure":
-        machine = pool.machines[site]
-        return MemoryPressure(site, machine.memory_total - 10 * MB)
-    if kind == "MachineChurn":
-        return MachineChurn(site, graceful=False)
-    if kind == "BlackHoleChurn":
-        return BlackHoleChurn(site)
-    if kind == "FlockLinkDown":
-        return FlockLinkDown()
-    if kind == "HomeFilesystemOffline":
-        return HomeFilesystemOffline()
-    if kind == "CredentialExpiry":
-        return CredentialExpiry()
-    if kind == "CorruptProgramImage":
-        return CorruptProgramImage(jobs[spec.job_index])
-    if kind == "MissingInputFile":
-        return MissingInputFile(jobs[spec.job_index])
-    if kind == "HomeDiskFull":
-        return HomeDiskFull()
-    raise ValueError(f"unknown fault kind {kind!r}")
+        return faults.NetworkPartition(pool.schedd.submit_host, site)
+    if spec.kind == "MemoryPressure":
+        return faults.MemoryPressure(site, pool.machines[site].memory_total - 10 * MB)
+    if spec.kind == "MachineChurn":
+        return faults.MachineChurn(site, graceful=False)
+    fault = getattr(faults, spec.kind)
+    if info.target == "site":
+        return fault(site)
+    return fault(jobs[spec.job_index]) if info.target == "job" else fault()

@@ -189,13 +189,6 @@ class Startd:
                 return schedd
         return None
 
-    @property
-    def current_starter(self) -> Starter | None:
-        for starter in self.slot_starters.values():
-            if starter is not None:
-                return starter
-        return None
-
     def free_slots(self) -> list[int]:
         return [i for i, by in self.slot_claimed.items() if by is None]
 

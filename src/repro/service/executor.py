@@ -153,15 +153,7 @@ def execute_experiment(spec: dict) -> dict:
 
 def execute_campaign(spec: dict) -> dict:
     """Run a bounded fault-campaign matrix; return its JSON report."""
-    config = CampaignConfig(
-        mode=spec["mode"],
-        seed=spec["seed"],
-        max_order=spec["max_order"],
-        kinds=None if spec["kinds"] is None else tuple(spec["kinds"]),
-        n_jobs=spec["n_jobs"],
-        n_machines=spec["n_machines"],
-    )
-    return run_campaign(config, jobs=1, shrink=True)
+    return run_campaign(CampaignConfig.from_dict(spec), jobs=1, shrink=True)
 
 
 def run_artifacts(kind: str, result: dict) -> dict[str, bytes]:

@@ -130,13 +130,6 @@ class ServiceServer:
             await self._server.wait_closed()
             self._server = None
 
-    async def serve_until_cancelled(self) -> None:
-        """Run until the surrounding task is cancelled, then stop cleanly."""
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await self.stop()
-
     # -- connection handling ---------------------------------------------
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

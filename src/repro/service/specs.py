@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.campaign.spec import CATALOGUE
+from repro.campaign.spec import CampaignConfig
 from repro.harness.experiments import UnknownExperiment, lookup
 from repro.service.errors import BadRequest
 
@@ -51,7 +51,11 @@ MAX_CAMPAIGN_ORDER = 2
 MAX_CAMPAIGN_JOBS = 16
 MAX_CAMPAIGN_MACHINES = 16
 
-_KIND_NAMES = tuple(info.kind for info in CATALOGUE)
+#: What a campaign submission may set: a subset of ``CampaignConfig.as_dict``.
+_CAMPAIGN_FIELDS = ("mode", "seed", "max_order", "kinds", "n_jobs", "n_machines")
+#: The service's bounds on the integer ones (operator policy, not validity).
+_CAMPAIGN_BOUNDS = {"seed": (0, 2**31 - 1), "max_order": (1, MAX_CAMPAIGN_ORDER),
+                    "n_jobs": (1, MAX_CAMPAIGN_JOBS), "n_machines": (1, MAX_CAMPAIGN_MACHINES)}
 
 
 def _require_mapping(payload: Any) -> dict:
@@ -69,7 +73,7 @@ def _reject_unknown(payload: dict, allowed: tuple[str, ...]) -> None:
         )
 
 
-def _int_field(payload: dict, name: str, default: int, lo: int, hi: int) -> int:
+def _int_field(payload: dict, name: str, default: int | None, lo: int, hi: int) -> int:
     value = payload.get(name, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadRequest(f"{name!r} must be an integer")
@@ -125,35 +129,24 @@ def normalize_experiment_spec(payload: Any) -> dict:
 
 
 def normalize_campaign_spec(payload: Any) -> dict:
-    """Validate a campaign-launch submission (bounded matrix sweep)."""
+    """Validate a campaign-launch submission (bounded matrix sweep): the
+    service bounds the integers, :class:`CampaignConfig` judges the rest
+    and writes the stored spec."""
     payload = _require_mapping(payload)
-    _reject_unknown(
-        payload, ("mode", "seed", "max_order", "kinds", "n_jobs", "n_machines")
-    )
-    mode = payload.get("mode", "scoped")
-    if mode not in ("scoped", "classic", "naive"):
-        raise BadRequest(f"'mode' must be scoped, classic, or naive, got {mode!r}")
+    _reject_unknown(payload, _CAMPAIGN_FIELDS)
+    for name, (lo, hi) in _CAMPAIGN_BOUNDS.items():
+        if name in payload:
+            _int_field(payload, name, default=None, lo=lo, hi=hi)
     kinds = payload.get("kinds")
     if kinds is not None:
         if not isinstance(kinds, list) or not kinds:
             raise BadRequest("'kinds' must be a non-empty list of fault kinds")
-        bad = sorted(set(kinds) - set(_KIND_NAMES))
-        if bad:
-            raise BadRequest(
-                f"unknown fault kind(s) {', '.join(map(repr, bad))}; "
-                f"catalogue: {', '.join(_KIND_NAMES)}"
-            )
-        kinds = sorted(set(kinds))
-    return {
-        "mode": mode,
-        "seed": _int_field(payload, "seed", default=0, lo=0, hi=2**31 - 1),
-        "max_order": _int_field(payload, "max_order", default=1, lo=1, hi=MAX_CAMPAIGN_ORDER),
-        "kinds": kinds,
-        "n_jobs": _int_field(payload, "n_jobs", default=4, lo=1, hi=MAX_CAMPAIGN_JOBS),
-        "n_machines": _int_field(
-            payload, "n_machines", default=3, lo=1, hi=MAX_CAMPAIGN_MACHINES
-        ),
-    }
+        payload = {**payload, "kinds": sorted(set(map(str, kinds)))}
+    try:
+        shape = CampaignConfig.from_dict(payload).as_dict()
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
+    return {name: shape[name] for name in _CAMPAIGN_FIELDS}
 
 
 def build_batch_spec(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.campaign.cli import main as campaign_main
+from repro.campaign.fuzz import FuzzConfig, run_fuzz
 from repro.campaign.spec import CATALOGUE, CampaignConfig, enumerate_cells
 from repro.campaign.shrink import minimize_cell
 from repro.harness.__main__ import main as harness_main
@@ -208,3 +209,51 @@ def test_kinds_that_need_federation_run_with_it(monkeypatch):
     monkeypatch.setattr(cli, "render_summary", lambda report: "")
     assert campaign_main(["--kinds", "FlockLinkDown", "--federation"]) == 0
     assert ran[0].kinds == ("FlockLinkDown",) and ran[0].federation
+
+
+class TestResumeFlags:
+    """``fuzz --resume``: the checkpoint's config wins, and a config flag
+    given with it must agree.  ``--resume ck --seed 9 --mode scoped``
+    used to exit 0 and quietly run the checkpoint's seed 7 ``naive``."""
+
+    SAVED = FuzzConfig(campaign=CampaignConfig(mode="naive", seed=7),
+                       budget_cells=16, batch_size=8)
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("resume") / "ck.json"
+        run_fuzz(self.SAVED, shrink=False, checkpoint=str(path), stop_after_batch=0)
+        return str(path)
+
+    @pytest.mark.parametrize("flags, why", [
+        (["--seed", "9", "--mode", "scoped"],
+         "--mode 'scoped' disagrees with the checkpoint's 'naive'"),
+        (["--seed", "9"], "--seed 9 disagrees with the checkpoint's 7"),
+        (["--seed", "0"], "--seed 0 disagrees with the checkpoint's 7"),
+        (["--kinds", "MachineCrash"],
+         "--kinds ['MachineCrash'] disagrees with the checkpoint's None"),
+        (["--federation"], "--federation True disagrees with the checkpoint's False"),
+        (["--budget-cells", "32"], "--budget-cells 32 disagrees with the checkpoint's 16"),
+        (["--order-max", "0"], "--order-max: must be >= 1, got 0"),
+    ])
+    def test_a_disagreeing_flag_is_exit_2(self, capsys, monkeypatch, checkpoint, flags, why):
+        error = _usage_error(capsys, monkeypatch, ["fuzz", "--resume", checkpoint, *flags])
+        assert why in error
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "7", "--mode", "naive", "--batch-size", "8"]])
+    def test_unset_or_agreeing_flags_resume(self, monkeypatch, checkpoint, flags):
+        import repro.campaign.cli as cli
+        import repro.campaign.fuzz as fuzz
+
+        ran = []
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda config, **k: ran.append(config) or {})
+        monkeypatch.setattr(cli, "render_fuzz_summary", lambda report: "")
+        assert campaign_main(["fuzz", "--resume", checkpoint, "--no-shrink", *flags]) == 0
+        assert ran == [self.SAVED]
+
+
+def test_fuzz_flags_out_of_range_name_the_flag(capsys, monkeypatch):
+    error = _usage_error(capsys, monkeypatch, ["fuzz", "--batch-size", "0"])
+    assert "--batch-size: must be >= 1, got 0" in error
+    error = _usage_error(capsys, monkeypatch, ["--order", "0"])
+    assert "--order: must be >= 1, got 0" in error

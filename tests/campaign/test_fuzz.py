@@ -9,12 +9,11 @@ from repro.campaign.fuzz import (
     CHECKPOINT_FORMAT,
     FORMAT,
     FuzzConfig,
-    MutationSpace,
     load_checkpoint,
     run_fuzz,
 )
 from repro.campaign.report import render_fuzz_summary
-from repro.campaign.spec import CampaignConfig, CellSpec, FaultSpec
+from repro.campaign.spec import CampaignConfig, CellSpec, FaultSpec, MutationSpace
 from repro.harness.parallel import WorkerFailure
 from repro.obs.export import dump_json
 
@@ -123,11 +122,11 @@ class TestConfigValidation:
             FuzzConfig(order_max=0)
 
     def test_space_excludes_federation_kinds_on_solitary_pool(self):
-        space = MutationSpace.from_config(_config())
+        space = MutationSpace.from_config(_config().campaign, order_max=3)
         assert "FlockLinkDown" not in {info.kind for info in space.kinds}
-        federated = MutationSpace.from_config(FuzzConfig(
-            campaign=CampaignConfig(mode="classic", federation=True)
-        ))
+        federated = MutationSpace.from_config(
+            CampaignConfig(mode="classic", federation=True), order_max=3
+        )
         assert "FlockLinkDown" in {info.kind for info in federated.kinds}
 
 
@@ -176,6 +175,20 @@ class TestCheckpointLoading:
         assert config == _config(budget=16)
         assert data["format"] == CHECKPOINT_FORMAT
         assert data["batch"] == 1
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"windows": [[50, 10]]}, "windows"),
+        ({"n_jobs": -3}, "n_jobs"),
+    ])
+    def test_a_bad_config_shape_is_not_a_checkpoint(self, tmp_path, edit, field):
+        """Both used to load without complaint."""
+        path = tmp_path / "ckpt.json"
+        run_fuzz(_config(budget=8), shrink=False, checkpoint=str(path), stop_after_batch=0)
+        data = json.loads(path.read_text())
+        data["campaign"].update(edit)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"not a fuzz checkpoint: config: field '{field}'"):
+            load_checkpoint(str(path))
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"

@@ -19,19 +19,14 @@ from hypothesis import strategies as st
 
 from repro.campaign.corpus import Corpus, CorpusEntry
 from repro.campaign.coverage import CoverageMap, FirstSeen
-from repro.campaign.fuzz import (
-    FuzzConfig,
-    MutationEngine,
-    MutationSpace,
-    validate_injections,
-)
-from repro.campaign.spec import CampaignConfig, CellSpec
+from repro.campaign.fuzz import FuzzConfig, MutationEngine
+from repro.campaign.spec import CampaignConfig, CellSpec, MutationSpace, validate_injections
 
 SOLITARY = MutationSpace.from_config(
-    FuzzConfig(campaign=CampaignConfig(mode="classic", seed=7))
+    CampaignConfig(mode="classic", seed=7), FuzzConfig().order_max
 )
 FEDERATED = MutationSpace.from_config(
-    FuzzConfig(campaign=CampaignConfig(mode="classic", seed=7, federation=True))
+    CampaignConfig(mode="classic", seed=7, federation=True), FuzzConfig().order_max
 )
 
 

@@ -143,6 +143,14 @@ class TestMalformedSpecIsOutsideInput:
         ({"max_time": None}, "field 'max_time': "),
         ({"expect": [{"principle": 1}]}, "missing field 'subject'"),
         ({"expect": [7]}, "field 'expect': "),
+        # Checked against the spec's own config: each used to escape as a
+        # bare KeyError, or a silent run of a different cell.
+        ({"n_machines": 0}, "field 'n_machines': must be >= 1"),
+        ({"n_jobs": 0}, "field 'n_jobs': must be >= 1"),
+        ({"injections": [{"kind": "MisconfiguredJvm", "site": "exec007"}]},
+         "field 'injections': MisconfiguredJvm: bad site target 'exec007'"),
+        ({"injections": [{"kind": "CorruptProgramImage", "job_index": 9}]},
+         "field 'injections': CorruptProgramImage: bad job target 9"),
     ])
     def test_other_ways_to_be_wrong(self, good, edit, reason, tmp_path, capsys):
         self._rejected({**good, **edit}, reason, tmp_path, capsys)

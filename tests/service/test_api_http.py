@@ -173,6 +173,7 @@ class TestBadSpecs:
             try:
                 with pytest.raises(ServiceApiError) as excinfo:
                     await client._json("POST", route, payload)
+                assert store.run_row(1) is None  # rejected before any run row
                 return excinfo.value.status, excinfo.value.code
             finally:
                 await client.close()
@@ -198,10 +199,12 @@ class TestBadSpecs:
         ) == (400, "BAD_REQUEST")
 
     def test_campaign_spec_rejections(self):
-        assert self._reject("/v1/campaigns", {"mode": "yolo"}) == (400, "BAD_REQUEST")
-        assert self._reject(
-            "/v1/campaigns", {"kinds": ["made_up_fault"]}
-        ) == (400, "BAD_REQUEST")
+        for payload in (
+            {"mode": "yolo"},
+            {"kinds": ["made_up_fault"]},
+            {"kinds": ["FlockLinkDown"]},  # federation-only: was a 202, then a failed run
+        ):
+            assert self._reject("/v1/campaigns", payload) == (400, "BAD_REQUEST")
 
     def test_malformed_json_body(self):
         async def check(server, store):
