@@ -12,6 +12,7 @@ orders the compatible partners.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from time import perf_counter_ns
 from typing import Any, Iterator
@@ -22,6 +23,7 @@ from repro.condor.classads.expr import (
     EvalContext,
     Expr,
     Literal,
+    V_TRUE,
     V_UNDEFINED,
     ValueType,
 )
@@ -122,9 +124,12 @@ class ClassAd:
     # -- evaluation -----------------------------------------------------------
     def eval(self, name: str, target: "ClassAd | None" = None) -> ClassAdValue:
         """Evaluate attribute *name* against optional *target*."""
-        expr = self._attrs.get(name.lower())
+        # Callers mostly pass the stored (lowercase) spelling: try it as given.
+        expr = self._attrs.get(name)
         if expr is None:
-            return V_UNDEFINED
+            expr = self._attrs.get(name.lower())
+            if expr is None:
+                return V_UNDEFINED
         if type(expr) is Literal:
             return expr.value  # nothing to evaluate, so no context either
         # The closure lives on the node, not on the ad: a reassigned
@@ -180,7 +185,10 @@ def match(ad: ClassAd, target: ClassAd) -> bool:
 
 
 def _match(ad: ClassAd, target: ClassAd) -> bool:
-    val = ad.eval("requirements", target=target).as_bool()
+    val = ad.eval("requirements", target=target)
+    if val is V_TRUE:
+        return True
+    val = val.as_bool()
     return val.type is ValueType.BOOLEAN and bool(val.payload)
 
 
@@ -189,9 +197,13 @@ def symmetric_match(a: ClassAd, b: ClassAd) -> bool:
     return match(a, b) and match(b, a)
 
 
-def rank(ad: ClassAd, target: ClassAd) -> float:
-    """*ad*'s Rank of *target*; non-numeric or missing Rank counts as 0."""
-    val = ad.eval("rank", target=target)
+def rank(ad: ClassAd, target: ClassAd | None, name: str = "rank") -> float:
+    """*ad*'s Rank of *target* (or another rank-like attribute *name*);
+    non-numeric or missing counts as 0, an integer past float range as ±inf."""
+    val = ad.eval(name, target=target)
     if val.is_number:
-        return float(val.payload)
+        try:
+            return float(val.payload)
+        except OverflowError:
+            return math.inf if val.payload > 0 else -math.inf
     return 0.0

@@ -28,6 +28,7 @@ matter which side of the match initiates the evaluation.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 from repro.condor.classads.expr import (
@@ -57,50 +58,56 @@ __all__ = ["CompiledExpr", "compile_expr", "lower"]
 CompiledExpr = Callable[[EvalContext], ClassAdValue]
 
 _BOOLEAN = ValueType.BOOLEAN
+_ERROR = ValueType.ERROR
+_INTEGER = ValueType.INTEGER
+_REAL = ValueType.REAL
+_STRING = ValueType.STRING
+_MAX_DEPTH = EvalContext.MAX_DEPTH
+_ARITH_FAST = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _follow(ctx: EvalContext, ad, name: str, expr: Expr) -> ClassAdValue:
+    """*ad*'s non-literal attribute *name* (bound to *expr*), one level deeper."""
+    fn = compile_expr(expr)
+    in_progress = ctx._in_progress
+    key = (id(ad), name)
+    if key in in_progress:
+        return V_ERROR  # circular reference
+    in_progress.add(key)
+    ctx.depth += 1
+    try:
+        # Unqualified references inside the referenced ad resolve in that
+        # ad's own frame.
+        if ad is ctx.target:
+            sub = EvalContext(my=ctx.target, target=ctx.my)
+            sub._in_progress = in_progress
+            sub.depth = ctx.depth
+            return fn(sub)
+        return fn(ctx)
+    finally:
+        ctx.depth -= 1
+        in_progress.discard(key)
 
 
 def _compile_attr_ref(node: AttrRef) -> CompiledExpr:
+    # The parser stores the name lowercase, the ad its keys: read the
+    # ad's table directly.  A literal evaluates nothing further, so it can
+    # neither be in progress nor deepen the chain.
     name = node.name
-    qualifier = node.qualifier
+    mine = node.qualifier != "target"
+    theirs = node.qualifier != "my"
 
     def run(ctx: EvalContext) -> ClassAdValue:
-        if ctx.depth >= EvalContext.MAX_DEPTH:
+        if ctx.depth >= _MAX_DEPTH:
             return V_ERROR
-        if qualifier == "my":
-            ads = (ctx.my,)
-        elif qualifier == "target":
-            ads = (ctx.target,)
-        else:
-            ads = (ctx.my, ctx.target)
-        for ad in ads:
-            if ad is None:
-                continue
-            expr = ad.lookup(name)
-            if expr is None:
-                continue
-            if type(expr) is Literal:
-                # Exact: a literal evaluates nothing further, so it can
-                # neither be in progress nor deepen the chain.
-                return expr.value
-            fn = compile_expr(expr)
-            in_progress = ctx._in_progress
-            key = (id(ad), name)
-            if key in in_progress:
-                return V_ERROR  # circular reference
-            in_progress.add(key)
-            ctx.depth += 1
-            try:
-                # Unqualified references inside the referenced ad resolve
-                # in that ad's own frame.
-                if ad is ctx.target:
-                    sub = EvalContext(my=ctx.target, target=ctx.my)
-                    sub._in_progress = in_progress
-                    sub.depth = ctx.depth
-                    return fn(sub)
-                return fn(ctx)
-            finally:
-                ctx.depth -= 1
-                in_progress.discard(key)
+        if mine and ctx.my is not None:
+            expr = ctx.my._attrs.get(name)
+            if expr is not None:
+                return expr.value if type(expr) is Literal else _follow(ctx, ctx.my, name, expr)
+        if theirs and ctx.target is not None:
+            expr = ctx.target._attrs.get(name)
+            if expr is not None:
+                return expr.value if type(expr) is Literal else _follow(ctx, ctx.target, name, expr)
         return V_UNDEFINED
 
     return run
@@ -146,39 +153,29 @@ def _compile_binop(node: BinOp) -> CompiledExpr:
     left = compile_expr(node.left)
     right = compile_expr(node.right)
 
-    if op == "&&":
-        def run_and(ctx: EvalContext) -> ClassAdValue:
-            a = left(ctx).as_bool()
-            if a.type is _BOOLEAN and not a.payload:
-                return V_FALSE
-            b = right(ctx).as_bool()
-            # FALSE dominates; then ERROR; then UNDEFINED.
-            if b.type is _BOOLEAN and not b.payload:
-                return V_FALSE
-            if a.is_error or b.is_error:
-                return V_ERROR
-            if a.is_undefined or b.is_undefined:
-                return V_UNDEFINED
-            return V_TRUE
+    if op == "&&" or op == "||":
+        # FALSE decides && and TRUE decides ||; then ERROR; then UNDEFINED.
+        # Past the short-circuit, *a* is the other boolean or exceptional.
+        falsy_decides = op == "&&"
+        decided, undecided = (V_FALSE, V_TRUE) if falsy_decides else (V_TRUE, V_FALSE)
 
-        return run_and
+        def run_logical(ctx: EvalContext) -> ClassAdValue:
+            a = left(ctx)
+            if a.type is not _BOOLEAN:
+                a = a.as_bool()
+            if a.type is _BOOLEAN and (not a.payload) is falsy_decides:
+                return decided
+            b = right(ctx)
+            if b.type is not _BOOLEAN:
+                b = b.as_bool()
+            if b.type is _BOOLEAN:
+                if (not b.payload) is falsy_decides:
+                    return decided
+                if a.type is _BOOLEAN:
+                    return undecided
+            return V_ERROR if a.type is _ERROR or b.type is _ERROR else V_UNDEFINED
 
-    if op == "||":
-        def run_or(ctx: EvalContext) -> ClassAdValue:
-            a = left(ctx).as_bool()
-            if a.type is _BOOLEAN and a.payload:
-                return V_TRUE
-            b = right(ctx).as_bool()
-            # TRUE dominates; then ERROR; then UNDEFINED.
-            if b.type is _BOOLEAN and b.payload:
-                return V_TRUE
-            if a.is_error or b.is_error:
-                return V_ERROR
-            if a.is_undefined or b.is_undefined:
-                return V_UNDEFINED
-            return V_FALSE
-
-        return run_or
+        return run_logical
 
     if op == "=?=":
         def run_meta_eq(ctx: EvalContext) -> ClassAdValue:
@@ -192,15 +189,39 @@ def _compile_binop(node: BinOp) -> CompiledExpr:
 
         return run_meta_ne
 
+    # Typed fast paths: like-typed numbers, strings (case-insensitive) and
+    # booleans decide here; every other pair -- UNDEFINED, ERROR, mixed
+    # types -- takes the interpreter's own rules.
     test = COMPARISONS.get(op)
     if test is not None:
         def run_compare(ctx: EvalContext) -> ClassAdValue:
-            return _compare(test, left(ctx), right(ctx))
+            a = left(ctx)
+            b = right(ctx)
+            ta, tb = a.type, b.type
+            if ta is _INTEGER or ta is _REAL:
+                if tb is _INTEGER or tb is _REAL:
+                    return V_TRUE if test(a.payload, b.payload) else V_FALSE
+            elif ta is tb:
+                if ta is _STRING:
+                    return V_TRUE if test(a.payload.lower(), b.payload.lower()) else V_FALSE
+                if ta is _BOOLEAN:
+                    return V_TRUE if test(a.payload, b.payload) else V_FALSE
+            return _compare(test, a, b)
 
         return run_compare
 
+    # ``+ - *`` over two integers (exact) or two reals (IEEE, never
+    # raises); ``/`` truncation, ``%``, string ``+`` and int-real mixes,
+    # which can overflow, stay with ``_arith``.
+    fast = _ARITH_FAST.get(op)
+
     def run_arith(ctx: EvalContext) -> ClassAdValue:
-        return _arith(op, left(ctx), right(ctx))
+        a = left(ctx)
+        b = right(ctx)
+        ta = a.type
+        if fast is not None and ta is b.type and (ta is _INTEGER or ta is _REAL):
+            return ClassAdValue(ta, fast(a.payload, b.payload))
+        return _arith(op, a, b)
 
     return run_arith
 

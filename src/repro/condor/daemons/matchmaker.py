@@ -88,9 +88,12 @@ class _StoredAd:
     name: str
     ad: ClassAd
     received: float
+    #: Read once at receive (ads are immutable once stored): a job's
+    #: reply address and fair-share owner...
     reply_host: str = ""
     reply_port: int = 0
-    #: Precomputed state check (ads are immutable once stored).
+    owner: str = ""
+    #: ...and a machine's state.
     unclaimed: bool = True
 
 
@@ -223,32 +226,44 @@ class Matchmaker:
         """
         try:
             return int(ad.value(attr, 0) or 0)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
             return 0
 
     def receive_ad(self, kind: str, name: str, ad: ClassAd) -> None:
-        """Store one advertisement and maintain the derived structures."""
+        """Store one advertisement and maintain the derived structures.
+
+        What negotiation reads of a stored ad is read here, once: a job's
+        reply address and owner, a machine's state.
+        """
+        now = self.sim.now
         if kind == "job":
             stored = self.job_ads.get(name)
             if stored is not None and stored.ad is ad and ad.frozen:
                 # A refresh: the schedd re-sent the very ad that is
                 # stored, and a frozen ad still says what it said then.
-                # The reply address and state are functions of the ad,
-                # so only the timestamp can be new -- and if it is not,
-                # the expiry heap already holds this entry.
-                if stored.received != self.sim.now:
-                    stored.received = self.sim.now
-                    heappush(self._expiry_heap, (stored.received, 1, name))
+                # What was read of it is a function of the ad, so only
+                # the timestamp can be new -- and if it is not, the
+                # expiry heap already holds this entry.
+                if stored.received != now:
+                    stored.received = now
+                    heappush(self._expiry_heap, (now, 1, name))
                 return
-        stored = _StoredAd(
-            name=name,
-            ad=ad,
-            received=self.sim.now,
-            reply_host=str(ad.value("scheddhost", "")),
-            reply_port=self._port_of(ad, "scheddport"),
-            unclaimed=ad.value("state", "unclaimed") == "unclaimed",
-        )
-        if kind == "machine":
+            self.job_ads[name] = _StoredAd(
+                name=name,
+                ad=ad,
+                received=now,
+                reply_host=str(ad.value("scheddhost", "")),
+                reply_port=self._port_of(ad, "scheddport"),
+                owner=str(ad.value("owner", "unknown")),
+            )
+            heappush(self._expiry_heap, (now, 1, name))
+        elif kind == "machine":
+            stored = _StoredAd(
+                name=name,
+                ad=ad,
+                received=now,
+                unclaimed=ad.value("state", "unclaimed") == "unclaimed",
+            )
             self.machine_ads[name] = stored
             self._index.add(name, ad)
             # A new (or refreshed) machine ad can create matches that did
@@ -267,10 +282,7 @@ class Matchmaker:
             else:
                 self._fresh.discard(name)
             self._admit_to_orders(name, stored, seq)
-            heappush(self._expiry_heap, (stored.received, 0, name))
-        elif kind == "job":
-            self.job_ads[name] = stored
-            heappush(self._expiry_heap, (stored.received, 1, name))
+            heappush(self._expiry_heap, (now, 0, name))
 
     def retract_ad(self, kind: str, name: str) -> None:
         """Drop one ad immediately (graceful machine leave).
@@ -361,13 +373,9 @@ class Matchmaker:
         # both deterministic.
         entries = list(self.job_ads.items())
         if self.config.fair_share:
+            usage = self.owner_usage
             arrival = {name: i for i, (name, _) in enumerate(entries)}
-            entries.sort(
-                key=lambda item: (
-                    self.owner_usage.get(self._owner_of(item[1]), 0.0),
-                    arrival[item[0]],
-                )
-            )
+            entries.sort(key=lambda item: (usage.get(item[1].owner, 0.0), arrival[item[0]]))
         for job_name, job_stored in entries:
             best = self._best_machine(job_stored.ad)
             if best is None:
@@ -390,17 +398,13 @@ class Matchmaker:
                         self.sim.now, "daemon", "match_made",
                         job=notify.job_id, machine=machine_name,
                     )
-                owner = self._owner_of(job_stored)
+                owner = job_stored.owner
                 self.owner_usage[owner] = self.owner_usage.get(owner, 0.0) + 1.0
                 # One claim per machine per cycle; the startd re-advertises
                 # its new state when claimed.
                 self._record_match(best)
                 if job_name in self.job_ads:
                     del self.job_ads[job_name]
-
-    @staticmethod
-    def _owner_of(stored: _StoredAd) -> str:
-        return str(stored.ad.value("owner", "unknown"))
 
     def _record_match(self, best: _StoredAd) -> None:
         """Mark *best* matched now, keeping the fresh set consistent.
@@ -622,7 +626,7 @@ class Matchmaker:
                     continue
                 # Preemption: a claimed slot is still a candidate when the
                 # machine's Rank strictly prefers this job to its current one.
-                current = float(stored.ad.value("currentrank", 0.0) or 0.0)
+                current = rank(stored.ad, None, "currentrank")
                 if rank(stored.ad, job_ad) <= current:
                     continue
             if self._recently_matched.get(stored.name, -1.0) > stored.received:

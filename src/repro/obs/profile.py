@@ -362,8 +362,11 @@ _WALL_SITES = (
     "repro.condor.classads.parser",
     "repro.chirp.proxy",
     "repro.remoteio.server",
-    "repro.service.server",
 )
+#: Hooked only if already loaded: the service stack is not imported for a
+#: run that never serves.  Its module reads :func:`installed_wall` when it
+#: is imported later.
+_EDGE_WALL_SITES = ("repro.service.server",)
 
 _installed_wall: WallCounters | None = None
 
@@ -387,6 +390,10 @@ def install_wall(counters: WallCounters) -> None:
     _installed_wall = counters
     for modname in _WALL_SITES:
         importlib.import_module(modname).WALL_PROFILE = counters
+    for modname in _EDGE_WALL_SITES:
+        mod = sys.modules.get(modname)
+        if mod is not None:
+            mod.WALL_PROFILE = counters
     if _on_gc not in gc.callbacks:
         gc.callbacks.append(_on_gc)
 
@@ -397,7 +404,7 @@ def clear_wall() -> None:
     _installed_wall = None
     if _on_gc in gc.callbacks:
         gc.callbacks.remove(_on_gc)
-    for modname in _WALL_SITES:
+    for modname in _WALL_SITES + _EDGE_WALL_SITES:
         mod = sys.modules.get(modname)
         if mod is not None:
             mod.WALL_PROFILE = None

@@ -22,6 +22,7 @@ import asyncio
 from time import perf_counter_ns
 
 from repro.obs.canonical import canonical_json
+from repro.obs.profile import installed_wall
 from repro.service.api import ServiceApi
 from repro.service.errors import BadRequest, PayloadTooLarge, ServiceError
 from repro.service.executor import ServiceExecutor
@@ -30,7 +31,8 @@ __all__ = ["MAX_BODY_BYTES", "MAX_HEAD_BYTES", "ServiceServer"]
 
 #: Wall-clock hook (:func:`repro.obs.profile.install_wall`): per-request
 #: handling time, measurement only -- never part of any response body.
-WALL_PROFILE = None
+#: Counters installed before this module was imported apply here too.
+WALL_PROFILE = installed_wall()
 
 #: Request-head (request line + headers) byte budget.
 MAX_HEAD_BYTES = 32 * 1024

@@ -10,6 +10,7 @@ and nothing of one ad visible through a closure it shares with another.
 
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
@@ -115,18 +116,23 @@ def test_copy_evaluates_independently():
     assert clone.value("x") == 99
 
 
-# -- comparisons: one operator table, the same verdicts -----------------------
+# -- operators: one table, the same verdicts ----------------------------------
 
-MIXED_OPERANDS = ["3", "3.0", "4", "-1.5", "TRUE", "FALSE", '"abc"', '"ABC"',
-                  '"abd"', "UNDEFINED", "ERROR"]
+#: Every type, both exceptional values, zeros of both signs, a product
+#: that overflows to inf (1e308 * 1e308) and strings equal but for case.
+MIXED_OPERANDS = ["3", "3.0", "4", "0", "-1.5", "-0.0", "1e308", "TRUE", "FALSE",
+                  '"abc"', '"ABC"', '"AbC"', '"abd"', "UNDEFINED", "ERROR"]
+
+ERROR, UNDEFINED = ClassAdValue(ValueType.ERROR), ClassAdValue(ValueType.UNDEFINED)
+TRUE, FALSE = ClassAdValue(ValueType.BOOLEAN, True), ClassAdValue(ValueType.BOOLEAN, False)
 
 
 def reference_compare(op: str, a: ClassAdValue, b: ClassAdValue) -> ClassAdValue:
     """The comparison rules as the parent commit spelled them out."""
     if a.is_error or b.is_error:
-        return ClassAdValue(ValueType.ERROR)
+        return ERROR
     if a.is_undefined or b.is_undefined:
-        return ClassAdValue(ValueType.UNDEFINED)
+        return UNDEFINED
     if a.is_number and b.is_number:
         x, y = a.payload, b.payload
     elif a.type is ValueType.STRING and b.type is ValueType.STRING:
@@ -134,24 +140,108 @@ def reference_compare(op: str, a: ClassAdValue, b: ClassAdValue) -> ClassAdValue
     elif a.type is ValueType.BOOLEAN and b.type is ValueType.BOOLEAN:
         x, y = a.payload, b.payload
     else:
-        return ClassAdValue(ValueType.ERROR)
+        return ERROR
     result = {"==": x == y, "!=": x != y, "<": x < y,
               "<=": x <= y, ">": x > y, ">=": x >= y}[op]
     return ClassAdValue(ValueType.BOOLEAN, result)
 
 
-@pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+def reference_arith(op: str, a: ClassAdValue, b: ClassAdValue) -> ClassAdValue:
+    """Arithmetic as the parent commit spelled it out: C-style ``/`` and
+    ``%`` on integers, a zero divisor or an overflow is ERROR."""
+    if a.is_error or b.is_error:
+        return ERROR
+    if a.is_undefined or b.is_undefined:
+        return UNDEFINED
+    if op == "+" and a.type is ValueType.STRING and b.type is ValueType.STRING:
+        return ClassAdValue(ValueType.STRING, a.payload + b.payload)
+    if not (a.is_number and b.is_number):
+        return ERROR
+    x, y = a.payload, b.payload
+    integers = isinstance(x, int) and isinstance(y, int)
+    if op in ("/", "%") and y == 0:
+        return ERROR
+    try:
+        if op == "+":
+            result = x + y
+        elif op == "-":
+            result = x - y
+        elif op == "*":
+            result = x * y
+        elif op == "/":
+            result = int(x / y) if integers else x / y
+        else:
+            result = int(math.fmod(x, y)) if integers else math.fmod(x, y)
+    except (OverflowError, ValueError):
+        return ERROR
+    return ClassAdValue(ValueType.INTEGER if isinstance(result, int) else ValueType.REAL, result)
+
+
+def reference_logical(op: str, a: ClassAdValue, b: ClassAdValue) -> ClassAdValue:
+    """``&&``/``||`` as the parent commit spelled them out: numbers coerce
+    (nonzero is true), strings are ERROR; the dominant value wins, then
+    ERROR, then UNDEFINED."""
+
+    def coerce(v: ClassAdValue) -> ClassAdValue:
+        if v.type is ValueType.BOOLEAN or v.is_exceptional:
+            return v
+        if v.is_number:
+            return TRUE if v.payload != 0 else FALSE
+        return ERROR
+
+    a, b = coerce(a), coerce(b)
+    dominant = op == "||"  # TRUE decides ||, FALSE decides &&
+    for v in (a, b):
+        if v.type is ValueType.BOOLEAN and v.payload is dominant:
+            return TRUE if dominant else FALSE
+    if a.is_error or b.is_error:
+        return ERROR
+    if a.is_undefined or b.is_undefined:
+        return UNDEFINED
+    return FALSE if dominant else TRUE
+
+
+COMPARISONS = ["==", "!=", "<", "<=", ">", ">="]
+
+REFERENCES = {
+    **dict.fromkeys(COMPARISONS, reference_compare),
+    **dict.fromkeys(["+", "-", "*", "/", "%"], reference_arith),
+    **dict.fromkeys(["&&", "||"], reference_logical),
+}
+
+
+@pytest.mark.parametrize("op", COMPARISONS)
 def test_every_comparison_over_every_pair_of_types(op):
+    assert_agrees_over_every_pair_of_types(op)
+
+
+@pytest.mark.parametrize("op", [op for op in REFERENCES if op not in COMPARISONS])
+def test_every_operator_over_every_pair_of_types(op):
+    assert_agrees_over_every_pair_of_types(op)
+
+
+def assert_agrees_over_every_pair_of_types(op: str) -> None:
     """Mixed-type, exceptional and like-typed operands, exhaustively:
-    interpreter, closure and the spelled-out reference all agree."""
+    interpreter, closure and the spelled-out reference all agree, down to
+    the payload's Python type and the sign of a zero."""
     for left, right in itertools.product(MIXED_OPERANDS, repeat=2):
         a, b = parse(left).eval(EvalContext()), parse(right).eval(EvalContext())
-        expected = reference_compare(op, a, b)
+        expected = REFERENCES[op](op, a, b)
         expr = parse(f"{left} {op} {right}")
         for got in (expr.eval(EvalContext()), compile_expr(expr)(EvalContext())):
-            assert (got.type, got.payload) == (expected.type, expected.payload), (
-                f"{left} {op} {right}"
-            )
+            assert (got.type, type(got.payload), repr(got.payload)) == (
+                expected.type, type(expected.payload), repr(expected.payload)
+            ), f"{left} {op} {right}"
+
+
+def test_mixed_case_names_read_the_stored_attribute():
+    job = ClassAd({"memory_needed": 64})
+    job.set_expr("Requirements", "TARGET.Memory >= MY.Memory_Needed")
+    machine = ClassAd({"Memory": 128})
+    for name in ("requirements", "Requirements", "REQUIREMENTS"):
+        assert job.eval(name, target=machine).payload is True
+        assert job.value(name, target=machine) is True
+    assert job.eval("Missing").is_undefined
 
 
 # -- the closure lives on the node: shared, never stale, never leaking ----------

@@ -2,9 +2,10 @@
 
 Long-standing defects, each pinned here:
 
-- a malformed ``scheddport``/``startdport`` (any non-numeric value)
-  raised ``ValueError`` out of the collect loop -- one bad ad could kill
-  the matchmaker;
+- a malformed ``scheddport``/``startdport`` (any non-numeric value, or
+  ``1e400``) raised ``ValueError`` (``OverflowError``) out of the collect
+  loop or the cycle -- one bad ad could kill the matchmaker;
+- so did an integer ``Rank`` past float range;
 - ``_recently_matched`` grew monotonically: machines that left the pool
   kept their last-matched stamp forever;
 - ``owner_usage`` likewise retained every owner ever seen, decayed into
@@ -23,7 +24,7 @@ import gc
 
 import pytest
 
-from repro.condor.classads import ClassAd
+from repro.condor.classads import ClassAd, rank
 from repro.condor.daemons.config import CondorConfig
 from repro.condor.daemons.matchmaker import USAGE_EPSILON, Matchmaker
 from repro.sim.engine import Simulator
@@ -59,6 +60,16 @@ class TestMalformedPorts:
         assert Matchmaker._port_of(ClassAd({"p": "9618"}), "p") == 9618
         assert Matchmaker._port_of(ClassAd({"p": 9618}), "p") == 9618
         assert Matchmaker._port_of(ClassAd(), "p") == 0
+        assert Matchmaker._port_of(ClassAd({"p": float("inf")}), "p") == 0
+
+    def test_an_integer_rank_past_float_range_ranks_as_infinity(self):
+        sim, mm = make_matchmaker()
+        mm.receive_ad("machine", "small", machine_ad("small", memory=32))
+        mm.receive_ad("machine", "big", machine_ad("big", memory=64))
+        probe = job_ad("TRUE", rank="TARGET.memory * 1" + "0" * 400)
+        assert mm._best_machine_scan(probe).name == "big"
+        assert mm._best_machine(probe).name == "big"
+        assert rank(probe, ClassAd({"memory": -1})) == float("-inf")
 
 
 class TestRecentlyMatchedPruning:

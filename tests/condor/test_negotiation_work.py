@@ -11,6 +11,7 @@ The same pool then checks containment: each kind of adversarial ad the
 workload mixes in costs its own match and nobody else's.
 """
 
+import collections
 import random
 
 import pytest
@@ -19,7 +20,7 @@ import repro.condor.classads.compile as compile_module
 import repro.condor.daemons.matchmaker as matchmaker_module
 from benchmarks.gridbench.spans import SpanRecorder
 from benchmarks.gridbench.workloads import negotiate_scale
-from repro.condor.classads import parser
+from repro.condor.classads import ClassAd, parser
 from repro.condor.classads.expr import Expr, Literal
 from repro.condor.daemons.match_index import MachineIndex, analysis_of
 from repro.condor.daemons.matchmaker import Matchmaker
@@ -31,6 +32,12 @@ SHAPE = negotiate_scale.SMOKE
 #: 14, before autoclusters).  Equal, not smaller: the clusters only stop
 #: re-deriving verdicts, every walk still verifies the same candidates.
 PARENT_SYMMETRIC_MATCH_CALLS = 161
+
+#: ``ClassAd.eval`` calls of the smoke round: 1 898 at commit 397f959,
+#: 1 281 since.  The matchmaker reads a job's reply address and owner and
+#: a machine's state once per stored ad, where it read every field of
+#: both kinds at receive and the owner again per job and cycle.
+SMOKE_CLASSAD_EVALS = 1281
 
 
 def _counting(monkeypatch, owner, name: str, counts: dict) -> None:
@@ -75,6 +82,14 @@ def counted_round(monkeypatch):
     _counting(monkeypatch, Matchmaker, "_match_key", counts)
     _counting(monkeypatch, MachineIndex, "membership", counts)
     _counting(monkeypatch, MachineIndex, "_bucket", counts)
+    evals = counts["ClassAd.eval"] = collections.Counter()  # attribute name -> calls
+    original_eval = ClassAd.eval
+
+    def counted_eval(self, name, target=None):
+        evals[name] += 1
+        return original_eval(self, name, target)
+
+    monkeypatch.setattr(ClassAd, "eval", counted_eval)
     return _run(_setup()), counts
 
 
@@ -129,6 +144,17 @@ def test_the_same_candidates_are_verified_as_at_the_parent(counted_round):
     assert state["matchmaker"].matches_made == 98
 
 
+def test_classad_evaluations_are_counted(counted_round):
+    _, counts = counted_round
+    assert sum(counts["ClassAd.eval"].values()) == SMOKE_CLASSAD_EVALS
+
+
+def test_owner_is_read_once_per_stored_job_ad(counted_round):
+    _, counts = counted_round
+    # Every job is advertised once and negotiated in up to three cycles.
+    assert counts["ClassAd.eval"]["owner"] == SHAPE["jobs"]
+
+
 # -- containment: an adversarial ad costs only its own match --------------------
 
 def _clean_pool() -> dict:
@@ -154,6 +180,8 @@ def _matched(state: dict) -> set[str]:
 def _spoil_machine(ad, kind: str) -> None:
     if kind == "mangled startdport":
         ad["startdport"] = "mangled-in-transit"
+    elif kind == "infinite startdport":
+        ad.set_expr("startdport", "1e400")  # int(inf) is an OverflowError
     else:
         ad.set_expr("requirements", negotiate_scale.BLACK_HOLE_REQUIREMENTS)
 
@@ -161,6 +189,8 @@ def _spoil_machine(ad, kind: str) -> None:
 def _spoil_job(ad, kind: str) -> None:
     if kind == "not-a-port":
         ad["scheddport"] = "not-a-port"
+    elif kind == "infinite scheddport":
+        ad.set_expr("scheddport", "1e400")
     elif kind == "ghost submitter":
         ad["scheddhost"] = "ghost"
     else:
@@ -171,7 +201,9 @@ def test_the_clean_pool_matches_everyone():
     assert len(_matched(_clean_pool())) == SHAPE["jobs"]
 
 
-@pytest.mark.parametrize("kind", ["mangled startdport", "black-hole requirements"])
+@pytest.mark.parametrize(
+    "kind", ["mangled startdport", "infinite startdport", "black-hole requirements"]
+)
 def test_an_adversarial_machine_costs_no_job_its_match(kind):
     state = _clean_pool()
     victim = random.Random(SEED).randrange(SHAPE["machines"])
@@ -182,7 +214,12 @@ def test_an_adversarial_machine_costs_no_job_its_match(kind):
 
 @pytest.mark.parametrize(
     "kind, lost",
-    [("not-a-port", 1), ("ghost submitter", 1), ("index-opaque requirements", 0)],
+    [
+        ("not-a-port", 1),
+        ("infinite scheddport", 1),
+        ("ghost submitter", 1),
+        ("index-opaque requirements", 0),
+    ],
 )
 def test_an_adversarial_job_costs_only_its_own_match(kind, lost):
     state = _clean_pool()

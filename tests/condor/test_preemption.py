@@ -7,6 +7,8 @@ from repro.condor.daemons.config import CondorConfig
 from repro.jvm.program import JavaProgram, Step
 from repro.sim.machine import OwnerPolicy
 
+from tests.condor.test_match_index import job_ad, machine_ad, make_matchmaker
+
 MB = 2**20
 
 BOSS_FIRST = OwnerPolicy(rank_expr='ifThenElse(TARGET.owner == "boss", 10, 1)')
@@ -99,3 +101,19 @@ class TestPreemption:
         assert boss.state is JobState.COMPLETED
         # The peon's final home was the ordinary machine.
         assert peon.attempts[-1].site == "exec000"
+
+
+class TestMalformedCurrentRank:
+    def test_a_non_numeric_current_rank_counts_as_zero(self):
+        """CurrentRank is foreign input like a port: a string must not
+        raise out of the negotiation loop (it once ended it after one
+        cycle), and it ranks like a missing value."""
+        sim, mm = make_matchmaker(preemption=True, negotiation_interval=10)
+        job = job_ad("TRUE", scheddhost="sub", scheddport=9600)
+        for current, preempts in ((0.0, True), (1.0, False), ("high", True)):
+            claimed = machine_ad("prized", state="claimed", currentrank=current, rank=1)
+            mm.receive_ad("machine", "prized", claimed)
+            assert (mm._best_machine(job) is not None) is preempts, current
+        mm.receive_ad("job", "sub#1", job)
+        sim.run(until=50.0)
+        assert mm.cycles_run == 5

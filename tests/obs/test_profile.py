@@ -1,6 +1,9 @@
 """Tests for the deterministic grid profiler (repro.obs.profile)."""
 
 import filecmp
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.condor.pool import Pool, PoolConfig
 from repro.harness.workloads import WorkloadSpec, make_workload
@@ -20,6 +23,8 @@ from repro.obs.profile import (
 )
 from repro.obs.span import Span
 from repro.sim.rng import RngRegistry
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _pool_run(seed: int = 0, n_jobs: int = 3):
@@ -265,6 +270,54 @@ class TestWallCounters:
         assert profile_mod._on_gc not in gc.callbacks
         gc.collect()
         assert wall.counters["gc.gen2"][0] == 1
+
+    def test_profiling_a_harness_run_loads_no_service_module(self, tmp_path):
+        code = (
+            "import sys; from repro.harness.__main__ import main; "
+            f"main(['fig4', '--profile', {str(tmp_path / 'profile.json')!r}]); "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.service')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert "service.request" not in (tmp_path / "profile.json").read_text()
+
+    def test_a_service_imported_after_install_still_counts_requests(self, monkeypatch):
+        """The order gridbench's traced worker uses: counters first, then
+        a set-up that imports the service for the first time."""
+        import asyncio
+        import importlib
+
+        import repro.service as service_pkg
+        from repro.service import RunStore, ServiceApi, ServiceClient, ServiceConfig
+
+        monkeypatch.setattr(service_pkg, "server", service_pkg.server)
+        monkeypatch.delitem(sys.modules, "repro.service.server")
+        wall = WallCounters()
+        install_wall(wall)
+        try:
+            assert "repro.service.server" not in sys.modules
+            server_mod = importlib.import_module("repro.service.server")
+
+            async def one_request():
+                store = RunStore(":memory:")
+                server = server_mod.ServiceServer(ServiceApi(store, ServiceConfig(secret="s")))
+                await server.start()
+                client = ServiceClient("127.0.0.1", server.port)
+                try:
+                    await client.health()
+                finally:
+                    await client.close()
+                    await server.stop()
+                    store.close()
+
+            asyncio.run(one_request())
+        finally:
+            clear_wall()
+        assert wall.counters["service.request.GET"][0] == 1
+        assert server_mod.WALL_PROFILE is None
 
     def test_wall_does_not_perturb_the_simulation(self):
         bare = _pool_run(seed=0)
