@@ -18,7 +18,7 @@ Examples::
 it, so same-seed runs are byte-identical regardless of ``--jobs``).
 ``--replay`` re-runs a shrunken reproducer spec and exits 0 only if the
 expected violations reproduce exactly (1 if they do not; 2, with one
-line on stderr, if the file is not a reproducer spec).  The ``fuzz``
+``error:`` line, if the file is not a reproducer spec).  The ``fuzz``
 subcommand swaps exhaustive enumeration for the coverage-guided explorer
 (:mod:`repro.campaign.fuzz`): same determinism contract, a budget
 instead of a matrix, and ``--checkpoint``/``--resume`` for campaigns
@@ -28,16 +28,16 @@ long enough to interrupt.
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from dataclasses import replace
 
+from repro.boundary import WorkerFailure, cli
 from repro.campaign.engine import run_campaign
 from repro.campaign.report import render_cell_profiles, render_fuzz_summary, render_summary
 from repro.campaign.shrink import replay
 from repro.campaign.spec import CATALOGUE, CampaignConfig, ConfigError
 from repro.core.principles import PrincipleViolationError
-from repro.harness.parallel import WorkerFailure, positive_worker_count
+from repro.harness.parallel import positive_worker_count
 from repro.obs.export import dump_json, reject_unwritable
 
 __all__ = ["fuzz_main", "main"]
@@ -98,6 +98,7 @@ def _emit_report(args: argparse.Namespace, report: dict, source: str) -> None:
         ingest_artifacts(args.results_db, [(source, report)])
 
 
+@cli
 def fuzz_main(argv: list[str] | None = None) -> int:
     from repro.campaign.fuzz import FuzzConfig, load_checkpoint, run_fuzz
 
@@ -144,22 +145,20 @@ def fuzz_main(argv: list[str] | None = None) -> int:
                 parser.error(f"{_flag(key)} {shape[section][key]!r} disagrees with "
                              f"the checkpoint's {value!r}")
     started = time.perf_counter()
-    try:
-        report = run_fuzz(
-            config,
-            jobs=args.jobs,
-            shrink=not args.no_shrink,
-            checkpoint=args.checkpoint,
-            resume=resume_state,
-        )
-    except WorkerFailure as exc:
-        raise SystemExit(f"fuzz worker failed: {exc}") from exc
+    report = run_fuzz(
+        config,
+        jobs=args.jobs,
+        shrink=not args.no_shrink,
+        checkpoint=args.checkpoint,
+        resume=resume_state,
+    )
     print(render_fuzz_summary(report))
     print(f"wall clock {time.perf_counter() - started:.3f}s")
     _emit_report(args, report, f"campaign-fuzz:{config.campaign.mode}@{config.campaign.seed}")
     return 0
 
 
+@cli
 def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "fuzz":
         return fuzz_main(argv[1:])
@@ -192,11 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.replay is not None:
-        try:
-            outcome = replay(args.replay)
-        except ValueError as exc:  # the spec is outside input: one line, no traceback
-            print(exc, file=sys.stderr)
-            return 2
+        outcome = replay(args.replay)
         status = "reproduced" if outcome["reproduced"] else "NOT reproduced"
         print(f"{outcome['cell']}: {status}")
         for violation in outcome["violations"]:
@@ -217,16 +212,11 @@ def main(argv: list[str] | None = None) -> int:
             shrink=not args.no_shrink,
             profile=args.profile,
         )
-    except WorkerFailure as exc:
-        if args.fail_fast and "PrincipleViolationError" in str(exc):
-            # The runner wraps the cell's fail-fast raise; the message
-            # already names the cell and the violation.
-            print(f"fail-fast: {exc}")
-            return 1
-        raise SystemExit(f"campaign worker failed: {exc}") from exc
-    except PrincipleViolationError as exc:
-        # --fail-fast froze a cell at its first live violation (shrink
-        # replays in-process, outside the runner).
+    except (WorkerFailure, PrincipleViolationError) as exc:
+        # --fail-fast froze a cell at its first live violation, in-process (shrink
+        # replays) or in the runner, whose message names cell and violation.
+        if isinstance(exc, WorkerFailure) and "PrincipleViolationError" not in str(exc):
+            raise
         print(f"fail-fast: {exc}")
         return 1
     summary = render_summary(report)

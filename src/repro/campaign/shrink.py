@@ -21,11 +21,11 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Sequence
 
+from repro.boundary import BadRequest
 from repro.campaign.engine import _violation_key, run_cell_record
 from repro.campaign.spec import (
     CampaignConfig,
     CellSpec,
-    ConfigError,
     FaultSpec,
     MutationSpace,
     validate_injections,
@@ -165,43 +165,41 @@ def replay(spec: dict | str) -> dict:
     JSON, the wrong format, a field missing or one
     :meth:`CampaignConfig.from_dict` rejects, an injection outside the
     spec's own pool and catalogue (:func:`validate_injections`) -- raises
-    the one
-    ``ValueError("not a campaign reproducer spec: <reason>")``.
+    the one ``BadRequest("not a campaign reproducer spec: <reason>")``.
 
     Always a fresh simulation: this is the shrinker's acceptance check,
     so it reads no record the shrinker or a campaign kept.
     """
-    what = "spec"
+    what = "spec: "
     try:
         if isinstance(spec, str):
-            what = "unreadable file"
+            what = "unreadable file: "
             with open(spec, encoding="utf-8") as fh:
                 text = fh.read()
-            what = "not JSON"
+            what = "not JSON: "
             spec = json.loads(text)
-        what = "format"
+        what = "format: "
         if not isinstance(spec, dict):
             raise ValueError(f"a JSON {type(spec).__name__}, not an object")
         if spec.get("format") != FORMAT:
             raise ValueError(f"{spec.get('format')!r}, not {FORMAT!r}")
+        what = ""  # a ConfigError names its field
         config = CampaignConfig.from_dict({
             key: spec[key] for key in _CONFIG_KEYS if key in spec or key not in _OPTIONAL
         })
-        what = "field 'injections'"
+        what = "field 'injections': "
         injections = tuple(FaultSpec.from_dict(d) for d in spec["injections"])
         space = MutationSpace.from_config(config, order_max=len(injections))
         problems = validate_injections(injections, space)
         if problems:
             raise ValueError("; ".join(problems))
-        what = "field 'expect'"
+        what = "field 'expect': "
         expect = list(spec.get("expect", []))
         expect_keys = sorted(map(_violation_key, expect))
     except KeyError as exc:
-        raise ValueError(f"not a campaign reproducer spec: missing field {exc}") from exc
-    except ConfigError as exc:
-        raise ValueError(f"not a campaign reproducer spec: {exc}") from exc
+        raise BadRequest(f"not a campaign reproducer spec: missing field {exc}") from exc
     except (OSError, TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"not a campaign reproducer spec: {what}: {exc}") from exc
+        raise BadRequest(f"not a campaign reproducer spec: {what}{exc}") from exc
     cell = CellSpec(
         cell_id=str(spec.get("cell", "replay")),
         mode=config.mode,

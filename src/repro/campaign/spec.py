@@ -23,6 +23,7 @@ import itertools
 from dataclasses import asdict, dataclass
 
 from repro import faults
+from repro.boundary import ConfigError
 from repro.condor.daemons.config import CondorConfig
 from repro.obs.canonical import to_jsonable
 
@@ -168,17 +169,6 @@ class CellSpec:
             seed=int(data["seed"]),
             injections=tuple(FaultSpec.from_dict(d) for d in data["injections"]),
         )
-
-
-class ConfigError(ValueError):
-    """One field of a campaign's shape is wrong; ``field`` names it."""
-
-    def __init__(self, field: str, problem: str):
-        super().__init__(field, problem)
-        self.field, self.problem = field, problem
-
-    def __str__(self) -> str:
-        return f"field {self.field!r}: {self.problem}"
 
 
 def read_fields(data: dict, readers: dict) -> dict:

@@ -16,7 +16,7 @@ With ``--jobs N`` the named experiments run concurrently in worker
 processes; tables are still printed in stable (sorted) name order, so
 the output is byte-identical to a serial run apart from the wall-clock
 footers.  A crashed or hung worker surfaces as an explicit error naming
-the experiment (P1/P2), never as silently missing output.
+the experiment (P1/P2): one ``error:`` line, exit 1.
 
 ``--trace`` / ``--metrics`` / ``--profile`` attach a
 :class:`repro.obs.ObservationSession` for the run and write a JSONL
@@ -28,8 +28,9 @@ wall-clock fields, so same-seed runs produce byte-identical files
 telemetry flags reject ``--jobs > 1`` with an error naming the exact
 conflict.  An output path nothing can be written at is a usage error too
 (exit 2, naming the flag and the path) before the first experiment runs,
-and so is a name the registry (:mod:`repro.harness.experiments`) does not
-hold, ``all`` next to other names, or a name given twice.  This module is
+as are a ``--results-db`` that is not a results store, a name the
+registry (:mod:`repro.harness.experiments`) does not hold, ``all`` next
+to other names, or a name given twice.  This module is
 argv -> calls: it runs no experiment itself and re-exports the library's
 ``EXPERIMENTS``, ``run_experiment*`` and ``harness_payload``.
 """
@@ -41,6 +42,7 @@ import contextlib
 import sys
 from pathlib import Path
 
+from repro.boundary import cli
 from repro.harness.experiments import (
     EXPERIMENTS,
     UnknownExperiment,
@@ -50,7 +52,7 @@ from repro.harness.experiments import (
     run_experiment_record,
     run_experiments,
 )
-from repro.harness.parallel import WorkerFailure, positive_worker_count
+from repro.harness.parallel import positive_worker_count
 from repro.obs.export import ObservationSession, dump_json, reject_unwritable
 from repro.obs.profile import render_profile
 
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 
+@cli
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "campaign":
@@ -137,12 +140,8 @@ def main(argv: list[str] | None = None) -> int:
     session = ObservationSession(
         trace_path=args.trace, metrics_path=args.metrics, profile_path=args.profile
     ) if telemetry_flags else None
-    try:
-        with session or contextlib.nullcontext():
-            records = run_experiments(names, seed=args.seed, jobs=args.jobs)
-    except WorkerFailure as exc:
-        print(f"error: experiment worker failed: {exc}", file=sys.stderr)
-        return 1
+    with session or contextlib.nullcontext():
+        records = run_experiments(names, seed=args.seed, jobs=args.jobs)
     for record in records:
         print(record["rendered"])
         print()

@@ -18,6 +18,7 @@ import typing
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
+from repro.boundary import UnknownExperiment
 from repro.condor import Job, JobState, Pool, PoolConfig, ProgramImage, Universe
 from repro.condor.daemons.config import CondorConfig
 from repro.core.principles import PrincipleAuditor
@@ -59,16 +60,6 @@ MB = 2**20
 EXPERIMENTS: dict[str, Callable] = {}
 
 
-class UnknownExperiment(LookupError):
-    """No experiment is registered under the name: a usage error at
-    whichever edge the name came in through (CLI exit 2, service 400)."""
-
-    def __init__(self, name):
-        super().__init__(
-            f"unknown experiment {name!r}; try one of: {', '.join(sorted(EXPERIMENTS))}"
-        )
-
-
 def experiment(name: str, anchor: str):
     """Register the decorated runner as the experiment *name*."""
 
@@ -86,7 +77,7 @@ def lookup(name) -> Callable:
     try:
         return EXPERIMENTS[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name from a JSON body
-        raise UnknownExperiment(name) from None
+        raise UnknownExperiment(name, EXPERIMENTS) from None
 
 
 def harness_payload(seed: int, experiments: dict[str, dict]) -> dict:

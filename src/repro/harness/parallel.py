@@ -30,6 +30,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
+from repro.boundary import WorkerFailure
+
 __all__ = [
     "ItemResult",
     "ParallelRunner",
@@ -58,30 +60,6 @@ def positive_worker_count(text: str) -> int:
             f"invalid worker count {value}: must be >= 1 (use 1 for serial)"
         )
     return value
-
-
-class WorkerFailure(RuntimeError):
-    """A worker crashed, hung, or raised: explicit, never silent (P1/P2).
-
-    ``items`` names exactly the work the failed worker was responsible
-    for (for seed replication, the seeds), so the caller knows which
-    samples are missing rather than receiving a shorter array.
-    """
-
-    def __init__(self, message: str, items: Sequence[Any] = (), cause: str = ""):
-        super().__init__(message)
-        self.items = tuple(items)
-        self.cause = cause
-
-    @property
-    def seeds(self) -> tuple:
-        """Alias for ``items`` when the work units are seeds."""
-        return self.items
-
-    def __reduce__(self):
-        # Exceptions pickle by re-calling __init__ with .args; carry the
-        # extra attributes across the process boundary explicitly.
-        return (type(self), (self.args[0] if self.args else "", self.items, self.cause))
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,17 @@ def unwritable(path: str) -> str | None:
 
 def reject_unwritable(parser, args, *flags: str) -> None:
     """``parser.error`` (exit 2, one line naming the flag and the path) for
-    the first of the output *flags* set in *args* that is :func:`unwritable`."""
+    the first of the output *flags* set in *args* that is :func:`unwritable`.
+    A ``--results-db`` file is opened now, so one that is no results store
+    is its ``StoreOpenError`` before the run, not after it."""
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
         if path and (why := unwritable(path)):
             parser.error(f"{flag} {path}: {why}")
+    if "--results-db" in flags and args.results_db and os.path.exists(args.results_db):
+        from repro.obs.store import ResultsStore
+
+        ResultsStore(args.results_db).close()
 
 
 def dump_json(path: str, obj: Any) -> None:

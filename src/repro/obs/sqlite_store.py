@@ -11,7 +11,8 @@
   subclass's ``SCHEMA`` fails to open with :class:`StoreSchemaError`.
 - **Open**: a path SQLite cannot open or create, or a file that is not a
   database, fails with :class:`StoreOpenError`, never a bare ``sqlite3``
-  exception.
+  exception; :meth:`SqliteStore.existing` opens for a read and creates
+  nothing.  The three errors live in :mod:`repro.boundary`.
 - **Writes**: :meth:`SqliteStore.transaction` is the only place a
   commit or rollback happens -- one per unit of work.
 """
@@ -19,9 +20,12 @@
 from __future__ import annotations
 
 import contextlib
+import os
 import sqlite3
 from collections.abc import Callable, Iterator
 from typing import Self
+
+from repro.boundary import NotFound, StoreDurabilityError, StoreOpenError, StoreSchemaError
 
 __all__ = ["SqliteStore", "StoreDurabilityError", "StoreOpenError", "StoreSchemaError"]
 
@@ -31,18 +35,6 @@ CREATE TABLE IF NOT EXISTS meta (
     value TEXT NOT NULL
 );
 """
-
-
-class StoreSchemaError(RuntimeError):
-    """The database on disk speaks a different schema version."""
-
-
-class StoreDurabilityError(RuntimeError):
-    """The database file cannot run under the store's WAL durability policy."""
-
-
-class StoreOpenError(RuntimeError):
-    """There is no database at the path and none can be created there."""
 
 
 class SqliteStore:
@@ -55,6 +47,16 @@ class SqliteStore:
     SCHEMA: str
     #: ``CREATE TABLE IF NOT EXISTS`` script for the subclass's tables.
     TABLES: str
+    #: the ``NotFound`` code :meth:`existing` raises.
+    MISSING = "NO_STORE"
+
+    @classmethod
+    def existing(cls, path: str) -> Self:
+        """Open the store already at *path*, as every read does: a path with
+        no file is :class:`NotFound` and nothing is created."""
+        if not os.path.exists(path):
+            raise NotFound(f"no store at {path!r}; a read creates none", code=cls.MISSING)
+        return cls(path)
 
     def __init__(self, path: str = ":memory:"):
         self.path = path

@@ -154,6 +154,7 @@ class ResultsStore(SqliteStore):
 
     SCHEMA = RESULTS_SCHEMA
     TABLES = _TABLES
+    MISSING = "NO_RESULTS_DB"
 
     def __init__(self, path: str = "repro-results.db", now: Callable[[], float] = time.time):
         super().__init__(path)

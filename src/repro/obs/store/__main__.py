@@ -16,8 +16,9 @@ profile exports) and keeps going past rejected files, reporting each
 with its structured code.  ``trend`` renders a per-commit trajectory
 and flags wall regressions; ``diff`` compares the gridbench runs of two
 commits (fingerprints exact, wall side thresholded by the same rule).
-Exit codes: 0 ok, 1 regression / rejected file, 2 missing commit, no
-data, or a store that cannot be opened (one ``error:`` line).
+Exit 0 ok, 1 a regression or a rejected file, 2 (one ``error:`` line) a
+store, commit or metric that is not there or a store that cannot be
+used; a read never creates the store (``ResultsStore.existing``).
 """
 
 from __future__ import annotations
@@ -25,15 +26,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.boundary import NotFound, cli
 from repro.obs.canonical import pretty_json
-from repro.obs.store import (
-    IngestError,
-    ResultsStore,
-    StoreDurabilityError,
-    StoreOpenError,
-    StoreSchemaError,
-    default_commit,
-)
+from repro.obs.store import IngestError, ResultsStore, default_commit
 from repro.obs.store.query import (
     add_threshold_options,
     diff_commits,
@@ -67,7 +62,7 @@ def _ingest_main(args: argparse.Namespace) -> int:
 
 
 def _query_main(args: argparse.Namespace) -> int:
-    with ResultsStore(args.db) as store:
+    with ResultsStore.existing(args.db) as store:
         rows = store.runs(kind=args.kind, commit=args.commit, limit=args.limit)
     if args.strip_wall:
         for row in rows:
@@ -80,7 +75,7 @@ def _query_main(args: argparse.Namespace) -> int:
 
 
 def _trend_main(args: argparse.Namespace) -> int:
-    with ResultsStore(args.db) as store:
+    with ResultsStore.existing(args.db) as store:
         if args.metric is None:
             print("metrics in store:")
             for name, count in store.metric_names():
@@ -89,10 +84,8 @@ def _trend_main(args: argparse.Namespace) -> int:
         trend = store.trend(args.metric, label=args.label)
     if not trend["series"]:
         suffix = f" with label ~{args.label!r}" if args.label else ""
-        print(f"no data for metric {args.metric!r}{suffix}; "
-              "`trend` with no --metric lists what the store has",
-              file=sys.stderr)
-        return 2
+        raise NotFound(f"no data for metric {args.metric!r}{suffix}; "
+                       "`trend` with no --metric lists what the store has")
     table, regressions = trend_table(
         trend,
         wall_threshold=args.wall_threshold,
@@ -109,18 +102,14 @@ def _trend_main(args: argparse.Namespace) -> int:
 
 
 def _diff_main(args: argparse.Namespace) -> int:
-    try:
-        with ResultsStore(args.db) as store:
-            diff = diff_commits(
-                store,
-                args.commit_a,
-                args.commit_b,
-                wall_threshold=args.wall_threshold,
-                min_wall_seconds=args.min_wall_seconds,
-            )
-    except LookupError as exc:
-        print(f"MISSING COMMIT: {exc}", file=sys.stderr)
-        return 2
+    with ResultsStore.existing(args.db) as store:
+        diff = diff_commits(
+            store,
+            args.commit_a,
+            args.commit_b,
+            wall_threshold=args.wall_threshold,
+            min_wall_seconds=args.min_wall_seconds,
+        )
     if args.json:
         sys.stdout.write(pretty_json(diff))
     else:
@@ -129,7 +118,7 @@ def _diff_main(args: argparse.Namespace) -> int:
 
 
 def _gc_main(args: argparse.Namespace) -> int:
-    with ResultsStore(args.db) as store:
+    with ResultsStore.existing(args.db) as store:
         result = store.gc(keep=args.keep, dry_run=args.dry_run)
     verb = "would delete" if args.dry_run else "deleted"
     print(f"gc: {verb} {len(result['deleted'])} run(s), kept {result['kept']} "
@@ -137,6 +126,7 @@ def _gc_main(args: argparse.Namespace) -> int:
     return 0
 
 
+@cli
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.store",
@@ -192,18 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gc" and args.keep < 1:
         gc.error(f"--keep must be >= 1, got {args.keep}")
-    command = {
+    return {
         "ingest": _ingest_main,
         "query": _query_main,
         "trend": _trend_main,
         "diff": _diff_main,
         "gc": _gc_main,
-    }[args.command]
-    try:
-        return command(args)
-    except (StoreOpenError, StoreSchemaError, StoreDurabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    }[args.command](args)
 
 
 if __name__ == "__main__":

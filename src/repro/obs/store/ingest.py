@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.boundary import IngestError
 from repro.obs.canonical import strip_wall
 from repro.obs.summary import TRACE_SCHEMA, RunSummary
 
@@ -51,19 +52,6 @@ ARTIFACT_SCHEMAS = {
     "repro-metrics/1": "metrics",
     "repro-profile/1": "profile",
 }
-
-
-class IngestError(ValueError):
-    """A source that cannot become a results-store row, with a typed code."""
-
-    def __init__(self, code: str, source: str, message: str):
-        self.code = code
-        self.source = source
-        self.message = message
-        super().__init__(f"{source}: [{code}] {message}")
-
-    def to_dict(self) -> dict:
-        return {"code": self.code, "source": self.source, "message": self.message}
 
 
 @dataclass

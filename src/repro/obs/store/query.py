@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.boundary import NotFound
 from repro.harness.report import Table
 from repro.obs.store import ResultsStore
 
@@ -156,7 +157,7 @@ def diff_commits(
     known = store.commits()
     missing = [sha for sha in (commit_a, commit_b) if sha not in known]
     if missing:
-        raise LookupError(
+        raise NotFound(
             f"commit(s) {', '.join(missing)} not in the results store"
             f" (known: {', '.join(known) if known else 'none'})"
         )

@@ -2,10 +2,11 @@
 
 Transport-free like :class:`repro.service.api.ServiceApi`: the service
 layer calls :meth:`ResultsWeb.handle` with the already-split path and
-query string and gets back ``(status, payload, content_type)``.  This
-module deliberately does NOT import ``repro.service`` -- the service
-mounts us, not the other way round -- so the store/web pair stays
-usable from tests and scripts without the asyncio stack.
+query string and gets back ``(status, payload, content_type)``, or a
+:mod:`repro.boundary` error its server renders.  This module deliberately
+does NOT import ``repro.service`` -- the service mounts us, not the other
+way round -- so the store/web pair stays usable from tests and scripts
+without the asyncio stack.
 
 Every route reads the results store fresh per request (SQLite open is
 cheap and the ingest side may be another process), so the console
@@ -25,6 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable
 
+from repro.boundary import BadRequest, BoundaryError, MethodNotAllowed, NotFound
 from repro.harness.report import Table
 from repro.obs.console import (
     SCOPE_LADDER,
@@ -33,20 +35,10 @@ from repro.obs.console import (
     summary_table,
     time_table,
 )
-from repro.obs.store import (
-    RESULTS_SCHEMA,
-    ResultsStore,
-    StoreDurabilityError,
-    StoreOpenError,
-    StoreSchemaError,
-)
+from repro.obs.store import RESULTS_SCHEMA, ResultsStore
 from repro.obs.store.query import trend_table
 
 __all__ = ["ResultsWeb"]
-
-
-class _Rejected(Exception):
-    """A typed error envelope: ``(status, code, message)``."""
 
 
 class ResultsWeb:
@@ -69,13 +61,9 @@ class ResultsWeb:
     def handle(
         self, method: str, parts: list[str], query: dict[str, str]
     ) -> tuple[int, dict | bytes, str]:
-        """Dispatch one ``/v1/results/<parts...>`` request.
-
-        Returns the service-layer triple; every rejection (unknown route,
-        write method, bad parameter, missing or unusable store) comes
-        back as an enveloped error rather than an exception, so the
-        mounting layer stays a straight pass-through.
-        """
+        """Dispatch one ``/v1/results/<parts...>`` request: the service-layer
+        triple, or a typed error (unknown route, write method, bad
+        parameter, missing or unusable store)."""
         routes = {
             ("summary",): self._summary,
             ("runs",): self._runs,
@@ -84,36 +72,16 @@ class ResultsWeb:
             ("flame",): self._flame,
             ("matrix",): self._matrix,
         }
-        try:
-            if method != "GET":
-                raise _Rejected(405, "METHOD_NOT_ALLOWED",
-                                f"results routes are read-only; no {method}")
-            handler = routes.get(tuple(parts))
-            if handler is None:
-                raise _Rejected(
-                    404, "NOT_FOUND",
-                    f"no results route /v1/results/{'/'.join(parts)}; "
-                    f"have: {', '.join('/'.join(r) for r in sorted(routes))}",
-                )
-            with self._open() as store:
-                return 200, handler(store, query), "json"
-        except _Rejected as rejected:
-            status, code, message = rejected.args
-            return status, {"error": {"code": code, "message": message}}, "json"
-
-    def _open(self) -> ResultsStore:
-        if not self.db_path.exists():
-            raise _Rejected(
-                404, "NO_RESULTS_DB",
-                f"results store {str(self.db_path)!r} not found; create it with "
-                f"`python -m repro.obs.store ingest <artifacts...> --db {self.db_path}`",
+        if method != "GET":
+            raise MethodNotAllowed(f"results routes are read-only; no {method}")
+        handler = routes.get(tuple(parts))
+        if handler is None:
+            raise NotFound(
+                f"no results route /v1/results/{'/'.join(parts)}; "
+                f"have: {', '.join('/'.join(r) for r in sorted(routes))}"
             )
-        try:
-            return ResultsStore(str(self.db_path))
-        except (StoreOpenError, StoreSchemaError, StoreDurabilityError) as exc:
-            raise _Rejected(
-                503, "RESULTS_STORE_UNAVAILABLE", f"{type(exc).__name__}: {exc}"
-            ) from None
+        with ResultsStore.existing(str(self.db_path)) as store:
+            return 200, handler(store, query), "json"
 
     # -- routes ----------------------------------------------------------
     def _summary(self, store: ResultsStore, query: dict) -> dict:
@@ -139,8 +107,7 @@ class ResultsWeb:
         except ValueError:
             valid = False
         if not valid:
-            raise _Rejected(400, "BAD_REQUEST",
-                            f"limit must be a positive integer, got {limit!r}")
+            raise BadRequest(f"limit must be a positive integer, got {limit!r}")
         rows = store.runs(
             kind=query.get("kind") or None,
             commit=query.get("commit") or None,
@@ -151,9 +118,8 @@ class ResultsWeb:
     def _trend(self, store: ResultsStore, query: dict) -> dict:
         metric = query.get("metric")
         if not metric:
-            raise _Rejected(400, "BAD_REQUEST",
-                            "trend needs ?metric=<name>; see /v1/results/summary "
-                            "for the metric list")
+            raise BadRequest("trend needs ?metric=<name>; see /v1/results/summary "
+                             "for the metric list")
         return store.trend(metric, label=query.get("label") or None)
 
     def _errors(self, store: ResultsStore, query: dict) -> dict:
@@ -192,11 +158,11 @@ class ResultsWeb:
     def console_page(self) -> tuple[int, bytes, str]:
         """The GridConsole page: the console's panels, rendered server-side."""
         try:
-            with self._open() as store:
+            with ResultsStore.existing(str(self.db_path)) as store:
                 panels = self._panels(store)
-        except _Rejected as rejected:
-            status, code, message = rejected.args
-            panels = [Table(["no results store"], [[f"{status} {code}: {message}"]])]
+        except BoundaryError as exc:
+            why = f"{exc.http_status} {exc.code}: {exc.message}"
+            panels = [Table(["no results store"], [[why]])]
         body = "\n".join(table.html() for table in panels)
         return 200, _PAGE.replace("<!--panels-->", body).encode("utf-8"), "html"
 

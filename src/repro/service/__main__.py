@@ -14,8 +14,9 @@ Examples::
 
 ``serve`` installs SIGINT/SIGTERM handlers for a clean shutdown: stop
 accepting, cancel the drain task, close the store, exit 0 -- the CI
-smoke job asserts exactly this.  Also reachable as
-``python -m repro.harness serve ...``.
+smoke job asserts exactly this.  Bad input (a secret, a port, a run
+that is not there or not done) is one ``error:`` line, exit 2, before
+anything is created.  Also reachable as ``python -m repro.harness serve``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import contextlib
 import signal
 import sys
 import time
+from pathlib import Path
 
+from repro.boundary import BadRequest, cli
 from repro.harness.parallel import positive_worker_count
 from repro.service.api import ServiceApi, ServiceConfig
 from repro.service.auth import mint_token
@@ -38,13 +41,14 @@ __all__ = ["main"]
 
 
 def _secret_from(args: argparse.Namespace) -> str:
+    secret = args.secret or ""
     if args.secret_file:
-        with open(args.secret_file, encoding="utf-8") as fh:
-            secret = fh.read().strip()
-    else:
-        secret = args.secret or ""
+        try:
+            secret = Path(args.secret_file).read_text(encoding="utf-8").strip()
+        except OSError as exc:
+            raise BadRequest(f"--secret-file {args.secret_file}: {exc.strerror}") from None
     if not secret:
-        raise SystemExit("a service secret is required: pass --secret or --secret-file")
+        raise BadRequest("a service secret is required: pass --secret or --secret-file")
     return secret
 
 
@@ -88,6 +92,7 @@ async def _serve(args: argparse.Namespace, secret: str) -> int:
     return 0
 
 
+@cli
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
@@ -135,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         print(mint_token(_secret_from(args), args.user, int(time.time()) + args.ttl))
         return 0
     if args.command == "replay":
-        with RunStore(args.db) as store:
+        with RunStore.existing(args.db) as store:
             verdict = replay_run(store, args.run_id)
         for name, ok in sorted(verdict["checked"].items()):
             print(f"replay run {args.run_id} [{verdict['kind']}] "
@@ -143,6 +148,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if verdict["match"] else 1
     if args.queue_limit < 1:
         serve.error(f"--queue-limit must be >= 1, got {args.queue_limit}")
+    if not 0 <= args.port <= 65535:
+        serve.error(f"--port must be in [0, 65535], got {args.port}")
     return asyncio.run(_serve(args, _secret_from(args)))
 
 

@@ -2,7 +2,7 @@
 
 Transport-free: :meth:`ServiceApi.handle` maps ``(method, path, headers,
 body)`` to ``(status, payload, content_type)`` and raises only
-:class:`~repro.service.errors.ServiceError` subtypes.  The HTTP server
+:class:`~repro.boundary.BoundaryError` subtypes.  The HTTP server
 is a thin shell around it, and tests can drive the full route surface
 without a socket.
 
@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 from urllib.parse import parse_qsl
 
+from repro.boundary import BadRequest, NotFound, QueueFull, WrongTenant
 from repro.obs.web import ResultsWeb
 from repro.service.auth import bearer_user
-from repro.service.errors import BadRequest, NotFound, QueueFull, WrongTenant
 from repro.service.specs import (
     normalize_campaign_spec,
     normalize_experiment_spec,
@@ -93,8 +93,8 @@ class ServiceApi:
     ) -> tuple[int, dict | bytes, str]:
         """Dispatch one request; returns (status, payload, content_type).
 
-        Raises :class:`ServiceError` subtypes for every rejection; the
-        transport turns them into their HTTP envelope.
+        Raises :class:`~repro.boundary.BoundaryError` subtypes for every
+        rejection; the transport turns them into their HTTP envelope.
         """
         path, _, query_string = path.partition("?")
         parts = [p for p in path.split("/") if p]

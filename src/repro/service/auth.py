@@ -32,8 +32,8 @@ import hashlib
 import hmac
 import re
 
+from repro.boundary import AuthError, BadRequest
 from repro.chirp.auth import secrets_equal
-from repro.service.errors import AuthError, BadRequest
 
 __all__ = [
     "TOKEN_VERSION",

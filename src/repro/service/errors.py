@@ -1,99 +1,20 @@
-"""Typed service errors: every rejection has a stable code and HTTP status.
+"""The service's typed rejections: the HTTP family of :mod:`repro.boundary`,
+re-exported under their old path.  ``ServiceError`` is the base class."""
 
-The paper's P1 ("a program must not generate an implicit error as a
-result of receiving an explicit error") applied to a service edge:
-clients never see a hung socket, a bare traceback, or a silently dropped
-request.  Every failure the edge can produce is one of these types, and
-each serialises to the same JSON envelope::
+from repro.boundary import (
+    AuthError,
+    BadRequest,
+    BoundaryError,
+    MethodNotAllowed,
+    NotFound,
+    PayloadTooLarge,
+    QueueFull,
+    WrongTenant,
+)
 
-    {"error": {"code": "QUEUE_FULL", "message": "..."}}
-
-so a client can dispatch on ``code`` without parsing prose.
-"""
-
-from __future__ import annotations
+ServiceError = BoundaryError
 
 __all__ = [
-    "AuthError",
-    "BadRequest",
-    "NotFound",
-    "PayloadTooLarge",
-    "QueueFull",
-    "ServiceError",
-    "WrongTenant",
+    "AuthError", "BadRequest", "MethodNotAllowed", "NotFound", "PayloadTooLarge", "QueueFull",
+    "ServiceError", "WrongTenant",
 ]
-
-
-class ServiceError(Exception):
-    """Base of every typed rejection the service produces."""
-
-    #: Stable machine-readable code; subclasses set a default and
-    #: callers may narrow it (e.g. ``TOKEN_EXPIRED`` under 401).
-    code = "INTERNAL"
-    http_status = 500
-
-    def __init__(self, message: str, code: str | None = None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
-
-    @property
-    def message(self) -> str:
-        return self.args[0] if self.args else ""
-
-    def to_json(self) -> dict:
-        """The wire envelope for this rejection."""
-        return {"error": {"code": self.code, "message": self.message}}
-
-
-class BadRequest(ServiceError):
-    """The request is malformed: bad JSON, bad spec, bad parameter."""
-
-    code = "BAD_REQUEST"
-    http_status = 400
-
-
-class AuthError(ServiceError):
-    """The caller is not authenticated.
-
-    ``code`` narrows the reason: ``UNAUTHENTICATED`` (no credentials),
-    ``TOKEN_INVALID`` (garbled, wrong signature, wrong service secret),
-    ``TOKEN_EXPIRED`` (signature fine, lifetime over).
-    """
-
-    code = "UNAUTHENTICATED"
-    http_status = 401
-
-
-class WrongTenant(ServiceError):
-    """Authenticated, but the resource belongs to another tenant."""
-
-    code = "WRONG_TENANT"
-    http_status = 403
-
-
-class NotFound(ServiceError):
-    """No such route, run, or artifact."""
-
-    code = "NOT_FOUND"
-    http_status = 404
-
-
-class PayloadTooLarge(ServiceError):
-    """The request body exceeds the service's byte budget."""
-
-    code = "PAYLOAD_TOO_LARGE"
-    http_status = 413
-
-
-class QueueFull(ServiceError):
-    """Graceful rejection under load: the admission queue is at capacity.
-
-    The resilience-pattern reading: rejecting at admission with a typed
-    error is the service-scope handler for overload; accepting and then
-    failing implicitly would push the error into the client's scope in
-    unrecognisable clothing.
-    """
-
-    code = "QUEUE_FULL"
-    http_status = 429

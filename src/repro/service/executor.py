@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+from repro.boundary import BadRequest
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignConfig
 from repro.condor import Job, Pool, PoolConfig, ProgramImage
@@ -356,9 +357,7 @@ def replay_run(store: RunStore, run_id: int) -> dict:
     """
     status = store.run_status(run_id)
     if status["state"] != "done":
-        raise ValueError(
-            f"run {run_id} is {status['state']!r}; only done runs replay"
-        )
+        raise BadRequest(f"run {run_id} is {status['state']!r}; only done runs replay")
     kind = status["kind"]
     if kind == "job":
         batch = json.loads(store.get_artifact(run_id, "batch"))

@@ -24,7 +24,7 @@ from time import perf_counter_ns
 from repro.obs.canonical import canonical_json
 from repro.obs.profile import installed_wall
 from repro.service.api import ServiceApi
-from repro.service.errors import BadRequest, PayloadTooLarge, ServiceError
+from repro.boundary import BadRequest, BoundaryError, MethodNotAllowed, PayloadTooLarge
 from repro.service.executor import ServiceExecutor
 
 __all__ = ["MAX_BODY_BYTES", "MAX_HEAD_BYTES", "ServiceServer"]
@@ -183,7 +183,7 @@ class ServiceServer:
             return False
         try:
             method, path, headers = self._parse_head(head)
-        except BadRequest as exc:
+        except BoundaryError as exc:
             await self._write(writer, exc.http_status, exc.to_json(), "json", False)
             return False
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
@@ -192,7 +192,7 @@ class ServiceServer:
         try:
             body = await self._read_body(reader, headers)
             status, payload, content_type = self.api.handle(method, path, headers, body)
-        except ServiceError as exc:
+        except BoundaryError as exc:
             status, payload, content_type = exc.http_status, exc.to_json(), "json"
         except Exception as exc:  # noqa: BLE001 - edge of the process: typed 500
             status, payload, content_type = 500, {
@@ -213,7 +213,7 @@ class ServiceServer:
         if not version.startswith("HTTP/1."):
             raise BadRequest(f"unsupported protocol {version!r}")
         if method not in ("GET", "POST"):
-            raise BadRequest(f"unsupported method {method!r}", code="METHOD_NOT_ALLOWED")
+            raise MethodNotAllowed(f"unsupported method {method!r}")
         headers: dict[str, str] = {}
         for line in lines[1:]:
             if not line:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.boundary import BadRequest
 from repro.campaign.spec import CampaignConfig
-from repro.harness.experiments import UnknownExperiment, lookup
-from repro.service.errors import BadRequest
+from repro.harness.experiments import lookup
 
 __all__ = [
     "BATCH_SCHEMA",
@@ -120,10 +120,7 @@ def normalize_experiment_spec(payload: Any) -> dict:
     payload = _require_mapping(payload)
     _reject_unknown(payload, ("experiment", "seed"))
     name = payload.get("experiment")
-    try:
-        lookup(name)
-    except UnknownExperiment as exc:
-        raise BadRequest(str(exc)) from None
+    lookup(name)  # an UnknownExperiment is a BadRequest
     seed = _int_field(payload, "seed", default=0, lo=0, hi=2**31 - 1)
     return {"experiment": name, "seed": seed}
 
@@ -131,7 +128,7 @@ def normalize_experiment_spec(payload: Any) -> dict:
 def normalize_campaign_spec(payload: Any) -> dict:
     """Validate a campaign-launch submission (bounded matrix sweep): the
     service bounds the integers, :class:`CampaignConfig` judges the rest
-    and writes the stored spec."""
+    (a ``ConfigError`` is a ``BadRequest``) and writes the stored spec."""
     payload = _require_mapping(payload)
     _reject_unknown(payload, _CAMPAIGN_FIELDS)
     for name, (lo, hi) in _CAMPAIGN_BOUNDS.items():
@@ -142,10 +139,7 @@ def normalize_campaign_spec(payload: Any) -> dict:
         if not isinstance(kinds, list) or not kinds:
             raise BadRequest("'kinds' must be a non-empty list of fault kinds")
         payload = {**payload, "kinds": sorted(set(map(str, kinds)))}
-    try:
-        shape = CampaignConfig.from_dict(payload).as_dict()
-    except ValueError as exc:
-        raise BadRequest(str(exc)) from None
+    shape = CampaignConfig.from_dict(payload).as_dict()
     return {name: shape[name] for name in _CAMPAIGN_FIELDS}
 
 

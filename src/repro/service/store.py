@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from functools import partial
 
+from repro.boundary import NotFound
 from repro.obs.canonical import canonical_json
 from repro.obs.sqlite_store import (
     SqliteStore,
@@ -39,7 +40,6 @@ from repro.obs.sqlite_store import (
     StoreOpenError,
     StoreSchemaError,
 )
-from repro.service.errors import NotFound
 
 __all__ = [
     "RUN_STATES",

@@ -117,7 +117,7 @@ class TestMalformedSpecIsOutsideInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("not a campaign reproducer spec: ")
+        assert line.startswith("error: not a campaign reproducer spec: ")
 
     def test_missing_field(self, good, tmp_path, capsys):
         spec = {k: v for k, v in good.items() if k != "mode"}

@@ -149,7 +149,7 @@ class TestNameUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: experiment worker failed: worker died on 'fig4'"
+            "error: worker died on 'fig4'"
         ]
 
 

@@ -66,8 +66,8 @@ class TestOneRegistry:
             for path in SRC.rglob("*.py")
             if "unknown experiment" in path.read_text(encoding="utf-8")
         ]
-        assert spellers == ["harness/experiments.py"]
-        sentence = str(E.UnknownExperiment("nosuch"))
+        assert spellers == ["boundary.py"]
+        sentence = str(E.UnknownExperiment("nosuch", E.EXPERIMENTS))
         assert sentence.startswith("unknown experiment 'nosuch'; try one of: black_hole, ")
         with pytest.raises(E.UnknownExperiment):
             E.run_experiment_record("nosuch")

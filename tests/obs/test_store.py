@@ -438,7 +438,7 @@ class TestRejection:
                              source="gridbench-bad.json")
         assert err.value.code == "MALFORMED"
         assert "gridbench-bad.json" in str(err.value)
-        assert err.value.to_dict()["code"] == "MALFORMED"
+        assert err.value.code == "MALFORMED"
         assert store.runs() == []
         store.close()
 
@@ -549,7 +549,7 @@ class TestTrendAndDiff:
         store.ingest_obj(GRIDBENCH_DOC, source="gridbench.json", commit="a")
         store.close()
         assert store_main(["diff", "a", "ghost", "--db", db]) == 2
-        assert "MISSING COMMIT" in capsys.readouterr().err
+        assert "error: commit(s) ghost not in the results store" in capsys.readouterr().err
 
     @pytest.mark.parametrize("before, after, regressed", [
         (0.2, 0.39, False),    # noise alone passes

@@ -94,6 +94,20 @@ class TestRoutes:
 
         assert run_service(check) == [(404, "NOT_FOUND")] * 3
 
+    def test_an_unsupported_method_is_405_at_the_edge_as_in_the_results_view(self):
+        """``METHOD_NOT_ALLOWED`` is one class with one status: the edge
+        used to answer it 400 while ``/v1/results`` answered 405."""
+
+        async def check(server, store):
+            client = ServiceClient("127.0.0.1", server.port)
+            try:
+                response = await client.request("DELETE", "/v1/health")
+                return response.status, response.json()["error"]["code"]
+            finally:
+                await client.close()
+
+        assert run_service(check) == (405, "METHOD_NOT_ALLOWED")
+
     def test_artifact_listing_before_completion_is_empty(self):
         async def check(server, store):
             client = client_for(server, token_for())

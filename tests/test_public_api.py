@@ -9,6 +9,7 @@ import repro
 
 PUBLIC_MODULES = [
     "repro",
+    "repro.boundary",
     "repro.campaign",
     "repro.campaign.cli",
     "repro.campaign.corpus",
