@@ -7,21 +7,24 @@ its class alone decides how each boundary shows it.  A ``main()`` under
 (2: bad input or usage, an unusable store, something asked for that is
 not there; 1: work that failed).  The service answers ``http_status`` with
 ``{"error": {"code": ..., "message": ...}}``.  DESIGN §6's boundary table
-lists every class.  Stdlib only and importing nothing from ``repro``, so
-every layer can raise these.
+lists every class; :func:`read_fields` reads every stored or submitted
+spec.  Stdlib only and importing nothing from ``repro``, so every layer
+can raise these.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from typing import Any
+from typing import Any, ClassVar
 
 __all__ = [
-    "AuthError", "BadRequest", "BoundaryError", "ConfigError", "IngestError", "MethodNotAllowed",
-    "NotFound", "PayloadTooLarge", "QueueFull", "StoreDurabilityError", "StoreOpenError",
-    "StoreSchemaError", "UnknownExperiment", "WorkerFailure", "WrongTenant", "cli",
+    "BOOL", "FLOAT", "INT", "STR", "AuthError", "BadRequest", "BoundaryError", "ConfigError",
+    "IngestError", "MethodNotAllowed", "NotFound", "PayloadTooLarge", "QueueFull",
+    "Spec", "StoreDurabilityError", "StoreOpenError", "StoreSchemaError", "UnknownExperiment",
+    "WorkerFailure", "WrongTenant", "cli", "list_of", "optional", "read_fields",
 ]
 
 
@@ -110,21 +113,90 @@ class QueueFull(BoundaryError):
 
 
 class ConfigError(BadRequest):
-    """One field of a campaign's shape is wrong; ``field`` names it."""
+    """One field of a stored or submitted spec is wrong; ``field`` names it."""
 
     def __init__(self, field: str, problem: str):
         super().__init__(field, problem)
         self.field, self.problem = field, problem
 
     def __str__(self) -> str:
+        if self.problem == "missing":
+            return f"missing field {self.field!r}"
         return f"field {self.field!r}: {self.problem}"
 
 
-class UnknownExperiment(BadRequest, LookupError):
+class UnknownExperiment(ConfigError, LookupError):
     """No experiment is registered under the name; *known* are those that are."""
 
     def __init__(self, name: object, known: Iterable[str]):
-        super().__init__(f"unknown experiment {name!r}; try one of: {', '.join(sorted(known))}")
+        super().__init__("experiment",
+                         f"unknown experiment {name!r}; try one of: {', '.join(sorted(known))}")
+
+    def __str__(self) -> str:
+        return self.problem
+
+
+def read_fields(data: Any, readers: dict[str, Callable], required: Iterable[str] = ()) -> dict:
+    """*data*, a JSON object, each value read through ``readers[key]``: a key
+    with no reader, a value its reader rejects or a *required* key left out
+    is a :class:`ConfigError` naming that field (a nested codec's names its own)."""
+    values = {}
+    for key, value in _OBJECT(data).items():
+        if key not in readers:
+            raise ConfigError(key, f"unknown; fields: {', '.join(readers)}")
+        try:
+            values[key] = readers[key](value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(key, str(exc)) from None
+    for key in required:
+        if key not in values:
+            raise ConfigError(key, "missing")
+    return values
+
+
+def _exact(expected: str, *types: type, cast: Callable = lambda value: value) -> Callable:
+    """A reader of exactly *types*: ``true`` is no integer and ``1`` no bool."""
+
+    def read(value):
+        if type(value) not in types:
+            raise BadRequest(f"expected {expected}, got {value!r:.40}")
+        return cast(value)
+
+    return read
+
+
+#: The readers of JSON values; ``FLOAT`` widens an integer to a float.
+INT, FLOAT = _exact("an integer", int), _exact("a number", int, float, cast=float)
+BOOL, STR = _exact("true or false", bool), _exact("a string", str)
+_OBJECT, _LIST = _exact("an object", dict), _exact("a list", list, tuple)
+
+
+def optional(read: Callable) -> Callable:
+    """*read*, or ``null`` as None."""
+    return lambda value: None if value is None else read(value)
+
+
+def list_of(read: Callable) -> Callable:
+    """A JSON list, each item read through *read*, as a tuple."""
+    return lambda value: tuple(map(read, _LIST(value)))
+
+
+class Spec:
+    """Base of a frozen-dataclass spec whose dict form is its fields:
+    ``READERS`` maps each to its reader, and one without a default is required."""
+
+    READERS: ClassVar[dict[str, Callable]]
+
+    @classmethod
+    def from_dict(cls, data: Any):
+        required = [field.name for field in dataclasses.fields(cls)
+                    if field.default is field.default_factory is dataclasses.MISSING]
+        return cls(**read_fields(data, cls.READERS, required))
+
+    def as_dict(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
 
 class IngestError(BadRequest):

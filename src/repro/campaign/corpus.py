@@ -20,7 +20,9 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import ClassVar
 
+from repro.boundary import INT, STR, Spec, list_of
 from repro.campaign.spec import CellSpec
 
 __all__ = ["Corpus", "CorpusEntry"]
@@ -34,7 +36,7 @@ MIN_ENERGY = 0.05
 
 
 @dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Spec):
     """One coverage-earning cell and what it contributed."""
 
     cell: CellSpec
@@ -47,6 +49,9 @@ class CorpusEntry:
     #: violation count of the cell's record (raw, not deduplicated)
     violations: int
 
+    READERS: ClassVar = {"cell": CellSpec.from_dict, "signature": list_of(STR),
+                         "novel": list_of(STR), "batch": INT, "violations": INT}
+
     def as_dict(self) -> dict:
         return {
             "cell": self.cell.as_dict(),
@@ -55,16 +60,6 @@ class CorpusEntry:
             "batch": self.batch,
             "violations": self.violations,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> CorpusEntry:
-        return cls(
-            cell=CellSpec.from_dict(data["cell"]),
-            signature=tuple(data["signature"]),
-            novel=tuple(data["novel"]),
-            batch=int(data["batch"]),
-            violations=int(data["violations"]),
-        )
 
 
 class Corpus:
@@ -114,4 +109,4 @@ class Corpus:
 
     @classmethod
     def from_dict(cls, data: list[dict]) -> Corpus:
-        return cls([CorpusEntry.from_dict(d) for d in data])
+        return cls(list(list_of(CorpusEntry.from_dict)(data)))

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import ClassVar
+
+from repro.boundary import INT, STR, Spec
 
 __all__ = ["CoverageMap", "FirstSeen"]
 
 
 @dataclass(frozen=True, order=True)
-class FirstSeen:
+class FirstSeen(Spec):
     """Provenance of a feature's discovery, ordered by execution time.
 
     Tuple ordering (batch, then index-within-campaign, then cell id)
@@ -35,12 +38,7 @@ class FirstSeen:
     index: int
     cell: str
 
-    def as_dict(self) -> dict:
-        return {"batch": self.batch, "index": self.index, "cell": self.cell}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> FirstSeen:
-        return cls(batch=int(data["batch"]), index=int(data["index"]), cell=str(data["cell"]))
+    READERS: ClassVar = {"batch": INT, "index": INT, "cell": STR}
 
 
 class CoverageMap:

@@ -42,6 +42,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from repro.boundary import INT, STR, list_of, read_fields
 from repro.campaign.corpus import Corpus, CorpusEntry
 from repro.campaign.coverage import CoverageMap, FirstSeen
 from repro.campaign.engine import run_cell_record, violation_totals
@@ -52,7 +53,6 @@ from repro.campaign.spec import (
     FaultSpec,
     KindInfo,
     MutationSpace,
-    read_fields,
 )
 from repro.harness.parallel import ParallelRunner
 from repro.obs.signature import violation_features
@@ -103,7 +103,7 @@ PROBE_DURATION = (120.0, 330.0)
 
 
 #: The ``fuzz`` section's fields, each with how it is read back.
-_FUZZ_READERS = dict.fromkeys(("budget_cells", "batch_size", "order_max"), int)
+_FUZZ_READERS = dict.fromkeys(("budget_cells", "batch_size", "order_max"), INT)
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,10 @@ class FuzzConfig:
     @classmethod
     def from_dict(cls, data: dict) -> FuzzConfig:
         """Read :meth:`as_dict`'s two sections out of *data* (``mutators``
-        is derived, not read); a key either leaves out takes its default."""
-        fuzz = {key: value for key, value in data.get("fuzz", {}).items() if key != "mutators"}
-        return cls(
-            campaign=CampaignConfig.from_dict(data.get("campaign", {})),
-            **read_fields(fuzz, _FUZZ_READERS),
-        )
+        is derived, not kept); a key either leaves out takes its default."""
+        fuzz = read_fields(data.get("fuzz", {}), {**_FUZZ_READERS, "mutators": list_of(STR)})
+        fuzz.pop("mutators", None)
+        return cls(campaign=CampaignConfig.from_dict(data.get("campaign", {})), **fuzz)
 
 
 def _canonical(injections: tuple[FaultSpec, ...]) -> tuple[FaultSpec, ...]:

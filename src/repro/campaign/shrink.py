@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Sequence
 
-from repro.boundary import BadRequest
+from repro.boundary import INT, STR, BadRequest, ConfigError, list_of, read_fields
 from repro.campaign.engine import _violation_key, run_cell_record
 from repro.campaign.spec import (
     CampaignConfig,
@@ -145,12 +145,21 @@ def minimize_cell(
 
 
 #: The campaign fields a reproducer spec carries, in
-#: :meth:`CampaignConfig.as_dict`'s spelling; a spec may leave out the
-#: ``_OPTIONAL`` ones (they default to off).
+#: :meth:`CampaignConfig.as_dict`'s spelling.
 _CONFIG_KEYS = (
     "mode", "seed", "n_jobs", "n_machines", "max_retries", "max_time", "federation", "defenses",
 )
-_OPTIONAL = ("federation", "defenses")
+_VIOLATION = {"principle": INT, "subject": STR, "description": STR}
+#: Every field of a reproducer spec, each with how :func:`replay` reads it;
+#: ``cell``, ``expect``, ``federation`` and ``defenses`` may be left out.
+_SPEC_READERS = {
+    "format": STR,
+    "cell": STR,
+    **{key: CampaignConfig.READERS[key] for key in _CONFIG_KEYS},
+    "injections": list_of(FaultSpec.from_dict),
+    "expect": list_of(lambda violation: read_fields(violation, _VIOLATION, required=_VIOLATION)),
+}
+_REQUIRED = ("format", *_CONFIG_KEYS[:-2], "injections")
 
 
 def replay(spec: dict | str) -> dict:
@@ -162,7 +171,7 @@ def replay(spec: dict | str) -> dict:
     short of equality is a real divergence).
 
     A spec is outside input.  Whatever is wrong with it -- unreadable, not
-    JSON, the wrong format, a field missing or one
+    JSON, a field missing, unknown, of the wrong JSON type or one
     :meth:`CampaignConfig.from_dict` rejects, an injection outside the
     spec's own pool and catalogue (:func:`validate_injections`) -- raises
     the one ``BadRequest("not a campaign reproducer spec: <reason>")``.
@@ -170,46 +179,29 @@ def replay(spec: dict | str) -> dict:
     Always a fresh simulation: this is the shrinker's acceptance check,
     so it reads no record the shrinker or a campaign kept.
     """
-    what = "spec: "
     try:
         if isinstance(spec, str):
-            what = "unreadable file: "
             with open(spec, encoding="utf-8") as fh:
-                text = fh.read()
-            what = "not JSON: "
-            spec = json.loads(text)
-        what = "format: "
-        if not isinstance(spec, dict):
-            raise ValueError(f"a JSON {type(spec).__name__}, not an object")
-        if spec.get("format") != FORMAT:
-            raise ValueError(f"{spec.get('format')!r}, not {FORMAT!r}")
-        what = ""  # a ConfigError names its field
-        config = CampaignConfig.from_dict({
-            key: spec[key] for key in _CONFIG_KEYS if key in spec or key not in _OPTIONAL
-        })
-        what = "field 'injections': "
-        injections = tuple(FaultSpec.from_dict(d) for d in spec["injections"])
+                spec = json.load(fh)
+        fields = read_fields(spec, _SPEC_READERS, required=_REQUIRED)
+        if fields["format"] != FORMAT:
+            raise ConfigError("format", f"{fields['format']!r}, not {FORMAT!r}")
+        config = CampaignConfig.from_dict({k: fields[k] for k in _CONFIG_KEYS if k in fields})
+        injections = fields["injections"]
         space = MutationSpace.from_config(config, order_max=len(injections))
         problems = validate_injections(injections, space)
         if problems:
-            raise ValueError("; ".join(problems))
-        what = "field 'expect': "
-        expect = list(spec.get("expect", []))
-        expect_keys = sorted(map(_violation_key, expect))
-    except KeyError as exc:
-        raise BadRequest(f"not a campaign reproducer spec: missing field {exc}") from exc
-    except (OSError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError("injections", "; ".join(problems))
+    except (OSError, ValueError) as exc:
+        what = ("unreadable file: " if isinstance(exc, OSError)
+                else "not JSON: " if isinstance(exc, json.JSONDecodeError) else "")
         raise BadRequest(f"not a campaign reproducer spec: {what}{exc}") from exc
-    cell = CellSpec(
-        cell_id=str(spec.get("cell", "replay")),
-        mode=config.mode,
-        seed=config.seed,
-        injections=injections,
-    )
+    expect = list(fields.get("expect", ()))
+    cell = CellSpec(fields.get("cell", "replay"), config.mode, config.seed, injections)
     record = run_cell_record(cell, config)
     got = sorted(map(_violation_key, record["violations"]))
     return {
-        "reproduced": expect_keys == got and bool(got),
+        "reproduced": sorted(map(_violation_key, expect)) == got and bool(got),
         "cell": cell.cell_id,
         "expect": expect,
         "violations": record["violations"],

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro import faults
-from repro.boundary import ConfigError
+from repro.boundary import BOOL, FLOAT, INT, STR, ConfigError, Spec, list_of, optional
 from repro.condor.daemons.config import CondorConfig
 from repro.obs.canonical import to_jsonable
 
@@ -36,7 +37,6 @@ __all__ = [
     "MutationSpace",
     "build_fault",
     "enumerate_cells",
-    "read_fields",
     "validate_injections",
 ]
 
@@ -86,7 +86,7 @@ _KIND_INFO: dict[str, KindInfo] = {info.kind: info for info in CATALOGUE}
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Spec):
     """One catalogue fault with its target and injection window."""
 
     kind: str
@@ -95,6 +95,9 @@ class FaultSpec:
     at: float = 0.0
     until: float | None = None
 
+    READERS: ClassVar = {"kind": STR, "site": optional(STR), "job_index": optional(INT),
+                         "at": FLOAT, "until": optional(FLOAT)}
+
     def describe(self) -> str:
         target = self.site or (
             f"job{self.job_index}" if self.job_index is not None else "pool"
@@ -102,28 +105,18 @@ class FaultSpec:
         window = f"t{self.at:g}-" + (f"{self.until:g}" if self.until is not None else "end")
         return f"{self.kind}@{target}[{window}]"
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> FaultSpec:
-        return cls(
-            kind=data["kind"],
-            site=data.get("site"),
-            job_index=data.get("job_index"),
-            at=float(data.get("at", 0.0)),
-            until=None if data.get("until") is None else float(data["until"]),
-        )
-
 
 @dataclass(frozen=True)
-class CellSpec:
+class CellSpec(Spec):
     """One campaign cell: a mode, a seed, and an injection set."""
 
     cell_id: str
     mode: str
     seed: int
     injections: tuple[FaultSpec, ...]
+
+    READERS: ClassVar = {"cell_id": STR, "mode": STR, "seed": INT,
+                         "injections": list_of(FaultSpec.from_dict)}
 
     def with_injections(self, injections: tuple[FaultSpec, ...]) -> CellSpec:
         """The same cell restricted to *injections* (for shrinking)."""
@@ -161,55 +154,19 @@ class CellSpec:
             "injections": [spec.as_dict() for spec in self.injections],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> CellSpec:
-        return cls(
-            cell_id=str(data["cell_id"]),
-            mode=str(data["mode"]),
-            seed=int(data["seed"]),
-            injections=tuple(FaultSpec.from_dict(d) for d in data["injections"]),
-        )
 
-
-def read_fields(data: dict, readers: dict) -> dict:
-    """*data*'s values, each read through ``readers[key]``; a key with no
-    reader, or a value its reader rejects, is a :class:`ConfigError`."""
-    values = {}
-    for key, value in data.items():
-        if key not in readers:
-            raise ConfigError(key, f"unknown; fields: {', '.join(readers)}")
-        try:
-            values[key] = readers[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(key, str(exc)) from None
-    return values
-
-
-#: The keys of :meth:`CampaignConfig.as_dict`, each with how
-#: :meth:`CampaignConfig.from_dict` reads its value back.
-_READERS = {
-    "mode": str,
-    "seed": int,
-    "n_jobs": int,
-    "n_machines": int,
-    "max_order": int,
-    "max_retries": int,
-    "max_time": float,
-    "windows": lambda windows: tuple(
-        (float(at), None if until is None else float(until)) for at, until in windows
-    ),
-    "kinds": lambda kinds: None if kinds is None else tuple(map(str, kinds)),
-    "sites": lambda sites: tuple(map(str, sites)),
-    "job_indices": lambda indices: tuple(map(int, indices)),
-    "federation": bool,
-    "defenses": bool,
-}
+def _window(pair) -> tuple[float, float | None]:
+    """One ``[at, until]`` injection window; ``until`` may be null."""
+    at, until = list_of(optional(FLOAT))(pair)
+    return FLOAT(at), until
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(Spec):
     """Everything that shapes a campaign, frozen so cells pickle with it;
-    constructing one validates it (a :class:`ConfigError` per problem)."""
+    constructing one validates it (a :class:`ConfigError` per problem).
+    ``from_dict`` reads any subset of :meth:`as_dict`'s keys back; the rest
+    take their defaults.  Every stored campaign shape is read there."""
 
     mode: str = "scoped"
     seed: int = 0
@@ -237,6 +194,19 @@ class CampaignConfig:
     #: schedd backoff avoidance) in every cell
     defenses: bool = False
 
+    #: The keys of :meth:`as_dict`, each with how ``from_dict`` reads its value back.
+    READERS: ClassVar = {
+        "mode": STR,
+        **dict.fromkeys(("seed", "n_jobs", "n_machines", "max_order", "max_retries"), INT),
+        "max_time": FLOAT,
+        "windows": list_of(_window),
+        "kinds": optional(list_of(STR)),
+        "sites": list_of(STR),
+        "job_indices": list_of(INT),
+        "federation": BOOL,
+        "defenses": BOOL,
+    }
+
     def __post_init__(self):
         try:
             CondorConfig(error_mode=self.mode)
@@ -263,13 +233,7 @@ class CampaignConfig:
     def as_dict(self) -> dict:
         """The ``campaign`` header of every campaign and fuzz report and
         checkpoint; ``fail_fast`` and ``remote_machines`` are not in it."""
-        return {key: to_jsonable(getattr(self, key)) for key in _READERS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> CampaignConfig:
-        """Read any subset of :meth:`as_dict`'s keys back; the rest take
-        their defaults.  Every stored campaign shape is read here."""
-        return cls(**read_fields(data, _READERS))
+        return {key: to_jsonable(getattr(self, key)) for key in self.READERS}
 
     def catalogue(self) -> tuple[KindInfo, ...]:
         """The kinds this campaign sweeps, in catalogue order."""

@@ -45,9 +45,9 @@ from pathlib import Path
 from repro.boundary import cli
 from repro.harness.experiments import (
     EXPERIMENTS,
+    ExperimentSpec,
     UnknownExperiment,
     harness_payload,
-    lookup,
     run_experiment,
     run_experiment_record,
     run_experiments,
@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         names = sorted(EXPERIMENTS)
     for name in names:
         try:
-            lookup(name)
+            ExperimentSpec(name, args.seed)
         except UnknownExperiment as exc:
             parser.error(str(exc))
         if names.count(name) > 1:

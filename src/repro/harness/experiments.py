@@ -7,18 +7,18 @@ table's columns (one ``table()`` for row results, one for key/value
 results); its scenario is the shared assembly (:func:`_scoped_run`,
 :func:`~repro.harness.workloads.submit_gauntlet`) plus its own knobs.
 Every runner is deterministic given its seed.  The CLI and the service
-both run experiments through :func:`run_experiment_record`.
+both name a run with one :class:`ExperimentSpec` and run it through
+:func:`run_experiment_record`.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 import typing
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
-from repro.boundary import UnknownExperiment
+from repro.boundary import INT, Spec, UnknownExperiment
 from repro.condor import Job, JobState, Pool, PoolConfig, ProgramImage, Universe
 from repro.condor.daemons.config import CondorConfig
 from repro.core.principles import PrincipleAuditor
@@ -106,16 +106,33 @@ def run_experiment(name: str, seed: int = 0) -> str:
     return run_experiment_record(name, seed=seed)["rendered"]
 
 
+@dataclass(frozen=True)
+class ExperimentSpec(Spec):
+    """One experiment run; constructing one checks the name against the
+    registry (:class:`UnknownExperiment`, a ``ConfigError`` on ``experiment``)."""
+
+    experiment: str
+    seed: int = 0
+
+    #: The registry, not a type check, judges the name.
+    READERS: typing.ClassVar = {"experiment": lambda name: name, "seed": INT}
+
+    def __post_init__(self):
+        lookup(self.experiment)
+
+    def record(self) -> dict:
+        return run_experiment_record(self.experiment, seed=self.seed)
+
+
 def run_experiments(names: list[str], seed: int = 0, jobs: int = 1) -> list[dict]:
     """Run *names* (serially or over *jobs* workers); records in input order.
 
     An unknown name raises before any worker starts; a crashed or hung
     worker raises :class:`~repro.harness.parallel.WorkerFailure`.
     """
-    for name in names:
-        lookup(name)
-    runner = ParallelRunner(functools.partial(run_experiment_record, seed=seed), workers=jobs)
-    return [outcome.value for outcome in runner.map(names)]
+    specs = [ExperimentSpec(name, seed) for name in names]
+    runner = ParallelRunner(ExperimentSpec.record, workers=jobs)
+    return [outcome.value for outcome in runner.map(specs)]
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,8 @@ class ServiceClient:
             await self.close()
         return ClientResponse(status=status, headers=headers, body=content)
 
-    async def _json(self, method: str, path: str, payload: dict | None = None) -> dict:
+    async def _checked(self, method: str, path: str, payload: dict | None = None) -> ClientResponse:
+        """The response; a status >= 400 raises its envelope as :class:`ServiceApiError`."""
         response = await self.request(method, path, payload)
         if response.status >= 400:
             try:
@@ -128,7 +129,10 @@ class ServiceClient:
             except (json.JSONDecodeError, KeyError):
                 envelope = {"code": "INTERNAL", "message": response.body.decode(errors="replace")}
             raise ServiceApiError(response.status, envelope["code"], envelope["message"])
-        return response.json()
+        return response
+
+    async def _json(self, method: str, path: str, payload: dict | None = None) -> dict:
+        return (await self._checked(method, path, payload)).json()
 
     # -- the API surface -------------------------------------------------
     async def health(self) -> dict:
@@ -150,11 +154,7 @@ class ServiceClient:
         return await self._json("GET", f"/v1/runs/{run_id}")
 
     async def artifact(self, run_id: int, name: str) -> bytes:
-        response = await self.request("GET", f"/v1/runs/{run_id}/artifacts/{name}")
-        if response.status >= 400:
-            envelope = response.json()["error"]
-            raise ServiceApiError(response.status, envelope["code"], envelope["message"])
-        return response.body
+        return (await self._checked("GET", f"/v1/runs/{run_id}/artifacts/{name}")).body
 
     async def wait(
         self, run_id: int, timeout: float = 60.0, poll_interval: float = 0.05

@@ -38,13 +38,13 @@ from repro.boundary import BadRequest
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignConfig
 from repro.condor import Job, Pool, PoolConfig, ProgramImage
-from repro.harness.experiments import harness_payload, run_experiment_record
+from repro.harness.experiments import ExperimentSpec, harness_payload
 from repro.harness.parallel import ParallelRunner, WorkerFailure
 from repro.harness.workloads import expected_result_for
 from repro.jvm.program import JavaProgram, Step
 from repro.obs.canonical import canonical_json, pretty_json, to_jsonable
 from repro.obs.export import ObservationSession, render_metrics
-from repro.service.specs import build_batch_spec
+from repro.service.specs import JobSpec, build_batch_spec
 from repro.service.store import RunStore
 
 __all__ = [
@@ -68,6 +68,9 @@ REPLAYED_ARTIFACTS = {
     "campaign": ("report",),
 }
 
+#: Simulated-time budget of one grid-job batch's pool run.
+BATCH_MAX_TIME = 1_000_000.0
+
 
 # ---------------------------------------------------------------------------
 # Pure execution functions (run in worker processes)
@@ -75,12 +78,12 @@ REPLAYED_ARTIFACTS = {
 
 def _batch_job(entry: dict) -> Job:
     """One submitted grid job as a simulated Job, owner = tenant."""
-    spec = entry["spec"]
-    steps = [Step.compute(spec["work"])]
-    if spec.get("exception"):
-        steps.append(Step.throw(spec["exception"]))
-    elif spec.get("exit_code"):
-        steps.append(Step.exit(spec["exit_code"]))
+    spec = JobSpec.from_dict(entry["spec"])
+    steps = [Step.compute(spec.work)]
+    if spec.exception:
+        steps.append(Step.throw(spec.exception))
+    elif spec.exit_code:
+        steps.append(Step.exit(spec.exit_code))
     program = JavaProgram(name=f"Svc{entry['run_id']}", steps=steps)
     job = Job(
         job_id=f"svc.{entry['run_id']}",
@@ -140,12 +143,13 @@ def execute_experiment(spec: dict) -> dict:
     they are byte-identical to a CLI run with ``--trace``/``--metrics``
     at the same seed (the acceptance test pins this).
     """
+    run = ExperimentSpec.from_dict(spec)
     with ObservationSession() as session:
-        record = run_experiment_record(spec["experiment"], seed=spec["seed"])
+        record = run.record()
     return {
-        "experiment": spec["experiment"],
-        "seed": spec["seed"],
-        "data": record["data"],
+        # The CLI's --json envelope, so a replay via ``python -m
+        # repro.harness --json`` is a byte comparison.
+        "payload": harness_payload(run.seed, {run.experiment: record["data"]}),
         "rendered": record["rendered"],
         "trace": session.trace_text(),
         "metrics": render_metrics(session.registry),
@@ -166,11 +170,7 @@ def run_artifacts(kind: str, result: dict) -> dict[str, bytes]:
     """
     if kind == "experiment":
         return {
-            # The CLI's --json envelope, so a replay via ``python -m
-            # repro.harness --json`` is a byte comparison.
-            "result": pretty_json(
-                harness_payload(result["seed"], {result["experiment"]: result["data"]})
-            ).encode(),
+            "result": pretty_json(result["payload"]).encode(),
             "trace": result["trace"].encode(),
             "metrics": result["metrics"].encode(),
             "table": result["rendered"].encode(),
@@ -214,7 +214,7 @@ class ServiceExecutor:
     workers:
         Process fan-out for independent items; ``1`` runs in-process
         (the deterministic-friendly mode benchmarks use).
-    batch_machines / batch_seed / batch_max_time:
+    batch_machines / batch_seed:
         Shape of the pool each grid-job batch runs on.
     """
 
@@ -224,13 +224,11 @@ class ServiceExecutor:
         workers: int = 1,
         batch_machines: int = 8,
         batch_seed: int = 0,
-        batch_max_time: float = 1_000_000.0,
     ):
         self.store = store
         self.workers = workers
         self.batch_machines = batch_machines
         self.batch_seed = batch_seed
-        self.batch_max_time = batch_max_time
 
     # -- phase 1: store reads + claim (loop thread) ----------------------
     def collect_items(self) -> list[str]:
@@ -245,7 +243,7 @@ class ServiceExecutor:
                 job_entries,
                 n_machines=self.batch_machines,
                 seed=self.batch_seed,
-                max_time=self.batch_max_time,
+                max_time=BATCH_MAX_TIME,
             )
             items.append({
                 "kind": "grid-batch",

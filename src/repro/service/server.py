@@ -38,6 +38,8 @@ WALL_PROFILE = installed_wall()
 MAX_HEAD_BYTES = 32 * 1024
 #: Request-body byte budget: specs are small; anything bigger is noise.
 MAX_BODY_BYTES = 1 << 20
+#: Pending-connection queue of the listening socket.
+LISTEN_BACKLOG = 2048
 
 _CONTENT_TYPES = {
     "json": "application/json",
@@ -79,13 +81,11 @@ class ServiceServer:
         executor: ServiceExecutor | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        backlog: int = 2048,
     ):
         self.api = api
         self.executor = executor
         self.host = host
         self.port = port
-        self.backlog = backlog
         self.requests_served = 0
         self._server: asyncio.base_events.Server | None = None
         self._drain_task: asyncio.Task | None = None
@@ -100,7 +100,7 @@ class ServiceServer:
             self._serve_connection,
             host=self.host,
             port=self.port,
-            backlog=self.backlog,
+            backlog=LISTEN_BACKLOG,
             limit=MAX_HEAD_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]

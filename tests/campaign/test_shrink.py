@@ -124,7 +124,8 @@ class TestMalformedSpecIsOutsideInput:
         self._rejected(spec, "missing field 'mode'", tmp_path, capsys)
 
     def test_ill_typed_field(self, good, tmp_path, capsys):
-        self._rejected({**good, "seed": "x"}, "field 'seed': invalid literal", tmp_path, capsys)
+        self._rejected({**good, "seed": "x"}, "field 'seed': expected an integer, got 'x'",
+                       tmp_path, capsys)
 
     def test_not_json(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
@@ -158,7 +159,7 @@ class TestMalformedSpecIsOutsideInput:
     def test_a_json_document_that_is_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
-        self._rejected(str(path), "format: a JSON list", tmp_path, capsys)
+        self._rejected(str(path), r"expected an object, got \[1, 2\]", tmp_path, capsys)
 
     def test_the_good_spec_still_replays(self, good):
         assert replay(good)["reproduced"]

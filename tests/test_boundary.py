@@ -14,6 +14,7 @@ traceback and no new file.
 
 import ast
 import importlib
+import json
 import pkgutil
 import re
 import subprocess
@@ -146,11 +147,36 @@ def _unfinished_run(tmp_path):
         store.submit_run("experiment", "alice", {"experiment": "fig4", "seed": 0})
 
 
+#: A reproducer the campaign emits (classic mode, seed 0): it replays "reproduced".
+REPRODUCER = {
+    "format": "repro-campaign-reproducer/1",
+    "cell": "classic/s0/MisconfiguredJvm@exec000[t0-end]",
+    "mode": "classic", "seed": 0, "n_jobs": 4, "n_machines": 3, "max_retries": 6,
+    "max_time": 100000.0, "federation": False, "defenses": False,
+    "injections": [{"kind": "MisconfiguredJvm", "site": "exec000", "job_index": None,
+                    "at": 0.0, "until": None}],
+    "expect": [{"principle": 1, "subject": subject, "description": (
+        "environmental error of remote-resource scope presented as a valid program "
+        "result (state=completed)")} for subject in ("1.0", "1.3")],
+}
+
+
+def _reproducer(**edit):
+    """A set-up writing ``spec.json``: the reproducer with *edit* applied (an
+    ``injection`` key edits its one injection)."""
+    injection = {**REPRODUCER["injections"][0], **edit.pop("injection", {})}
+    spec = {**REPRODUCER, "injections": [injection], **edit}
+    return lambda tmp_path: (tmp_path / "spec.json").write_text(json.dumps(spec))
+
+
 HARNESS = ("-m", "repro.harness")
 STORE = ("-m", "repro.obs.store")
 SERVICE = ("-m", "repro.service")
 
-#: (id, set-up, argv): each used to exit 0/1 or leave a traceback or a file.
+REPLAY = (*HARNESS, "campaign", "--replay", "spec.json")
+
+#: (id, set-up, argv[, what the error line names]): each used to exit 0/1,
+#: leave a traceback or a file, or replay a different cell as "reproduced".
 CASES = [
     ("harness-results-db-not-a-store", _notes, [*HARNESS, "fig4", "--results-db", "notes.db"]),
     ("campaign-results-db-not-a-store", _notes,
@@ -166,11 +192,19 @@ CASES = [
     ("replay-unfinished-run", _unfinished_run, [*SERVICE, "replay", "--db", "runs.db", "1"]),
     ("serve-missing-secret-file", None, [*SERVICE, "serve", "--secret-file", "missing.txt"]),
     ("serve-port-out-of-range", None, [*SERVICE, "serve", "--secret", "s", "--port", "99999"]),
+    ("replay-federation-a-string", _reproducer(federation="false"), REPLAY, "'federation'"),
+    ("replay-seed-a-float", _reproducer(seed=0.9), REPLAY, "'seed'"),
+    ("replay-job-index-a-bool", _reproducer(injection={"kind": "CorruptProgramImage",
+                                                       "site": None, "job_index": True}),
+     REPLAY, "'job_index'"),
+    ("replay-at-a-string", _reproducer(injection={"at": "0"}), REPLAY, "'at'"),
 ]
 
 
-@pytest.mark.parametrize("setup, argv", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_a_bad_command_line_is_one_error_line_and_exit_2(tmp_path, setup, argv):
+@pytest.mark.parametrize("setup, argv, needle",
+                         [(setup, argv, "".join(needle)) for _, setup, argv, *needle in CASES],
+                         ids=[case[0] for case in CASES])
+def test_a_bad_command_line_is_one_error_line_and_exit_2(tmp_path, setup, argv, needle):
     if setup is not None:
         setup(tmp_path)
     before = sorted(p.name for p in tmp_path.iterdir())
@@ -181,5 +215,12 @@ def test_a_bad_command_line_is_one_error_line_and_exit_2(tmp_path, setup, argv):
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
-    assert len([line for line in done.stderr.splitlines() if "error:" in line]) == 1
+    (error,) = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert needle in error
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_the_reproducer_of_the_table_replays():
+    from repro.campaign import replay
+
+    assert replay(REPRODUCER)["reproduced"]
