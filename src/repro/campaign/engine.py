@@ -260,7 +260,6 @@ def _run_cell(
 
 def run_campaign(
     config: CampaignConfig,
-    cells: tuple[CellSpec, ...] | None = None,
     jobs: int = 1,
     shrink: bool = True,
     profile: bool = False,
@@ -278,8 +277,7 @@ def run_campaign(
     """
     from repro.campaign.shrink import minimize_cell
 
-    if cells is None:
-        cells = enumerate_cells(config)
+    cells = enumerate_cells(config)
     runner = ParallelRunner(
         functools.partial(run_cell_record, config=config, profile=profile),
         workers=jobs,

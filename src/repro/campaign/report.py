@@ -16,6 +16,9 @@ from repro.obs.summary import RunSummary
 
 __all__ = ["makespan_footer", "render_cell_profiles", "render_fuzz_summary", "render_summary"]
 
+#: Attribution triples each per-cell "where time went" table shows.
+CELL_PROFILE_TOP_N = 5
+
 
 def makespan_footer(cells: list[dict]) -> str | None:
     """The GridConsole jobs-panel footer over a whole campaign: every cell's
@@ -147,7 +150,7 @@ def render_fuzz_summary(report: dict) -> str:
     return table.render()
 
 
-def render_cell_profiles(report: dict, top: int = 5) -> str:
+def render_cell_profiles(report: dict) -> str:
     """Per-cell "where time went" tables for a ``--profile`` campaign.
 
     Cells without a profile section (campaign ran unprofiled) render
@@ -162,7 +165,7 @@ def render_cell_profiles(report: dict, top: int = 5) -> str:
             ["daemon", "phase", "scope", "sim time (s)", "events"],
             title=f"where time went: {record['cell']}",
         )
-        for triple in profile["top"][:top]:
+        for triple in profile["top"][:CELL_PROFILE_TOP_N]:
             table.add_row([
                 triple["daemon"],
                 triple["phase"],

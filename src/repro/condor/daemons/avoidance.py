@@ -26,6 +26,10 @@ from repro.condor.daemons.config import CondorConfig
 
 __all__ = ["SiteAvoidance"]
 
+#: consecutive environmental failures at one site before the schedd
+#: avoids it (only with ``schedd_avoidance``)
+AVOIDANCE_THRESHOLD = 2
+
 
 class SiteAvoidance:
     """Per-site strike counts and avoidance windows for one schedd."""
@@ -48,13 +52,13 @@ class SiteAvoidance:
         self.failures[site] = strikes
         if not self.config.schedd_avoidance:
             return False
-        if strikes < self.config.avoidance_threshold:
+        if strikes < AVOIDANCE_THRESHOLD:
             return False
         if self.config.avoidance_mode == "permanent":
             self._avoid_until[site] = math.inf
             return True
         window = min(
-            self.config.avoidance_base * 2 ** (strikes - self.config.avoidance_threshold),
+            self.config.avoidance_base * 2 ** (strikes - AVOIDANCE_THRESHOLD),
             self.config.avoidance_cap,
         )
         self._avoid_until[site] = now + window

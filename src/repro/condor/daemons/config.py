@@ -15,7 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["CondorConfig"]
+__all__ = ["ADVERTISE_INTERVAL", "CLAIM_TIMEOUT", "CONTROL_TIMEOUT", "CondorConfig"]
+
+# Protocol constants shared by several daemons (simulated seconds).  No
+# pool or experiment varies them, so they are not CondorConfig fields.
+#: how often a schedd re-advertises its idle jobs and a startd its slots
+ADVERTISE_INTERVAL = 30.0
+#: reply deadline of every claim-protocol exchange
+CLAIM_TIMEOUT = 10.0
+#: shadow <-> starter control-channel deadline
+CONTROL_TIMEOUT = 60.0
 
 
 @dataclass
@@ -25,7 +34,6 @@ class CondorConfig:
     #: recent usage first (usage halves each cycle, like Condor's
     #: effective user priority).  Off = pure submission order.
     fair_share: bool = True
-    usage_decay: float = 0.5
     #: Rank-based preemption: a claimed slot may be handed to a job the
     #: machine's Rank expression prefers; the incumbent is evicted
     #: (checkpointing softens the blow, §2.1).
@@ -35,9 +43,6 @@ class CondorConfig:
     #: that break *after* boot also stop advertising
     self_test_interval: float = 0.0
     schedd_avoidance: bool = False
-    #: consecutive environmental failures at one site before the schedd
-    #: avoids it (only with schedd_avoidance)
-    avoidance_threshold: int = 2
     #: "backoff" -- avoidance windows grow exponentially per strike and a
     #: site is re-admitted on probation when its window expires (a
     #: probation success clears the record); "permanent" -- the original
@@ -50,28 +55,13 @@ class CondorConfig:
     #: overflow idle jobs to.  A job idle longer than ``flock_after`` is
     #: advertised to flock targets as well as the home matchmaker.
     flock_after: float = 60.0
-    #: consecutive unreachable advertise attempts before a flock link is
-    #: declared down (a POOL-scope error, masked by the grid-aware schedd)
-    flock_retry_budget: int = 3
-    #: backoff between attempts on an unreachable flock link
-    flock_backoff_base: float = 15.0
-    flock_backoff_cap: float = 480.0
     #: give up and hold a job after this many environmental retries
     max_retries: int = 20
     # daemon cadences (simulated seconds)
-    advertise_interval: float = 30.0
     negotiation_interval: float = 15.0
     ad_lifetime: float = 90.0
-    # timeouts
-    claim_timeout: float = 10.0
-    control_timeout: float = 60.0
-    rpc_timeout: float = 10.0
-    io_request_timeout: float = 20.0
-    # file transfer
-    transfer_chunk: int = 4096
     # Standard Universe checkpointing (§2.1: "transparent checkpointing")
     checkpointing: bool = True
-    checkpoint_every_steps: int = 1
     #: When not None, every starter appends its I/O library's
     #: ErrorInterface here, so the principle auditor can inspect the
     #: crossings after a run (P2/P4).

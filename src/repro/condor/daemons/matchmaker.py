@@ -53,7 +53,7 @@ from weakref import WeakValueDictionary
 
 from repro.condor.classads import ClassAd, rank, symmetric_match
 from repro.condor.classads.expr import Literal
-from repro.condor.daemons.config import CondorConfig
+from repro.condor.daemons.config import CLAIM_TIMEOUT, CondorConfig
 from repro.condor.daemons.match_index import (
     MachineIndex,
     analysis_of,
@@ -75,6 +75,8 @@ __all__ = ["Matchmaker"]
 #: Decayed owner-usage entries below this are dropped entirely; without a
 #: floor the fair-share table retains every owner ever seen, forever.
 USAGE_EPSILON = 1e-9
+#: fair share: each owner's recent usage halves every negotiation cycle
+USAGE_DECAY = 0.5
 
 #: Rebuild threshold: a cached rank order whose dead entries outnumber
 #: the live pool by this factor is filtered down to its live entries.
@@ -204,7 +206,7 @@ class Matchmaker:
         # constant.
         try:
             while True:
-                message = yield from conn.recv(timeout=self.config.claim_timeout)
+                message = yield from conn.recv(timeout=CLAIM_TIMEOUT)
                 if isinstance(message, AdvertiseBatch):
                     for name, ad in message.ads:
                         self.receive_ad(message.kind, name, ad)
@@ -360,7 +362,7 @@ class Matchmaker:
                 jobs=len(self.job_ads), machines=len(self.machine_ads),
             )
         for owner in list(self.owner_usage):
-            decayed = self.owner_usage[owner] * self.config.usage_decay
+            decayed = self.owner_usage[owner] * USAGE_DECAY
             if decayed < USAGE_EPSILON:
                 # Fully-decayed owners are indistinguishable from never
                 # seen; keeping them would leak an entry per owner ever
@@ -653,7 +655,7 @@ class Matchmaker:
         try:
             conn = yield from self.net.connect(
                 self.host, job_stored.reply_host, job_stored.reply_port,
-                timeout=self.config.claim_timeout,
+                timeout=CLAIM_TIMEOUT,
             )
             conn.send(notify, size=WireSize.AD)
             conn.close()

@@ -35,7 +35,7 @@ import itertools
 
 from repro.condor.classads import ClassAd
 from repro.condor.daemons.avoidance import SiteAvoidance
-from repro.condor.daemons.config import CondorConfig
+from repro.condor.daemons.config import ADVERTISE_INTERVAL, CLAIM_TIMEOUT, CondorConfig
 from repro.condor.daemons.shadow import Shadow, ShadowOutcome
 from repro.condor.job import ExecutionAttempt, Job, JobState, Universe
 from repro.condor.protocols import (
@@ -55,22 +55,29 @@ from repro.sim.network import Network, NetworkError
 
 __all__ = ["FlockLink", "Schedd"]
 
+#: consecutive unreachable advertise attempts before a flock link is
+#: declared down (a POOL-scope error, masked by the grid-aware schedd)
+FLOCK_RETRY_BUDGET = 3
+#: backoff between attempts on an unreachable flock link, doubled per
+#: failure up to the cap
+FLOCK_BACKOFF_BASE = 15.0
+FLOCK_BACKOFF_CAP = 480.0
+
 
 class FlockLink:
     """One schedd-to-remote-pool link with its own failure discipline.
 
-    A link is *up* until ``flock_retry_budget`` consecutive advertise
+    A link is *up* until ``FLOCK_RETRY_BUDGET`` consecutive advertise
     attempts fail; each failure also pushes the next attempt out by an
     exponentially growing backoff (capped), so an unreachable remote
     pool costs a bounded, shrinking trickle of connection attempts
     rather than a retry storm.  Any success resets the whole record.
     """
 
-    def __init__(self, host: str, config: CondorConfig):
+    def __init__(self, host: str):
         self.host = host
-        self.config = config
         self.consecutive_failures = 0
-        self.backoff = config.flock_backoff_base
+        self.backoff = FLOCK_BACKOFF_BASE
         self.next_attempt = 0.0
         self.down = False
         self.jobs_flocked = 0
@@ -85,7 +92,7 @@ class FlockLink:
         """Record a reachable remote matchmaker; True on an up-transition."""
         was_down = self.down
         self.consecutive_failures = 0
-        self.backoff = self.config.flock_backoff_base
+        self.backoff = FLOCK_BACKOFF_BASE
         self.next_attempt = now
         self.down = False
         return was_down
@@ -95,10 +102,10 @@ class FlockLink:
         down-transition (the retry budget was just exhausted)."""
         self.consecutive_failures += 1
         self.next_attempt = now + self.backoff
-        self.backoff = min(self.backoff * 2.0, self.config.flock_backoff_cap)
+        self.backoff = min(self.backoff * 2.0, FLOCK_BACKOFF_CAP)
         newly_down = (
             not self.down
-            and self.consecutive_failures >= self.config.flock_retry_budget
+            and self.consecutive_failures >= FLOCK_RETRY_BUDGET
         )
         if newly_down:
             self.down = True
@@ -120,7 +127,6 @@ class Schedd:
         matchmaker_host: str,
         config: CondorConfig,
         chain: ManagementChain | None = None,
-        credential_factory=None,
     ):
         self.sim = sim
         self.net = net
@@ -129,9 +135,8 @@ class Schedd:
         self.matchmaker_host = matchmaker_host
         self.config = config
         self.chain = chain
-        self.credential_factory = credential_factory or (
-            lambda job: Credential(owner=job.owner)
-        )
+        #: the credential each shadow presents (a fault may swap it)
+        self.credential_factory = lambda job: Credential(owner=job.owner)
         self.jobs: dict[str, Job] = {}
         self.userlog = UserLog()
         # Shadow I/O server ports: per-schedd sequence, unique on this
@@ -162,12 +167,6 @@ class Schedd:
 
     # -- avoidance views ------------------------------------------------------
     @property
-    def site_failures(self) -> dict[str, int]:
-        """Per-site strike counts (compatibility view over the avoidance
-        state; mutating it mutates the defense's record)."""
-        return self.avoidance.failures
-
-    @property
     def avoided_sites(self) -> set[str]:
         """The sites currently inside an avoidance window."""
         return self.avoidance.avoided(self.sim.now)
@@ -185,7 +184,7 @@ class Schedd:
         """Flock to the remote pool whose matchmaker runs on *matchmaker_host*."""
         if any(link.host == matchmaker_host for link in self.flock_links):
             raise ValueError(f"already flocking to {matchmaker_host}")
-        link = FlockLink(matchmaker_host, self.config)
+        link = FlockLink(matchmaker_host)
         self.flock_links.append(link)
         return link
 
@@ -213,7 +212,7 @@ class Schedd:
         while True:
             yield from self._advertise_jobs()
             yield from self._advertise_flock()
-            yield self.sim.timeout(self.config.advertise_interval)
+            yield self.sim.timeout(ADVERTISE_INTERVAL)
 
     def _advertise_jobs(self):
         batch = self._ad_batch(self.idle_jobs())
@@ -222,7 +221,7 @@ class Schedd:
         try:
             conn = yield from self.net.connect(
                 self.submit_host, self.matchmaker_host, 9618,
-                timeout=self.config.claim_timeout,
+                timeout=CLAIM_TIMEOUT,
             )
             # One connection and one message for the whole idle queue:
             # per-ad connects and receive deadlines do not scale to a
@@ -274,7 +273,7 @@ class Schedd:
             try:
                 conn = yield from self.net.connect(
                     self.submit_host, link.host, 9618,
-                    timeout=self.config.claim_timeout,
+                    timeout=CLAIM_TIMEOUT,
                 )
                 conn.send(
                     AdvertiseBatch(kind="job", ads=batch),
@@ -330,7 +329,7 @@ class Schedd:
         """Escalate to GRID scope when no matchmaker anywhere is reachable."""
         if self._grid_error_reported or not self.flock_links:
             return
-        if self._local_mm_failures < self.config.flock_retry_budget:
+        if self._local_mm_failures < FLOCK_RETRY_BUDGET:
             return
         if not all(link.down for link in self.flock_links):
             return
@@ -402,7 +401,7 @@ class Schedd:
 
     def _receive(self, conn):
         try:
-            message = yield from conn.recv(timeout=self.config.claim_timeout)
+            message = yield from conn.recv(timeout=CLAIM_TIMEOUT)
         except NetworkError:
             return
         finally:
@@ -482,7 +481,7 @@ class Schedd:
         try:
             conn = yield from self.net.connect(
                 self.submit_host, match.startd_host, match.startd_port,
-                timeout=self.config.claim_timeout,
+                timeout=CLAIM_TIMEOUT,
             )
             conn.send(
                 RequestClaim(
@@ -492,7 +491,7 @@ class Schedd:
                 ),
                 size=WireSize.AD,
             )
-            reply = yield from conn.recv(timeout=self.config.claim_timeout)
+            reply = yield from conn.recv(timeout=CLAIM_TIMEOUT)
             conn.close()
         except NetworkError:
             return None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.condor.daemons.config import CondorConfig
+from repro.condor.daemons.config import CLAIM_TIMEOUT, CONTROL_TIMEOUT, CondorConfig
 from repro.condor.job import Job
 from repro.condor.protocols import (
     CheckpointNotice,
@@ -116,7 +116,7 @@ class Shadow:
         try:
             conn = yield from self.net.connect(
                 self.submit_host, self.exec_host, self.starter_port,
-                timeout=self.config.claim_timeout,
+                timeout=CLAIM_TIMEOUT,
             )
         except NetworkError as exc:
             return ShadowOutcome.environment(
@@ -150,7 +150,7 @@ class Shadow:
     def _serve_until_result(self, conn):
         """Generator: answer file requests until the JobResult arrives."""
         while True:
-            message = yield from conn.recv(timeout=self.config.control_timeout)
+            message = yield from conn.recv(timeout=CONTROL_TIMEOUT)
             if isinstance(message, JobResult):
                 return message
             if isinstance(message, Keepalive):

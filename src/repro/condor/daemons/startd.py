@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from repro.condor.classads import ClassAd, match, rank
-from repro.condor.daemons.config import CondorConfig
+from repro.condor.daemons.config import ADVERTISE_INTERVAL, CLAIM_TIMEOUT, CondorConfig
 from repro.condor.daemons.starter import Starter
 from repro.condor.protocols import (
     AdvertiseBatch,
@@ -134,7 +134,7 @@ class Startd:
         try:
             conn = yield from self.net.connect(
                 self.machine.name, self.matchmaker_host, 9618,
-                timeout=self.config.claim_timeout,
+                timeout=CLAIM_TIMEOUT,
             )
             conn.send(InvalidateAd(kind="machine", names=names), size=WireSize.CONTROL)
             conn.close()
@@ -181,14 +181,6 @@ class Startd:
             return False
 
     # -- introspection --------------------------------------------------
-    @property
-    def claimed_by(self) -> str | None:
-        """The first claiming schedd, if any slot is claimed (legacy view)."""
-        for schedd in self.slot_claimed.values():
-            if schedd is not None:
-                return schedd
-        return None
-
     def free_slots(self) -> list[int]:
         return [i for i, by in self.slot_claimed.items() if by is None]
 
@@ -265,7 +257,7 @@ class Startd:
     def _advertise_loop(self):
         while True:
             yield from self.advertise()
-            yield self.sim.timeout(self.config.advertise_interval)
+            yield self.sim.timeout(ADVERTISE_INTERVAL)
 
     def advertise(self):
         """Generator: send every slot's current ad to the matchmaker.
@@ -279,7 +271,7 @@ class Startd:
         try:
             conn = yield from self.net.connect(
                 self.machine.name, self.matchmaker_host, 9618,
-                timeout=self.config.claim_timeout,
+                timeout=CLAIM_TIMEOUT,
             )
             batch = tuple(
                 (self.slot_name(slot), self.build_ad(slot))
@@ -302,7 +294,7 @@ class Startd:
 
     def _claim(self, conn):
         try:
-            request = yield from conn.recv(timeout=self.config.claim_timeout)
+            request = yield from conn.recv(timeout=CLAIM_TIMEOUT)
         except NetworkError:
             conn.close()
             return

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.chirp.auth import generate_secret, place_secret
 from repro.chirp.client import CondorIoLibrary, LocalIoLibrary
 from repro.chirp.proxy import ChirpProxy
-from repro.condor.daemons.config import CondorConfig
+from repro.condor.daemons.config import CONTROL_TIMEOUT, CondorConfig
 from repro.condor.protocols import (
     CheckpointNotice,
     FileData,
@@ -38,6 +38,9 @@ from repro.sim.machine import Machine
 from repro.sim.network import Network, NetworkError
 
 __all__ = ["Starter"]
+
+#: deadline of one request the job's I/O library sends to its proxy
+IO_REQUEST_TIMEOUT = 20.0
 
 
 class Starter:
@@ -103,7 +106,7 @@ class Starter:
         if conn is None:
             return
         try:
-            details = yield from conn.recv(timeout=self.config.control_timeout)
+            details = yield from conn.recv(timeout=CONTROL_TIMEOUT)
         except NetworkError:
             conn.close()
             return
@@ -119,7 +122,7 @@ class Starter:
 
     def _accept_with_timeout(self):
         accept = self.sim.spawn(self.listener.accept(), name="starter-accept")
-        expiry = self.sim.timeout(self.config.control_timeout)
+        expiry = self.sim.timeout(CONTROL_TIMEOUT)
         outcome = yield self.sim.any_of([accept, expiry])
         if accept in outcome:
             return outcome[accept]
@@ -163,7 +166,7 @@ class Starter:
         return result
 
     def _keepalive_loop(self, conn):
-        interval = max(1.0, self.config.control_timeout / 4.0)
+        interval = CONTROL_TIMEOUT / 4.0
         while not conn.broken:
             yield self.sim.timeout(interval)
             try:
@@ -177,7 +180,7 @@ class Starter:
         for name in names:
             try:
                 conn.send(FileRequest(name=name), size=WireSize.CONTROL)
-                data = yield from conn.recv(timeout=self.config.control_timeout)
+                data = yield from conn.recv(timeout=CONTROL_TIMEOUT)
             except NetworkError as exc:
                 # The shadow vanished mid-transfer; nobody is listening, so
                 # just die -- the schedd will notice the shadow's fate.
@@ -242,7 +245,6 @@ class Starter:
             details.shadow_io_host,
             details.shadow_io_port,
             credential=details.credential,
-            rpc_timeout=self.config.rpc_timeout,
         )
         io = CondorIoLibrary(
             self.sim,
@@ -251,7 +253,7 @@ class Starter:
             self.port + 10000,
             secret,
             mode=self.config.error_mode,
-            request_timeout=self.config.io_request_timeout,
+            request_timeout=IO_REQUEST_TIMEOUT,
         )
         self.io_interface = io.interface  # kept for the principle auditor
         if self.config.interface_registry is not None:
@@ -370,18 +372,15 @@ class Starter:
         jvm = Jvm(self.sim, self.machine)
         io = LocalIoLibrary(self.machine.scratch, self.scratch_dir)
         image = self._image_for(details)
-        total = len(program.steps)
-        every = max(1, self.config.checkpoint_every_steps)
 
         def on_step(steps_done: int) -> None:
-            if steps_done % every == 0 or steps_done == total:
-                try:
-                    conn.send(
-                        CheckpointNotice(claim_id=self.claim_id, steps_done=steps_done),
-                        size=WireSize.CONTROL,
-                    )
-                except NetworkError:
-                    pass  # the shadow is gone; the run is doomed anyway
+            try:
+                conn.send(
+                    CheckpointNotice(claim_id=self.claim_id, steps_done=steps_done),
+                    size=WireSize.CONTROL,
+                )
+            except NetworkError:
+                pass  # the shadow is gone; the run is doomed anyway
 
         proc = self.machine.processes.spawn(
             f"standard:{self.claim_id}",

@@ -39,7 +39,6 @@ class GridPoolSpec:
 
     name: str
     n_machines: int = 4
-    cpu_speeds: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -53,10 +52,8 @@ class GridConfig:
     )
     seed: int = 0
     condor: CondorConfig = field(default_factory=CondorConfig)
-    network_latency: float = 0.001
     #: wire every schedd to every other pool's matchmaker
     flocking: bool = True
-    home_capacity: int = 10**9
 
 
 class Grid:
@@ -68,11 +65,7 @@ class Grid:
             raise ValueError("a grid needs at least one pool")
         self.sim = Simulator()
         self.rngs = RngRegistry(self.config.seed)
-        self.net = Network(
-            self.sim,
-            default_latency=self.config.network_latency,
-            rng=self.rngs.stream("network.loss"),
-        )
+        self.net = Network(self.sim, rng=self.rngs.stream("network.loss"))
         self.chain = figure3_chain(federated=self.config.flocking)
         self.bus = ambient_bus()
         self.sim.telemetry = self.bus
@@ -81,14 +74,11 @@ class Grid:
         for spec in self.config.pools:
             pool_config = PoolConfig(
                 n_machines=spec.n_machines,
-                cpu_speeds=list(spec.cpu_speeds),
                 seed=self.config.seed,
                 condor=self.config.condor,
                 submit_host=f"submit-{spec.name}",
                 central_host=f"central-{spec.name}",
                 machine_prefix=f"{spec.name}-exec",
-                home_capacity=self.config.home_capacity,
-                network_latency=self.config.network_latency,
             )
             self.pools[spec.name] = Pool(
                 pool_config,
@@ -215,8 +205,6 @@ class ChurnGenerator:
         mean_interval: float = 120.0,
         mean_downtime: float = 90.0,
         graceful_fraction: float = 0.5,
-        start: float = 0.0,
-        stop: float | None = None,
         min_alive: int = 1,
     ):
         self.pool = pool
@@ -225,8 +213,6 @@ class ChurnGenerator:
         self.mean_interval = mean_interval
         self.mean_downtime = mean_downtime
         self.graceful_fraction = graceful_fraction
-        self.start = start
-        self.stop = stop
         self.min_alive = min_alive
         self.leaves = 0
         self.joins = 0
@@ -236,12 +222,8 @@ class ChurnGenerator:
 
     def _run(self):
         sim = self.pool.sim
-        if self.start > 0:
-            yield sim.timeout(self.start)
-        while self.stop is None or sim.now < self.stop:
+        while True:
             yield sim.timeout(self.rng.expovariate(1.0 / self.mean_interval))
-            if self.stop is not None and sim.now >= self.stop:
-                return
             live = self.pool.machines
             candidates = [name for name in self.eligible if name in live]
             if len(live) <= self.min_alive or not candidates:

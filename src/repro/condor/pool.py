@@ -61,9 +61,6 @@ class PoolConfig:
     """Shape of the pool to build."""
 
     n_machines: int = 4
-    machine_memory: int = 256 * 2**20
-    machine_scratch: int = 10**9
-    cpu_speeds: list[float] = field(default_factory=list)  # default: all 1.0
     seed: int = 0
     condor: CondorConfig = field(default_factory=CondorConfig)
     submit_host: str = "submit"
@@ -71,13 +68,6 @@ class PoolConfig:
     #: execution-machine name prefix; a federation gives each pool its
     #: own prefix so machine (= host) names stay globally unique
     machine_prefix: str = "exec"
-    home_capacity: int = 10**9
-    network_latency: float = 0.001
-    #: None = local home directory; "hard"/"soft" = NFS-mounted home with
-    #: that mount mode (§5's dilemma, surfaced through every shadow)
-    home_nfs_mode: str | None = None
-    home_nfs_soft_timeout: float = 30.0
-    home_nfs_retry_interval: float = 1.0
 
 
 def run_until_terminal(
@@ -126,9 +116,7 @@ class Pool:
         self.sim = sim if sim is not None else Simulator()
         self.rngs = rngs if rngs is not None else RngRegistry(self.config.seed)
         self.net = net if net is not None else Network(
-            self.sim,
-            default_latency=self.config.network_latency,
-            rng=self.rngs.stream("network.loss"),
+            self.sim, rng=self.rngs.stream("network.loss")
         )
         self.chain = chain if chain is not None else figure3_chain()
         # Telemetry: attach the ambient bus (an ObservationSession's, if
@@ -149,27 +137,15 @@ class Pool:
             )
         # Submit side.
         self.net.register_host(self.config.submit_host)
-        self.home_fs = LocalFileSystem("home", capacity=self.config.home_capacity, sim=self.sim)
+        self.home_fs = LocalFileSystem("home", sim=self.sim)
         self.home_fs.mkdir("/home/user", parents=True)
-        if self.config.home_nfs_mode is None:
-            self.home_backend = SyncFsAdapter(self.home_fs)
-        else:
-            from repro.sim.filesystem import NfsClient
-
-            self.home_backend = NfsClient(
-                self.sim,
-                self.home_fs,
-                mode=self.config.home_nfs_mode,
-                soft_timeout=self.config.home_nfs_soft_timeout,
-                retry_interval=self.config.home_nfs_retry_interval,
-            )
         # Central manager.
         self.matchmaker = Matchmaker(self.sim, self.net, self.config.central_host, condor)
         self.schedd = Schedd(
             self.sim,
             self.net,
             self.config.submit_host,
-            self.home_backend,
+            SyncFsAdapter(self.home_fs),
             self.config.central_host,
             condor,
             chain=self.chain,
@@ -180,18 +156,14 @@ class Pool:
         self.startds: dict[str, Startd] = {}
         #: machines that left (churn) and may rejoin under the same name
         self._parked: dict[str, Machine] = {}
-        speeds = self.config.cpu_speeds or [1.0] * self.config.n_machines
         for i in range(self.config.n_machines):
-            self.add_machine(
-                f"{self.config.machine_prefix}{i:03d}",
-                cpu_speed=speeds[i % len(speeds)],
-            )
+            self.add_machine(f"{self.config.machine_prefix}{i:03d}")
 
     # -- construction -----------------------------------------------------------
     def add_machine(
         self,
         name: str,
-        memory: int | None = None,
+        memory: int = 256 * 2**20,
         cpu_speed: float = 1.0,
         java: JavaInstallation | None = None,
         policy: OwnerPolicy | None = None,
@@ -201,9 +173,8 @@ class Pool:
         machine = Machine(
             self.sim,
             name,
-            memory=memory if memory is not None else self.config.machine_memory,
+            memory=memory,
             cpu_speed=cpu_speed,
-            scratch_capacity=self.config.machine_scratch,
             java=java,
             policy=policy,
             slots=slots,
@@ -269,7 +240,7 @@ class Pool:
             self.bus.emit(self.sim.now, "daemon", "machine_join", machine=name)
         return machine
 
-    def add_schedd(self, submit_host: str, home_capacity: int | None = None) -> Schedd:
+    def add_schedd(self, submit_host: str) -> Schedd:
         """Add another submission site (its own schedd and home file system).
 
         A "community of computers" (§2.1) usually has many submitters; the
@@ -278,11 +249,7 @@ class Pool:
         if submit_host in self.schedds:
             raise ValueError(f"schedd already exists on {submit_host}")
         self.net.register_host(submit_host)
-        home_fs = LocalFileSystem(
-            f"home:{submit_host}",
-            capacity=home_capacity if home_capacity is not None else self.config.home_capacity,
-            sim=self.sim,
-        )
+        home_fs = LocalFileSystem(f"home:{submit_host}", sim=self.sim)
         home_fs.mkdir("/home/user", parents=True)
         schedd = Schedd(
             self.sim,

@@ -193,28 +193,26 @@ class MissingInputFile(Fault):
     Accepts a job id or the Job object (see :class:`CorruptProgramImage`).
     """
 
-    def __init__(self, job_or_id, logical_name: str = "missing.dat"):
+    def __init__(self, job_or_id):
         job_id = job_or_id if isinstance(job_or_id, str) else job_or_id.job_id
         super().__init__("MissingInputFile", ErrorScope.JOB, job_id=job_id)
         self._job = None if isinstance(job_or_id, str) else job_or_id
-        self.logical_name = logical_name
 
     def arm(self, pool) -> None:
         job = self._job if self._job is not None else pool.schedd.jobs[self.job_id]
-        job.input_files[self.logical_name] = "/home/user/does-not-exist"
+        job.input_files["missing.dat"] = "/home/user/does-not-exist"
 
 
 @dataclass
 class NetworkPartition(Fault):
     """Traffic between two hosts silently vanishes (§5's indeterminate
-    scope).  Ground truth depends on which side is cut off."""
+    scope).  Ground truth: *host_b*, the execution side, is cut off."""
 
     host_a: str = ""
     host_b: str = ""
 
-    def __init__(self, host_a: str, host_b: str, submit_side: bool = False):
-        scope = ErrorScope.LOCAL_RESOURCE if submit_side else ErrorScope.REMOTE_RESOURCE
-        super().__init__("NetworkPartition", scope, site=None if submit_side else host_b)
+    def __init__(self, host_a: str, host_b: str):
+        super().__init__("NetworkPartition", ErrorScope.REMOTE_RESOURCE, site=host_b)
         self.host_a = host_a
         self.host_b = host_b
 
@@ -310,11 +308,11 @@ class BlackHoleChurn(Fault):
     re-advertises the site.
     """
 
-    downtime: float = 30.0
+    #: seconds the machine stays away before it rejoins, still broken
+    DOWNTIME = 30.0
 
-    def __init__(self, site: str, downtime: float = 30.0):
+    def __init__(self, site: str):
         super().__init__("BlackHoleChurn", ErrorScope.REMOTE_RESOURCE, site=site)
-        self.downtime = downtime
         self._machine = None
 
     def arm(self, pool) -> None:
@@ -324,7 +322,7 @@ class BlackHoleChurn(Fault):
             pool.remove_machine(self.site, graceful=True)
 
         def _rejoin():
-            yield pool.sim.timeout(self.downtime)
+            yield pool.sim.timeout(self.DOWNTIME)
             # Another fault may have rejoined (or re-removed) it meanwhile.
             if self.site in pool.parked:
                 pool.rejoin_machine(self.site)

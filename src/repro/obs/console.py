@@ -43,6 +43,9 @@ SCOPE_LADDER = [scope.name for scope in sorted(ErrorScope)]
 #: Attribution triples the "where time went" panel shows.
 TIME_TOP_N = 6
 
+#: Events the live console's "recent events" tail keeps.
+RECENT_EVENTS = 12
+
 #: JOB-topic event name -> the state the job is in afterwards.
 _JOB_STATE = {
     "submit": "idle",
@@ -173,11 +176,11 @@ def matrix_table(matrix: dict) -> Table:
 class GridConsole:
     """Accumulates telemetry and renders an operator dashboard."""
 
-    def __init__(self, bus: TelemetryBus, keep_last: int = 12):
+    def __init__(self, bus: TelemetryBus):
         #: traffic, error hops and makespans: the fold every view shares
         self.summary = RunSummary()
         self.job_states: dict[str, str] = {}
-        self.recent: deque[TelemetryEvent] = deque(maxlen=keep_last)
+        self.recent: deque[TelemetryEvent] = deque(maxlen=RECENT_EVENTS)
         #: sim-time attribution behind the "where time went" panel
         self.profile = SimTimeProfiler(bus)
         self._unsubscribe = bus.subscribe(self.on_event)

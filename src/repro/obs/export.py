@@ -251,12 +251,10 @@ class ObservationSession:
         trace_path: str | None = None,
         metrics_path: str | None = None,
         profile_path: str | None = None,
-        profile: bool = False,
     ):
         self.trace_path = trace_path
         self.metrics_path = metrics_path
         self.profile_path = profile_path
-        self.profiling = profile or profile_path is not None
         self.bus = TelemetryBus()
         self.spans = SpanBuilder(self.bus)
         self.recorder = BusMetricsRecorder(self.bus)
@@ -265,7 +263,7 @@ class ObservationSession:
         #: wall counters exist only while profiling; they are installed
         #: into the hot-path hooks for the session's duration and their
         #: numbers live under a strippable "wall" key in the export.
-        self.wall: WallCounters | None = WallCounters() if self.profiling else None
+        self.wall: WallCounters | None = WallCounters() if profile_path is not None else None
         self._trace = _TraceSink(trace_path)
         self.bus.subscribe(self._trace.on_event)
         self.summary = RunSummary()

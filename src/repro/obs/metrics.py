@@ -179,8 +179,8 @@ class BusMetricsRecorder:
     - ``sim_time_seconds`` -- gauge of the latest event's sim time.
     """
 
-    def __init__(self, bus: TelemetryBus, registry: MetricsRegistry | None = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, bus: TelemetryBus):
+        self.registry = MetricsRegistry()
         #: a series key is built once: the fixed ones here, a labelled
         #: family's on first sight of its label values (:meth:`_count`)
         self._events_total = {

@@ -63,6 +63,9 @@ __all__ = [
 
 PROFILE_SCHEMA = "repro-profile/1"
 
+#: Attribution triples the "where time went" panel shows.
+PANEL_TOP_N = 8
+
 #: DAEMON-topic event name -> the daemon that published it.
 _DAEMON_OF_EVENT = {
     "negotiation_cycle": "matchmaker",
@@ -432,7 +435,7 @@ def profile_report(
     }
 
 
-def render_profile(report: dict, top: int = 8) -> str:
+def render_profile(report: dict) -> str:
     """The operator-facing "where time went" panel for a profile report."""
     from repro.harness.report import Table
 
@@ -442,7 +445,7 @@ def render_profile(report: dict, top: int = 8) -> str:
         ["daemon", "phase", "scope", "events", "sim time (s)", "share"],
         title=f"where time went (sim t={total:.1f}, {sim['events']} events)",
     )
-    for row in sim["triples"][:top]:
+    for row in sim["triples"][:PANEL_TOP_N]:
         share = 0.0 if total <= 0 else row["sim_time"] / total
         table.add_row(
             [

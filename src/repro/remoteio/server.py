@@ -75,14 +75,12 @@ class RemoteIoServer:
         host: str,
         port: int,
         home_fs,  # NfsClient or SyncFsAdapter
-        credential_required: bool = True,
     ):
         self.sim = sim
         self.net = net
         self.host = host
         self.port = port
         self.home_fs = home_fs
-        self.credential_required = credential_required
         self.requests_served = 0
         self.listener = net.listen(host, port)
         self._proc = sim.spawn(self._accept_loop(), name=f"ioserver:{host}:{port}")
@@ -125,13 +123,12 @@ class RemoteIoServer:
 
     def _perform(self, request: RpcRequest):
         """Generator: the operation body (credential check + fs call)."""
-        if self.credential_required:
-            if request.credential is None:
-                return RpcReply(ok=False, error="BAD_CREDENTIAL")
-            if not request.credential.valid_at(self.sim.now):
-                # GSI/Kerberos tickets expire: an error the naive library
-                # smuggles to the program as an IOException (§4).
-                return RpcReply(ok=False, error="CREDENTIAL_EXPIRED")
+        if request.credential is None:
+            return RpcReply(ok=False, error="BAD_CREDENTIAL")
+        if not request.credential.valid_at(self.sim.now):
+            # GSI/Kerberos tickets expire: an error the naive library
+            # smuggles to the program as an IOException (§4).
+            return RpcReply(ok=False, error="CREDENTIAL_EXPIRED")
         try:
             if request.op == "read_file":
                 data = yield from self.home_fs.read_file(request.path)

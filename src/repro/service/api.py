@@ -46,6 +46,15 @@ __all__ = ["API_VERSION", "ServiceApi", "ServiceConfig"]
 
 API_VERSION = "v1"
 
+#: Per-route request counters: the route table's roots.  Any other path a
+#: client sends counts under "other", so the dict (and the console's
+#: rows) stay bounded whatever paths arrive.
+_COUNTED_ROUTES = frozenset(
+    [f"/{API_VERSION}/{name}" for name in
+     ("health", "jobs", "experiments", "campaigns", "queue", "runs", "results")]
+    + ["/console"]
+)
+
 #: Artifacts that are JSON documents (everything else serves as text).
 _JSON_ARTIFACTS = {"result", "metrics", "report", "batch"}
 
@@ -100,6 +109,8 @@ class ServiceApi:
         parts = [p for p in path.split("/") if p]
         self.requests_total += 1
         route = "/" + "/".join(parts[:2])
+        if route not in _COUNTED_ROUTES:
+            route = "other"
         self.requests_by_route[route] = self.requests_by_route.get(route, 0) + 1
         # The console and its data feed are read-only observability over a
         # separate store; they mount before auth, like /v1/health.

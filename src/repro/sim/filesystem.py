@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _SEP = "/"
+#: simulated round trip of one NFS operation to the server
+NFS_RPC_LATENCY = 0.002
 
 
 class FsError(Exception):
@@ -347,7 +349,6 @@ class NfsClient:
         mode: str = "hard",
         soft_timeout: float = 30.0,
         retry_interval: float = 1.0,
-        rpc_latency: float = 0.002,
     ):
         if mode not in ("hard", "soft"):
             raise ValueError(f"mount mode must be 'hard' or 'soft', not {mode!r}")
@@ -356,7 +357,6 @@ class NfsClient:
         self.mode = mode
         self.soft_timeout = soft_timeout
         self.retry_interval = retry_interval
-        self.rpc_latency = rpc_latency
         self.stats = _MountStats()
 
     def _call(self, op, *args, deadline: float | None = None):
@@ -366,7 +366,7 @@ class NfsClient:
         if deadline is None and self.mode == "soft":
             deadline = self.soft_timeout
         while True:
-            yield self.sim.timeout(self.rpc_latency)
+            yield self.sim.timeout(NFS_RPC_LATENCY)
             if self.server_fs.online:
                 result = op(*args)
                 self.stats.blocked_time += self.sim.now - start

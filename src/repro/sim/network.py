@@ -5,7 +5,7 @@ Models exactly the failure modes the paper reasons about:
 - **refused connections** -- nothing listening, or the host is down
   ("a refused network connection may indicate that the target service is
   temporarily offline, or ... an invalid address", §5);
-- **timeouts** -- partitions or message loss surface as elapsed time, the
+- **timeouts** -- partitions and down hosts surface as elapsed time, the
   raw material for time-dependent scope resolution;
 - **broken connections** -- "on a network connection, an escaping error is
   communicated by breaking the connection" (§3.2); :meth:`Connection.break_`
@@ -53,7 +53,7 @@ class ConnectionRefused(NetworkError):
 
 
 class ConnectionTimedOut(NetworkError):
-    """No response within the caller's patience (partition or loss)."""
+    """No response within the caller's patience (partition or down host)."""
 
     code = "ETIMEDOUT"
 
@@ -128,8 +128,6 @@ class Connection:
         assert peer is not None
         if self.network.is_partitioned(self.local.host, self.remote.host):
             return  # dropped on the floor
-        if self.network._drops(self.local.host, self.remote.host):
-            return
         message = self.network._maybe_corrupt(message)
         latency = self.network.latency(self.local.host, self.remote.host)
         self.sim.call_in(latency, peer._deliver, message)
@@ -258,12 +256,10 @@ class Network:
         self,
         sim: Simulator,
         default_latency: float = 0.001,
-        loss_probability: float = 0.0,
         rng=None,
     ):
         self.sim = sim
         self.default_latency = default_latency
-        self.loss_probability = loss_probability
         #: Probability that an eligible message's payload is silently
         #: corrupted in flight -- the "CRC and TCP checksum disagree"
         #: fault, the raw material of *implicit* errors.
@@ -337,13 +333,6 @@ class Network:
         buf[idx] ^= 0xFF
         self.corruptions += 1
         return dataclasses.replace(message, data=bytes(buf))
-
-    def _drops(self, host_a: str, host_b: str) -> bool:
-        if self.loss_probability <= 0.0 or self.rng is None:
-            return False
-        if host_a == host_b:
-            return False
-        return self.rng.random() < self.loss_probability
 
     def _record_traffic(self, src: str, dst: str, size: int) -> None:
         key = (src, dst)

@@ -28,6 +28,7 @@ from repro.condor.classads import parser as parser_mod
 from repro.condor.classads.expr import ClassAdValue, Literal, ValueType
 from repro.condor.classads.parser import parse_uncached
 from repro.condor.daemons import match_index as match_index_mod
+from repro.condor.daemons import schedd as schedd_mod
 from repro.condor.daemons.config import CondorConfig
 from repro.condor.daemons.match_index import Constraint, MachineIndex, extract_constraints
 from repro.condor.daemons.schedd import Schedd
@@ -236,9 +237,8 @@ def make_schedd(n_jobs: int = 4) -> tuple[Simulator, Schedd, list[Job]]:
     sim = Simulator()
     net = Network(sim)
     config = CondorConfig(
-        schedd_avoidance=True, avoidance_threshold=2, avoidance_base=40.0,
+        schedd_avoidance=True, avoidance_base=40.0,
         avoidance_cap=160.0, max_retries=3, flock_after=15.0,
-        advertise_interval=10.0,
     )
     # No matchmaker listens anywhere: every advertise fails at connect,
     # which still walks the whole ad-building path.
@@ -295,6 +295,13 @@ operations = st.lists(
 
 
 class TestScheddAdCache:
+    @pytest.fixture(autouse=True, scope="class")
+    def _frequent_advertising(self):
+        # Three advertise rounds per 30 s, so "advance" steps cross several.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schedd_mod, "ADVERTISE_INTERVAL", 10.0)
+            yield
+
     @given(operations)
     @settings(max_examples=120, deadline=None)
     def test_cached_ad_always_equals_a_fresh_build(self, ops):
@@ -556,7 +563,7 @@ class TestMachineAdIsAValue:
         assert broken.value("hasjava") is False and healthy.value("hasjava") is True
 
     def test_an_idle_startd_re_advertises_one_object(self):
-        pool, startd = make_startd(advertise_interval=30.0)
+        pool, startd = make_startd()
         received = []
         real = pool.matchmaker.receive_ad
 

@@ -8,28 +8,34 @@ expiry, the success amnesty, and the churn eviction hook.
 
 import math
 
+import pytest
+
+from repro.condor.daemons import avoidance as avoidance_mod
 from repro.condor.daemons.avoidance import SiteAvoidance
 from repro.condor.daemons.config import CondorConfig
 
 
-def make_avoidance(mode="backoff", threshold=2, base=60.0, cap=480.0):
-    return SiteAvoidance(CondorConfig(
-        schedd_avoidance=True,
-        avoidance_mode=mode,
-        avoidance_threshold=threshold,
-        avoidance_base=base,
-        avoidance_cap=cap,
-    ))
+@pytest.fixture
+def make_avoidance(monkeypatch):
+    def make(mode="backoff", threshold=2, base=60.0, cap=480.0):
+        monkeypatch.setattr(avoidance_mod, "AVOIDANCE_THRESHOLD", threshold)
+        return SiteAvoidance(CondorConfig(
+            schedd_avoidance=True,
+            avoidance_mode=mode,
+            avoidance_base=base,
+            avoidance_cap=cap,
+        ))
+    return make
 
 
 class TestThreshold:
-    def test_below_threshold_no_window(self):
+    def test_below_threshold_no_window(self, make_avoidance):
         av = make_avoidance(threshold=3)
         assert not av.note_failure("exec000", now=0.0)
         assert not av.note_failure("exec000", now=1.0)
         assert not av.is_avoided("exec000", now=2.0)
 
-    def test_threshold_strike_engages(self):
+    def test_threshold_strike_engages(self, make_avoidance):
         av = make_avoidance(threshold=2, base=60.0)
         av.note_failure("exec000", now=0.0)
         assert av.note_failure("exec000", now=1.0)
@@ -37,8 +43,7 @@ class TestThreshold:
         assert av.avoided(now=2.0) == {"exec000"}
 
     def test_disabled_defense_never_avoids(self):
-        av = SiteAvoidance(CondorConfig(schedd_avoidance=False,
-                                        avoidance_threshold=1))
+        av = SiteAvoidance(CondorConfig(schedd_avoidance=False))
         for t in range(5):
             assert not av.note_failure("exec000", now=float(t))
         assert not av.is_avoided("exec000", now=10.0)
@@ -47,7 +52,7 @@ class TestThreshold:
 
 
 class TestBackoffSchedule:
-    def test_window_doubles_per_strike_and_caps(self):
+    def test_window_doubles_per_strike_and_caps(self, make_avoidance):
         av = make_avoidance(threshold=1, base=60.0, cap=200.0)
         av.note_failure("exec000", now=0.0)
         assert av.is_avoided("exec000", now=59.0)
@@ -58,7 +63,7 @@ class TestBackoffSchedule:
         av.note_failure("exec000", now=300.0)
         assert not av.is_avoided("exec000", now=501.0)  # capped at 200s
 
-    def test_sites_are_independent(self):
+    def test_sites_are_independent(self, make_avoidance):
         av = make_avoidance(threshold=1)
         av.note_failure("exec000", now=0.0)
         assert av.is_avoided("exec000", now=1.0)
@@ -66,7 +71,7 @@ class TestBackoffSchedule:
 
 
 class TestProbation:
-    def test_expiry_keeps_strikes_one_failure_reavoids(self):
+    def test_expiry_keeps_strikes_one_failure_reavoids(self, make_avoidance):
         av = make_avoidance(threshold=2, base=60.0)
         av.note_failure("exec000", now=0.0)
         av.note_failure("exec000", now=1.0)  # window until 61
@@ -76,7 +81,7 @@ class TestProbation:
         assert av.note_failure("exec000", now=100.0)
         assert av.is_avoided("exec000", now=219.0)
 
-    def test_success_clears_the_whole_record(self):
+    def test_success_clears_the_whole_record(self, make_avoidance):
         av = make_avoidance(threshold=2)
         av.note_failure("exec000", now=0.0)
         av.note_failure("exec000", now=1.0)
@@ -88,7 +93,7 @@ class TestProbation:
 
 
 class TestPermanentMode:
-    def test_blacklist_never_expires(self):
+    def test_blacklist_never_expires(self, make_avoidance):
         av = make_avoidance(mode="permanent", threshold=2)
         av.note_failure("exec000", now=0.0)
         av.note_failure("exec000", now=1.0)
@@ -97,13 +102,13 @@ class TestPermanentMode:
 
 
 class TestForget:
-    def test_forget_drops_strikes_and_window(self):
+    def test_forget_drops_strikes_and_window(self, make_avoidance):
         av = make_avoidance(threshold=1)
         av.note_failure("exec000", now=0.0)
         av.forget("exec000")
         assert "exec000" not in av.failures
         assert not av.is_avoided("exec000", now=0.0)
 
-    def test_forget_unknown_site_is_a_noop(self):
+    def test_forget_unknown_site_is_a_noop(self, make_avoidance):
         av = make_avoidance()
         av.forget("never-seen")  # no KeyError

@@ -94,16 +94,6 @@ class TestCheckpointing:
 
         assert run(True) < run(False)
 
-    def test_checkpoint_interval_coarsens_commits(self):
-        condor = CondorConfig(error_mode="scoped", checkpoint_every_steps=5)
-        pool = Pool(PoolConfig(n_machines=1, condor=condor))
-        job = standard_job(n_steps=12)
-        pool.submit(job)
-        pool.run_until_done(max_time=50_000)
-        assert job.state is JobState.COMPLETED
-        # Final notice fires at completion regardless of interval.
-        assert job.checkpoint == 12
-
     def test_machine_with_owner_active_not_matched(self):
         pool = make_pool(n=1)
         FaultInjector(pool).schedule(OwnerActivity("exec000"), at=0.0, until=500.0)

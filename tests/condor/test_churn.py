@@ -120,32 +120,31 @@ class TestForgetSiteOnLeave:
     the schedd's strike tables cannot grow without bound under churn."""
 
     def test_strikes_and_windows_are_dropped_on_removal(self):
-        pool = make_pool(n=2, schedd_avoidance=True, avoidance_threshold=1,
-                         avoidance_base=1000.0)
+        pool = make_pool(n=2, schedd_avoidance=True, avoidance_base=1000.0)
         schedd = pool.schedd
         for _ in range(3):
             schedd._note_site_failure("exec000")
-        assert "exec000" in schedd.site_failures
+        assert "exec000" in schedd.avoidance.failures
         assert "exec000" in schedd.avoided_sites
         pool.remove_machine("exec000", graceful=True)
-        assert "exec000" not in schedd.site_failures
+        assert "exec000" not in schedd.avoidance.failures
         assert "exec000" not in schedd.avoided_sites
 
     def test_every_schedd_forgets_not_just_the_first(self):
-        pool = make_pool(n=2, avoidance_threshold=1)
+        pool = make_pool(n=2)
         second = pool.add_schedd("submit001")
         for schedd in (pool.schedd, second):
             schedd._note_site_failure("exec001")
         pool.remove_machine("exec001", graceful=False)
-        assert "exec001" not in pool.schedd.site_failures
-        assert "exec001" not in second.site_failures
+        assert "exec001" not in pool.schedd.avoidance.failures
+        assert "exec001" not in second.avoidance.failures
 
     def test_rejoined_site_starts_with_a_clean_record(self):
-        pool = make_pool(n=2, avoidance_threshold=1)
+        pool = make_pool(n=2)
         pool.schedd._note_site_failure("exec000")
         pool.remove_machine("exec000", graceful=True)
         pool.rejoin_machine("exec000")
-        assert "exec000" not in pool.schedd.site_failures
+        assert "exec000" not in pool.schedd.avoidance.failures
 
 
 class TestSelfTestReprobe:
@@ -200,7 +199,7 @@ class TestChurnGenerator:
         grid = self._grid(seed)
         churn = ChurnGenerator(
             grid, grid.rngs.stream("churn"),
-            mean_interval=30.0, mean_downtime=20.0, stop=600.0,
+            mean_interval=30.0, mean_downtime=20.0,
         )
         grid.run(1000.0)
         return churn.leaves, churn.joins, churn.crashes

@@ -7,7 +7,10 @@ pool and every flock link are gone does the error widen to GRID scope
 and reach the user.
 """
 
+import pytest
+
 from repro.condor import Job, JobState, ProgramImage, Universe
+from repro.condor.daemons import schedd as schedd_mod
 from repro.condor.daemons.config import CondorConfig
 from repro.condor.daemons.schedd import FlockLink
 from repro.condor.grid import Grid, GridConfig, GridPoolSpec
@@ -39,13 +42,24 @@ def make_grid(home=1, remote=4, flocking=True, **condor_kw):
     ))
 
 
+@pytest.fixture
+def flock_discipline(monkeypatch):
+    """Set the schedd's flock-link retry budget and backoff schedule."""
+    def set_discipline(budget, base=schedd_mod.FLOCK_BACKOFF_BASE,
+                       cap=schedd_mod.FLOCK_BACKOFF_CAP):
+        monkeypatch.setattr(schedd_mod, "FLOCK_RETRY_BUDGET", budget)
+        monkeypatch.setattr(schedd_mod, "FLOCK_BACKOFF_BASE", base)
+        monkeypatch.setattr(schedd_mod, "FLOCK_BACKOFF_CAP", cap)
+    return set_discipline
+
+
 class TestFlockLinkUnit:
-    def _link(self, **kw):
-        config = CondorConfig(
-            flock_retry_budget=3, flock_backoff_base=10.0,
-            flock_backoff_cap=80.0, **kw,
-        )
-        return FlockLink("central-b", config)
+    @pytest.fixture(autouse=True)
+    def _discipline(self, flock_discipline):
+        flock_discipline(budget=3, base=10.0, cap=80.0)
+
+    def _link(self):
+        return FlockLink("central-b")
 
     def test_starts_up_and_ready(self):
         link = self._link()
@@ -153,12 +167,9 @@ class TestOverflow:
 
 
 class TestLinkOutage:
-    def test_link_outage_is_masked_and_recovers(self):
-        grid = make_grid(
-            home=1, remote=4,
-            flock_retry_budget=2, flock_backoff_base=15.0,
-            flock_backoff_cap=60.0,
-        )
+    def test_link_outage_is_masked_and_recovers(self, flock_discipline):
+        flock_discipline(budget=2, base=15.0, cap=60.0)
+        grid = make_grid(home=1, remote=4)
         injector = FaultInjector(grid)
         injector.schedule(FlockLinkDown(), at=0.0, until=150.0)
         jobs = [java_job(job_id=f"{i}.0", work=60.0) for i in range(6)]
@@ -171,10 +182,11 @@ class TestLinkOutage:
         assert grid.schedd.jobs_flocked > 0
         assert all(job.state is JobState.COMPLETED for job in jobs)
 
-    def test_dead_remote_pool_is_pool_scope_not_user_facing(self):
+    def test_dead_remote_pool_is_pool_scope_not_user_facing(self, flock_discipline):
         """FlockLinkDown errors carry POOL scope, and the federated
         chain delivers POOL to the schedd, which masks by flocking."""
-        grid = make_grid(home=1, remote=2, flock_retry_budget=2)
+        flock_discipline(budget=2)
+        grid = make_grid(home=1, remote=2)
         injector = FaultInjector(grid)
         injector.schedule(FlockLinkDown(), at=0.0)
         # A long queue keeps flock attempts coming while the link is cut.
@@ -208,14 +220,11 @@ class TestGridScope:
         for chain in (solitary, federated):
             assert chain["user"].manages(ErrorScope.GRID)
 
-    def test_total_matchmaker_loss_escalates_to_grid_scope(self):
+    def test_total_matchmaker_loss_escalates_to_grid_scope(self, flock_discipline):
         """Local matchmaker down AND every flock link down: the schedd
         has nowhere left to place work, and says so at GRID scope."""
-        grid = make_grid(
-            home=1, remote=2,
-            flock_retry_budget=2, flock_backoff_base=10.0,
-            flock_backoff_cap=40.0,
-        )
+        flock_discipline(budget=2, base=10.0, cap=40.0)
+        grid = make_grid(home=1, remote=2)
         grid.net.set_host_down("central-a")
         grid.net.set_host_down("central-b")
         grid.submit(java_job())
@@ -229,8 +238,9 @@ class TestGridScope:
         assert reported[0].manager == "user"
         assert reported[0].error.scope is ErrorScope.GRID
 
-    def test_one_live_link_prevents_grid_escalation(self):
-        grid = make_grid(home=1, remote=2, flock_retry_budget=2)
+    def test_one_live_link_prevents_grid_escalation(self, flock_discipline):
+        flock_discipline(budget=2)
+        grid = make_grid(home=1, remote=2)
         grid.net.set_host_down("central-a")  # local matchmaker only
         job = java_job(work=10.0)
         grid.submit(job)

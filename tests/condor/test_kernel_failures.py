@@ -7,6 +7,7 @@ Figure 1 dying underneath running jobs.
 import pytest
 
 from repro.condor import Job, JobState, Pool, PoolConfig, ProgramImage, Universe
+from repro.condor.daemons.avoidance import AVOIDANCE_THRESHOLD
 from repro.condor.daemons.config import CondorConfig
 from repro.core.scope import ErrorScope
 from repro.faults import FaultInjector, MachineCrash, MisconfiguredJvm, NetworkPartition
@@ -100,8 +101,7 @@ class TestScheddPolicies:
         assert env_failures == 4  # max_retries + the one that tripped it
 
     def test_avoidance_set_grows_and_is_respected(self):
-        condor = CondorConfig(error_mode="scoped", schedd_avoidance=True,
-                              avoidance_threshold=2)
+        condor = CondorConfig(error_mode="scoped", schedd_avoidance=True)
         pool = Pool(PoolConfig(n_machines=3, condor=condor))
         FaultInjector(pool).schedule(MisconfiguredJvm("exec000"))
         jobs = [java_job(f"1.{i}") for i in range(6)]
@@ -114,7 +114,7 @@ class TestScheddPolicies:
         attempts_on_bad = [
             a for j in jobs for a in j.attempts if a.site == "exec000"
         ]
-        assert len(attempts_on_bad) <= condor.avoidance_threshold
+        assert len(attempts_on_bad) <= AVOIDANCE_THRESHOLD
 
     def test_duplicate_submit_rejected(self):
         pool = Pool(PoolConfig(n_machines=1))

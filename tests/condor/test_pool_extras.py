@@ -1,11 +1,8 @@
-"""Pool-level extras: NFS-mounted home directories and operator tools."""
+"""Pool-level extras: operator tools."""
 
-import pytest
-
-from repro.condor import Job, JobState, Pool, PoolConfig, ProgramImage, Universe
-from repro.condor.daemons.config import CondorConfig
+from repro.condor import Job, Pool, PoolConfig, ProgramImage, Universe
 from repro.condor.tools import condor_q, condor_status, error_scope_report
-from repro.faults import FaultInjector, HomeFilesystemOffline, MisconfiguredJvm
+from repro.faults import FaultInjector, MisconfiguredJvm
 from repro.jvm.program import JavaProgram, Step
 
 
@@ -13,32 +10,6 @@ def java_job(job_id="1.0", steps=None):
     program = JavaProgram(steps=steps or [Step.compute(5.0)])
     return Job(job_id, owner="thain", universe=Universe.JAVA,
                image=ProgramImage(f"j{job_id}.class", program=program))
-
-
-class TestNfsHomePool:
-    @pytest.mark.parametrize("mode", ["hard", "soft"])
-    def test_pool_with_nfs_home_runs_jobs(self, mode):
-        pool = Pool(PoolConfig(n_machines=2, home_nfs_mode=mode))
-        pool.home_fs.write_file("/home/user/in.dat", b"x")
-        job = java_job(steps=[Step.read("/home/user/in.dat"), Step.exit(0)])
-        pool.submit(job)
-        pool.run_until_done(max_time=50_000)
-        assert job.state is JobState.COMPLETED
-
-    def test_soft_mounted_home_outage_is_local_resource(self):
-        from repro.core.scope import ErrorScope
-
-        pool = Pool(PoolConfig(
-            n_machines=2, home_nfs_mode="soft", home_nfs_soft_timeout=5.0,
-        ))
-        pool.home_fs.write_file("/home/user/in.dat", b"x")
-        FaultInjector(pool).schedule(HomeFilesystemOffline(), at=0.0, until=300.0)
-        job = java_job(steps=[Step.read("/home/user/in.dat"), Step.exit(0)])
-        pool.submit(job)
-        pool.run_until_done(max_time=100_000)
-        assert job.state is JobState.COMPLETED
-        failed = [a for a in job.attempts if a.error_scope is not None]
-        assert failed and failed[0].error_scope is ErrorScope.LOCAL_RESOURCE
 
 
 class TestOperatorTools:

@@ -92,7 +92,7 @@ class TestPvmExecution:
         # The long node was killed with the cluster, well before 500s:
         # the machine is already free again (claim released).
         startd = pool.startds["exec000"]
-        assert startd.claimed_by is None
+        assert set(startd.slot_claimed.values()) == {None}
 
     def test_all_scopes_now_have_producers(self):
         """With PVM in place, every interior scope of the taxonomy is

@@ -341,16 +341,16 @@ class TestProfileReport:
         assert report["critical_path"]["critical_job"] is not None
         assert report["folded"]
 
-    def test_same_seed_report_identical_after_wall_strip(self):
+    def test_same_seed_report_identical_after_wall_strip(self, tmp_path):
         from repro.obs.canonical import strip_wall
 
         reports = []
         for _ in range(2):
-            with ObservationSession(profile=True) as session:
+            with ObservationSession(profile_path=str(tmp_path / "p.json")) as session:
                 _pool_run(seed=0)
             reports.append(session.profile_report())
         assert strip_wall(reports[0]) == strip_wall(reports[1])
-        # Wall counters were live (profile=True), so the raw reports
+        # Wall counters were live (a profile path), so the raw reports
         # carry measurement that the strip removed.
         assert reports[0]["wall"] is not None
 
@@ -373,8 +373,8 @@ class TestProfileReport:
         b = strip_wall(json.loads(paths[1].read_text()))
         assert a == b
 
-    def test_render_profile_smoke(self):
-        with ObservationSession(profile=True) as session:
+    def test_render_profile_smoke(self, tmp_path):
+        with ObservationSession(profile_path=str(tmp_path / "p.json")) as session:
             _pool_run(seed=0)
         text = render_profile(session.profile_report())
         assert "where time went" in text

@@ -244,8 +244,8 @@ class _PerEventProfiler(SimTimeProfiler):
 
 
 @pytest.mark.parametrize("experiment", ["fig3", "churn", "naive_vs_scoped"])
-def test_metrics_and_profile_equal_the_per_event_reference(experiment):
-    session = ObservationSession(profile=True)
+def test_metrics_and_profile_equal_the_per_event_reference(experiment, tmp_path):
+    session = ObservationSession(profile_path=str(tmp_path / "profile.json"))
     recorder = _PerEventRecorder(session.bus)
     profiler = _PerEventProfiler(session.bus)
     with session:
@@ -262,7 +262,7 @@ class TestAFailedRunLeavesNoArtifact:
     def test_a_raising_block_leaves_neither_file_nor_temporary(self, tmp_path):
         trace, metrics = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
         session = ObservationSession(trace_path=str(trace), metrics_path=str(metrics),
-                                     profile=True)
+                                     profile_path=str(tmp_path / "profile.json"))
         with pytest.raises(RuntimeError, match="mid-run"):
             with session:
                 run_experiment_record("fig1", seed=3)  # publishes events, then:

@@ -10,17 +10,14 @@ from repro.sim.network import ConnectionTimedOut, Network
 
 
 class Rig:
-    def __init__(self, credential_required=True, nfs=None):
+    def __init__(self, nfs=None):
         self.sim = Simulator()
         self.net = Network(self.sim)
         self.fs = LocalFileSystem("home", capacity=10_000, sim=self.sim)
         self.fs.mkdir("/home", parents=True)
         self.fs.write_file("/home/data", b"bytes")
         backend = nfs if nfs is not None else SyncFsAdapter(self.fs)
-        self.server = RemoteIoServer(
-            self.sim, self.net, "submit", 7000, backend,
-            credential_required=credential_required,
-        )
+        self.server = RemoteIoServer(self.sim, self.net, "submit", 7000, backend)
 
     def call(self, request, timeout=10.0):
         box = []
@@ -62,11 +59,6 @@ class TestCredentials:
         cred = Credential("user", expires_at=100.0)
         assert cred.valid_at(99.9)
         assert not cred.valid_at(100.0)
-
-    def test_anonymous_server_skips_check(self):
-        rig = Rig(credential_required=False)
-        reply = rig.call(RpcRequest("read_file", "/home/data"))
-        assert reply.ok
 
 
 class TestOperations:

@@ -9,6 +9,9 @@ import asyncio
 import json
 import re
 
+import pytest
+
+from repro.boundary import NotFound
 from repro.obs.store import ResultsStore
 from repro.service import RunStore, ServiceApi, ServiceConfig, ServiceServer
 from repro.service.client import ServiceClient
@@ -200,6 +203,20 @@ class TestResultsRoutes:
         assert summary["service"]["requests_total"] >= 1
         assert summary["service"]["requests_by_route"]["/v1/results"] >= 1
         assert summary["service"]["queue"]["active"] == 0
+
+    def test_unknown_paths_share_one_counter(self, tmp_path):
+        """Per-route counters are keyed by the route table, not by whatever
+        path a client sends: 1 000 distinct unknown paths are 1 000
+        requests under one "other" key, not 1 000 keys (and console rows)."""
+        api = ServiceApi(RunStore(str(tmp_path / "runs.db")),
+                         ServiceConfig(secret=SECRET, results_db=None))
+        for i in range(1000):
+            with pytest.raises(NotFound):
+                api.handle("GET", f"/probe-{i}/x?q={i}", {}, b"")
+        api.handle("GET", "/v1/health", {}, b"")
+        stats = api._service_stats()
+        assert stats["requests_total"] == 1001
+        assert stats["requests_by_route"] == {"/v1/health": 1, "other": 1000}
 
     def test_error_hops_come_back_in_scope_ladder_order(self, tmp_path):
         async def check(client, server):

@@ -82,7 +82,7 @@ def test_soft_mount_timeout_bounded(outage, soft_timeout):
         assert when >= min(outage, 0.0)
     else:
         assert kind == "ETIMEDOUT"
-        # Each retry costs retry_interval plus one rpc_latency (0.002s),
+        # Each retry costs retry_interval plus one NFS_RPC_LATENCY (0.002s),
         # so the failure lands within one retry of the window plus the
         # accumulated per-iteration latency.
         max_iterations = soft_timeout / 1.0 + 2

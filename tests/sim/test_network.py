@@ -265,33 +265,6 @@ def test_traffic_accounting():
     assert net.total_traffic() == 1000
 
 
-def test_message_loss_probability():
-    from repro.sim.rng import RngRegistry
-
-    rng = RngRegistry(1).stream("loss")
-    sim = Simulator()
-    net = Network(sim, loss_probability=1.0, rng=rng)
-    listener = net.listen("server", 80)
-    got = []
-
-    def server(sim):
-        conn = yield from listener.accept()
-        try:
-            yield from conn.recv(timeout=1.0)
-            got.append("received")
-        except ConnectionTimedOut:
-            got.append("lost")
-
-    def client(sim):
-        conn = yield from net.connect("client", "server", 80)
-        conn.send("doomed")
-        return True
-
-    sim.spawn(server(sim))
-    run(sim, client(sim))
-    assert got == ["lost"]
-
-
 def test_duplicate_listen_rejected():
     _, net = make_net()
     net.listen("h", 1)
