@@ -30,23 +30,12 @@ from repro.campaign.spec import (
     MutationSpace,
     validate_injections,
 )
+from repro.harness.parallel import shard_items
 
 __all__ = ["ddmin", "minimize_cell", "replay"]
 
 #: Format tag for reproducer specs (bump on incompatible change).
 FORMAT = "repro-campaign-reproducer/1"
-
-
-def _split(items: tuple, n: int) -> list[tuple]:
-    """*items* in *n* contiguous, non-empty, exhaustive chunks."""
-    size, rem = divmod(len(items), n)
-    chunks, start = [], 0
-    for i in range(n):
-        width = size + (1 if i < rem else 0)
-        if width:
-            chunks.append(items[start : start + width])
-        start += width
-    return chunks
 
 
 def ddmin(
@@ -63,7 +52,7 @@ def ddmin(
         raise ValueError("ddmin precondition: the full set must fail")
     n = 2
     while len(items) >= 2:
-        chunks = _split(items, n)
+        chunks = shard_items(items, n)
         reduced = False
         for chunk in chunks:
             if fails(chunk):

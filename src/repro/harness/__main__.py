@@ -7,16 +7,16 @@ Examples::
     python -m repro.harness campaign --mode classic --jobs 4
     python -m repro.harness naive_vs_scoped --seed 3
     python -m repro.harness all
-    python -m repro.harness all --jobs 4          # fan out over processes
+    python -m repro.harness all --jobs 1          # in-process, one at a time
     python -m repro.harness fig1 fig3 --jobs 2
     python -m repro.harness fig3 --trace t.jsonl --metrics m.json
     python -m repro.harness naive_vs_scoped --json results.json
 
-With ``--jobs N`` the named experiments run concurrently in worker
-processes; tables are still printed in stable (sorted) name order, so
-the output is byte-identical to a serial run apart from the wall-clock
-footers.  A crashed or hung worker surfaces as an explicit error naming
-the experiment (P1/P2): one ``error:`` line, exit 1.
+The named experiments run over ``--jobs N`` worker processes (default:
+the usable cores, at most one per experiment); tables are printed in
+the order named, byte-identical to ``--jobs 1`` apart from the
+wall-clock footers.  A crashed or hung worker surfaces as an explicit
+error naming the experiment (P1/P2): one ``error:`` line, exit 1.
 
 ``--trace`` / ``--metrics`` / ``--profile`` attach a
 :class:`repro.obs.ObservationSession` for the run and write a JSONL
@@ -24,10 +24,10 @@ event+span trace, a JSON metrics snapshot, and a grid-profiler report
 (sim-time attribution, critical path, folded stacks); ``--json`` writes
 the experiments' result dataclasses as JSON.  All exports strip
 wall-clock fields, so same-seed runs produce byte-identical files
-(DESIGN.md §6).  Telemetry requires in-process execution, so the
-telemetry flags reject ``--jobs > 1`` with an error naming the exact
-conflict.  An output path nothing can be written at is a usage error too
-(exit 2, naming the flag and the path) before the first experiment runs,
+(DESIGN.md §6), whatever ``--jobs`` is: each experiment's telemetry is
+folded where it runs and merged in name order.  An output path nothing
+can be written at is a usage error too (exit 2, naming the flag and the
+path) before the first experiment runs,
 as are a ``--results-db`` that is not a results store, a name the
 registry (:mod:`repro.harness.experiments`) does not hold, ``all`` next
 to other names, or a name given twice.  This module is
@@ -52,7 +52,7 @@ from repro.harness.experiments import (
     run_experiment_record,
     run_experiments,
 )
-from repro.harness.parallel import positive_worker_count
+from repro.harness.parallel import positive_worker_count, usable_cores
 from repro.obs.export import ObservationSession, dump_json, reject_unwritable
 from repro.obs.profile import render_profile
 
@@ -88,9 +88,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", nargs="*",
                         help="experiment name(s), or 'all'")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=positive_worker_count, default=1, metavar="N",
-                        help="run experiments over N worker processes "
-                             "(output order stays stable)")
+    parser.add_argument("--jobs", type=positive_worker_count, default=None, metavar="N",
+                        help="run experiments over N worker processes (default: the "
+                             "usable cores, at most one per experiment; output order "
+                             "stays stable)")
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write a JSONL telemetry trace (events + spans)")
@@ -128,20 +129,13 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
         if names.count(name) > 1:
             parser.error(f"experiment {name!r} is named {names.count(name)} times; once is enough")
-    telemetry_flags = [f for f in ("--trace", "--metrics", "--profile") if getattr(args, f[2:])]
-    if telemetry_flags and args.jobs > 1:
-        parser.error(
-            f"{'/'.join(telemetry_flags)} cannot be combined with "
-            f"--jobs {args.jobs}: telemetry is collected in-process, so "
-            f"these flags require --jobs 1 (drop "
-            f"{'/'.join(telemetry_flags)} or --jobs {args.jobs})"
-        )
     reject_unwritable(parser, args, "--json", "--trace", "--metrics", "--profile", "--results-db")
     session = ObservationSession(
         trace_path=args.trace, metrics_path=args.metrics, profile_path=args.profile
-    ) if telemetry_flags else None
+    ) if args.trace or args.metrics or args.profile else None
+    jobs = args.jobs or min(usable_cores(), len(names))
     with session or contextlib.nullcontext():
-        records = run_experiments(names, seed=args.seed, jobs=args.jobs)
+        records = run_experiments(names, seed=args.seed, jobs=jobs)
     for record in records:
         print(record["rendered"])
         print()

@@ -17,6 +17,7 @@ import time
 import typing
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 
 from repro.boundary import INT, Spec, UnknownExperiment
 from repro.condor import Job, JobState, Pool, PoolConfig, ProgramImage, Universe
@@ -46,6 +47,7 @@ from repro.harness.workloads import (
 )
 from repro.jvm.program import JavaProgram, Step
 from repro.obs.canonical import to_jsonable
+from repro.obs.export import Fold, ObservationSession, observing
 from repro.sim.rng import RngRegistry
 
 MB = 2**20
@@ -127,12 +129,23 @@ class ExperimentSpec(Spec):
 def run_experiments(names: list[str], seed: int = 0, jobs: int = 1) -> list[dict]:
     """Run *names* (serially or over *jobs* workers); records in input order.
 
-    An unknown name raises before any worker starts; a crashed or hung
-    worker raises :class:`~repro.harness.parallel.WorkerFailure`.
+    Under an :class:`~repro.obs.export.ObservationSession` the process that
+    runs an experiment folds it, and the session merges the folds in input
+    order, the same for every *jobs*.  An unknown name raises before any
+    worker starts; a crashed or hung worker raises :class:`~repro.boundary.WorkerFailure`.
     """
     specs = [ExperimentSpec(name, seed) for name in names]
-    runner = ParallelRunner(ExperimentSpec.record, workers=jobs)
-    return [outcome.value for outcome in runner.map(specs)]
+    session = observing()
+    if session is None:
+        return [o.value for o in ParallelRunner(ExperimentSpec.record, workers=jobs).map(specs)]
+    folded = [o.value for o in ParallelRunner(partial(_folded, session), workers=jobs).map(specs)]
+    for _, fold in folded:
+        session.merge(fold)
+    return [record for record, _ in folded]
+
+
+def _folded(session: ObservationSession, spec: ExperimentSpec) -> tuple[dict, Fold]:
+    return session.fold(spec.experiment, spec.record)
 
 
 # ---------------------------------------------------------------------------

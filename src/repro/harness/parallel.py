@@ -4,10 +4,10 @@ The determinism contract (DESIGN.md §6) makes per-seed experiment runs
 independent: every stream of randomness is derived from the seed alone
 (:mod:`repro.sim.rng`), so ``run(seed)`` touches no state shared with
 ``run(other_seed)``.  That independence is what makes fan-out safe: this
-module shards a seed list across a :class:`~concurrent.futures.ProcessPoolExecutor`,
-runs each shard in its own worker process, and merges the per-seed rows
-back **in canonical seed order**, so parallel output is bit-identical to
-serial output.
+module hands a seed list, one seed at a time, to the worker processes of a
+:class:`~concurrent.futures.ProcessPoolExecutor` as they come free, and
+merges the per-seed rows back **in canonical seed order**, so parallel
+output is bit-identical to serial output.
 
 Worker failure policy follows the paper's P1/P2 ("a program must not
 generate an implicit error as a result of receiving an explicit error"):
@@ -38,7 +38,14 @@ __all__ = [
     "WorkerFailure",
     "positive_worker_count",
     "shard_items",
+    "usable_cores",
 ]
+
+
+def usable_cores() -> int:
+    """The CPUs this process may run on (its affinity), not the host's count."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def positive_worker_count(text: str) -> int:
@@ -71,41 +78,28 @@ class ItemResult:
     seconds: float
 
 
-def shard_items(items: Sequence[Any], n_shards: int) -> list[list[Any]]:
-    """Split *items* into at most *n_shards* contiguous, balanced shards.
-
-    Contiguity keeps the merge trivially order-preserving and keeps
-    neighbouring seeds (often similar cost) spread across workers.
-    """
-    items = list(items)
-    n_shards = max(1, min(int(n_shards), len(items)))
-    base, extra = divmod(len(items), n_shards)
-    shards, start = [], 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(items[start:start + size])
-        start += size
-    return shards
+def shard_items(items: Sequence[Any], n_shards: int) -> list[Sequence[Any]]:
+    """Split *items* into at most *n_shards* contiguous, balanced, non-empty
+    slices (the first ones one longer), each of *items*' own type."""
+    n = max(1, min(int(n_shards), len(items)))
+    size, extra = divmod(len(items), n)
+    return [items[i * size + min(i, extra):(i + 1) * size + min(i + 1, extra)] for i in range(n)]
 
 
-def _run_shard(fn: Callable[[Any], Any], items: list[Any]) -> list[tuple[Any, Any, float]]:
-    """Worker-side loop: run *fn* over *items*, timing each call.
+def _run_item(fn: Callable[[Any], Any], item: Any) -> tuple[Any, float]:
+    """``fn(item)`` and its wall clock.
 
     A failure inside *fn* is converted here, in the worker, into a
-    :class:`WorkerFailure` naming the precise item -- the parent then
-    re-raises it as-is instead of guessing which item of the shard died.
+    :class:`WorkerFailure` naming the item -- the parent re-raises it as-is.
     """
-    out = []
-    for item in items:
-        started = time.perf_counter()
-        try:
-            value = fn(item)
-        except Exception as exc:
-            raise WorkerFailure(
-                f"worker failed on {item!r}: {exc!r}", [item], cause=repr(exc)
-            ) from exc
-        out.append((item, value, time.perf_counter() - started))
-    return out
+    started = time.perf_counter()
+    try:
+        value = fn(item)
+    except Exception as exc:
+        raise WorkerFailure(
+            f"worker failed on {item!r}: {exc!r}", [item], cause=repr(exc)
+        ) from exc
+    return value, time.perf_counter() - started
 
 
 class ParallelRunner:
@@ -117,12 +111,11 @@ class ParallelRunner:
         A picklable callable of one argument (typically ``run(seed)``).
         Non-picklable callables silently take the serial path.
     workers:
-        Process count; ``None`` means ``os.cpu_count()``.  ``workers <= 1``
+        Process count; ``None`` means :func:`usable_cores`.  ``workers <= 1``
         runs serially (no pool, no overhead).
     timeout:
-        Optional per-item wall-clock budget in seconds.  A shard gets
-        ``timeout * len(shard)``; exceeding it raises :class:`WorkerFailure`
-        naming the shard's items.
+        Optional per-item wall-clock budget in seconds; exceeding it raises
+        :class:`WorkerFailure` naming the item.
     """
 
     def __init__(
@@ -132,7 +125,7 @@ class ParallelRunner:
         timeout: float | None = None,
     ):
         self.fn = fn
-        self.workers = (os.cpu_count() or 1) if workers is None else int(workers)
+        self.workers = usable_cores() if workers is None else int(workers)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if timeout is not None and timeout <= 0:
@@ -155,7 +148,7 @@ class ParallelRunner:
 
     def _discard_executor(self, wait: bool) -> None:
         if self._executor is not None:
-            self._executor.shutdown(wait=wait, cancel_futures=not wait)
+            self._executor.shutdown(wait=wait, cancel_futures=True)
             self._executor = None
 
     # -- public ----------------------------------------------------------
@@ -170,10 +163,7 @@ class ParallelRunner:
 
     # -- serial path -----------------------------------------------------
     def _serial(self, items: list[Any]) -> list[ItemResult]:
-        return [
-            ItemResult(item, value, seconds)
-            for item, value, seconds in _run_shard(self.fn, items)
-        ]
+        return [ItemResult(item, *_run_item(self.fn, item)) for item in items]
 
     # -- parallel path ---------------------------------------------------
     def _can_fan_out(self) -> bool:
@@ -185,7 +175,6 @@ class ParallelRunner:
         return True
 
     def _parallel(self, items: list[Any]) -> list[ItemResult]:
-        shards = shard_items(items, self.workers)
         try:
             if self._persistent:
                 if self._executor is None:
@@ -195,61 +184,46 @@ class ParallelRunner:
                 executor = self._executor
             else:
                 executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=len(shards)
+                    max_workers=min(self.workers, len(items))
                 )
         except (OSError, ValueError, RuntimeError):
             # The pool cannot start (fork refused, resource limits):
             # serial is always a correct answer.
             return self._serial(items)
-        collected: dict[Any, tuple[Any, float]] = {}
+        # One item per task: a worker that comes free takes the next item,
+        # so uneven items balance over the workers.
+        futures = [executor.submit(_run_item, self.fn, item) for item in items]
+        results: list[ItemResult] = []
         try:
-            futures = [(executor.submit(_run_shard, self.fn, shard), shard) for shard in shards]
-            for future, shard in futures:
-                budget = None if self.timeout is None else self.timeout * len(shard)
+            for item, future in zip(items, futures, strict=True):
                 try:
-                    rows = future.result(timeout=budget)
+                    results.append(ItemResult(item, *future.result(timeout=self.timeout)))
                 except WorkerFailure:
                     raise
                 except concurrent.futures.TimeoutError:
                     raise WorkerFailure(
                         f"worker exceeded its {self.timeout}s/seed budget "
-                        f"while running {shard!r}",
-                        shard,
+                        f"while running {item!r}",
+                        [item],
                         cause="timeout",
                     ) from None
                 except BrokenProcessPool as exc:
-                    # The break lands on every unfinished future and the pool
-                    # cannot say whose worker died: name all of them, never
-                    # just whichever shard was being waited on.
-                    lost = [
-                        item
-                        for other, items_of in futures
-                        if not other.done() or other.exception() is not None
-                        for item in items_of
-                    ]
+                    # The break lands on every unfinished future, the pool
+                    # cannot say whose worker died, and the map returns
+                    # nothing: name every item, never just the one waited on.
                     raise WorkerFailure(
-                        f"worker process died while running {lost!r}", lost,
+                        f"worker process died while running one of {items!r}", items,
                         cause=repr(exc),
                     ) from exc
-                for item, value, seconds in rows:
-                    collected[item] = (value, seconds)
         except WorkerFailure:
-            # Do not block on still-running siblings of a failed worker;
-            # a persistent pool is discarded too (it may be broken).
+            # Cancel what has not started.  Without a budget every running
+            # sibling ends, so wait for it (its side effects are over before
+            # the caller cleans up); with one, a sibling may hang.
             if self._persistent:
-                self._discard_executor(wait=False)
+                self._discard_executor(wait=self.timeout is None)
             else:
-                executor.shutdown(wait=False, cancel_futures=True)
+                executor.shutdown(wait=self.timeout is None, cancel_futures=True)
             raise
-        else:
-            if not self._persistent:
-                executor.shutdown(wait=True)
-        # Canonical-order merge; any hole is an explicit error, never a
-        # silently shorter result list.
-        missing = [item for item in items if item not in collected]
-        if missing:
-            raise WorkerFailure(
-                f"workers returned no result for {missing!r}", missing,
-                cause="missing results",
-            )
-        return [ItemResult(item, *collected[item]) for item in items]
+        if not self._persistent:
+            executor.shutdown(wait=True)
+        return results

@@ -87,8 +87,8 @@ def replicate(
 ) -> Replication:
     """Run *run(seed)* for each seed; *run* returns metric-name -> value.
 
-    ``workers > 1`` shards the seed list across that many worker
-    processes; results are merged in canonical seed order, so the
+    ``workers > 1`` hands the seeds to that many worker processes one at
+    a time; results are merged in canonical seed order, so the
     returned samples are bit-identical to a serial run.  A crashed or
     hung worker raises :class:`repro.harness.parallel.WorkerFailure`
     naming its seeds (it never yields a shorter sample array), and

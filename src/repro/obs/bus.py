@@ -234,10 +234,11 @@ class TelemetryBus:
 _ambient: TelemetryBus | None = None
 
 
-def install_ambient(bus: TelemetryBus) -> None:
-    """Make *bus* the ambient bus new pools attach to."""
+def install_ambient(bus: TelemetryBus | None) -> TelemetryBus | None:
+    """Make *bus* the ambient bus new pools attach to; return the one it replaces."""
     global _ambient
-    _ambient = bus
+    previous, _ambient = _ambient, bus
+    return previous
 
 
 def clear_ambient() -> None:

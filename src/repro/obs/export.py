@@ -12,12 +12,15 @@ flags ``--trace`` / ``--metrics``: it installs an ambient bus (picked up
 by every :class:`~repro.condor.pool.Pool` built while it is active),
 renders each event's trace line as it happens, assembles spans, folds
 the standard metric series and the run summary, and completes the files
-on exit.  It retains no event.
+on exit.  It retains no event.  A run it folds (:meth:`~ObservationSession.fold`)
+has observers of its own, in a worker process too, merged in afterwards.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
+from collections.abc import Callable
 from math import isfinite
 from typing import IO, Any
 
@@ -41,9 +44,11 @@ from repro.obs.span import Span, SpanBuilder
 from repro.obs.summary import RunSummary
 
 __all__ = [
+    "Fold",
     "ObservationSession",
     "dump_json",
     "event_record",
+    "observing",
     "reject_unwritable",
     "render_metrics",
     "render_trace",
@@ -195,13 +200,26 @@ class _TraceSink:
     def commit(self, tail: str) -> None:
         """Append *tail*, close, and only then let *path* name the file."""
         self._fh.write(tail)
-        self._close()
-        os.replace(self._fh.name, self.path)
+        os.replace(self.release(), self.path)
 
     def discard(self) -> None:
         """Close and remove the temporary: a failed run leaves no trace file."""
+        os.unlink(self.release())
+
+    def release(self) -> str:
+        """Stop writing: the temporary's name, or the lines when there is none."""
+        if self._fh is None:
+            return self.text()
         self._close()
-        os.unlink(self._fh.name)
+        return self._fh.name
+
+    def append(self, part: str) -> None:
+        """Add a released sink's lines after these (a part file is removed)."""
+        if self.path is None:
+            return self._write(part)
+        with open(part, encoding="utf-8", newline="") as lines:
+            self._fh.writelines(lines)
+        os.unlink(part)
 
 
 def _span_lines(spans: list[Span]) -> str:
@@ -228,6 +246,19 @@ def render_metrics(registry: MetricsRegistry) -> str:
 
 
 # -- the ambient observation session ------------------------------------
+#: One observed run's share of a session (:meth:`ObservationSession.fold`); it
+#: pickles, so a worker hands it back.  ``trace``: the part file, or the lines.
+Fold = namedtuple("Fold", "dispatched trace spans registry profiler summary wall")
+
+
+_active: ObservationSession | None = None
+
+
+def observing() -> ObservationSession | None:
+    """The session whose ``with`` block is running, if any."""
+    return _active
+
+
 class ObservationSession:
     """Collects one run's telemetry and completes the export files on exit.
 
@@ -242,8 +273,8 @@ class ObservationSession:
 
     With a *trace_path*, event lines stream into ``<trace_path>.tmp`` while
     the block runs; a clean exit appends the spans and renames it onto the
-    path, a raising block removes it.  Without one the lines stay in
-    memory for :meth:`trace_text`.
+    path, a raising block removes it and every fold's part file.  Without
+    one the lines stay in memory for :meth:`trace_text`.
     """
 
     def __init__(
@@ -269,15 +300,19 @@ class ObservationSession:
         self.summary = RunSummary()
         self.bus.subscribe(self.summary.on_event)
 
-    def __enter__(self) -> "ObservationSession":
+    def __enter__(self) -> ObservationSession:
+        global _active
         if self.trace_path is not None:
             self._trace.open()
         install_ambient(self.bus)
         if self.wall is not None:
             install_wall(self.wall)
+        _active = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        global _active
+        _active = None
         clear_ambient()
         if self.wall is not None:
             clear_wall()
@@ -285,6 +320,47 @@ class ObservationSession:
             self.flush()
         elif self.trace_path is not None:
             self._trace.discard()
+            import glob  # the failure path alone needs it
+
+            for part in glob.glob(glob.escape(self.trace_path) + ".*.tmp"):  # unmerged folds
+                os.unlink(part)
+
+    def __reduce__(self):
+        """A worker gets the session's paths: a copy that folds runs as this
+        one would, and writes nothing of its own."""
+        return ObservationSession, (self.trace_path, self.metrics_path, self.profile_path)
+
+    def fold(self, label: str, run: Callable[[], Any]) -> tuple[Any, Fold]:
+        """``run()`` on a bus and observers of its own (trace lines streamed
+        into ``<trace_path>.<label>.tmp``): its value and its :class:`Fold`."""
+        part = ObservationSession(
+            self.trace_path and f"{self.trace_path}.{label}", None, self.profile_path
+        )
+        if part.trace_path is not None:
+            part._trace.open()
+        outer = install_ambient(part.bus), install_wall(part.wall)
+        try:
+            value = run()
+        except BaseException:
+            if part.trace_path is not None:
+                part._trace.discard()
+            raise
+        finally:
+            install_ambient(outer[0])
+            install_wall(outer[1])
+        return value, Fold(part.bus.dispatched, part._trace.release(), part.spans.spans,
+                           part.registry, part.profiler, part.summary, part.wall)
+
+    def merge(self, fold: Fold) -> None:
+        """Add *fold* after everything before it: trace lines appended, span
+        ids moved past the spans before, counters and histograms summed."""
+        self._trace.append(fold.trace)
+        self.spans.merge(fold.spans)
+        self.registry.merge(fold.registry)
+        self.profiler.merge(fold.profiler)
+        self.summary.merge(fold.summary)
+        if self.wall is not None:
+            self.wall.merge(fold.wall)
 
     def profile_report(self) -> dict:
         """The schema-versioned profile for the telemetry collected so far."""

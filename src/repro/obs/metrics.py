@@ -132,6 +132,16 @@ class MetricsRegistry:
             hist = self._histograms[key] = _Histogram(tuple(buckets))
         hist.observe(value)
 
+    def merge(self, other: MetricsRegistry) -> None:
+        """Add *other*'s series after this one's: counters summed, gauges
+        overwritten, histogram observations appended in their order."""
+        for key, amount in other._counters.items():
+            self._add(key, amount)
+        self._gauges.update(other._gauges)
+        for key, hist in other._histograms.items():
+            for value in hist.values:
+                self._observe(key, value, hist.bounds)
+
     # -- reads ----------------------------------------------------------
     def counter_value(self, name: str, **labels) -> float:
         return self._counters.get(_key(name, labels), 0.0)

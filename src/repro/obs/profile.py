@@ -32,9 +32,11 @@ the job lifecycle phase the event's job is in (``queued`` / ``claim`` /
 from the event's ``scope`` attribute (``-`` when absent).  The interval
 between two consecutive events is charged to the triple of the
 *earlier* event -- simulated time "belongs" to whatever the grid was
-last observed doing.  Transition events are attributed to the phase
-they begin, except terminal ``result`` / ``hold`` events, which close
-out the attempt that produced them.
+last observed doing; a clock that runs backwards starts a new timeline
+(another simulator), and nothing is charged across the gap.  Transition
+events are attributed to the phase they begin, except terminal
+``result`` / ``hold`` events, which close out the attempt that produced
+them.
 """
 
 from __future__ import annotations
@@ -134,6 +136,9 @@ class SimTimeProfiler:
         self.sim_time: dict[tuple[str, str, str], float] = {}
         self.total_events = 0
         self.last_time = 0.0
+        #: seconds attributed in timelines that have ended
+        self.closed = 0.0
+        self._started = 0.0
         self._last_triple = _TRIPLE_NONE
         #: job_id -> current lifecycle phase name
         self._job_phase: dict[Any, str] = {}
@@ -154,8 +159,28 @@ class SimTimeProfiler:
         if dt > 0:
             last = self._last_triple
             self.sim_time[last] = self.sim_time.get(last, 0.0) + dt
-            self.last_time = event.time
+        elif dt < 0:
+            self.closed += self.last_time - self._started
+            self._started = event.time
+        self.last_time = event.time
         self._last_triple = triple
+
+    def attributed(self) -> float:
+        """Seconds charged to triples: every timeline's span, summed."""
+        return self.closed + (self.last_time - self._started)
+
+    def merge(self, other: SimTimeProfiler) -> None:
+        """Add *other*'s attribution (another run's) to this one's."""
+        for triple, n in other.counts.items():
+            self.counts[triple] = self.counts.get(triple, 0) + n
+        for triple, seconds in other.sim_time.items():
+            self.sim_time[triple] = self.sim_time.get(triple, 0.0) + seconds
+        self.total_events += other.total_events
+        self.closed += other.attributed()
+
+    def __getstate__(self) -> dict:
+        """What crosses a process boundary: the attribution, not the subscription."""
+        return {k: v for k, v in vars(self).items() if k not in ("_derived", "_unsubscribe")}
 
     def _attribute(self, event: TelemetryEvent) -> tuple[str, str, str]:
         daemon, scope, job = self._derived(event)
@@ -193,7 +218,7 @@ class SimTimeProfiler:
         triples.sort(key=lambda r: (-r["sim_time"], r["daemon"], r["phase"], r["scope"]))
         return {
             "events": self.total_events,
-            "sim_time": self.last_time,
+            "sim_time": self.attributed(),
             "triples": triples,
         }
 
@@ -353,6 +378,12 @@ class WallCounters:
             for name, (calls, total, lo, hi) in sorted(self.counters.items())
         }
 
+    def merge(self, other: WallCounters) -> None:
+        """Add *other*'s calls (another process's) to these counters."""
+        for name, (calls, total, lo, hi) in other.counters.items():
+            mine = self.counters.setdefault(name, [0, 0, lo, hi])
+            mine[:] = mine[0] + calls, mine[1] + total, min(mine[2], lo), max(mine[3], hi)
+
     def __len__(self) -> int:
         return len(self.counters)
 
@@ -386,11 +417,15 @@ def _on_gc(phase: str, info: dict) -> None:
         _installed_wall.add(_GC_COUNTERS[info["generation"]], perf_counter_ns() - _gc_started_ns)
 
 
-def install_wall(counters: WallCounters) -> None:
+def install_wall(counters: WallCounters | None) -> WallCounters | None:
     """Point every instrumented module's ``WALL_PROFILE`` at *counters*,
-    and the collector's callbacks at ``gc.gen0`` / ``gc.gen1`` / ``gc.gen2``."""
+    and the collector's callbacks at ``gc.gen0`` / ``gc.gen1`` / ``gc.gen2``
+    (``None``: :func:`clear_wall`); return the counters it replaces."""
     global _installed_wall
-    _installed_wall = counters
+    previous, _installed_wall = _installed_wall, counters
+    if counters is None:
+        clear_wall()
+        return previous
     for modname in _WALL_SITES:
         importlib.import_module(modname).WALL_PROFILE = counters
     for modname in _EDGE_WALL_SITES:
@@ -399,6 +434,7 @@ def install_wall(counters: WallCounters) -> None:
             mod.WALL_PROFILE = counters
     if _on_gc not in gc.callbacks:
         gc.callbacks.append(_on_gc)
+    return previous
 
 
 def clear_wall() -> None:

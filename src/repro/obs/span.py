@@ -203,6 +203,16 @@ class SpanBuilder:
             self._close(journey, t, status=hop)
             self._error_roots.pop(error_id, None)
 
+    def merge(self, spans: list[Span]) -> None:
+        """Append another builder's *spans*, their ids moved past these."""
+        offset = self._next_id - 1
+        for span in spans:
+            span.span_id += offset
+            if span.parent_id is not None:
+                span.parent_id += offset
+        self.spans += spans
+        self._next_id += len(spans)
+
     # -- teardown and queries -------------------------------------------
     def detach(self) -> None:
         """Stop listening (open spans stay open, end=None)."""

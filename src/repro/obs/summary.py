@@ -79,6 +79,15 @@ class RunSummary:
             scope = str(attr("scope", "?"))
             self.error_hops[scope] = self.error_hops.get(scope, 0) + 1
 
+    def merge(self, other: RunSummary) -> None:
+        """Add *other*'s stream (another run's) after this one's."""
+        for key, n in other.counts.items():
+            self.counts[key] = self.counts.get(key, 0) + n
+        for scope, n in other.error_hops.items():
+            self.error_hops[scope] = self.error_hops.get(scope, 0) + n
+        self.makespans += other.makespans
+        self.last_time = max(self.last_time, other.last_time)
+
     # -- views ----------------------------------------------------------
     def count_named(self, name: str) -> int:
         """Events called *name*, whatever their topic."""

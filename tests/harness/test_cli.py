@@ -1,5 +1,7 @@
 """Tests for the experiment CLI."""
 
+import multiprocessing
+
 import pytest
 
 from repro.harness.__main__ import EXPERIMENTS, main, run_experiment
@@ -163,46 +165,82 @@ def test_list_reads_anchors_from_the_registry_and_names_both_subcommands(capsys)
     assert {"campaign", "serve"} <= set(listed)
 
 
-class TestTelemetryJobsConflict:
-    """--trace/--metrics/--profile vs --jobs > 1 must fail early with an
-    error naming exactly the flags in conflict (the old message blamed
-    --trace/--metrics wholesale, even for a --profile-only invocation)."""
+class TestObservedRunsAnyJobs:
+    """Telemetry is folded per experiment in the process that runs it and
+    merged in name order, so every export is the same whatever --jobs is."""
 
-    def _error_text(self, capsys, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2  # argparse usage error, pre-run
-        # The last stderr line is the error itself (the preceding usage
-        # block mentions every flag, conflicting or not).
-        return capsys.readouterr().err.strip().splitlines()[-1]
+    NAMES = ["fig3", "churn", "black_hole", "retry_sweep"]
+    OUTPUTS = (("--json", "report.json"), ("--trace", "trace.jsonl"),
+               ("--metrics", "metrics.json"), ("--profile", "profile.json"),
+               ("--results-db", "results.db"))
 
-    def test_trace_conflict_names_both_flags(self, capsys, tmp_path):
-        err = self._error_text(
-            capsys, ["fig4", "--trace", str(tmp_path / "t.jsonl"), "--jobs", "3"]
-        )
-        assert "--trace" in err
-        assert "--jobs 3" in err
-        assert "--metrics" not in err and "--profile" not in err
+    def _argv(self, out, jobs):
+        argv = [*self.NAMES, "--seed", "7", "--jobs", str(jobs)]
+        for flag, name in self.OUTPUTS:
+            argv += [flag, str(out / name)]
+        return argv
 
-    def test_profile_conflict_names_profile(self, capsys, tmp_path):
-        err = self._error_text(
-            capsys, ["fig4", "--profile", str(tmp_path / "p.json"), "--jobs", "2"]
-        )
-        assert "--profile" in err and "--jobs 2" in err
-        assert "--trace" not in err
+    def test_jobs_1_and_jobs_2_write_the_same_artifacts(self, tmp_path, capsys):
+        import filecmp
+        import json
 
-    def test_all_three_flags_listed_together(self, capsys, tmp_path):
-        err = self._error_text(
-            capsys,
-            ["fig4", "--trace", str(tmp_path / "t"), "--metrics",
-             str(tmp_path / "m"), "--profile", str(tmp_path / "p"),
-             "--jobs", "2"],
-        )
-        assert "--trace/--metrics/--profile" in err
+        from repro.obs.canonical import strip_wall
+        from repro.obs.store.__main__ import main as store_main
 
-    def test_telemetry_with_jobs_one_is_fine(self, capsys, tmp_path):
-        assert main(["time_scope", "--profile", str(tmp_path / "p.json"),
-                     "--jobs", "1"]) == 0
+        runs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            out.mkdir()
+            assert main(self._argv(out, jobs)) == 0
+            capsys.readouterr()
+            assert store_main(["query", "--strip-wall", "--db", str(out / "results.db")]) == 0
+            runs.append((out, capsys.readouterr().out))
+        (serial, serial_query), (parallel, parallel_query) = runs
+        for name in ("report.json", "trace.jsonl", "metrics.json"):
+            assert filecmp.cmp(serial / name, parallel / name, shallow=False), name
+        profiles = [strip_wall(json.loads((out / "profile.json").read_text()))
+                    for out in (serial, parallel)]
+        assert profiles[0] == profiles[1]
+        assert serial_query == parallel_query and "profile.json" in serial_query
+        assert not list(parallel.glob("*.tmp"))
+
+    def test_merged_folds_are_one_session_over_the_same_runs(self):
+        """Held in memory this time: the lines come back from the workers."""
+        from repro.harness.__main__ import run_experiment_record, run_experiments
+        from repro.obs.export import ObservationSession, render_metrics
+
+        with ObservationSession() as one:
+            for name in self.NAMES:
+                run_experiment_record(name, seed=7)
+        with ObservationSession() as folded:
+            run_experiments(self.NAMES, seed=7, jobs=2)
+        assert folded.trace_text() == one.trace_text()
+        assert render_metrics(folded.registry) == render_metrics(one.registry)
+        assert folded.trace_summary() == one.trace_summary()
+        report, reference = folded.profile_report(), one.profile_report()
+        assert report["critical_path"] == reference["critical_path"]
+        assert folded.profiler.counts == one.profiler.counts
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",  # the default
+        reason="the patched registry reaches the workers by fork",
+    )
+    def test_a_raising_worker_leaves_no_trace_and_no_part(self, tmp_path, capsys, monkeypatch):
+        real = EXPERIMENTS["churn"]
+
+        def churn_then_raise(seed=0):
+            real(seed=seed)  # its events are in a trace part by now
+            raise RuntimeError("churn gave out")
+
+        churn_then_raise.anchor, churn_then_raise.takes_seed = real.anchor, True
+        monkeypatch.setitem(EXPERIMENTS, "churn", churn_then_raise)
+        assert main(self._argv(tmp_path, 2)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (error,) = captured.err.splitlines()
+        assert error.startswith("error: worker failed on ExperimentSpec(experiment='churn'")
+        assert "churn gave out" in error
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestProfileFlag:

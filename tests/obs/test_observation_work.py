@@ -21,7 +21,7 @@ import gc
 
 import pytest
 
-from repro.harness.__main__ import run_experiment_record
+from repro.harness.__main__ import EXPERIMENTS, run_experiment_record, run_experiments
 from repro.obs import export, metrics, profile
 from repro.obs.bus import TelemetryEvent, Topic, memoisable
 from repro.obs.export import ObservationSession
@@ -112,3 +112,21 @@ def test_an_attribution_is_derived_once_per_distinct_triple(observed):
 def test_the_session_retains_no_event(observed):
     assert observed["alive"] == 0
     assert not hasattr(observed["session"], "events")
+
+
+def test_the_folds_of_a_parallel_run_dispatch_what_a_serial_run_does(monkeypatch):
+    """Each experiment of ``run_experiments`` is observed on a bus of its
+    own, in the worker that runs it: over ``--jobs 2`` those buses together
+    carry every event one serial session does."""
+    with ObservationSession() as serial:
+        for name in sorted(EXPERIMENTS):
+            run_experiment_record(name, seed=7)
+    dispatched = []
+    merge = ObservationSession.merge
+    monkeypatch.setattr(ObservationSession, "merge",
+                        lambda self, fold: merge(self, fold) or dispatched.append(fold.dispatched))
+    with ObservationSession() as parallel:
+        run_experiments(sorted(EXPERIMENTS), seed=7, jobs=2)
+    assert len(dispatched) == len(EXPERIMENTS) and parallel.bus.dispatched == 0
+    assert sum(dispatched) == serial.bus.dispatched == 33_090
+    assert parallel.profiler.total_events == 33_090

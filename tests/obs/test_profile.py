@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.condor.pool import Pool, PoolConfig
 from repro.harness.workloads import WorkloadSpec, make_workload
 from repro.obs.bus import TelemetryBus, Topic
@@ -116,6 +118,23 @@ class TestSimTimeAttribution:
         assert snap["events"] > bus_events_before
         assert snap["sim_time"] > 0
         assert any(r["daemon"] == "matchmaker" for r in snap["triples"])
+
+
+    def test_two_sequential_pools_on_one_bus_are_two_timelines(self):
+        """The second pool's clock starts again at 0: a new timeline, not
+        seconds the profiler skips until it passes the first pool's end."""
+        ends = []
+        with ObservationSession() as session:
+            last = []
+            session.bus.subscribe(lambda event: last.append(event.time))
+            for seed in (0, 1):
+                _pool_run(seed=seed)
+                ends.append(last[-1])
+        snap = session.profiler.snapshot()
+        assert snap["sim_time"] == ends[0] + ends[1]
+        assert sum(r["sim_time"] for r in snap["triples"]) == pytest.approx(snap["sim_time"])
+        shares = [r["sim_time"] / snap["sim_time"] for r in snap["triples"]]
+        assert sum(shares) == pytest.approx(1.0)
 
 
 class TestCriticalPath:
@@ -247,10 +266,11 @@ class TestWallCounters:
         # The session cleared the hook with the counters.
         assert profile_mod._on_gc not in gc.callbacks
         # Everything outside ``wall`` is what it was before the collector
-        # had a line (sha256 of the stripped report at the parent commit).
+        # had a line (sha256 of the stripped report), apart from the sim
+        # seconds of fig3's second pool, which the profiler used to skip.
         stripped = canonical_json(strip_wall(report)).encode()
         assert hashlib.sha256(stripped).hexdigest() == (
-            "a941de551c62ef4a58abe3800b69f2a846a4150136a6a6f64148d48d54e11476"
+            "02373b609f9470952e80bc5b60f73244fe8168f5d86ad957cc30da1b01164a52"
         )
 
     def test_gc_hook_is_installed_once_and_removed_by_clear_wall(self):

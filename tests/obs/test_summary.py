@@ -5,7 +5,9 @@ computes it.  The live fold, the at-export fold behind ``--trace`` and
 the replay of the written trace must agree field for field; the console
 built on the fold must render what the console that counted for itself
 rendered (``golden/console_churn.golden`` was written by that console,
-at the commit before the fold, on ``churn`` at seed 0).
+at the commit before the fold, on ``churn`` at seed 0; its "where time
+went" panel was rewritten when the profiler began to count each of the
+three pools' timelines instead of skipping back to the first one's end).
 """
 
 import inspect

@@ -3,8 +3,9 @@
 Every documented user path runs in a subprocess under a test-only
 ``sitecustomize`` that records each code object entered
 (``sys.settrace`` / ``threading.settrace``, ``call`` events only) and
-each module loaded.  The paths: ``harness all`` with the five output
-flags, campaign and fuzz with ``--checkpoint``/``--resume``/``--replay``,
+each module loaded, in that process and in its pool workers.  The
+paths: ``harness all`` with the five output flags, campaign and fuzz
+with ``--checkpoint``/``--resume``/``--replay``,
 the store CLI, every ``examples/*.py``, ``python -m benchmarks.gridbench
 --smoke`` and a service round trip that GETs ``/console``.
 
@@ -40,7 +41,7 @@ REFERENCE = ROOT / "benchmarks" / "gridbench" / "baseline" / "reference.json"
 
 HOOK = '''\
 """Census hook: the code objects entered and the modules loaded, per process."""
-import atexit, os, sys, threading
+import atexit, multiprocessing.util, os, sys, threading
 
 OUT, PKG = %r, %r
 _entered = set()
@@ -63,6 +64,10 @@ def _dump():
 sys.settrace(_trace)
 threading.settrace(_trace)
 atexit.register(_dump)
+# A pool worker leaves by os._exit, past atexit: its finalizers run instead.
+multiprocessing.util.register_after_fork(
+    sys.modules[__name__], lambda _: multiprocessing.util.Finalize(None, _dump, exitpriority=0)
+)
 '''
 
 CLIENT = '''\
