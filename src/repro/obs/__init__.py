@@ -39,7 +39,6 @@ from repro.obs.bus import (
     TelemetryEvent,
     Topic,
     ambient_bus,
-    clear_ambient,
     install_ambient,
 )
 from repro.obs.console import GridConsole
@@ -48,7 +47,6 @@ from repro.obs.metrics import BusMetricsRecorder, MetricsRegistry
 from repro.obs.profile import (
     SimTimeProfiler,
     WallCounters,
-    clear_wall,
     critical_path,
     folded_stacks,
     install_wall,
@@ -71,8 +69,6 @@ __all__ = [
     "Topic",
     "WallCounters",
     "ambient_bus",
-    "clear_ambient",
-    "clear_wall",
     "critical_path",
     "dump_json",
     "folded_stacks",

@@ -41,7 +41,6 @@ __all__ = [
     "TelemetryEvent",
     "Topic",
     "ambient_bus",
-    "clear_ambient",
     "install_ambient",
     "memoisable",
 ]
@@ -120,15 +119,9 @@ def memoisable(pairs: Iterable[tuple[str, Any]]) -> bool:
 
 
 class PerTriple:
-    """``derive(event)``, computed once per distinct (topic, name, attrs).
-
-    Everything an observer derives from an event apart from its time
-    stamp is a value of that triple (*derive* never returns ``None``:
-    that is the memo's "not yet").  The memo belongs to the observer
-    holding this object and dies with it (a table on the bus would make
-    every emit pay for observers that read none); it is bounded by the
-    distinct :func:`memoisable` triples of one run.
-    """
+    """``derive(event)``, computed once per distinct :func:`memoisable`
+    (topic, name, attrs) and for every other event afresh (*derive* never
+    returns ``None``).  The memo dies with the observer holding it."""
 
     __slots__ = ("_derive", "_memo")
 
@@ -235,16 +228,10 @@ _ambient: TelemetryBus | None = None
 
 
 def install_ambient(bus: TelemetryBus | None) -> TelemetryBus | None:
-    """Make *bus* the ambient bus new pools attach to; return the one it replaces."""
+    """Make *bus* (or None) the ambient bus new pools attach to; return the one it replaces."""
     global _ambient
     previous, _ambient = _ambient, bus
     return previous
-
-
-def clear_ambient() -> None:
-    """Remove the ambient bus (new pools get fresh inert buses again)."""
-    global _ambient
-    _ambient = None
 
 
 def ambient_bus() -> TelemetryBus:

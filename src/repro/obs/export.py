@@ -19,24 +19,20 @@ has observers of its own, in a worker process too, merged in afterwards.
 from __future__ import annotations
 
 import os
+import shutil
 from collections import namedtuple
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
 from typing import IO, Any
 
-from repro.obs.bus import (
-    PerTriple,
-    TelemetryBus,
-    TelemetryEvent,
-    clear_ambient,
-    install_ambient,
-)
+from repro.obs.bus import PerTriple, TelemetryBus, TelemetryEvent, Topic, install_ambient
 from repro.obs.canonical import canonical_json, pretty_json, to_jsonable
-from repro.obs.metrics import BusMetricsRecorder, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, add_standard_series
 from repro.obs.profile import (
     SimTimeProfiler,
     WallCounters,
-    clear_wall,
+    _derive_attribution,
     install_wall,
     profile_report,
 )
@@ -145,15 +141,51 @@ def span_record(span: Span) -> dict:
     }
 
 
+def _plain(record: dict) -> str | None:
+    """``canonical_json(record)`` when every key is a ``str`` and every value
+    a ``str``, ``int``, ``bool``, ``None``, finite ``float`` or such a dict."""
+    members = []
+    for key, value in sorted(record.items()):
+        kind = type(value)
+        if kind is str:
+            text = _string(value)
+        elif kind is int or kind is float and isfinite(value):
+            text = repr(value)  # the encoder's own form of both
+        elif kind is bool or value is None:
+            text = _LITERALS[value]
+        elif kind is dict:
+            text = _plain(value)
+        else:
+            return None
+        if text is None or type(key) is not str:
+            return None
+        members.append(f"{_string(key)}:{text}")
+    return "{" + ",".join(members) + "}"
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _stamp(t: Any) -> str:
+    # repr() is the encoder's own form of a finite float and of nothing
+    # else: an int has no ".0", nan/inf are spelled NaN/Infinity.
+    return repr(t) if type(t) is float and isfinite(t) else canonical_json(t)
+
+
 def _line_parts(event: TelemetryEvent) -> tuple[str, str]:
     """``canonical_json(event_record(event))`` plus its LF, split around
     the value of ``t``: the keys sort ``attrs < kind < name < t < topic``,
     so everything before it and everything after it is a value of the
-    event's (topic, name, attrs)."""
-    record = event_record(event)
-    del record["t"]
-    topic = canonical_json(record.pop("topic"))
-    return canonical_json(record)[:-1] + ',"t":', f',"topic":{topic}}}\n'
+    event's (topic, name, attrs).  Encoded by :func:`_plain` when every
+    value is plain, else through the record."""
+    attrs = _plain(dict(event.attrs))
+    if attrs is None or type(event.name) is not str:
+        record = event_record(event)
+        del record["t"], record["topic"]
+        head = canonical_json(record)[:-1]
+    else:
+        head = f'{{"attrs":{attrs},"kind":"event","name":{_string(event.name)}'
+    return head + ',"t":', f',"topic":{_string(event.topic.value)}}}\n'
 
 
 class _TraceSink:
@@ -167,20 +199,9 @@ class _TraceSink:
 
     def __init__(self, path: str | None):
         self.path = path
-        self._parts = PerTriple(_line_parts)
         self._text: list[str] = []
         self._fh: IO[str] | None = None
-        self._write = self._text.append
-
-    def on_event(self, event: TelemetryEvent) -> None:
-        """Render the event's canonical JSONL line, LF included."""
-        prefix, suffix = self._parts(event)
-        t = event.time
-        # repr() is the encoder's own form of a finite float and of nothing
-        # else: an int has no ".0", nan/inf are spelled NaN/Infinity.
-        self._write(
-            prefix + (repr(t) if type(t) is float and isfinite(t) else canonical_json(t)) + suffix
-        )
+        self.write = self._text.append
 
     def text(self) -> str:
         """The lines held in memory (all of them, while nothing is open)."""
@@ -191,10 +212,10 @@ class _TraceSink:
         self._fh = _open_text(_temporary(self.path))
         self._fh.writelines(self._text)
         self._text.clear()
-        self._write = self._fh.write
+        self.write = self._fh.write
 
     def _close(self) -> None:
-        self._write = self._text.append
+        self.write = self._text.append
         self._fh.close()
 
     def commit(self, tail: str) -> None:
@@ -216,28 +237,28 @@ class _TraceSink:
     def append(self, part: str) -> None:
         """Add a released sink's lines after these (a part file is removed)."""
         if self.path is None:
-            return self._write(part)
+            return self.write(part)
         with open(part, encoding="utf-8", newline="") as lines:
-            self._fh.writelines(lines)
+            shutil.copyfileobj(lines, self._fh)  # by the block, not by the line
         os.unlink(part)
 
 
 def _span_lines(spans: list[Span]) -> str:
-    return "".join(
-        canonical_json(span_record(span)) + "\n" for span in sorted(spans, key=lambda s: s.span_id)
-    )
+    records = (span_record(span) for span in sorted(spans, key=lambda s: s.span_id))
+    return "".join((_plain(record) or canonical_json(record)) + "\n" for record in records)
 
 
 def render_trace(events: list[TelemetryEvent], spans: list[Span] | None = None) -> str:
     """The JSONL trace body: events in emission order, then spans by id.
 
-    The pure reference over a list of events; a session renders the same
-    lines through the same :class:`_TraceSink` as the events happen.
+    The pure reference over a list of events; a session writes the same
+    lines, from the same :func:`_line_parts`, as the events happen.
     """
-    sink = _TraceSink(None)
+    lines = []
     for event in events:
-        sink.on_event(event)
-    return sink.text() + _span_lines(spans or [])
+        prefix, suffix = _line_parts(event)
+        lines.append(prefix + _stamp(event.time) + suffix)
+    return "".join(lines) + _span_lines(spans or [])
 
 
 def render_metrics(registry: MetricsRegistry) -> str:
@@ -248,7 +269,7 @@ def render_metrics(registry: MetricsRegistry) -> str:
 # -- the ambient observation session ------------------------------------
 #: One observed run's share of a session (:meth:`ObservationSession.fold`); it
 #: pickles, so a worker hands it back.  ``trace``: the part file, or the lines.
-Fold = namedtuple("Fold", "dispatched trace spans registry profiler summary wall")
+Fold = namedtuple("Fold", "trace spans registry profiler summary wall")
 
 
 _active: ObservationSession | None = None
@@ -257,6 +278,54 @@ _active: ObservationSession | None = None
 def observing() -> ObservationSession | None:
     """The session whose ``with`` block is running, if any."""
     return _active
+
+
+class _SessionFold:
+    """A session's one all-topic observer: each event is folded once.
+
+    A triple's record -- its trace line around ``t``, its profiler
+    ``(daemon, scope, job)`` and how many events it had -- is derived once
+    (:class:`~repro.obs.bus.PerTriple`).  Per event there is only what
+    depends on the order of events: the trace write, the profiler's step
+    and the summary's.  The summary's counts and every standard metric
+    series are a triple's values times its count, added by :meth:`settled`
+    when they are read, with the ``sim_time_seconds`` gauge: the last
+    event's time.
+    """
+
+    def __init__(self, bus: TelemetryBus, trace: _TraceSink):
+        self.trace = trace
+        self.registry = MetricsRegistry()
+        self.summary = RunSummary()
+        self.profiler = SimTimeProfiler(TelemetryBus())  # stepped here, not subscribed
+        self._record = PerTriple(self._derive)
+        self._derived: list[tuple[tuple, list]] = []  # (triple, record), first seen first
+        bus.subscribe(self.on_event)
+
+    def _derive(self, event: TelemetryEvent) -> list:
+        record = [*_line_parts(event), *_derive_attribution(event), 0]
+        self._derived.append(((event.topic, event.name, event.attrs), record))
+        return record
+
+    def on_event(self, event: TelemetryEvent) -> None:
+        prefix, suffix, daemon, scope, job, _ = record = self._record(event)
+        record[5] += 1
+        t, topic = event.time, event.topic
+        self.trace.write(prefix + _stamp(t) + suffix)
+        self.profiler.step(t, topic, event.name, daemon, scope, job)
+        self.summary.step(t, event.name, job if topic is Topic.JOB else None)
+
+    def settled(self) -> _SessionFold:
+        """This fold with the events since the last call counted in."""
+        pending = [(triple, record) for triple, record in self._derived if record[5]]
+        for (topic, name, attrs), record in pending:
+            attr = dict(attrs).get
+            add_standard_series(self.registry, topic, name, attr, record[5])
+            self.summary.count(topic.value, name, attr, record[5])
+            record[5] = 0
+        if pending:
+            self.registry.gauge("sim_time_seconds", self.profiler.last_time)
+        return self
 
 
 class ObservationSession:
@@ -288,17 +357,17 @@ class ObservationSession:
         self.profile_path = profile_path
         self.bus = TelemetryBus()
         self.spans = SpanBuilder(self.bus)
-        self.recorder = BusMetricsRecorder(self.bus)
-        self.registry = self.recorder.registry
-        self.profiler = SimTimeProfiler(self.bus)
         #: wall counters exist only while profiling; they are installed
         #: into the hot-path hooks for the session's duration and their
         #: numbers live under a strippable "wall" key in the export.
         self.wall: WallCounters | None = WallCounters() if profile_path is not None else None
         self._trace = _TraceSink(trace_path)
-        self.bus.subscribe(self._trace.on_event)
-        self.summary = RunSummary()
-        self.bus.subscribe(self.summary.on_event)
+        self._fold = _SessionFold(self.bus, self._trace)
+        self.profiler = self._fold.profiler
+
+    #: the metric series and the run summary of the events so far
+    registry = property(lambda self: self._fold.settled().registry)
+    summary = property(lambda self: self._fold.settled().summary)
 
     def __enter__(self) -> ObservationSession:
         global _active
@@ -313,9 +382,9 @@ class ObservationSession:
     def __exit__(self, exc_type, exc, tb) -> None:
         global _active
         _active = None
-        clear_ambient()
+        install_ambient(None)
         if self.wall is not None:
-            clear_wall()
+            install_wall(None)
         if exc_type is None:
             self.flush()
         elif self.trace_path is not None:
@@ -348,8 +417,8 @@ class ObservationSession:
         finally:
             install_ambient(outer[0])
             install_wall(outer[1])
-        return value, Fold(part.bus.dispatched, part._trace.release(), part.spans.spans,
-                           part.registry, part.profiler, part.summary, part.wall)
+        return value, Fold(part._trace.release(), part.spans.spans, part.registry,
+                           part.profiler, part.summary, part.wall)
 
     def merge(self, fold: Fold) -> None:
         """Add *fold* after everything before it: trace lines appended, span

@@ -11,19 +11,22 @@ instrument kinds:
 
 Everything is deterministic: snapshots sort by series key, buckets are
 fixed at registration, and no wall-clock ever enters a series
-(DESIGN.md §6).  The :class:`BusMetricsRecorder` is the standard bridge
-from the telemetry bus: it maintains the event-count families every run
-gets for free.
+(DESIGN.md §6).  The event-count families every observed run gets for
+free are defined once, by :func:`add_standard_series`: the
+:class:`BusMetricsRecorder` adds them per event, an export session once
+per distinct (topic, name, attrs).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from math import ceil
+from typing import Any
 
-from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic, memoisable
+from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic
 
-__all__ = ["BusMetricsRecorder", "MetricsRegistry"]
+__all__ = ["BusMetricsRecorder", "MetricsRegistry", "add_standard_series"]
 
 #: Default histogram buckets: log-spaced, good for seconds and bytes alike.
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -176,68 +179,54 @@ class MetricsRegistry:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
 
-class BusMetricsRecorder:
-    """Bus subscriber that keeps the standard series families up to date.
+_IO_BYTES = _key("io_bytes", {})
+
+
+def add_standard_series(
+    registry: MetricsRegistry, topic: Topic, name: str, attr: Callable[..., Any], n: int
+) -> None:
+    """Add *n* events of one (topic, name, attrs) to the standard families:
 
     - ``events_total{topic=}`` -- every event;
     - ``job_events_total{event=}`` -- lifecycle steps;
     - ``error_hops_total{hop=,scope=}`` -- management-chain hops;
     - ``interface_crossings_total{interface=,declared=}`` -- errors
       presented at error interfaces;
-    - ``io_ops_total{channel=,op=}`` and ``io_bytes`` -- remote I/O;
-    - ``fault_events_total{event=}`` -- injector arms/disarms;
-    - ``sim_time_seconds`` -- gauge of the latest event's sim time.
+    - ``io_ops_total{channel=,op=}`` and ``io_bytes`` -- remote I/O (a byte
+      count is an ``int``: the sum is the same in any order);
+    - ``fault_events_total{event=}`` -- injector arms/disarms.
     """
+    registry.counter("events_total", n, topic=topic.value)
+    if topic is Topic.JOB:
+        registry.counter("job_events_total", n, event=name)
+    elif topic is Topic.ERROR:
+        registry.counter("error_hops_total", n, hop=name, scope=attr("scope", "?"))
+    elif topic is Topic.INTERFACE:
+        registry.counter("interface_crossings_total", n, interface=attr("interface", "?"),
+                         declared=attr("declared", "?"))
+    elif topic is Topic.IO:
+        registry.counter("io_ops_total", n, channel=attr("channel", "?"), op=attr("op", "?"))
+        nbytes = attr("bytes")
+        if nbytes is not None:
+            for _ in range(n):
+                registry._observe(_IO_BYTES, float(nbytes))
+    elif topic is Topic.FAULT:
+        registry.counter("fault_events_total", n, event=name)
+
+
+class BusMetricsRecorder:
+    """Bus subscriber that keeps the standard series (:func:`add_standard_series`)
+    up to date, and the ``sim_time_seconds`` gauge: the latest event's sim time."""
 
     def __init__(self, bus: TelemetryBus):
         self.registry = MetricsRegistry()
-        #: a series key is built once: the fixed ones here, a labelled
-        #: family's on first sight of its label values (:meth:`_count`)
-        self._events_total = {
-            topic: _key("events_total", {"topic": topic.value}) for topic in Topic
-        }
-        self._sim_time = _key("sim_time_seconds", {})
-        self._io_bytes = _key("io_bytes", {})
-        self._keys: dict[tuple, _SeriesKey] = {}
         self._unsubscribe = bus.subscribe(self.on_event)
 
     def detach(self) -> None:
         """Stop listening; the registry keeps its accumulated series."""
         self._unsubscribe()
 
-    def _count(self, name: str, **labels) -> None:
-        """Add one to ``name{labels}``; label values the bus's admission
-        rule lets key a memo find their series key already built."""
-        if memoisable(labels.items()):
-            memo = (name, *labels.values())
-            key = self._keys.get(memo)
-            if key is None:
-                key = self._keys[memo] = _key(name, labels)
-        else:
-            key = _key(name, labels)
-        self.registry._add(key, 1.0)
-
     def on_event(self, event: TelemetryEvent) -> None:
         """Fold one telemetry event into the standard series."""
-        reg, topic = self.registry, event.topic
-        reg._add(self._events_total[topic], 1.0)
-        reg._gauges[self._sim_time] = event.time
-        if topic is Topic.JOB:
-            self._count("job_events_total", event=event.name)
-        elif topic is Topic.ERROR:
-            self._count("error_hops_total", hop=event.name, scope=event.attr("scope", "?"))
-        elif topic is Topic.INTERFACE:
-            self._count(
-                "interface_crossings_total",
-                interface=event.attr("interface", "?"),
-                declared=event.attr("declared", "?"),
-            )
-        elif topic is Topic.IO:
-            self._count(
-                "io_ops_total", channel=event.attr("channel", "?"), op=event.attr("op", "?")
-            )
-            nbytes = event.attr("bytes")
-            if nbytes is not None:
-                reg._observe(self._io_bytes, float(nbytes))
-        elif topic is Topic.FAULT:
-            self._count("fault_events_total", event=event.name)
+        add_standard_series(self.registry, event.topic, event.name, event.attr, 1)
+        self.registry.gauge("sim_time_seconds", event.time)

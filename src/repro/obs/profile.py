@@ -54,7 +54,6 @@ __all__ = [
     "PROFILE_SCHEMA",
     "SimTimeProfiler",
     "WallCounters",
-    "clear_wall",
     "critical_path",
     "folded_stacks",
     "install_wall",
@@ -152,17 +151,35 @@ class SimTimeProfiler:
     # -- the subscriber -------------------------------------------------
     def on_event(self, event: TelemetryEvent) -> None:
         """Charge one event (and the interval before it) to its triple."""
-        triple = self._attribute(event)
+        self.step(event.time, event.topic, event.name, *self._derived(event))
+
+    def step(self, time: float, topic: Topic, name: str, daemon: str, scope: str, job: Any) -> None:
+        """:meth:`on_event` with the event's ``(daemon, scope, job)`` derived."""
+        # Phase: follow the job lifecycle; terminal events close out the
+        # phase that produced them, every other transition opens one.
+        phase = "-"
+        if job is not None:
+            if topic is Topic.JOB:
+                opened = JOB_PHASES.get(name)
+                if opened is not None:
+                    self._job_phase[job] = opened
+                if name in TERMINAL_JOB_EVENTS:
+                    phase = self._job_phase.pop(job, "-")
+                else:
+                    phase = self._job_phase.get(job, "-")
+            else:
+                phase = self._job_phase.get(job, "-")
+        triple = (daemon, phase, scope)
         self.counts[triple] = self.counts.get(triple, 0) + 1
         self.total_events += 1
-        dt = event.time - self.last_time
+        dt = time - self.last_time
         if dt > 0:
             last = self._last_triple
             self.sim_time[last] = self.sim_time.get(last, 0.0) + dt
         elif dt < 0:
             self.closed += self.last_time - self._started
-            self._started = event.time
-        self.last_time = event.time
+            self._started = time
+        self.last_time = time
         self._last_triple = triple
 
     def attributed(self) -> float:
@@ -181,25 +198,6 @@ class SimTimeProfiler:
     def __getstate__(self) -> dict:
         """What crosses a process boundary: the attribution, not the subscription."""
         return {k: v for k, v in vars(self).items() if k not in ("_derived", "_unsubscribe")}
-
-    def _attribute(self, event: TelemetryEvent) -> tuple[str, str, str]:
-        daemon, scope, job = self._derived(event)
-        # Phase: follow the job lifecycle; terminal events close out the
-        # phase that produced them, every other transition opens one.
-        phase = "-"
-        if job is not None:
-            if event.topic is Topic.JOB:
-                name = event.name
-                opened = JOB_PHASES.get(name)
-                if opened is not None:
-                    self._job_phase[job] = opened
-                if name in TERMINAL_JOB_EVENTS:
-                    phase = self._job_phase.pop(job, "-")
-                else:
-                    phase = self._job_phase.get(job, "-")
-            else:
-                phase = self._job_phase.get(job, "-")
-        return (daemon, phase, scope)
 
     # -- reads ----------------------------------------------------------
     def snapshot(self) -> dict:
@@ -420,33 +418,22 @@ def _on_gc(phase: str, info: dict) -> None:
 def install_wall(counters: WallCounters | None) -> WallCounters | None:
     """Point every instrumented module's ``WALL_PROFILE`` at *counters*,
     and the collector's callbacks at ``gc.gen0`` / ``gc.gen1`` / ``gc.gen2``
-    (``None``: :func:`clear_wall`); return the counters it replaces."""
+    (``None``: every hook back to ``None``, zero cost); return the counters
+    it replaces."""
     global _installed_wall
     previous, _installed_wall = _installed_wall, counters
     if counters is None:
-        clear_wall()
-        return previous
-    for modname in _WALL_SITES:
-        importlib.import_module(modname).WALL_PROFILE = counters
-    for modname in _EDGE_WALL_SITES:
+        if _on_gc in gc.callbacks:
+            gc.callbacks.remove(_on_gc)
+    elif _on_gc not in gc.callbacks:
+        gc.callbacks.append(_on_gc)
+    for modname in _WALL_SITES + _EDGE_WALL_SITES:
+        if counters is not None and modname in _WALL_SITES:
+            importlib.import_module(modname)
         mod = sys.modules.get(modname)
         if mod is not None:
             mod.WALL_PROFILE = counters
-    if _on_gc not in gc.callbacks:
-        gc.callbacks.append(_on_gc)
     return previous
-
-
-def clear_wall() -> None:
-    """Reset every instrumented module's hook to ``None`` (zero cost)."""
-    global _installed_wall
-    _installed_wall = None
-    if _on_gc in gc.callbacks:
-        gc.callbacks.remove(_on_gc)
-    for modname in _WALL_SITES + _EDGE_WALL_SITES:
-        mod = sys.modules.get(modname)
-        if mod is not None:
-            mod.WALL_PROFILE = None
 
 
 def installed_wall() -> WallCounters | None:

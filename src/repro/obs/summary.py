@@ -61,23 +61,29 @@ class RunSummary:
             raise ValueError(f"bad trace line ({exc!r}): {record!r}") from None
 
     def _fold(self, time: float, topic: str, name: str, attr: Callable[..., Any]) -> None:
+        self.count(topic, name, attr, 1)
+        self.step(time, name, attr("job") if topic == "job" else None)
+
+    def count(self, topic: str, name: str, attr: Callable[..., Any], n: int) -> None:
+        """Count *n* events of one (topic, name, attrs), and their error hops."""
         key = (topic, name)
-        self.counts[key] = self.counts.get(key, 0) + 1
+        self.counts[key] = self.counts.get(key, 0) + n
+        if topic == "error":
+            scope = str(attr("scope", "?"))
+            self.error_hops[scope] = self.error_hops.get(scope, 0) + n
+
+    def step(self, time: float, name: str, job: Any) -> None:
+        """The order-dependent rest; *job*: a JOB-topic event's ``job``, else None."""
         if time > self.last_time:
             self.last_time = time
-        if topic == "job":
-            if name == "submit":
-                job = attr("job")
-                if job is not None:
-                    self._submitted.setdefault(job, time)
-            elif name in TERMINAL_JOB_EVENTS:
-                job = attr("job")
-                submitted = None if job is None else self._submitted.pop(job, None)
-                if submitted is not None:
-                    self.makespans.append(time - submitted)
-        elif topic == "error":
-            scope = str(attr("scope", "?"))
-            self.error_hops[scope] = self.error_hops.get(scope, 0) + 1
+        if job is None:
+            return
+        if name == "submit":
+            self._submitted.setdefault(job, time)
+        elif name in TERMINAL_JOB_EVENTS:
+            submitted = self._submitted.pop(job, None)
+            if submitted is not None:
+                self.makespans.append(time - submitted)
 
     def merge(self, other: RunSummary) -> None:
         """Add *other*'s stream (another run's) after this one's."""

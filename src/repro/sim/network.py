@@ -297,7 +297,8 @@ class Network:
         self._partitions.discard(frozenset((host_a, host_b)))
 
     def is_partitioned(self, host_a: str, host_b: str) -> bool:
-        return frozenset((host_a, host_b)) in self._partitions
+        # no pair is built while nothing is partitioned (the usual case)
+        return bool(self._partitions) and frozenset((host_a, host_b)) in self._partitions
 
     def set_latency(self, host_a: str, host_b: str, latency: float) -> None:
         """Override the one-way latency between a host pair."""
@@ -306,9 +307,9 @@ class Network:
     def latency(self, host_a: str, host_b: str) -> float:
         if host_a == host_b:
             return 0.0
-        return self._latency_overrides.get(
-            frozenset((host_a, host_b)), self.default_latency
-        )
+        if not self._latency_overrides:
+            return self.default_latency
+        return self._latency_overrides.get(frozenset((host_a, host_b)), self.default_latency)
 
     def _maybe_corrupt(self, message: Any) -> Any:
         """Silently flip one payload byte with ``corrupt_probability``.

@@ -10,7 +10,6 @@ from repro.obs.bus import (
     TelemetryEvent,
     Topic,
     ambient_bus,
-    clear_ambient,
     install_ambient,
 )
 from repro.obs.console import GridConsole
@@ -70,7 +69,7 @@ class TestTelemetryBus:
         try:
             assert ambient_bus() is bus
         finally:
-            clear_ambient()
+            install_ambient(None)
         fresh = ambient_bus()
         assert fresh is not bus and not fresh.active
 
@@ -241,7 +240,7 @@ class TestTopicScopedObservers:
         try:
             run_experiment_record(experiment, seed=0)
         finally:
-            clear_ambient()
+            install_ambient(None)
         return auditor.timeline, spans.spans, bus.dispatched
 
     #: ``fig3`` and ``churn`` run scoped and violate nothing; the naive

@@ -15,7 +15,6 @@ from repro.obs.profile import (
     PROFILE_SCHEMA,
     SimTimeProfiler,
     WallCounters,
-    clear_wall,
     critical_path,
     folded_stacks,
     install_wall,
@@ -225,7 +224,7 @@ class TestWallCounters:
                 assert mod.WALL_PROFILE is wall
             assert installed_wall() is wall
         finally:
-            clear_wall()
+            install_wall(None)
         for mod in (engine, ad, parser_mod, proxy, rio):
             assert mod.WALL_PROFILE is None
         assert installed_wall() is None
@@ -241,7 +240,7 @@ class TestWallCounters:
         try:
             _pool_run(seed=0)
         finally:
-            clear_wall()
+            install_wall(None)
         assert wall.counters["sim.process_step"][0] > 0
         assert "classads.match" in wall.counters
         assert "classads.parse" in wall.counters
@@ -273,7 +272,7 @@ class TestWallCounters:
             "02373b609f9470952e80bc5b60f73244fe8168f5d86ad957cc30da1b01164a52"
         )
 
-    def test_gc_hook_is_installed_once_and_removed_by_clear_wall(self):
+    def test_gc_hook_is_installed_once_and_removed_by_none(self):
         import gc
 
         from repro.obs import profile as profile_mod
@@ -286,7 +285,7 @@ class TestWallCounters:
             gc.collect()
             assert wall.counters["gc.gen2"][0] == 1
         finally:
-            clear_wall()
+            install_wall(None)
         assert profile_mod._on_gc not in gc.callbacks
         gc.collect()
         assert wall.counters["gc.gen2"][0] == 1
@@ -335,7 +334,7 @@ class TestWallCounters:
 
             asyncio.run(one_request())
         finally:
-            clear_wall()
+            install_wall(None)
         assert wall.counters["service.request.GET"][0] == 1
         assert server_mod.WALL_PROFILE is None
 
@@ -346,7 +345,7 @@ class TestWallCounters:
         try:
             timed = _pool_run(seed=0)
         finally:
-            clear_wall()
+            install_wall(None)
         assert timed.sim.now == bare.sim.now
         assert timed.sim._seq == bare.sim._seq
 

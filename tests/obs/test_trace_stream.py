@@ -1,8 +1,9 @@
 """The streamed trace and the memoising observers against their references.
 
 The session renders a trace line when its event happens -- prefix and
-suffix once per distinct (topic, name, attrs), the time stamp per event
--- and the recorder and profiler derive their keys once per triple too
+suffix once per distinct (topic, name, attrs), encoded directly when
+every value is plain, the time stamp per event -- and its one fold
+derives the attribution and the metric series once per triple too
 (DESIGN §3.6d).  The reference for every one of them is the per-event
 code path they replaced, kept here: ``canonical_json(event_record(e))``
 for a line, a ``registry.counter(...)`` call per event for the metrics,
@@ -12,11 +13,15 @@ on the shapes a memo keyed by value would get wrong as well.
 
 import enum
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.condor.pool import Pool, PoolConfig
 from repro.harness.__main__ import EXPERIMENTS, run_experiment_record
+from repro.obs import export
 from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic, ambient_bus
 from repro.obs.canonical import canonical_json, strip_wall
 from repro.obs.export import (
@@ -34,6 +39,7 @@ from repro.obs.profile import (
     installed_wall,
     profile_report,
 )
+from repro.obs.span import Span
 
 
 def _reference_trace(events, spans) -> str:
@@ -168,6 +174,57 @@ class TestAdversarialShapes:
         counters = session.registry.snapshot()["counters"]
         assert counters["interface_crossings_total{declared=1,interface=i}"] == 3.0
         assert counters["interface_crossings_total{declared=True,interface=i}"] == 2.0
+
+
+# -- the direct encoder against canonical_json ---------------------------
+#: Strings the encoder escapes: quotes, backslashes, control characters,
+#: non-ASCII, line separators and lone surrogates (``exclude_categories=()``
+#: lets hypothesis draw those too).
+_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff", "é中𝄞", "\u2028"]),
+)
+_SCALARS = st.one_of(
+    _TEXT, st.integers(), st.integers(min_value=-(10**40), max_value=10**40), st.booleans(),
+    st.none(), st.floats(), st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")]),
+    st.sampled_from([_Colour.RED, _Level.HIGH]), st.binary(max_size=3),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=5,
+)
+_TIMES = st.one_of(st.floats(), st.integers(), st.just(-0.0))
+
+
+class TestTheDirectEncoder:
+    """A trace line is encoded without the JSON encoder when every value is
+    plain, and through ``canonical_json`` otherwise: the same bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(t=_TIMES, topic=st.sampled_from(list(Topic)), name=_TEXT,
+           attrs=st.dictionaries(_TEXT, _VALUES, max_size=4))
+    def test_an_event_line_is_canonical_json_of_its_record(self, t, topic, name, attrs):
+        event = TelemetryEvent(t, topic, name, tuple(sorted(attrs.items())))
+        assert render_trace([event]) == canonical_json(event_record(event)) + "\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(ids=st.tuples(st.integers(1, 10**6), st.none() | st.integers(1, 10**6)),
+           texts=st.tuples(_TEXT, _TEXT, _TEXT), start=_TIMES, end=st.none() | _TIMES,
+           attrs=st.dictionaries(_TEXT, _VALUES, max_size=4))
+    def test_a_span_line_is_canonical_json_of_its_record(self, ids, texts, start, end, attrs):
+        span = Span(*ids, texts[0], texts[1], start, end, texts[2], attrs)
+        assert render_trace([], [span]) == canonical_json(span_record(span)) + "\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=_VALUES)
+    def test_a_plain_value_is_encoded_directly(self, value):
+        text = export._plain({"v": value})
+        plain = type(value) in (str, int, bool, type(None)) or (
+            type(value) is float and math.isfinite(value)
+        )
+        assert (text is not None) >= plain
+        assert text is None or text == canonical_json({"v": value})
 
 
 # -- metrics and profile against the per-event code path ----------------
