@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
 from typing import IO, Any
 
-from repro.obs.bus import PerTriple, TelemetryBus, TelemetryEvent, Topic, install_ambient
+from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic, install_ambient, memoisable
 from repro.obs.canonical import canonical_json, pretty_json, to_jsonable
 from repro.obs.metrics import MetricsRegistry, add_standard_series
 from repro.obs.profile import (
@@ -167,8 +167,7 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _stamp(t: Any) -> str:
-    # repr() is the encoder's own form of a finite float and of nothing
-    # else: an int has no ".0", nan/inf are spelled NaN/Infinity.
+    # repr() is the encoder's form of a finite float only (an int has no ".0", nan is NaN)
     return repr(t) if type(t) is float and isfinite(t) else canonical_json(t)
 
 
@@ -284,40 +283,40 @@ class _SessionFold:
     """A session's one all-topic observer: each event is folded once.
 
     A triple's record -- its trace line around ``t``, its profiler
-    ``(daemon, scope, job)`` and how many events it had -- is derived once
-    (:class:`~repro.obs.bus.PerTriple`).  Per event there is only what
-    depends on the order of events: the trace write, the profiler's step
-    and the summary's.  The summary's counts and every standard metric
-    series are a triple's values times its count, added by :meth:`settled`
-    when they are read, with the ``sim_time_seconds`` gauge: the last
-    event's time.
-    """
+    ``(daemon, scope, job)``, its event count -- is derived once (afresh for
+    an event :func:`~repro.obs.bus.memoisable` rejects).  Per event only what
+    depends on order runs: the trace write, the profiler's and the summary's
+    step.  :meth:`settled` adds the rest -- the summary's counts, the metric
+    series: a triple's values times its count -- and the last event's time."""
 
     def __init__(self, bus: TelemetryBus, trace: _TraceSink):
         self.trace = trace
         self.registry = MetricsRegistry()
         self.summary = RunSummary()
         self.profiler = SimTimeProfiler(TelemetryBus())  # stepped here, not subscribed
-        self._record = PerTriple(self._derive)
-        self._derived: list[tuple[tuple, list]] = []  # (triple, record), first seen first
+        self._records: dict[tuple, list] = {}
+        self._afresh: list[tuple[tuple, list]] = []  # (triple, record) until settled
         bus.subscribe(self.on_event)
 
-    def _derive(self, event: TelemetryEvent) -> list:
-        record = [*_line_parts(event), *_derive_attribution(event), 0]
-        self._derived.append(((event.topic, event.name, event.attrs), record))
-        return record
-
     def on_event(self, event: TelemetryEvent) -> None:
-        prefix, suffix, daemon, scope, job, _ = record = self._record(event)
+        topic, name, attrs = key = event.topic, event.name, event.attrs
+        record = self._records.get(key) if memoisable(attrs) else None
+        if record is None:
+            record = [*_line_parts(event), *_derive_attribution(event), 0]
+            if memoisable(attrs):
+                self._records[key] = record
+            else:
+                self._afresh.append((key, record))
+        prefix, suffix, daemon, scope, job, _ = record
         record[5] += 1
-        t, topic = event.time, event.topic
+        t = event.time
         self.trace.write(prefix + _stamp(t) + suffix)
-        self.profiler.step(t, topic, event.name, daemon, scope, job)
-        self.summary.step(t, event.name, job if topic is Topic.JOB else None)
+        self.profiler.step(t, topic, name, daemon, scope, job)
+        self.summary.step(t, name, job if topic is Topic.JOB else None)
 
     def settled(self) -> _SessionFold:
         """This fold with the events since the last call counted in."""
-        pending = [(triple, record) for triple, record in self._derived if record[5]]
+        pending = [(k, r) for k, r in (*self._records.items(), *self._afresh) if r[5]]
         for (topic, name, attrs), record in pending:
             attr = dict(attrs).get
             add_standard_series(self.registry, topic, name, attr, record[5])
@@ -325,6 +324,7 @@ class _SessionFold:
             record[5] = 0
         if pending:
             self.registry.gauge("sim_time_seconds", self.profiler.last_time)
+        self._afresh.clear()
         return self
 
 

@@ -73,7 +73,7 @@ class RunSummary:
             self.error_hops[scope] = self.error_hops.get(scope, 0) + n
 
     def step(self, time: float, name: str, job: Any) -> None:
-        """The order-dependent rest; *job*: a JOB-topic event's ``job``, else None."""
+        """The latest time and the submit -> terminal pairing (*job*: JOB topic only)."""
         if time > self.last_time:
             self.last_time = time
         if job is None:
