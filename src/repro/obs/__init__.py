@@ -43,7 +43,7 @@ from repro.obs.bus import (
 )
 from repro.obs.console import GridConsole
 from repro.obs.export import ObservationSession, dump_json, to_jsonable
-from repro.obs.metrics import BusMetricsRecorder, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     SimTimeProfiler,
     WallCounters,
@@ -57,7 +57,6 @@ from repro.obs.signature import normalize_violation, signature, violation_featur
 from repro.obs.span import Span, SpanBuilder
 
 __all__ = [
-    "BusMetricsRecorder",
     "GridConsole",
     "MetricsRegistry",
     "ObservationSession",

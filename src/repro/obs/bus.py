@@ -121,22 +121,29 @@ def memoisable(pairs: Iterable[tuple[str, Any]]) -> bool:
 class PerTriple:
     """``derive(event)``, computed once per distinct :func:`memoisable`
     (topic, name, attrs) and for every other event afresh (*derive* never
-    returns ``None``).  The memo dies with the observer holding it."""
+    returns ``None``); *afresh*, when given, receives each
+    ``((topic, name, attrs), derived)`` the memo does not keep.  The memo
+    dies with the observer holding it."""
 
-    __slots__ = ("_derive", "_memo")
+    __slots__ = ("_afresh", "_derive", "memo")
 
-    def __init__(self, derive: Callable[[TelemetryEvent], Any]):
+    def __init__(self, derive: Callable[[TelemetryEvent], Any],
+                 afresh: Callable[[tuple], Any] | None = None):
         self._derive = derive
-        self._memo: dict[tuple, Any] = {}
+        self._afresh = afresh
+        self.memo: dict[tuple, Any] = {}
 
     def __call__(self, event: TelemetryEvent) -> Any:
         attrs = event.attrs
-        if not memoisable(attrs):
-            return self._derive(event)
         key = (event.topic, event.name, attrs)
-        derived = self._memo.get(key)
+        if not memoisable(attrs):
+            derived = self._derive(event)
+            if self._afresh is not None:
+                self._afresh((key, derived))
+            return derived
+        derived = self.memo.get(key)
         if derived is None:
-            derived = self._memo[key] = self._derive(event)
+            derived = self.memo[key] = self._derive(event)
         return derived
 
 

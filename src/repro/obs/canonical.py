@@ -28,9 +28,6 @@ WALL_KEYS = frozenset({
     "rounds", "rounds_override",
 })
 
-#: The JSON scalars, by exact type: :func:`to_jsonable` returns them as they are.
-_AS_IS = frozenset({str, int, float, bool, type(None)})
-
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _PRETTY = json.JSONEncoder(sort_keys=True, indent=2)
 
@@ -41,8 +38,6 @@ def to_jsonable(obj: Any) -> Any:
     Dataclass fields named in :data:`WALL_KEYS` are dropped, so result
     objects serialise reproducibly.
     """
-    if type(obj) in _AS_IS:
-        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
 from typing import IO, Any
 
-from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic, install_ambient, memoisable
+from repro.obs.bus import PerTriple, TelemetryBus, TelemetryEvent, Topic, install_ambient
 from repro.obs.canonical import canonical_json, pretty_json, to_jsonable
 from repro.obs.metrics import MetricsRegistry, add_standard_series
 from repro.obs.profile import (
@@ -143,7 +143,7 @@ def span_record(span: Span) -> dict:
 
 def _plain(record: dict) -> str | None:
     """``canonical_json(record)`` when every key is a ``str`` and every value
-    a ``str``, ``int``, ``bool``, ``None``, finite ``float`` or such a dict."""
+    a ``str``, ``int``, ``bool``, ``None`` or finite ``float``."""
     members = []
     for key, value in sorted(record.items()):
         kind = type(value)
@@ -153,11 +153,9 @@ def _plain(record: dict) -> str | None:
             text = repr(value)  # the encoder's own form of both
         elif kind is bool or value is None:
             text = _LITERALS[value]
-        elif kind is dict:
-            text = _plain(value)
         else:
             return None
-        if text is None or type(key) is not str:
+        if type(key) is not str:
             return None
         members.append(f"{_string(key)}:{text}")
     return "{" + ",".join(members) + "}"
@@ -243,8 +241,9 @@ class _TraceSink:
 
 
 def _span_lines(spans: list[Span]) -> str:
-    records = (span_record(span) for span in sorted(spans, key=lambda s: s.span_id))
-    return "".join((_plain(record) or canonical_json(record)) + "\n" for record in records)
+    return "".join(
+        canonical_json(span_record(span)) + "\n" for span in sorted(spans, key=lambda s: s.span_id)
+    )
 
 
 def render_trace(events: list[TelemetryEvent], spans: list[Span] | None = None) -> str:
@@ -283,40 +282,38 @@ class _SessionFold:
     """A session's one all-topic observer: each event is folded once.
 
     A triple's record -- its trace line around ``t``, its profiler
-    ``(daemon, scope, job)``, its event count -- is derived once (afresh for
-    an event :func:`~repro.obs.bus.memoisable` rejects).  Per event only what
-    depends on order runs: the trace write, the profiler's and the summary's
-    step.  :meth:`settled` adds the rest -- the summary's counts, the metric
-    series: a triple's values times its count -- and the last event's time."""
+    ``(daemon, scope, job)``, its event count -- is derived once, by a
+    :class:`~repro.obs.bus.PerTriple` (afresh for an event it cannot keep).
+    Per event only what depends on order runs: the trace write, the
+    profiler's and the summary's step.  :meth:`settled` adds the rest -- the
+    summary's counts, the metric series: a triple's values times its count
+    -- and the last event's time."""
 
     def __init__(self, bus: TelemetryBus, trace: _TraceSink):
         self.trace = trace
         self.registry = MetricsRegistry()
         self.summary = RunSummary()
-        self.profiler = SimTimeProfiler(TelemetryBus())  # stepped here, not subscribed
-        self._records: dict[tuple, list] = {}
+        self.profiler = SimTimeProfiler(None)
         self._afresh: list[tuple[tuple, list]] = []  # (triple, record) until settled
+        self._records = PerTriple(self._record, self._afresh.append)
         bus.subscribe(self.on_event)
 
+    @staticmethod
+    def _record(event: TelemetryEvent) -> list:
+        return [*_line_parts(event), *_derive_attribution(event), 0]
+
     def on_event(self, event: TelemetryEvent) -> None:
-        topic, name, attrs = key = event.topic, event.name, event.attrs
-        record = self._records.get(key) if memoisable(attrs) else None
-        if record is None:
-            record = [*_line_parts(event), *_derive_attribution(event), 0]
-            if memoisable(attrs):
-                self._records[key] = record
-            else:
-                self._afresh.append((key, record))
+        record = self._records(event)
         prefix, suffix, daemon, scope, job, _ = record
         record[5] += 1
-        t = event.time
+        t, topic, name = event.time, event.topic, event.name
         self.trace.write(prefix + _stamp(t) + suffix)
         self.profiler.step(t, topic, name, daemon, scope, job)
         self.summary.step(t, name, job if topic is Topic.JOB else None)
 
     def settled(self) -> _SessionFold:
         """This fold with the events since the last call counted in."""
-        pending = [(k, r) for k, r in (*self._records.items(), *self._afresh) if r[5]]
+        pending = [(k, r) for k, r in (*self._records.memo.items(), *self._afresh) if r[5]]
         for (topic, name, attrs), record in pending:
             attr = dict(attrs).get
             add_standard_series(self.registry, topic, name, attr, record[5])

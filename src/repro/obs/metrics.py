@@ -12,9 +12,8 @@ instrument kinds:
 Everything is deterministic: snapshots sort by series key, buckets are
 fixed at registration, and no wall-clock ever enters a series
 (DESIGN.md §6).  The event-count families every observed run gets for
-free are defined once, by :func:`add_standard_series`: the
-:class:`BusMetricsRecorder` adds them per event, an export session once
-per distinct (topic, name, attrs).
+free are defined once, by :func:`add_standard_series`; an export session
+adds them once per distinct (topic, name, attrs).
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from collections.abc import Callable
 from math import ceil
 from typing import Any
 
-from repro.obs.bus import TelemetryBus, TelemetryEvent, Topic
+from repro.obs.bus import Topic
 
-__all__ = ["BusMetricsRecorder", "MetricsRegistry", "add_standard_series"]
+__all__ = ["MetricsRegistry", "add_standard_series"]
 
 #: Default histogram buckets: log-spaced, good for seconds and bytes alike.
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -213,20 +212,3 @@ def add_standard_series(
     elif topic is Topic.FAULT:
         registry.counter("fault_events_total", n, event=name)
 
-
-class BusMetricsRecorder:
-    """Bus subscriber that keeps the standard series (:func:`add_standard_series`)
-    up to date, and the ``sim_time_seconds`` gauge: the latest event's sim time."""
-
-    def __init__(self, bus: TelemetryBus):
-        self.registry = MetricsRegistry()
-        self._unsubscribe = bus.subscribe(self.on_event)
-
-    def detach(self) -> None:
-        """Stop listening; the registry keeps its accumulated series."""
-        self._unsubscribe()
-
-    def on_event(self, event: TelemetryEvent) -> None:
-        """Fold one telemetry event into the standard series."""
-        add_standard_series(self.registry, event.topic, event.name, event.attr, 1)
-        self.registry.gauge("sim_time_seconds", event.time)

@@ -122,13 +122,13 @@ def _derive_attribution(event: TelemetryEvent) -> tuple[str, str, Any]:
 class SimTimeProfiler:
     """Attributes simulated time and event counts to (daemon, phase, scope).
 
-    An ordinary bus subscriber; attach before the run, read
-    :meth:`snapshot` after.  Determinism: both maps iterate in sorted
+    An ordinary bus subscriber (built on ``None``, its owner calls
+    :meth:`step`); attach before the run, read :meth:`snapshot` after.  Determinism: both maps iterate in sorted
     key order at snapshot time, and the running state (current phase
     per job, last-event triple) depends only on the event stream.
     """
 
-    def __init__(self, bus: TelemetryBus):
+    def __init__(self, bus: TelemetryBus | None):
         #: (daemon, phase, scope) -> event count
         self.counts: dict[tuple[str, str, str], int] = {}
         #: (daemon, phase, scope) -> attributed simulated seconds
@@ -141,8 +141,9 @@ class SimTimeProfiler:
         self._last_triple = _TRIPLE_NONE
         #: job_id -> current lifecycle phase name
         self._job_phase: dict[Any, str] = {}
-        self._derived = PerTriple(_derive_attribution)
-        self._unsubscribe = bus.subscribe(self.on_event)
+        if bus is not None:  # else its owner calls step (an export session's fold)
+            self._derived = PerTriple(_derive_attribution)
+            self._unsubscribe = bus.subscribe(self.on_event)
 
     def detach(self) -> None:
         """Stop listening; accumulated attribution remains readable."""

@@ -13,7 +13,9 @@ from repro.obs.bus import (
     install_ambient,
 )
 from repro.obs.console import GridConsole
-from repro.obs.metrics import BusMetricsRecorder, MetricsRegistry
+from repro.obs.export import ObservationSession
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import SimTimeProfiler
 from repro.obs.span import SpanBuilder
 
 
@@ -114,13 +116,13 @@ class TestMetricsRegistry:
         assert list(a.snapshot()["counters"]) == ["x{op=a}", "x{op=b}"]
 
     def test_bus_recorder_standard_families(self):
-        bus = TelemetryBus()
-        recorder = BusMetricsRecorder(bus)
+        session = ObservationSession()
+        bus = session.bus
         bus.emit(1.0, "job", "submit", job="1.0")
         bus.emit(2.0, "error", "masked", scope="REMOTE_RESOURCE")
         bus.emit(3.0, "io", "chirp_op", channel="chirp", op="read", bytes=64)
         bus.emit(4.0, "fault", "arm")
-        reg = recorder.registry
+        reg = session.registry
         assert reg.counter_value("events_total", topic="job") == 1
         assert reg.counter_value("job_events_total", event="submit") == 1
         assert reg.counter_value(
@@ -212,7 +214,7 @@ class TestTopicScopedObservers:
     def test_detaching_an_observer_twice_is_a_no_op(self):
         bus = TelemetryBus()
         observers = [PrincipleAuditor.live(bus), SpanBuilder(bus), GridConsole(bus),
-                     BusMetricsRecorder(bus)]
+                     SimTimeProfiler(bus)]
         for observer in observers + observers:
             observer.detach()
         assert not bus.active

@@ -229,8 +229,8 @@ class TestTheDirectEncoder:
 
 # -- metrics and profile against the per-event code path ----------------
 class _PerEventRecorder:
-    """``BusMetricsRecorder.on_event`` as it was: two ``_key`` builds per
-    event through the registry's public methods."""
+    """The standard series as a per-event subscriber kept them: two ``_key``
+    builds per event through the registry's public methods."""
 
     def __init__(self, bus):
         self.registry = MetricsRegistry()
@@ -261,8 +261,21 @@ class _PerEventRecorder:
 
 
 class _PerEventProfiler(SimTimeProfiler):
-    """``SimTimeProfiler._attribute`` as it was: every dimension re-read
+    """``SimTimeProfiler.on_event`` as it was: every dimension re-read
     from the event's attributes on every event."""
+
+    def on_event(self, event):
+        triple = self._attribute(event)
+        self.counts[triple] = self.counts.get(triple, 0) + 1
+        self.total_events += 1
+        dt = event.time - self.last_time
+        if dt > 0:
+            self.sim_time[self._last_triple] = self.sim_time.get(self._last_triple, 0.0) + dt
+        elif dt < 0:
+            self.closed += self.last_time - self._started
+            self._started = event.time
+        self.last_time = event.time
+        self._last_triple = triple
 
     def _attribute(self, event):
         topic, name = event.topic, event.name
