@@ -14,7 +14,7 @@ from repro.harness.experiments import run_black_hole
 
 
 def main() -> None:
-    result = run_black_hole(seed=3, n_jobs=16, n_machines=6, n_black_holes=2)
+    result = run_black_hole(seed=3)
     print(result.table().render())
     print()
     none = result.row("none")

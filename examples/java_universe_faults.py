@@ -13,7 +13,7 @@ from repro.harness.experiments import run_naive_vs_scoped
 
 
 def main() -> None:
-    result = run_naive_vs_scoped(seed=7, n_jobs=24, n_machines=6)
+    result = run_naive_vs_scoped(seed=7)
     print(result.table().render())
     print()
     naive, scoped = result.naive, result.scoped

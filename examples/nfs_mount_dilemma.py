@@ -13,8 +13,7 @@ from repro.harness.experiments import run_nfs_mounts
 
 
 def main() -> None:
-    result = run_nfs_mounts(outages=(5.0, 60.0, 600.0, 3600.0),
-                            soft_timeout=30.0, deadline=120.0)
+    result = run_nfs_mounts(outages=(5.0, 60.0, 600.0, 3600.0))
     print(result.table().render())
     print()
     print("hard mounts hide every outage inside elapsed time;")

@@ -14,6 +14,7 @@ can raise these.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import functools
 import sys
@@ -24,7 +25,7 @@ __all__ = [
     "BOOL", "FLOAT", "INT", "STR", "AuthError", "BadRequest", "BoundaryError", "ConfigError",
     "IngestError", "MethodNotAllowed", "NotFound", "PayloadTooLarge", "QueueFull",
     "Spec", "StoreDurabilityError", "StoreOpenError", "StoreSchemaError", "UnknownExperiment",
-    "WorkerFailure", "WrongTenant", "cli", "list_of", "optional", "read_fields",
+    "WorkerFailure", "WrongTenant", "cli", "list_of", "optional", "positive_int", "read_fields",
 ]
 
 
@@ -65,6 +66,22 @@ def cli(main: Callable[[list[str] | None], int]) -> Callable[[list[str] | None],
             return exc.exit_status
 
     return run
+
+
+def positive_int(text: str) -> int:
+    """Argparse type for every count a command line takes (``--jobs``,
+    ``--workers``, ``--limit``, ``--ttl``, ...): an integer >= 1.  Zero,
+    a negative or a non-integer is a usage error at parse time, never a
+    count that silently means something else later."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid count {text!r}: must be an integer >= 1"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid count {value}: must be >= 1")
+    return value
 
 
 class BadRequest(BoundaryError, ValueError):
@@ -240,11 +257,6 @@ class WorkerFailure(BoundaryError, RuntimeError):
         super().__init__(message)
         self.items = tuple(items)
         self.cause = cause
-
-    @property
-    def seeds(self) -> tuple:
-        """Alias for ``items`` when the work units are seeds."""
-        return self.items
 
     def __reduce__(self):
         # Exceptions pickle by re-calling __init__ with .args; carry the

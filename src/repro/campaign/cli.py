@@ -31,13 +31,12 @@ import argparse
 import time
 from dataclasses import replace
 
-from repro.boundary import WorkerFailure, cli
+from repro.boundary import WorkerFailure, cli, positive_int
 from repro.campaign.engine import run_campaign
 from repro.campaign.report import render_cell_profiles, render_fuzz_summary, render_summary
 from repro.campaign.shrink import replay
 from repro.campaign.spec import CATALOGUE, CampaignConfig, ConfigError
 from repro.core.principles import PrincipleViolationError
-from repro.harness.parallel import positive_worker_count
 from repro.obs.export import dump_json, reject_unwritable
 
 __all__ = ["fuzz_main", "main"]
@@ -49,7 +48,7 @@ def _add_shared_options(parser: argparse.ArgumentParser, report: str, unit: str)
     parser.add_argument("--mode", choices=("scoped", "naive", "classic"),
                         help="error handling under test (classic = naive)")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--jobs", type=positive_worker_count, default=1, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help=f"run {unit} over N worker processes")
     parser.add_argument("--kinds", metavar="A,B,...",
                         type=lambda kinds: [kind for kind in kinds.split(",") if kind],

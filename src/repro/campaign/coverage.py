@@ -57,10 +57,6 @@ class CoverageMap:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CoverageMap) and self.features == other.features
 
-    def novel(self, signature: Iterable[str]) -> tuple[str, ...]:
-        """The features of *signature* this map has never seen."""
-        return tuple(f for f in signature if f not in self.features)
-
     # -- growth ----------------------------------------------------------
     def observe(self, feature: str, seen: FirstSeen) -> bool:
         """Record *feature*; keep the earliest provenance.  True if new."""
@@ -75,15 +71,6 @@ class CoverageMap:
     def observe_all(self, signature: Iterable[str], seen: FirstSeen) -> tuple[str, ...]:
         """Observe every feature of *signature*; return the new ones."""
         return tuple(f for f in signature if self.observe(f, seen))
-
-    def merge(self, other: CoverageMap) -> CoverageMap:
-        """The elementwise-minimum union of two maps (pure; no mutation)."""
-        merged = dict(self.features)
-        for feature, seen in other.features.items():
-            current = merged.get(feature)
-            if current is None or seen < current:
-                merged[feature] = seen
-        return CoverageMap(merged)
 
     # -- serialization ---------------------------------------------------
     def as_dict(self) -> dict:

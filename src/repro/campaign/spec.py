@@ -221,6 +221,8 @@ class CampaignConfig(Spec):
         for at, until in self.windows:
             if at < 0 or (until is not None and until <= at):
                 raise ConfigError("windows", f"[{at}, {until}] is negative or empty")
+        if self.kinds is not None and not self.kinds:
+            raise ConfigError("kinds", "must name at least one fault kind")
         unknown = sorted(set(self.kinds or ()) - set(_KIND_INFO))
         if unknown:
             raise ConfigError("kinds", f"unknown fault kind(s) {unknown}; "

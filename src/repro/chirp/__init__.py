@@ -17,7 +17,7 @@
   modes.
 """
 
-from repro.chirp.auth import generate_secret, place_secret, read_secret
+from repro.chirp.auth import generate_secret, place_secret
 from repro.chirp.client import CondorIoLibrary, LocalIoLibrary
 from repro.chirp.protocol import ChirpCode, ChirpReply, ChirpRequest
 from repro.chirp.proxy import ChirpProxy
@@ -31,5 +31,4 @@ __all__ = [
     "LocalIoLibrary",
     "generate_secret",
     "place_secret",
-    "read_secret",
 ]

@@ -10,13 +10,12 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from repro.sim.filesystem import FsError, LocalFileSystem
+from repro.sim.filesystem import LocalFileSystem
 
 __all__ = [
     "SECRET_FILENAME",
     "generate_secret",
     "place_secret",
-    "read_secret",
     "secrets_equal",
 ]
 
@@ -49,15 +48,3 @@ def place_secret(scratch: LocalFileSystem, scratch_dir: str, secret: str) -> str
     path = f"{scratch_dir}/{SECRET_FILENAME}"
     scratch.write_file(path, secret.encode())
     return path
-
-
-def read_secret(scratch: LocalFileSystem, scratch_dir: str) -> str:
-    """The I/O library reads the secret back; empty string if missing.
-
-    A missing secret is not fatal here -- the proxy will refuse the
-    library with ``AUTH_FAILED``, which is the error path under test.
-    """
-    try:
-        return scratch.read_file(f"{scratch_dir}/{SECRET_FILENAME}").decode()
-    except FsError:
-        return ""

@@ -1,6 +1,6 @@
 """The Chirp wire protocol.
 
-Chirp is deliberately simple: whole-file reads and writes plus stat, each
+Chirp is deliberately simple: whole-file reads and writes, each
 carrying the shared secret, each answered with one reply whose ``code``
 comes from a *finite* set -- the protocol itself honours Principle 4.
 """
@@ -29,20 +29,11 @@ class ChirpCode(enum.Enum):
     CREDENTIAL_EXPIRED = "CREDENTIAL_EXPIRED"  # shadow's GSI/Kerberos ticket
     BAD_FD = "BAD_FD"
 
-    @property
-    def in_io_contract(self) -> bool:
-        """True for codes a program's I/O interface legitimately exposes."""
-        return self in (
-            ChirpCode.OK,
-            ChirpCode.NOT_FOUND,
-            ChirpCode.NOT_AUTHORIZED,
-            ChirpCode.NO_SPACE,
-        )
 
 
 @dataclass(frozen=True)
 class ChirpRequest:
-    op: str  # "read" | "write" | "stat"
+    op: str  # "read" | "write"
     path: str
     data: bytes = b""
     secret: str = ""

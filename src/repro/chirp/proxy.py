@@ -37,6 +37,9 @@ __all__ = ["ChirpProxy"]
 #: Wall-time hook set by ``repro.obs.profile.install_wall``.
 WALL_PROFILE = None
 
+#: Simulated seconds the proxy waits to reach, or hear back from, the shadow.
+RPC_TIMEOUT = 10.0
+
 _FS_TO_CHIRP = {
     "ENOENT": ChirpCode.NOT_FOUND,
     "EACCES": ChirpCode.NOT_AUTHORIZED,
@@ -62,7 +65,6 @@ class ChirpProxy:
         shadow_host: str,
         shadow_port: int,
         credential: Credential | None = None,
-        rpc_timeout: float = 10.0,
     ):
         self.sim = sim
         self.net = net
@@ -72,7 +74,6 @@ class ChirpProxy:
         self.shadow_host = shadow_host
         self.shadow_port = shadow_port
         self.credential = credential
-        self.rpc_timeout = rpc_timeout
         self.requests_handled = 0
         self._rpc: RpcClient | None = None
         self.listener = net.listen(host, port)
@@ -145,9 +146,9 @@ class ChirpProxy:
         try:
             if not secrets_equal(request.secret, self.secret):
                 return ChirpReply(ChirpCode.AUTH_FAILED)
-            if request.op not in ("read", "write", "stat"):
+            if request.op not in ("read", "write"):
                 return ChirpReply(ChirpCode.INVALID_REQUEST)
-            op = {"read": "read_file", "write": "write_file", "stat": "stat"}[request.op]
+            op = {"read": "read_file", "write": "write_file"}[request.op]
             return RpcRequest(
                 op=op, path=request.path, data=request.data, credential=self.credential
             )
@@ -171,7 +172,7 @@ class ChirpProxy:
         """Generator: the (re)connected RPC client to the shadow."""
         if self._rpc is None or self._rpc.connection.broken:
             conn = yield from self.net.connect(
-                self.host, self.shadow_host, self.shadow_port, timeout=self.rpc_timeout
+                self.host, self.shadow_host, self.shadow_port, timeout=RPC_TIMEOUT
             )
-            self._rpc = RpcClient(conn, timeout=self.rpc_timeout)
+            self._rpc = RpcClient(conn, timeout=RPC_TIMEOUT)
         return self._rpc

@@ -127,10 +127,6 @@ class EvalContext:
         self._in_progress: set[tuple[int, str]] = set()
         self.depth = 0
 
-    def flipped(self) -> "EvalContext":
-        """The same context from the other party's point of view."""
-        return EvalContext(my=self.target, target=self.my)
-
 
 _NO_REFS: frozenset[str] = frozenset()
 

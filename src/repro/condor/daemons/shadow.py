@@ -65,7 +65,7 @@ class Shadow:
         sim: Simulator,
         net: Network,
         submit_host: str,
-        home_fs,  # generator-API backend (SyncFsAdapter or NfsClient)
+        home_fs,  # SyncFsAdapter over the submit machine's home file system
         job: Job,
         exec_host: str,
         starter_port: int,

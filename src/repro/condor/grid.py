@@ -109,13 +109,6 @@ class Grid:
         return merged
 
     @property
-    def startds(self) -> dict:
-        merged: dict = {}
-        for pool in self.pools.values():
-            merged.update(pool.startds)
-        return merged
-
-    @property
     def schedds(self) -> dict[str, Schedd]:
         merged: dict[str, Schedd] = {}
         for pool in self.pools.values():
@@ -138,15 +131,8 @@ class Grid:
         return self.home.home_fs
 
     @property
-    def userlog(self):
-        return self.home.schedd.userlog
-
-    @property
     def trace(self):
         return self.chain.trace
-
-    def job(self, job_id: str) -> Job:
-        return self.home.schedd.jobs[job_id]
 
     def pool_of(self, machine_name: str) -> Pool:
         """The member pool owning *machine_name* (live or parked)."""
@@ -170,19 +156,11 @@ class Grid:
     def submit_at(self, job: Job, when: float) -> None:
         self.sim.call_at(when, self.home.schedd.submit, job)
 
-    def run(self, until: float) -> float:
-        return self.sim.run(until=until)
-
     def run_until_done(
-        self,
-        max_time: float = 100_000.0,
-        check_every: int = 256,
-        expected_jobs: int | None = None,
+        self, max_time: float = 100_000.0, expected_jobs: int | None = None
     ) -> float:
         """Run until every job in every member pool is terminal."""
-        return run_until_terminal(
-            self.sim, self.pools.values(), max_time, check_every, expected_jobs
-        )
+        return run_until_terminal(self.sim, self.pools.values(), max_time, expected_jobs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Grid pools={len(self.pools)} machines={len(self.machines)} t={self.sim.now:.1f}>"

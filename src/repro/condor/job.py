@@ -138,14 +138,6 @@ class Job:
     def attempt_count(self) -> int:
         return len(self.attempts)
 
-    def failed_sites(self) -> list[str]:
-        """Sites where attempts ended in environmental errors."""
-        return [
-            a.site
-            for a in self.attempts
-            if a.error_scope is not None and not a.error_scope.within_program_contract
-        ]
-
     # -- matchmaking ----------------------------------------------------------
     def ad_fields(self) -> tuple:
         """Every input of :meth:`to_classad`, as one hashable tuple.

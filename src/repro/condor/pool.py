@@ -70,11 +70,14 @@ class PoolConfig:
     machine_prefix: str = "exec"
 
 
+#: Heap entries run between two completion polls of ``run_until_done``.
+CHECK_EVERY = 256
+
+
 def run_until_terminal(
-    sim: Simulator, pools: Iterable["Pool"], max_time: float, check_every: int,
-    expected_jobs: int | None,
+    sim: Simulator, pools: Iterable["Pool"], max_time: float, expected_jobs: int | None,
 ) -> float:
-    """Poll every schedd of *pools*, run *check_every* heap entries, repeat.
+    """Poll every schedd of *pools*, run :data:`CHECK_EVERY` heap entries, repeat.
 
     Stops at the first poll that finds every arrived job terminal (and at
     least *expected_jobs* arrived), when the queue drains, or once the
@@ -89,7 +92,7 @@ def run_until_terminal(
             and all(s.all_terminal() for s in schedds)
         ):
             break
-        if sim.run_steps(check_every, max_time) < check_every:
+        if sim.run_steps(CHECK_EVERY, max_time) < CHECK_EVERY:
             break
     return sim.now
 
@@ -278,10 +281,7 @@ class Pool:
         self.sim.call_at(when, self.schedd.submit, job)
 
     def run_until_done(
-        self,
-        max_time: float = 100_000.0,
-        check_every: int = 256,
-        expected_jobs: int | None = None,
+        self, max_time: float = 100_000.0, expected_jobs: int | None = None
     ) -> float:
         """Run until every job is terminal (or *max_time* passes).
 
@@ -291,7 +291,7 @@ class Pool:
         alive forever, so completion is detected by polling the schedd
         between event batches.
         """
-        return run_until_terminal(self.sim, (self,), max_time, check_every, expected_jobs)
+        return run_until_terminal(self.sim, (self,), max_time, expected_jobs)
 
     # -- introspection ----------------------------------------------------------
     @property

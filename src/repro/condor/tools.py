@@ -10,7 +10,6 @@ from repro.condor.job import JobState
 from repro.harness.report import Table
 
 __all__ = [
-    "condor_history",
     "condor_q",
     "condor_status",
     "error_scope_report",
@@ -65,31 +64,6 @@ def condor_q(pool) -> str:
                 job.job_id, job.owner, job.universe.value, job.state.value,
                 job.attempt_count, outcome,
             ])
-    return table.render()
-
-
-def condor_history(pool) -> str:
-    """One row per execution attempt, across all schedds."""
-    table = Table(
-        ["job", "attempt", "site", "started", "ended", "outcome"],
-        title=f"condor_history @ t={pool.sim.now:.1f}",
-    )
-    for schedd in pool.schedds.values():
-        for job_id in sorted(schedd.jobs):
-            job = schedd.jobs[job_id]
-            for i, attempt in enumerate(job.attempts):
-                if attempt.error_scope is not None:
-                    outcome = f"{attempt.error_name} ({attempt.error_scope})"
-                elif attempt.result is not None:
-                    outcome = str(attempt.result)
-                else:
-                    outcome = "running" if attempt.ended < 0 else "-"
-                table.add_row([
-                    job.job_id, i + 1, attempt.site,
-                    round(attempt.started, 1),
-                    round(attempt.ended, 1) if attempt.ended >= 0 else "-",
-                    outcome,
-                ])
     return table.render()
 
 

@@ -56,20 +56,6 @@ class UserLog:
     ) -> None:
         self.events.append(UserLogEvent(time, job_id, type, detail, error))
 
-    def for_job(self, job_id: str) -> list[UserLogEvent]:
-        return [e for e in self.events if e.job_id == job_id]
-
-    def count(self, type: UserLogEventType) -> int:
-        return sum(1 for e in self.events if e.type is type)
-
-    def user_visible_errors(self) -> list[UserLogEvent]:
-        """Events a user must read and interpret: error deliveries.
-
-        Classified on the structured :attr:`UserLogEvent.error` flag, not
-        on the rendered detail string (which is free-form prose).
-        """
-        return [e for e in self.events if e.error]
-
     def render(self) -> str:
         return "\n".join(str(e) for e in self.events)
 

@@ -71,10 +71,6 @@ class ExceptionClassifier:
             return Classification(ErrorScope.LOCAL_RESOURCE, name, known=False)
         return Classification(ErrorScope.JOB, name, known=False)
 
-    def knows(self, namespace: str, name: str) -> bool:
-        """True if *name* is explicitly registered (not heuristic)."""
-        return (namespace, name) in self._table
-
 
 def _build_default() -> ExceptionClassifier:
     c = ExceptionClassifier()

@@ -73,10 +73,6 @@ class Fault:
         """Default: not reversible."""
         raise NotImplementedError(f"{self.name} cannot be disarmed")
 
-    def describe(self) -> str:
-        where = self.site or self.job_id or "pool"
-        return f"{self.name}@{where} ({self.scope})"
-
 
 @dataclass
 class MisconfiguredJvm(Fault):

@@ -32,7 +32,8 @@ as are a ``--results-db`` that is not a results store, a name the
 registry (:mod:`repro.harness.experiments`) does not hold, ``all`` next
 to other names, or a name given twice.  This module is
 argv -> calls: it runs no experiment itself and re-exports the library's
-``EXPERIMENTS``, ``run_experiment*`` and ``harness_payload``.
+``EXPERIMENTS``, ``run_experiment_record``, ``run_experiments`` and
+``harness_payload``.
 """
 
 from __future__ import annotations
@@ -42,17 +43,16 @@ import contextlib
 import sys
 from pathlib import Path
 
-from repro.boundary import cli
+from repro.boundary import cli, positive_int
 from repro.harness.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
     UnknownExperiment,
     harness_payload,
-    run_experiment,
     run_experiment_record,
     run_experiments,
 )
-from repro.harness.parallel import positive_worker_count, usable_cores
+from repro.harness.parallel import usable_cores
 from repro.obs.export import ObservationSession, dump_json, reject_unwritable
 from repro.obs.profile import render_profile
 
@@ -60,7 +60,6 @@ __all__ = [
     "EXPERIMENTS",
     "harness_payload",
     "main",
-    "run_experiment",
     "run_experiment_record",
     "run_experiments",
 ]
@@ -88,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", nargs="*",
                         help="experiment name(s), or 'all'")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=positive_worker_count, default=None, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=None, metavar="N",
                         help="run experiments over N worker processes (default: the "
                              "usable cores, at most one per experiment; output order "
                              "stays stable)")

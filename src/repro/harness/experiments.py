@@ -5,7 +5,9 @@ See DESIGN.md §4 for the experiment index.  An experiment is a
 the CLI name; its result is a dataclass whose ``col`` fields are the
 table's columns (one ``table()`` for row results, one for key/value
 results); its scenario is the shared assembly (:func:`_scoped_run`,
-:func:`~repro.harness.workloads.submit_gauntlet`) plus its own knobs.
+:func:`~repro.harness.workloads.submit_gauntlet`) plus its own sizes,
+module constants beside the runner: no user path sets another value, so
+a runner takes only its seed (tests patch a constant to shrink a run).
 Every runner is deterministic given its seed.  The CLI and the service
 both name a run with one :class:`ExperimentSpec` and run it through
 :func:`run_experiment_record`.
@@ -101,11 +103,6 @@ def run_experiment_record(name: str, seed: int = 0) -> dict:
     table = result.table()
     table.add_footer(f"wall clock {time.perf_counter() - started:.3f}s")
     return {"name": name, "rendered": table.render(), "data": to_jsonable(result)}
-
-
-def run_experiment(name: str, seed: int = 0) -> str:
-    """Run one named experiment and return its rendered table."""
-    return run_experiment_record(name, seed=seed)["rendered"]
 
 
 @dataclass(frozen=True)
@@ -274,15 +271,19 @@ class Fig1Result(_KeyValueResult):
     makespan: float = col("makespan (s)")
 
 
+FIG1_JOBS = 8
+FIG1_MACHINES = 4
+
+
 @experiment("fig1", anchor="FIG1")
-def run_fig1_kernel(seed: int = 0, n_jobs: int = 8, n_machines: int = 4) -> Fig1Result:
+def run_fig1_kernel(seed: int = 0) -> Fig1Result:
     """A healthy pool: verifies Figure 1's protocol wiring end to end."""
     pool, metrics, _ = _scoped_run(
-        seed, _plain_jobs(seed, n_jobs, "fig1"), n_machines, max_time=100_000
+        seed, _plain_jobs(seed, FIG1_JOBS, "fig1"), FIG1_MACHINES, max_time=100_000
     )
     return Fig1Result(
-        jobs=n_jobs,
-        machines=n_machines,
+        jobs=FIG1_JOBS,
+        machines=FIG1_MACHINES,
         ads_sent=sum(s.ads_sent for s in pool.startds.values()),
         cycles=pool.matchmaker.cycles_run,
         matches=pool.matchmaker.matches_made,
@@ -310,13 +311,16 @@ class Fig2Result(_KeyValueResult):
     output_written: bool = col("output landed on home fs")
 
 
+FIG2_READS = 4
+
+
 @experiment("fig2", anchor="FIG2")
-def run_fig2_java_universe(seed: int = 0, n_reads: int = 4) -> Fig2Result:
+def run_fig2_java_universe(seed: int = 0) -> Fig2Result:
     """One Java job doing remote I/O through proxy and shadow (Figure 2)."""
     pool = _scoped_pool(seed, 1, interface_registry=[])
-    for i in range(n_reads):
+    for i in range(FIG2_READS):
         pool.home_fs.write_file(f"/home/user/in{i}.dat", b"x" * 512)
-    steps = [Step.read(f"/home/user/in{i}.dat") for i in range(n_reads)]
+    steps = [Step.read(f"/home/user/in{i}.dat") for i in range(FIG2_READS)]
     steps.append(Step.write("/home/user/result.dat", b"y" * 256))
     program = JavaProgram(steps=steps)
     job = Job("1.0", owner="thain", universe=Universe.JAVA,
@@ -324,7 +328,7 @@ def run_fig2_java_universe(seed: int = 0, n_reads: int = 4) -> Fig2Result:
     pool.submit(job)
     pool.run_until_done(max_time=100_000)
     exec_host = job.attempts[0].site if job.attempts else "exec000"
-    io_requests = n_reads + 1
+    io_requests = FIG2_READS + 1
     return Fig2Result(
         completed=job.state is JobState.COMPLETED,
         chirp_requests=io_requests,
@@ -354,10 +358,6 @@ class Fig3Result(_RowsResult):
     TITLE = "FIG3: each canonical fault lands at its scope's manager"
 
     rows: list[Fig3Row]
-
-    @property
-    def all_correct(self) -> bool:
-        return all(row.correct for row in self.rows)
 
 
 def _one_job_pool(seed: int, steps=None, n_machines: int = 3) -> tuple[Pool, Job]:
@@ -439,14 +439,6 @@ class Fig4Result(_RowsResult):
     TITLE = "FIG4: JVM result codes (paper columns) + wrapper recovery"
 
     rows: list[Fig4Row]
-
-    @property
-    def bare_codes(self) -> list[int]:
-        return [row.bare_code for row in self.rows]
-
-    @property
-    def distinct_wrapper_reports(self) -> int:
-        return len({row.wrapper_report for row in self.rows})
 
 
 @experiment("fig4", anchor="FIG4")
@@ -565,14 +557,16 @@ def _run_mode(mode: str, seed: int, n_jobs: int, n_machines: int):
     return metrics, auditor.summary()
 
 
+NAIVE_JOBS = 24
+NAIVE_MACHINES = 6
+
+
 @experiment("naive_vs_scoped", anchor="EXP-NAIVE §2.3 / EXP-SCOPED §4")
-def run_naive_vs_scoped(
-    seed: int = 0, n_jobs: int = 24, n_machines: int = 6
-) -> NaiveVsScopedResult:
+def run_naive_vs_scoped(seed: int = 0) -> NaiveVsScopedResult:
     """The headline experiment: identical workload and fault schedule under
     the naive and the scoped configurations."""
-    naive_metrics, naive_violations = _run_mode("naive", seed, n_jobs, n_machines)
-    scoped_metrics, scoped_violations = _run_mode("scoped", seed, n_jobs, n_machines)
+    naive_metrics, naive_violations = _run_mode("naive", seed, NAIVE_JOBS, NAIVE_MACHINES)
+    scoped_metrics, scoped_violations = _run_mode("scoped", seed, NAIVE_JOBS, NAIVE_MACHINES)
     return NaiveVsScopedResult(
         naive=naive_metrics,
         scoped=scoped_metrics,
@@ -610,21 +604,21 @@ def _reprobe(pool: Pool) -> None:
         startd.java_advertised = startd._self_test()
 
 
+BLACK_HOLE_JOBS = 16
+BLACK_HOLE_MACHINES = 6
+BLACK_HOLES = 2
+BLACK_HOLE_DEFENSES = ("none", "self-test", "avoidance")
+
+
 @experiment("black_hole", anchor="EXP-BH §5")
-def run_black_hole(
-    seed: int = 0,
-    n_jobs: int = 16,
-    n_machines: int = 6,
-    n_black_holes: int = 2,
-    defenses: tuple[str, ...] = ("none", "self-test", "avoidance"),
-) -> BlackHoleResult:
+def run_black_hole(seed: int = 0) -> BlackHoleResult:
     """§5: 'a small number of misconfigured machines attracted a continuous
     stream of jobs that would attempt to execute, fail, and be returned.'"""
     rows = []
-    for defense in defenses:
+    for defense in BLACK_HOLE_DEFENSES:
         _, metrics, _ = _scoped_run(
-            seed, _plain_jobs(seed, n_jobs, "bh", mean_work=5.0), n_machines,
-            faults=[(MisconfiguredJvm(f"exec{i:03d}"),) for i in range(n_black_holes)],
+            seed, _plain_jobs(seed, BLACK_HOLE_JOBS, "bh", mean_work=5.0), BLACK_HOLE_MACHINES,
+            faults=[(MisconfiguredJvm(f"exec{i:03d}"),) for i in range(BLACK_HOLES)],
             arm=_reprobe if defense == "self-test" else None,
             max_time=300_000,
             startd_self_test=(defense == "self-test"),
@@ -655,12 +649,12 @@ class NfsResult(_RowsResult):
     rows: list[NfsRow]
 
 
+NFS_SOFT_TIMEOUT = 30.0
+NFS_DEADLINE = 120.0
+
+
 @experiment("nfs_mounts", anchor="EXP-NFS §5")
-def run_nfs_mounts(
-    outages: tuple[float, ...] = (5.0, 60.0, 600.0),
-    soft_timeout: float = 30.0,
-    deadline: float = 120.0,
-) -> NfsResult:
+def run_nfs_mounts(outages: tuple[float, ...] = (5.0, 60.0, 600.0)) -> NfsResult:
     """A program reads through an NFS mount during an outage, under hard,
     soft, and per-operation-deadline (the paper's wished-for mechanism)."""
     from repro.sim.engine import Simulator
@@ -675,7 +669,7 @@ def run_nfs_mounts(
             server.write_file("/export/data", b"payload")
             mount_mode = "soft" if mode == "soft" else "hard"
             mount = NfsClient(sim, server, mode=mount_mode,
-                              soft_timeout=soft_timeout, retry_interval=1.0)
+                              soft_timeout=NFS_SOFT_TIMEOUT, retry_interval=1.0)
             server.set_online(False)
             sim.call_at(outage, server.set_online, True)
 
@@ -684,7 +678,7 @@ def run_nfs_mounts(
             def job(sim=sim, mount=mount, mode=mode):
                 try:
                     if mode == "per-op deadline":
-                        yield from mount.read_file("/export/data", deadline=deadline)
+                        yield from mount.read_file("/export/data", deadline=NFS_DEADLINE)
                     else:
                         yield from mount.read_file("/export/data")
                     outcome.append("completed")
@@ -726,40 +720,37 @@ class TimeScopeResult(_RowsResult):
     rows: list[TimeScopeRow]
     threshold: float
 
-    @property
-    def accuracy(self) -> float:
-        return sum(1 for r in self.rows if r.correct) / len(self.rows)
+
+TIME_SCOPE_OUTAGES = (1.0, 5.0, 30.0, 120.0, 900.0, 10_000.0)
+TIME_SCOPE_THRESHOLD = 60.0
+TIME_SCOPE_RETRY_INTERVAL = 5.0
+TIME_SCOPE_WINDOW = 1200.0
 
 
 @experiment("time_scope", anchor="EXP-SCOPE-TIME §5")
-def run_time_scope(
-    outages: tuple[float, ...] = (1.0, 5.0, 30.0, 120.0, 900.0, 10_000.0),
-    threshold: float = 60.0,
-    retry_interval: float = 5.0,
-    observation_window: float = 1200.0,
-) -> TimeScopeResult:
+def run_time_scope() -> TimeScopeResult:
     """§5: 'time becomes a factor in error propagation.'  A client retries a
     failing service; the escalator assigns process scope to blips and
     remote-resource scope to persistent outages."""
     ladder = EscalationLadder((
         (0.0, ErrorScope.PROCESS),
-        (threshold, ErrorScope.REMOTE_RESOURCE),
+        (TIME_SCOPE_THRESHOLD, ErrorScope.REMOTE_RESOURCE),
     ))
     rows: list[TimeScopeRow] = []
-    for outage in outages:
+    for outage in TIME_SCOPE_OUTAGES:
         escalator = TimeScopeEscalator(ladder)
         truth = (
-            ErrorScope.PROCESS if outage < threshold else ErrorScope.REMOTE_RESOURCE
+            ErrorScope.PROCESS if outage < TIME_SCOPE_THRESHOLD else ErrorScope.REMOTE_RESOURCE
         )
         assigned = ErrorScope.PROCESS
         decided_after = 0.0
         now = 0.0
-        while now < min(outage, observation_window):
+        while now < min(outage, TIME_SCOPE_WINDOW):
             assigned = escalator.record_failure("service", now)
             decided_after = now
             if assigned is not ErrorScope.PROCESS:
                 break
-            now += retry_interval
+            now += TIME_SCOPE_RETRY_INTERVAL
         rows.append(TimeScopeRow(
             outage=outage,
             truth=str(truth),
@@ -767,7 +758,7 @@ def run_time_scope(
             correct=assigned is truth,
             decided_after=decided_after,
         ))
-    return TimeScopeResult(rows, threshold)
+    return TimeScopeResult(rows, TIME_SCOPE_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +778,16 @@ class PrinciplesResult(_KeyValueResult):
         return _violation_lines("P{}", self.naive, self.scoped)
 
 
+PRINCIPLES_JOBS = 24
+PRINCIPLES_MACHINES = 6
+
+
 @experiment("principles", anchor="EXP-P1..P4 §3")
-def run_principles(seed: int = 0, n_jobs: int = 24, n_machines: int = 6) -> PrinciplesResult:
+def run_principles(seed: int = 0) -> PrinciplesResult:
     """Audit both configurations for violations of all four principles."""
-    _, naive = _run_mode("naive", seed, n_jobs, n_machines)
-    _, scoped = _run_mode("scoped", seed, n_jobs, n_machines)
-    return PrinciplesResult(naive=naive, scoped=scoped, n_jobs=n_jobs)
+    _, naive = _run_mode("naive", seed, PRINCIPLES_JOBS, PRINCIPLES_MACHINES)
+    _, scoped = _run_mode("scoped", seed, PRINCIPLES_JOBS, PRINCIPLES_MACHINES)
+    return PrinciplesResult(naive=naive, scoped=scoped, n_jobs=PRINCIPLES_JOBS)
 
 
 # ---------------------------------------------------------------------------
@@ -817,14 +812,14 @@ class RetrySweepResult(_RowsResult):
     n_jobs: int
 
 
+RETRY_JOBS = 12
+RETRY_MACHINES = 4
+RETRY_BROKEN = 2
+RETRY_BUDGETS = (0, 1, 2, 4, 8)
+
+
 @experiment("retry_sweep", anchor="EXP-RETRY")
-def run_retry_sweep(
-    seed: int = 0,
-    n_jobs: int = 12,
-    n_machines: int = 4,
-    n_broken: int = 2,
-    budgets: tuple[int, ...] = (0, 1, 2, 4, 8),
-) -> RetrySweepResult:
+def run_retry_sweep(seed: int = 0) -> RetrySweepResult:
     """How many retries does the 'log and retry elsewhere' policy need?
 
     Half the pool is broken.  With budget 0, the first environmental
@@ -833,15 +828,15 @@ def run_retry_sweep(
     guarantees a good machine is found.  The sweep locates the knee.
     """
     rows: list[RetryRow] = []
-    for budget in budgets:
+    for budget in RETRY_BUDGETS:
         _, metrics, _ = _scoped_run(
-            seed, _plain_jobs(seed, n_jobs, "retry", mean_work=5.0), n_machines,
-            faults=[(MisconfiguredJvm(f"exec{i:03d}"),) for i in range(n_broken)],
+            seed, _plain_jobs(seed, RETRY_JOBS, "retry", mean_work=5.0), RETRY_MACHINES,
+            faults=[(MisconfiguredJvm(f"exec{i:03d}"),) for i in range(RETRY_BROKEN)],
             max_time=300_000,
             max_retries=budget,
         )
         rows.append(_metrics_row(RetryRow, metrics, max_retries=budget))
-    return RetrySweepResult(rows, n_jobs)
+    return RetrySweepResult(rows, RETRY_JOBS)
 
 
 # ---------------------------------------------------------------------------
@@ -871,29 +866,29 @@ def _compute_job(job_id: str, owner: str, image: str, work: float, steps: int = 
                image=ProgramImage(image, program=program))
 
 
+FAIR_FLOOD_JOBS = 8
+FAIR_SMALL_JOBS = 2
+FAIR_WORK = 20.0
+FAIR_SMALL_ARRIVES_AT = 100.0
+
+
 @experiment("fair_share", anchor="EXP-FAIR")
-def run_fair_share(
-    seed: int = 0,
-    flood_jobs: int = 8,
-    small_jobs: int = 2,
-    work: float = 20.0,
-    small_arrives_at: float = 100.0,
-) -> FairShareResult:
+def run_fair_share(seed: int = 0) -> FairShareResult:
     """One machine, one flooding user, one late small user: does the small
     user wait behind the whole flood?  (Negotiator ablation.)"""
     rows: list[FairShareRow] = []
     for fair_share in (True, False):
         pool = _scoped_pool(seed, 1, fair_share=fair_share)
-        flood = [_compute_job(f"1.{i}", "flooder", f"f{i}.class", work)
-                 for i in range(flood_jobs)]
+        flood = [_compute_job(f"1.{i}", "flooder", f"f{i}.class", FAIR_WORK)
+                 for i in range(FAIR_FLOOD_JOBS)]
         for job in flood:
             pool.submit(job)
         second = pool.add_schedd("submit2")
-        small = [_compute_job(f"2.{i}", "trickler", f"s{i}.class", work)
-                 for i in range(small_jobs)]
+        small = [_compute_job(f"2.{i}", "trickler", f"s{i}.class", FAIR_WORK)
+                 for i in range(FAIR_SMALL_JOBS)]
         for job in small:
-            pool.sim.call_at(small_arrives_at, second.submit, job)
-        pool.run_until_done(max_time=500_000, expected_jobs=flood_jobs + small_jobs)
+            pool.sim.call_at(FAIR_SMALL_ARRIVES_AT, second.submit, job)
+        pool.run_until_done(max_time=500_000, expected_jobs=FAIR_FLOOD_JOBS + FAIR_SMALL_JOBS)
 
         def turnaround(jobs):
             return sum(
@@ -930,14 +925,14 @@ class PreemptResult(_RowsResult):
     rows: list[PreemptRow]
 
 
+PREEMPT_PEON_STEPS = 40
+PREEMPT_STEP_WORK = 10.0
+PREEMPT_BOSS_WORK = 30.0
+PREEMPT_BOSS_ARRIVES_AT = 120.0
+
+
 @experiment("preemption", anchor="EXP-PREEMPT")
-def run_preemption(
-    seed: int = 0,
-    peon_steps: int = 40,
-    step_work: float = 10.0,
-    boss_work: float = 30.0,
-    boss_arrives_at: float = 120.0,
-) -> PreemptResult:
+def run_preemption(seed: int = 0) -> PreemptResult:
     """One prized machine whose owner ranks the boss's jobs above all:
     does the boss wait, and what does preemption cost the peon?"""
     from repro.sim.machine import OwnerPolicy
@@ -955,15 +950,15 @@ def run_preemption(
             policy=OwnerPolicy(rank_expr='ifThenElse(TARGET.owner == "boss", 10, 1)'),
             memory=1024 * MB,
         )
-        peon = _compute_job("1.0", "peon", "peon.bin", step_work, peon_steps,
+        peon = _compute_job("1.0", "peon", "peon.bin", PREEMPT_STEP_WORK, PREEMPT_PEON_STEPS,
                             Universe.STANDARD)
         pool.submit(peon)
-        boss = _compute_job("2.0", "boss", "boss.class", boss_work)
-        pool.sim.call_at(boss_arrives_at, pool.submit, boss)
+        boss = _compute_job("2.0", "boss", "boss.class", PREEMPT_BOSS_WORK)
+        pool.sim.call_at(PREEMPT_BOSS_ARRIVES_AT, pool.submit, boss)
         pool.run_until_done(max_time=1_000_000, expected_jobs=2)
         rows.append(PreemptRow(
             configuration=name,
-            boss_turnaround=boss.attempts[-1].ended - boss_arrives_at,
+            boss_turnaround=boss.attempts[-1].ended - PREEMPT_BOSS_ARRIVES_AT,
             peon_turnaround=peon.attempts[-1].ended,
             peon_steps_executed=peon.steps_executed,
             evictions=sum(1 for a in peon.attempts
@@ -1018,14 +1013,14 @@ def _e2e_workload(pool: Pool, n_jobs: int):
     return jobs, validations
 
 
+E2E_JOBS = 12
+E2E_MACHINES = 4
+E2E_CORRUPTION_PROBABILITY = 0.25
+E2E_MAX_RESUBMITS = 4
+
+
 @experiment("end_to_end", anchor="EXP-E2E §5")
-def run_end_to_end(
-    seed: int = 0,
-    n_jobs: int = 12,
-    n_machines: int = 4,
-    corruption_probability: float = 0.25,
-    max_resubmits: int = 4,
-) -> EndToEndResult:
+def run_end_to_end(seed: int = 0) -> EndToEndResult:
     """§5: implicit errors pass every layer below the application; only a
     process above Condor, checking outputs, can catch and retry them."""
     from repro.e2e import EndToEndManager
@@ -1033,11 +1028,11 @@ def run_end_to_end(
 
     rows: list[EndToEndRow] = []
     for configuration in ("no end-to-end layer", "end-to-end layer"):
-        pool = Pool(PoolConfig(n_machines=n_machines, seed=seed))
+        pool = Pool(PoolConfig(n_machines=E2E_MACHINES, seed=seed))
         injector = FaultInjector(pool)
-        injector.schedule(SilentDataCorruption(corruption_probability))
-        jobs, validations = _e2e_workload(pool, n_jobs)
-        manager = EndToEndManager(pool, max_resubmits=max_resubmits)
+        injector.schedule(SilentDataCorruption(E2E_CORRUPTION_PROBABILITY))
+        jobs, validations = _e2e_workload(pool, E2E_JOBS)
+        manager = EndToEndManager(pool, max_resubmits=E2E_MAX_RESUBMITS)
         if configuration == "end-to-end layer":
             for job, validation in zip(jobs, validations):
                 manager.submit(job, validation)
@@ -1054,12 +1049,12 @@ def run_end_to_end(
         summary = manager.summary()  # all zeros when the layer was not used
         rows.append(EndToEndRow(
             configuration=configuration,
-            jobs=n_jobs,
+            jobs=E2E_JOBS,
             corruptions_in_flight=pool.net.corruptions,
             wrong_outputs_delivered=wrong,
             implicit_errors_caught=summary["implicit_errors_caught"],
             resubmits=summary["resubmits"],
-            final_valid_outputs=n_jobs - wrong,
+            final_valid_outputs=E2E_JOBS - wrong,
         ))
     return EndToEndResult(rows)
 
@@ -1122,15 +1117,15 @@ class ChurnResult(_RowsResult):
         return table
 
 
+CHURN_JOBS = 24
+CHURN_MACHINES = 4
+CHURN_HEAL_AT = 200.0
+CHURN_MEAN_INTERVAL = 150.0
+CHURN_MEAN_DOWNTIME = 60.0
+
+
 @experiment("churn", anchor="EXP-CHURN §5")
-def run_churn(
-    seed: int = 0,
-    n_jobs: int = 24,
-    n_machines: int = 4,
-    heal_at: float = 200.0,
-    mean_interval: float = 150.0,
-    mean_downtime: float = 60.0,
-) -> ChurnResult:
+def run_churn(seed: int = 0) -> ChurnResult:
     """§5 under churn: exec000 is a black hole that gets *repaired* at
     ``heal_at``, while the other machines leave and rejoin the pool.
 
@@ -1150,8 +1145,8 @@ def run_churn(
             pool,
             pool.rngs.stream("churn"),
             machines=tuple(m for m in sorted(pool.machines) if m != "exec000"),
-            mean_interval=mean_interval,
-            mean_downtime=mean_downtime,
+            mean_interval=CHURN_MEAN_INTERVAL,
+            mean_downtime=CHURN_MEAN_DOWNTIME,
             graceful_fraction=0.5,
             min_alive=2,
         )
@@ -1163,10 +1158,10 @@ def run_churn(
     )
     rows: list[ChurnRow] = []
     for name, knobs in modes:
-        jobs = _plain_jobs(seed, n_jobs, "churn-workload", mean_work=60.0)
+        jobs = _plain_jobs(seed, CHURN_JOBS, "churn-workload", mean_work=60.0)
         _, metrics, churn = _scoped_run(
-            seed, jobs, n_machines,
-            faults=[(BlackHole("exec000"), 0.0, heal_at)],
+            seed, jobs, CHURN_MACHINES,
+            faults=[(BlackHole("exec000"), 0.0, CHURN_HEAL_AT)],
             arm=churn_generator,
             arrivals=("churn-arrivals", 8.0),
             avoidance_base=60.0,
@@ -1181,10 +1176,10 @@ def run_churn(
             churn_joins=churn.joins,
             attempts_on_healed_site=sum(
                 1 for job in jobs for attempt in job.attempts
-                if attempt.site == "exec000" and attempt.started >= heal_at
+                if attempt.site == "exec000" and attempt.started >= CHURN_HEAL_AT
             ),
         ))
-    return ChurnResult(rows, heal_at=heal_at)
+    return ChurnResult(rows, heal_at=CHURN_HEAL_AT)
 
 
 # ---------------------------------------------------------------------------
@@ -1210,14 +1205,14 @@ class FlockResult(_RowsResult):
     rows: list[FlockRow]
 
 
+FLOCK_JOBS = 16
+FLOCK_HOME_MACHINES = 2
+FLOCK_REMOTE_MACHINES = 4
+FLOCK_LINK_DOWN_UNTIL = 200.0
+
+
 @experiment("flocking", anchor="EXP-FLOCK §2.1")
-def run_flocking(
-    seed: int = 0,
-    n_jobs: int = 16,
-    home_machines: int = 2,
-    remote_machines: int = 4,
-    link_down_until: float = 200.0,
-) -> FlockResult:
+def run_flocking(seed: int = 0) -> FlockResult:
     """A saturated home pool next to an idle remote pool, three ways:
     no flocking (the home pool grinds alone), flocking (idle jobs
     overflow), and flocking through a link outage (the schedd's
@@ -1232,14 +1227,14 @@ def run_flocking(
     )
     rows: list[FlockRow] = []
     for name, flocking, outage in configurations:
-        jobs = _plain_jobs(seed, n_jobs, "flock", mean_work=60.0)
+        jobs = _plain_jobs(seed, FLOCK_JOBS, "flock", mean_work=60.0)
         grid, metrics, _ = _scoped_run(
             seed, jobs,
-            faults=[(FlockLinkDown(), 0.0, link_down_until)] if outage else (),
+            faults=[(FlockLinkDown(), 0.0, FLOCK_LINK_DOWN_UNTIL)] if outage else (),
             grid=dict(
                 pools=(
-                    GridPoolSpec("a", n_machines=home_machines),
-                    GridPoolSpec("b", n_machines=remote_machines),
+                    GridPoolSpec("a", n_machines=FLOCK_HOME_MACHINES),
+                    GridPoolSpec("b", n_machines=FLOCK_REMOTE_MACHINES),
                 ),
                 flocking=flocking,
             ),
@@ -1282,16 +1277,16 @@ class CheckpointResult(_RowsResult):
     rows: list[CheckpointRow]
 
 
+CKPT_JOBS = 6
+CKPT_MACHINES = 3
+CKPT_STEPS = 30
+CKPT_STEP_WORK = 5.0
+CKPT_EVICTION_TIMES = (80.0, 300.0)
+CKPT_EVICTION_DURATION = 60.0
+
+
 @experiment("checkpointing", anchor="EXP-CKPT §2.1")
-def run_checkpoint_ablation(
-    seed: int = 0,
-    n_jobs: int = 6,
-    n_machines: int = 3,
-    n_steps: int = 30,
-    step_work: float = 5.0,
-    eviction_times: tuple[float, ...] = (80.0, 300.0),
-    eviction_duration: float = 60.0,
-) -> CheckpointResult:
+def run_checkpoint_ablation(seed: int = 0) -> CheckpointResult:
     """Ablate §2.1's transparent checkpointing: the same eviction storm
     with and without it, measuring re-executed work."""
     from repro.faults import OwnerActivity
@@ -1299,20 +1294,20 @@ def run_checkpoint_ablation(
     rows: list[CheckpointRow] = []
     for checkpointing in (True, False):
         jobs = [
-            _compute_job(f"1.{i}", "thain", f"s{i}.bin", step_work, n_steps,
+            _compute_job(f"1.{i}", "thain", f"s{i}.bin", CKPT_STEP_WORK, CKPT_STEPS,
                          Universe.STANDARD)
-            for i in range(n_jobs)
+            for i in range(CKPT_JOBS)
         ]
         _, metrics, _ = _scoped_run(
-            seed, jobs, n_machines,
+            seed, jobs, CKPT_MACHINES,
             faults=[
-                (OwnerActivity(f"exec{m:03d}"), at, at + eviction_duration)
-                for at in eviction_times for m in range(n_machines)
+                (OwnerActivity(f"exec{m:03d}"), at, at + CKPT_EVICTION_DURATION)
+                for at in CKPT_EVICTION_TIMES for m in range(CKPT_MACHINES)
             ],
             checkpointing=checkpointing,
         )
         executed = sum(j.steps_executed for j in jobs)
-        needed = n_jobs * n_steps
+        needed = CKPT_JOBS * CKPT_STEPS
         rows.append(_metrics_row(
             CheckpointRow, metrics,
             checkpointing=checkpointing,

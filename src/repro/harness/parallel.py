@@ -20,7 +20,6 @@ the runner falls back to a plain serial loop, which is always correct.
 
 from __future__ import annotations
 
-import argparse
 import concurrent.futures
 import os
 import pickle
@@ -36,7 +35,6 @@ __all__ = [
     "ItemResult",
     "ParallelRunner",
     "WorkerFailure",
-    "positive_worker_count",
     "shard_items",
     "usable_cores",
 ]
@@ -46,27 +44,6 @@ def usable_cores() -> int:
     """The CPUs this process may run on (its affinity), not the host's count."""
     affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
     return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def positive_worker_count(text: str) -> int:
-    """Argparse type for ``--jobs``/``--workers``: an integer >= 1.
-
-    Shared by every CLI that fans work over :class:`ParallelRunner`, so
-    ``--jobs 0``, negatives, and non-integers all fail at argument
-    parsing with one clear message instead of falling through to a
-    confusing executor failure later.
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid worker count {text!r}: must be an integer >= 1"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"invalid worker count {value}: must be >= 1 (use 1 for serial)"
-        )
-    return value
 
 
 @dataclass(frozen=True)

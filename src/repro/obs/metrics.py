@@ -145,17 +145,6 @@ class MetricsRegistry:
                 self._observe(key, value, hist.bounds)
 
     # -- reads ----------------------------------------------------------
-    def counter_value(self, name: str, **labels) -> float:
-        return self._counters.get(_key(name, labels), 0.0)
-
-    def gauge_value(self, name: str, **labels) -> float | None:
-        return self._gauges.get(_key(name, labels))
-
-    def histogram_percentile(self, name: str, q: float, **labels) -> float | None:
-        """Nearest-rank percentile of a histogram series (None if absent)."""
-        hist = self._histograms.get(_key(name, labels))
-        return None if hist is None else hist.percentile(q)
-
     def histogram_percentiles(self, name: str, **labels) -> dict[str, float] | None:
         """The ``p50`` / ``p95`` / ``p99`` triple of a series (None if absent)."""
         hist = self._histograms.get(_key(name, labels))

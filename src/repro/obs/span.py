@@ -67,11 +67,6 @@ class Span:
     attrs: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def open(self) -> bool:
-        """True while the span has not been closed."""
-        return self.end is None
-
-    @property
     def duration(self) -> float | None:
         return None if self.end is None else self.end - self.start
 
@@ -222,10 +217,6 @@ class SpanBuilder:
     def journeys(self) -> list[Span]:
         """The error-journey root spans, in creation order."""
         return [s for s in self.spans if s.kind == "error"]
-
-    def job_spans(self) -> list[Span]:
-        """The job-journey root spans, in creation order."""
-        return [s for s in self.spans if s.kind == "job"]
 
     def scope_to_handlers(self) -> dict[str, set[str]]:
         """The observed scope -> handling-manager map (FIG3, live).

@@ -32,6 +32,7 @@ from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import Any
 
+from repro.boundary import BadRequest
 from repro.obs.canonical import canonical_json, to_jsonable
 from repro.obs.sqlite_store import (
     SqliteStore,
@@ -222,7 +223,10 @@ class ResultsStore(SqliteStore):
         commit: str | None = None,
         limit: int | None = None,
     ) -> list[dict]:
-        """Run rows (payload digest, not body), newest last by run id."""
+        """Run rows (payload digest, not body), newest last by run id: the
+        newest *limit* of them if given, which must be >= 1."""
+        if limit is not None and limit < 1:
+            raise BadRequest(f"limit must be a positive integer, got {limit!r}")
         sql = (
             "SELECT run_id, kind, source, schema, config_hash, seed, payload,"
             " commit_sha, ingested_at FROM runs"

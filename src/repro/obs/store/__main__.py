@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.boundary import NotFound, cli
+from repro.boundary import NotFound, cli, positive_int
 from repro.obs.canonical import pretty_json
 from repro.obs.store import IngestError, ResultsStore, default_commit
 from repro.obs.store.query import (
@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
                        choices=("gridbench", "campaign", "fuzz", "harness",
                                 "trace", "metrics", "profile"))
     query.add_argument("--commit", default=None, metavar="SHA")
-    query.add_argument("--limit", type=int, default=None, metavar="N",
+    query.add_argument("--limit", type=positive_int, default=None, metavar="N",
                        help="show only the newest N runs")
     query.add_argument("--strip-wall", action="store_true",
                        help="drop wall-side columns (commit, ingested-at); "
@@ -174,14 +174,12 @@ def main(argv: list[str] | None = None) -> int:
     _add_db(diff)
 
     gc = commands.add_parser("gc", help="drop old runs per kind+config")
-    gc.add_argument("--keep", type=int, default=5, metavar="N",
+    gc.add_argument("--keep", type=positive_int, default=5, metavar="N",
                     help="runs to keep per (kind, config hash) (default 5)")
     gc.add_argument("--dry-run", action="store_true")
     _add_db(gc)
 
     args = parser.parse_args(argv)
-    if args.command == "gc" and args.keep < 1:
-        gc.error(f"--keep must be >= 1, got {args.keep}")
     return {
         "ingest": _ingest_main,
         "query": _query_main,

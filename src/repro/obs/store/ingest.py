@@ -38,7 +38,6 @@ __all__ = [
     "IngestError",
     "extract",
     "extract_all",
-    "extract_text",
     "parse_text",
 ]
 
@@ -360,8 +359,3 @@ def parse_text(text: str, source: str) -> Any:
         except ValueError as exc:
             raise IngestError("MALFORMED", source, f"line {i}: {exc}") from None
     return summary.payload()
-
-
-def extract_text(text: str, source: str) -> Extracted:
-    """Detect and extract one single-run artifact from raw file text."""
-    return extract(parse_text(text, source), source)

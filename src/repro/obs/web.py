@@ -103,15 +103,11 @@ class ResultsWeb:
     def _runs(self, store: ResultsStore, query: dict) -> dict:
         limit = query.get("limit", "50")
         try:
-            valid = int(limit) >= 1
+            limit = int(limit)
         except ValueError:
-            valid = False
-        if not valid:
-            raise BadRequest(f"limit must be a positive integer, got {limit!r}")
+            raise BadRequest(f"limit must be a positive integer, got {limit!r}") from None
         rows = store.runs(
-            kind=query.get("kind") or None,
-            commit=query.get("commit") or None,
-            limit=int(limit),
+            kind=query.get("kind") or None, commit=query.get("commit") or None, limit=limit
         )
         return {"runs": rows}
 

@@ -34,7 +34,7 @@ class Credential:
 class RpcRequest:
     """One UNIX-like file operation."""
 
-    op: str  # "read_file" | "write_file" | "stat" | "listdir"
+    op: str  # "read_file" | "write_file"
     path: str
     data: bytes = b""
     credential: Credential | None = None
@@ -46,7 +46,6 @@ class RpcReply:
 
     ok: bool
     data: bytes = b""
-    listing: tuple[str, ...] = ()
     error: str = ""  # errno-style code, or CREDENTIAL_EXPIRED / BAD_CREDENTIAL
 
 

@@ -1,13 +1,8 @@
 """The shadow-side remote I/O file server.
 
-Serves the submit machine's home file system to the starter's proxy.
-The home file system may itself be an NFS mount
-(:class:`repro.sim.filesystem.NfsClient`), in which case the server
-inherits the mount's hard/soft semantics: a hard-mounted outage makes the
-server *block* (the proxy's RPC times out -- indistinguishable from a
-network problem, which is precisely the paper's §5 indeterminate-scope
-observation), while a soft-mounted outage returns an explicit
-``ETIMEDOUT``.
+Serves the submit machine's home file system to the starter's proxy:
+whole-file reads and writes, each checked against the shadow's
+credential.
 """
 
 from __future__ import annotations
@@ -41,28 +36,19 @@ def _timed_fs_op(fn, *args):
 
 
 class SyncFsAdapter:
-    """Adapts a :class:`LocalFileSystem` to the generator API of
-    :class:`~repro.sim.filesystem.NfsClient`, so the server can treat
-    local and NFS-mounted home directories uniformly."""
+    """Adapts a :class:`LocalFileSystem` to the server's generator API."""
 
     def __init__(self, fs: LocalFileSystem):
         self.fs = fs
 
-    def read_file(self, path: str, deadline=None):
+    def read_file(self, path: str):
         return _timed_fs_op(self.fs.read_file, path)
         yield  # pragma: no cover - makes this a generator function
 
-    def write_file(self, path: str, data: bytes, deadline=None):
+    def write_file(self, path: str, data: bytes):
         return _timed_fs_op(self.fs.write_file, path, data)
         yield  # pragma: no cover
 
-    def stat(self, path: str, deadline=None):
-        return _timed_fs_op(self.fs.stat, path)
-        yield  # pragma: no cover
-
-    def listdir(self, path: str, deadline=None):
-        return _timed_fs_op(self.fs.listdir, path)
-        yield  # pragma: no cover
 
 
 class RemoteIoServer:
@@ -74,7 +60,7 @@ class RemoteIoServer:
         net: Network,
         host: str,
         port: int,
-        home_fs,  # NfsClient or SyncFsAdapter
+        home_fs: SyncFsAdapter,
     ):
         self.sim = sim
         self.net = net
@@ -136,12 +122,6 @@ class RemoteIoServer:
             if request.op == "write_file":
                 yield from self.home_fs.write_file(request.path, request.data)
                 return RpcReply(ok=True)
-            if request.op == "stat":
-                yield from self.home_fs.stat(request.path)
-                return RpcReply(ok=True)
-            if request.op == "listdir":
-                listing = yield from self.home_fs.listdir(request.path)
-                return RpcReply(ok=True, listing=tuple(listing))
             return RpcReply(ok=False, error="BAD_OP")
         except FsError as exc:
             return RpcReply(ok=False, error=exc.code)

@@ -29,8 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.boundary import BadRequest, cli
-from repro.harness.parallel import positive_worker_count
+from repro.boundary import BadRequest, cli, positive_int
 from repro.service.api import ServiceApi, ServiceConfig
 from repro.service.auth import mint_token
 from repro.service.executor import ServiceExecutor, replay_run
@@ -109,12 +108,12 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--secret", default=None, help="service secret (or --secret-file)")
     serve.add_argument("--secret-file", default=None,
                        help="file containing the service secret")
-    serve.add_argument("--workers", type=positive_worker_count, default=1, metavar="N",
+    serve.add_argument("--workers", type=positive_int, default=1, metavar="N",
                        help="worker processes for accepted runs (1 = in-process)")
-    serve.add_argument("--queue-limit", type=int, default=1000, metavar="N",
+    serve.add_argument("--queue-limit", type=positive_int, default=1000, metavar="N",
                        help="max active (submitted+running) runs before "
                             "submissions are rejected with QUEUE_FULL")
-    serve.add_argument("--machines", type=int, default=8, metavar="N",
+    serve.add_argument("--machines", type=positive_int, default=8, metavar="N",
                        help="pool size for grid-job batches")
     serve.add_argument("--batch-seed", type=int, default=0, metavar="SEED",
                        help="seed for grid-job batch pools")
@@ -126,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     mint.add_argument("--secret", default=None)
     mint.add_argument("--secret-file", default=None)
     mint.add_argument("--user", required=True)
-    mint.add_argument("--ttl", type=int, default=3600, metavar="SECONDS",
+    mint.add_argument("--ttl", type=positive_int, default=3600, metavar="SECONDS",
                       help="token lifetime from now")
 
     replay = commands.add_parser(
@@ -146,8 +145,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"replay run {args.run_id} [{verdict['kind']}] "
                   f"{name}: {'byte-identical' if ok else 'MISMATCH'}")
         return 0 if verdict["match"] else 1
-    if args.queue_limit < 1:
-        serve.error(f"--queue-limit must be >= 1, got {args.queue_limit}")
     if not 0 <= args.port <= 65535:
         serve.error(f"--port must be in [0, 65535], got {args.port}")
     return asyncio.run(_serve(args, _secret_from(args)))

@@ -71,6 +71,9 @@ REPLAYED_ARTIFACTS = {
 #: Simulated-time budget of one grid-job batch's pool run.
 BATCH_MAX_TIME = 1_000_000.0
 
+#: Wall seconds the drain task sleeps when it finds nothing to run.
+POLL_INTERVAL = 0.05
+
 
 # ---------------------------------------------------------------------------
 # Pure execution functions (run in worker processes)
@@ -319,14 +322,7 @@ class ServiceExecutor:
         return 1
 
     # -- composition -----------------------------------------------------
-    def drain_once(self) -> int:
-        """One synchronous drain cycle; returns runs finished."""
-        items = self.collect_items()
-        if not items:
-            return 0
-        return self.record_results(items, self.execute_items(items))
-
-    async def drain_forever(self, poll_interval: float = 0.05) -> None:
+    async def drain_forever(self) -> None:
         """The server's background drain task.
 
         Store access stays on the event-loop thread; only the pure
@@ -336,7 +332,7 @@ class ServiceExecutor:
         while True:
             items = self.collect_items()
             if not items:
-                await asyncio.sleep(poll_interval)
+                await asyncio.sleep(POLL_INTERVAL)
                 continue
             results = await asyncio.to_thread(self.execute_items, items)
             self.record_results(items, results)

@@ -228,12 +228,11 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, headers: dict[str, str]
     ) -> bytes:
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise BadRequest(f"bad Content-Length {length_text!r}") from None
-        if length < 0:
+        # RFC 9110: 1*DIGIT.  int() would also read "1_0", "+5", " 5" and
+        # non-ASCII digits.
+        if not (length_text.isascii() and length_text.isdigit()):
             raise BadRequest(f"bad Content-Length {length_text!r}")
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             raise PayloadTooLarge(
                 f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"

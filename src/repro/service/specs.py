@@ -100,8 +100,6 @@ def normalize_campaign_spec(payload: Any) -> dict:
     may set, judged by :class:`CampaignConfig`; ``kinds`` becomes a sorted set."""
     fields = read_fields(payload, {name: CampaignConfig.READERS[name] for name in _CAMPAIGN_FIELDS})
     if fields.get("kinds") is not None:
-        if not fields["kinds"]:
-            raise ConfigError("kinds", "must name at least one fault kind")
         fields["kinds"] = sorted(set(fields["kinds"]))
     shape = CampaignConfig.from_dict(fields).as_dict()
     return _capped({name: shape[name] for name in _CAMPAIGN_FIELDS})

@@ -235,12 +235,3 @@ class RunStore(SqliteStore):
                 "SELECT name FROM artifacts WHERE run_id=? ORDER BY name", (run_id,)
             )
         ]
-
-    def event_journal(self, run_id: int) -> list[tuple[str, str]]:
-        """The full (state, detail) history -- the append-only evidence."""
-        return list(
-            self._db.execute(
-                "SELECT state, detail FROM run_events WHERE run_id=? ORDER BY seq",
-                (run_id,),
-            )
-        )

@@ -18,7 +18,6 @@ Condor-kernel reproduction runs:
 """
 
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
     Event,
     Interrupted,
@@ -30,7 +29,6 @@ from repro.sim.engine import (
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "Interrupted",

@@ -38,7 +38,6 @@ from typing import Any
 WALL_PROFILE = None
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "Interrupted",
@@ -89,22 +88,6 @@ class Event:
         self._ok = True
         self._value: Any = None
         self._defused = False
-
-    # -- inspection ----------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """True once :meth:`succeed` or :meth:`fail` has been called."""
-        return self._triggered
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded.  Only meaningful once triggered."""
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The success value or failure exception."""
-        return self._value
 
     # -- triggering ----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
@@ -223,10 +206,14 @@ def _let_go(ev: Event, callback: Callable[[Event], None]) -> None:
                 callbacks[i] = _late
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf: waits on several events at once."""
+class AnyOf(Event):
+    """Triggers as soon as *any* of several events triggers.
 
-    __slots__ = ("events", "_pending")
+    Succeeds with a dict of the already-triggered events and their values;
+    fails if the first child to trigger failed.
+    """
+
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: list[Event]):
         self.sim = sim
@@ -235,35 +222,12 @@ class _Condition(Event):
         self._ok = True
         self._value = None
         self.events = events = list(events)
-        self._pending = len(events)
         if not events:
             self.succeed({})
             return
         on_child = self._on_child
         for ev in events:
             ev.add_callback(on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        raise NotImplementedError
-
-    def _trigger(self, ok: bool, value: Any) -> None:
-        super()._trigger(ok, value)
-        on_child = self._on_child
-        for ev in self.events:
-            _let_go(ev, on_child)
-
-    def _results(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events if ev._triggered}
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as *any* child event triggers.
-
-    Succeeds with a dict of the already-triggered events and their values;
-    fails if the first child to trigger failed.
-    """
-
-    __slots__ = ()
 
     def _on_child(self, ev: Event) -> None:
         if self._triggered:
@@ -274,25 +238,14 @@ class AnyOf(_Condition):
             ev._defused = True
             self._trigger(False, ev._value)
 
+    def _trigger(self, ok: bool, value: Any) -> None:
+        super()._trigger(ok, value)
+        on_child = self._on_child
+        for ev in self.events:
+            _let_go(ev, on_child)
 
-class AllOf(_Condition):
-    """Triggers once *all* child events have triggered.
-
-    Fails fast on the first child failure.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, ev: Event) -> None:
-        if self._triggered:
-            return _late(ev)
-        if not ev._ok:
-            ev._defused = True
-            self._trigger(False, ev._value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self._trigger(True, self._results())
+    def _results(self) -> dict[Event, Any]:
+        return {ev: ev._value for ev in self.events if ev._triggered}
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -484,10 +437,6 @@ class Simulator:
         self.call_at(self._now + delay, fn, *args)
 
     # -- event factories ----------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh pending :class:`Event`."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after *delay* simulated seconds."""
         return Timeout(self, delay, value)
@@ -495,10 +444,6 @@ class Simulator:
     def any_of(self, events: list[Event]) -> AnyOf:
         """Wait for the first of *events*."""
         return AnyOf(self, events)
-
-    def all_of(self, events: list[Event]) -> AllOf:
-        """Wait for all of *events*."""
-        return AllOf(self, events)
 
     def spawn(self, generator: ProcessGenerator, name: str = "") -> SimProcess:
         """Start a new simulated process from *generator*."""
@@ -521,10 +466,6 @@ class Simulator:
             ran += 1
         return ran
 
-    def step(self) -> bool:
-        """Run the single next event.  Returns False if the queue is empty."""
-        return self.run_steps(1) == 1
-
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock passes *until*.
 
@@ -541,10 +482,6 @@ class Simulator:
         finally:
             self._running = False
         return self._now
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``float('inf')`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now} queued={len(self._queue)}>"

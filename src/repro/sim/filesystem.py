@@ -5,7 +5,7 @@ Two layers:
 - :class:`LocalFileSystem` -- a synchronous in-memory file system with the
   explicit errors the paper's I/O discussion enumerates: ``ENOENT``
   (FileNotFound), ``EACCES`` (AccessDenied), ``ENOSPC`` (DiskFull),
-  ``EISDIR``/``ENOTDIR``, plus injected ``EIO`` (offline) and silent
+  ``EISDIR``, plus injected ``EIO`` (offline) and silent
   corruption (the raw material of *implicit* errors).
 
 - :class:`NfsClient` -- an NFS-style mount of a remote file system with
@@ -124,11 +124,6 @@ class FileHandle:
         self.offset += len(data)
         return len(data)
 
-    def seek(self, offset: int) -> None:
-        if offset < 0:
-            raise FsError("EINVAL", self.path, f"negative seek {offset}")
-        self.offset = offset
-
     def close(self) -> None:
         self.closed = True
 
@@ -186,32 +181,6 @@ class LocalFileSystem:
         path = _norm(path)
         return path in self._files or path in self._dirs
 
-    def isdir(self, path: str) -> bool:
-        return _norm(path) in self._dirs
-
-    def listdir(self, path: str) -> list[str]:
-        """Names directly under directory *path*, sorted."""
-        path = _norm(path)
-        self._require_online(path)
-        if path not in self._dirs:
-            raise FsError("ENOENT" if path not in self._files else "ENOTDIR", path)
-        prefix = path if path.endswith(_SEP) else path + _SEP
-        names = set()
-        for p in list(self._files) + list(self._dirs):
-            if p != path and p.startswith(prefix):
-                names.add(p[len(prefix) :].split(_SEP, 1)[0])
-        return sorted(names)
-
-    def stat(self, path: str) -> PathState:
-        """Metadata for *path*; raises ``ENOENT`` if absent."""
-        path = _norm(path)
-        self._require_online(path)
-        if path in self._files:
-            return self._files[path]
-        if path in self._dirs:
-            raise FsError("EISDIR", path)
-        raise FsError("ENOENT", path, "no such file")
-
     # -- file ops --------------------------------------------------------
     def open(self, path: str, mode: str = "r", owner: str = "root") -> FileHandle:
         """Open *path*.  Modes: ``r`` read, ``w`` create/truncate, ``a`` append.
@@ -263,23 +232,6 @@ class LocalFileSystem:
         finally:
             handle.close()
 
-    def unlink(self, path: str) -> None:
-        """Remove file *path*."""
-        path = _norm(path)
-        self._require_online(path)
-        state = self._files.pop(path, None)
-        if state is None:
-            raise FsError("ENOENT", path)
-        self.used -= len(state.data)
-
-    def chmod(self, path: str, readable: bool | None = None, writable: bool | None = None) -> None:
-        """Adjust permission flags on *path*."""
-        state = self.stat(path)
-        if readable is not None:
-            state.readable = readable
-        if writable is not None:
-            state.writable = writable
-
     # -- fault hooks --------------------------------------------------------
     def set_online(self, online: bool) -> None:
         """Take the whole file system offline (EIO on every op) or back."""
@@ -307,7 +259,11 @@ class LocalFileSystem:
 
     def verify(self, path: str) -> bool:
         """True iff *path*'s content still matches its recorded checksum."""
-        state = self.stat(path)
+        path = _norm(path)
+        self._require_online(path)
+        state = self._files.get(path)
+        if state is None:
+            raise FsError("ENOENT", path, "no such file")
         return hashlib.sha256(state.data).hexdigest() == state.checksum
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -379,23 +335,6 @@ class NfsClient:
             self.stats.retries += 1
             yield self.sim.timeout(self.retry_interval)
 
-    # Thin remote wrappers; each is a generator.
     def read_file(self, path: str, deadline: float | None = None):
         """Remote whole-file read (generator)."""
         return self._call(self.server_fs.read_file, path, deadline=deadline)
-
-    def write_file(self, path: str, data: bytes, deadline: float | None = None):
-        """Remote whole-file write (generator)."""
-        return self._call(self.server_fs.write_file, path, data, deadline=deadline)
-
-    def stat(self, path: str, deadline: float | None = None):
-        """Remote stat (generator)."""
-        return self._call(self.server_fs.stat, path, deadline=deadline)
-
-    def listdir(self, path: str, deadline: float | None = None):
-        """Remote directory listing (generator)."""
-        return self._call(self.server_fs.listdir, path, deadline=deadline)
-
-    def unlink(self, path: str, deadline: float | None = None):
-        """Remote unlink (generator)."""
-        return self._call(self.server_fs.unlink, path, deadline=deadline)

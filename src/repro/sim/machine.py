@@ -18,6 +18,9 @@ from repro.sim.process import ProcessTable
 
 __all__ = ["JavaInstallation", "Machine", "MemoryError_", "OwnerPolicy"]
 
+#: Bytes of scratch space on every machine.
+SCRATCH_CAPACITY = 10**9
+
 
 class MemoryError_(Exception):
     """Raised when an allocation exceeds the machine's physical memory."""
@@ -45,10 +48,6 @@ class JavaInstallation:
     classpath_ok: bool = True
     heap_limit: int = 64 * 2**20
 
-    @property
-    def healthy(self) -> bool:
-        return self.binary_ok and self.classpath_ok
-
 
 @dataclass
 class OwnerPolicy:
@@ -68,7 +67,6 @@ class Machine:
         name: str,
         memory: int = 256 * 2**20,
         cpu_speed: float = 1.0,
-        scratch_capacity: int = 10**9,
         java: JavaInstallation | None = None,
         policy: OwnerPolicy | None = None,
         slots: int = 1,
@@ -83,7 +81,7 @@ class Machine:
         self.memory_total = memory
         self.memory_used = 0
         self.cpu_speed = cpu_speed
-        self.scratch = LocalFileSystem(name=f"{name}:scratch", capacity=scratch_capacity, sim=sim)
+        self.scratch = LocalFileSystem(name=f"{name}:scratch", capacity=SCRATCH_CAPACITY, sim=sim)
         self.scratch.mkdir("/scratch")
         self.processes = ProcessTable(sim, machine_name=name)
         self.java = java if java is not None else JavaInstallation()

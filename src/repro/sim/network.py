@@ -35,6 +35,9 @@ __all__ = [
     "NetworkError",
 ]
 
+#: One-way latency between two distinct hosts, in simulated seconds.
+LATENCY = 0.001
+
 
 class NetworkError(Exception):
     """Base class for simulated network failures."""
@@ -255,11 +258,9 @@ class Network:
     def __init__(
         self,
         sim: Simulator,
-        default_latency: float = 0.001,
         rng=None,
     ):
         self.sim = sim
-        self.default_latency = default_latency
         #: Probability that an eligible message's payload is silently
         #: corrupted in flight -- the "CRC and TCP checksum disagree"
         #: fault, the raw material of *implicit* errors.
@@ -273,7 +274,6 @@ class Network:
         self._listeners: dict[tuple[str, int], Listener] = {}
         self._partitions: set[frozenset[str]] = set()
         self._down_hosts: set[str] = set()
-        self._latency_overrides: dict[frozenset[str], float] = {}
         self.traffic_bytes: dict[tuple[str, str], int] = {}
 
     # -- topology ----------------------------------------------------------
@@ -300,16 +300,8 @@ class Network:
         # no pair is built while nothing is partitioned (the usual case)
         return bool(self._partitions) and frozenset((host_a, host_b)) in self._partitions
 
-    def set_latency(self, host_a: str, host_b: str, latency: float) -> None:
-        """Override the one-way latency between a host pair."""
-        self._latency_overrides[frozenset((host_a, host_b))] = latency
-
     def latency(self, host_a: str, host_b: str) -> float:
-        if host_a == host_b:
-            return 0.0
-        if not self._latency_overrides:
-            return self.default_latency
-        return self._latency_overrides.get(frozenset((host_a, host_b)), self.default_latency)
+        return 0.0 if host_a == host_b else LATENCY
 
     def _maybe_corrupt(self, message: Any) -> Any:
         """Silently flip one payload byte with ``corrupt_probability``.

@@ -45,13 +45,5 @@ class RngRegistry:
             self._streams[name] = random.Random(derive_seed(self.seed, name))
         return self._streams[name]
 
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's.
-
-        Useful for giving each repetition of an experiment its own
-        namespace: ``rngs.fork(f"rep{i}")``.
-        """
-        return RngRegistry(derive_seed(self.seed, "fork:" + name))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngRegistry seed={self.seed} streams={sorted(self._streams)}>"

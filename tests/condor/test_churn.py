@@ -201,7 +201,7 @@ class TestChurnGenerator:
             grid, grid.rngs.stream("churn"),
             mean_interval=30.0, mean_downtime=20.0,
         )
-        grid.run(1000.0)
+        grid.sim.run(until=1000.0)
         return churn.leaves, churn.joins, churn.crashes
 
     def test_same_seed_same_churn_schedule(self):
@@ -224,7 +224,7 @@ class TestChurnGenerator:
             mean_interval=5.0, mean_downtime=500.0, min_alive=2,
         )
         for _ in range(50):
-            grid.run(grid.sim.now + 20.0)
+            grid.sim.run(until=grid.sim.now + 20.0)
             assert len(grid.machines) >= 2
 
     def test_jobs_complete_through_churn(self):

@@ -159,7 +159,7 @@ class TestScopedPropagation:
             pool.submit(job)
         pool.run_until_done(max_time=100_000)
         assert all(j.state is JobState.COMPLETED for j in jobs)
-        assert pool.userlog.user_visible_errors() == []
+        assert not any(e.error for e in pool.userlog.events)
 
 
 class TestNaivePropagation:
@@ -269,8 +269,3 @@ class TestInjectorMechanics:
         injector.schedule(CorruptProgramImage("9.9"))
         truth = injector.truth_for_attempt("exec000", "9.9", 0.0, 10.0)
         assert truth is ErrorScope.JOB
-
-    def test_fault_describe(self):
-        fault = MisconfiguredJvm("exec000")
-        assert "MisconfiguredJvm" in fault.describe()
-        assert "exec000" in fault.describe()

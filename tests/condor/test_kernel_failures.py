@@ -82,7 +82,7 @@ class TestPartitions:
         assert job.state is JobState.IDLE
         pool.run_until_done(max_time=100_000)
         assert job.state is JobState.COMPLETED
-        assert pool.userlog.user_visible_errors() == []
+        assert not any(e.error for e in pool.userlog.events)
 
 
 class TestScheddPolicies:

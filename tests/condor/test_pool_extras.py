@@ -43,16 +43,6 @@ class TestOperatorTools:
         pool = Pool(PoolConfig(n_machines=1))
         assert "(none)" in error_scope_report(pool)
 
-    def test_condor_history_lists_attempts(self):
-        from repro.condor.tools import condor_history
-
-        pool = self._run_pool()
-        text = condor_history(pool)
-        assert "attempt" in text
-        assert "completed(exit=0)" in text
-        # The misconfigured machine shows up as a scoped failure row.
-        assert "remote-resource" in text
-
     def test_timeline_renders_marks(self):
         from repro.condor.tools import timeline
 

@@ -56,24 +56,34 @@ class TestScale:
 
 class TestExperimentDeterminism:
     def test_naive_vs_scoped_reproducible(self):
-        from repro.harness.experiments import run_naive_vs_scoped
+        from repro.harness import experiments as E
 
-        a = run_naive_vs_scoped(seed=4, n_jobs=10, n_machines=3)
-        b = run_naive_vs_scoped(seed=4, n_jobs=10, n_machines=3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(E, "NAIVE_JOBS", 10)
+            patch.setattr(E, "NAIVE_MACHINES", 3)
+            a = E.run_naive_vs_scoped(seed=4)
+            b = E.run_naive_vs_scoped(seed=4)
         assert a.table().render() == b.table().render()
 
     def test_black_hole_reproducible(self):
-        from repro.harness.experiments import run_black_hole
+        from repro.harness import experiments as E
 
-        a = run_black_hole(seed=4, n_jobs=8, n_machines=4, n_black_holes=1)
-        b = run_black_hole(seed=4, n_jobs=8, n_machines=4, n_black_holes=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(E, "BLACK_HOLE_JOBS", 8)
+            patch.setattr(E, "BLACK_HOLE_MACHINES", 4)
+            patch.setattr(E, "BLACK_HOLES", 1)
+            a = E.run_black_hole(seed=4)
+            b = E.run_black_hole(seed=4)
         assert a.table().render() == b.table().render()
 
     def test_different_seeds_differ_somewhere(self):
-        from repro.harness.experiments import run_fig1_kernel
+        from repro.harness import experiments as E
 
-        a = run_fig1_kernel(seed=0, n_jobs=6, n_machines=3)
-        b = run_fig1_kernel(seed=9, n_jobs=6, n_machines=3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(E, "FIG1_JOBS", 6)
+            patch.setattr(E, "FIG1_MACHINES", 3)
+            a = E.run_fig1_kernel(seed=0)
+            b = E.run_fig1_kernel(seed=9)
         # Workload draws differ, so some observable must differ (makespan
         # snaps to negotiation-cycle granularity; matches/ads need not).
         assert (a.matches, a.ads_sent, a.makespan) != (b.matches, b.ads_sent, b.makespan)

@@ -5,7 +5,6 @@ import pytest
 from repro.condor.job import JobState
 from repro.condor.pool import Pool, PoolConfig
 from repro.condor.tools import (
-    condor_history,
     condor_q,
     condor_status,
     error_scope_report,
@@ -58,18 +57,6 @@ def test_condor_q_shows_terminal_outcomes(finished_pool):
     for job_id in finished_pool.schedd.jobs:
         assert job_id in text
     assert "completed" in text
-
-
-def test_condor_history_one_row_per_attempt(finished_pool):
-    text = condor_history(finished_pool)
-    attempts = sum(
-        len(j.attempts) for j in finished_pool.schedd.jobs.values()
-    )
-    assert attempts >= 2
-    # Header + separator + one row per attempt (title adds lines too, so
-    # check the lower bound on data lines instead of an exact count).
-    assert len(text.splitlines()) >= attempts
-    assert "JvmMisconfigured" in text
 
 
 def test_timeline_marks_errors_and_results(finished_pool):

@@ -77,8 +77,8 @@ class TestClassifier:
         got = c.classify("java", "PigeonLostError")
         assert got.scope is ErrorScope.LOCAL_RESOURCE
         assert got.canonical == "PigeonLost"
-        assert c.knows("java", "PigeonLostError")
-        assert not c.knows("java", "Other")
+        assert got.known
+        assert not c.classify("java", "Other").known
 
 
 class TestResultFile:

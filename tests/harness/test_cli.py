@@ -4,7 +4,7 @@ import multiprocessing
 
 import pytest
 
-from repro.harness.__main__ import EXPERIMENTS, main, run_experiment
+from repro.harness.__main__ import EXPERIMENTS, main, run_experiment_record
 from repro.harness.experiments import UnknownExperiment
 
 
@@ -14,19 +14,19 @@ def test_every_registered_experiment_exists():
 
 
 def test_run_experiment_fig4():
-    text = run_experiment("fig4")
+    text = run_experiment_record("fig4")["rendered"]
     assert "JVM Result Code" in text
 
 
 def test_run_experiment_with_seed():
-    text = run_experiment("fig1", seed=5)
+    text = run_experiment_record("fig1", seed=5)["rendered"]
     assert "FIG1" in text
 
 
 def test_unknown_experiment_exits():
     """The library raises the typed lookup error; only main() exits."""
     with pytest.raises(UnknownExperiment, match="unknown experiment 'nonsense'; try one of"):
-        run_experiment("nonsense")
+        run_experiment_record("nonsense")
 
 
 def test_main_list(capsys):
@@ -52,7 +52,7 @@ def test_main_runs_several_in_input_order(capsys):
 
 
 def test_tables_carry_wall_clock_footer():
-    assert "wall clock" in run_experiment("time_scope")
+    assert "wall clock" in run_experiment_record("time_scope")["rendered"]
 
 
 def test_main_jobs_parallel_stable_order(capsys):
@@ -65,7 +65,7 @@ def test_main_jobs_parallel_stable_order(capsys):
 class TestJobsValidation:
     """--jobs rejects 0/negative/non-integer at argument parsing with a
     clear message, instead of falling through to a confusing
-    ProcessPoolExecutor failure (shared ``positive_worker_count`` type)."""
+    ProcessPoolExecutor failure (the shared ``repro.boundary.positive_int`` type)."""
 
     def _error_text(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -95,12 +95,12 @@ class TestJobsValidation:
     def test_positive_worker_count_type(self):
         import argparse
 
-        from repro.harness.parallel import positive_worker_count
+        from repro.boundary import positive_int
 
-        assert positive_worker_count("4") == 4
+        assert positive_int("4") == 4
         for bad in ("0", "-1", "x", "1.5"):
             with pytest.raises(argparse.ArgumentTypeError):
-                positive_worker_count(bad)
+                positive_int(bad)
 
 
 def test_unknown_experiment_among_several_exits():

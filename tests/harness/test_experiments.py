@@ -10,9 +10,17 @@ from repro.core.scope import ErrorScope
 from repro.harness import experiments as E
 
 
+def sized(run, **constants):
+    """*run()* with some of the experiments' scenario constants replaced."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(E, name, value)
+        return run()
+
+
 class TestFig1:
     def test_kernel_wiring(self):
-        result = E.run_fig1_kernel(n_jobs=4, n_machines=2)
+        result = sized(E.run_fig1_kernel, FIG1_JOBS=4, FIG1_MACHINES=2)
         assert result.completed == 4
         assert result.matches == 4
         assert result.claims_granted == 4
@@ -34,7 +42,7 @@ class TestFig2:
 class TestFig3:
     def test_every_scope_lands_correctly(self):
         result = E.run_fig3_scopes()
-        assert result.all_correct
+        assert all(row.correct for row in result.rows)
         scopes = [row.expected_scope for row in result.rows]
         assert scopes == [
             ErrorScope.PROGRAM,
@@ -49,14 +57,14 @@ class TestFig4:
     def test_paper_rows_reproduced(self):
         result = E.run_fig4_result_codes()
         # Paper column: 0, x, 1, 1, 1, 1, 1.
-        assert result.bare_codes == [0, 5, 1, 1, 1, 1, 1]
+        assert [row.bare_code for row in result.rows] == [0, 5, 1, 1, 1, 1, 1]
 
     def test_ambiguity_then_recovery(self):
         result = E.run_fig4_result_codes()
         # Five distinct failures collapse onto code 1...
-        assert result.bare_codes.count(1) == 5
+        assert [row.bare_code for row in result.rows].count(1) == 5
         # ...but the wrapper tells all seven apart.
-        assert result.distinct_wrapper_reports == 7
+        assert len({row.wrapper_report for row in result.rows}) == 7
 
     def test_wrapper_reports_name_scopes(self):
         result = E.run_fig4_result_codes()
@@ -68,7 +76,7 @@ class TestFig4:
 class TestNaiveVsScoped:
     @pytest.fixture(scope="class")
     def result(self):
-        return E.run_naive_vs_scoped(seed=0, n_jobs=20, n_machines=6)
+        return sized(E.run_naive_vs_scoped, NAIVE_JOBS=20)
 
     def test_scoped_shields_users(self, result):
         """'the hailstorm of error messages abated' (§4)."""
@@ -101,7 +109,7 @@ class TestNaiveVsScoped:
 class TestBlackHole:
     @pytest.fixture(scope="class")
     def result(self):
-        return E.run_black_hole(seed=0, n_jobs=12, n_machines=6, n_black_holes=2)
+        return sized(E.run_black_hole, BLACK_HOLE_JOBS=12)
 
     def test_all_defenses_complete_everything(self, result):
         assert all(row.completed == 12 for row in result.rows)
@@ -128,8 +136,7 @@ class TestBlackHole:
 class TestNfs:
     @pytest.fixture(scope="class")
     def result(self):
-        return E.run_nfs_mounts(outages=(5.0, 60.0, 600.0), soft_timeout=30.0,
-                                deadline=120.0)
+        return E.run_nfs_mounts()
 
     def _row(self, result, outage, mode):
         for row in result.rows:
@@ -162,27 +169,27 @@ class TestNfs:
 class TestTimeScope:
     def test_escalation_matches_truth(self):
         result = E.run_time_scope()
-        assert result.accuracy == 1.0
+        assert all(row.correct for row in result.rows)
 
     def test_short_blips_stay_process_scope(self):
-        result = E.run_time_scope(outages=(1.0, 10.0), threshold=60.0)
+        result = sized(E.run_time_scope, TIME_SCOPE_OUTAGES=(1.0, 10.0))
         assert all(row.assigned == "process" for row in result.rows)
 
     def test_persistent_outage_escalates(self):
-        result = E.run_time_scope(outages=(900.0,), threshold=60.0)
+        result = sized(E.run_time_scope, TIME_SCOPE_OUTAGES=(900.0,))
         assert result.rows[0].assigned == "remote-resource"
         assert result.rows[0].decided_after >= 60.0
 
 
 class TestPrinciples:
     def test_table_mentions_all_principles(self):
-        result = E.run_principles(n_jobs=10, n_machines=4)
+        result = sized(E.run_principles, PRINCIPLES_JOBS=10, PRINCIPLES_MACHINES=4)
         text = result.table().render()
         for p in ("P1", "P2", "P3", "P4"):
             assert p in text
 
     def test_scoped_violates_none_of_what_naive_violates(self):
-        result = E.run_principles(seed=0, n_jobs=24, n_machines=6)
+        result = E.run_principles(seed=0)
         assert result.naive[1] > 0  # implicit errors from explicit errors
         assert result.naive[4] > 0  # the generic IOException interface
         assert all(result.scoped[p] == 0 for p in (1, 2, 3, 4))
@@ -190,7 +197,7 @@ class TestPrinciples:
 
 class TestEndToEndExperiment:
     def test_layer_catches_what_bare_delivers(self):
-        result = E.run_end_to_end(n_jobs=8, corruption_probability=0.3)
+        result = sized(E.run_end_to_end, E2E_JOBS=8, E2E_CORRUPTION_PROBABILITY=0.3)
         bare = result.row("no end-to-end layer")
         layered = result.row("end-to-end layer")
         assert bare.wrong_outputs_delivered > 0
@@ -199,14 +206,14 @@ class TestEndToEndExperiment:
         assert layered.resubmits > 0
 
     def test_nothing_below_the_layer_notices(self):
-        result = E.run_end_to_end(n_jobs=12, n_machines=4, corruption_probability=0.25)
+        result = E.run_end_to_end()
         assert result.row("no end-to-end layer").implicit_errors_caught == 0
         assert result.row("end-to-end layer").final_valid_outputs == 12
 
 
 class TestCheckpointExperiment:
     def test_checkpointing_reduces_reexecution(self):
-        result = E.run_checkpoint_ablation(n_jobs=4, n_steps=20)
+        result = sized(E.run_checkpoint_ablation, CKPT_JOBS=4, CKPT_STEPS=20)
         assert result.row(True).reexecuted_steps < result.row(False).reexecuted_steps
         assert result.row(True).completed == result.row(False).completed == 4
 
@@ -228,7 +235,7 @@ class TestFairShareExperiment:
 
 class TestRetrySweepExperiment:
     def test_knee_exists(self):
-        result = E.run_retry_sweep(budgets=(0, 4))
+        result = sized(E.run_retry_sweep, RETRY_BUDGETS=(0, 4))
         assert result.row(0).held > 0
         assert result.row(4).completed == result.n_jobs
 

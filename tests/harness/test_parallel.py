@@ -107,13 +107,13 @@ class TestWorkerFailurePolicy:
     def test_raising_worker_names_the_seed(self):
         with pytest.raises(WorkerFailure) as info:
             ParallelRunner(_raising_run, workers=2).map([1, 2, 3, 4])
-        assert info.value.seeds == (2,)
+        assert info.value.items == (2,)
         assert "cursed" in str(info.value)
 
     def test_raising_worker_serial_path_names_the_seed(self):
         with pytest.raises(WorkerFailure) as info:
             ParallelRunner(_raising_run, workers=1).map([1, 2, 3])
-        assert info.value.seeds == (2,)
+        assert info.value.items == (2,)
 
     def test_crashed_worker_names_its_shard(self):
         # Whether the innocent shard [1, 2] finished before seed 3 took the
@@ -121,26 +121,26 @@ class TestWorkerFailurePolicy:
         for _ in range(10):
             with pytest.raises(WorkerFailure) as info:
                 ParallelRunner(_crashing_run, workers=2).map([1, 2, 3, 4])
-            assert info.value.seeds in ((3, 4), (1, 2, 3, 4))
+            assert info.value.items in ((3, 4), (1, 2, 3, 4))
 
     def test_crash_names_every_unfinished_shard_not_the_first_inspected(self):
         # Seed 0 outlives the crash, so its future (inspected first) carries
         # the same BrokenProcessPool as the shard whose worker really died.
         with pytest.raises(WorkerFailure) as info:
             ParallelRunner(_crashing_run, workers=2).map([0, 2, 3, 4])
-        assert info.value.seeds == (0, 2, 3, 4)
+        assert info.value.items == (0, 2, 3, 4)
 
     def test_hung_worker_hits_timeout(self):
         with pytest.raises(WorkerFailure) as info:
             ParallelRunner(_sleepy_run, workers=2, timeout=0.25).map([0, 1])
         assert info.value.cause == "timeout"
-        assert info.value.seeds in ((0,), (1,))
+        assert info.value.items in ((0,), (1,))
 
     def test_worker_failure_pickles_with_seeds(self):
         err = WorkerFailure("boom on 7", [7], cause="RuntimeError('x')")
         clone = pickle.loads(pickle.dumps(err))
         assert isinstance(clone, WorkerFailure)
-        assert clone.seeds == (7,) and clone.cause == "RuntimeError('x')"
+        assert clone.items == (7,) and clone.cause == "RuntimeError('x')"
 
 
 class TestSerialFallback:

@@ -82,8 +82,7 @@ class TestOneRegistry:
         tree = ast.parse((SRC / "harness" / "__main__.py").read_text(encoding="utf-8"))
         defined = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
         assert defined == ["main"]
-        for name in ("run_experiment_record", "run_experiment", "run_experiments",
-                     "harness_payload"):
+        for name in ("run_experiment_record", "run_experiments", "harness_payload"):
             assert getattr(cli, name) is getattr(E, name)
         for module in ("specs.py", "executor.py"):
             assert "harness.__main__" not in (SRC / "service" / module).read_text()

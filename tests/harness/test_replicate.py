@@ -67,10 +67,13 @@ class TestReplicateMechanics:
 class TestHeadlineShapeAcrossSeeds:
     def test_scoped_beats_naive_for_every_seed(self):
         """The §2.3-vs-§4 shape is not a seed artifact."""
-        from repro.harness.experiments import run_naive_vs_scoped
+        from repro.harness import experiments as E
 
         def run(seed):
-            result = run_naive_vs_scoped(seed=seed, n_jobs=12, n_machines=4)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(E, "NAIVE_JOBS", 12)
+                patch.setattr(E, "NAIVE_MACHINES", 4)
+                result = E.run_naive_vs_scoped(seed=seed)
             return {
                 "naive_incidental": float(result.naive.user_visible_incidental),
                 "scoped_incidental": float(result.scoped.user_visible_incidental),

@@ -11,7 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.harness.experiments import run_fig1_kernel
+import pytest
+
+from repro.harness import experiments
 from repro.harness.replicate import replicate
 
 REPO = Path(__file__).resolve().parents[2]
@@ -40,7 +42,10 @@ def test_cli_parallel_jobs_smoke():
 
 
 def _fig1_row(seed: int) -> dict[str, float]:
-    result = run_fig1_kernel(seed=seed, n_jobs=4, n_machines=2)
+    with pytest.MonkeyPatch.context() as patch:  # here, so a worker process patches too
+        patch.setattr(experiments, "FIG1_JOBS", 4)
+        patch.setattr(experiments, "FIG1_MACHINES", 2)
+        result = experiments.run_fig1_kernel(seed=seed)
     return {"completed": float(result.completed), "makespan": result.makespan}
 
 

@@ -55,7 +55,6 @@ class Rig:
             "submit",
             7000,
             credential=credential,
-            rpc_timeout=5.0,
         )
         self.io = CondorIoLibrary(
             self.sim, self.net, "exec1", 9000, self.secret, mode=mode,
@@ -76,7 +75,7 @@ class Rig:
         )
         # Drive the simulation only until the JVM process finishes: daemon
         # loops (hard-mount retries, accept loops) may generate events forever.
-        while proc.status is None and self.sim.step():
+        while proc.status is None and self.sim.run_steps(1):
             pass
         return proc.status, (ResultFile.parse(sink[0]) if sink else None)
 
@@ -89,7 +88,7 @@ class Rig:
         proc = self.machine.processes.spawn(
             "java", jvm.run_bare(image, program, self.io, heap)
         )
-        while proc.status is None and self.sim.step():
+        while proc.status is None and self.sim.run_steps(1):
             pass
         return proc.status
 
@@ -134,7 +133,7 @@ class TestContractErrors:
     @pytest.mark.parametrize("mode", ["naive", "scoped"])
     def test_access_denied(self, mode):
         rig = Rig(mode=mode)
-        rig.home_fs.chmod("/home/user/input.dat", readable=False)
+        rig.home_fs._files["/home/user/input.dat"].readable = False
         program = JavaProgram(steps=[Step.read("/home/user/input.dat")])
         _, result = rig.run_program(program)
         assert result.status is ResultStatus.EXCEPTION
@@ -257,7 +256,7 @@ class TestNfsHomeDirectory:
         rig.secret = generate_secret("rig")
         rig.proxy = ChirpProxy(
             rig.sim, rig.net, "exec1", 9000, rig.secret, "submit", 7000,
-            credential=Credential("user"), rpc_timeout=5.0,
+            credential=Credential("user"),
         )
         rig.io = CondorIoLibrary(
             rig.sim, rig.net, "exec1", 9000, rig.secret, mode="scoped",

@@ -13,26 +13,26 @@ class TestPercentiles:
         registry = MetricsRegistry()
         for v in range(1, 101):
             registry.histogram("latency", float(v))
-        assert registry.histogram_percentile("latency", 50) == 50.0
-        assert registry.histogram_percentile("latency", 95) == 95.0
-        assert registry.histogram_percentile("latency", 99) == 99.0
+        assert registry.histogram_percentiles("latency")["p50"] == 50.0
+        assert registry.histogram_percentiles("latency")["p95"] == 95.0
+        assert registry.histogram_percentiles("latency")["p99"] == 99.0
 
     def test_percentile_is_an_observed_value(self):
         registry = MetricsRegistry()
         for v in (1.0, 100.0):
             registry.histogram("latency", v)
         # Nearest rank never interpolates: rank ceil(0.5*2)=1 -> 1.0.
-        assert registry.histogram_percentile("latency", 50) == 1.0
-        assert registry.histogram_percentile("latency", 99) == 100.0
+        assert registry.histogram_percentiles("latency")["p50"] == 1.0
+        assert registry.histogram_percentiles("latency")["p99"] == 100.0
 
     def test_single_observation(self):
         registry = MetricsRegistry()
         registry.histogram("latency", 7.0)
         for q in (50, 95, 99):
-            assert registry.histogram_percentile("latency", q) == 7.0
+            assert registry.histogram_percentiles("latency")[f"p{q}"] == 7.0
 
     def test_absent_series_is_none(self):
-        assert MetricsRegistry().histogram_percentile("nope", 50) is None
+        assert MetricsRegistry().histogram_percentiles("nope") is None
 
     def test_snapshot_carries_percentile_fields(self):
         registry = MetricsRegistry()

@@ -30,22 +30,22 @@ class TestJobSpans:
     def test_clean_run_assembles_one_root_per_job(self):
         with ObservationSession() as session:
             _, jobs = _run_pool(seed=0)
-        roots = session.spans.job_spans()
+        roots = [s for s in session.spans.spans if s.kind == "job"]
         assert len(roots) == len(jobs)
         for root in roots:
-            assert not root.open
+            assert root.end is not None
             assert root.status == "completed"
 
     def test_phases_follow_the_lifecycle(self):
         with ObservationSession() as session:
             _run_pool(seed=0, n_jobs=1)
-        root = session.spans.job_spans()[0]
+        root = [s for s in session.spans.spans if s.kind == "job"][0]
         phases = [s for s in session.spans.spans
                   if s.kind == "phase" and s.parent_id == root.span_id]
         names = [p.name for p in phases]
         assert names[0] == "queued"
         assert "claim" in names and "attempt:1" in names
-        assert all(not p.open for p in phases)
+        assert all(p.end is not None for p in phases)
         # Phases tile the root interval: contiguous, in order.
         for earlier, later in zip(phases, phases[1:]):
             assert earlier.end == later.start
@@ -73,7 +73,7 @@ class TestErrorSpans:
         for journey in errors:
             hops = hops_by_parent[journey.span_id]
             assert hops and hops[0].name == "hop:discovered"
-            assert not journey.open
+            assert journey.end is not None
             assert f"hop:{journey.status}" == hops[-1].name
 
     def test_scope_to_handlers_matches_posthoc_analysis(self):

@@ -28,7 +28,7 @@ from repro.obs.store import (
     config_hash,
 )
 from repro.obs.store.__main__ import main as store_main
-from repro.obs.store.ingest import extract, extract_text
+from repro.obs.store.ingest import extract, parse_text
 from repro.obs.store.query import diff_commits, wall_regressed
 
 REFERENCE = Path(__file__).resolve().parents[2] / "benchmarks/gridbench/baseline/reference.json"
@@ -186,7 +186,7 @@ class TestIngestRoundTrip:
 
     def test_a_one_record_trace_is_a_trace_not_a_document(self):
         line = TRACE_JSONL.splitlines()[1]
-        extracted = extract_text(line, "one.jsonl")
+        extracted = extract(parse_text(line, "one.jsonl"), "one.jsonl")
         assert extracted.kind == "trace"
         assert extracted.payload["events"] == 1 and extracted.error_hops == [("JOB", 1)]
 
@@ -468,7 +468,7 @@ class TestRejection:
         lambda summary: summary.update(events=-1),
     ])
     def test_malformed_trace_summary_is_typed(self, edit):
-        summary = extract_text(TRACE_JSONL, "t.jsonl").payload
+        summary = extract(parse_text(TRACE_JSONL, "t.jsonl"), "t.jsonl").payload
         edit(summary)
         with pytest.raises(IngestError) as err:
             extract(summary, "summary.json")
@@ -476,7 +476,8 @@ class TestRejection:
 
     def test_unfoldable_trace_line_is_typed(self):
         with pytest.raises(IngestError) as err:
-            extract_text(TRACE_JSONL + '\n{"kind": "event", "t": "soon"}', "t.jsonl")
+            text = TRACE_JSONL + '\n{"kind": "event", "t": "soon"}'
+            extract(parse_text(text, "t.jsonl"), "t.jsonl")
         assert err.value.code == "MALFORMED" and "line 4" in err.value.message
 
     def test_cli_rejects_an_empty_file_typed(self, tmp_path, capsys):

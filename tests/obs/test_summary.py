@@ -23,7 +23,7 @@ from repro.harness.__main__ import run_experiment_record
 from repro.obs.console import SCOPE_LADDER, GridConsole
 from repro.obs.export import ObservationSession
 from repro.obs.store import ingest_artifacts
-from repro.obs.store.ingest import extract_text
+from repro.obs.store.ingest import extract, parse_text
 from repro.obs.summary import RunSummary
 from repro.obs.web import ResultsWeb
 
@@ -63,7 +63,7 @@ class TestFoldEquivalence:
         _, session, _, _ = observed
         text = session.trace_text()
         summary = session.trace_summary()
-        assert summary == extract_text(text, "trace.jsonl").payload
+        assert summary == extract(parse_text(text, "trace.jsonl"), "trace.jsonl").payload
         assert summary["events"] == session.bus.dispatched
         assert summary["spans"] == len(session.spans.spans) > 0
         assert sum(summary["error_hops"].values()) == text.count('"topic":"error"')

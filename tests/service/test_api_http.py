@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.boundary import BadRequest
 from repro.service import (
     RunStore,
     ServiceApi,
@@ -242,6 +243,18 @@ class TestBadSpecs:
                 await client.close()
 
         assert run_service(check) == 400
+
+    @pytest.mark.parametrize("length", ["1_0", "+5", " 5", "\u0665"])
+    def test_content_length_is_ascii_digits_only(self, length):
+        """RFC 9110 ``1*DIGIT``: a length only ``int()`` would read is a 400."""
+        api = ServiceApi(RunStore(":memory:"), ServiceConfig(secret=SECRET, results_db=None))
+
+        async def read():
+            reader = asyncio.StreamReader()
+            return await ServiceServer(api)._read_body(reader, {"content-length": length})
+
+        with pytest.raises(BadRequest, match="bad Content-Length"):
+            asyncio.run(read())
 
 
 class TestAdmissionControl:

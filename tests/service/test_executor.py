@@ -13,6 +13,7 @@ from repro.service.executor import (
 )
 from repro.service.specs import build_batch_spec
 from repro.service.store import RunStore
+from tests.service import drain_once, event_journal
 
 
 @pytest.fixture
@@ -72,24 +73,24 @@ class TestDrainCycle:
         exp = store.submit_run(
             "experiment", "alice", {"experiment": "time_scope", "seed": 0}
         )
-        assert make_executor(store).drain_once() == 2
+        assert drain_once(make_executor(store)) == 2
         assert store.run_status(job)["state"] == "done"
         assert store.run_status(job)["detail"] == "COMPLETED"
         assert store.artifact_names(job) == ["batch", "result"]
         assert store.run_status(exp)["state"] == "done"
         assert store.artifact_names(exp) == ["metrics", "result", "table", "trace"]
         # Journal shows the full lifecycle, and nothing is left pending.
-        assert [state for state, _ in store.event_journal(job)] == [
+        assert [state for state, _ in event_journal(store, job)] == [
             "submitted", "running", "done",
         ]
         assert store.pending_runs() == []
-        assert make_executor(store).drain_once() == 0
+        assert drain_once(make_executor(store)) == 0
 
     def test_experiment_result_uses_cli_json_envelope(self, store):
         exp = store.submit_run(
             "experiment", "alice", {"experiment": "time_scope", "seed": 4}
         )
-        make_executor(store).drain_once()
+        drain_once(make_executor(store))
         result = json.loads(store.get_artifact(exp, "result"))
         assert result["seed"] == 4
         assert list(result["experiments"]) == ["time_scope"]
@@ -100,7 +101,7 @@ class TestDrainCycle:
         good = store.submit_run(
             "experiment", "alice", {"experiment": "time_scope", "seed": 0}
         )
-        finished = make_executor(store).drain_once()
+        finished = drain_once(make_executor(store))
         assert finished == 2  # both runs reached a terminal state
         assert store.run_status(bad)["state"] == "failed"
         # the library's typed lookup error, not a CLI exit
@@ -114,7 +115,7 @@ class TestDrainCycle:
             "mode": "scoped", "seed": 0, "max_order": 1,
             "kinds": ["MachineCrash"], "n_jobs": 2, "n_machines": 2,
         })
-        make_executor(store).drain_once()
+        drain_once(make_executor(store))
         assert store.run_status(run)["state"] == "done"
         report = json.loads(store.get_artifact(run, "report"))
         assert report["campaign"]["mode"] == "scoped"
@@ -123,7 +124,7 @@ class TestDrainCycle:
 class TestReplay:
     def test_replay_matches_for_done_runs(self, store):
         job = store.submit_run("job", "alice", {"work": 5.0})
-        make_executor(store).drain_once()
+        drain_once(make_executor(store))
         verdict = replay_run(store, job)
         assert verdict == {
             "run_id": job, "kind": "job",
@@ -132,7 +133,7 @@ class TestReplay:
 
     def test_replay_detects_tampered_artifact(self, store):
         job = store.submit_run("job", "alice", {"work": 5.0})
-        make_executor(store).drain_once()
+        drain_once(make_executor(store))
         store.put_artifact(job, "result", b'{"doctored": true}\n')
         assert replay_run(store, job)["match"] is False
 

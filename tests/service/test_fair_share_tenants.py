@@ -24,6 +24,7 @@ from repro.service import (
     ServiceServer,
     mint_token,
 )
+from tests.service import drain_once
 
 SECRET = "fair-share-secret"
 ALICE_JOBS = 8
@@ -58,7 +59,7 @@ def run_two_tenants():
             # One machine serializes the pool: fair share fully decides
             # who runs next, so the ordering effect is unmissable.
             executor = ServiceExecutor(store, workers=1, batch_machines=1)
-            finished = executor.drain_once()
+            finished = drain_once(executor)
 
             cross_tenant_error = None
             try:

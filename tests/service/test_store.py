@@ -6,6 +6,7 @@ import pytest
 
 from repro.service.errors import NotFound
 from repro.service.store import STORE_SCHEMA, RunStore, StoreSchemaError
+from tests.service import event_journal
 
 
 @pytest.fixture
@@ -44,7 +45,7 @@ class TestLifecycle:
         run_id = store.submit_run("job", "alice", {"work": 1.0})
         store.record_state(run_id, "running")
         store.record_state(run_id, "done", detail="COMPLETED")
-        assert store.event_journal(run_id) == [
+        assert event_journal(store, run_id) == [
             ("submitted", ""), ("running", ""), ("done", "COMPLETED"),
         ]
         assert store.run_status(run_id)["state"] == "done"

@@ -15,6 +15,7 @@ import repro.obs.sqlite_store as store_module
 from repro.service.__main__ import main as service_main
 from repro.service.executor import ServiceExecutor
 from repro.service.store import RUN_STATES, RunStore, StoreDurabilityError
+from tests.service import drain_once, event_journal
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -88,7 +89,7 @@ class TestTransaction:
                 file_store.put_artifact(lost, "result", b"{}")
                 raise RuntimeError("boom")
         assert cache_view(file_store) == before == journal_view(file_store)
-        assert file_store.event_journal(kept) == [("submitted", "")]
+        assert event_journal(file_store, kept) == [("submitted", "")]
         assert file_store.run_row(lost) is None
         # The store is usable afterwards, and the rolled-back id is free again.
         assert file_store.submit_run("job", "bob", {"work": 2.0}) == lost
@@ -101,7 +102,7 @@ class TestTransaction:
         submit_jobs(file_store, 40)
         executor = make_executor(file_store)
         finished = []
-        assert count_commits(file_store, lambda: finished.append(executor.drain_once())) == 2
+        assert count_commits(file_store, lambda: finished.append(drain_once(executor))) == 2
         assert finished == [40]
         assert cache_view(file_store) == journal_view(file_store)
 
@@ -109,7 +110,7 @@ class TestTransaction:
         for seed in (0, 1):
             file_store.submit_run("experiment", "alice", {"experiment": "time_scope", "seed": seed})
         executor = make_executor(file_store)
-        assert count_commits(file_store, executor.drain_once) == 3  # 1 claim + 2 items
+        assert count_commits(file_store, lambda: drain_once(executor)) == 3  # 1 claim + 2 items
 
 
 _OPS = st.lists(
@@ -174,7 +175,7 @@ class TestRecordIsAtomic:
         assert cache_view(file_store) == claimed == journal_view(file_store)
         for run_id in run_ids:
             assert file_store.artifact_names(run_id) == []
-            assert [state for state, _ in file_store.event_journal(run_id)] == [
+            assert [state for state, _ in event_journal(file_store, run_id)] == [
                 "submitted", "running",
             ]
 
@@ -260,7 +261,7 @@ class TestDurabilityPolicy:
 class TestReadersDoNotWaitForTheWriter:
     def test_second_connection_reads_a_finished_run_mid_transaction(self, file_store):
         (done,) = submit_jobs(file_store, 1)
-        make_executor(file_store).drain_once()
+        drain_once(make_executor(file_store))
         reader = RunStore(file_store.path)
         try:
             with file_store.transaction():
@@ -289,12 +290,12 @@ class TestRestartRecovery:
             assert store.pending_runs() == [] and store.active_count() == 6
             assert store.requeue_running() == 6
             assert store.requeue_running() == 0
-        assert make_executor(store).drain_once() == 6
+        assert drain_once(make_executor(store)) == 6
         artifacts = {
             (run_id, name): store.get_artifact(run_id, name)
             for run_id in run_ids for name in ("result", "batch")
         }
-        journals = [store.event_journal(run_id) for run_id in run_ids]
+        journals = [event_journal(store, run_id) for run_id in run_ids]
         assert store.active_count() == 0
         assert cache_view(store) == journal_view(store)
         store.close()
@@ -317,12 +318,12 @@ class TestRestartRecovery:
         path = str(tmp_path / "runs.db")
         store = RunStore(path)
         (done,) = submit_jobs(store, 1)
-        make_executor(store).drain_once()
+        drain_once(make_executor(store))
         (busy,) = submit_jobs(store, 1)
         store.record_state(busy, "running")
         assert service_main(["replay", "--db", path, str(done)]) == 0
         assert "byte-identical" in capsys.readouterr().out
-        assert store.event_journal(busy) == [("submitted", ""), ("running", "")]
+        assert event_journal(store, busy) == [("submitted", ""), ("running", "")]
         store.close()
 
     def test_serve_requeues_once_and_finishes_the_orphan(self, tmp_path):
@@ -346,7 +347,7 @@ class TestRestartRecovery:
                 assert server.poll() is None, log_path.read_text()
                 assert time.monotonic() < deadline, log_path.read_text()
                 time.sleep(0.05)
-            journal = reader.event_journal(orphan)
+            journal = event_journal(reader, orphan)
             reader.close()
             server.send_signal(signal.SIGTERM)
             assert server.wait(timeout=30) == 0

@@ -7,8 +7,8 @@ import pytest
 
 from repro.sim import engine
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
+    Event,
     Interrupted,
     SimulationError,
     Simulator,
@@ -100,7 +100,7 @@ def test_run_until_stops_clock():
     assert t == 10.0
     assert sim.now == 10.0
     # Remaining event still queued.
-    assert sim.peek() == 100.0
+    assert sim._queue[0][0] == 100.0
 
 
 def test_run_until_past_queue_advances_clock():
@@ -225,7 +225,7 @@ def test_defused_failure_does_not_raise():
 
 def test_event_succeed_wakes_waiters():
     sim = Simulator()
-    gate = sim.event()
+    gate = Event(sim)
     woken = []
 
     def waiter(sim, tag):
@@ -245,7 +245,7 @@ def test_event_succeed_wakes_waiters():
 
 def test_event_cannot_trigger_twice():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
@@ -254,7 +254,7 @@ def test_event_cannot_trigger_twice():
 def test_fail_requires_exception():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.event().fail("not an exception")  # type: ignore[arg-type]
+        Event(sim).fail("not an exception")  # type: ignore[arg-type]
 
 
 def test_any_of_first_wins():
@@ -272,25 +272,9 @@ def test_any_of_first_wins():
     assert results == [(1.0, ["fast"])]
 
 
-def test_all_of_waits_for_all():
-    sim = Simulator()
-    results = []
-
-    def proc(sim):
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(5.0, value="b")
-        outcome = yield sim.all_of([a, b])
-        results.append((sim.now, sorted(outcome.values())))
-
-    sim.spawn(proc(sim))
-    sim.run()
-    assert results == [(5.0, ["a", "b"])]
-
-
 def test_empty_conditions_trigger_immediately():
     sim = Simulator()
-    assert AnyOf(sim, []).triggered
-    assert AllOf(sim, []).triggered
+    assert AnyOf(sim, [])._triggered
 
 
 def test_interrupt_waiting_process():
@@ -339,8 +323,8 @@ def test_interrupted_escaping_terminates_process_with_cause():
     victim = sim.spawn(stubborn(sim))
     sim.spawn(killer(sim, victim))
     sim.run()
-    assert victim.triggered and victim.ok
-    assert victim.value == "killed"
+    assert victim._triggered and victim._ok
+    assert victim._value == "killed"
 
 
 def test_stale_wakeup_after_interrupt_is_ignored():
@@ -404,7 +388,7 @@ def test_yield_non_event_recovery_continues_waiting():
     proc = sim.spawn(resilient(sim))
     sim.run()
     assert log == ["caught", 3.0]
-    assert proc.triggered and proc.ok and proc.value == "recovered"
+    assert proc._triggered and proc._ok and proc._value == "recovered"
 
 
 def test_yield_non_event_then_return_terminates_process():
@@ -421,7 +405,7 @@ def test_yield_non_event_then_return_terminates_process():
 
     proc = sim.spawn(quitter(sim))
     sim.run()
-    assert proc.triggered and proc.ok and proc.value == "bailed"
+    assert proc._triggered and proc._ok and proc._value == "bailed"
 
 
 def test_cross_simulator_yield_recovery():
@@ -431,7 +415,7 @@ def test_cross_simulator_yield_recovery():
 
     def resilient(sim):
         try:
-            yield other.event()
+            yield Event(other)
         except SimulationError:
             yield sim.timeout(1.0)
             log.append(sim.now)
@@ -446,7 +430,7 @@ def test_cross_simulator_event_rejected():
     sim2 = Simulator()
 
     def bad(sim):
-        yield sim2.event()
+        yield Event(sim2)
 
     sim1.spawn(bad(sim1))
     with pytest.raises(SimulationError):
@@ -492,12 +476,12 @@ def test_run_is_not_reentrant():
 
 
 # -- a decided wait lets go (DESIGN §3.1 "who holds whom") ------------------
-# Each case pins (Simulator.step() calls, final sim.now, outcome) at the
+# Each case pins (heap entries run, final sim.now, outcome) at the
 # numbers the kernel gave before conditions detached from their children.
 
 def _drain(sim):
     steps = 0
-    while sim.step():
+    while sim.run_steps(1):
         steps += 1
     return steps
 
@@ -518,7 +502,7 @@ def _heap_reaches(sim, kinds):
 
 def test_late_child_failure_after_any_of_decided_is_defused():
     sim = Simulator()
-    late = sim.event()
+    late = Event(sim)
     got = []
 
     def proc(sim):
@@ -531,41 +515,24 @@ def test_late_child_failure_after_any_of_decided_is_defused():
     assert late._defused
 
 
-def test_late_child_failure_after_all_of_failed_fast_is_defused():
-    sim = Simulator()
-    first, late = sim.event(), sim.event()
-    got = []
-
-    def proc(sim):
-        try:
-            yield sim.all_of([first, late, sim.timeout(5.0)])
-        except RuntimeError as err:
-            got.append(str(err))
-
-    sim.spawn(proc(sim))
-    sim.call_at(1.0, lambda: first.fail(RuntimeError("first")))
-    sim.call_at(2.0, lambda: late.fail(RuntimeError("late")))
-    assert (_drain(sim), sim.now, got) == (9, 5.0, ["first"])
-
-
 def test_decided_condition_is_not_reachable_from_its_pending_children():
     sim = Simulator()
-    never = sim.event()
+    never = Event(sim)
 
     def proc(sim):
         yield sim.any_of([sim.timeout(1.0), never, sim.timeout(60.0)])
-        yield sim.all_of([sim.timeout(1.0), sim.timeout(60.0)])  # undecided at t=3
+        yield sim.any_of([sim.timeout(60.0), sim.timeout(61.0)])  # undecided at t=3
         raise AssertionError("not reached by t=3")
 
     sim.spawn(proc(sim)).defuse()
     sim.run(until=3.0)
-    assert [type(c) for c in _heap_reaches(sim, (AnyOf, AllOf))] == [AllOf]
+    assert [type(c) for c in _heap_reaches(sim, AnyOf)] == [AnyOf]
     assert never._callbacks == [engine._late]
 
 
 def test_failed_event_nobody_waited_on_still_raises_from_run():
     sim = Simulator()
-    sim.call_at(1.0, lambda: sim.event().fail(KeyError("unobserved")))
+    sim.call_at(1.0, lambda: Event(sim).fail(KeyError("unobserved")))
     with pytest.raises(KeyError):
         sim.run()
     assert sim.now == 1.0
@@ -573,7 +540,7 @@ def test_failed_event_nobody_waited_on_still_raises_from_run():
 
 def test_one_exception_reaches_two_waiters_and_loses_its_frames_once_handled():
     sim = Simulator()
-    shared = sim.event()
+    shared = Event(sim)
     boom = ValueError("boom")
     seen = []
 
@@ -595,7 +562,7 @@ def test_one_exception_reaches_two_waiters_and_loses_its_frames_once_handled():
 
 def test_escaping_exception_keeps_its_traceback():
     sim = Simulator()
-    shared = sim.event()
+    shared = Event(sim)
 
     def waiter(sim):
         yield shared
@@ -604,12 +571,12 @@ def test_escaping_exception_keeps_its_traceback():
     proc.defuse()
     sim.call_at(1.0, lambda: shared.fail(ValueError("boom")))
     assert (_drain(sim), sim.now) == (4, 1.0)
-    assert not proc.ok and proc.value.__traceback__ is not None
+    assert not proc._ok and proc._value.__traceback__ is not None
 
 
 def test_interrupted_process_is_not_pinned_by_the_event_it_left():
     sim = Simulator()
-    never = sim.event()  # the test keeps the event; nothing else keeps the process
+    never = Event(sim)  # the test keeps the event; nothing else keeps the process
 
     def proc(sim):
         held = bytearray(16)  # stands for whatever the generator's locals hold
@@ -634,7 +601,7 @@ def test_interrupted_process_is_not_pinned_by_the_event_it_left():
 
 def test_interrupted_process_rewaiting_the_same_event_keeps_its_callback_slot():
     sim = Simulator()
-    shared = sim.event()
+    shared = Event(sim)
     order = []
 
     def stubborn(sim):

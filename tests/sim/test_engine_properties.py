@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Interrupted, Simulator
+from repro.sim.engine import Event, Interrupted, Simulator
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False), max_size=40))
@@ -94,23 +94,6 @@ def test_any_of_fires_at_minimum(delays):
     assert winner[0] == min(delays)
 
 
-@given(st.lists(st.floats(min_value=0.001, max_value=50.0, allow_nan=False),
-                min_size=1, max_size=15))
-@settings(max_examples=40, deadline=None)
-def test_all_of_fires_at_maximum(delays):
-    sim = Simulator()
-    done = []
-
-    def proc(sim):
-        events = [sim.timeout(d) for d in delays]
-        yield sim.all_of(events)
-        done.append(sim.now)
-
-    sim.spawn(proc(sim))
-    sim.run()
-    assert done[0] == max(delays)
-
-
 # -- dispatch order: the single-callback fast path is the batch path ----------
 # The reference is the kernel this repo had before a heap entry became a call:
 # a plain list for a queue, one closure per entry, and one closure over the
@@ -119,8 +102,8 @@ def test_all_of_fires_at_maximum(delays):
 
 class _RefEvent:
     def __init__(self, sim):
-        self.sim, self.callbacks, self.triggered = sim, [], False
-        self.ok, self.value, self.defused, self.cancelled = True, None, False, False
+        self.sim, self.callbacks, self._triggered = sim, [], False
+        self._ok, self._value, self.defused, self.cancelled = True, None, False, False
 
     def succeed(self, value=None):
         self._trigger(True, value)
@@ -132,11 +115,11 @@ class _RefEvent:
         self.defused = True
 
     def cancel(self):
-        self.cancelled = self.cancelled or not self.triggered
+        self.cancelled = self.cancelled or not self._triggered
 
     def _trigger(self, ok, value):
-        assert not self.triggered
-        self.triggered, self.ok, self.value = True, ok, value
+        assert not self._triggered
+        self._triggered, self._ok, self._value = True, ok, value
         callbacks, self.callbacks = self.callbacks, None
         self.sim.batch(self, callbacks)
 
@@ -160,15 +143,12 @@ class _RefKernel:
 
     def batch(self, ev, callbacks):
         def run():
-            if not ev.ok and not callbacks and not ev.defused:
-                raise ev.value
+            if not ev._ok and not callbacks and not ev.defused:
+                raise ev._value
             for cb in callbacks:
                 cb(ev)
 
         self.call_at(self.now, run, priority=0)
-
-    def event(self):
-        return _RefEvent(self)
 
     def timeout(self, delay, value=None):
         ev = _RefEvent(self)
@@ -203,15 +183,15 @@ class _RefProcess(_RefEvent):
     def resume(self, ev):
         if self.waiting is ev:
             self.waiting = None
-            value, exc = (ev.value, None) if ev.ok else (None, ev.value)
+            value, exc = (ev._value, None) if ev._ok else (None, ev._value)
             self.step(value, exc)
 
     def interrupt(self, cause):
-        if not self.triggered:
+        if not self._triggered:
             self.sim.call_at(self.sim.now, self.interrupt_now, cause, priority=0)
 
     def interrupt_now(self, cause):
-        if self.triggered:
+        if self._triggered:
             return
         waiting, self.waiting = self.waiting, None
         if waiting is None:
@@ -232,7 +212,7 @@ def _play(kernel, program):
     sim, log, waitable = kernel(), [], []
 
     def note(label, ev=None):
-        log.append((sim.now, label) if ev is None else (sim.now, label, ev.ok, repr(ev.value)))
+        log.append((sim.now, label) if ev is None else (sim.now, label, ev._ok, repr(ev._value)))
 
     def fire(ev, index, outcome):
         if outcome == "ok":
@@ -265,7 +245,7 @@ def _play(kernel, program):
             sim.call_at(op[0], note, label)
         elif kind == "event":
             at, n_callbacks, outcome, late_in = op
-            ev = sim.event()
+            ev = (_RefEvent if kernel is _RefKernel else Event)(sim)
             for k in range(n_callbacks):
                 ev.add_callback(partial(note, f"{label}.{k}"))
             if outcome == "fail" and n_callbacks == 0:
@@ -310,13 +290,13 @@ def test_dispatch_order_is_the_reference_schedulers(program):
 @pytest.mark.parametrize("callbacks", [0, 1])
 def test_a_failed_event_raises_from_run_only_when_nobody_observes_it(callbacks):
     sim, seen = Simulator(), []
-    ev = sim.event()
+    ev = Event(sim)
     for _ in range(callbacks):
         ev.add_callback(seen.append)
     ev.fail(KeyError("boom"))
     if callbacks:
         sim.run()
-        assert seen == [ev] and not ev.ok
+        assert seen == [ev] and not ev._ok
     else:
         with pytest.raises(KeyError):
             sim.run()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import engine
+from repro.sim import engine, network
 from repro.sim.engine import AnyOf, Interrupted, Simulator, Timeout
 from repro.sim.network import (
     BrokenConnection,
@@ -20,8 +20,8 @@ def run(sim, gen):
     """Spawn *gen*, run the sim, and return the process result."""
     proc = sim.spawn(gen)
     sim.run()
-    assert proc.triggered and proc.ok, proc.value
-    return proc.value
+    assert proc._triggered and proc._ok, proc._value
+    return proc._value
 
 
 def make_net(**kw):
@@ -225,8 +225,9 @@ def test_recv_timeout_then_late_message_not_lost():
     assert log == ["first timed out", "late"]
 
 
-def test_latency_applies_to_messages():
-    sim, net = make_net(default_latency=0.5)
+def test_latency_applies_to_messages(monkeypatch):
+    monkeypatch.setattr(network, "LATENCY", 0.5)
+    sim, net = make_net()
     listener = net.listen("server", 80)
     times = []
 
@@ -272,17 +273,11 @@ def test_duplicate_listen_rejected():
         net.listen("h", 1)
 
 
-def test_loopback_has_zero_latency():
-    _, net = make_net(default_latency=0.7)
+def test_loopback_has_zero_latency(monkeypatch):
+    monkeypatch.setattr(network, "LATENCY", 0.7)
+    _, net = make_net()
     assert net.latency("h", "h") == 0.0
     assert net.latency("a", "b") == 0.7
-
-
-def test_latency_override():
-    _, net = make_net()
-    net.set_latency("a", "b", 2.5)
-    assert net.latency("a", "b") == 2.5
-    assert net.latency("b", "a") == 2.5
 
 
 # -- a decided recv lets go (DESIGN §3.1 "who holds whom") ------------------
@@ -361,7 +356,7 @@ def test_interrupt_during_recv_with_timeout_keeps_the_undecided_wait_attached():
         yield sim.timeout(1.0)
         # Nothing decided the AnyOf, so its deadline still holds it and
         # will still trigger it (the same steps as ever) ...
-        out["attached"] = [(w.triggered, w._callbacks) for w in _heap_reaches(sim, AnyOf)]
+        out["attached"] = [(w._triggered, w._callbacks) for w in _heap_reaches(sim, AnyOf)]
         yield sim.timeout(4.0)
         out["after deadline"] = _heap_reaches(sim, AnyOf)
 

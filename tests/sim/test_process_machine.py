@@ -3,15 +3,15 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.machine import JavaInstallation, Machine, MemoryError_
+from repro.sim.machine import Machine, MemoryError_
 from repro.sim.process import ExitStatus, ProcessExit, ProcessTable, Signal
 
 
 def run(sim, gen):
     proc = sim.spawn(gen)
     sim.run()
-    assert proc.ok, proc.value
-    return proc.value
+    assert proc._ok, proc._value
+    return proc._value
 
 
 class TestProcesses:
@@ -194,9 +194,3 @@ class TestMachine:
         m.boot()
         assert m.online
         assert m.memory_used == 0
-
-    def test_java_installation_health(self):
-        good = JavaInstallation()
-        assert good.healthy
-        assert not JavaInstallation(binary_ok=False).healthy
-        assert not JavaInstallation(classpath_ok=False).healthy

@@ -198,6 +198,20 @@ CASES = [
                                                        "site": None, "job_index": True}),
      REPLAY, "'job_index'"),
     ("replay-at-a-string", _reproducer(injection={"at": "0"}), REPLAY, "'at'"),
+    # A count of zero or less used to mean "all", "all but the oldest", an
+    # idle pool that records every job done, or an already-expired token.
+    ("store-query-limit-zero", None, [*STORE, "query", "--limit", "0", "--db", "x.db"], "--limit"),
+    ("store-query-limit-negative", None, [*STORE, "query", "--limit", "-1", "--db", "x.db"],
+     "--limit"),
+    ("store-gc-keep-zero", None, [*STORE, "gc", "--keep", "0", "--db", "x.db"], "--keep"),
+    ("serve-no-machines", None, [*SERVICE, "serve", "--secret", "s", "--machines", "0"],
+     "--machines"),
+    ("serve-queue-limit-zero", None, [*SERVICE, "serve", "--secret", "s", "--queue-limit", "0"],
+     "--queue-limit"),
+    ("mint-token-expired", None, [*SERVICE, "mint-token", "--secret", "s", "--user", "u",
+                                  "--ttl", "-5"], "--ttl"),
+    ("campaign-no-kinds", None, [*HARNESS, "campaign", "--kinds", ","], "--kinds"),
+    ("fuzz-no-kinds", None, [*HARNESS, "campaign", "fuzz", "--kinds", ","], "--kinds"),
 ]
 
 

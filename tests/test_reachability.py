@@ -4,16 +4,29 @@ Every documented user path runs in a subprocess under a test-only
 ``sitecustomize`` that records each code object entered
 (``sys.settrace`` / ``threading.settrace``, ``call`` events only) and
 each module loaded, in that process and in its pool workers.  The
-paths: ``harness all`` with the five output flags, campaign and fuzz
-with ``--checkpoint``/``--resume``/``--replay``,
-the store CLI, every ``examples/*.py``, ``python -m benchmarks.gridbench
---smoke`` and a service round trip that GETs ``/console``.
+paths: ``harness all`` with the five output flags at the default
+``--jobs`` and at ``--jobs 1``; ``campaign`` plain, with every flag
+(``--federation --defenses --profile --order --jobs``, ``--fail-fast``,
+``--list-kinds``) and ``--replay``; ``campaign fuzz`` as README runs it
+and with ``--checkpoint``/``--resume``/``--batch-size``/``--order-max``;
+every store subcommand with its flags (``--json``, ``--label``,
+``--limit``, a ``diff`` of two runs of one workload); every
+``examples/*.py``; ``python -m benchmarks.gridbench --smoke``; and a
+service over two workers that takes a grid job, an experiment and a
+campaign, serves their artifacts, ``/console`` and ``/v1/results``, then
+``replay``s each run.
 
 The test prints the per-package table of function lines reached and
-unreached, and asserts two things: every ``src/repro`` module is
-imported by some user path, and every function in ``obs/console.py`` is
-entered.  A function's lines are the distinct source lines its bytecode
-covers, so nested functions are not counted twice.
+unreached, and asserts three things: every ``src/repro`` module is
+imported by some user path; every function in ``obs/console.py`` is
+entered; and the functions no user path enters are exactly those on the
+committed allowlist (``reachability_allowlist.txt``), each with one
+reason -- ``oracle`` (a test compares production against it), ``api``
+(exported from ``repro``, or named in README/THEORY), ``input`` (it
+evaluates outside input the walk does not feed) or ``guard`` (an error
+path).  Dunder methods are exempt.  A function's lines are the distinct
+source lines its bytecode covers, so nested functions are not counted
+twice.
 
 Run:  PYTHONPATH=src python -m pytest -m slow tests/test_reachability.py -s
 """
@@ -32,16 +45,21 @@ import pytest
 
 from repro.harness.report import Table
 
-pytestmark = pytest.mark.slow
-
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PKG = SRC / "repro"
 REFERENCE = ROOT / "benchmarks" / "gridbench" / "baseline" / "reference.json"
+ALLOWLIST = Path(__file__).with_name("reachability_allowlist.txt")
+#: Modules the gate skips: ``harness/replicate.py`` has no user path yet,
+#: and ROADMAP item 2 (claims over a seed panel) decides whether it gets
+#: one or goes.
+EXCLUDED = {"harness/replicate.py"}
+#: Why a function no user path enters may stay (see the allowlist's header).
+REASONS = {"oracle", "api", "input", "guard"}
 
 HOOK = '''\
 """Census hook: the code objects entered and the modules loaded, per process."""
-import atexit, multiprocessing.util, os, sys, threading
+import atexit, multiprocessing.util, os, sys, threading, uuid
 
 OUT, PKG = %r, %r
 _entered = set()
@@ -57,7 +75,8 @@ def _dump():
              if (getattr(m, "__file__", None) or "").startswith(PKG)]
     lines += [f"E {c.co_filename}:{c.co_firstlineno}:{c.co_name}" for c in _entered
               if c.co_filename.startswith(PKG)]
-    with open(os.path.join(OUT, f"{os.getpid()}.txt"), "w") as fh:
+    # A pid can be reused by a later process of the walk: never overwrite.
+    with open(os.path.join(OUT, f"{os.getpid()}-{uuid.uuid4().hex}.txt"), "x") as fh:
         fh.write("\\n".join(lines))
 
 
@@ -78,11 +97,18 @@ from repro.service import ServiceClient
 async def main(port, token):
     client = ServiceClient("127.0.0.1", port, token=token)
     try:
-        run = await client.submit_job({"work": 20.0})
-        status = await client.wait(run["run_id"], timeout=120.0)
-        assert status["state"] == "done", status
-        for name in status["artifacts"]:
-            await client.artifact(run["run_id"], name)
+        assert (await client.health())["ok"]
+        runs = [await client.submit_job({"work": 20.0}),
+                await client.submit_experiment({"experiment": "fig4", "seed": 7}),
+                await client.submit_campaign({"mode": "naive", "kinds": ["MachineCrash"],
+                                              "n_jobs": 2})]
+        await client.queue()
+        for run in runs:
+            status = await client.wait(run["run_id"], timeout=120.0)
+            assert status["state"] == "done", status
+            for name in status["artifacts"]:
+                await client.artifact(run["run_id"], name)
+            print(run["run_id"])
         assert (await client.request("GET", "/console")).status == 200
         for route in ("summary", "runs", "trend?metric=run_s", "errors", "flame", "matrix"):
             assert (await client.request("GET", f"/v1/results/{route}")).status == 200
@@ -111,11 +137,19 @@ def walk_user_paths(work: Path, env: dict) -> None:
 
     db = str(work / "results.db")
     harness = ("-m", "repro.harness")
+    outputs = ("--json", "h.json", "--trace", "t.jsonl", "--metrics", "m.json",
+               "--profile", "p.json")
     run(*harness, "--list")
-    run(*harness, "all", "--json", "h.json", "--trace", "t.jsonl", "--metrics", "m.json",
-        "--profile", "p.json", "--results-db", db)
+    run(*harness, "all", *outputs, "--results-db", db)
+    run(*harness, "all", "--jobs", "1", *outputs)
+    run(*harness, "campaign", "--list-kinds")
     run(*harness, "campaign", "--mode", "naive", "--kinds", "MemoryPressure,MachineCrash",
         "--json", "c.json", "--results-db", db)
+    run(*harness, "campaign")
+    run(*harness, "campaign", "--federation", "--defenses", "--profile", "--order", "2",
+        "--jobs", "2")
+    run(*harness, "campaign", "--mode", "naive", "--kinds", "MisconfiguredJvm", "--fail-fast",
+        "--no-shrink", ok=(0, 1))
     cells = json.loads((work / "c.json").read_text(encoding="utf-8"))["cells"]
     spec = next(cell["reproducer"] for cell in cells if cell.get("reproducer"))
     (work / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
@@ -123,16 +157,26 @@ def walk_user_paths(work: Path, env: dict) -> None:
     run(*harness, "campaign", "fuzz", "--budget-cells", "24", "--checkpoint", "ck.json",
         "--json", "f.json", "--results-db", db)
     run(*harness, "campaign", "fuzz", "--resume", "ck.json", "--json", "f2.json")
+    run(*harness, "campaign", "fuzz", "--mode", "classic", "--seed", "7", "--budget-cells", "200")
+    run(*harness, "campaign", "fuzz", "--budget-cells", "24", "--batch-size", "8",
+        "--order-max", "3", "--jobs", "2", "--no-shrink")
 
     run("-m", "benchmarks.gridbench", "--smoke", "--json", "gb.json")
     store = ("-m", "repro.obs.store")
     run(*store, "ingest", str(REFERENCE), "--commit", "reference", "--db", db)
     run(*store, "ingest", "gb.json", "--commit", "work", "--db", db)
+    run(*store, "ingest", "gb.json", "--commit", "again", "--db", db)
     run(*store, "query", "--db", db)
     run(*store, "query", "--strip-wall", "--db", db)
+    run(*store, "query", "--kind", "gridbench", "--commit", "work", "--limit", "2", "--json",
+        "--db", db)
     run(*store, "trend", "--db", db)
     run(*store, "trend", "--metric", "run_s", "--db", db, ok=(0, 1))
+    run(*store, "trend", "--metric", "run_s", "--label", "harness", "--json", "--db", db,
+        ok=(0, 1))
     run(*store, "diff", "reference", "work", "--db", db, ok=(0, 1))
+    run(*store, "diff", "reference", "work", "--json", "--db", db, ok=(0, 1))
+    run(*store, "diff", "work", "again", "--db", db)
     run(*store, "gc", "--keep", "1", "--dry-run", "--db", db)
 
     for script in sorted((ROOT / "examples").glob("*.py")):
@@ -141,7 +185,7 @@ def walk_user_paths(work: Path, env: dict) -> None:
     port = _free_port()
     server = subprocess.Popen(
         [sys.executable, "-m", "repro.service", "serve", "--port", str(port),
-         "--db", "runs.db", "--secret", "census", "--results-db", db],
+         "--db", "runs.db", "--secret", "census", "--workers", "2", "--results-db", db],
         cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     try:
@@ -149,12 +193,14 @@ def walk_user_paths(work: Path, env: dict) -> None:
         token = run("-m", "repro.service", "mint-token", "--secret", "census",
                     "--user", "census").stdout.strip()
         (work / "client.py").write_text(CLIENT, encoding="utf-8")
-        run("client.py", str(port), token)
+        run_ids = run("client.py", str(port), token).stdout.split()
     finally:
         server.send_signal(signal.SIGTERM)
         output, _ = server.communicate(timeout=60)
     assert "stopped cleanly" in output
-    run("-m", "repro.service", "replay", "--db", "runs.db", "1")
+    for run_id in run_ids:  # one run of each kind: job, experiment, campaign
+        run("-m", "repro.service", "replay", "--db", "runs.db", run_id)
+    run(*store, "gc", "--keep", "1", "--db", db)
 
 
 def functions(path: Path):
@@ -170,6 +216,34 @@ def functions(path: Path):
 
 def _lines(code: types.CodeType) -> int:
     return len({line for _, _, line in code.co_lines() if line is not None})
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def allowlist() -> dict[str, str]:
+    """``module::qualname`` -> reason, as committed in :data:`ALLOWLIST`."""
+    entries = {}
+    for line in ALLOWLIST.read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            reason, name = line.split()
+            assert name not in entries, f"{name} is on the allowlist twice"
+            entries[name] = reason
+    return entries
+
+
+def test_every_allowlist_entry_names_a_function_with_one_reason():
+    """Tier-1 half of the gate: no walk, so a deleted or renamed function,
+    an exempt one or an unknown reason fails before the slow census runs."""
+    defined = {
+        f"{path.relative_to(PKG).as_posix()}::{code.co_qualname}"
+        for path in PKG.rglob("*.py") if path.relative_to(PKG).as_posix() not in EXCLUDED
+        for code in functions(path) if not _dunder(code.co_name)
+    }
+    entries = allowlist()
+    assert sorted(set(entries) - defined) == [], "allowlisted, but no such function"
+    assert {reason for reason in entries.values()} <= REASONS
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +267,7 @@ def census(tmp_path_factory):
     return modules, entered
 
 
+@pytest.mark.slow
 def test_census_table_and_every_module_has_a_user_path(census):
     modules, entered = census
     table = Table(
@@ -220,6 +295,27 @@ def test_census_table_and_every_module_has_a_user_path(census):
     assert unimported == [], f"modules no user path imports: {unimported}"
 
 
+@pytest.mark.slow
+def test_unreached_functions_equal_the_allowlist(census):
+    """Every function no user path enters is on the allowlist with its
+    reason, and every allowlist entry is still unreached: what only tests
+    reach is deleted (with its tests), not left behind."""
+    _, entered = census
+    unreached = set()
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        if rel in EXCLUDED:
+            continue
+        for code in functions(path):
+            if (not _dunder(code.co_name)
+                    and f"{path}:{code.co_firstlineno}:{code.co_name}" not in entered):
+                unreached.add(f"{rel}::{code.co_qualname}")
+    allowed = set(allowlist())
+    assert sorted(unreached - allowed) == [], "unreached and not on the allowlist"
+    assert sorted(allowed - unreached) == [], "on the allowlist but reached (or gone)"
+
+
+@pytest.mark.slow
 def test_every_console_function_is_entered(census):
     _, entered = census
     console = PKG / "obs" / "console.py"
