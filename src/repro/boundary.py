@@ -26,6 +26,7 @@ __all__ = [
     "IngestError", "MethodNotAllowed", "NotFound", "PayloadTooLarge", "QueueFull",
     "Spec", "StoreDurabilityError", "StoreOpenError", "StoreSchemaError", "UnknownExperiment",
     "WorkerFailure", "WrongTenant", "cli", "list_of", "optional", "positive_int", "read_fields",
+    "seed_int",
 ]
 
 
@@ -82,6 +83,22 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"invalid count {value}: must be >= 1")
     return value
+
+
+#: The integers a SQLite ``INTEGER`` holds, so the seeds a results store keys runs by.
+SQLITE_INTS = range(-2**63, 2**63)
+
+
+def seed_int(text: str) -> int:
+    """Argparse type for every ``--seed``: an integer in :data:`SQLITE_INTS`
+    (negative seeds derive their own streams), so ``--results-db`` can store it."""
+    try:
+        if int(text) in SQLITE_INTS:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid seed {text!r}: must be an integer "
+                                     "from -2**63 to 2**63 - 1")
 
 
 class BadRequest(BoundaryError, ValueError):

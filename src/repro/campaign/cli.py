@@ -31,7 +31,7 @@ import argparse
 import time
 from dataclasses import replace
 
-from repro.boundary import WorkerFailure, cli, positive_int
+from repro.boundary import WorkerFailure, cli, positive_int, seed_int
 from repro.campaign.engine import run_campaign
 from repro.campaign.report import render_cell_profiles, render_fuzz_summary, render_summary
 from repro.campaign.shrink import replay
@@ -47,7 +47,7 @@ def _add_shared_options(parser: argparse.ArgumentParser, report: str, unit: str)
     config flag left unset is ``None``: the config's own default applies."""
     parser.add_argument("--mode", choices=("scoped", "naive", "classic"),
                         help="error handling under test (classic = naive)")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed", type=seed_int)
     parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help=f"run {unit} over N worker processes")
     parser.add_argument("--kinds", metavar="A,B,...",

@@ -43,7 +43,7 @@ import contextlib
 import sys
 from pathlib import Path
 
-from repro.boundary import cli, positive_int
+from repro.boundary import cli, positive_int, seed_int
 from repro.harness.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("experiment", nargs="*",
                         help="experiment name(s), or 'all'")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=seed_int, default=0)
     parser.add_argument("--jobs", type=positive_int, default=None, metavar="N",
                         help="run experiments over N worker processes (default: the "
                              "usable cores, at most one per experiment; output order "

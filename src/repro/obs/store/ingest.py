@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.boundary import IngestError
+from repro.boundary import SQLITE_INTS, IngestError
 from repro.obs.canonical import strip_wall
 from repro.obs.summary import TRACE_SCHEMA, RunSummary
 
@@ -328,8 +328,14 @@ def extract_all(obj: Any, source: str) -> list[Extracted]:
     """Every store run one parsed artifact holds: one per seed of a
     gridbench document, one for anything else."""
     if isinstance(obj, dict) and obj.get("schema") == "repro-gridbench/1":
-        return _extract_gridbench(obj, source)
-    return [extract(obj, source)]
+        records = _extract_gridbench(obj, source)
+    else:
+        records = [extract(obj, source)]
+    for record in records:
+        if isinstance(record.seed, int) and record.seed not in SQLITE_INTS:
+            raise IngestError("MALFORMED", source, f"'seed' {record.seed} is outside "
+                              "what a results store holds (-2**63 to 2**63 - 1)")
+    return records
 
 
 def parse_text(text: str, source: str) -> Any:

@@ -1,11 +1,14 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel follows the classic event-queue design: a priority queue of
-``(time, priority, sequence, fn, args)`` entries, a simulated clock that
-jumps from event to event, and a coroutine process model in which a
-simulated activity is an ordinary Python generator that *yields* the
-events it wants to wait for.  An entry is a call -- the kernel runs
-``fn(*args)`` -- so scheduling allocates no closure (DESIGN §3.1).
+``(time, sequence, fn, args)`` entries, a simulated clock that jumps from
+event to event, and a coroutine process model in which a simulated
+activity is an ordinary Python generator that *yields* the events it
+wants to wait for.  An entry is a call -- the kernel runs ``fn(*args)``
+-- so scheduling allocates no closure; a timer is its own entry.  What
+must run at the current instant (a triggered event's waiters, a process
+start, an interrupt) skips the heap: it goes to a FIFO lane of
+``(fn, arg)`` pairs that runs before the heap's next entry (DESIGN §3.1).
 
 Determinism is a hard requirement for the reproduction (DESIGN.md §6):
 two events scheduled for the same instant fire in the exact order they
@@ -27,6 +30,7 @@ Example::
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Callable, Generator
 from time import perf_counter_ns
 from typing import Any
@@ -62,10 +66,6 @@ class Interrupted(Exception):
         super().__init__(cause)
         self.cause = cause
 
-
-#: Events scheduled with URGENT fire before NORMAL ones at the same instant.
-PRIORITY_URGENT = 0
-PRIORITY_NORMAL = 1
 
 _INF = float("inf")
 
@@ -123,16 +123,15 @@ class Event:
         sim = self.sim
         sim._seq += 1
         if len(callbacks) == 1:  # the common wait: queue the waiter itself
-            entry = (sim._now, PRIORITY_URGENT, sim._seq, callbacks[0], (self,))
+            sim._lane.append((callbacks[0], self))
         else:
-            entry = (sim._now, PRIORITY_URGENT, sim._seq, _run_callbacks, (self, callbacks))
-        heapq.heappush(sim._queue, entry)
+            sim._lane.append((_run_callbacks, (self, callbacks)))
 
     # -- waiting -------------------------------------------------------
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Invoke *fn(event)* when the event triggers (immediately if it has)."""
         if self._callbacks is None:
-            self.sim.call_at(self.sim._now, fn, self, priority=PRIORITY_URGENT)
+            self.sim._urgent(fn, self)
         else:
             self._callbacks.append(fn)
 
@@ -143,8 +142,9 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-def _run_callbacks(ev: Event, callbacks: list[Callable[[Event], None]]) -> None:
+def _run_callbacks(batch: tuple[Event, list[Callable[[Event], None]]]) -> None:
     """The batch a triggered event queues when it has no or several callbacks."""
+    ev, callbacks = batch
     if not callbacks and not ev._ok and not ev._defused:
         raise ev._value
     for cb in callbacks:
@@ -154,33 +154,33 @@ def _run_callbacks(ev: Event, callbacks: list[Callable[[Event], None]]) -> None:
 class Timeout(Event):
     """An event that fires automatically after a simulated delay.
 
-    A timeout that lost its race (e.g. a ``recv`` deadline beaten by the
-    message) can be :meth:`cancel`-led: the heap entry stays where it is,
-    but firing becomes a no-op instead of triggering the event and
-    scheduling a callback batch.  At pool scale (one deadline per
-    received ad) this keeps the event heap from churning on dead timers.
+    The timer is its own heap entry, ``(when, seq, timer, ())``: firing
+    calls it, with its value already stored.  A timeout that lost its race
+    (e.g. a ``recv`` deadline beaten by the message) can be
+    :meth:`cancel`-led: the heap entry stays where it is, but firing
+    becomes a no-op instead of triggering the event and scheduling a
+    callback batch.  At pool scale (one deadline per received ad) this
+    keeps the event heap from churning on dead timers.
     """
 
     __slots__ = ("delay", "_cancelled")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # NaN too: it would break the heap's order
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         self.sim = sim
         self._callbacks = []
         self._triggered = self._defused = False
         self._ok = True
-        self._value = None
+        self._value = value
         self.delay = delay
         self._cancelled = False
         sim._seq += 1
-        heapq.heappush(
-            sim._queue, (sim._now + delay, PRIORITY_NORMAL, sim._seq, self._fire, (value,))
-        )
+        heapq.heappush(sim._queue, (sim._now + delay, sim._seq, self, ()))
 
-    def _fire(self, value: Any) -> None:
+    def __call__(self) -> None:
         if not self._cancelled:
-            self._trigger(True, value)
+            self._trigger(True, self._value)
 
     def cancel(self) -> None:
         """Neutralize the timeout; firing it later does nothing.
@@ -275,9 +275,9 @@ class SimProcess(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Event | None = None
-        # Start the process at the current instant, but via the queue so
+        # Start the process at the current instant, but via the lane so
         # that spawn order == execution order.
-        sim.call_at(sim._now, self._start, priority=PRIORITY_URGENT)
+        sim._urgent(SimProcess._start, self)
 
     @property
     def is_alive(self) -> bool:
@@ -375,8 +375,7 @@ class SimProcess(Event):
         watchdog and its subject complete simultaneously).
         """
         if not self._triggered:
-            sim = self.sim
-            sim.call_at(sim._now, self._interrupt, cause, priority=PRIORITY_URGENT)
+            self.sim._urgent(self._interrupt, cause)
 
     def _interrupt(self, cause: Any) -> None:
         if self._triggered:
@@ -400,7 +399,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: list[tuple[float, int, int, Callable[..., None], tuple]] = []
+        self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._lane: deque[tuple[Callable[[Any], None], Any]] = deque()
         self._seq = 0
         self._running = False
         #: Optional telemetry sink (duck-typed: anything with ``.active``
@@ -417,20 +417,17 @@ class Simulator:
         return self._now
 
     # -- low-level scheduling ---------------------------------------------
-    def call_at(
-        self,
-        when: float,
-        fn: Callable[..., None],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
+    def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run at simulated time *when*."""
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past ({when} < now={self._now})"
-            )
+        if not when >= self._now:  # NaN too: it would break the heap's order
+            raise SimulationError(f"cannot schedule at {when!r} (now={self._now})")
         self._seq += 1
-        heapq.heappush(self._queue, (when, priority, self._seq, fn, args))
+        heapq.heappush(self._queue, (when, self._seq, fn, args))
+
+    def _urgent(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Queue ``fn(arg)`` in the lane: now, after every entry queued before it."""
+        self._seq += 1
+        self._lane.append((fn, arg))
 
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run *delay* seconds from now."""
@@ -456,13 +453,22 @@ class Simulator:
         The one dispatch loop.  It stops after *limit* entries, once the
         clock has reached *before* (the entry that takes it there still
         runs), when the next entry lies after *until*, or when the queue
-        is empty.
+        is empty.  The lane runs first: its entries are at the current
+        instant, ahead of every heap entry at it (DESIGN §3.1).
         """
-        queue, pop = self._queue, heapq.heappop
+        queue, pop, lane, pop_lane = self._queue, heapq.heappop, self._lane, self._lane.popleft
         ran = 0
-        while ran < limit and queue and self._now < before and queue[0][0] <= until:
-            self._now, _prio, _seq, fn, args = pop(queue)
-            fn(*args)
+        while ran < limit and self._now < before:
+            if lane:
+                if self._now > until:
+                    break
+                fn, arg = pop_lane()
+                fn(arg)
+            elif queue and queue[0][0] <= until:
+                self._now, _seq, fn, args = pop(queue)
+                fn(*args)
+            else:
+                break
             ran += 1
         return ran
 
@@ -484,4 +490,4 @@ class Simulator:
         return self._now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now} queued={len(self._queue)}>"
+        return f"<Simulator t={self._now} queued={len(self._queue) + len(self._lane)}>"

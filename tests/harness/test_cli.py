@@ -102,6 +102,17 @@ class TestJobsValidation:
             with pytest.raises(argparse.ArgumentTypeError):
                 positive_int(bad)
 
+    def test_seed_type_takes_what_a_results_store_holds(self):
+        import argparse
+
+        from repro.boundary import seed_int
+
+        for good in (0, -5, 2**63 - 1, -2**63):  # a negative seed has its own streams
+            assert seed_int(str(good)) == good
+        for bad in (str(2**63), str(-2**63 - 1), "x", "1.5", ""):
+            with pytest.raises(argparse.ArgumentTypeError):
+                seed_int(bad)
+
 
 def test_unknown_experiment_among_several_exits():
     with pytest.raises(SystemExit):

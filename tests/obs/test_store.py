@@ -501,6 +501,20 @@ class TestRejection:
         assert len(store.runs()) == 1  # the good file still landed
         store.close()
 
+    @pytest.mark.parametrize("doc", [
+        {"seed": 2**63, "experiments": {}},
+        {**GRIDBENCH_DOC, "runs": [{**GRIDBENCH_DOC["runs"][0], "seed": -2**63 - 1}]},
+    ], ids=["harness", "gridbench"])
+    def test_a_seed_sqlite_cannot_hold_is_rejected_naming_seed(self, tmp_path, capsys, doc):
+        """It used to raise ``OverflowError`` out of ``_insert``, a traceback."""
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        db = str(tmp_path / "r.db")
+        assert store_main(["ingest", str(path), "--db", db]) == 1
+        assert "[MALFORMED] 'seed'" in capsys.readouterr().err
+        with ResultsStore(db) as store:
+            assert store.runs() == []
+
 
 class TestTrendAndDiff:
     def _doc_at(self, run_s):

@@ -1,13 +1,16 @@
 """Counted dispatch: a heap entry is a call, not a closure (DESIGN §3.1).
 
-The kernel queues ``(when, priority, seq, fn, args)`` and runs
-``fn(*args)``; one inner loop (``Simulator.run_steps``) sits under
-``run()``, ``step()`` and both ``run_until_done``.  None of that may add,
-remove or reorder a heap entry, so the gate is counts, not a clock:
+The kernel queues ``(when, seq, fn, args)`` in its heap (a timer is its
+own ``fn``, with ``args == ()``) and ``(fn, arg)`` in its lane of calls at
+the current instant, and runs ``fn(*args)`` or ``fn(arg)``; one inner loop
+(``Simulator.run_steps``) sits under ``run()`` and both ``run_until_done``.
+None of that may add, remove or reorder an entry, so the gate is counts,
+not a clock:
 
 * the entries three scenarios run, and where their clocks stop, are the
   numbers the *parent* commit gave (there every entry was a ``step()``);
-* a pool paused mid-run holds no closure and no ``lambda`` in its heap;
+* a pool paused mid-run holds no closure and no ``lambda`` in its heap or
+  its lane;
 * the function objects alive at any pause of a pool run are the
   application's own -- the kernel creates none.
 """
@@ -26,7 +29,7 @@ from repro.campaign.spec import CampaignConfig
 from repro.condor.pool import Pool, PoolConfig
 from repro.harness import experiments as E
 from repro.harness.workloads import WorkloadSpec, make_workload
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timeout
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -75,17 +78,28 @@ def _busy_pool() -> Pool:
     return pool
 
 
+def _no_closure(fn, entry):
+    function = getattr(fn, "__func__", fn)  # a bound method's function
+    assert getattr(function, "__closure__", None) is None, entry
+    assert getattr(function, "__name__", None) != "<lambda>", entry
+
+
 def test_a_paused_pool_queues_calls_not_closures():
     pool = _busy_pool()
+    sim = pool.sim
     pool.run(until=50)
-    queue = pool.sim._queue
-    assert len(queue) > 100
-    for entry in queue:
-        when, _priority, _seq, fn, args = entry
+    assert len(sim._queue) > 100 and not sim._lane  # run() pauses between instants
+    for entry in sim._queue:
+        when, _seq, fn, args = entry
         assert when >= 50 and isinstance(args, tuple)
-        function = getattr(fn, "__func__", fn)  # a bound method's function
-        assert getattr(function, "__closure__", None) is None, entry
-        assert function.__name__ != "<lambda>", entry
+        assert args == () if isinstance(fn, Timeout) else callable(fn), entry
+        _no_closure(fn, entry)
+    paused_in_an_instant = 0
+    while not pool.schedd.all_terminal() and sim.run_steps(7):  # pauses inside instants
+        paused_in_an_instant += bool(sim._lane)
+        for entry in sim._lane:
+            _no_closure(entry[0], entry)
+    assert paused_in_an_instant > 10
 
 
 #: Function objects alive above the pre-run baseline, per kind at its busiest

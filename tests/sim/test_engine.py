@@ -51,6 +51,30 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_a_nan_delay_fails_its_process_instead_of_truncating_the_run():
+    """NaN passed ``delay < 0``; queued, it broke the heap's order and run() returned early."""
+    sim, log = Simulator(), []
+
+    def sleeper(name, delay):
+        yield sim.timeout(delay)
+        log.append((name, sim.now))
+
+    for name, delay in [("a", 5.0), ("nan", float("nan")), ("b", 1.0), ("c", 3.0)]:
+        sim.spawn(sleeper(name, delay))
+    with pytest.raises(SimulationError, match="nan"):
+        sim.run()  # nobody waits on the failed process
+    sim.run()
+    assert log == [("b", 1.0), ("c", 3.0), ("a", 5.0)]
+
+
+@pytest.mark.parametrize("schedule", ["call_at", "call_in"])
+def test_a_nan_time_cannot_be_scheduled(schedule):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="nan"):
+        getattr(sim, schedule)(float("nan"), print)
+    assert (sim._queue, sim._seq) == ([], 0)
+
+
 def test_timeout_carries_value():
     sim = Simulator()
     got = []
@@ -87,6 +111,29 @@ def test_same_time_events_fifo():
         sim.call_at(1.0, lambda i=i: order.append(i))
     sim.run()
     assert order == list(range(20))
+
+
+def test_calls_at_the_current_instant_run_in_queue_order_before_the_next_timed_one():
+    """Two processes ending in one step queue their waiters' wake-ups back to
+    back; those run first-in first-out, and all before a call timed at the
+    same instant that was queued earlier."""
+    sim, log = Simulator(), []
+    go = Event(sim)
+
+    def child(name):
+        yield go
+        log.append(name)
+        return name
+
+    def parent(child_process):
+        log.append(("joined", (yield child_process)))
+
+    for child_process in [sim.spawn(child(name)) for name in "ab"]:
+        sim.spawn(parent(child_process))
+    sim.call_at(1.0, go.succeed)
+    sim.call_at(1.0, log.append, "timed")
+    sim.run()
+    assert log == ["a", "b", ("joined", "a"), ("joined", "b"), "timed"]
 
 
 def test_run_until_stops_clock():
@@ -487,8 +534,8 @@ def _drain(sim):
 
 
 def _heap_reaches(sim, kinds):
-    """Instances of *kinds* reachable from the event heap."""
-    seen, stack, found = set(), list(sim._queue), []
+    """Instances of *kinds* reachable from the event heap and the lane."""
+    seen, stack, found = set(), [*sim._queue, *sim._lane], []
     while stack:
         obj = stack.pop()
         if id(obj) in seen:

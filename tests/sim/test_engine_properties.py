@@ -97,7 +97,8 @@ def test_any_of_fires_at_minimum(delays):
 # -- dispatch order: the single-callback fast path is the batch path ----------
 # The reference is the kernel this repo had before a heap entry became a call:
 # a plain list for a queue, one closure per entry, and one closure over the
-# whole callback batch per triggered event -- no fast path, no ``fn(*args)``.
+# whole callback batch per triggered event -- no fast path, no ``fn(*args)``,
+# no lane: URGENT is a priority, so it sorts first at its instant.
 
 
 class _RefEvent:
@@ -158,12 +159,23 @@ class _RefKernel:
     def spawn(self, generator):
         return _RefProcess(self, generator)
 
-    def run(self):
-        while self.queue:
+    def run_steps(self, limit=float("inf"), until=float("inf")):
+        ran = 0
+        while ran < limit and self.queue:
             entry = min(self.queue, key=lambda e: e[:3])
+            if entry[0] > until:
+                break
             self.queue.remove(entry)
             self.now = entry[0]
             entry[3]()
+            ran += 1
+        return ran
+
+    def run(self, until=float("inf")):
+        self.run_steps(until=until)
+        if until != float("inf"):
+            self.now = max(self.now, until)
+        return self.now
 
 
 class _RefProcess(_RefEvent):
@@ -207,8 +219,9 @@ def _ref_late(ev):
     """Keeps the abandoned slot, so the batch is as long as it was."""
 
 
-def _play(kernel, program):
-    """Run *program* on *kernel*; return everything observable about the order."""
+def _play(kernel, program, slices=()):
+    """Run *program* on *kernel* in *slices*, then to the end; return everything
+    observable about the order after each slice."""
     sim, log, waitable = kernel(), [], []
 
     def note(label, ev=None):
@@ -234,8 +247,11 @@ def _play(kernel, program):
             except ValueError as err:
                 return note(f"{label} thrown {err}")
 
-    def start(label, target, rewait, interrupt_in):
-        process = sim.spawn(waiter(label, target, rewait))
+    def start(label, which, rewait, interrupt_in):
+        # Picked when it starts, so it may wait on an earlier waiter's process,
+        # running or ended: a process's end queues its own waiters.
+        process = sim.spawn(waiter(label, waitable[which % len(waitable)], rewait))
+        waitable.append(process)
         if interrupt_in is not None:
             sim.call_at(sim.now + interrupt_in, process.interrupt, f"{label}!")
 
@@ -264,9 +280,15 @@ def _play(kernel, program):
             waitable.append(ev)
         elif waitable:  # "wait": a process on an earlier event, maybe interrupted
             at, which, rewait, interrupt_in = op
-            sim.call_at(at, start, label, waitable[which % len(waitable)], rewait, interrupt_in)
-    sim.run()
-    return log, sim.now, sim._seq
+            sim.call_at(at, start, label, which, rewait, interrupt_in)
+    seen = []
+    for how, arg in [*slices, ("drain", None)]:
+        if how == "steps":  # may stop with entries of the current instant pending
+            returned = sim.run_steps(arg)
+        else:
+            returned = sim.run() if how == "drain" else sim.run(until=arg)
+        seen.append((returned, list(log), sim.now, sim._seq))
+    return seen
 
 
 _INSTANT = st.integers(min_value=0, max_value=4).map(float)
@@ -281,10 +303,16 @@ _OPS = st.one_of(
 )
 
 
-@given(st.lists(_OPS, max_size=14))
+_SLICES = st.lists(st.one_of(
+    st.tuples(st.just("steps"), st.integers(min_value=1, max_value=6)),
+    st.tuples(st.just("until"), _INSTANT.map(lambda t: t + 0.5)),  # between instants
+), max_size=8)
+
+
+@given(st.lists(_OPS, max_size=14), _SLICES)
 @settings(max_examples=300, deadline=None)
-def test_dispatch_order_is_the_reference_schedulers(program):
-    assert _play(Simulator, program) == _play(_RefKernel, program)
+def test_dispatch_order_is_the_reference_schedulers(program, slices):
+    assert _play(Simulator, program, slices) == _play(_RefKernel, program, slices)
 
 
 @pytest.mark.parametrize("callbacks", [0, 1])

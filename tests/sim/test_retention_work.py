@@ -42,11 +42,16 @@ _PRUNE = (Simulator, type, types.ModuleType, types.FunctionType)
 
 
 def _decided_timeouts(sim):
-    """Queued deadlines nobody waits for any more."""
-    for entry in sim._queue:
-        timer = getattr(entry[3], "__self__", None)  # a queued timer is its bound ``_fire``
-        if isinstance(timer, Timeout) and (
-            timer._cancelled or all(cb is engine._late for cb in timer._callbacks or ())
+    """Queued deadlines nobody waits for any more.
+
+    A queued timer is its own heap entry's ``fn``; the lane holds an event
+    only as the ``arg`` of a call at the current instant, and a timer there
+    has already fired -- it is not a deadline any more.
+    """
+    queued = [entry[2] for entry in sim._queue] + [arg for _fn, arg in sim._lane]
+    for timer in queued:
+        if isinstance(timer, Timeout) and not timer._triggered and (
+            timer._cancelled or all(cb is engine._late for cb in timer._callbacks)
         ):
             yield timer
 

@@ -174,6 +174,7 @@ STORE = ("-m", "repro.obs.store")
 SERVICE = ("-m", "repro.service")
 
 REPLAY = (*HARNESS, "campaign", "--replay", "spec.json")
+BIG_SEED = "99999999999999999999999"
 
 #: (id, set-up, argv[, what the error line names]): each used to exit 0/1,
 #: leave a traceback or a file, or replay a different cell as "reproduced".
@@ -212,6 +213,14 @@ CASES = [
                                   "--ttl", "-5"], "--ttl"),
     ("campaign-no-kinds", None, [*HARNESS, "campaign", "--kinds", ","], "--kinds"),
     ("fuzz-no-kinds", None, [*HARNESS, "campaign", "fuzz", "--kinds", ","], "--kinds"),
+    # A seed SQLite cannot hold ran the whole experiment or campaign, then
+    # left an ``OverflowError`` traceback from the results store.
+    ("harness-seed-too-big", None, [*HARNESS, "fig2", "--seed", BIG_SEED,
+                                    "--results-db", "r.db"], "--seed"),
+    ("campaign-seed-too-big", None, [*HARNESS, "campaign", "--kinds", "MachineCrash",
+                                     "--seed", BIG_SEED, "--results-db", "c.db"], "--seed"),
+    ("fuzz-seed-too-small", None, [*HARNESS, "campaign", "fuzz", "--seed", str(-2**63 - 1),
+                                   "--results-db", "f.db"], "--seed"),
 ]
 
 
