@@ -147,7 +147,7 @@ class Schedd:
         #: Flocking state: remote pools this schedd may overflow to.
         self.flock_links: list[FlockLink] = []
         self.jobs_flocked = 0
-        #: job_id -> time it (last) became idle, for flock eligibility
+        #: job_id -> when it last became idle, for every idle job (flock eligibility)
         self._idle_since: dict[str, float] = {}
         #: job_ids already announced as flocked (one telemetry event each)
         self._flock_announced: set[str] = set()
@@ -157,6 +157,8 @@ class Schedd:
         #: job_id -> (everything the ad was built from, the frozen ad);
         #: one entry per live job, see :meth:`_job_ad`.
         self._ad_cache: dict[str, tuple[tuple, ClassAd]] = {}
+        self._queue_version = 0  # bumped by :meth:`_set_state`
+        self._idle_memo: tuple = (None, ())  # (key, batch), see :meth:`_idle_batch`
         self.listener = net.listen(submit_host, self.PORT)
         self._accept_proc = sim.spawn(self._accept_loop(), name=f"schedd:{submit_host}")
         self._accept_proc.defuse()
@@ -194,8 +196,7 @@ class Schedd:
         if job.job_id in self.jobs:
             raise ValueError(f"duplicate job id {job.job_id}")
         job.submitted_at = self.sim.now
-        job.set_state(JobState.IDLE)
-        self._idle_since[job.job_id] = self.sim.now
+        self._set_state(job, JobState.IDLE)
         self.jobs[job.job_id] = job
         self.userlog.log(self.sim.now, job.job_id, UserLogEventType.SUBMIT)
         bus = self.sim.telemetry
@@ -215,7 +216,7 @@ class Schedd:
             yield self.sim.timeout(ADVERTISE_INTERVAL)
 
     def _advertise_jobs(self):
-        batch = self._ad_batch(self.idle_jobs())
+        batch = self._idle_batch()
         if not batch:
             return
         try:
@@ -242,15 +243,6 @@ class Schedd:
         self._grid_error_reported = False
 
     # -- flocking -------------------------------------------------------------
-    def _flock_candidates(self) -> list[Job]:
-        now = self.sim.now
-        return [
-            job
-            for job in self.jobs.values()
-            if job.state is JobState.IDLE
-            and now - self._idle_since.get(job.job_id, now) >= self.config.flock_after
-        ]
-
     def _advertise_flock(self):
         """Overflow long-idle jobs to every ready flock link.
 
@@ -260,7 +252,8 @@ class Schedd:
         """
         if not self.flock_links:
             return
-        candidates = self._flock_candidates()
+        now, since, after = self.sim.now, self._idle_since, self.config.flock_after
+        candidates = [job for job in self.idle_jobs() if now - since[job.job_id] >= after]
         if not candidates:
             return
         # One batch for every link: each remote pool is offered the same
@@ -356,6 +349,13 @@ class Schedd:
         order :meth:`_job_ad` writes them into Requirements."""
         return tuple(sorted(self.avoided_sites))
 
+    def _idle_batch(self) -> tuple:
+        """The idle queue's batch: one per instant, queue version and avoided set."""
+        key = (self._queue_version, self.sim.now, self._avoided_now())
+        if self._idle_memo[0] != key:
+            self._idle_memo = (key, self._ad_batch(self.idle_jobs()))
+        return self._idle_memo[1]
+
     def _ad_batch(self, jobs: list[Job]) -> tuple:
         """``(name, ad)`` pairs for *jobs*, in order: an AdvertiseBatch body."""
         avoided = self._avoided_now()
@@ -412,8 +412,7 @@ class Schedd:
                 return
             if self.avoidance.is_avoided(message.startd_name, self.sim.now):
                 return  # leave the job idle; it will be re-advertised
-            job.set_state(JobState.MATCHED)
-            self._idle_since.pop(job.job_id, None)
+            self._set_state(job, JobState.MATCHED)
             bus = self.sim.telemetry
             if bus is not None and bus.active:
                 bus.emit(
@@ -434,8 +433,7 @@ class Schedd:
                     self.sim.now, "job", "claim_failed",
                     job=job.job_id, site=match.startd_name,
                 )
-            job.set_state(JobState.IDLE)
-            self._idle_since[job.job_id] = self.sim.now
+            self._set_state(job, JobState.IDLE)
             return
         shadow = Shadow(
             sim=self.sim,
@@ -455,7 +453,7 @@ class Schedd:
                 self.sim.now, "daemon", "shadow_spawn",
                 job=job.job_id, site=match.startd_name,
             )
-        job.set_state(JobState.RUNNING)
+        self._set_state(job, JobState.RUNNING)
         self.userlog.log(
             self.sim.now, job.job_id, UserLogEventType.EXECUTE, match.startd_name
         )
@@ -542,13 +540,11 @@ class Schedd:
         if env_failures > self.config.max_retries:
             self._hold(job, f"too many retries ({env_failures})")
             return
-        job.set_state(JobState.IDLE)
-        self._idle_since[job.job_id] = self.sim.now
+        self._set_state(job, JobState.IDLE)
 
     def _complete(self, job: Job, outcome: ShadowOutcome) -> None:
         job.final_result = outcome.result
-        job.set_state(JobState.COMPLETED)
-        self._forget(job)
+        self._set_state(job, JobState.COMPLETED)
         # Structured classification: a termination is an error delivery
         # exactly when the delivered file is not a program result.
         is_error = outcome.result is not None and not outcome.result.is_program_result
@@ -566,16 +562,24 @@ class Schedd:
                 job=job.job_id, result=str(outcome.result),
             )
 
+    def _set_state(self, job: Job, state: JobState) -> None:
+        """The one place a job changes state; each change is a new queue version."""
+        job.state = state
+        self._queue_version += 1
+        self._idle_since.pop(job.job_id, None)
+        if state is JobState.IDLE:
+            self._idle_since[job.job_id] = self.sim.now
+        elif job.is_terminal:
+            self._forget(job)
+
     def _forget(self, job: Job) -> None:
         """*job* just went terminal: drop what is kept per live job."""
-        self._idle_since.pop(job.job_id, None)
         self._flock_announced.discard(job.job_id)
         self._ad_cache.pop(job.job_id, None)
 
     def _hold(self, job: Job, reason: str) -> None:
         job.hold_reason = reason
-        job.set_state(JobState.HELD)
-        self._forget(job)
+        self._set_state(job, JobState.HELD)
         self.userlog.log(
             self.sim.now, job.job_id, UserLogEventType.HELD, reason, error=True
         )

@@ -126,10 +126,6 @@ class Job:
         #: count again) -- the checkpointing ablation's waste metric.
         self.steps_executed: int = 0
 
-    # -- state transitions (schedd-owned) ---------------------------------
-    def set_state(self, state: JobState) -> None:
-        self.state = state
-
     @property
     def is_terminal(self) -> bool:
         return self.state in (JobState.COMPLETED, JobState.HELD, JobState.REMOVED)

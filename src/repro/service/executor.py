@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import traceback
 
 from repro.boundary import BadRequest
 from repro.campaign.engine import run_campaign
@@ -329,13 +330,21 @@ class ServiceExecutor:
         execution phase moves to a thread so the loop keeps serving
         requests while the core simulates.
         """
+        stranded = False  # set when a store error ends a cycle
         while True:
-            items = self.collect_items()
-            if not items:
-                await asyncio.sleep(POLL_INTERVAL)
-                continue
-            results = await asyncio.to_thread(self.execute_items, items)
-            self.record_results(items, results)
+            try:
+                if stranded:  # its unit rolled back; the runs it claimed go back
+                    self.store.requeue_running()
+                    stranded = False
+                items = self.collect_items()
+                if items:
+                    results = await asyncio.to_thread(self.execute_items, items)
+                    self.record_results(items, results)
+                    continue
+            except Exception:  # noqa: BLE001 - a store error ends the cycle, not the drain
+                traceback.print_exc()
+                stranded = True
+            await asyncio.sleep(POLL_INTERVAL)
 
 
 # ---------------------------------------------------------------------------

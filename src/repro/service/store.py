@@ -146,9 +146,9 @@ class RunStore(SqliteStore):
     def requeue_running(self) -> int:
         """Re-queue every run a dead process left ``running``; return how many.
 
-        Only for the process that owns the drain, before it drains: to any
-        other open a ``running`` run is one being executed.  Safe because
-        execution is pure and a ``running`` run has no artifacts.
+        Only for the drain's owner, before it drains or between its cycles:
+        to any other open a ``running`` run is one being executed.  Safe
+        because execution is pure and a ``running`` run has no artifacts.
         """
         orphans = sorted(self._by_state["running"])
         with self.transaction():

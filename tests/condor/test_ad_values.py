@@ -1,6 +1,6 @@
 """Ads are values: interned parses, frozen ads, the schedd's job-ad
-cache, the matchmaker's refresh fast path, and the startd's machine ads
-with the index that recognises them (DESIGN §3.3a).
+cache and idle-queue batch, the matchmaker's refresh fast path, and the
+startd's machine ads with the index that recognises them (DESIGN §3.3a).
 
 Each leg removes host work only, so each is pinned against the slow
 path it replaced: the interned tree against the raw parser, the cached
@@ -11,7 +11,7 @@ refresh by an equal fresh copy.
 import enum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.condor import Job, JobState, Pool, PoolConfig, ProgramImage, Universe
@@ -280,6 +280,29 @@ def check_cache(schedd: Schedd, jobs: list[Job]) -> None:
     assert all(ad is schedd._ad_cache[name.split("#")[1]][1] for name, ad in batch)
 
 
+def record_batch_lookups(schedd: Schedd) -> list[tuple[tuple, tuple]]:
+    """Pair every idle-queue batch ``_advertise_jobs`` looks up with a
+    fresh build made at the same instant, for :func:`check_lookups`.
+    (An assertion raised inside the advertise process would only end
+    that process, so the pairs are checked outside it.)"""
+    lookup, seen = schedd._idle_batch, []
+
+    def recorded() -> tuple:
+        batch = lookup()
+        seen.append((batch, schedd._ad_batch(schedd.idle_jobs())))
+        return batch
+
+    schedd._idle_batch = recorded
+    return seen
+
+
+def check_lookups(seen: list[tuple[tuple, tuple]]) -> None:
+    """Each batch looked up has the fresh build's names and ad objects."""
+    for batch, fresh in seen:
+        assert [name for name, _ in batch] == [name for name, _ in fresh]
+        assert all(ad is fresh_ad for (_, ad), (_, fresh_ad) in zip(batch, fresh))
+
+
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("attempt"), st.integers(0, 3), st.sampled_from(SITES),
@@ -303,16 +326,19 @@ class TestScheddAdCache:
             yield
 
     @given(operations)
+    # A field edited without a transition, seen by a later advertise.
+    @example([("requirements", 0, REQUIREMENTS[1]), ("advance", 45.0)])
     @settings(max_examples=120, deadline=None)
     def test_cached_ad_always_equals_a_fresh_build(self, ops):
         sim, schedd, jobs = make_schedd()
+        seen = record_batch_lookups(schedd)
         check_cache(schedd, jobs)
         for op in ops:
             if op[0] == "attempt":
                 job = jobs[op[1]]
                 if job.state is not JobState.IDLE:
                     continue
-                job.set_state(JobState.RUNNING)
+                schedd._set_state(job, JobState.RUNNING)
                 attempt = ExecutionAttempt(site=op[2], started=sim.now)
                 job.attempts.append(attempt)
                 schedd._dispose(job, attempt, outcome_for(op[3]))
@@ -327,6 +353,27 @@ class TestScheddAdCache:
             elif len(schedd.flock_links) < 3:
                 schedd.add_flock_target(f"central-{len(schedd.flock_links)}")
             check_cache(schedd, jobs)
+            check_lookups(seen)
+            assert schedd._advertise_proc.is_alive
+
+    def test_a_burst_of_submits_shares_one_batch(self, monkeypatch):
+        sim, schedd, jobs = make_schedd(n_jobs=4)
+        seen = record_batch_lookups(schedd)
+        builds = []
+        build = schedd._ad_batch
+        monkeypatch.setattr(schedd, "_ad_batch", lambda js: builds.append(js) or build(js))
+        sim.run(until=1.0)
+        # The advertise loop and four prompt advertises, all at t = 0:
+        # five lookups, one build (the recorder's fresh builds aside).
+        check_lookups(seen)
+        assert len(seen) == 5 and all(batch is seen[0][0] for batch, _ in seen)
+        assert len(builds) == 1 + len(seen)
+        assert len(schedd._idle_batch()) == 4  # memoised at t = 1.0
+        schedd._set_state(jobs[0], JobState.MATCHED)  # same instant, new queue version
+        assert [name for name, _ in schedd._idle_batch()] == [
+            f"submit#{job.job_id}" for job in jobs[1:]
+        ]
+        check_lookups(seen)
 
     def test_window_expiry_alone_rebuilds_the_ad(self):
         sim, schedd, jobs = make_schedd(n_jobs=1)

@@ -28,7 +28,7 @@ class TestJob:
             (JobState.HELD, True),
             (JobState.REMOVED, True),
         ]:
-            job.set_state(state)
+            job.state = state
             assert job.is_terminal is terminal
 
     def test_to_classad_includes_requirements(self):

@@ -1,6 +1,8 @@
 """Executor bridge: deterministic batches, the drain cycle, replay."""
 
+import asyncio
 import json
+import sqlite3
 
 import pytest
 
@@ -119,6 +121,45 @@ class TestDrainCycle:
         assert store.run_status(run)["state"] == "done"
         report = json.loads(store.get_artifact(run, "report"))
         assert report["campaign"]["mode"] == "scoped"
+
+
+class TestDrainSurvivesStoreErrors:
+    def test_a_failed_record_ends_the_cycle_not_the_drain(self, store, monkeypatch):
+        first = store.submit_run("job", "alice", {"work": 5.0})
+        real_put, failed = store.put_artifact, []
+
+        def put_failing_once(run_id, name, content):
+            if not failed:
+                failed.append(run_id)
+                raise sqlite3.OperationalError("disk I/O error")
+            real_put(run_id, name, content)
+
+        monkeypatch.setattr(store, "put_artifact", put_failing_once)
+
+        async def until_done(run_id, drain):
+            while store.run_status(run_id)["state"] != "done":
+                assert not drain.done(), "the drain task ended"
+                await asyncio.sleep(0.01)
+
+        async def scenario():
+            drain = asyncio.create_task(make_executor(store).drain_forever())
+            await asyncio.wait_for(until_done(first, drain), timeout=60)
+            second = store.submit_run("job", "bob", {"work": 5.0})
+            await asyncio.wait_for(until_done(second, drain), timeout=60)
+            drain.cancel()
+            return second
+
+        second = asyncio.run(scenario())
+        assert failed == [first]
+        # The failed unit rolled back; the drain re-queued the claimed run.
+        assert event_journal(store, first) == [
+            ("submitted", ""), ("running", ""), ("submitted", "recovered"),
+            ("running", ""), ("done", "COMPLETED"),
+        ]
+        assert [state for state, _ in event_journal(store, second)] == [
+            "submitted", "running", "done",
+        ]
+        assert store.artifact_names(first) == store.artifact_names(second) == ["batch", "result"]
 
 
 class TestReplay:
